@@ -11,11 +11,10 @@ flow counts (10 -> 10000):
 * ticks/sec of a frozen copy of the seed implementation's tick path
   (per-link double capacity scan + global reference water-filling each
   tick) on the tracked legacy sizes, and
-* solve-only time of the reference / indexed / vectorized kernels on
-  the instance's largest connected component (what per-component
-  dispatch actually sees), plus the full-instance from-scratch solve
-  and the incremental single-link re-solve — the measurements
-  ``repro.net.calibration`` fits the dispatch thresholds from.
+* solve-only time of the reference / indexed / batched kernels on the
+  whole instance (the kernel cutover is on the instance's active-flow
+  count), plus the auto-dispatched from-scratch solve and the
+  incremental single-link re-solve.
 
 Results are written to ``BENCH_emulator.json`` at the repo root (merged
 per case, so the smoke run in CI refreshes its sizes without clobbering
@@ -242,66 +241,36 @@ def solve_snapshot(emu: NetworkEmulator) -> tuple[list[FlowDemand], dict]:
     return demands, emu.capacities_now()
 
 
-def largest_component(demands, capacities):
-    """The biggest link-connected component (fid -> FlowDemand), or an
-    empty dict when no flow is active."""
-    _, active = _partition_flows(demands, capacities)
-    if not active:
-        return {}
-    return max(link_components(active), key=len)
-
-
 def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
-    """Best-of-N solve-only wall times (ms).
+    """Best-of-N solve-only wall times (ms), whole instance.
 
-    ``reference`` / ``indexed`` / ``vectorized`` kernels are timed on
-    the instance's *largest connected component* (recorded as
-    ``solver_flows``/``solver_entries``) — per-component dispatch means
-    component size, not instance size, is what the kernel choice rests
-    on.  ``full`` is the from-scratch decomposed auto solve of the
-    whole instance; ``incremental`` is a retained-engine re-solve after
-    a single-link capacity perturbation inside the largest component.
+    ``reference`` / ``indexed`` / ``batched`` force a kernel; ``full``
+    is the from-scratch auto solve (whichever kernel the cutover picks
+    for ``active_flows``); ``incremental`` is a retained-engine
+    re-solve after a single-link capacity perturbation.
     """
     demands, capacities = solve_snapshot(emu)
-    component = largest_component(demands, capacities)
-    comp_demands = list(component.values())
-    comp_caps = {
-        key: capacities[key]
-        for flow in comp_demands
-        for key in flow.links
-    }
+    _, active = _partition_flows(demands, capacities)
     timings: dict[str, float] = {}
-    contenders = {
-        "reference": lambda: max_min_allocation(
-            comp_demands, comp_caps, solver="reference"
-        ),
-        "indexed": lambda: max_min_allocation(
-            comp_demands, comp_caps, solver="indexed"
-        ),
-        "vectorized": lambda: max_min_allocation(
-            comp_demands, comp_caps, solver="vectorized"
-        ),
-        "full": lambda: max_min_allocation(demands, capacities),
-    }
-    for label, solve in contenders.items():
+    for label in ("reference", "indexed", "batched", "full"):
+        solver = "auto" if label == "full" else label
         best = float("inf")
         for _ in range(repeats):
             begin = time.perf_counter()
-            solve()
+            max_min_allocation(demands, capacities, solver=solver)
             best = min(best, time.perf_counter() - begin)
         timings[label] = best * 1000.0
 
-    # Incremental tier: full solve once, then perturb one link of the
-    # largest component and re-solve (min_flows=0 so the guard never
-    # hides the raw incremental cost curve from the calibration fit).
-    if comp_demands:
+    # Incremental tier: full solve once, then perturb one link an
+    # active flow crosses and re-solve.
+    if active:
         link_index = {key: i for i, key in enumerate(capacities)}
         cap_values = np.array(
             [capacities[key] for key in link_index], dtype=float
         )
-        engine = IncrementalMaxMin(min_flows=0)
+        engine = IncrementalMaxMin()
         engine.solve(demands, link_index, cap_values, ("bench", 0))
-        target = link_index[next(iter(component.values())).links[0]]
+        target = link_index[next(iter(active.values())).links[0]]
         base = float(cap_values[target])
         best = float("inf")
         for i in range(repeats * 2):
@@ -315,13 +284,8 @@ def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
 
     return {
         "solve_ms": timings,
-        "solver_flows": len(comp_demands),
-        "solver_entries": sum(len(f.links) for f in comp_demands),
-        "components": len(
-            link_components(_partition_flows(demands, capacities)[1])
-        )
-        if comp_demands
-        else 0,
+        "active_flows": len(active),
+        "components": len(link_components(active)),
     }
 
 
@@ -352,9 +316,9 @@ def run_case(n_nodes: int, n_flows: int, n_ticks: int) -> dict:
         "tick_speedup": ref_s / fast_s,
     }
     result.update(time_solvers(fast))
-    result["solver_speedup_vectorized"] = (
-        result["solve_ms"]["reference"] / result["solve_ms"]["vectorized"]
-        if result["solve_ms"]["vectorized"] > 0
+    result["solver_speedup_batched"] = (
+        result["solve_ms"]["reference"] / result["solve_ms"]["batched"]
+        if result["solve_ms"]["batched"] > 0
         else float("inf")
     )
     return result
@@ -437,7 +401,7 @@ def report(results: dict[str, dict], name: str) -> None:
             "tick_speedup",
             "solve_ref_ms",
             "solve_indexed_ms",
-            "solve_vector_ms",
+            "solve_batched_ms",
             "solve_incr_ms",
         ],
         [
@@ -449,13 +413,13 @@ def report(results: dict[str, dict], name: str) -> None:
                 fmt(row.get("tick_speedup", 0.0), 2),
                 fmt(row["solve_ms"]["reference"], 3),
                 fmt(row["solve_ms"]["indexed"], 3),
-                fmt(row["solve_ms"]["vectorized"], 3),
+                fmt(row["solve_ms"]["batched"], 3),
                 fmt(row["solve_ms"]["incremental"], 3),
             ]
             for row in results.values()
         ],
-        note="traced random meshes; kernel times on the largest "
-        "component; both tick loops engine-driven and bit-identical by "
+        note="traced random meshes; kernel times on the whole "
+        "instance; both tick loops engine-driven and bit-identical by "
         "assertion; BENCH_emulator.json tracks the series",
     )
 

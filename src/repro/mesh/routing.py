@@ -14,11 +14,84 @@ expose the two primitives the paper's net-monitor uses:
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
+from typing import Callable, Optional
 
 from ..errors import RoutingError, TopologyError
 from .link import Link
 from .topology import MeshTopology
+
+
+class _LiveMesh:
+    """Integer-indexed search structure over the live mesh.
+
+    Nodes are numbered in name order, so scanning a node's (sorted)
+    neighbour list visits peers in name order — which is what makes the
+    greedy walk in :meth:`path` return the lexicographically smallest
+    shortest path.  Hop-distance maps are flat lists, one per
+    destination, cached for the life of the structure (one topology
+    version).
+    """
+
+    __slots__ = ("names", "index", "adj", "_hops")
+
+    def __init__(self, adjacency: dict[str, list[str]]) -> None:
+        self.names = sorted(adjacency)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        index = self.index
+        self.adj = [
+            sorted(index[peer] for peer in adjacency[name])
+            for name in self.names
+        ]
+        self._hops: dict[int, list[int]] = {}
+
+    def hops_to(
+        self,
+        dst: int,
+        usable: Optional[Callable[[int, int], bool]] = None,
+    ) -> list[int]:
+        """BFS hop count from every node to ``dst`` (-1: unreachable),
+        optionally over the directed edges ``usable(u, v)`` admits."""
+        if usable is None and dst in self._hops:
+            return self._hops[dst]
+        hops = [-1] * len(self.names)
+        hops[dst] = 0
+        frontier = [dst]
+        while frontier:
+            reached = []
+            for v in frontier:
+                step = hops[v] + 1
+                for u in self.adj[v]:
+                    if hops[u] < 0 and (usable is None or usable(u, v)):
+                        hops[u] = step
+                        reached.append(u)
+            frontier = reached
+        if usable is None:
+            self._hops[dst] = hops
+        return hops
+
+    def path(
+        self,
+        src: int,
+        dst: int,
+        usable: Optional[Callable[[int, int], bool]] = None,
+    ) -> Optional[list[str]]:
+        """The fewest-hop path, smallest in name order among ties."""
+        hops = self.hops_to(dst, usable)
+        if hops[src] < 0:
+            return None
+        walk = [src]
+        node = src
+        while node != dst:
+            closer = hops[node] - 1
+            node = next(
+                peer
+                for peer in self.adj[node]
+                if hops[peer] == closer
+                and (usable is None or usable(node, peer))
+            )
+            walk.append(node)
+        return [self.names[i] for i in walk]
 
 
 class Router:
@@ -36,8 +109,9 @@ class Router:
       capacities fluctuate, matching BASS's assumption that it cannot
       steer routing in real time (§1).
 
-    Paths are computed once and cached; :meth:`invalidate` clears the
-    cache after a topology change.
+    Paths are computed once and cached; the cache (and the live-mesh
+    search structure paths are computed on) is dropped whenever the
+    topology version moves.
     """
 
     STRATEGIES = ("min_hop", "widest")
@@ -56,6 +130,14 @@ class Router:
         self._link_cache: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
         self._cached_version = topology.version
         self._link_cache_version = topology.version
+        #: Search structure for ``_cached_version``'s live mesh, built
+        #: on the first cache miss (derived; never serialized).
+        self._mesh: Optional[_LiveMesh] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_mesh"] = None
+        return state
 
     @property
     def topology(self) -> MeshTopology:
@@ -65,6 +147,7 @@ class Router:
         """Drop cached paths (call after adding nodes or links)."""
         self._path_cache.clear()
         self._link_cache.clear()
+        self._mesh = None
 
     def traceroute(self, src: str, dst: str) -> tuple[str, ...]:
         """The node path from ``src`` to ``dst``, inclusive of both ends.
@@ -83,6 +166,7 @@ class Router:
             # Topology changed (node/link added, failed, or recovered)
             # since the cache was filled — recompute from scratch.
             self._path_cache.clear()
+            self._mesh = None
             self._cached_version = self._topology.version
         key = (src, dst)
         cached = self._path_cache.get(key)
@@ -95,42 +179,54 @@ class Router:
         return cached
 
     def _shortest_path(self, src: str, dst: str) -> list[str]:
-        if self.strategy == "widest":
-            return self._widest_path(src, dst)
-        graph = self._topology.graph()
-        try:
-            paths = nx.all_shortest_paths(graph, src, dst)
-            return min(paths)  # lexicographic tie-break for determinism
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            # NodeNotFound: an endpoint is down and thus absent from the
-            # live graph — unreachable, same as a partition.
+        mesh = self._mesh
+        if mesh is None:
+            mesh = self._mesh = _LiveMesh(self._topology.live_adjacency())
+        s, d = mesh.index.get(src), mesh.index.get(dst)
+        if s is None or d is None:
+            # A down endpoint is absent from the live mesh —
+            # unreachable, same as a partition.
+            path = None
+        elif self.strategy == "widest":
+            path = self._widest_path(mesh, s, d)
+        else:
+            path = mesh.path(s, d)
+        if path is None:
             raise RoutingError(
                 f"mesh is partitioned: no route {src!r} -> {dst!r}"
-            ) from None
+            )
+        return path
 
-    def _widest_path(self, src: str, dst: str) -> list[str]:
-        """Maximize the path's bottleneck base capacity (then hop count,
-        then lexicographic order) via exhaustive simple-path search —
-        meshes are tens of nodes (§3.1), so this stays cheap."""
-        graph = self._topology.graph()
-        if (
-            src not in graph
-            or dst not in graph
-            or not nx.has_path(graph, src, dst)
-        ):
-            raise RoutingError(
-                f"mesh is partitioned: no route {src!r} -> {dst!r}"
-            )
-        best: tuple[float, int, list[str]] | None = None
-        for path in nx.all_simple_paths(graph, src, dst):
-            width = min(
-                self._topology.link(a, b).base_capacity(a, b)
-                for a, b in zip(path, path[1:])
-            )
-            key = (-width, len(path), path)
-            if best is None or key < best:
-                best = key
-        return best[2]
+    def _widest_path(
+        self, mesh: _LiveMesh, src: int, dst: int
+    ) -> Optional[list[str]]:
+        """Maximize the path's bottleneck base capacity, then hop count,
+        then name order: find the best achievable bottleneck (a
+        max-bottleneck Dijkstra), then the min-hop path over the links
+        at least that wide."""
+        names = mesh.names
+        link = self._topology.link
+
+        def width(u: int, v: int) -> float:
+            return link(names[u], names[v]).base_capacity(names[u], names[v])
+
+        best = {src: float("inf")}
+        heap = [(-best[src], src)]
+        while heap:
+            neg, u = heapq.heappop(heap)
+            if u == dst:
+                break
+            if -neg < best[u]:
+                continue  # stale entry
+            for v in mesh.adj[u]:
+                through = min(-neg, width(u, v))
+                if through > best.get(v, -1.0):
+                    best[v] = through
+                    heapq.heappush(heap, (-through, v))
+        else:
+            return None
+        bottleneck = best[dst]
+        return mesh.path(src, dst, lambda a, b: width(a, b) >= bottleneck)
 
     def path_links(self, src: str, dst: str) -> list[Link]:
         """Links along the route, in traversal order."""

@@ -11,15 +11,17 @@ Includes builders for the topologies used throughout the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..errors import TopologyError
 from .link import Link, LinkId, link_id
 from .node import MeshNode
 from .tracegen import citylab_link_trace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class MeshTopology:
@@ -219,16 +221,26 @@ class MeshTopology:
 
     # -- derived views ---------------------------------------------------
 
+    def live_adjacency(self) -> dict[str, list[str]]:
+        """Live node -> live neighbours over up links.  Down nodes and
+        down links are excluded, so routing never traverses a failed
+        element (a crashed node's links are all down with it)."""
+        adjacency: dict[str, list[str]] = {
+            name: [] for name in self._nodes if name not in self._down_nodes
+        }
+        for (a, b), link in self._links.items():
+            if link.up:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+        return adjacency
+
     def graph(self) -> nx.Graph:
         """An undirected networkx view of the *live* mesh (hop-count
-        weights).  Down nodes and down links are excluded, so routing
-        never traverses a failed element; in a healthy mesh this is the
-        full topology at no extra cost."""
+        weights), for analysis and plotting.  networkx is imported here
+        and only here: routing runs on :meth:`live_adjacency`."""
+        import networkx as nx
+
         graph = nx.Graph()
-        if not self._down_nodes and not self._link_down_reasons:
-            graph.add_nodes_from(self._nodes)
-            graph.add_edges_from(self._links)
-            return graph
         graph.add_nodes_from(
             name for name in self._nodes if name not in self._down_nodes
         )
@@ -244,10 +256,19 @@ class MeshTopology:
         nodes are excluded, and a mesh whose surviving nodes all reach
         each other still counts as connected.
         """
-        graph = self.graph()
-        if not graph:
+        adjacency = self.live_adjacency()
+        if not adjacency:
             return True
-        return nx.is_connected(graph)
+        start = next(iter(adjacency))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            for peer in adjacency[node]:
+                if peer not in seen:
+                    seen.add(peer)
+                    frontier.append(peer)
+        return len(seen) == len(adjacency)
 
     def total_link_capacity(self, name: str, t: float) -> float:
         """Sum of outgoing capacity across all of a node's links.

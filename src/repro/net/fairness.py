@@ -14,36 +14,46 @@ This is the fluid-level idealization of what per-flow fair queueing (or
 long-run TCP) gives competing streams, and is the allocation model the
 emulator recomputes whenever demands or capacities change.
 
-Three interchangeable solvers compute the same allocation:
+The canonical semantics are *decomposed*: an instance is split into the
+connected components of its flow<->link incidence graph (components
+share no links, so their allocations are independent) and each
+component is water-filled on its own.  Two kernels do that, plus the
+oracle they are checked against:
 
 * :func:`max_min_allocation_reference` — the original per-round loop
   that rebuilds the flows-per-link map from scratch every round.  It is
-  frozen as the correctness oracle and the baseline for the perf
-  harness (``benchmarks/test_perf_emulator.py``).
-* the *indexed* solver — maintains the flow<->link incidence counts
-  incrementally as flows retire, removing the per-round dict rebuild.
-* the *vectorized* solver — the same water-filling rounds over NumPy
-  arrays, selected automatically for large instances.
+  frozen as the correctness oracle (``solver="reference"`` runs it per
+  component).
+* the *indexed* dict kernel — the same loop with the incidence counts
+  maintained incrementally, one component at a time.  Small instances
+  (the paper's 5-node mesh, a few dozen flows) stay here: array set-up
+  would cost more than the whole solve.
+* the *batched* kernel (:class:`ComponentBatch`) — one segmented NumPy
+  water-fill over the concatenated arrays of *every* component.  Each
+  round takes per-component increments from ``np.minimum.reduceat``
+  over the link-headroom and flow-slack segments, so a city of regional
+  components costs ``max(rounds)`` array rounds instead of
+  ``sum(rounds)`` Python rounds.
 
-All three are bit-compatible: every floating-point operation of a round
-(the uniform increment, the rate and residual-capacity updates, the
-retirement tests) is performed with identical IEEE-754 arithmetic in an
-equivalent order, so the returned rates are *exactly* equal, not merely
-close.  ``tests/unit/test_fairness_equivalence.py`` enforces this over
-hundreds of randomized instances.
+All three are bit-compatible: every floating-point operation a
+component sees in a round (its uniform increment, the rate and
+residual-capacity updates, the retirement tests) is performed with
+identical IEEE-754 arithmetic in an equivalent order, so the returned
+rates are *exactly* equal, not merely close.
+``tests/unit/test_fairness_equivalence.py`` enforces this over hundreds
+of randomized instances.  On a single-component instance the decomposed
+solve is additionally bit-identical to the frozen global loop.
 
-``max_min_allocation`` solves *per connected component* of the
-flow↔link incidence graph: components share no links, so their
-allocations are independent, and each component is handed to the kernel
-the auto-selector picks for *its* size.  On a single-component instance
-this is bit-identical to running a kernel over the whole instance (the
-round increments and retirement tests only ever inspect links carried
-by active flows).  Decomposition is what makes the incremental path
-possible: :class:`IncrementalMaxMin` re-solves only the components
-whose link capacities changed since the last allocation and keeps every
-clean component's rates verbatim — exactly equal to a from-scratch
-solve, because a component's allocation is a pure function of its own
-flows and capacities.
+One size cutover, ``_BATCH_MIN_FLOWS`` on the instance's active-flow
+count, picks the kernel; there is no other tuning.
+
+:class:`IncrementalMaxMin` is the emulator's stateful front end: it
+keeps the component structure while the flow set is unchanged and, above
+the cutover, re-solves only the components whose link capacities moved
+since the last allocation — in one batched call with a dirty-component
+mask — keeping every clean component's rates verbatim.  That is exactly
+equal to a from-scratch solve because a component's allocation is a
+pure function of its own flows and capacities.
 """
 
 from __future__ import annotations
@@ -55,32 +65,18 @@ import numpy as np
 
 _EPSILON = 1e-9
 
-#: Auto-dispatch thresholds: the vectorized solver wins once the round
-#: loop pushes enough work through NumPy to amortize array setup.
-#: Calibrated from BENCH_emulator.json's tracked solve times — the
-#: log-log power-law fits of the indexed and vectorized kernels,
-#: measured per connected component (the unit dispatch actually sees),
-#: cross at ~60 flows (see repro.net.calibration; the guard test
-#: tests/unit/test_solver_calibration.py keeps these in sync with a
-#: fresh fit of the checked-in data).
-_VECTOR_MIN_FLOWS = 60
-_VECTOR_MIN_ENTRIES = 240
+#: The one kernel cutover: instances with at least this many active
+#: flows run the batched array kernel, smaller ones the dict kernel.
+#: Evidence (``python3 -m bench --trace``, ``net.fairness.incremental_s``
+#: per rep with each kernel forced): below it, socialnet_mesh (~20
+#: active flows) is 2.1x slower batched and fleet_epochs (~45 flows in
+#: 29 components) a wash; above it, flow_churn (1 200 flows) is 3x and
+#: city_tick (3 000 flows) 10x faster batched.  Dirty-component
+#: tracking is gated by the same constant: below it those workloads'
+#: partial solves re-solve every component anyway.
+_BATCH_MIN_FLOWS = 128
 
-#: Below this many active flows :class:`IncrementalMaxMin` skips dirty
-#: tracking and re-solves everything: the capacity diff and component
-#: bookkeeping cost more than the whole solve on tiny instances.
-#: Calibrated from BENCH_emulator.json's incremental-tier measurements
-#: (the fitted full-solve and incremental-re-solve power laws cross at
-#: ~15 flows — see repro.net.calibration), guarded by the same test.
-_INCREMENTAL_MIN_FLOWS = 15
-
-#: When more than this fraction of active flows sit in dirty
-#: components, the incremental engine re-solves every component (the
-#: "full solve" fallback — bit-identical either way, but it skips the
-#: per-component dispatch bookkeeping when almost everything moved).
-_INCREMENTAL_FULL_FRACTION = 0.5
-
-SOLVERS = ("auto", "reference", "indexed", "vectorized")
+SOLVERS = ("auto", "reference", "indexed", "batched")
 
 LinkKey = tuple[str, str]
 """Directed link identifier: (src node, dst node)."""
@@ -206,16 +202,19 @@ def _partition_flows(
 
 def _solve_indexed(
     rates: dict[Hashable, float],
-    active: dict[Hashable, FlowDemand],
+    component: Mapping[Hashable, FlowDemand],
     capacities: Mapping[LinkKey, float],
 ) -> None:
-    """Water-filling with incrementally maintained incidence counts.
+    """Water-fill one component with incrementally maintained counts.
 
     Identical arithmetic to the reference loop; the only change is that
     the flows-per-link counts are decremented as flows retire instead of
     being rebuilt from scratch every round, so a round costs
     O(active links + active flows) rather than O(total path length).
+    The component's entries in ``rates`` are (re)started from zero.
     """
+    active = dict(component)
+    rates.update(dict.fromkeys(active, 0.0))
     remaining = {key: float(capacities[key]) for flow in active.values() for key in flow.links}
     counts: dict[LinkKey, int] = {}
     for flow in active.values():
@@ -268,281 +267,235 @@ def _solve_indexed(
                     del counts[key]
 
 
-#: Margin for the round-level skip tests in the vectorized kernel.  A
-#: flow can only be satisfied this round when its start-of-round slack
-#: is within ``_EPSILON`` of ``delta`` (and a link can only saturate
-#: when its headroom ratio is), so rounds whose minimum slack/ratio sit
-#: clearly above ``delta`` skip the retirement scans entirely.  The
-#: margin doubles ``_EPSILON`` to absorb ulp-level rounding differences
-#: between the skip predicate and the actual elementwise tests — a
-#: false *positive* merely runs a scan that finds nothing.
-_SKIP_MARGIN = 2.0 * _EPSILON
+class ComponentBatch:
+    """Every component of an instance, concatenated into flat arrays.
 
-
-class CompiledComponent:
-    """Frozen array form of one link-connected component.
-
-    Building the entry arrays (flow↔link incidence in COO form, the
-    per-flow entry slices, the link→flow CSR used for saturation
-    retirement) costs O(path length) Python work — far more than a
-    solve's round loop on re-solves.  The emulator's incremental engine
-    therefore compiles each component once per flow-set shape and
-    replays :meth:`solve` against fresh capacities every tick.
+    Flows are laid out component-major (components in the order given,
+    flows in each component's own order) and links in first-appearance
+    order, which is component-major too because components share no
+    links.  Component *c* therefore owns the contiguous flow rows
+    ``flow_starts[c]:flow_starts[c + 1]`` and link rows
+    ``link_starts[c]:link_starts[c + 1]`` — the segments
+    ``np.minimum.reduceat`` reduces over.  Building the arrays costs
+    O(path length) Python work, so the emulator's incremental engine
+    compiles once per flow-set shape and replays :meth:`solve` against
+    fresh capacities every tick.
     """
 
     __slots__ = (
         "flow_ids",
         "link_keys",
+        "flow_starts",
+        "link_starts",
         "demand",
-        "ef",
-        "el",
-        "offsets",
+        "entry_flow",
+        "entry_link",
         "counts0",
-        "by_link_flow",
-        "link_offsets",
-        "n_flows",
-        "n_links",
-        "n_entries",
+        "comp_of_flow",
+        "comp_of_link",
     )
 
-    def __init__(self, component: Mapping[Hashable, FlowDemand]) -> None:
-        self.flow_ids = list(component.keys())
-        self.n_flows = len(self.flow_ids)
+    def __init__(
+        self, components: Sequence[Mapping[Hashable, FlowDemand]]
+    ) -> None:
+        flow_ids: list[Hashable] = []
+        demand: list[float] = []
         link_index: dict[LinkKey, int] = {}
         entry_flow: list[int] = []
         entry_link: list[int] = []
-        for fi, flow in enumerate(component.values()):
-            for key in flow.links:
-                li = link_index.get(key)
-                if li is None:
-                    li = link_index[key] = len(link_index)
-                entry_flow.append(fi)
-                entry_link.append(li)
-        self.link_keys = list(link_index.keys())
-        self.n_links = len(link_index)
-        self.n_entries = len(entry_flow)
-        self.ef = np.asarray(entry_flow, dtype=np.intp)
-        self.el = np.asarray(entry_link, dtype=np.intp)
-        # Entries are grouped by flow in build order, so each flow's
-        # link indices live in one slice — used to retire its incidence
-        # in O(path).
-        offsets = np.zeros(self.n_flows + 1, dtype=np.intp)
-        np.cumsum(
-            [len(flow.links) for flow in component.values()],
-            out=offsets[1:],
-        )
-        self.offsets = offsets
-        self.demand = np.array(
-            [flow.demand_mbps for flow in component.values()],
-            dtype=np.float64,
-        )
+        flow_starts: list[int] = []
+        link_starts: list[int] = []
+        for component in components:
+            flow_starts.append(len(flow_ids))
+            link_starts.append(len(link_index))
+            for fid, flow in component.items():
+                fi = len(flow_ids)
+                flow_ids.append(fid)
+                demand.append(flow.demand_mbps)
+                for key in flow.links:
+                    li = link_index.get(key)
+                    if li is None:
+                        li = link_index[key] = len(link_index)
+                    entry_flow.append(fi)
+                    entry_link.append(li)
+        self.flow_ids = flow_ids
+        self.link_keys = list(link_index)
+        #: Segment starts per component, plus the end sentinel.
+        self.flow_starts = flow_starts + [len(flow_ids)]
+        self.link_starts = link_starts + [len(link_index)]
+        self.demand = np.array(demand, dtype=np.float64)
+        self.entry_flow = np.array(entry_flow, dtype=np.intp)
+        self.entry_link = np.array(entry_link, dtype=np.intp)
+        #: Flows per link, with multiplicity (a path listing a link
+        #: twice counts twice, as in the reference).
         self.counts0 = np.bincount(
-            self.el, minlength=self.n_links
+            self.entry_link, minlength=len(link_index)
         ).astype(np.float64)
-        # CSR by link: flows incident to link li (with multiplicity, in
-        # entry order) are by_link_flow[link_offsets[li]:link_offsets[li+1]].
-        # Saturation rounds use this to pin only the flows on the few
-        # saturated links instead of scanning every entry.
-        order = np.argsort(self.el, kind="stable")
-        self.by_link_flow = self.ef[order]
-        link_offsets = np.zeros(self.n_links + 1, dtype=np.intp)
-        np.cumsum(self.counts0.astype(np.intp), out=link_offsets[1:])
-        self.link_offsets = link_offsets
+        ids = np.arange(len(components))
+        self.comp_of_flow = np.repeat(ids, np.diff(self.flow_starts))
+        self.comp_of_link = np.repeat(ids, np.diff(self.link_starts))
 
-    def gather_capacities(
-        self, capacities: Mapping[LinkKey, float]
-    ) -> np.ndarray:
-        """Per-link capacity array in this component's link order."""
-        return np.array(
-            [float(capacities[key]) for key in self.link_keys],
-            dtype=np.float64,
-        )
+    @property
+    def n_components(self) -> int:
+        return len(self.flow_starts) - 1
 
-    def solve(
-        self, cap: np.ndarray, rates: dict[Hashable, float]
-    ) -> None:
-        """Water-fill against ``cap`` (consumed) and write the rates.
+    def solve(self, cap: np.ndarray, selected: np.ndarray) -> np.ndarray:
+        """Water-fill the ``selected`` components against ``cap``.
 
-        The round arithmetic is the reference loop's, op for op, in
-        IEEE-754 float64 — results are bit-identical.  The departures
-        are purely representational: retired flows carry ``+inf``
-        demand shadows (so the unmasked reductions and retirement tests
-        can never pick them), fully-retired links carry
-        ``cap=+inf, count=1`` (so they drop out of the headroom minimum
-        and the saturation scan exactly like the reference dropping the
-        key from its incidence map), and ``rate`` keeps accumulating
-        deltas for retired rows — their exact retirement-round value is
-        captured into ``final`` the moment they retire, so the masked
-        add the reference implies costs nothing here.  The loop is
-        dispatch-bound at these sizes (~100+ rounds of small-array
-        ufuncs), hence the raw ``ufunc.reduce`` / ``.nonzero()`` calls
-        in place of their fromnumeric wrappers.
+        Args:
+            cap: capacity per link row (consumed).
+            selected: bool per component; unselected components are
+                left alone and their rows of the result are meaningless.
+
+        Returns:
+            The rate per flow row.
+
+        A partial selection is first compacted to the selected
+        components' rows (order kept, indices renumbered), so the round
+        loop costs what the dirty part of the instance costs, not what
+        the whole instance does.
         """
-        n_flows = self.n_flows
-        demand = self.demand
-        ef = self.ef
-        el = self.el
-        offsets = self.offsets
-        by_link_flow = self.by_link_flow
-        link_offsets = self.link_offsets
-        counts = self.counts0.copy()
-
-        rate = np.zeros(n_flows, dtype=np.float64)
-        final = np.zeros(n_flows, dtype=np.float64)
-        alive = np.ones(n_flows, dtype=bool)
-        demand_shadow = demand.copy()
-        sat_thresh = demand - _EPSILON
-        ratio = np.empty(self.n_links, dtype=np.float64)
-        slack = np.empty(n_flows, dtype=np.float64)
-        scratch_l = np.empty(self.n_links, dtype=np.float64)
-        satisfied = np.empty(n_flows, dtype=bool)
-        sat_links = np.empty(self.n_links, dtype=bool)
-        inf = np.inf
-        min_reduce = np.minimum.reduce
-        n_alive = n_flows
-
-        # Links whose capacity starts at exactly 0 with no flows... are
-        # impossible here: every link of a component carries >= 1 flow.
-        while n_alive:
-            np.divide(cap, counts, out=ratio)
-            d1 = float(min_reduce(ratio))
-            np.subtract(demand_shadow, rate, out=slack)
-            d2 = float(min_reduce(slack))
-            delta = d1 if d1 < d2 else d2
-            if delta < 0.0:
-                delta = 0.0
-
-            rate += delta
-            np.multiply(counts, delta, out=scratch_l)
-            np.subtract(cap, scratch_l, out=cap)
-
-            any_sat = False
-            retired_entries = None
-            if d2 <= delta + _SKIP_MARGIN:
-                np.greater_equal(rate, sat_thresh, out=satisfied)
-                any_sat = bool(satisfied.any())
-                if any_sat:
-                    alive ^= satisfied
-                    retired = satisfied.nonzero()[0]
-                    n_alive -= retired.size
-                    final[retired] = rate[retired]
-                    demand_shadow[retired] = inf
-                    sat_thresh[retired] = inf
-                    if retired.size == 1:
-                        fi = retired[0]
-                        retired_entries = el[offsets[fi] : offsets[fi + 1]]
-                    elif retired.size * 8 > self.n_entries:
-                        retired_entries = el[satisfied[ef]]
-                    else:
-                        retired_entries = np.concatenate(
-                            [
-                                el[offsets[fi] : offsets[fi + 1]]
-                                for fi in retired
-                            ]
-                        )
-            if d1 <= delta + _SKIP_MARGIN:
-                # Saturation is judged against the round-start counts
-                # (still including just-satisfied flows), matching the
-                # reference.
-                np.less_equal(cap, _EPSILON, out=sat_links)
-                sat_idx = sat_links.nonzero()[0]
-                if sat_idx.size:
-                    if sat_idx.size == 1:
-                        li = sat_idx[0]
-                        cand = by_link_flow[
-                            link_offsets[li] : link_offsets[li + 1]
-                        ]
-                    else:
-                        cand = np.concatenate(
-                            [
-                                by_link_flow[
-                                    link_offsets[li] : link_offsets[li + 1]
-                                ]
-                                for li in sat_idx
-                            ]
-                        )
-                    cand = cand[alive[cand]]
-                    if cand.size:
-                        pinned = np.zeros(n_flows, dtype=bool)
-                        pinned[cand] = True
-                        alive &= ~pinned
-                        pr = pinned.nonzero()[0]
-                        n_alive -= pr.size
-                        final[pr] = rate[pr]
-                        demand_shadow[pr] = inf
-                        sat_thresh[pr] = inf
-                        if pr.size * 8 > self.n_entries:
-                            pe = el[pinned[ef]]
-                        else:
-                            pe = np.concatenate(
-                                [
-                                    el[offsets[fi] : offsets[fi + 1]]
-                                    for fi in pr
-                                ]
-                            )
-                        retired_entries = (
-                            pe
-                            if retired_entries is None
-                            else np.concatenate([retired_entries, pe])
-                        )
-                elif not any_sat and delta <= _EPSILON:
-                    break  # numerical dead-end; remaining rates stay put
-            elif not any_sat and delta <= _EPSILON:
-                break  # numerical dead-end; remaining rates stay put
-
-            if retired_entries is not None and retired_entries.size:
-                # unbuffered: a path listing a link twice decrements
-                # twice, matching the reference's per-occurrence counts
-                np.subtract.at(counts, retired_entries, 1.0)
-                dead = retired_entries[counts[retired_entries] == 0.0]
-                if dead.size:
-                    # Retired links leave the headroom minimum and the
-                    # saturation scan for good.
-                    counts[dead] = 1.0
-                    cap[dead] = inf
-
-        # Flows still alive (demand never met, no link saturated under
-        # them — or the dead-end break) keep their current rate.
-        np.copyto(final, rate, where=alive)
-        for i, fid in enumerate(self.flow_ids):
-            rates[fid] = float(final[i])
+        sizes_f = np.diff(self.flow_starts)
+        sizes_l = np.diff(self.link_starts)
+        if selected.all():
+            return _water_fill(
+                self.demand,
+                self.counts0.copy(),
+                cap,
+                self.entry_flow,
+                self.entry_link,
+                self.comp_of_flow,
+                self.comp_of_link,
+                sizes_f,
+                sizes_l,
+            )
+        flow_on = selected[self.comp_of_flow]
+        link_on = selected[self.comp_of_link]
+        entry_on = flow_on[self.entry_flow]
+        renumber_c = np.cumsum(selected) - 1
+        renumber_f = np.cumsum(flow_on) - 1
+        renumber_l = np.cumsum(link_on) - 1
+        rate = np.zeros(flow_on.size, dtype=np.float64)
+        rate[flow_on] = _water_fill(
+            self.demand[flow_on],
+            self.counts0[link_on],
+            cap[link_on],
+            renumber_f[self.entry_flow[entry_on]],
+            renumber_l[self.entry_link[entry_on]],
+            renumber_c[self.comp_of_flow[flow_on]],
+            renumber_c[self.comp_of_link[link_on]],
+            sizes_f[selected],
+            sizes_l[selected],
+        )
+        return rate
 
 
-def _solve_vectorized(
-    rates: dict[Hashable, float],
-    active: dict[Hashable, FlowDemand],
-    capacities: Mapping[LinkKey, float],
-) -> None:
-    """The same water-filling rounds over NumPy arrays.
+def _water_fill(
+    demand: np.ndarray,
+    counts: np.ndarray,
+    cap: np.ndarray,
+    entry_flow: np.ndarray,
+    entry_link: np.ndarray,
+    comp_of_flow: np.ndarray,
+    comp_of_link: np.ndarray,
+    sizes_f: np.ndarray,
+    sizes_l: np.ndarray,
+) -> np.ndarray:
+    """Water-fill every component of a component-major layout in
+    lock-step rounds; ``counts`` and ``cap`` are consumed.
 
-    Every scalar operation of the reference round maps to an elementwise
-    float64 operation here (same IEEE-754 semantics, no reductions that
-    reassociate sums), so results are bit-identical.
+    Each component sees the reference loop's round, op for op, in
+    IEEE-754 float64 — results are bit-identical.  The departures are
+    purely representational.  A round computes every component's own
+    increment (``min`` of its link-headroom and flow-slack segments)
+    into ``delta[c]``; flow and link rows read it back through
+    ``flow_slot`` / ``link_slot``, which start as the row's component
+    and are re-pointed at a spare slot that always holds ``0.0`` once
+    the row retires (``x + 0.0`` and ``cap - count * 0.0`` are exact).
+    So a retired flow's rate simply stops moving, and a finished
+    component — whose increment is ``+inf``, nothing finite being left
+    in its segments — is never read at all.  Retired flows also carry
+    ``+inf`` demand bounds (the reductions and the satisfaction test
+    never pick them) and fully-retired links ``cap=+inf, count=1``
+    (they drop out of the headroom minimum and the saturation scan
+    exactly like the reference dropping the key from its incidence
+    map).
     """
-    compiled = CompiledComponent(active)
-    compiled.solve(compiled.gather_capacities(capacities), rates)
-    active.clear()
+    flow_starts = np.cumsum(sizes_f) - sizes_f
+    link_starts = np.cumsum(sizes_l) - sizes_l
+    n_links = cap.size
+    spare = sizes_f.size
+    inf = np.inf
+    min_reduceat = np.minimum.reduceat
 
+    flow_slot = comp_of_flow.copy()
+    link_slot = comp_of_link.copy()
+    n_alive = demand.size
+    # Row 0: demand (the slack minuend); row 1: demand - epsilon (the
+    # satisfaction threshold).  Both +inf once retired.
+    bounds = np.empty((2, demand.size), dtype=np.float64)
+    bounds[0] = demand
+    bounds[1] = demand - _EPSILON
+    demand_shadow, sat_thresh = bounds
+    rate = np.zeros(demand.size, dtype=np.float64)
+    slots = np.zeros(spare + 1, dtype=np.float64)
+    delta = slots[:-1]
 
-def auto_solver(active_flows: Sequence[FlowDemand]) -> str:
-    """The implementation ``solver="auto"`` dispatches to.
+    while n_alive:
+        d1 = min_reduceat(cap / counts, link_starts)
+        d2 = min_reduceat(demand_shadow - rate, flow_starts)
+        np.minimum(d1, d2, out=delta)
+        np.maximum(delta, 0.0, out=delta)
 
-    Small instances stay on the indexed solver: below the thresholds the
-    vectorized solver's array setup costs more than the whole solve (the
-    perf harness's ``n005_f010`` case runs ~4x slower vectorized), so
-    auto must never pick it there.  The thresholds are calibrated from
-    the perf harness's measurements rather than hand-tuned — see
-    :mod:`repro.net.calibration`.  ``active_flows`` is the post-
-    partition active set — loopback and zero-demand flows are granted
-    before dispatch and never count toward the thresholds.
-    """
-    entries = sum(len(flow.links) for flow in active_flows)
-    return (
-        "vectorized"
-        if len(active_flows) >= _VECTOR_MIN_FLOWS
-        and entries >= _VECTOR_MIN_ENTRIES
-        else "indexed"
-    )
+        rate += slots[flow_slot]
+        cap -= counts * slots[link_slot]
+
+        retired = rate >= sat_thresh  # satisfied flows
+        rows = retired.nonzero()[0]
+        # Saturation is judged against the round-start counts (still
+        # including just-satisfied flows), matching the reference.
+        saturated = cap <= _EPSILON
+        sat_rows = saturated.nonzero()[0]
+        if sat_rows.size:
+            pinned = np.zeros(rate.size, dtype=bool)
+            pinned[entry_flow[saturated[entry_link]]] = True
+            pinned &= flow_slot != spare
+            retired |= pinned
+            rows = retired.nonzero()[0]
+
+        if not delta.min() > _EPSILON:
+            # Numerical dead-end: a component that moved by no more
+            # than epsilon, satisfied no flow and saturated no link
+            # stops; its remaining flows keep their current rates.
+            stuck = ~(delta > _EPSILON)
+            stuck[comp_of_flow[rows]] = False
+            stuck[comp_of_link[sat_rows]] = False
+            if stuck.any():
+                stuck = np.append(stuck, False)
+                frozen = stuck[flow_slot]
+                n_alive -= int(np.count_nonzero(frozen))
+                flow_slot[frozen] = spare
+                bounds[:, frozen] = inf
+                frozen = stuck[link_slot]
+                link_slot[frozen] = spare
+                counts[frozen] = 1.0
+                cap[frozen] = inf
+
+        if rows.size:
+            n_alive -= rows.size
+            flow_slot[rows] = spare
+            bounds[:, rows] = inf
+            gone = entry_link[retired[entry_flow]]
+            counts -= np.bincount(gone, minlength=n_links)
+            dead = (counts == 0.0).nonzero()[0]
+            if dead.size:
+                # Retired links leave the headroom minimum and the
+                # saturation scan for good.
+                link_slot[dead] = spare
+                counts[dead] = 1.0
+                cap[dead] = inf
+
+    return rate
 
 
 def link_components(
@@ -557,54 +510,37 @@ def link_components(
     their first flow in ``active``, and flows keep ``active``'s
     iteration order within each component.
     """
-    parent: dict[LinkKey, LinkKey] = {}
-
-    def find(key: LinkKey) -> LinkKey:
-        root = key
-        while parent[root] != root:
-            root = parent[root]
-        while parent[key] != root:
-            parent[key], key = root, parent[key]
-        return root
-
+    # link -> the (shared, growing) list of links of its component.
+    # A flow joins all its links: new links are appended to the flow's
+    # home list, and an already-labelled foreign list is merged into it
+    # smaller-into-larger, so total relabelling stays O(E log E).
+    label: dict[LinkKey, list[LinkKey]] = {}
     for flow in active.values():
-        links = flow.links
-        first = links[0]
-        if first not in parent:
-            parent[first] = first
-        root = find(first)
-        for key in links[1:]:
-            if key not in parent:
-                parent[key] = key
-            other = find(key)
-            if other != root:
-                parent[other] = root
-    groups: dict[LinkKey, dict[Hashable, FlowDemand]] = {}
+        home: Optional[list[LinkKey]] = None
+        for key in flow.links:
+            members = label.get(key)
+            if members is None:
+                if home is None:
+                    home = []
+                home.append(key)
+                label[key] = home
+            elif members is not home:
+                if home is None:
+                    home = members
+                    continue
+                if len(members) > len(home):
+                    home, members = members, home
+                home.extend(members)
+                for merged in members:
+                    label[merged] = home
+    groups: dict[int, dict[Hashable, FlowDemand]] = {}
     for fid, flow in active.items():
-        groups.setdefault(find(flow.links[0]), {})[fid] = flow
+        groups.setdefault(id(label[flow.links[0]]), {})[fid] = flow
     return list(groups.values())
 
 
-def _solve_component(
-    rates: dict[Hashable, float],
-    component: dict[Hashable, FlowDemand],
-    capacities: Mapping[LinkKey, float],
-    solver: str,
-) -> None:
-    """Solve one component with the requested (or auto-picked) kernel.
-
-    Consumes ``component`` (the kernels retire flows destructively) —
-    callers that retain the dict must pass a copy.
-    """
-    kernel = auto_solver(tuple(component.values())) if solver == "auto" else solver
-    if kernel == "reference":
-        rates.update(
-            max_min_allocation_reference(list(component.values()), capacities)
-        )
-    elif kernel == "vectorized":
-        _solve_vectorized(rates, component, capacities)
-    else:
-        _solve_indexed(rates, component, capacities)
+def _use_batch(active_flows: int) -> bool:
+    return active_flows >= _BATCH_MIN_FLOWS
 
 
 def max_min_allocation(
@@ -615,20 +551,18 @@ def max_min_allocation(
 ) -> dict[Hashable, float]:
     """Compute the demand-bounded max-min fair rates for ``flows``.
 
-    The instance is split into link-connected components, each solved
-    independently (components share no links, so the result is the same
-    max-min fair allocation).  With ``solver="auto"`` the kernel is
-    picked per component, so one city-scale instance of many regional
-    components dispatches each region at its own size.
+    The instance is split into link-connected components, each
+    water-filled independently (components share no links, so the
+    result is the same max-min fair allocation).
 
     Args:
         flows: flow demands; flows whose paths reference a link absent
             from ``capacities`` raise ``KeyError`` (a wiring bug).
         capacities: directed link capacities in Mbps.
-        solver: ``"auto"`` (default) picks the vectorized kernel for
-            large components and the indexed kernel otherwise;
-            ``"reference"``, ``"indexed"`` and ``"vectorized"`` force a
-            specific kernel.  All choices return bit-identical
+        solver: ``"auto"`` (default) picks the batched array kernel at
+            ``_BATCH_MIN_FLOWS`` active flows and the dict kernel
+            below; ``"reference"``, ``"indexed"`` and ``"batched"``
+            force a kernel.  All choices return bit-identical
             allocations.
 
     Returns:
@@ -639,10 +573,27 @@ def max_min_allocation(
             f"unknown solver {solver!r}; expected one of {SOLVERS}"
         )
     rates, active = _partition_flows(flows, capacities)
-    if not active:
-        return rates
-    for component in link_components(active):
-        _solve_component(rates, component, capacities, solver)
+    components = link_components(active)
+    if solver == "auto":
+        solver = "batched" if _use_batch(len(active)) else "indexed"
+    if solver == "batched":
+        batch = ComponentBatch(components)
+        cap = np.array(
+            [float(capacities[key]) for key in batch.link_keys],
+            dtype=np.float64,
+        )
+        final = batch.solve(cap, np.ones(len(components), dtype=bool))
+        rates.update(zip(batch.flow_ids, final.tolist()))
+    elif solver == "reference":
+        for component in components:
+            rates.update(
+                max_min_allocation_reference(
+                    list(component.values()), capacities
+                )
+            )
+    else:
+        for component in components:
+            _solve_indexed(rates, component, capacities)
     return rates
 
 
@@ -650,7 +601,7 @@ class ArrayCapacities(Mapping):
     """Read-only ``Mapping[LinkKey, float]`` view over a capacity array.
 
     The emulator's structure-of-arrays core keeps link capacities in one
-    flat float64 array; this wrapper lets the solver kernels index it by
+    flat float64 array; this wrapper lets the dict kernel index it by
     link key without materializing an O(links) dict every tick.
     """
 
@@ -675,61 +626,44 @@ class ArrayCapacities(Mapping):
         return len(self.index)
 
 
-class _ComponentState:
-    """One retained component inside :class:`IncrementalMaxMin`."""
-
-    __slots__ = ("flows", "n_entries", "compiled", "cap_pos")
-
-    def __init__(self, flows: dict[Hashable, FlowDemand]) -> None:
-        self.flows = flows
-        self.n_entries = sum(len(flow.links) for flow in flows.values())
-        #: Lazily built on the first vectorized-eligible solve and then
-        #: replayed every re-solve (setup costs more than the rounds).
-        self.compiled: Optional[CompiledComponent] = None
-        self.cap_pos: Optional[np.ndarray] = None
-
-
 class IncrementalMaxMin:
-    """Stateful max-min re-solver over dirty connected components.
+    """Stateful max-min re-solver over retained connected components.
 
     Tracks, between calls, the component structure of the active flows
-    and the per-link capacities of the last allocation.  When only the
-    flow set is unchanged (same ``shape_rev``), a call re-runs
-    water-filling *only* over components whose link capacities moved;
-    every clean component keeps its cached rates.  Because components
-    share no links, a component's allocation is a pure function of its
-    own flows and capacities, so the result is exactly — bitwise — the
-    allocation ``max_min_allocation`` computes from scratch
+    and the per-link capacities of the last allocation.  While the flow
+    set is unchanged (same ``shape_rev``) a call skips the partition
+    and component search.  At or above ``_BATCH_MIN_FLOWS`` active
+    flows it additionally re-runs water-filling *only* over components
+    whose link capacities moved — one batched call with a
+    dirty-component mask — and every clean component keeps its cached
+    rates.  Because components share no links, a component's
+    allocation is a pure function of its own flows and capacities, so
+    the result is exactly — bitwise — the allocation
+    ``max_min_allocation`` computes from scratch
     (``tests/unit/test_fairness_incremental.py`` proves this over
-    seeded perturbation sequences).
+    seeded perturbation sequences).  Below the cutover every retained
+    component is re-solved through the dict kernel: on instances that
+    small nearly every capacity change touches every component, so
+    dirty tracking would be pure overhead.
 
-    Fallbacks, all bit-identical to the incremental path:
+    A shape change (flow add/remove/reroute/demand, topology change)
+    rebuilds the structure and re-solves everything.
 
-    * shape change (flow add/remove/reroute/demand, topology change):
-      full re-solve and structure rebuild;
-    * fewer than ``min_flows`` active flows: dirty tracking costs more
-      than the solve, so everything is re-solved;
-    * dirty components covering more than ``full_fraction`` of active
-      flows: every component is re-solved (the "full solve" fallback).
+    Counters: ``full_solves`` counts structure rebuilds,
+    ``partial_solves`` re-solves over the retained structure, and
+    ``components_resolved`` the components those re-solves
+    water-filled.
     """
 
-    def __init__(
-        self,
-        *,
-        min_flows: Optional[int] = None,
-        full_fraction: float = _INCREMENTAL_FULL_FRACTION,
-    ) -> None:
-        self.min_flows = (
-            _INCREMENTAL_MIN_FLOWS if min_flows is None else min_flows
-        )
-        self.full_fraction = full_fraction
+    def __init__(self) -> None:
         self._shape_rev: object = None
         self._solved_caps: Optional[np.ndarray] = None
         self._rates: dict[Hashable, float] = {}
-        self._components: list[_ComponentState] = []
-        self._link_index: Optional[Mapping[LinkKey, int]] = None
-        self._link_comp: Optional[np.ndarray] = None
+        self._components: list[dict[Hashable, FlowDemand]] = []
         self._active_count = 0
+        #: ``(batch, capacity-array position per batch link row)`` —
+        #: derived from ``_components``; never serialized.
+        self._compiled: Optional[tuple[ComponentBatch, np.ndarray]] = None
         #: Observability counters (deterministic; surfaced as gauges).
         self.full_solves = 0
         self.partial_solves = 0
@@ -743,6 +677,26 @@ class IncrementalMaxMin:
         """Drop all cached structure; the next call fully re-solves."""
         self._shape_rev = None
         self._solved_caps = None
+
+    def __getstate__(self) -> dict:
+        """Checkpoints carry the components, not the arrays compiled
+        from them (rebuilt on the next batched solve)."""
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
+
+    def _batch(
+        self, link_index: Mapping[LinkKey, int]
+    ) -> tuple[ComponentBatch, np.ndarray]:
+        if self._compiled is None:
+            batch = ComponentBatch(self._components)
+            cap_pos = np.fromiter(
+                (link_index[key] for key in batch.link_keys),
+                dtype=np.intp,
+                count=len(batch.link_keys),
+            )
+            self._compiled = (batch, cap_pos)
+        return self._compiled
 
     def solve(
         self,
@@ -767,92 +721,61 @@ class IncrementalMaxMin:
             the engine; treat as read-only) and the flow ids whose
             rates were recomputed, or ``None`` when everything was.
         """
-        capacities = ArrayCapacities(link_index, cap_values)
         if (
             self._shape_rev != shape_rev
             or self._solved_caps is None
             or self._solved_caps.shape != cap_values.shape
         ):
-            return self._solve_full(flows, link_index, capacities, cap_values, shape_rev)
-        dirty = np.flatnonzero(self._solved_caps != cap_values)
-        if dirty.size == 0:
+            return self._solve_full(flows, link_index, cap_values, shape_rev)
+        moved = self._solved_caps != cap_values
+        if not moved.any():
             return self._rates, []
-        if self._active_count < self.min_flows:
-            return self._solve_full(flows, link_index, capacities, cap_values, shape_rev)
         self._solved_caps = cap_values.copy()
-        assert self._link_comp is not None
-        comp_ids = np.unique(self._link_comp[dirty])
-        if comp_ids.size and comp_ids[0] < 0:
-            comp_ids = comp_ids[1:]  # links no active flow crosses
-        if comp_ids.size == 0:
-            return self._rates, []
-        dirty_flows = sum(len(self._components[c].flows) for c in comp_ids)
-        if dirty_flows > self.full_fraction * self._active_count:
-            comp_ids = np.arange(len(self._components))
+        rates = self._rates
+        if not _use_batch(self._active_count):
+            capacities = ArrayCapacities(link_index, cap_values)
+            for component in self._components:
+                _solve_indexed(rates, component, capacities)
+            self.partial_solves += 1
+            self.components_resolved += len(self._components)
+            return rates, None
+        batch, cap_pos = self._batch(link_index)
+        dirty = np.logical_or.reduceat(moved[cap_pos], batch.link_starts[:-1])
+        if not dirty.any():
+            return rates, []  # only links no active flow crosses moved
+        values = batch.solve(cap_values[cap_pos], dirty).tolist()
         changed: list[Hashable] = []
-        for ci in comp_ids:
-            state = self._components[int(ci)]
-            self._resolve_component(state, capacities, cap_values)
-            changed.extend(state.flows)
+        starts = batch.flow_starts
+        for ci in dirty.nonzero()[0].tolist():
+            rows = slice(starts[ci], starts[ci + 1])
+            fids = batch.flow_ids[rows]
+            rates.update(zip(fids, values[rows]))
+            changed += fids
         self.partial_solves += 1
-        self.components_resolved += int(len(comp_ids))
-        return self._rates, changed
-
-    def _resolve_component(
-        self,
-        state: _ComponentState,
-        capacities: Mapping[LinkKey, float],
-        cap_values: np.ndarray,
-    ) -> None:
-        """(Re-)solve one retained component into the cached rates.
-
-        Vectorized-size components are compiled once and replayed
-        against a fancy-indexed slice of the capacity array; small
-        components go through the dict-based indexed kernel (same
-        dispatch rule as :func:`auto_solver`, from cached sizes).
-        """
-        flows = state.flows
-        if (
-            len(flows) >= _VECTOR_MIN_FLOWS
-            and state.n_entries >= _VECTOR_MIN_ENTRIES
-        ):
-            if state.compiled is None:
-                state.compiled = CompiledComponent(flows)
-                assert self._link_index is not None
-                state.cap_pos = np.fromiter(
-                    (self._link_index[key] for key in state.compiled.link_keys),
-                    dtype=np.intp,
-                    count=state.compiled.n_links,
-                )
-            state.compiled.solve(cap_values[state.cap_pos], self._rates)
-        else:
-            rates = dict.fromkeys(flows, 0.0)
-            _solve_indexed(rates, dict(flows), capacities)
-            self._rates.update(rates)
+        self.components_resolved += int(dirty.sum())
+        return rates, changed
 
     def _solve_full(
         self,
         flows: Sequence[FlowDemand],
         link_index: Mapping[LinkKey, int],
-        capacities: ArrayCapacities,
         cap_values: np.ndarray,
         shape_rev: object,
     ) -> tuple[dict[Hashable, float], None]:
+        capacities = ArrayCapacities(link_index, cap_values)
         rates, active = _partition_flows(flows, capacities)
-        self._components = [
-            _ComponentState(component)
-            for component in (link_components(active) if active else [])
-        ]
+        self._components = link_components(active)
         self._active_count = len(active)
-        self._link_index = link_index
+        self._compiled = None
         self._rates = rates
-        link_comp = np.full(len(link_index), -1, dtype=np.intp)
-        for ci, state in enumerate(self._components):
-            for flow in state.flows.values():
-                for key in flow.links:
-                    link_comp[link_index[key]] = ci
-            self._resolve_component(state, capacities, cap_values)
-        self._link_comp = link_comp
+        if _use_batch(len(active)):
+            batch, cap_pos = self._batch(link_index)
+            everything = np.ones(batch.n_components, dtype=bool)
+            final = batch.solve(cap_values[cap_pos], everything)
+            rates.update(zip(batch.flow_ids, final.tolist()))
+        else:
+            for component in self._components:
+                _solve_indexed(rates, component, capacities)
         self._solved_caps = cap_values.copy()
         self._shape_rev = shape_rev
         self.full_solves += 1

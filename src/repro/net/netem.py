@@ -38,10 +38,10 @@ ids, with the object API kept as a thin view:
   per-tag accounting are ``bincount`` calls that add the same floats in
   the same order as the scalar loops they replaced.
 * **Allocations** come from a retained
-  :class:`~repro.net.fairness.IncrementalMaxMin`, which re-runs
-  water-filling only over the connected components whose capacities
-  moved since the previous solve — bit-identical to a from-scratch
-  solve.
+  :class:`~repro.net.fairness.IncrementalMaxMin`, which at city scale
+  re-runs water-filling only over the connected components whose
+  capacities moved since the previous solve — all of them in one
+  batched array pass, bit-identical to a from-scratch solve.
 
 Invalidation rules: the scan structure rebuilds when the topology
 version or the process-wide ``Link.shaping_rev`` moves; flow arrays
@@ -54,6 +54,7 @@ same capacity epoch and byte-identical behaviour.
 
 from __future__ import annotations
 
+import sys
 import time as _time
 from typing import Optional
 
@@ -218,6 +219,10 @@ class NetworkEmulator:
             raise SimulationError(f"duplicate flow id {flow_id!r}")
         if demand_mbps < 0:
             raise SimulationError("demand_mbps must be >= 0")
+        # Flow ids outlive the emulator in results, traces and rate
+        # snapshots; interned, every emulator a process (re)builds for
+        # the same scenario shares one string per flow.
+        flow_id = sys.intern(flow_id)
         path = self.router.traceroute(src, dst)
         links = self.router.path_link_keys(src, dst)
         flow = Flow(
@@ -270,7 +275,10 @@ class NetworkEmulator:
     def set_demand(self, flow_id: str, demand_mbps: float) -> None:
         if demand_mbps < 0:
             raise SimulationError("demand_mbps must be >= 0")
-        self.flow(flow_id).demand_mbps = demand_mbps
+        flow = self.flow(flow_id)
+        if flow.demand_mbps == demand_mbps:
+            return  # nothing moved: keep the flow revision and caches
+        flow.demand_mbps = demand_mbps
         self._flows_rev += 1
         self._dirty = True
 

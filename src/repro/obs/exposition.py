@@ -86,8 +86,12 @@ HELP_TEXT = {
     "bass_tick_phase_seconds": (
         "Cumulative emulator tick wall time, by phase (wall clock)."
     ),
-    "bass_solver_full_solves": "From-scratch max-min solves.",
-    "bass_solver_partial_solves": "Dirty-component incremental re-solves.",
+    "bass_solver_full_solves": (
+        "From-scratch max-min solves (component structure rebuilt)."
+    ),
+    "bass_solver_partial_solves": (
+        "Max-min re-solves over the retained component structure."
+    ),
     "bass_solver_components_resolved": (
         "Connected components re-solved across all partial solves."
     ),

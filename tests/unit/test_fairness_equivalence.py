@@ -1,6 +1,6 @@
 """Bit-compatibility of the fast-path allocators against the oracle.
 
-The indexed and vectorized kernels in ``repro.net.fairness`` must return
+The indexed and batched kernels in ``repro.net.fairness`` must return
 *exactly* the allocation the oracle computes — not merely close: the
 emulator's golden figure benchmarks are pinned byte-for-byte, so any
 reassociated float operation would surface as a golden diff.
@@ -18,28 +18,37 @@ global loop interleaves rounds across independent components.
 This suite replays hundreds of seeded random instances — including
 loopback flows, zero demands, saturated links, and dead (zero-capacity)
 links — through all kernels and compares with ``==``, no tolerance.
+The ``city`` size class and the multi-component tests below sit above
+the ``_BATCH_MIN_FLOWS`` cutover with dozens of components, the shape
+the batched kernel's per-component masking exists for.
 """
 
 import numpy as np
 import pytest
 
+from repro.net import fairness
 from repro.net.fairness import (
-    _VECTOR_MIN_ENTRIES,
-    _VECTOR_MIN_FLOWS,
+    _BATCH_MIN_FLOWS,
+    _EPSILON,
     FlowDemand,
     _partition_flows,
-    auto_solver,
     link_components,
     max_min_allocation,
     max_min_allocation_reference,
 )
 
-#: (instances, links, flows, seed base) per size class; 240 instances total.
+KERNELS = ("indexed", "batched", "auto")
+
+#: (instances, links, flows, seed base) per size class; 270 instances
+#: total.  ``city`` has far more links than a flow's 1-5 hops can join,
+#: so its instances split into dozens of components above the cutover.
 SIZE_CLASSES = [
     (120, 6, 8, 1000),
     (80, 40, 60, 2000),
     (40, 120, 300, 3000),
+    (30, 900, 300, 4000),
 ]
+SIZE_IDS = ["small", "medium", "large", "city"]
 
 
 def random_instance(rng, n_links, n_flows):
@@ -63,6 +72,8 @@ def random_instance(rng, n_links, n_flows):
             start = int(rng.integers(0, n_links))
             hops = int(rng.integers(1, min(5, n_links) + 1))
             path = tuple(links[(start + h) % n_links] for h in range(hops))
+            if rng.random() < 0.1:
+                path += path[:1]  # the same link twice on one path
         if rng.random() < 0.08:
             demand = 0.0
         elif rng.random() < 0.25:
@@ -76,7 +87,7 @@ def random_instance(rng, n_links, n_flows):
 @pytest.mark.parametrize(
     "instances,n_links,n_flows,seed_base",
     SIZE_CLASSES,
-    ids=["small", "medium", "large"],
+    ids=SIZE_IDS,
 )
 def test_solvers_bit_identical_on_random_instances(
     instances, n_links, n_flows, seed_base
@@ -85,7 +96,7 @@ def test_solvers_bit_identical_on_random_instances(
         rng = np.random.default_rng(seed_base + case)
         flows, capacities = random_instance(rng, n_links, n_flows)
         expected = max_min_allocation(flows, capacities, solver="reference")
-        for solver in ("indexed", "vectorized", "auto"):
+        for solver in KERNELS:
             got = max_min_allocation(flows, capacities, solver=solver)
             assert got == expected, (
                 f"solver={solver} diverged on seed {seed_base + case}"
@@ -94,8 +105,8 @@ def test_solvers_bit_identical_on_random_instances(
 
 @pytest.mark.parametrize(
     "instances,n_links,n_flows,seed_base",
-    SIZE_CLASSES,
-    ids=["small", "medium", "large"],
+    SIZE_CLASSES[:3],
+    ids=SIZE_IDS[:3],
 )
 def test_single_component_instances_match_global_reference(
     instances, n_links, n_flows, seed_base
@@ -112,7 +123,7 @@ def test_single_component_instances_match_global_reference(
             continue
         checked += 1
         expected = max_min_allocation_reference(flows, capacities)
-        for solver in ("reference", "indexed", "vectorized", "auto"):
+        for solver in ("reference", *KERNELS):
             got = max_min_allocation(flows, capacities, solver=solver)
             assert got == expected, (
                 f"solver={solver} diverged on seed {seed_base + case}"
@@ -121,7 +132,7 @@ def test_single_component_instances_match_global_reference(
 
 
 def test_all_solvers_handle_empty_input():
-    for solver in ("reference", "indexed", "vectorized", "auto"):
+    for solver in ("reference", *KERNELS):
         assert max_min_allocation([], {}, solver=solver) == {}
 
 
@@ -132,13 +143,13 @@ def test_all_solvers_grant_loopback_and_zero_demand():
     ]
     capacities = {("a", "b"): 10.0}
     expected = {"loop": 7.5, "idle": 0.0}
-    for solver in ("reference", "indexed", "vectorized", "auto"):
+    for solver in ("reference", *KERNELS):
         assert max_min_allocation(flows, capacities, solver=solver) == expected
 
 
 def test_all_solvers_reject_unknown_links():
     flows = [FlowDemand("f", (("a", "ghost"),), 1.0)]
-    for solver in ("reference", "indexed", "vectorized", "auto"):
+    for solver in ("reference", *KERNELS):
         with pytest.raises(KeyError):
             max_min_allocation(flows, {("a", "b"): 10.0}, solver=solver)
 
@@ -149,8 +160,9 @@ def test_unknown_solver_rejected():
 
 
 def test_auto_uses_vectorized_on_large_instances():
-    """The dispatcher's large-instance branch must agree with the oracle
-    on a shape that actually crosses the thresholds."""
+    """The dispatcher's large-instance branch (the batched array kernel)
+    must agree with the oracle on a shape that actually crosses the
+    cutover."""
     rng = np.random.default_rng(77)
     flows, capacities = random_instance(rng, 100, 400)
     assert max_min_allocation(flows, capacities) == max_min_allocation(
@@ -158,43 +170,130 @@ def test_auto_uses_vectorized_on_large_instances():
     )
 
 
-def test_auto_never_picks_vectorized_on_small_perf_instances():
+def test_auto_never_picks_vectorized_on_small_perf_instances(monkeypatch):
     """The perf harness's smallest tracked case (``n005_f010``: 5 nodes,
-    10 flows) runs ~4x *slower* vectorized — array setup dwarfs the
-    solve.  The auto-selector must keep instances of that size on the
-    indexed solver, whatever the paths look like."""
+    10 flows) ran ~4x *slower* through an array kernel — set-up dwarfs
+    the solve.  Auto must keep instances of that size (and the paper's
+    5-node mesh with a few dozen flows) on the dict kernel, whatever the
+    paths look like."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array kernel picked for a small instance")
+
+    monkeypatch.setattr(fairness.ComponentBatch, "__init__", refuse)
     rng = np.random.default_rng(505)
-    for case in range(50):
-        flows, _ = random_instance(rng, 5, 10)
-        active = [f for f in flows if f.links and f.demand_mbps > 0]
-        assert auto_solver(active) == "indexed", f"case {case}"
-        assert auto_solver(flows) == "indexed", f"case {case} (unfiltered)"
+    for n_links, n_flows in ((5, 10), (10, 45), (20, _BATCH_MIN_FLOWS - 1)):
+        for _ in range(20):
+            flows, capacities = random_instance(rng, n_links, n_flows)
+            max_min_allocation(flows, capacities)
+    with pytest.raises(AssertionError):
+        flows, capacities = random_instance(rng, 100, 400)
+        max_min_allocation(flows, capacities)
+
+
+def test_city_instances_are_multi_component_above_the_cutover():
+    """The ``city`` class must actually exercise what it claims to."""
+    rng = np.random.default_rng(4000)
+    flows, capacities = random_instance(rng, 900, 300)
+    _, active = _partition_flows(flows, capacities)
+    assert len(active) >= _BATCH_MIN_FLOWS
+    sizes = [len(c) for c in link_components(active)]
+    assert len(sizes) > 20
+    assert 1 in sizes  # single-flow components ride along
+
+
+def chain_flows(n_flows, prefix="f", links_each=2, demand=1.0):
+    """``n_flows`` flows, each alone on its own ``links_each`` links."""
+    return [
+        FlowDemand(
+            flow_id=f"{prefix}{i}",
+            links=tuple(
+                (f"{prefix}{i}h{h}", f"{prefix}{i}h{h + 1}")
+                for h in range(links_each)
+            ),
+            demand_mbps=demand,
+        )
+        for i in range(n_flows)
+    ]
+
+
+def capacities_for(flows, capacity=10.0):
+    return {key: capacity for flow in flows for key in flow.links}
 
 
 def test_auto_solver_threshold_boundary():
-    """Vectorized dispatch needs *both* thresholds: enough flows and
-    enough path entries."""
+    """``auto`` switches kernel exactly at ``_BATCH_MIN_FLOWS`` active
+    flows; one flow short and at the boundary, both kernels (and auto,
+    whichever it picked) return the oracle's rates."""
+    rng = np.random.default_rng(128)
+    at = chain_flows(_BATCH_MIN_FLOWS // 2, "a", demand=30.0) + [
+        FlowDemand(f"b{i}", (("x", "y"), (f"y{i % 7}", "z")), 3.0 + i)
+        for i in range(_BATCH_MIN_FLOWS - _BATCH_MIN_FLOWS // 2)
+    ]
+    capacities = {
+        key: float(rng.uniform(5.0, 60.0))
+        for key in capacities_for(at)
+    }
+    # Inactive flows never count toward the cutover.
+    idle = [FlowDemand("loop", (), 4.0), FlowDemand("zero", (("x", "y"),), 0.0)]
+    for flows in (at[:-1] + idle, at + idle):
+        expected = max_min_allocation(flows, capacities, solver="reference")
+        for solver in KERNELS:
+            assert max_min_allocation(flows, capacities, solver=solver) == expected
+    below = max_min_allocation(at[:-1], capacities)
+    above = max_min_allocation(at, capacities)
+    # Dropping the last flow only touches its own component.
+    last = at[-1]
+    untouched = [f.flow_id for f in at[:-1] if not set(f.links) & set(last.links)]
+    assert untouched
+    assert all(below[fid] == above[fid] for fid in untouched)
 
-    def flows_with(n_flows, links_each):
-        return [
-            FlowDemand(
-                flow_id=f"f{i}",
-                links=tuple(
-                    (f"n{h}", f"n{h + 1}") for h in range(links_each)
-                ),
-                demand_mbps=1.0,
-            )
-            for i in range(n_flows)
-        ]
 
-    links_each = _VECTOR_MIN_ENTRIES // _VECTOR_MIN_FLOWS
-    at_both = flows_with(_VECTOR_MIN_FLOWS, links_each)
-    assert auto_solver(at_both) == "vectorized"
-    assert auto_solver(at_both[:-1]) == "indexed"  # one flow short
-    assert (
-        auto_solver(flows_with(_VECTOR_MIN_FLOWS, links_each - 1))
-        == "indexed"  # enough flows, too few entries
+def test_sub_epsilon_component_finishes_while_others_continue():
+    """A component with less than epsilon of headroom per flow finishes
+    in its first round (increment <= epsilon, link saturated); the
+    batched kernel must stop just that component and keep filling the
+    rest for many more rounds."""
+    stuck = [
+        FlowDemand("stuck0", (("s", "t"),), 5.0),
+        FlowDemand("stuck1", (("s", "t"),), 5.0),
+    ]
+    others = chain_flows(_BATCH_MIN_FLOWS, "o", demand=4.0) + [
+        FlowDemand(f"p{i}", (("p", "q"),), 1.0 + i) for i in range(6)
+    ]
+    flows = stuck[:1] + others + stuck[1:]
+    capacities = capacities_for(others)
+    capacities[("s", "t")] = 1.5 * _EPSILON
+    capacities[("p", "q")] = 9.0
+    expected = max_min_allocation(flows, capacities, solver="reference")
+    assert 0.0 < expected["stuck0"] < _EPSILON
+    assert expected["o0"] == 4.0
+    for solver in KERNELS:
+        assert max_min_allocation(flows, capacities, solver=solver) == expected
+
+
+def test_dead_end_exit_freezes_only_its_component():
+    """The ``delta <= epsilon`` and nothing retired exit is a guard no
+    finite input reaches (the link or flow that bounds a round always
+    saturates or is satisfied by it).  A NaN capacity does reach it in
+    the batched kernel — the reference would spin forever — and must
+    stop that one component without disturbing any other."""
+    poisoned = [
+        FlowDemand("nan0", (("s", "t"),), 5.0),
+        FlowDemand("nan1", (("s", "t"), ("t", "u")), 5.0),
+    ]
+    others = chain_flows(_BATCH_MIN_FLOWS, "o", demand=4.0) + [
+        FlowDemand(f"p{i}", (("p", "q"),), 1.0 + i) for i in range(6)
+    ]
+    capacities = capacities_for(others)
+    capacities[("p", "q")] = 9.0
+    expected = max_min_allocation(others, capacities, solver="reference")
+    capacities[("s", "t")] = float("nan")
+    capacities[("t", "u")] = 3.0
+    rates = max_min_allocation(
+        poisoned[:1] + others + poisoned[1:], capacities, solver="batched"
     )
+    assert {fid: rates[fid] for fid in expected} == expected
 
 
 def test_dead_links_pin_their_flows_to_zero():
@@ -203,7 +302,7 @@ def test_dead_links_pin_their_flows_to_zero():
         FlowDemand("live", (("b", "c"),), 5.0),
     ]
     capacities = {("a", "b"): 0.0, ("b", "c"): 10.0}
-    for solver in ("reference", "indexed", "vectorized", "auto"):
+    for solver in ("reference", *KERNELS):
         rates = max_min_allocation(flows, capacities, solver=solver)
         assert rates == {"dead": 0.0, "live": 5.0}
 
@@ -218,5 +317,5 @@ def test_repeated_link_on_a_path_counts_twice_everywhere():
     ]
     capacities = {("a", "b"): 30.0, ("b", "a"): 30.0}
     expected = max_min_allocation_reference(flows, capacities)
-    for solver in ("indexed", "vectorized", "auto"):
+    for solver in KERNELS:
         assert max_min_allocation(flows, capacities, solver=solver) == expected

@@ -1,5 +1,10 @@
 """Unit tests for mesh routing."""
 
+import subprocess
+import sys
+
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import RoutingError, TopologyError
@@ -155,3 +160,119 @@ class TestPathCaching:
         router.invalidate()
         assert router._path_cache == {}
         assert router._link_cache == {}
+
+
+def random_mesh(rng, n_nodes: int) -> MeshTopology:
+    """A sparse random mesh with a few distinct link widths (so the
+    widest strategy has ties to break), then node crashes and link
+    failures — often enough to partition it."""
+    topo = MeshTopology()
+    names = [f"n{i:02d}" for i in range(n_nodes)]
+    for name in rng.permutation(names):
+        topo.add_node(MeshNode(str(name)))
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if rng.random() < 2.5 / n_nodes:
+                topo.add_link(
+                    a, b, capacity_mbps=float(rng.choice([5.0, 10.0, 20.0]))
+                )
+    for name in names:
+        if rng.random() < 0.1:
+            topo.set_node_up(name, False)
+    for link in topo.links:
+        if rng.random() < 0.1:
+            topo.set_link_up(*link.id, False)
+    return topo
+
+
+def oracle_path(topo: MeshTopology, strategy: str, src: str, dst: str):
+    """The router's contract, spelled with networkx: ``None`` when the
+    live mesh does not join the endpoints."""
+    graph = topo.graph()
+    if src not in graph or dst not in graph or not nx.has_path(graph, src, dst):
+        return None
+    if strategy == "min_hop":
+        return tuple(min(nx.all_shortest_paths(graph, src, dst)))
+    return tuple(
+        min(
+            nx.all_simple_paths(graph, src, dst),
+            key=lambda path: (
+                -min(
+                    topo.link(a, b).base_capacity(a, b)
+                    for a, b in zip(path, path[1:])
+                ),
+                len(path),
+                path,
+            ),
+        )
+    )
+
+
+class TestAgainstNetworkxOracle:
+    @pytest.mark.parametrize("strategy", Router.STRATEGIES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_pair_on_random_failed_meshes(self, strategy, seed):
+        rng = np.random.default_rng(seed)
+        # Simple-path enumeration (the widest oracle) is exponential.
+        topo = random_mesh(rng, 24 if strategy == "min_hop" else 9)
+        router = Router(topo, strategy=strategy)
+        unreachable = 0
+        for src in topo.node_names:
+            for dst in topo.node_names:
+                if src == dst:
+                    continue
+                want = oracle_path(topo, strategy, src, dst)
+                if want is None:
+                    unreachable += 1
+                    with pytest.raises(RoutingError):
+                        router.traceroute(src, dst)
+                else:
+                    assert router.traceroute(src, dst) == want
+        assert unreachable  # crashes/partitions were exercised
+        assert topo.is_connected() == (
+            len(topo.graph()) == 0 or nx.is_connected(topo.graph())
+        )
+
+    def test_recovery_reroutes_through_the_restored_link(self):
+        topo = diamond()
+        router = Router(topo)
+        topo.set_link_up("a", "b", False)
+        assert router.traceroute("a", "d") == ("a", "c", "d")
+        topo.set_link_up("a", "b", True)
+        assert router.traceroute("a", "d") == ("a", "b", "d")
+
+    def test_router_pickles_without_its_search_structure(self):
+        import pickle
+
+        router = Router(citylab_subset())
+        router.traceroute("node2", "node4")
+        assert router._mesh is not None
+        restored = pickle.loads(pickle.dumps(router))
+        assert restored._mesh is None
+        assert restored.traceroute("node2", "node4") == router.traceroute(
+            "node2", "node4"
+        )
+        assert restored.traceroute("node4", "node2") == router.traceroute(
+            "node4", "node2"
+        )
+
+
+def test_emulator_and_harness_never_import_networkx():
+    """networkx stays off the import and routing path: it is loaded
+    only by ``MeshTopology.graph()``, which nothing in ``repro`` calls."""
+    code = (
+        "import sys\n"
+        "import repro.net.netem, repro.experiments.common\n"
+        "from repro.mesh.topology import citylab_subset\n"
+        "emu = repro.net.netem.NetworkEmulator(citylab_subset())\n"
+        "emu.add_flow('f', 'node2', 'node4', 5.0)\n"
+        "emu.tick()\n"
+        "assert emu.topology.is_connected()\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+        "emu.topology.graph()\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -217,6 +217,29 @@ class TestAllocationCaching:
         assert calls["n"] == 2
         assert emu.flow("f").allocated_mbps == 6.0
 
+    def test_same_value_set_demand_is_a_no_op(self, monkeypatch):
+        emu = make_emulator([10.0])
+        emu.add_flow("f", "node1", "node2", 4.0)
+        emu.recompute()
+        calls = self._solve_counter(emu, monkeypatch)
+        before = (emu._flows_rev, emu.solver_stats(), emu._alloc_fingerprint)
+        emu.set_demand("f", 4.0)
+        assert not emu._dirty
+        emu.recompute()
+        assert calls["n"] == 0
+        assert before == (
+            emu._flows_rev, emu.solver_stats(), emu._alloc_fingerprint
+        )
+        emu.set_demand("f", 6.0)
+        assert emu._dirty
+        emu.recompute()
+        assert calls["n"] == 1
+        assert emu._flows_rev == before[0] + 1
+        assert emu.solver_stats()["full_solves"] == before[1]["full_solves"] + 1
+        assert emu._alloc_fingerprint != before[2]
+        with pytest.raises(SimulationError):
+            emu.set_demand("ghost", 6.0)
+
     def test_capacity_change_invalidates_fingerprint(self, monkeypatch):
         emu = make_emulator([10.0])
         emu.add_flow("f", "node1", "node2", 8.0)
