@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.binding import DeploymentBinding
+from ..core.binding import DeploymentBinding, EdgeCosts
 from ..core.dag import Component, ComponentDAG
 from .base import Application
 
@@ -157,31 +157,7 @@ class CameraPipelineApp(Application):
         A frame hitting a restarting stage stalls until that stage is
         back (migration cost, §6.2.3).
         """
-        profile = self.profile
-        deployment = binding.deployment
-        netem = binding.netem
-        now = netem.now
-
-        latency_s = 0.0
-        for stage_ms in self._stage_times_ms():
-            jitter = 1.0
-            if rng is not None and profile.jitter_rel_std > 0:
-                jitter = max(
-                    0.1, rng.normal(1.0, profile.jitter_rel_std)
-                )
-            latency_s += stage_ms * jitter / 1000.0
-
-        for src, dst, payload_field in self._CHAIN:
-            for stage in (src, dst):
-                if not deployment.is_available(stage, now):
-                    latency_s += max(
-                        0.0, deployment.unavailable_until(stage) - now
-                    )
-            payload_mbit = getattr(profile, payload_field)
-            if deployment.node_of(src) != deployment.node_of(dst):
-                latency_s += profile.per_hop_overhead_ms / 1000.0
-            latency_s += binding.edge_transfer_time_s(src, dst, payload_mbit)
-        return latency_s
+        return self.sample_latencies_s(binding, 1, rng)[0]
 
     def sample_latencies_s(
         self,
@@ -189,5 +165,42 @@ class CameraPipelineApp(Application):
         n: int,
         rng: Optional[np.random.Generator] = None,
     ) -> list[float]:
-        """``n`` frame latency samples at the current network state."""
-        return [self.sample_latency_s(binding, rng) for _ in range(n)]
+        """``n`` frame latency samples at the current network state.
+
+        The network does not move between the frames of one call, so
+        the chain's stalls, hop overheads and transfer times are
+        resolved once; per frame only the jittered stage times differ
+        (drawn in one batch: the same values, in the same order, as one
+        scalar draw per stage), summed in the order they are charged.
+        """
+        profile = self.profile
+        deployment = binding.deployment
+        now = binding.netem.now
+        costs = EdgeCosts(binding)
+        fixed_s = []
+        for src, dst, payload_field in self._CHAIN:
+            for stage in (src, dst):
+                if not deployment.is_available(stage, now):
+                    fixed_s.append(
+                        max(0.0, deployment.unavailable_until(stage) - now)
+                    )
+            if deployment.node_of(src) != deployment.node_of(dst):
+                fixed_s.append(profile.per_hop_overhead_ms / 1000.0)
+            fixed_s.append(
+                costs.transfer_time_s(src, dst, getattr(profile, payload_field))
+            )
+
+        stage_ms = np.tile(self._stage_times_ms(), (n, 1))
+        if rng is not None and profile.jitter_rel_std > 0:
+            stage_ms = stage_ms * np.maximum(
+                0.1, rng.normal(1.0, profile.jitter_rel_std, size=stage_ms.shape)
+            )
+        latencies = []
+        for frame_s in (stage_ms / 1000.0).tolist():
+            latency_s = 0.0
+            for addend in frame_s:
+                latency_s += addend
+            for addend in fixed_s:
+                latency_s += addend
+            latencies.append(latency_s)
+        return latencies

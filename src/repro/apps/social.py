@@ -31,11 +31,12 @@ inflation of Fig 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.binding import DeploymentBinding
+from ..core.binding import DeploymentBinding, EdgeCosts
 from ..core.dag import Component, ComponentDAG
 from ..errors import ConfigError
 from .base import Application
@@ -159,6 +160,12 @@ DEFAULT_MIX: dict[str, float] = {
 
 _KB_TO_MBIT = 8.0 / 1000.0
 
+#: Per-step service times (ms) of each chain, as one array per type.
+_SERVICE_MS: dict[str, np.ndarray] = {
+    request_type: np.array([step.service_ms for step in chain])
+    for request_type, chain in REQUEST_CHAINS.items()
+}
+
 
 class SocialNetworkApp(Application):
     """The 27-microservice social network.
@@ -188,12 +195,19 @@ class SocialNetworkApp(Application):
         if annotate_rps <= 0:
             raise ConfigError("annotate_rps must be positive")
         self.annotate_rps = annotate_rps
-        self.mix = dict(mix) if mix is not None else dict(DEFAULT_MIX)
-        if abs(sum(self.mix.values()) - 1.0) > 1e-6:
+        self._mix = dict(mix) if mix is not None else dict(DEFAULT_MIX)
+        if abs(sum(self._mix.values()) - 1.0) > 1e-6:
             raise ConfigError("request mix fractions must sum to 1")
-        unknown = set(self.mix) - set(REQUEST_CHAINS)
+        unknown = set(self._mix) - set(REQUEST_CHAINS)
         if unknown:
             raise ConfigError(f"unknown request types in mix: {sorted(unknown)}")
+        # The sampler draws request types by inverting this CDF, built
+        # exactly as ``Generator.choice(p=weights / weights.sum())``
+        # builds its own, so the draws are the ones ``choice`` makes.
+        weights = np.array(list(self._mix.values()))
+        self._mix_types = tuple(self._mix)
+        self._mix_cdf = (weights / weights.sum()).cumsum()
+        self._mix_cdf /= self._mix_cdf[-1]
         self.jitter_rel_std = jitter_rel_std
         #: Fixed cost per inter-node RPC hop (ms): TCP/Istio-sidecar
         #: proxying and (de)serialization that loopback calls skip.
@@ -201,12 +215,18 @@ class SocialNetworkApp(Application):
         self._per_request_mbit = self._compute_per_request_mbit()
         self.current_rps = annotate_rps
 
+    @property
+    def mix(self) -> Mapping[str, float]:
+        """Request-type fractions (read-only: the edge demands, DAG
+        weights and sampling CDF are all derived from them once)."""
+        return MappingProxyType(self._mix)
+
     # -- traffic profile ----------------------------------------------------
 
     def _compute_per_request_mbit(self) -> dict[tuple[str, str], float]:
         """Expected megabits per offered request on each edge (mix-weighted)."""
         per_edge: dict[tuple[str, str], float] = {}
-        for request_type, fraction in self.mix.items():
+        for request_type, fraction in self._mix.items():
             for step in REQUEST_CHAINS[request_type]:
                 key = (step.src, step.dst)
                 per_edge[key] = per_edge.get(key, 0.0) + (
@@ -253,31 +273,7 @@ class SocialNetworkApp(Application):
         """Latency of one request of ``request_type`` right now (seconds)."""
         if request_type not in REQUEST_CHAINS:
             raise ConfigError(f"unknown request type {request_type!r}")
-        deployment = binding.deployment
-        netem = binding.netem
-        now = netem.now
-        latency_s = 0.0
-        stalled: set[str] = set()
-        for step in REQUEST_CHAINS[request_type]:
-            jitter = 1.0
-            if rng is not None and self.jitter_rel_std > 0:
-                jitter = max(0.1, rng.normal(1.0, self.jitter_rel_std))
-            latency_s += step.service_ms * jitter / 1000.0
-            for service in (step.src, step.dst):
-                if service in stalled:
-                    continue
-                if not deployment.is_available(service, now):
-                    stalled.add(service)
-                    latency_s += max(
-                        0.0, deployment.unavailable_until(service) - now
-                    )
-            if deployment.node_of(step.src) != deployment.node_of(step.dst):
-                latency_s += self.inter_node_overhead_ms / 1000.0
-            payload_mbit = step.payload_kb * _KB_TO_MBIT
-            latency_s += binding.edge_transfer_time_s(
-                step.src, step.dst, payload_mbit
-            )
-        return latency_s
+        return self._latencies_s([request_type], binding, rng)[0]
 
     def sample_latencies_s(
         self,
@@ -286,12 +282,82 @@ class SocialNetworkApp(Application):
         rng: np.random.Generator,
     ) -> list[float]:
         """``n`` request latencies drawn from the request mix."""
-        types = list(self.mix)
-        weights = np.array([self.mix[t] for t in types])
-        draws = rng.choice(len(types), size=n, p=weights / weights.sum())
-        return [
-            self.request_latency_s(types[i], binding, rng) for i in draws
-        ]
+        draws = self._mix_cdf.searchsorted(rng.random(n), side="right")
+        return self._latencies_s(
+            [self._mix_types[i] for i in draws], binding, rng
+        )
+
+    def _latencies_s(
+        self,
+        request_types: Sequence[str],
+        binding: DeploymentBinding,
+        rng: Optional[np.random.Generator],
+    ) -> list[float]:
+        """Latencies of the given requests, all issued right now.
+
+        Nothing a request's latency depends on moves within the call,
+        so each distinct type's chain is walked once into a table of
+        per-step fixed addends; per request only the jittered service
+        terms differ.  They are drawn in one batch (the same values,
+        in the same order, as one scalar draw per step) and each
+        latency is summed step by step in chain order.
+        """
+        if not request_types:
+            return []
+        costs = EdgeCosts(binding)
+        tables = {
+            request_type: self._fixed_addends(request_type, binding, costs)
+            for request_type in dict.fromkeys(request_types)
+        }
+        service_ms = np.concatenate([_SERVICE_MS[t] for t in request_types])
+        if rng is not None and self.jitter_rel_std > 0:
+            service_ms = service_ms * np.maximum(
+                0.1, rng.normal(1.0, self.jitter_rel_std, size=len(service_ms))
+            )
+        service_s = iter((service_ms / 1000.0).tolist())
+        latencies = []
+        for request_type in request_types:
+            latency_s = 0.0
+            for addends in tables[request_type]:
+                latency_s += next(service_s)
+                for addend in addends:
+                    latency_s += addend
+            latencies.append(latency_s)
+        return latencies
+
+    def _fixed_addends(
+        self,
+        request_type: str,
+        binding: DeploymentBinding,
+        costs: EdgeCosts,
+    ) -> list[tuple[float, ...]]:
+        """What each step of a chain adds beyond its service time, in
+        the order charged: restart stalls (a service stalls a request
+        once, where the chain first touches it), the inter-node hop
+        overhead, the payload's transfer time (left out when zero)."""
+        deployment = binding.deployment
+        now = binding.netem.now
+        overhead_s = self.inter_node_overhead_ms / 1000.0
+        stalled: set[str] = set()
+        table = []
+        for step in REQUEST_CHAINS[request_type]:
+            addends = []
+            for service in (step.src, step.dst):
+                if service in stalled or deployment.is_available(service, now):
+                    continue
+                stalled.add(service)
+                addends.append(
+                    max(0.0, deployment.unavailable_until(service) - now)
+                )
+            if deployment.node_of(step.src) != deployment.node_of(step.dst):
+                addends.append(overhead_s)
+            transfer_s = costs.transfer_time_s(
+                step.src, step.dst, step.payload_kb * _KB_TO_MBIT
+            )
+            if transfer_s:
+                addends.append(transfer_s)
+            table.append(tuple(addends))
+        return table
 
     def hottest_edges(self, top: int = 5) -> list[tuple[str, str, float]]:
         """The highest-traffic edges (per-request Mbit), descending —

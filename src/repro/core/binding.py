@@ -12,6 +12,8 @@ the controller.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Optional
 
 from ..cluster.deployment import Deployment
@@ -63,6 +65,12 @@ class DeploymentBinding:
         # crashed node or partition); they carry no flow and count as
         # zero goodput until routing heals and sync_flows clears them.
         self._unroutable: set[tuple[str, str]] = set()
+        # Flow ids are read on every sync, goodput probe and latency
+        # sample; format each once (interned, as ``add_flow`` stores it).
+        self._flow_ids: dict[tuple[str, str], str] = {
+            edge: sys.intern(edge_flow_id(dag.app, *edge))
+            for edge in self._base_weights
+        }
 
     # -- demand control -------------------------------------------------------
 
@@ -122,8 +130,7 @@ class DeploymentBinding:
         partition) gets no flow and is recorded as unroutable — its
         traffic simply does not arrive until routing heals.
         """
-        for src, dst, _ in self.dag.edges():
-            flow_id = edge_flow_id(self.dag.app, src, dst)
+        for (src, dst), flow_id in self._flow_ids.items():
             src_node = self.deployment.node_of(src)
             dst_node = self.deployment.node_of(dst)
             demand = self.edge_demand(src, dst)
@@ -154,8 +161,8 @@ class DeploymentBinding:
 
     def remove_flows(self) -> None:
         """Drop all of the application's edge flows (teardown)."""
-        for src, dst, _ in self.dag.edges():
-            self.netem.remove_flow(edge_flow_id(self.dag.app, src, dst))
+        for flow_id in self._flow_ids.values():
+            self.netem.remove_flow(flow_id)
 
     # -- passive measurement --------------------------------------------------------
 
@@ -176,7 +183,7 @@ class DeploymentBinding:
         demand = self.edge_demand(src, dst)
         if demand <= 0:
             return 1.0
-        flow_id = edge_flow_id(self.dag.app, src, dst)
+        flow_id = self._flow_ids[(src, dst)]
         if not self.netem.has_flow(flow_id):
             # Positive demand but no flow: the edge is unroutable (the
             # flow was torn down when the mesh lost the path) — nothing
@@ -194,7 +201,7 @@ class DeploymentBinding:
         """
         if self.deployment.colocated(src, dst):
             return self.edge_demand(src, dst)
-        flow_id = edge_flow_id(self.dag.app, src, dst)
+        flow_id = self._flow_ids[(src, dst)]
         if not self.netem.has_flow(flow_id):
             return 0.0
         return self.netem.flow(flow_id).allocated_mbps
@@ -204,36 +211,10 @@ class DeploymentBinding:
     ) -> float:
         """Time for ``payload_mbit`` to cross an edge right now.
 
-        The payload rides the edge's fluid flow, so it moves at the
-        flow's *allocated* (max-min fair) rate and additionally waits
-        behind the path's propagation and queue backlog.  Co-located
-        edges hand data over loopback at no cost.
+        See :meth:`EdgeCosts.transfer_time_s`; callers pricing many
+        payloads at one instant share one :class:`EdgeCosts` instead.
         """
-        if payload_mbit <= 0:
-            return 0.0
-        src_node = self.deployment.node_of(src)
-        dst_node = self.deployment.node_of(dst)
-        if src_node == dst_node:
-            return 0.0
-        flow_id = edge_flow_id(self.dag.app, src, dst)
-        rate = 0.0
-        if self.netem.has_flow(flow_id):
-            flow = self.netem.flow(flow_id)
-            if flow.demand_mbps > 0:
-                rate = flow.allocated_mbps
-        try:
-            if rate <= 0:
-                # No live flow (or one silenced by a restart window): the
-                # payload would ride whatever the path has spare.  Restart
-                # stalls themselves are charged by the caller, not here.
-                rate = self.netem.path_available_bandwidth(src_node, dst_node)
-            rate = max(rate, 0.01)  # a starved edge still trickles
-            return payload_mbit / rate + self.netem.path_delay_s(
-                src_node, dst_node
-            )
-        except RoutingError:
-            # No route at all: the payload never arrives.
-            return float("inf")
+        return EdgeCosts(self).transfer_time_s(src, dst, payload_mbit)
 
     def inter_node_edges(self) -> list[tuple[str, str, float]]:
         """Edges currently crossing the network, with requirements."""
@@ -242,3 +223,64 @@ class DeploymentBinding:
             if not self.deployment.colocated(src, dst):
                 result.append((src, dst, weight))
         return result
+
+
+class EdgeCosts:
+    """Edge transfer times over one frozen network state.
+
+    A latency sampler prices many payloads at one instant: the clock,
+    the placement, the allocation and the queues do not move between
+    them.  Edges between the same two nodes share one path, so each
+    ``(src_node, dst_node)`` path delay — the per-hop queue walk — is
+    asked of the emulator once and reused; every answer is the float a
+    fresh lookup would give.  Discard the object when simulated time,
+    flows or placement move on.
+    """
+
+    def __init__(self, binding: DeploymentBinding) -> None:
+        self._node_of = binding.deployment.node_of
+        self._netem = binding.netem
+        self._flow_ids = binding._flow_ids
+        # (src_node, dst_node) -> path delay s; inf = no route.
+        self._delays: dict[tuple[str, str], float] = {}
+
+    def transfer_time_s(
+        self, src: str, dst: str, payload_mbit: float
+    ) -> float:
+        """Time for ``payload_mbit`` to cross the edge ``src -> dst``.
+
+        The payload rides the edge's fluid flow, so it moves at the
+        flow's *allocated* (max-min fair) rate and additionally waits
+        behind the path's propagation and queue backlog.  Co-located
+        edges hand data over loopback at no cost; an edge the mesh
+        cannot route never delivers (``inf``).
+        """
+        if payload_mbit <= 0:
+            return 0.0
+        nodes = (self._node_of(src), self._node_of(dst))
+        if nodes[0] == nodes[1]:
+            return 0.0
+        netem = self._netem
+        delay_s = self._delays.get(nodes)
+        if delay_s is None:
+            try:
+                delay_s = netem.path_delay_s(*nodes)
+            except RoutingError:
+                delay_s = math.inf
+            self._delays[nodes] = delay_s
+        if delay_s == math.inf:
+            # No route at all: the payload never arrives.
+            return delay_s
+        rate = 0.0
+        flow_id = self._flow_ids.get((src, dst))
+        if flow_id is not None and netem.has_flow(flow_id):
+            flow = netem.flow(flow_id)
+            if flow.demand_mbps > 0:
+                rate = flow.allocated_mbps
+        if rate <= 0:
+            # No live flow (or one silenced by a restart window): the
+            # payload would ride whatever the path has spare.  Restart
+            # stalls themselves are charged by the caller, not here.
+            rate = netem.path_available_bandwidth(*nodes)
+        rate = max(rate, 0.01)  # a starved edge still trickles
+        return payload_mbit / rate + delay_s

@@ -92,6 +92,44 @@ class TestLatency:
         latency = app.sample_latency_s(binding)
         assert latency >= 15.0
 
+    def test_restarting_middle_stage_is_charged_twice(self):
+        """Pins a known deviation; does not endorse it.
+
+        The frame chain is walked edge by edge and each edge charges a
+        restarting endpoint, so a *middle* stage (``dst`` of edge k and
+        ``src`` of edge k+1) stalls a frame twice, although the
+        docstring says the frame "stalls until that stage is back" and
+        the social model dedups with its ``stalled`` set.  Fixing it
+        moves camera numbers sampled inside a restart window (Table 2
+        runs with migrations on), so it belongs to the fidelity item —
+        see deviation note 6 in EXPERIMENTS.md.
+        """
+        layout = {OBJECT_DETECTOR: "node2"}
+        steady_app, steady = deployed(layout)
+        app, binding = deployed()
+        binding.deployment.rebind(
+            OBJECT_DETECTOR, "node2", time=0.0, restart_seconds=10.0
+        )
+        binding.sync_flows()
+        extra = app.sample_latency_s(binding) - steady_app.sample_latency_s(
+            steady
+        )
+        # (Transfer terms shift a little: the restart also silences the
+        # stage's flows, so its payloads ride the path's spare rate.)
+        assert extra == pytest.approx(2 * 10.0, abs=0.5)
+
+        # An end stage sits on one edge only: one stall.
+        steady_app, steady = deployed({CAMERA_STREAM: "node2"})
+        app, binding = deployed()
+        binding.deployment.rebind(
+            CAMERA_STREAM, "node2", time=0.0, restart_seconds=10.0
+        )
+        binding.sync_flows()
+        extra = app.sample_latency_s(binding) - steady_app.sample_latency_s(
+            steady
+        )
+        assert extra == pytest.approx(10.0, abs=0.5)
+
     def test_jitter_varies_samples(self):
         app, binding = deployed()
         rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 """Unit tests for the social-network model."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,27 @@ class TestConfigValidation:
     def test_nonpositive_rps_raises(self):
         with pytest.raises(ConfigError):
             SocialNetworkApp(annotate_rps=0)
+
+    def test_mix_is_frozen_after_construction(self):
+        """Edge demands, DAG weights and the sampling CDF are derived
+        from the mix once; a later edit would desynchronise them."""
+        given = {"read_home_timeline": 0.5, "compose_post": 0.5}
+        app = SocialNetworkApp(mix=given)
+        with pytest.raises(TypeError):
+            app.mix["compose_post"] = 1.0
+        with pytest.raises(TypeError):
+            del app.mix["compose_post"]
+        with pytest.raises(AttributeError):
+            app.mix = dict(DEFAULT_MIX)
+        given["compose_post"] = 1.0  # the caller's dict is not aliased
+        assert dict(app.mix) == {"read_home_timeline": 0.5, "compose_post": 0.5}
+
+    def test_app_survives_pickle(self):
+        """Checkpoints and the bench's rep clones pickle the app."""
+        app = SocialNetworkApp(annotate_rps=30.0)
+        clone = pickle.loads(pickle.dumps(app))
+        assert dict(clone.mix) == dict(app.mix)
+        assert clone.hottest_edges() == app.hottest_edges()
 
 
 class TestTrafficProfile:
