@@ -22,7 +22,7 @@ the full sweep's) — the perf trajectory is tracked across PRs.  The
 fast and baseline loops run on identically seeded emulators and must
 end with *exactly* equal allocations, so the speedup claim is never
 bought with drift.  The oracle is the decomposed reference solver
-(``max_min_allocation(..., solver="reference")``): solving per
+(``tests.oracles.reference_allocation``): solving per
 link-connected component is the canonical semantics, and on a single
 component it is bit-identical to the frozen global reference loop
 (``tests/unit/test_fairness_equivalence.py`` proves both).
@@ -46,6 +46,8 @@ from repro.mesh.topology import MeshTopology
 from repro.net.fairness import (
     FlowDemand,
     IncrementalMaxMin,
+    _fill_batched,
+    _fill_indexed,
     _partition_flows,
     link_components,
     max_min_allocation,
@@ -53,6 +55,7 @@ from repro.net.fairness import (
 from repro.net.netem import NetworkEmulator
 
 from _reporting import fmt, run_once, save_table
+from tests.oracles import LinkQueue, forced_kernel, reference_allocation
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_emulator.json"
 
@@ -187,13 +190,14 @@ def seed_capacity_scan(emu: NetworkEmulator) -> dict:
     }
 
 
-def reference_tick(emu: NetworkEmulator) -> None:
+def reference_tick(emu: NetworkEmulator, queues: dict) -> None:
     """A frozen copy of the seed tick path: per-link capacity scan,
-    per-object queue advance, then a recompute that scans capacities
-    *again* and solves with the (decomposed) reference kernel — no
-    fingerprint, no arrays, no incremental state."""
+    per-object queue advance (``queues``: one scalar oracle per link),
+    then a recompute that scans capacities *again* and solves with the
+    (decomposed) reference kernel — no fingerprint, no arrays, no
+    incremental state."""
     capacities = seed_capacity_scan(emu)
-    offered = {key: 0.0 for key in emu._queues}
+    offered = {key: 0.0 for key in queues}
     for flow in emu._flows.values():
         for key in flow.links:
             offered[key] += flow.demand_mbps
@@ -201,14 +205,14 @@ def reference_tick(emu: NetworkEmulator) -> None:
             emu._offered_mbit_by_tag.get(flow.tag, 0.0)
             + flow.demand_mbps * emu.tick_s * max(len(flow.links), 0)
         )
-    for key, queue in emu._queues.items():
+    for key, queue in queues.items():
         queue.update(emu.tick_s, offered[key], capacities[key])
     capacities = seed_capacity_scan(emu)  # the seed's double scan
     demands = [
         FlowDemand(flow_id=fid, links=flow.links, demand_mbps=flow.demand_mbps)
         for fid, flow in emu._flows.items()
     ]
-    rates = max_min_allocation(demands, capacities, solver="reference")
+    rates = reference_allocation(demands, capacities)
     for fid, flow in emu._flows.items():
         flow.allocated_mbps = rates.get(fid, 0.0)
 
@@ -244,20 +248,26 @@ def solve_snapshot(emu: NetworkEmulator) -> tuple[list[FlowDemand], dict]:
 def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
     """Best-of-N solve-only wall times (ms), whole instance.
 
-    ``reference`` / ``indexed`` / ``batched`` force a kernel; ``full``
-    is the from-scratch auto solve (whichever kernel the cutover picks
-    for ``active_flows``); ``incremental`` is a retained-engine
-    re-solve after a single-link capacity perturbation.
+    ``reference`` is the test oracle; ``indexed`` / ``batched`` force a
+    kernel through its whole-instance entry point; ``full`` is
+    ``max_min_allocation`` (whichever kernel the cutover picks for
+    ``active_flows``); ``incremental`` is a retained-engine re-solve
+    after a single-link capacity perturbation.
     """
     demands, capacities = solve_snapshot(emu)
     _, active = _partition_flows(demands, capacities)
+    solvers = {
+        "reference": reference_allocation,
+        "indexed": forced_kernel(_fill_indexed),
+        "batched": forced_kernel(_fill_batched),
+        "full": max_min_allocation,
+    }
     timings: dict[str, float] = {}
-    for label in ("reference", "indexed", "batched", "full"):
-        solver = "auto" if label == "full" else label
+    for label, solve in solvers.items():
         best = float("inf")
         for _ in range(repeats):
             begin = time.perf_counter()
-            max_min_allocation(demands, capacities, solver=solver)
+            solve(demands, capacities)
             best = min(best, time.perf_counter() - begin)
         timings[label] = best * 1000.0
 
@@ -291,7 +301,7 @@ def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
 
 def oracle_allocation(emu: NetworkEmulator) -> dict:
     demands, capacities = solve_snapshot(emu)
-    return max_min_allocation(demands, capacities, solver="reference")
+    return reference_allocation(demands, capacities)
 
 
 def run_case(n_nodes: int, n_flows: int, n_ticks: int) -> dict:
@@ -299,7 +309,13 @@ def run_case(n_nodes: int, n_flows: int, n_ticks: int) -> dict:
     ref = build_emulator(n_nodes, n_flows, n_ticks)
 
     fast_s = time_tick_loop(fast, n_ticks, lambda emu: emu.tick())
-    ref_s = time_tick_loop(ref, n_ticks, reference_tick)
+    scalar_queues = {
+        key: LinkQueue(buffer_mbit=float(buffer))
+        for key, buffer in zip(ref._link_keys, ref._queue_arrays.buffer_mbit)
+    }
+    ref_s = time_tick_loop(
+        ref, n_ticks, lambda emu: reference_tick(emu, scalar_queues)
+    )
 
     # Identically seeded runs must land on exactly equal allocations —
     # the speedup is only valid if the fast path stayed bit-compatible.

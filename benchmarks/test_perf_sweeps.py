@@ -3,22 +3,22 @@
 Measures two workloads:
 
 * the fig14cd threshold grid (the original headline workload): cold
-  serial wall time, cold parallel wall time per backend, and a warm
-  cached replay;
+  serial wall time (``jobs=1``, in-process), cold parallel wall time
+  (the work-stealing fabric), and a warm cached replay;
 * a heterogeneous busy-cell grid — a few ~100x-outlier heavy cells in
-  a sea of tiny ones — where the queue backend's cost-ordered chunks,
-  warm workers, and work-stealing are the difference between a
+  a sea of tiny ones — where the fabric's cost-ordered chunks, warm
+  workers, and work-stealing are the difference between a
   straggler-bound sweep and a balanced one.
 
 Every run must merge to byte-identical canonical JSON — a speedup
 claim is only valid while scheduling stays invisible in the data.
 Results are written to ``BENCH_sweeps.json`` at the repo root (merged
 per case, like ``BENCH_emulator.json``) so the trajectory is tracked
-across PRs; each case records its ``backend`` and ``chunking`` so the
+across PRs; each case records the ``chunking`` the fabric chose so the
 series stays interpretable as defaults evolve.
 
-The >=3x-at-4-workers and beats-pool acceptance targets need real
-cores; those assertions live in the slow tests and are skipped below 4
+The >=3x-at-4-workers acceptance targets need real cores; those
+assertions live in the slow tests and are skipped below 4
 CPUs.  The smoke tests record the measured numbers on whatever CI
 machine runs them and assert only machine-independent contracts
 (byte-identity, cheap cached replay), plus a loose
@@ -89,22 +89,14 @@ def hetero_spec(
     )
 
 
-def timed_sweep(spec, *, jobs, cache, backend="pool", chunk_size=None,
-                steal=True):
+def timed_sweep(spec, *, jobs, cache):
     begin = time.perf_counter()
-    outcome = run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    )
+    outcome = run_sweep(spec, jobs=jobs, cache=cache)
     return outcome, time.perf_counter() - begin
 
 
 def chunking_fields(stats) -> dict:
-    """The scheduling shape behind a measured number (queue backend)."""
+    """The scheduling shape behind a measured number."""
     return {
         "chunks": stats.chunks,
         "chunk_size": stats.chunk_size,
@@ -114,10 +106,7 @@ def chunking_fields(stats) -> dict:
     }
 
 
-def run_case(
-    grid: dict, *, jobs: int, tmp: Path, backend: str = "pool",
-    chunk_size=None,
-) -> dict:
+def run_case(grid: dict, *, jobs: int, tmp: Path) -> dict:
     """Cold serial, cold parallel, warm replay over one fig14cd grid."""
     spec = fig14cd_sweep_spec(**grid)
 
@@ -126,8 +115,7 @@ def run_case(
 
     parallel_cache = ResultCache(tmp / "parallel")
     parallel, parallel_s = timed_sweep(
-        spec, jobs=jobs, cache=parallel_cache, backend=backend,
-        chunk_size=chunk_size,
+        spec, jobs=jobs, cache=parallel_cache
     )
 
     replay, replay_s = timed_sweep(spec, jobs=1, cache=serial_cache)
@@ -140,10 +128,7 @@ def run_case(
     return {
         "cells": serial.stats.cells,
         "duration_s": grid["duration_s"],
-        "backend": backend,
-        "chunking": (
-            chunking_fields(parallel.stats) if backend == "queue" else None
-        ),
+        "chunking": chunking_fields(parallel.stats),
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "parallel_jobs": jobs,
@@ -157,7 +142,7 @@ def run_case(
 
 
 def run_hetero_case(params: dict, *, jobs: int) -> dict:
-    """Serial vs pool vs queue+stealing on the heterogeneous grid.
+    """Serial vs the work-stealing fabric on the heterogeneous grid.
 
     Dispatch overhead is charged per cell as (worker lifetime − worker
     busy time) / cells: everything a worker spent *not* executing cells
@@ -167,14 +152,9 @@ def run_hetero_case(params: dict, *, jobs: int) -> dict:
     spec = hetero_spec(**params)
 
     serial, serial_s = timed_sweep(spec, jobs=1, cache=None)
-    pool, pool_s = timed_sweep(spec, jobs=jobs, cache=None)
-    queue, queue_s = timed_sweep(
-        spec, jobs=jobs, cache=None, backend="queue"
-    )
+    queue, queue_s = timed_sweep(spec, jobs=jobs, cache=None)
 
-    golden = serial.to_canonical_json()
-    assert pool.to_canonical_json() == golden
-    assert queue.to_canonical_json() == golden
+    assert queue.to_canonical_json() == serial.to_canonical_json()
 
     reports = queue.stats.workers
     alive_s = sum(report.alive_s for report in reports)
@@ -185,15 +165,11 @@ def run_hetero_case(params: dict, *, jobs: int) -> dict:
 
     return {
         "cells": cells,
-        "backend": "queue",
         "chunking": chunking_fields(queue.stats),
         "serial_s": serial_s,
-        "pool_s": pool_s,
-        "queue_s": queue_s,
+        "parallel_s": queue_s,
         "parallel_jobs": jobs,
         "speedup": serial_s / queue_s if queue_s > 0 else float("inf"),
-        "pool_speedup": serial_s / pool_s if pool_s > 0 else float("inf"),
-        "queue_vs_pool": pool_s / queue_s if queue_s > 0 else float("inf"),
         "mean_cell_s": mean_cell_s,
         "dispatch_overhead_s": dispatch_overhead_s,
         "dispatch_overhead_fraction": (
@@ -214,11 +190,11 @@ def persist(results: dict[str, dict]) -> None:
     """Merge measured cases into BENCH_sweeps.json (smoke runs refresh
     their case without clobbering the full grid's)."""
     payload = {
-        "schema": 2,
+        "schema": 3,
         "unit_note": "speedup = cold serial wall / cold parallel wall; "
         "replay_fraction = warm cached wall / cold serial wall; "
         "dispatch_overhead_fraction = per-cell non-execution worker time "
-        "/ mean cell runtime (queue backend)",
+        "/ mean cell runtime",
         "cases": {},
     }
     if BENCH_PATH.exists():
@@ -235,22 +211,22 @@ def persist(results: dict[str, dict]) -> None:
 def report(results: dict[str, dict], name: str) -> None:
     save_table(
         name,
-        ["case", "cells", "backend", "jobs", "serial_s", "parallel_s",
-         "speedup", "replay_frac"],
+        ["case", "cells", "jobs", "serial_s", "parallel_s", "speedup",
+         "replay_frac", "dispatch_frac"],
         [
             [
                 case,
                 row["cells"],
-                row["backend"],
                 row["parallel_jobs"],
                 fmt(row["serial_s"], 2),
-                fmt(row.get("parallel_s", row.get("queue_s", 0.0)), 2),
+                fmt(row["parallel_s"], 2),
                 fmt(row["speedup"], 2),
                 fmt(row.get("replay_fraction", 0.0), 3),
+                fmt(row.get("dispatch_overhead_fraction", 0.0), 3),
             ]
             for case, row in results.items()
         ],
-        note="sweep workloads through the runner; every backend "
+        note="sweep workloads through the runner; the fabric is "
         "byte-identical to serial by assertion; BENCH_sweeps.json tracks "
         "the series",
     )
@@ -258,56 +234,41 @@ def report(results: dict[str, dict], name: str) -> None:
 
 @pytest.mark.benchmark(group="perf_sweeps")
 def test_perf_sweeps_smoke(benchmark, tmp_path):
-    """CI fast path: determinism + cheap replay on a trimmed grid, for
-    both backends.
+    """CI fast path: determinism + cheap replay on a trimmed grid.
 
-    Speedups are recorded for the tracked series; the only speedup
-    *assertion* is a loose no-catastrophic-regression floor, gated on
-    ``cpu_count >= 2`` — single-core boxes pay pure scheduling overhead
-    with nothing to parallelize.
+    Two workers whatever the box has, so the fabric is always what is
+    measured.  Speedups are recorded for the tracked series; the only
+    speedup *assertion* is a loose no-catastrophic-regression floor,
+    gated on ``cpu_count >= 2`` — single-core boxes pay pure scheduling
+    overhead with nothing to parallelize.
     """
-    jobs = min(2, os.cpu_count() or 1)
     results = run_once(
         benchmark,
-        lambda: {
-            "fig14cd_smoke": run_case(SMOKE_GRID, jobs=jobs, tmp=tmp_path),
-            "fig14cd_smoke_queue": run_case(
-                SMOKE_GRID,
-                jobs=jobs,
-                tmp=tmp_path / "queue",
-                backend="queue",
-                chunk_size=2,
-            ),
-        },
+        lambda: {"fig14cd_smoke": run_case(SMOKE_GRID, jobs=2, tmp=tmp_path)},
     )
     persist(results)
     report(results, "perf_sweeps_smoke")
-    for case in ("fig14cd_smoke", "fig14cd_smoke_queue"):
-        row = results[case]
-        assert row["cells"] == 6
-        # Cached replay skips every simulation: it must come in well
-        # under the cold run even with cache-probe overhead.
-        assert row["replay_fraction"] < 0.5
-        if row["cpu_count"] >= 2:
-            assert row["speedup"] > 0.5, (
-                f"{case}: {row['backend']} backend at {row['parallel_jobs']}"
-                f" workers ran {1 / row['speedup']:.1f}x slower than serial"
-            )
-    assert results["fig14cd_smoke_queue"]["chunking"]["chunks"] >= 1
+    row = results["fig14cd_smoke"]
+    assert row["cells"] == 6
+    # Cached replay skips every simulation: it must come in well
+    # under the cold run even with cache-probe overhead.
+    assert row["replay_fraction"] < 0.5
+    if row["cpu_count"] >= 2:
+        assert row["speedup"] > 0.5, (
+            f"fig14cd_smoke: {row['parallel_jobs']} workers ran "
+            f"{1 / row['speedup']:.1f}x slower than serial"
+        )
+    assert row["chunking"]["chunks"] >= 1
 
 
 @pytest.mark.benchmark(group="perf_sweeps")
 def test_perf_sweeps_hetero_smoke(benchmark):
-    """Heterogeneous-grid fast path: record the queue-vs-pool numbers
-    and pin byte-identity; the >=3x and beats-pool targets live in the
-    slow, core-gated test."""
+    """Heterogeneous-grid fast path: record the fabric's numbers and
+    pin byte-identity; the >=3x target lives in the slow, core-gated
+    test."""
     results = run_once(
         benchmark,
-        lambda: {
-            "hetero_smoke": run_hetero_case(
-                HETERO_SMOKE, jobs=min(2, os.cpu_count() or 1)
-            )
-        },
+        lambda: {"hetero_smoke": run_hetero_case(HETERO_SMOKE, jobs=2)},
     )
     persist(results)
     report(results, "perf_sweeps_hetero_smoke")
@@ -345,13 +306,12 @@ def test_perf_sweeps_full_grid(benchmark, tmp_path):
 @pytest.mark.benchmark(group="perf_sweeps")
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
-    reason="the queue-backend targets need >=4 physical cores",
+    reason="the fabric targets need >=4 physical cores",
 )
 def test_perf_sweeps_hetero_full(benchmark):
     """The fabric acceptance targets on the heterogeneous grid at 4
-    workers: queue+stealing >=3x over serial, strictly faster than the
-    pool backend, and per-cell dispatch overhead under 10% of the mean
-    cell runtime."""
+    workers: queue+stealing >=3x over serial, and per-cell dispatch
+    overhead under 10% of the mean cell runtime."""
     results = run_once(
         benchmark,
         lambda: {"hetero_full": run_hetero_case(HETERO_FULL, jobs=4)},
@@ -361,10 +321,6 @@ def test_perf_sweeps_hetero_full(benchmark):
     row = results["hetero_full"]
     assert row["speedup"] >= 3.0, (
         f"queue speedup {row['speedup']:.2f}x < 3x over serial"
-    )
-    assert row["queue_vs_pool"] > 1.0, (
-        f"queue ({row['queue_s']:.2f}s) did not beat pool "
-        f"({row['pool_s']:.2f}s) on the heterogeneous grid"
     )
     assert row["dispatch_overhead_fraction"] < 0.10, (
         f"dispatch overhead {row['dispatch_overhead_fraction']:.1%} of "

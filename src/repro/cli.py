@@ -7,7 +7,6 @@ Usage::
     bass-repro run fig13 --quick --trace run.jsonl
     bass-repro run fig14cd --jobs 4 --cache-dir .bass-cache
     bass-repro run fig14cd --jobs 2 --no-cache --out sweep.json
-    bass-repro run fig14cd --backend queue --jobs 4 --chunk-size 2
     bass-repro report run.jsonl
     bass-repro run table2
 
@@ -17,15 +16,12 @@ recorder for the run and writes the decision-event log as JSONL;
 ``report`` renders a saved trace as a human-readable causal timeline.
 
 Sweep-shaped experiments (marked ``[sweep]`` in ``list``) additionally
-accept ``--jobs N`` (fan cells over N worker processes), ``--backend
-pool|queue`` (flat process-pool fan-out, or the work-stealing chunk
-queue over persistent warm workers — see DESIGN.md "Distributed sweep
-fabric"), ``--chunk-size N`` / ``--steal`` / ``--no-steal`` (queue
-scheduling knobs), ``--cache-dir PATH`` (memoize completed cells
-content-addressed on disk; under the queue backend the workers share
-the store directly), ``--no-cache``, and ``--out PATH`` (write the
-merged results as canonical JSON — byte-identical across backends,
-``--jobs``, and chunk sizes).
+accept ``--jobs N`` (``1`` runs the cells in this process; more fan
+them over N warm worker processes through the work-stealing chunk
+queue — see DESIGN.md "Parallel sweeps"), ``--cache-dir PATH`` (memoize
+completed cells content-addressed on disk; workers share the store
+directly), ``--no-cache``, and ``--out PATH`` (write the merged results
+as canonical JSON — byte-identical across ``--jobs``).
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -42,9 +38,6 @@ class SweepSettings:
 
     jobs: int = 1
     cache: object = None  # Optional[repro.runner.ResultCache]
-    backend: str = "pool"
-    chunk_size: Optional[int] = None
-    steal: bool = True
 
 
 def _sweep_capable(run):
@@ -277,14 +270,7 @@ def _run_fig14cd(quick: bool, sweep: SweepSettings):
         headrooms=(0.20,) if quick else (0.10, 0.20, 0.30),
         duration_s=200.0 if quick else 600.0,
     )
-    outcome = run_sweep(
-        spec,
-        jobs=sweep.jobs,
-        cache=sweep.cache,
-        backend=sweep.backend,
-        chunk_size=sweep.chunk_size,
-        steal=sweep.steal,
-    )
+    outcome = run_sweep(spec, jobs=sweep.jobs, cache=sweep.cache)
     print(
         _table(
             ["heuristic", "threshold", "headroom", "uq_s", "migrations"],
@@ -330,14 +316,7 @@ def _run_fig16(quick: bool, sweep: SweepSettings):
         thresholds=(0.25, 0.75) if quick else (0.25, 0.50, 0.65, 0.75),
         duration_s=200.0 if quick else 600.0,
     )
-    outcome = run_sweep(
-        spec,
-        jobs=sweep.jobs,
-        cache=sweep.cache,
-        backend=sweep.backend,
-        chunk_size=sweep.chunk_size,
-        steal=sweep.steal,
-    )
+    outcome = run_sweep(spec, jobs=sweep.jobs, cache=sweep.cache)
     print(
         _table(
             ["threshold", "mean_s", "migrations"],
@@ -365,9 +344,6 @@ def _run_multitenant(quick: bool, sweep: SweepSettings):
         ),
         jobs=sweep.jobs,
         cache=sweep.cache,
-        backend=sweep.backend,
-        chunk_size=sweep.chunk_size,
-        steal=sweep.steal,
     )
     print(
         _table(
@@ -392,9 +368,6 @@ def _run_multitenant(quick: bool, sweep: SweepSettings):
         ),
         jobs=sweep.jobs,
         cache=sweep.cache,
-        backend=sweep.backend,
-        chunk_size=sweep.chunk_size,
-        steal=sweep.steal,
     )
     contention = contention_outcome.results[0]
     print(
@@ -448,14 +421,7 @@ def _run_ablations(quick: bool, sweep: SweepSettings):
     from .runner import run_sweep
 
     spec = ablation_grid_spec(quick=quick)
-    outcome = run_sweep(
-        spec,
-        jobs=sweep.jobs,
-        cache=sweep.cache,
-        backend=sweep.backend,
-        chunk_size=sweep.chunk_size,
-        steal=sweep.steal,
-    )
+    outcome = run_sweep(spec, jobs=sweep.jobs, cache=sweep.cache)
     rows = []
     for cell, result in zip(spec.cells, outcome.results):
         if cell.label == "headroom_probing":
@@ -500,14 +466,7 @@ def _run_churnsweep(quick: bool, sweep: SweepSettings):
         seeds=tuple(range(3)) if quick else tuple(range(6)),
         settle_s=60.0 if quick else 120.0,
     )
-    outcome = run_sweep(
-        spec,
-        jobs=sweep.jobs,
-        cache=sweep.cache,
-        backend=sweep.backend,
-        chunk_size=sweep.chunk_size,
-        steal=sweep.steal,
-    )
+    outcome = run_sweep(spec, jobs=sweep.jobs, cache=sweep.cache)
     print(
         _table(
             ["seed", "crash_node", "crash_at_s", "detect_s", "recover_s",
@@ -757,14 +716,10 @@ def _run_checkpoint_mode(args, parser) -> int:
         args.jobs != 1
         or args.cache_dir is not None
         or args.no_cache
-        or args.backend != "pool"
-        or args.chunk_size is not None
-        or args.steal is not None
     ):
         parser.error(
-            "--jobs/--backend/--chunk-size/--steal/--cache-dir/"
-            "--no-cache do not apply to checkpointable runs "
-            "(one cell, one process)"
+            "--jobs/--cache-dir/--no-cache do not apply to "
+            "checkpointable runs (one cell, one process)"
         )
     if args.stop_at is not None and not (
         args.checkpoint_dir or args.restore_from
@@ -896,8 +851,6 @@ def _run_checkpoint_mode(args, parser) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    from .runner import BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="bass-repro",
         description="Regenerate the BASS paper's tables and figures.",
@@ -931,41 +884,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "(results stay byte-identical to --jobs 1)",
     )
     runner.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="pool",
-        help="sweep execution backend: 'pool' fans each cell out as "
-        "its own process-pool task; 'queue' runs cost-ordered chunks "
-        "over persistent warm workers with work-stealing "
-        "(output bytes are identical either way)",
-    )
-    runner.add_argument(
-        "--chunk-size",
-        type=int,
-        metavar="N",
-        help="queue backend: cells per dispatched chunk "
-        "(default: about four chunks per worker)",
-    )
-    steal_group = runner.add_mutually_exclusive_group()
-    steal_group.add_argument(
-        "--steal",
-        dest="steal",
-        action="store_true",
-        default=None,
-        help="queue backend: split busy workers' remaining chunks for "
-        "idle workers (the default)",
-    )
-    steal_group.add_argument(
-        "--no-steal",
-        dest="steal",
-        action="store_false",
-        help="queue backend: disable work-stealing",
-    )
-    runner.add_argument(
         "--cache-dir",
         metavar="PATH",
         help="memoize completed sweep cells in this content-addressed "
-        "cache directory (shared directly by queue-backend workers)",
+        "cache directory (shared directly by the sweep workers)",
     )
     runner.add_argument(
         "--no-cache",
@@ -1160,22 +1082,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         or args.cache_dir is not None
         or args.no_cache
         or args.out is not None
-        or args.backend != "pool"
-        or args.chunk_size is not None
-        or args.steal is not None
     )
     if sweep_flags and not sweep_capable:
         parser.error(
-            f"--jobs/--backend/--chunk-size/--steal/--cache-dir/"
-            f"--no-cache/--out apply only to sweep-shaped experiments; "
-            f"{args.experiment!r} is not one (see 'bass-repro list')"
-        )
-    if args.backend != "queue" and (
-        args.chunk_size is not None or args.steal is not None
-    ):
-        parser.error(
-            "--chunk-size/--steal/--no-steal are queue-backend "
-            "scheduling knobs; add --backend queue"
+            f"--jobs/--cache-dir/--no-cache/--out apply only to "
+            f"sweep-shaped experiments; {args.experiment!r} is not one "
+            f"(see 'bass-repro list')"
         )
     regions_capable = getattr(run, "regions_capable", False)
     if args.regions != 2 and not regions_capable:
@@ -1189,13 +1101,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cache = (
             None if args.no_cache else open_cache(args.cache_dir)
         )
-        settings = SweepSettings(
-            jobs=args.jobs,
-            cache=cache,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
-            steal=args.steal if args.steal is not None else True,
-        )
+        settings = SweepSettings(jobs=args.jobs, cache=cache)
         invoke: Callable[[], object] = lambda: run(args.quick, settings)
     elif regions_capable:
         invoke = lambda: run(args.quick, regions=args.regions)

@@ -433,24 +433,13 @@ def ablation_grid(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
 ) -> dict[str, object]:
     """Run the ablation battery through the sweep runner.
 
     Returns ``{cell label: that ablation's result}`` in grid order.
     """
     spec = ablation_grid_spec(quick=quick, include=include)
-    outcome = run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        tracer=tracer,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    )
+    outcome = run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer)
     return {
         cell.label: result
         for cell, result in zip(spec.cells, outcome.results)

@@ -379,9 +379,6 @@ def churn_seed_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
 ) -> list[ChurnResult]:
     """Randomized crash plans across seeds, one churn run per seed.
 
@@ -389,15 +386,7 @@ def churn_seed_sweep(
     churn benchmark asserts exactly that over this sweep's results.
     """
     spec = churn_seed_sweep_spec(seeds=seeds, settle_s=settle_s)
-    return run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        tracer=tracer,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    ).results
+    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
 
 
 def churn_comparison(

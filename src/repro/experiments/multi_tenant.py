@@ -299,9 +299,6 @@ def multi_tenant_scaling_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
 ) -> list[MultiTenantResult]:
     """Run the tenant-scaling sweep through the sweep runner."""
     spec = multi_tenant_scaling_spec(
@@ -310,15 +307,7 @@ def multi_tenant_scaling_sweep(
         seed=seed,
         probe_sharing=probe_sharing,
     )
-    return run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        tracer=tracer,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    ).results
+    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
 
 
 def contention_sweep_spec(
@@ -351,20 +340,9 @@ def contention_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
 ) -> list[MultiTenantResult]:
     """Run the contention sweep through the sweep runner."""
     spec = contention_sweep_spec(
         tenant_counts=tenant_counts, duration_s=duration_s, seed=seed
     )
-    return run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        tracer=tracer,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    ).results
+    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results

@@ -177,9 +177,6 @@ def fig14cd_threshold_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
 ) -> list[ThresholdCell]:
     """Figs 14c/d: latency across the (threshold × headroom) grid,
     fixed request arrivals at 50 RPS.
@@ -196,15 +193,7 @@ def fig14cd_threshold_sweep(
         duration_s=duration_s,
         seed=seed,
     )
-    return run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        tracer=tracer,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    ).results
+    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
 
 
 def fig16_sweep_spec(
@@ -243,9 +232,6 @@ def fig16_exponential_thresholds(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
 ) -> list[ThresholdCell]:
     """Fig 16: the same sweep under exponential (Poisson) arrivals,
     longest-path scheduling, headroom fixed at 20 %."""
@@ -256,15 +242,7 @@ def fig16_exponential_thresholds(
         duration_s=duration_s,
         seed=seed,
     )
-    return run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        tracer=tracer,
-        backend=backend,
-        chunk_size=chunk_size,
-        steal=steal,
-    ).results
+    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
 
 
 def best_threshold(cells: list[ThresholdCell]) -> float:

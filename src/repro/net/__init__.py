@@ -13,12 +13,10 @@ order-of-magnitude latency inflation of Fig 5.
 from .fairness import FlowDemand, max_min_allocation
 from .flows import Flow
 from .netem import NetworkEmulator
-from .queues import LinkQueue
 
 __all__ = [
     "Flow",
     "FlowDemand",
-    "LinkQueue",
     "NetworkEmulator",
     "max_min_allocation",
 ]

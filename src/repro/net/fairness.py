@@ -17,35 +17,33 @@ emulator recomputes whenever demands or capacities change.
 The canonical semantics are *decomposed*: an instance is split into the
 connected components of its flow<->link incidence graph (components
 share no links, so their allocations are independent) and each
-component is water-filled on its own.  Two kernels do that, plus the
-oracle they are checked against:
+component is water-filled on its own.  Two kernels do that:
 
-* :func:`max_min_allocation_reference` — the original per-round loop
-  that rebuilds the flows-per-link map from scratch every round.  It is
-  frozen as the correctness oracle (``solver="reference"`` runs it per
-  component).
-* the *indexed* dict kernel — the same loop with the incidence counts
-  maintained incrementally, one component at a time.  Small instances
-  (the paper's 5-node mesh, a few dozen flows) stay here: array set-up
+* the *indexed* dict kernel (:func:`_fill_indexed`) — the textbook
+  per-round loop with the flows-per-link counts maintained
+  incrementally, one component at a time.  Small instances (the
+  paper's 5-node mesh, a few dozen flows) stay here: array set-up
   would cost more than the whole solve.
-* the *batched* kernel (:class:`ComponentBatch`) — one segmented NumPy
-  water-fill over the concatenated arrays of *every* component.  Each
-  round takes per-component increments from ``np.minimum.reduceat``
-  over the link-headroom and flow-slack segments, so a city of regional
-  components costs ``max(rounds)`` array rounds instead of
-  ``sum(rounds)`` Python rounds.
+* the *batched* kernel (:func:`_fill_batched`, :class:`ComponentBatch`)
+  — one segmented NumPy water-fill over the concatenated arrays of
+  *every* component.  Each round takes per-component increments from
+  ``np.minimum.reduceat`` over the link-headroom and flow-slack
+  segments, so a city of regional components costs ``max(rounds)``
+  array rounds instead of ``sum(rounds)`` Python rounds.
 
-All three are bit-compatible: every floating-point operation a
-component sees in a round (its uniform increment, the rate and
-residual-capacity updates, the retirement tests) is performed with
-identical IEEE-754 arithmetic in an equivalent order, so the returned
-rates are *exactly* equal, not merely close.
-``tests/unit/test_fairness_equivalence.py`` enforces this over hundreds
-of randomized instances.  On a single-component instance the decomposed
-solve is additionally bit-identical to the frozen global loop.
+Both are bit-compatible with each other and with the frozen reference
+loop that rebuilds the incidence map every round (a test fixture:
+``tests/oracles.py``): every floating-point operation a component
+sees in a round (its uniform increment, the rate and residual-capacity
+updates, the retirement tests) is performed with identical IEEE-754
+arithmetic in an equivalent order, so the returned rates are *exactly*
+equal, not merely close.  ``tests/unit/test_fairness_equivalence.py``
+enforces this over hundreds of randomized instances.  On a
+single-component instance the decomposed solve is additionally
+bit-identical to the reference run globally.
 
 One size cutover, ``_BATCH_MIN_FLOWS`` on the instance's active-flow
-count, picks the kernel; there is no other tuning.
+count, picks the kernel; there is no other tuning and no selector.
 
 :class:`IncrementalMaxMin` is the emulator's stateful front end: it
 keeps the component structure while the flow set is unchanged and, above
@@ -76,8 +74,6 @@ _EPSILON = 1e-9
 #: partial solves re-solve every component anyway.
 _BATCH_MIN_FLOWS = 128
 
-SOLVERS = ("auto", "reference", "indexed", "batched")
-
 LinkKey = tuple[str, str]
 """Directed link identifier: (src node, dst node)."""
 
@@ -97,83 +93,6 @@ class FlowDemand:
     flow_id: Hashable
     links: tuple[LinkKey, ...] = field(default_factory=tuple)
     demand_mbps: float = 0.0
-
-
-def max_min_allocation_reference(
-    flows: Sequence[FlowDemand],
-    capacities: Mapping[LinkKey, float],
-) -> dict[Hashable, float]:
-    """The frozen reference water-filling implementation (the oracle).
-
-    Rebuilds the flows-per-link incidence map every round; correct and
-    simple, but the rebuild dominates on large instances.  Kept verbatim
-    so the optimized solvers can be proven bit-compatible against it and
-    the perf harness can measure the speedup honestly.
-    """
-    rates: dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    remaining = {key: float(cap) for key, cap in capacities.items()}
-
-    active: dict[Hashable, FlowDemand] = {}
-    for flow in flows:
-        if flow.demand_mbps <= _EPSILON:
-            continue
-        if not flow.links:
-            rates[flow.flow_id] = flow.demand_mbps  # loopback
-            continue
-        for key in flow.links:
-            if key not in remaining:
-                raise KeyError(f"flow {flow.flow_id!r} uses unknown link {key}")
-        active[flow.flow_id] = flow
-
-    while active:
-        flows_on_link: dict[LinkKey, int] = {}
-        for flow in active.values():
-            for key in flow.links:
-                flows_on_link[key] = flows_on_link.get(key, 0) + 1
-
-        # Largest uniform increment every active flow can take.
-        delta = min(
-            remaining[key] / count for key, count in flows_on_link.items()
-        )
-        delta = min(
-            delta,
-            min(
-                flow.demand_mbps - rates[fid]
-                for fid, flow in active.items()
-            ),
-        )
-        delta = max(delta, 0.0)
-
-        for fid in active:
-            rates[fid] += delta
-        for key, count in flows_on_link.items():
-            remaining[key] -= delta * count
-
-        # Retire satisfied flows, then flows pinned by a saturated link.
-        satisfied = [
-            fid
-            for fid, flow in active.items()
-            if rates[fid] >= flow.demand_mbps - _EPSILON
-        ]
-        for fid in satisfied:
-            del active[fid]
-        saturated = {
-            key
-            for key, cap in remaining.items()
-            if cap <= _EPSILON and flows_on_link.get(key)
-        }
-        if saturated:
-            pinned = [
-                fid
-                for fid, flow in active.items()
-                if any(key in saturated for key in flow.links)
-            ]
-            for fid in pinned:
-                del active[fid]
-        elif not satisfied and delta <= _EPSILON:
-            break  # numerical dead-end; all remaining rates stay put
-
-    return rates
 
 
 def _partition_flows(
@@ -543,57 +462,54 @@ def _use_batch(active_flows: int) -> bool:
     return active_flows >= _BATCH_MIN_FLOWS
 
 
+def _fill_indexed(
+    rates: dict[Hashable, float],
+    components: Sequence[Mapping[Hashable, FlowDemand]],
+    capacities: Mapping[LinkKey, float],
+) -> None:
+    """Dict kernel over a whole instance: one component at a time."""
+    for component in components:
+        _solve_indexed(rates, component, capacities)
+
+
+def _fill_batched(
+    rates: dict[Hashable, float],
+    components: Sequence[Mapping[Hashable, FlowDemand]],
+    capacities: Mapping[LinkKey, float],
+) -> None:
+    """Batched kernel over a whole instance: every component at once."""
+    batch = ComponentBatch(components)
+    cap = np.array(
+        [float(capacities[key]) for key in batch.link_keys],
+        dtype=np.float64,
+    )
+    final = batch.solve(cap, np.ones(len(components), dtype=bool))
+    rates.update(zip(batch.flow_ids, final.tolist()))
+
+
 def max_min_allocation(
     flows: Sequence[FlowDemand],
     capacities: Mapping[LinkKey, float],
-    *,
-    solver: str = "auto",
 ) -> dict[Hashable, float]:
     """Compute the demand-bounded max-min fair rates for ``flows``.
 
     The instance is split into link-connected components, each
     water-filled independently (components share no links, so the
-    result is the same max-min fair allocation).
+    result is the same max-min fair allocation) — by the batched array
+    kernel at ``_BATCH_MIN_FLOWS`` active flows, by the dict kernel
+    below.  Both return bit-identical allocations.
 
     Args:
         flows: flow demands; flows whose paths reference a link absent
             from ``capacities`` raise ``KeyError`` (a wiring bug).
         capacities: directed link capacities in Mbps.
-        solver: ``"auto"`` (default) picks the batched array kernel at
-            ``_BATCH_MIN_FLOWS`` active flows and the dict kernel
-            below; ``"reference"``, ``"indexed"`` and ``"batched"``
-            force a kernel.  All choices return bit-identical
-            allocations.
 
     Returns:
         Mapping from flow id to allocated rate in Mbps.
     """
-    if solver not in SOLVERS:
-        raise ValueError(
-            f"unknown solver {solver!r}; expected one of {SOLVERS}"
-        )
     rates, active = _partition_flows(flows, capacities)
-    components = link_components(active)
-    if solver == "auto":
-        solver = "batched" if _use_batch(len(active)) else "indexed"
-    if solver == "batched":
-        batch = ComponentBatch(components)
-        cap = np.array(
-            [float(capacities[key]) for key in batch.link_keys],
-            dtype=np.float64,
-        )
-        final = batch.solve(cap, np.ones(len(components), dtype=bool))
-        rates.update(zip(batch.flow_ids, final.tolist()))
-    elif solver == "reference":
-        for component in components:
-            rates.update(
-                max_min_allocation_reference(
-                    list(component.values()), capacities
-                )
-            )
-    else:
-        for component in components:
-            _solve_indexed(rates, component, capacities)
+    fill = _fill_batched if _use_batch(len(active)) else _fill_indexed
+    fill(rates, link_components(active), capacities)
     return rates
 
 

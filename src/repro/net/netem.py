@@ -29,10 +29,9 @@ ids, with the object API kept as a thin view:
   that changed at least one capacity, so the allocation fingerprint is
   an O(1) triple ``(topology version, flow revision, capacity epoch)``
   instead of an O(links) tuple rebuild.
-* **Queues** live in one :class:`~repro.net.queues.QueueArrays`; the
-  per-link :class:`~repro.net.queues.ArrayLinkQueue` objects handed out
-  by :meth:`queue` are property-backed views over its rows, and the
-  whole fleet advances in one vectorized update per tick.
+* **Queues** live in one :class:`~repro.net.queues.QueueArrays`: the
+  whole fleet advances in one vectorized update per tick, and per-link
+  delay and loss queries read one row by link id.
 * **Flows** mirror into a :class:`~repro.net.flows.FlowArrays`
   (rebuilt only when ``_flows_rev`` moves): per-link offered load and
   per-tag accounting are ``bincount`` calls that add the same floats in
@@ -72,7 +71,7 @@ from .fairness import (
     max_min_allocation,
 )
 from .flows import Flow, FlowArrays
-from .queues import ArrayLinkQueue, LinkQueue, QueueArrays
+from .queues import QueueArrays
 
 #: Phase keys of the per-tick wall-time accounting, in tick order.
 TICK_PHASES = ("capacity_scan", "bookkeeping", "solve")
@@ -156,10 +155,6 @@ class NetworkEmulator:
         self._queue_arrays = QueueArrays(
             np.full(len(self._link_keys), float(buffer_mbit))
         )
-        self._queues: dict[LinkKey, LinkQueue] = {
-            key: ArrayLinkQueue(self._queue_arrays, i)
-            for i, key in enumerate(self._link_keys)
-        }
         self._offered_mbit_by_tag: dict[str, float] = {}
         self._ticker = None
         self._dirty = True
@@ -631,16 +626,10 @@ class NetworkEmulator:
 
     def queue_delay_s(self, src: str, dst: str) -> float:
         """Current queueing delay on the directed link."""
-        key = (src, dst)
-        if key not in self._queues:
+        row = self._link_index.get((src, dst))
+        if row is None:
             raise TopologyError(f"no link {src}->{dst}")
-        return self._queues[key].delay_s(self.capacity(src, dst))
-
-    def queue(self, src: str, dst: str) -> LinkQueue:
-        key = (src, dst)
-        if key not in self._queues:
-            raise TopologyError(f"no link {src}->{dst}")
-        return self._queues[key]
+        return self._queue_arrays.delay_s(row, self.capacity(src, dst))
 
     def path_delay_s(self, src: str, dst: str) -> float:
         """One-way path delay: propagation plus queueing at each hop."""
@@ -655,8 +644,9 @@ class NetworkEmulator:
         """Compound loss across the route's queues (last tick)."""
         links = self.router.path_link_keys(src, dst)
         delivered = 1.0
+        loss = self._queue_arrays.last_loss_fraction
         for key in links:
-            delivered *= 1.0 - self._queues[key].last_loss_fraction
+            delivered *= 1.0 - float(loss[self._link_index[key]])
         return 1.0 - delivered
 
     def transfer_time_s(self, src: str, dst: str, megabits: float) -> float:

@@ -7,23 +7,15 @@ capacity (the time the newest bit waits), and offered traffic beyond a
 full buffer is dropped — giving both the latency inflation of Fig 5 and
 the packet loss of Fig 4 from one mechanism.
 
-Two representations share the same arithmetic:
-
-* :class:`LinkQueue` — one queue, plain attributes.  Still the unit of
-  the object API.
-* :class:`QueueArrays` + :class:`ArrayLinkQueue` — the emulator's
-  structure-of-arrays storage: all queues of a mesh advance in one
-  vectorized :meth:`QueueArrays.update_all` step whose elementwise
-  operations replay :meth:`LinkQueue.update` in the same IEEE-754
-  order, so the two paths are bit-identical.  ``ArrayLinkQueue`` is a
-  property-backed view over one row, so every inherited method
-  (``update``, ``delay_s``, ``reset``) reads and writes the shared
-  arrays.
+:class:`QueueArrays` is the one representation: structure-of-arrays
+storage in which all queues of a mesh advance in one vectorized
+:meth:`QueueArrays.update_all` step, and a single queue is a row read
+by link id.  The scalar one-queue-per-object model it replaced is kept
+as the bit-parity oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,104 +23,21 @@ import numpy as np
 from ..errors import SimulationError
 
 
-@dataclass
-class QueueSample:
-    """Snapshot of a queue after an update step."""
-
-    backlog_mbit: float
-    delay_s: float
-    loss_fraction: float
-
-
-class LinkQueue:
-    """Fluid FIFO queue for one direction of a link.
-
-    Args:
-        buffer_mbit: buffer size in megabits.  The default (25 Mbit,
-            ~3 MB) is a typical CPE buffer: enough to absorb second-scale
-            bursts, small enough that sustained overload drops packets.
-    """
-
-    def __init__(self, buffer_mbit: float = 25.0) -> None:
-        if buffer_mbit <= 0:
-            raise SimulationError("buffer_mbit must be positive")
-        self._buffer_mbit = buffer_mbit
-        self._backlog_mbit = 0.0
-        self._last_loss_fraction = 0.0
-        self._dropped_mbit_total = 0.0
-
-    @property
-    def backlog_mbit(self) -> float:
-        return self._backlog_mbit
-
-    @property
-    def buffer_mbit(self) -> float:
-        return self._buffer_mbit
-
-    @property
-    def dropped_mbit_total(self) -> float:
-        return self._dropped_mbit_total
-
-    @property
-    def last_loss_fraction(self) -> float:
-        """Fraction of offered traffic dropped during the last update."""
-        return self._last_loss_fraction
-
-    def delay_s(self, capacity_mbps: float) -> float:
-        """Time the newest arriving bit waits behind the backlog."""
-        if capacity_mbps <= 0:
-            # A dead link holds its backlog indefinitely; report the
-            # worst case bounded by the buffer at a nominal 1 Mbps drain.
-            return self._backlog_mbit / 1.0
-        return self._backlog_mbit / capacity_mbps
-
-    def update(
-        self, dt_s: float, offered_mbps: float, capacity_mbps: float
-    ) -> QueueSample:
-        """Advance the fluid queue by ``dt_s`` seconds.
-
-        Args:
-            dt_s: step length.
-            offered_mbps: total traffic arriving at the queue.
-            capacity_mbps: drain rate during the step.
-
-        Returns:
-            The post-step :class:`QueueSample`.
-        """
-        if dt_s < 0:
-            raise SimulationError("dt_s must be non-negative")
-        offered_mbit = max(offered_mbps, 0.0) * dt_s
-        drained_mbit = max(capacity_mbps, 0.0) * dt_s
-        backlog = self._backlog_mbit + offered_mbit - drained_mbit
-        dropped = 0.0
-        if backlog > self._buffer_mbit:
-            dropped = backlog - self._buffer_mbit
-            backlog = self._buffer_mbit
-        self._backlog_mbit = max(backlog, 0.0)
-        self._dropped_mbit_total += dropped
-        self._last_loss_fraction = (
-            min(1.0, dropped / offered_mbit) if offered_mbit > 0 else 0.0
-        )
-        return QueueSample(
-            backlog_mbit=self._backlog_mbit,
-            delay_s=self.delay_s(capacity_mbps),
-            loss_fraction=self._last_loss_fraction,
-        )
-
-    def reset(self) -> None:
-        """Empty the queue (e.g. after a topology change in tests)."""
-        self._backlog_mbit = 0.0
-        self._last_loss_fraction = 0.0
-
-
 class QueueArrays:
     """Structure-of-arrays state for every directed-link queue of a mesh.
 
     Row *i* holds the queue of directed link *i* (the emulator's stable
     link ordering).  :meth:`update_all` advances every row in one
-    vectorized pass whose elementwise arithmetic matches
-    :meth:`LinkQueue.update` operation for operation, so a run through
-    the arrays is bit-identical to a run through per-object queues.
+    vectorized pass whose elementwise arithmetic matches the scalar
+    oracle's ``LinkQueue.update`` operation for operation, so a run
+    through the arrays is bit-identical to a run through per-object
+    queues.
+
+    Args:
+        buffer_mbit: per-row buffer size in megabits.  The emulator's
+            default (25 Mbit, ~3 MB) is a typical CPE buffer: enough to
+            absorb second-scale bursts, small enough that sustained
+            overload drops packets.
     """
 
     __slots__ = (
@@ -156,6 +65,15 @@ class QueueArrays:
     def __len__(self) -> int:
         return self.buffer_mbit.size
 
+    def delay_s(self, row: int, capacity_mbps: float) -> float:
+        """Time the newest bit arriving at queue ``row`` waits behind
+        its backlog."""
+        if capacity_mbps <= 0:
+            # A dead link holds its backlog indefinitely; report the
+            # worst case bounded by the buffer at a nominal 1 Mbps drain.
+            return float(self.backlog_mbit[row]) / 1.0
+        return float(self.backlog_mbit[row]) / capacity_mbps
+
     def update_all(
         self,
         dt_s: float,
@@ -164,7 +82,7 @@ class QueueArrays:
     ) -> None:
         """Advance every queue by ``dt_s`` seconds.
 
-        Replays ``LinkQueue.update`` elementwise:
+        Replays the scalar ``LinkQueue.update`` elementwise:
         ``backlog + offered*dt - drained*dt``, clamp to the buffer
         (excess is dropped), clamp at zero, then the per-step loss
         fraction ``min(1, dropped/offered_mbit)`` (zero when nothing
@@ -209,53 +127,3 @@ class QueueArrays:
         n = self.buffer_mbit.size
         self._scratch_offered = np.empty(n, dtype=float)
         self._scratch_dropped = np.empty(n, dtype=float)
-
-
-class ArrayLinkQueue(LinkQueue):
-    """:class:`LinkQueue` view over one row of a :class:`QueueArrays`.
-
-    The scalar attributes become properties that read and write the
-    shared arrays, so every inherited method (``update``, ``delay_s``,
-    ``reset``) — and every external reader of the queue API — operates
-    on the emulator's structure-of-arrays state.  Data descriptors win
-    over instance attributes, so the base-class ``__init__`` is
-    bypassed on purpose.
-    """
-
-    __slots__ = ("_arrays", "_row")
-
-    def __init__(self, arrays: QueueArrays, row: int) -> None:
-        self._arrays = arrays
-        self._row = row
-
-    @property
-    def _buffer_mbit(self) -> float:  # type: ignore[override]
-        return float(self._arrays.buffer_mbit[self._row])
-
-    @_buffer_mbit.setter
-    def _buffer_mbit(self, value: float) -> None:
-        self._arrays.buffer_mbit[self._row] = value
-
-    @property
-    def _backlog_mbit(self) -> float:  # type: ignore[override]
-        return float(self._arrays.backlog_mbit[self._row])
-
-    @_backlog_mbit.setter
-    def _backlog_mbit(self, value: float) -> None:
-        self._arrays.backlog_mbit[self._row] = value
-
-    @property
-    def _last_loss_fraction(self) -> float:  # type: ignore[override]
-        return float(self._arrays.last_loss_fraction[self._row])
-
-    @_last_loss_fraction.setter
-    def _last_loss_fraction(self, value: float) -> None:
-        self._arrays.last_loss_fraction[self._row] = value
-
-    @property
-    def _dropped_mbit_total(self) -> float:  # type: ignore[override]
-        return float(self._arrays.dropped_mbit_total[self._row])
-
-    @_dropped_mbit_total.setter
-    def _dropped_mbit_total(self, value: float) -> None:
-        self._arrays.dropped_mbit_total[self._row] = value

@@ -189,7 +189,7 @@ class StandardInstruments:
       ``bass_sweep_cells_per_second`` / ``bass_sweep_cache_hit_rate``
       gauges carrying each sweep's closing summary;
     * ``bass_sweep_queue_depth`` / ``bass_sweep_steals_total`` /
-      ``bass_sweep_worker_crashes_total`` — the queue backend's peak
+      ``bass_sweep_worker_crashes_total`` — the sweep fabric's peak
       undispatched-chunk depth, chunk steals, and worker deaths
       survived, with ``bass_sweep_worker_busy_fraction{worker}`` and
       ``bass_sweep_worker_cache_hit_rate{worker}`` carrying each warm

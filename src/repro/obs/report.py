@@ -531,7 +531,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
         for done in sweep_dones:
             name = done.data.get("sweep", "-")
             lines.append(
-                f"  {name}: backend={done.data.get('backend', 'pool')} "
+                f"  {name}: backend={done.data.get('backend', 'serial')} "
                 f"{done.data.get('cells', 0)} cell(s) — "
                 f"{done.data.get('executed', 0)} executed, "
                 f"{done.data.get('cached', 0)} cached, "

@@ -17,7 +17,6 @@ from .costmodel import cell_cost, order_longest_first
 from .fingerprint import code_fingerprint
 from .queue import FabricStats, WorkerReport, default_chunk_size, plan_chunks
 from .sweep import (
-    BACKENDS,
     CellFailure,
     CellSpec,
     SweepCellError,
@@ -29,7 +28,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "BACKENDS",
     "MISS",
     "CacheEntryWarning",
     "CellFailure",

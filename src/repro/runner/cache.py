@@ -50,7 +50,8 @@ _SCHEMA = 1
 
 
 class CacheEntryWarning(UserWarning):
-    """An on-disk cache entry was unreadable and is treated as a miss."""
+    """A cache entry could not be read (treated as a miss) or could not
+    be encoded (not written); either way the cell simply re-runs."""
 
 
 def cell_key(
@@ -156,6 +157,28 @@ class ResultCache:
             raise
         self._memory[key] = result
         return path
+
+    def put_or_warn(
+        self, key: str, result: Any, *, sweep: str, label: str
+    ) -> None:
+        """:meth:`put` for a freshly computed cell result.
+
+        A result the codec cannot encode costs only its cache entry:
+        a :class:`CacheEntryWarning` is issued, nothing is written, and
+        the cell re-runs next time.  The serial loop and the fabric's
+        workers both store through here, so an unencodable result
+        behaves the same whichever process computed it.
+        """
+        try:
+            self.put(key, result, sweep=sweep, label=label)
+        except TypeError as error:
+            warnings.warn(
+                f"result of cell {label or key[:12]!r} in sweep {sweep!r} "
+                f"is not cacheable ({error}); it still reduces, but the "
+                f"cell will re-run next time",
+                CacheEntryWarning,
+                stacklevel=2,
+            )
 
     def __len__(self) -> int:
         """Number of complete entries on disk."""

@@ -3,7 +3,7 @@
 A threshold-grid cell over a 60-second horizon and a 60-node churn cell
 over 400 simulated seconds differ by two orders of magnitude in wall
 time.  Dispatching them in spec order lets a long cell land last and
-serialize the sweep's tail; the queue backend instead orders pending
+serialize the sweep's tail; the sweep fabric instead orders pending
 cells **longest-expected-first** so big cells start early and the small
 ones fill the gaps (classic LPT list scheduling), with work-stealing
 mopping up whatever the estimate gets wrong.

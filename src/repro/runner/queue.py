@@ -1,9 +1,9 @@
 """Work-stealing chunk queue over persistent warm workers.
 
-The pool backend submits every cell as its own ``ProcessPoolExecutor``
-task: each submission pays future bookkeeping and a parent↔worker
-round-trip, and a long cell that lands late serializes the sweep's
-tail.  This backend replaces that with a *fabric*:
+This is how :func:`~repro.runner.sweep.run_sweep` runs cells on more
+than one core.  Submitting every cell as its own task would pay a
+parent↔worker round-trip per cell, and a long cell that lands late
+would serialize the sweep's tail; the *fabric* avoids both:
 
 * pending cells are ordered longest-expected-first by the
   :mod:`~repro.runner.costmodel` and packed into deterministic chunks;
@@ -17,7 +17,7 @@ tail.  This backend replaces that with a *fabric*:
 * results stream back per cell, each worker over its *own* pipe, and
   are settled by an ``asyncio`` driver loop as they arrive — the
   reducer emits the canonical-order prefix incrementally instead of
-  waiting on an ``as_completed`` barrier;
+  waiting on an end-of-sweep barrier;
 * a worker that *dies* mid-chunk (hard crash, OOM kill) is detected by
   liveness polling and survived: see below.
 
@@ -52,14 +52,16 @@ Workers consult the shared content-addressed
 given: one worker's cold result is every other worker's (and every
 concurrently-running sweep's) warm hit, and per-worker hit/miss counts
 ride back on the shutdown handshake for the ``bass_sweep_worker_*``
-instruments.
+instruments.  Entries carry the sweep name and cell label, so the tree
+a fabric run writes is byte-identical to the serial loop's.
 
 Determinism: chunk layout, steal timing, crash recovery, and worker
 count are all pure *scheduling*; every cell still executes a
 module-level function on explicit kwargs, the driver settles each cell
 index exactly once (first result wins), and the caller merges in
 canonical order — so output bytes never depend on this module's
-choices.  The golden tests pin that across jobs and chunk sizes.
+choices.  The golden tests pin that across worker counts and chunk
+sizes.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class PendingCell:
     kwargs: Mapping[str, Any]
     key: Optional[str]
     cost: float
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class WorkerReport:
 
 @dataclass(frozen=True)
 class FabricStats:
-    """What the queue backend did, for traces and instruments."""
+    """What the fabric did, for traces and instruments."""
 
     chunks: int
     chunk_size: int
@@ -199,6 +202,7 @@ def _worker_main(
     steal_flag: Any,
     sys_path: Sequence[str],
     cache_root: Optional[str],
+    sweep: str,
 ) -> None:
     """Warm-worker loop: ready → (chunk: cells...) ... → bye.
 
@@ -207,7 +211,7 @@ def _worker_main(
     channel and a hard kill cannot wedge any other worker's results.
     Every message is a plain tuple tagged by its first element;
     cell-level exceptions never escape (they ride back as formatted
-    tracebacks, exactly like the pool backend).
+    tracebacks, exactly like the serial loop's).
     """
     initialize_worker(sys_path)
     import repro  # noqa: F401  - warm preimport: chunks find a hot module tree
@@ -235,7 +239,7 @@ def _worker_main(
                         ("stolen", worker_id, chunk_id,
                          [cell[0] for cell in stolen]),
                     )
-            index, fn, kwargs, key = cells[position]
+            index, fn, kwargs, key, label = cells[position]
             begin = time.perf_counter()
             hit: Any = MISS
             if cache is not None and key is not None:
@@ -247,13 +251,7 @@ def _worker_main(
                 ok, payload, duration = execute_cell(fn, kwargs)
                 from_cache = False
                 if ok and cache is not None and key is not None:
-                    try:
-                        cache.put(key, payload)
-                    except Exception:
-                        # An unencodable result poisons the cache write
-                        # only; the computed value still reduces.  The
-                        # next run simply re-executes the cell.
-                        pass
+                    cache.put_or_warn(key, payload, sweep=sweep, label=label)
             busy_s += duration
             cells_done += 1
             if not _send(
@@ -319,17 +317,19 @@ class _QueueDriver:
         *,
         jobs: int,
         chunk_size: int,
-        steal: bool,
         cache_root: Optional[str],
+        sweep: str,
         settle: Callable[[int, bool, Any, float, bool], None],
     ) -> None:
         self.jobs = jobs
-        self.steal_enabled = steal
         self.cache_root = cache_root
+        self.sweep = sweep
         self.settle_cb = settle
         self.cost = {cell.index: cell.cost for cell in pending}
         self.cell_tuple = {
-            cell.index: (cell.index, cell.fn, dict(cell.kwargs), cell.key)
+            cell.index: (
+                cell.index, cell.fn, dict(cell.kwargs), cell.key, cell.label
+            )
             for cell in pending
         }
         self.context = mp_context()
@@ -423,6 +423,7 @@ class _QueueDriver:
                 steal_flag,
                 list(sys.path),
                 self.cache_root,
+                self.sweep,
             ),
             daemon=True,
             name=f"bass-sweep-worker-{worker_id}",
@@ -517,7 +518,7 @@ class _QueueDriver:
     def maybe_steal(self) -> None:
         """When the queue is dry and a worker idles, split the most
         expensive in-flight chunk."""
-        if not self.steal_enabled or self.queued:
+        if self.queued:
             return
         if not any(w.state == "idle" for w in self.workers.values()):
             return
@@ -678,16 +679,19 @@ def execute_queue(
     *,
     jobs: int,
     chunk_size: Optional[int] = None,
-    steal: bool = True,
     cache_root: Optional[str] = None,
+    sweep: str = "",
     settle: Callable[[int, bool, Any, float, bool], None],
 ) -> FabricStats:
     """Run ``pending`` through the work-stealing fabric.
 
     ``settle(index, ok, payload, duration_s, from_cache)`` is invoked
     exactly once per cell, in completion order; the caller owns
-    canonical-order merging.  Returns the fabric's accounting for
-    traces and instruments.
+    canonical-order merging.  ``chunk_size`` defaults to
+    :func:`default_chunk_size`; ``run_sweep`` never passes it — it is
+    here so crash-isolation tests can force a chunk layout.  ``sweep``
+    is stamped on the cache entries the workers write.  Returns the
+    fabric's accounting for traces and instruments.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -699,8 +703,8 @@ def execute_queue(
         pending,
         jobs=jobs,
         chunk_size=size,
-        steal=steal,
         cache_root=cache_root,
+        sweep=sweep,
         settle=settle,
     )
     try:

@@ -1,41 +1,37 @@
 """Parallel sweep execution with deterministic, canonical-order merge.
 
 A sweep is an ordered tuple of cells — independent (configuration,
-seed) evaluations of a module-level function.  :func:`run_sweep` fans
-pending cells out over one of two backends — a flat
-``ProcessPoolExecutor`` (``backend="pool"``, one task per cell) or the
+seed) evaluations of a module-level function.  :func:`run_sweep`
+consults a content-addressed :class:`~repro.runner.cache.ResultCache`
+before executing anything, then runs the pending cells one of two ways,
+chosen from ``jobs`` and the pending count alone: in this process, in
+order (``jobs=1``, or at most one cell left to run), or through the
 work-stealing chunk queue over persistent warm workers
-(``backend="queue"``, see :mod:`repro.runner.queue`) — consults a
-content-addressed :class:`~repro.runner.cache.ResultCache` before
-executing anything, and merges results back **in canonical cell
-order** — so the output of any ``(backend, jobs, chunk_size)``
-combination is byte-identical to ``jobs=1``, which is byte-identical
-to the serial loops the sweep replaced.  The golden tests pin exactly
-that.
+(:mod:`repro.runner.queue`).  Results merge back **in canonical cell
+order** — so the output at any ``jobs`` is byte-identical to
+``jobs=1``, which is byte-identical to the serial loops the sweep
+replaced.  The golden tests pin exactly that.
 
 Determinism contract:
 
 * cells receive explicit seeds (directly, or derived per cell from the
   spec's ``base_seed`` via :func:`derive_cell_seed`) — never ambient
   process randomness;
-* workers return results by value; the parent alone orders, caches,
-  and reduces them;
+* workers return results by value; the parent alone orders and reduces
+  them;
 * trace events (``sweep.start`` / ``cell.done`` / ``cell.cached``) are
   emitted during the ordered merge, so traces are reproducible too.
 
-A cell that raises fails alone: the worker ships the formatted
-traceback back as data, the pool keeps draining the remaining cells,
-no cache entry is written for the failure, and (by default) the sweep
-raises :class:`SweepCellError` carrying the original traceback once
-every cell has settled.
+A cell that raises fails alone: the traceback travels back as data,
+the remaining cells keep running, no cache entry is written for the
+failure, and (by default) the sweep raises :class:`SweepCellError`
+carrying the original traceback once every cell has settled.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -44,11 +40,8 @@ from .cache import MISS, ResultCache, cell_key
 from .codec import canonical_json
 from .costmodel import cell_cost
 from .fingerprint import code_fingerprint
-from .queue import FabricStats, PendingCell, execute_queue, mp_context
-from .worker import execute_cell, initialize_worker
-
-#: Valid ``run_sweep`` backends.
-BACKENDS = ("pool", "queue")
+from .queue import FabricStats, PendingCell, execute_queue
+from .worker import execute_cell
 
 
 def derive_cell_seed(base_seed: int, *parts: Any) -> int:
@@ -154,12 +147,14 @@ class SweepCellError(RuntimeError):
 class SweepStats:
     """Execution accounting for one :func:`run_sweep` call.
 
-    The fabric fields (``chunks`` onward) are zero except under
-    ``backend="queue"``, where they carry the work-stealing queue's
-    accounting: chunk layout, steals, peak queue depth, worker crashes
-    survived, and the per-worker
-    :class:`~repro.runner.queue.WorkerReport` tuple (busy fractions and
-    cache hit rates feed the ``bass_sweep_worker_*`` instruments).
+    ``backend`` names the path the pending cells took: ``"serial"``
+    (in-process) or ``"queue"`` (the fabric).  The fabric fields
+    (``chunks`` onward) are zero on the serial path; on the queue path
+    they carry the work-stealing queue's accounting: chunk layout,
+    steals, peak queue depth, worker crashes survived, and the
+    per-worker :class:`~repro.runner.queue.WorkerReport` tuple (busy
+    fractions and cache hit rates feed the ``bass_sweep_worker_*``
+    instruments).
     """
 
     cells: int
@@ -169,7 +164,7 @@ class SweepStats:
     wall_s: float
     cells_per_second: float
     cache_hit_rate: float
-    backend: str = "pool"
+    backend: str = "serial"
     chunks: int = 0
     chunk_size: int = 0
     steals: int = 0
@@ -204,38 +199,29 @@ def run_sweep(
     cache: Optional[ResultCache] = None,
     tracer: Optional[TracerBase] = None,
     strict: bool = True,
-    backend: str = "pool",
-    chunk_size: Optional[int] = None,
-    steal: bool = True,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> SweepOutcome:
     """Execute ``spec``'s cells, in parallel and through the cache.
 
     Args:
         spec: the sweep definition (canonical cell order).
-        jobs: worker processes; ``1`` runs inline in this process
-            (pool backend) or through one warm worker (queue backend).
+        jobs: worker processes.  ``1`` runs every cell in this process
+            and starts none; more fan the pending cells out over the
+            work-stealing fabric (:mod:`repro.runner.queue`) — unless
+            at most one cell is pending, which also runs inline.
             Outputs are byte-identical either way.
-        cache: completed-cell store; None disables memoization.  The
-            pool backend writes entries from the parent after a cell
-            succeeds; the queue backend's workers read through and
-            write back the shared store directly, so one worker's cold
-            result is every concurrent reader's warm hit.
+        cache: completed-cell store; None disables memoization.
+            Whichever process computes a cell writes its entry (the
+            fabric's workers read through and write back the shared
+            store directly, so one worker's cold result is every
+            concurrent reader's warm hit); the entry bytes are the same
+            on either path.
         tracer: flight recorder for ``sweep.start`` / ``cell.done`` /
             ``cell.cached`` / ``sweep.fabric`` / ``sweep.done`` events
             (defaults to the process default tracer).  Event times are
             wall-clock seconds since the sweep started.
         strict: raise :class:`SweepCellError` after the sweep drains if
             any cell failed; ``False`` returns the partial outcome.
-        backend: ``"pool"`` (flat per-cell ``ProcessPoolExecutor``
-            fan-out) or ``"queue"`` (cost-ordered chunks over
-            persistent warm workers with work-stealing; see
-            :mod:`repro.runner.queue`).
-        chunk_size: queue backend: cells per dispatched chunk (default:
-            about four chunks per worker).  Pure scheduling — output
-            bytes do not depend on it.
-        steal: queue backend: split a busy worker's remaining chunk for
-            idle workers when the queue runs dry (on by default).
         on_result: streaming reducer hook: called as ``on_result(index,
             value)`` for each cell **in canonical order**, as soon as
             the contiguous prefix through that cell has settled — no
@@ -247,23 +233,9 @@ def run_sweep(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
     tracer = resolve_tracer(tracer)
     begin = time.perf_counter()
     total = len(spec.cells)
-    if tracer.enabled:
-        tracer.emit(
-            "sweep.start",
-            0.0,
-            sweep=spec.name,
-            cells=total,
-            jobs=jobs,
-            backend=backend,
-            cache="on" if cache is not None else "off",
-        )
 
     resolved = [spec.resolved_kwargs(i) for i in range(total)]
     keys: list[Optional[str]] = [None] * total
@@ -296,6 +268,18 @@ def run_sweep(
                 status[index] = "cached"
     else:
         pending = list(range(total))
+    # One cell gains nothing from a worker; one job must spawn nothing.
+    backend = "queue" if jobs > 1 and len(pending) > 1 else "serial"
+    if tracer.enabled:
+        tracer.emit(
+            "sweep.start",
+            0.0,
+            sweep=spec.name,
+            cells=total,
+            jobs=jobs,
+            backend=backend,
+            cache="on" if cache is not None else "off",
+        )
     stream_prefix()
 
     def settle(
@@ -303,20 +287,14 @@ def run_sweep(
         ok: bool,
         payload: Any,
         duration: float,
-        *,
-        write_cache: bool = True,
+        from_cache: bool = False,
     ) -> None:
         durations[index] = duration
         if ok:
             results[index] = payload
-            status[index] = "executed"
-            if cache is not None and write_cache:
-                cache.put(
-                    keys[index],
-                    payload,
-                    sweep=spec.name,
-                    label=spec.cells[index].label,
-                )
+            # ``from_cache``: a worker found the entry in the shared
+            # store (written by a sibling or a concurrent sweep).
+            status[index] = "cached" if from_cache else "executed"
         else:
             status[index] = "failed"
             failures.append(
@@ -325,62 +303,32 @@ def run_sweep(
         stream_prefix()
 
     fabric: Optional[FabricStats] = None
-    if len(pending) > 1 and backend == "queue":
-        pending_cells = [
-            PendingCell(
-                index=index,
-                fn=spec.cells[index].fn,
-                kwargs=resolved[index],
-                key=keys[index],
-                cost=cell_cost(spec.cells[index].fn, resolved[index]),
-            )
-            for index in pending
-        ]
-
-        def queue_settle(
-            index: int, ok: bool, payload: Any, duration: float,
-            from_cache: bool,
-        ) -> None:
-            if ok and from_cache:
-                # A worker found the entry in the shared store (written
-                # by a sibling worker or a concurrent sweep).
-                durations[index] = duration
-                results[index] = payload
-                status[index] = "cached"
-                stream_prefix()
-            else:
-                # Workers already wrote their own cache entries.
-                settle(index, ok, payload, duration, write_cache=False)
-
+    if backend == "queue":
         fabric = execute_queue(
-            pending_cells,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            steal=steal,
-            cache_root=str(cache.root) if cache is not None else None,
-            settle=queue_settle,
-        )
-    elif len(pending) > 1 and jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)),
-            mp_context=mp_context(),
-            initializer=initialize_worker,
-            initargs=(list(sys.path),),
-        ) as pool:
-            futures = {
-                pool.submit(
-                    execute_cell, spec.cells[index].fn, resolved[index]
-                ): index
+            [
+                PendingCell(
+                    index=index,
+                    fn=spec.cells[index].fn,
+                    kwargs=resolved[index],
+                    key=keys[index],
+                    cost=cell_cost(spec.cells[index].fn, resolved[index]),
+                    label=spec.cells[index].label,
+                )
                 for index in pending
-            }
-            for future in as_completed(futures):
-                ok, payload, duration = future.result()
-                settle(futures[future], ok, payload, duration)
+            ],
+            jobs=jobs,
+            cache_root=str(cache.root) if cache is not None else None,
+            sweep=spec.name,
+            settle=settle,
+        )
     else:
         for index in pending:
-            ok, payload, duration = execute_cell(
-                spec.cells[index].fn, resolved[index]
-            )
+            cell = spec.cells[index]
+            ok, payload, duration = execute_cell(cell.fn, resolved[index])
+            if ok and cache is not None:
+                cache.put_or_warn(
+                    keys[index], payload, sweep=spec.name, label=cell.label
+                )
             settle(index, ok, payload, duration)
 
     wall_s = time.perf_counter() - begin

@@ -61,7 +61,7 @@ def busy_cell(*, weight: float, seed: int = 0) -> BusyResult:
 
     The spin is a pure-integer LCG, so the checksum — and therefore the
     sweep's canonical output — is identical on every machine and under
-    every backend, while the wall time scales with ``weight``.  The
+    any ``jobs``, while the wall time scales with ``weight``.  The
     heterogeneous-grid benchmarks use this to emulate a grid whose
     biggest cell runs ~100x longer than its smallest.
     """

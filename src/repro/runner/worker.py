@@ -8,8 +8,8 @@ methods.
 
 Workers never let a cell exception escape: :func:`execute_cell` catches
 it and returns the formatted traceback as data, so one crashing cell
-fails *that cell* without poisoning the process pool the remaining
-cells are riding on.
+fails *that cell* without poisoning the worker the remaining cells
+are riding on.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def resolve_cell_function(path: str) -> Callable[..., Any]:
 
 
 def initialize_worker(sys_path: Sequence[str]) -> None:
-    """Pool initializer: mirror the parent's ``sys.path`` in the worker.
+    """Worker start-up: mirror the parent's ``sys.path`` in the worker.
 
     Under ``fork`` this is a no-op (the path is inherited); under
     ``spawn`` it is what makes ``repro`` and test helper modules

