@@ -18,11 +18,12 @@ from repro.core.controlplane import check_cluster_ledger
 from repro.experiments.churn import (
     churn_comparison,
     churn_recovery,
-    churn_seed_sweep,
+    churn_seed_sweep_spec,
 )
 from repro.experiments.common import build_env
 from repro.obs.report import recovery_chains, render_report
 from repro.obs.trace import Tracer
+from repro.runner import run_sweep
 
 import pytest
 
@@ -162,7 +163,9 @@ def test_seeded_churn_sweep_recovers_across_seeds():
     plans across seeds always detect and re-place, never silently lose
     the pod.  Runs through the sweep runner, so locally it parallelizes
     and memoizes like any other sweep."""
-    results = churn_seed_sweep(seeds=tuple(range(6)), settle_s=120.0)
+    results = run_sweep(
+        churn_seed_sweep_spec(seeds=tuple(range(6)), settle_s=120.0)
+    ).results
     assert len(results) == 6
     for result in results:
         assert result.detection_latency_s is not None

@@ -10,22 +10,22 @@ fades, and lower thresholds migrate more often.
 import numpy as np
 import pytest
 
-from repro.experiments.thresholds import fig14cd_threshold_sweep
+from repro.experiments.thresholds import fig14cd_sweep_spec
+from repro.runner import run_sweep
 
 from _reporting import fmt, run_once, save_table
 
 
 @pytest.mark.benchmark(group="fig14cd")
 def test_fig14cd_threshold_sweep(benchmark):
-    cells = run_once(
-        benchmark,
-        fig14cd_threshold_sweep,
+    spec = fig14cd_sweep_spec(
         heuristics=("bfs", "longest_path"),
         thresholds=(0.25, 0.50, 0.65, 0.75, 0.95),
         headrooms=(0.10, 0.20, 0.30),
         rps=70.0,
         duration_s=600.0,
     )
+    cells = run_once(benchmark, run_sweep, spec=spec).results
     save_table(
         "fig14cd_threshold_sweep",
         ["heuristic", "threshold", "headroom", "uq_latency_s", "p99_s",

@@ -8,20 +8,18 @@ eating congestion.
 import numpy as np
 import pytest
 
-from repro.experiments.thresholds import fig16_exponential_thresholds
+from repro.experiments.thresholds import fig16_sweep_spec
+from repro.runner import run_sweep
 
 from _reporting import fmt, run_once, save_table
 
 
 @pytest.mark.benchmark(group="fig16")
 def test_fig16_exponential_thresholds(benchmark):
-    cells = run_once(
-        benchmark,
-        fig16_exponential_thresholds,
-        thresholds=(0.25, 0.50, 0.65, 0.75),
-        mean_rps=70.0,
-        duration_s=600.0,
+    spec = fig16_sweep_spec(
+        thresholds=(0.25, 0.50, 0.65, 0.75), mean_rps=70.0, duration_s=600.0
     )
+    cells = run_once(benchmark, run_sweep, spec=spec).results
     save_table(
         "fig16_exponential_thresholds",
         ["threshold", "mean_s", "uq_latency_s", "p99_s", "migrations"],

@@ -17,10 +17,11 @@ from repro.core.controlplane import check_cluster_ledger
 from repro.core.registry import get_scheduler
 from repro.experiments.common import SCHEDULER_NAMES, build_env
 from repro.experiments.multi_tenant import (
-    contention_sweep,
+    contention_sweep_spec,
     multi_tenant_mesh,
-    multi_tenant_scaling_sweep,
+    multi_tenant_scaling_spec,
 )
+from repro.runner import run_sweep
 
 import pytest
 
@@ -32,12 +33,16 @@ TENANT_COUNTS = (1, 2, 4, 8)
 @pytest.mark.benchmark(group="scalability")
 def test_probe_rate_flat_across_tenants(benchmark):
     def run():
-        shared_cells = multi_tenant_scaling_sweep(
-            tenant_counts=TENANT_COUNTS, duration_s=240.0
-        )
-        private_cells = multi_tenant_scaling_sweep(
-            tenant_counts=(1, 4), duration_s=240.0, probe_sharing=False
-        )
+        shared_cells = run_sweep(
+            multi_tenant_scaling_spec(
+                tenant_counts=TENANT_COUNTS, duration_s=240.0
+            )
+        ).results
+        private_cells = run_sweep(
+            multi_tenant_scaling_spec(
+                tenant_counts=(1, 4), duration_s=240.0, probe_sharing=False
+            )
+        ).results
         shared = {r.tenants: r for r in shared_cells}
         private = {r.tenants: r for r in private_cells}
         return shared, private
@@ -76,9 +81,11 @@ def test_probe_rate_flat_across_tenants(benchmark):
 @pytest.mark.benchmark(group="scalability")
 def test_arbitration_under_contention(benchmark):
     def run():
-        cells = contention_sweep(
-            tenant_counts=TENANT_COUNTS, duration_s=180.0
-        )
+        cells = run_sweep(
+            contention_sweep_spec(
+                tenant_counts=TENANT_COUNTS, duration_s=180.0
+            )
+        ).results
         return {r.tenants: r for r in cells}
 
     results = run_once(benchmark, run)

@@ -44,7 +44,7 @@ from .static_placement import (
     fig11_socialnet_p99,
     table2_camera_mesh,
 )
-from .thresholds import fig14cd_threshold_sweep, fig16_exponential_thresholds
+from .thresholds import fig14cd_sweep_spec, fig16_sweep_spec
 
 __all__ = [
     "AppHandle",
@@ -69,9 +69,9 @@ __all__ = [
     "fig13_socialnet_migration",
     "fig14a_restart_cdf",
     "fig14b_scheduler_cdf",
-    "fig14cd_threshold_sweep",
+    "fig14cd_sweep_spec",
     "fig15b_video_thresholds",
-    "fig16_exponential_thresholds",
+    "fig16_sweep_spec",
     "multi_tenant_contention",
     "multi_tenant_mesh",
     "probing_overhead",

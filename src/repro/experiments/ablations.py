@@ -36,8 +36,7 @@ from ..core.placement import PlacementEngine
 from ..core.profiling import OnlineProfiler
 from ..mesh.node import MeshNode
 from ..mesh.topology import MeshTopology
-from ..obs.trace import TracerBase
-from ..runner import CellSpec, ResultCache, SweepSpec, run_sweep
+from ..runner import CellSpec, SweepSpec
 from ..sim.rng import RngStreams
 from .common import build_env, deploy_app, run_timeline
 from .migration import _PairApp
@@ -424,26 +423,6 @@ def ablation_grid_spec(
             raise ValueError(f"unknown ablation(s): {sorted(unknown)}")
         cells = tuple(cell for cell in cells if cell.label in include)
     return SweepSpec(name="ablations", cells=cells)
-
-
-def ablation_grid(
-    *,
-    quick: bool = False,
-    include: Optional[tuple[str, ...]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Optional[TracerBase] = None,
-) -> dict[str, object]:
-    """Run the ablation battery through the sweep runner.
-
-    Returns ``{cell label: that ablation's result}`` in grid order.
-    """
-    spec = ablation_grid_spec(quick=quick, include=include)
-    outcome = run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer)
-    return {
-        cell.label: result
-        for cell, result in zip(spec.cells, outcome.results)
-    }
 
 
 def ablate_routing_strategy() -> list[RoutingAblationCell]:

@@ -1,0 +1,740 @@
+"""The experiment catalogue: every runnable scenario, declared once.
+
+:data:`CATALOG` is a plain tuple of frozen :class:`Experiment` rows and
+the source of truth for what ``bass-repro`` can do.  ``run`` (batch and
+single-cell/checkpoint mode), ``serve`` and ``list`` all read it, and
+so do the checkpoint tests; nothing else in the tree knows an
+experiment by name.  A row carries the id, the one-line description,
+and whichever *parts* the experiment has.  Its capabilities are which
+parts are present, never a separate flag:
+
+* ``report`` — the batch shape: run the experiment, return its
+  :class:`Table`.
+* ``specs`` + ``render`` — the sweep shape (``[sweep]`` in ``list``):
+  ``specs`` builds the :class:`~repro.runner.SweepSpec` objects the
+  driver runs, ``render`` turns the outcomes into the :class:`Table`.
+* ``capsule`` + ``summary`` — checkpointable (``[checkpoint]``): the
+  run as one :class:`~repro.snap.capsule.RunCapsule` the CLI can stop,
+  snapshot, restore and profile, and the deterministic summary of a
+  finished one.  The substrates are the exact ``prepare_*`` objects
+  the batch paths drive, so a capsule run makes the same decisions —
+  restore determinism rides on batch determinism.
+* ``serve`` — servable (``[serve]``): the capsule ``bass-repro serve``
+  ticks live.  The row's own ``capsule`` builder, unless the served
+  variant genuinely differs.
+* ``regions`` — the default region count, present only on rows whose
+  builders take ``--regions`` (``[regions]``).
+
+Every builder is called with ``**row.sizing(quick, regions)``: ``quick``
+— the ``--quick`` sizing lives here, next to the full one — plus
+``regions`` on rows that declare it.  This module is not imported by
+``repro.experiments`` itself: the experiment modules stay importable
+without the checkpoint subsystem.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+from ..config import BassConfig
+from ..metrics.summary import p50
+from ..runner import SweepOutcome, SweepSpec
+from ..snap.capsule import RunCapsule
+from . import (
+    ablations,
+    churn,
+    failover,
+    fleet,
+    migration,
+    motivation,
+    multi_tenant,
+    overheads,
+    static_placement,
+    thresholds,
+)
+
+
+@dataclass(frozen=True)
+class Table:
+    """What one experiment prints: a table and an optional closing line."""
+
+    headers: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One catalogue row; see the module docstring for the parts."""
+
+    id: str
+    description: str
+    report: Optional[Callable[..., Table]] = None
+    specs: Optional[Callable[..., tuple[SweepSpec, ...]]] = None
+    render: Optional[Callable[..., Table]] = None
+    capsule: Optional[Callable[..., RunCapsule]] = None
+    summary: Optional[Callable[[RunCapsule], dict]] = None
+    serve: Optional[Callable[..., RunCapsule]] = None
+    regions: Optional[int] = None
+
+    def sizing(self, quick: bool, regions: Optional[int] = None) -> dict:
+        """The keyword arguments every builder of this row takes:
+        ``quick``, plus ``regions`` on rows that declare a default
+        (which ``None`` resolves to)."""
+        if self.regions is None:
+            return {"quick": quick}
+        chosen = self.regions if regions is None else regions
+        return {"quick": quick, "regions": chosen}
+
+    @property
+    def capabilities(self) -> tuple[str, ...]:
+        """The ``list`` tags, derived from which parts are present."""
+        parts = {
+            "sweep": self.specs,
+            "regions": self.regions,
+            "checkpoint": self.capsule,
+            "serve": self.serve,
+        }
+        return tuple(tag for tag, part in parts.items() if part is not None)
+
+
+def _or(value: Optional[float], missing: str, spec: str = ".0f") -> str:
+    """A table cell for an optional number: formatted (``spec=""`` is
+    plain ``str``), or ``missing``."""
+    return missing if value is None else format(value, spec)
+
+
+# -- batch reports ------------------------------------------------------------
+
+
+def _fig2(quick: bool) -> Table:
+    links = motivation.fig2_bandwidth_variation(
+        duration_s=600.0 if quick else 3600.0
+    )
+    return Table(
+        ["link", "mean_mbps", "rel_std"],
+        [[l.label, f"{l.mean_mbps:.2f}", f"{l.rel_std:.2f}"] for l in links],
+    )
+
+
+def _fig4(quick: bool) -> Table:
+    points = motivation.fig4_pion_bottleneck(
+        participant_counts=(4, 8, 10, 12, 14) if quick else
+        (4, 6, 8, 10, 11, 12, 13, 14),
+        settle_s=30.0 if quick else 60.0,
+    )
+    return Table(
+        ["participants", "per_client_mbps", "loss"],
+        [
+            [p.participants, f"{p.per_client_mbps:.2f}",
+             f"{p.loss_fraction:.3f}"]
+            for p in points
+        ],
+    )
+
+
+def _fig5(quick: bool) -> Table:
+    series = motivation.fig5_socialnet_throttle(
+        total_s=200.0 if quick else 360.0,
+        throttle_start_s=60.0 if quick else 120.0,
+    )
+    phases = zip(("before", "during", "after"), series.phase_means())
+    return Table(
+        ["phase", "mean_latency_s"],
+        [[phase, f"{mean:.2f}"] for phase, mean in phases],
+    )
+
+
+def _fig8(quick: bool) -> Table:
+    timeline = (
+        migration.fig8_migration_timeline(
+            drop_time_s=60.0, second_drop_time_s=300.0, total_s=500.0
+        )
+        if quick
+        else migration.fig8_migration_timeline()
+    )
+    rows = [["full probe", f"{t:.0f}", ""] for t in timeline.full_probe_times]
+    rows += [
+        ["migration", f"{m.time:.0f}",
+         f"{m.pod_name}: {m.from_node} -> {m.to_node}"]
+        for m in timeline.migrations
+    ]
+    return Table(
+        ["event", "time_s", "detail"],
+        sorted(rows, key=lambda r: float(r[1])),
+    )
+
+
+def _fig10(quick: bool) -> Table:
+    rows = static_placement.fig10_camera_static(
+        duration_s=40.0 if quick else 120.0
+    )
+    return Table(
+        ["scheduler", "mean_ms", "chain_hops"],
+        [
+            [r.scheduler, f"{r.mean_latency_ms:.0f}", r.inter_node_chain_hops]
+            for r in rows
+        ],
+    )
+
+
+def _fig11(quick: bool) -> Table:
+    cells = static_placement.fig11_socialnet_p99(
+        rates=(100.0, 300.0) if quick else (100.0, 200.0, 300.0),
+        duration_s=60.0 if quick else 150.0,
+    )
+    return Table(
+        ["scheduler", "rps", "restricted", "p99_s"],
+        [
+            [c.scheduler, int(c.rps), c.restricted, f"{c.p99_latency_s:.2f}"]
+            for c in cells
+        ],
+    )
+
+
+def _fig12(quick: bool) -> Table:
+    series = migration.fig12_video_query_interval(
+        intervals=(30.0, None) if quick else (30.0, 60.0, 90.0, None),
+        total_s=160.0 if quick else 300.0,
+        restrict_for_s=100.0 if quick else 180.0,
+    )
+    return Table(
+        ["interval_s", "migrations", "mean_mbps_during"],
+        [
+            [_or(s.interval_s, "none", ""), len(s.migrations),
+             f"{s.mean_during(40.0, 100.0):.2f}"]
+            for s in series
+        ],
+    )
+
+
+def _fig13(quick: bool) -> Table:
+    series = migration.fig13_socialnet_migration(
+        intervals=(30.0, None) if quick else (30.0, 60.0, 90.0, None),
+        total_s=160.0 if quick else 300.0,
+        restrict_for_s=120.0 if quick else 180.0,
+    )
+    return Table(
+        ["interval_s", "migrations", "mean_s_during", "p99_s"],
+        [
+            [_or(s.interval_s, "none", ""), len(s.migrations),
+             f"{s.mean_during(30.0, 130.0):.2f}", f"{s.p99():.2f}"]
+            for s in series
+        ],
+    )
+
+
+def _table1(quick: bool) -> Table:
+    result = migration.table1_migration_iterations(
+        total_s=200.0 if quick else 260.0
+    )
+    return Table(["iteration", "over_quota", "migrated"], result.rows)
+
+
+def _fig14a(quick: bool) -> Table:
+    result = migration.fig14a_restart_cdf(
+        total_s=140.0 if quick else 240.0,
+        restart_at_s=70.0 if quick else 120.0,
+    )
+    baseline, restart = result.means()
+    return Table(
+        ["series", "mean_latency_s"],
+        [["steady state", f"{baseline:.3f}"],
+         ["during restart", f"{restart:.3f}"]],
+    )
+
+
+def _fig14b(quick: bool) -> Table:
+    results = migration.fig14b_scheduler_cdf(
+        duration_s=400.0 if quick else 1200.0
+    )
+    return Table(
+        ["configuration", "median_s", "p99_s", "migrations"],
+        [
+            [r.label, f"{r.median():.2f}", f"{r.p99():.2f}", r.migrations]
+            for r in results
+        ],
+    )
+
+
+def _fig15b(quick: bool) -> Table:
+    results = migration.fig15b_video_thresholds(
+        thresholds=(None, 0.65) if quick else (None, 0.65, 0.85),
+        duration_s=300.0 if quick else 600.0,
+    )
+    nodes = ("node1", "node2", "node3", "node4")
+    return Table(
+        ["threshold", "migrations", *nodes],
+        [
+            [_or(r.threshold, "none", ""), r.migrations]
+            + [f"{r.bitrate_by_node[n]:.2f}" for n in nodes]
+            for r in results
+        ],
+    )
+
+
+def _churn(quick: bool) -> Table:
+    duration = 160.0 if quick else 240.0
+    results = churn.churn_comparison(duration_s=duration)
+    shared = churn.churn_recovery(tenants=2, duration_s=duration)
+    return Table(
+        ["mode", "detect_s", "recover_s", "pre_goodput", "dip",
+         "post_goodput", "replaced"],
+        [
+            [
+                r.label,
+                _or(r.detection_latency_s, "-"),
+                _or(r.time_to_recover_s, "never"),
+                f"{r.goodput_stats.pre_mean:.2f}",
+                f"{r.goodput_stats.dip_min:.2f}",
+                f"{r.goodput_stats.post_mean:.2f}",
+                r.recovered_pods,
+            ]
+            for r in results
+        ],
+        note=f"two tenants, one crash: {shared.recovered_pods} pods "
+        f"re-placed, {shared.conflict_count} arbiter conflicts, "
+        f"detection {shared.detection_latency_s:.0f}s",
+    )
+
+
+def _fleet(quick: bool, regions: int) -> Table:
+    duration = 120.0 if quick else 240.0
+    rows = []
+    for n_regions, tenants in ((1, 2), (regions, 2 * regions)):
+        result = fleet.fleet_mesh(
+            regions=n_regions, tenants=tenants, duration_s=duration
+        )
+        decisions = result.decision_seconds or [0.0]
+        rows.append(
+            [
+                n_regions,
+                tenants,
+                f"{result.probe_events_per_link_hour:.1f}",
+                f"{p50(decisions) * 1e3:.3f}",
+                result.conflict_count,
+                result.committed_handoffs,
+            ]
+        )
+    pressure = fleet.fleet_handoff(duration_s=120.0 if quick else 180.0)
+    latencies = pressure.handoff_latencies or [0.0]
+    return Table(
+        ["regions", "tenants", "probes_per_link_hour",
+         "median_decision_ms", "conflicts", "handoffs"],
+        rows,
+        note=f"handoff pressure (region 0 packed + throttled): "
+        f"{pressure.handoff_counts.get('committed', 0)} committed @ "
+        f"p50 {p50(latencies):.1f}s, "
+        f"{pressure.handoff_counts.get('denied', 0)} denied, "
+        f"{pressure.handoff_counts.get('aborted', 0)} aborted; "
+        f"{pressure.cross_region_migrations} cross-region migration(s), "
+        f"{pressure.conflict_count} arbiter conflict(s)",
+    )
+
+
+def _failover(quick: bool) -> Table:
+    result = failover.failover_outage(duration_s=180.0 if quick else 240.0)
+    stats = result.goodput_stats
+    gap = result.resume_epoch_gap
+    return Table(
+        ["metric", "value"],
+        [
+            ["orchestrator killed at", f"{result.kill_at_s:.0f}s"],
+            ["outage", f"{result.down_s:.0f}s"],
+            ["epochs missed", result.missed_epochs],
+            ["recoveries deferred", result.deferred_recoveries],
+            ["resume -> first re-placement",
+             "never" if gap is None else f"{gap:.1f} epochs"],
+            ["pods re-placed", result.churn.recovered_pods],
+            ["goodput pre-outage", f"{stats.pre_mean:.2f}"],
+            ["goodput dip", f"{stats.dip_min:.2f}"],
+            ["goodput post-recovery", f"{stats.post_mean:.2f}"],
+            ["goodput recovered after",
+             "never" if stats.time_to_recover_s is None
+             else f"{stats.time_to_recover_s:.0f}s"],
+        ],
+    )
+
+
+def _table2(quick: bool) -> Table:
+    rows = static_placement.table2_camera_mesh(
+        duration_s=300.0 if quick else 1200.0
+    )
+    return Table(
+        ["scenario", "scheduler", "median_ms", "migrations"],
+        [
+            [r.scenario, r.scheduler, f"{r.median_latency_ms:.0f}",
+             r.migrations]
+            for r in rows
+        ],
+    )
+
+
+def _table3(quick: bool) -> Table:
+    rows = overheads.table3_scheduling_latency(trials=5 if quick else 20)
+    return Table(
+        ["application", "scheduler", "avg_ms_per_component"],
+        [[r.app, r.scheduler, f"{r.avg_ms:.4f}"] for r in rows],
+    )
+
+
+def _table4(quick: bool) -> Table:
+    rows = overheads.table4_dag_processing(trials=10 if quick else 50)
+    return Table(
+        ["application", "components", "avg_ms"],
+        [[r.app, r.components, f"{r.avg_ms:.3f}"] for r in rows],
+    )
+
+
+# -- sweeps: spec builders and row renderers ----------------------------------
+
+
+def _fig14cd_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        thresholds.fig14cd_sweep_spec(
+            heuristics=("longest_path",) if quick else ("bfs", "longest_path"),
+            thresholds=(0.25, 0.65, 0.95) if quick else
+            (0.25, 0.50, 0.65, 0.75, 0.95),
+            headrooms=(0.20,) if quick else (0.10, 0.20, 0.30),
+            duration_s=200.0 if quick else 600.0,
+        ),
+    )
+
+
+def _fig14cd_table(outcome: SweepOutcome) -> Table:
+    return Table(
+        ["heuristic", "threshold", "headroom", "uq_s", "migrations"],
+        [
+            [c.heuristic, c.threshold, c.headroom,
+             f"{c.upper_quartile_latency_s:.2f}", c.migrations]
+            for c in outcome.results
+        ],
+    )
+
+
+def _fig16_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        thresholds.fig16_sweep_spec(
+            thresholds=(0.25, 0.75) if quick else (0.25, 0.50, 0.65, 0.75),
+            duration_s=200.0 if quick else 600.0,
+        ),
+    )
+
+
+def _fig16_table(outcome: SweepOutcome) -> Table:
+    return Table(
+        ["threshold", "mean_s", "migrations"],
+        [
+            [c.threshold, f"{c.mean_latency_s:.2f}", c.migrations]
+            for c in outcome.results
+        ],
+    )
+
+
+def _multitenant_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        multi_tenant.multi_tenant_scaling_spec(
+            tenant_counts=(1, 4) if quick else (1, 2, 4, 8),
+            duration_s=120.0 if quick else 240.0,
+        ),
+        multi_tenant.contention_sweep_spec(
+            tenant_counts=(2,) if quick else (4,),
+            duration_s=140.0 if quick else 180.0,
+        ),
+    )
+
+
+def _multitenant_table(
+    scaling: SweepOutcome, contention: SweepOutcome
+) -> Table:
+    race = contention.results[0]
+    return Table(
+        ["tenants", "full_probes", "headroom_probes", "probes_per_hour",
+         "migrations"],
+        [
+            [r.tenants, r.full_probes, r.headroom_probes,
+             f"{r.probe_events_per_hour:.1f}", r.total_migrations]
+            for r in scaling.results
+        ],
+        note=f"contention: {race.conflict_count} arbiter conflicts, "
+        f"{race.total_migrations} migrations across "
+        f"{race.epoch_count} epochs",
+    )
+
+
+def _churnsweep_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        churn.churn_seed_sweep_spec(
+            seeds=tuple(range(3)) if quick else tuple(range(6)),
+            settle_s=60.0 if quick else 120.0,
+        ),
+    )
+
+
+def _churnsweep_table(outcome: SweepOutcome) -> Table:
+    return Table(
+        ["seed", "crash_node", "crash_at_s", "detect_s", "recover_s",
+         "replaced"],
+        [
+            [
+                cell.seed,
+                result.crash_node,
+                f"{result.crash_at_s:.0f}",
+                _or(result.detection_latency_s, "-"),
+                _or(result.time_to_recover_s, "never"),
+                result.recovered_pods,
+            ]
+            for cell, result in zip(outcome.spec.cells, outcome.results)
+        ],
+    )
+
+
+def _ablations_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (ablations.ablation_grid_spec(quick=quick),)
+
+
+def _ablations_table(outcome: SweepOutcome) -> Table:
+    rows = []
+    for cell, result in zip(outcome.spec.cells, outcome.results):
+        if cell.label == "headroom_probing":
+            summary = (
+                f"overhead {result.headroom_overhead_fraction:.4%} headroom "
+                f"vs {result.flooding_overhead_fraction:.2%} flooding"
+            )
+        elif cell.label == "cooldown":
+            summary = ", ".join(
+                f"{r.migrations} migrations @ cooldown {r.cooldown_s:.0f}s"
+                for r in result
+            )
+        elif cell.label == "stability_guards":
+            summary = (
+                f"{result.guarded_migrations} migrations guarded vs "
+                f"{result.unguarded_migrations} unguarded"
+            )
+        elif cell.label == "hybrid_heuristic":
+            summary = ", ".join(
+                f"{r.shape}/{r.heuristic}: {r.colocated_fraction:.0%}"
+                for r in result
+            )
+        elif cell.label == "online_profiling":
+            summary = (
+                f"annotation error {result.initial_error:.2f} -> "
+                f"{result.profiled_error:.2f} "
+                f"({result.edges_updated} edges updated)"
+            )
+        else:  # routing_strategy
+            summary = f"{len(result)} node pairs compared"
+        rows.append([cell.label, summary])
+    return Table(["ablation", "summary"], rows)
+
+
+# -- checkpointable cells: capsule builders and summaries ---------------------
+
+
+def _prepared_capsule(
+    scenario: str, prepared, duration_s: float, **timeline
+) -> RunCapsule:
+    """A capsule over a ``prepare_*`` substrate; the summary reads the
+    result back off ``extras["prepared"]``."""
+    return RunCapsule(
+        scenario=scenario,
+        env=prepared.env,
+        duration_s=duration_s,
+        extras={"prepared": prepared},
+        **timeline,
+    )
+
+
+def _fig13_capsule(quick: bool) -> RunCapsule:
+    cell = migration.prepare_fig13_cell(30.0)
+    restrict_at_s = 10.0
+    restrict_for_s = 60.0 if quick else 180.0
+    return _prepared_capsule(
+        "fig13",
+        cell,
+        120.0 if quick else 300.0,
+        on_tick=cell.sample,
+        events=(
+            (restrict_at_s, cell.throttle),
+            (restrict_at_s + restrict_for_s, cell.unthrottle),
+        ),
+    )
+
+
+def _fig13_summary(capsule: RunCapsule) -> dict:
+    cell = capsule.extras["prepared"]
+    latencies = cell.latency_s
+    return {
+        "samples": len(cell.times),
+        "mean_latency_s": (
+            sum(latencies) / len(latencies) if latencies else 0.0
+        ),
+        "migrations": len(cell.handle.deployment.migrations),
+    }
+
+
+def _churn_capsule(quick: bool) -> RunCapsule:
+    prepared = churn.prepare_churn()
+    return _prepared_capsule(
+        "churn", prepared, 160.0 if quick else 240.0, on_tick=prepared.sample
+    )
+
+
+def _churn_live_capsule(quick: bool) -> RunCapsule:
+    # The batch churn experiment freezes migrations to isolate recovery;
+    # the served run keeps them on so headroom probes feed the rolling
+    # windows every epoch.
+    prepared = churn.prepare_churn(config=BassConfig())
+    return _prepared_capsule(
+        "churn", prepared, 150.0 if quick else 240.0, on_tick=prepared.sample
+    )
+
+
+def _churn_summary(capsule: RunCapsule) -> dict:
+    result = capsule.extras["prepared"].result(capsule.duration_s)
+    stats = result.goodput_stats
+    return {
+        "samples": len(result.times),
+        "detection_latency_s": result.detection_latency_s,
+        "recovered_pods": result.recovered_pods,
+        "stranded_pods": result.stranded_pods,
+        "conflicts": result.conflict_count,
+        "goodput_pre_mean": stats.pre_mean,
+        "goodput_dip_min": stats.dip_min,
+        "goodput_post_mean": stats.post_mean,
+        "time_to_recover_s": stats.time_to_recover_s,
+    }
+
+
+def _fleet_capsule(quick: bool, regions: int) -> RunCapsule:
+    prepared = fleet.prepare_fleet(regions=regions, tenants=2 * regions)
+    return _prepared_capsule(
+        "fleet",
+        prepared,
+        120.0 if quick else 240.0,
+        events=tuple(prepared.events),
+    )
+
+
+def _fleet_summary(capsule: RunCapsule) -> dict:
+    result = capsule.extras["prepared"].result(capsule.duration_s)
+    return {
+        "regions": result.regions,
+        "tenants": result.tenants,
+        "full_probes": result.full_probes,
+        "headroom_probes": result.headroom_probes,
+        "conflicts": result.conflict_count,
+        "committed_handoffs": result.committed_handoffs,
+        "migrations": result.total_migrations,
+        "cross_region_migrations": result.cross_region_migrations,
+        "tenants_by_region": dict(sorted(result.tenants_by_region.items())),
+    }
+
+
+def _failover_capsule(quick: bool) -> RunCapsule:
+    prepared = failover.prepare_failover()
+    return _prepared_capsule(
+        "failover",
+        prepared,
+        180.0 if quick else 240.0,
+        on_tick=prepared.sample,
+    )
+
+
+def _failover_summary(capsule: RunCapsule) -> dict:
+    result = capsule.extras["prepared"].result(capsule.duration_s)
+    stats = result.goodput_stats
+    return {
+        "kill_at_s": result.kill_at_s,
+        "down_s": result.down_s,
+        "resume_at_s": result.resume_at_s,
+        "missed_epochs": result.missed_epochs,
+        "deferred_recoveries": result.deferred_recoveries,
+        "resume_epoch_gap": result.resume_epoch_gap,
+        "recovered_pods": result.churn.recovered_pods,
+        "detection_latency_s": result.churn.detection_latency_s,
+        "goodput_pre_mean": stats.pre_mean,
+        "goodput_dip_min": stats.dip_min,
+        "goodput_post_mean": stats.post_mean,
+        "time_to_recover_s": stats.time_to_recover_s,
+    }
+
+
+# -- the table ----------------------------------------------------------------
+
+CATALOG: tuple[Experiment, ...] = (
+    Experiment("fig2", "bandwidth variation on two CityLab links",
+               report=_fig2),
+    Experiment("fig4", "Pion bitrate/loss vs participants on a bottleneck",
+               report=_fig4),
+    Experiment("fig5", "social-network latency through a 25 Mbps throttle",
+               report=_fig5),
+    Experiment("fig8", "worked migration timeline", report=_fig8),
+    Experiment("fig10", "camera latency per scheduler, unconstrained LAN",
+               report=_fig10),
+    Experiment("fig11", "social-network p99 vs RPS, ± one throttled node",
+               report=_fig11),
+    Experiment("fig12", "video bitrate vs bandwidth-query interval",
+               report=_fig12),
+    Experiment("fig13", "social-network latency vs monitoring interval",
+               report=_fig13, capsule=_fig13_capsule, summary=_fig13_summary,
+               serve=_fig13_capsule),
+    Experiment("table1", "migration iterations: over-quota vs migrated",
+               report=_table1),
+    Experiment("fig14a", "restart cost on end-to-end latency",
+               report=_fig14a),
+    Experiment("fig14b", "scheduler comparison CDF on the emulated mesh",
+               report=_fig14b),
+    Experiment("fig14cd", "threshold x headroom sweep, fixed arrivals",
+               specs=_fig14cd_specs, render=_fig14cd_table),
+    Experiment("fig15b", "video bitrate by node vs migration threshold",
+               report=_fig15b),
+    Experiment("fig16", "threshold sweep under exponential arrivals",
+               specs=_fig16_specs, render=_fig16_table),
+    Experiment("multitenant",
+               "probe sharing and migration arbitration at scale",
+               specs=_multitenant_specs, render=_multitenant_table),
+    Experiment("fleet",
+               "regionalized control plane: sharded schedulers, handoffs",
+               report=_fleet, capsule=_fleet_capsule, summary=_fleet_summary,
+               regions=2),
+    Experiment("churn", "node crash: detection latency and recovery vs k3s",
+               report=_churn, capsule=_churn_capsule, summary=_churn_summary,
+               serve=_churn_live_capsule),
+    Experiment("failover",
+               "orchestrator kill mid-run: deferred decisions, goodput dip",
+               report=_failover, capsule=_failover_capsule,
+               summary=_failover_summary),
+    Experiment("churnsweep", "randomized crash plans across seeds",
+               specs=_churnsweep_specs, render=_churnsweep_table),
+    Experiment("ablations", "the design-choice ablation battery",
+               specs=_ablations_specs, render=_ablations_table),
+    Experiment("table2", "camera median latency on the emulated mesh",
+               report=_table2),
+    Experiment("table3", "per-component scheduling latency",
+               report=_table3),
+    Experiment("table4", "DAG processing time per application",
+               report=_table4),
+)
+
+#: ``id -> row``; what ``repro.cli.EXPERIMENTS`` re-exports.
+EXPERIMENTS: dict[str, Experiment] = {row.id: row for row in CATALOG}
+
+
+def summarize(capsule: RunCapsule) -> dict:
+    """A deterministic summary of a completed capsule.
+
+    Every value is a plain JSON type derived purely from simulation
+    state, so two runs that made the same decisions — e.g. an
+    interrupted-and-restored run vs an uninterrupted one — serialize to
+    byte-identical documents.
+    """
+    cp = capsule.control_plane
+    return {
+        "scenario": capsule.scenario,
+        "duration_s": capsule.duration_s,
+        "sim_time_s": capsule.engine.now,
+        "epochs": cp.epoch_count if cp is not None else 0,
+        **EXPERIMENTS[capsule.scenario].summary(capsule),
+    }

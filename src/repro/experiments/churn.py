@@ -42,7 +42,7 @@ from ..faults import (
 from ..mesh.topology import citylab_subset
 from ..metrics.summary import RecoveryStats, recovery_timeline_stats
 from ..obs.trace import TracerBase
-from ..runner import CellSpec, ResultCache, SweepSpec, run_sweep
+from ..runner import CellSpec, SweepSpec
 from ..sim.rng import RngStreams
 from .common import AppHandle, ExperimentEnv, build_env, deploy_app, run_timeline
 from .multi_tenant import SINK, StreamPairApp
@@ -370,23 +370,6 @@ def churn_seed_sweep_spec(
         for seed in seeds
     )
     return SweepSpec(name="churn-seeds", cells=cells)
-
-
-def churn_seed_sweep(
-    *,
-    seeds: tuple[int, ...] = DEFAULT_CHURN_SEEDS,
-    settle_s: float = 120.0,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Optional[TracerBase] = None,
-) -> list[ChurnResult]:
-    """Randomized crash plans across seeds, one churn run per seed.
-
-    Every cell must detect the crash and re-place the pod; the seeded
-    churn benchmark asserts exactly that over this sweep's results.
-    """
-    spec = churn_seed_sweep_spec(seeds=seeds, settle_s=settle_s)
-    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
 
 
 def churn_comparison(

@@ -247,6 +247,27 @@ class TickObserver:
         self.on_tick(self.engine.now)
 
 
+def arm_timeline(
+    env: ExperimentEnv,
+    *,
+    on_tick: Optional[Callable[[float], None]] = None,
+    tick_s: float = 1.0,
+    events: Sequence[tuple[float, Callable[[], None]]] = (),
+) -> None:
+    """Arm a run without moving the clock: the emulator ticker, then
+    the per-tick observer, then the one-shot events.
+
+    The order fixes engine sequence numbers (hence every tie-break at
+    equal times), so the batch path (:func:`run_timeline`) and the
+    checkpointable path (``RunCapsule.start``) both arm through here.
+    """
+    env.netem.start()
+    if on_tick is not None:
+        env.engine.every(tick_s, TickObserver(env.engine, on_tick))
+    for time, callback in events:
+        env.engine.schedule_at(time, callback)
+
+
 def run_timeline(
     env: ExperimentEnv,
     duration_s: float,
@@ -268,11 +289,7 @@ def run_timeline(
         events: (time, callback) one-shot events, e.g. imposing and
             lifting a ``tc`` throttle.
     """
-    env.netem.start()
-    if on_tick is not None:
-        env.engine.every(tick_s, TickObserver(env.engine, on_tick))
-    for time, callback in events:
-        env.engine.schedule_at(time, callback)
+    arm_timeline(env, on_tick=on_tick, tick_s=tick_s, events=events)
     env.engine.run_until(duration_s)
 
 

@@ -277,8 +277,9 @@ class Fig13Cell:
 
     Built by :func:`prepare_fig13_cell`; the batch sweep drives it
     immediately, while ``bass-repro serve`` ticks it live under the
-    status plane.  Construction order matches the original inline loop
-    exactly, so the batch results stay byte-identical.
+    status plane, both sampling through :meth:`sample`.  Construction
+    order matches the original inline loop exactly, so the batch
+    results stay byte-identical.
     """
 
     env: object
@@ -286,6 +287,8 @@ class Fig13Cell:
     handle: object
     rng: object
     restrict_to_mbps: float
+    times: list[float] = field(default_factory=list)
+    latency_s: list[float] = field(default_factory=list)
 
     def throttle(self) -> None:
         set_node_egress_limit(self.env, "node2", self.restrict_to_mbps)
@@ -303,6 +306,13 @@ class Fig13Cell:
                 )
             )
         )
+
+    def sample(self, now: float) -> None:
+        """The per-tick observer: mean request latency at ``now``.  A
+        bound method (not a closure) so a checkpointed run pickles it,
+        and a restored run keeps appending to the same lists."""
+        self.times.append(now)
+        self.latency_s.append(self.sample_latency_s())
 
 
 def prepare_fig13_cell(
@@ -376,28 +386,21 @@ def fig13_socialnet_migration(
             restrict_to_mbps=restrict_to_mbps,
             seed=seed,
         )
-        env, app, handle = cell.env, cell.app, cell.handle
-        times: list[float] = []
-        latencies: list[float] = []
-
-        def sample(t: float, cell=cell, times=times, latencies=latencies) -> None:
-            times.append(t)
-            latencies.append(cell.sample_latency_s())
-
-        throttle = cell.throttle
-        unthrottle = cell.unthrottle
-
+        handle = cell.handle
         run_timeline(
-            env,
+            cell.env,
             total_s,
-            on_tick=sample,
-            events=[(restrict_at_s, throttle), (restrict_end, unthrottle)],
+            on_tick=cell.sample,
+            events=[
+                (restrict_at_s, cell.throttle),
+                (restrict_end, cell.unthrottle),
+            ],
         )
         results.append(
             Fig13Series(
                 interval_s=interval,
-                times=np.asarray(times),
-                latency_s=np.asarray(latencies),
+                times=np.asarray(cell.times),
+                latency_s=np.asarray(cell.latency_s),
                 migrations=list(handle.deployment.migrations),
                 table1_rows=(
                     handle.controller.table1_rows()

@@ -38,8 +38,7 @@ from ..apps.base import Application
 from ..config import BassConfig, FleetConfig
 from ..core.controller import ControllerIteration
 from ..core.dag import Component, ComponentDAG
-from ..obs.trace import TracerBase
-from ..runner import CellSpec, ResultCache, SweepSpec, run_sweep
+from ..runner import CellSpec, SweepSpec
 from .common import (
     AppHandle,
     ExperimentEnv,
@@ -290,26 +289,6 @@ def multi_tenant_scaling_spec(
     return SweepSpec(name="multitenant-scaling", cells=cells)
 
 
-def multi_tenant_scaling_sweep(
-    *,
-    tenant_counts: tuple[int, ...] = (1, 2, 4, 8),
-    duration_s: float = 240.0,
-    seed: int = 11,
-    probe_sharing: bool = True,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Optional[TracerBase] = None,
-) -> list[MultiTenantResult]:
-    """Run the tenant-scaling sweep through the sweep runner."""
-    spec = multi_tenant_scaling_spec(
-        tenant_counts=tenant_counts,
-        duration_s=duration_s,
-        seed=seed,
-        probe_sharing=probe_sharing,
-    )
-    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
-
-
 def contention_sweep_spec(
     *,
     tenant_counts: tuple[int, ...] = (2, 4, 8),
@@ -330,19 +309,3 @@ def contention_sweep_spec(
         for tenants in tenant_counts
     )
     return SweepSpec(name="multitenant-contention", cells=cells)
-
-
-def contention_sweep(
-    *,
-    tenant_counts: tuple[int, ...] = (2, 4, 8),
-    duration_s: float = 180.0,
-    seed: int = 11,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Optional[TracerBase] = None,
-) -> list[MultiTenantResult]:
-    """Run the contention sweep through the sweep runner."""
-    spec = contention_sweep_spec(
-        tenant_counts=tenant_counts, duration_s=duration_s, seed=seed
-    )
-    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results

@@ -14,16 +14,13 @@ These sweeps reproduce the paper's findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..apps.social import SocialNetworkApp
 from ..apps.workload import ExponentialArrivals, FixedRate
 from ..config import BassConfig
 from ..mesh.topology import citylab_subset
-from ..obs.trace import TracerBase
-from ..runner import CellSpec, ResultCache, SweepSpec, run_sweep
+from ..runner import CellSpec, SweepSpec
 from ..sim.rng import RngStreams
 from .common import build_env, deploy_app, run_timeline
 
@@ -144,8 +141,9 @@ def fig14cd_sweep_spec(
     duration_s: float = 600.0,
     seed: int = 144,
 ) -> SweepSpec:
-    """The fig 14c/d grid as a sweep spec, cells in the canonical
-    (heuristic, threshold, headroom) nested-loop order."""
+    """The fig 14c/d grid (fixed request arrivals at 50 RPS) as a sweep
+    spec, cells in the canonical (heuristic, threshold, headroom)
+    nested-loop order."""
     cells = tuple(
         CellSpec(
             fn="repro.experiments.thresholds:_fig14cd_cell",
@@ -166,36 +164,6 @@ def fig14cd_sweep_spec(
     return SweepSpec(name="fig14cd", cells=cells)
 
 
-def fig14cd_threshold_sweep(
-    *,
-    heuristics: tuple[str, ...] = ("bfs", "longest_path"),
-    thresholds: tuple[float, ...] = (0.25, 0.50, 0.65, 0.75, 0.95),
-    headrooms: tuple[float, ...] = (0.10, 0.20, 0.30),
-    rps: float = 50.0,
-    duration_s: float = 600.0,
-    seed: int = 144,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Optional[TracerBase] = None,
-) -> list[ThresholdCell]:
-    """Figs 14c/d: latency across the (threshold × headroom) grid,
-    fixed request arrivals at 50 RPS.
-
-    Cells run through the sweep runner: ``jobs`` fans them out over
-    worker processes and ``cache`` memoizes completed cells, with
-    output byte-identical to the serial loop either way.
-    """
-    spec = fig14cd_sweep_spec(
-        heuristics=heuristics,
-        thresholds=thresholds,
-        headrooms=headrooms,
-        rps=rps,
-        duration_s=duration_s,
-        seed=seed,
-    )
-    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
-
-
 def fig16_sweep_spec(
     *,
     thresholds: tuple[float, ...] = (0.25, 0.50, 0.65, 0.75),
@@ -204,7 +172,8 @@ def fig16_sweep_spec(
     duration_s: float = 600.0,
     seed: int = 16,
 ) -> SweepSpec:
-    """Fig 16's threshold sweep as a sweep spec."""
+    """Fig 16's threshold sweep as a sweep spec: exponential (Poisson)
+    arrivals, longest-path scheduling, headroom fixed at 20 %."""
     cells = tuple(
         CellSpec(
             fn="repro.experiments.thresholds:_fig16_cell",
@@ -220,29 +189,6 @@ def fig16_sweep_spec(
         for threshold in thresholds
     )
     return SweepSpec(name="fig16", cells=cells)
-
-
-def fig16_exponential_thresholds(
-    *,
-    thresholds: tuple[float, ...] = (0.25, 0.50, 0.65, 0.75),
-    mean_rps: float = 50.0,
-    headroom: float = 0.20,
-    duration_s: float = 600.0,
-    seed: int = 16,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    tracer: Optional[TracerBase] = None,
-) -> list[ThresholdCell]:
-    """Fig 16: the same sweep under exponential (Poisson) arrivals,
-    longest-path scheduling, headroom fixed at 20 %."""
-    spec = fig16_sweep_spec(
-        thresholds=thresholds,
-        mean_rps=mean_rps,
-        headroom=headroom,
-        duration_s=duration_s,
-        seed=seed,
-    )
-    return run_sweep(spec, jobs=jobs, cache=cache, tracer=tracer).results
 
 
 def best_threshold(cells: list[ThresholdCell]) -> float:

@@ -18,11 +18,12 @@ two serialized by one lock.  The endpoints:
 ``/health``    Liveness probe.
 =============  ===========================================================
 
-Everything here is opt-in plumbing around unmodified experiments: the
-scenarios are the same :func:`~repro.experiments.churn.prepare_churn` /
-:func:`~repro.experiments.migration.prepare_fig13_cell` substrates the
-batch paths drive, so a served run makes the same decisions a batch run
-would.
+Everything here is opt-in plumbing around unmodified experiments: a
+served run is a :class:`~repro.snap.capsule.RunCapsule` built by a
+servable row of the experiment catalogue
+(:mod:`repro.experiments.catalog`) over the same ``prepare_*``
+substrates the batch paths drive, so it makes the same decisions a
+batch run would.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ from .slo import DEFAULT_SLO_RULES, SloRule, SloWatchdog
 from .status import StatusPublisher
 from .stream import StreamingSink
 from .trace import Tracer, set_default_tracer
-
-#: Scenario names ``bass-repro serve`` accepts.
-SCENARIOS = ("fig13", "churn")
-
-_EPSILON = 1e-9
 
 
 @dataclass
@@ -101,55 +97,6 @@ def attach_status_plane(
     )
 
 
-@dataclass
-class LiveScenario:
-    """A prepared substrate plus the timeline a served run drives."""
-
-    name: str
-    env: object  # repro.experiments.common.ExperimentEnv
-    duration_s: float
-    events: tuple[tuple[float, Callable[[], None]], ...] = ()
-    on_tick: Optional[Callable[[float], None]] = None
-    tick_s: float = 1.0
-
-
-def build_scenario(name: str, *, quick: bool = False) -> LiveScenario:
-    """Assemble a servable scenario (the process-default tracer is
-    picked up by ``build_env`` inside, exactly as ``run --trace``)."""
-    if name == "churn":
-        from ..config import BassConfig
-        from ..experiments.churn import prepare_churn
-
-        # The batch churn experiment freezes migrations to isolate
-        # recovery; the live scenario keeps them on so headroom probes
-        # feed the rolling windows every epoch.
-        prepared = prepare_churn(config=BassConfig())
-        return LiveScenario(
-            name="churn",
-            env=prepared.env,
-            duration_s=150.0 if quick else 240.0,
-            on_tick=prepared.sample,
-        )
-    if name == "fig13":
-        from ..experiments.migration import prepare_fig13_cell
-
-        cell = prepare_fig13_cell(30.0)
-        restrict_at_s = 10.0
-        restrict_for_s = 60.0 if quick else 180.0
-        return LiveScenario(
-            name="fig13",
-            env=cell.env,
-            duration_s=120.0 if quick else 300.0,
-            events=(
-                (restrict_at_s, cell.throttle),
-                (restrict_at_s + restrict_for_s, cell.unthrottle),
-            ),
-        )
-    raise ValueError(
-        f"unknown serve scenario {name!r} (expected one of {SCENARIOS})"
-    )
-
-
 class LiveRun:
     """One scenario ticking under the status plane.
 
@@ -157,46 +104,17 @@ class LiveRun:
     endpoint renders under it, and :meth:`step` advances the clock
     under it, so scrapes always observe a consistent simulation state.
 
-    Internally the run is a :class:`~repro.snap.capsule.RunCapsule` —
-    the picklable root object the checkpoint subsystem serializes — so
-    a served run can be snapshotted on SIGTERM and resumed by a fresh
-    ``bass-repro serve --checkpoint-dir`` process.
+    The run itself is a :class:`~repro.snap.capsule.RunCapsule` — the
+    picklable root object the checkpoint subsystem serializes — freshly
+    built or restored mid-run, so a served run can be snapshotted on
+    SIGTERM and resumed by a fresh ``bass-repro serve --checkpoint-dir``
+    process.
     """
 
-    def __init__(
-        self, scenario: LiveScenario, plane: StatusPlane, *, capsule=None
-    ) -> None:
-        from ..snap.capsule import RunCapsule
-
-        self.scenario = scenario
+    def __init__(self, capsule, plane: StatusPlane) -> None:
+        self.capsule = capsule
         self.plane = plane
-        self.capsule = (
-            capsule
-            if capsule is not None
-            else RunCapsule(
-                scenario=scenario.name,
-                env=scenario.env,
-                duration_s=scenario.duration_s,
-                tick_s=scenario.tick_s,
-                on_tick=scenario.on_tick,
-                events=tuple(scenario.events),
-            )
-        )
         self.lock = threading.Lock()
-
-    @classmethod
-    def from_capsule(cls, capsule, plane: StatusPlane) -> "LiveRun":
-        """Wrap a capsule restored from a checkpoint (mid-run: its heap
-        already carries the armed ticker and timeline events)."""
-        scenario = LiveScenario(
-            name=capsule.scenario,
-            env=capsule.env,
-            duration_s=capsule.duration_s,
-            events=tuple(capsule.events),
-            on_tick=capsule.on_tick,
-            tick_s=capsule.tick_s,
-        )
-        return cls(scenario, plane, capsule=capsule)
 
     @property
     def env(self):
@@ -215,9 +133,9 @@ class LiveRun:
         return self.capsule.done
 
     def start(self) -> None:
-        """Arm the emulator, tick observer, and timeline events — the
-        same order as ``run_timeline``, so decisions match batch.  A
-        no-op on a restored capsule (everything is already armed)."""
+        """Arm the emulator, tick observer, and timeline events
+        (:meth:`RunCapsule.start <repro.snap.capsule.RunCapsule.start>`).
+        A no-op on a restored capsule (everything is already armed)."""
         self.capsule.start()
 
     def step(self, sim_seconds: float) -> float:
@@ -378,7 +296,6 @@ def start_server(
 class ServeOptions:
     """Knobs for :func:`serve_run` (mirrors the CLI flags)."""
 
-    scenario: str = "fig13"
     host: str = "127.0.0.1"
     port: int = 8791
     quick: bool = False
@@ -399,10 +316,15 @@ class ServeOptions:
     checkpoint_every: int = 5
 
 
-def serve_run(options: ServeOptions) -> int:
+def serve_run(build: Callable[..., object], options: ServeOptions) -> int:
     """The ``bass-repro serve`` entry point: tick a scenario to its
     horizon while serving the status plane; afterwards keep serving
     until SIGINT/SIGTERM, then shut down cleanly.
+
+    ``build`` is a servable catalogue row's ``serve`` part
+    (:mod:`repro.experiments.catalog`): called as ``build(quick=...)``
+    once the run's tracer is the process default, it returns the
+    :class:`~repro.snap.capsule.RunCapsule` to tick.
 
     With ``checkpoint_dir``, the run writes periodic snapshots and a
     final one on SIGTERM (after publishing status, before sealing the
@@ -410,10 +332,12 @@ def serve_run(options: ServeOptions) -> int:
     directory resumes the killed run — same status revision counter,
     same trace shard, same decisions as if never interrupted.
     """
+    # Imported here, not at module level: repro.snap builds on the
+    # experiment harness, which imports repro.obs.
+    from ..snap import checkpoint_into, latest_checkpoint, read_snapshot
+
     resume_from = None
     if options.checkpoint_dir is not None:
-        from ..snap import latest_checkpoint
-
         resume_from = latest_checkpoint(options.checkpoint_dir)
 
     stop = threading.Event()
@@ -429,19 +353,16 @@ def serve_run(options: ServeOptions) -> int:
     previous = None
     try:
         if resume_from is not None:
-            from ..snap import read_snapshot
-
             meta, capsule = read_snapshot(resume_from)
             tracer = capsule.env.tracer
             previous = set_default_tracer(tracer)
             plane = resume_status_plane(
                 capsule, status_path=options.status_path
             )
-            live = LiveRun.from_capsule(capsule, plane)
             print(
                 f"resuming {capsule.scenario} from {resume_from} at "
                 f"t={meta.sim_time_s:.0f}s (epoch "
-                f"{live.control_plane.epoch_count}, status revision "
+                f"{capsule.control_plane.epoch_count}, status revision "
                 f"{plane.publisher.revision})"
             )
         else:
@@ -452,43 +373,33 @@ def serve_run(options: ServeOptions) -> int:
             )
             tracer = Tracer.with_instruments(sink=sink)
             previous = set_default_tracer(tracer)
-            scenario = build_scenario(options.scenario, quick=options.quick)
+            capsule = build(quick=options.quick)
             if options.duration_s is not None:
-                scenario.duration_s = options.duration_s
+                capsule.duration_s = options.duration_s
             plane = attach_status_plane(
-                scenario.env.control_plane,
+                capsule.control_plane,
                 tracer,
                 status_path=options.status_path,
                 every_k_epochs=options.status_every,
                 window_s=options.window_s,
                 rules=options.rules,
             )
-            live = LiveRun(scenario, plane)
+        live = LiveRun(capsule, plane)
 
-        policy = live.control_plane.checkpoints
+        policy = capsule.control_plane.checkpoints
         if options.checkpoint_dir is not None:
-            from pathlib import Path as _Path
-
-            from ..snap import CheckpointPolicy
-
-            if policy is None:
-                policy = CheckpointPolicy(
-                    options.checkpoint_dir,
-                    every_k_epochs=options.checkpoint_every,
-                )
-                policy.bind(live.capsule)
-                live.control_plane.attach_checkpoints(policy)
-            else:
-                # Keep the pickled cadence (it shapes the event heap);
-                # only re-point the directory at this invocation's.
-                policy.directory = _Path(options.checkpoint_dir)
+            policy = checkpoint_into(
+                capsule,
+                options.checkpoint_dir,
+                every_k_epochs=options.checkpoint_every,
+            )
 
         server = start_server(live, host=options.host, port=options.port)
         host, port = server.server_address[:2]
         print(
-            f"serving {live.scenario.name} on http://{host}:{port} "
+            f"serving {capsule.scenario} on http://{host}:{port} "
             f"(/metrics /v1/status /v1/epoch), horizon "
-            f"{live.scenario.duration_s:.0f}s sim"
+            f"{capsule.duration_s:.0f}s sim"
         )
         live.start()
         while not stop.is_set() and not live.done:

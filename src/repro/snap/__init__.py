@@ -17,13 +17,14 @@ Layers:
 * :mod:`repro.snap.policy` — :class:`CheckpointPolicy`, the every-k-
   epochs / on-SIGTERM trigger attached via
   ``ControlPlane.attach_checkpoints``.
-* :mod:`repro.snap.scenarios` — builders/finishers for the
-  checkpointable scenarios (fig13, churn, fleet, failover).
+
+Which experiments are checkpointable, how each one's capsule is built
+and what its summary reports is declared in the experiment catalogue
+(:mod:`repro.experiments.catalog`), not here.
 """
 
 from .capsule import RunCapsule
-from .policy import CheckpointPolicy
-from .scenarios import SCENARIOS, build_capsule, finish_capsule
+from .policy import CheckpointPolicy, checkpoint_into
 from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotCorruptError,
@@ -38,12 +39,10 @@ from .snapshot import (
 )
 
 __all__ = [
-    "SCENARIOS",
     "SNAPSHOT_VERSION",
     "CheckpointPolicy",
     "RunCapsule",
-    "build_capsule",
-    "finish_capsule",
+    "checkpoint_into",
     "SnapshotCorruptError",
     "SnapshotError",
     "SnapshotFingerprintError",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..experiments.common import ExperimentEnv, TickObserver
+from ..experiments.common import ExperimentEnv, arm_timeline
 
 _EPSILON = 1e-9
 
@@ -30,6 +30,8 @@ _EPSILON = 1e-9
 class RunCapsule:
     """One checkpointable run: substrate + timeline + progress."""
 
+    #: The catalogue id of the experiment this run is a cell of
+    #: (:mod:`repro.experiments.catalog`); restores look the row up by it.
     scenario: str
     env: ExperimentEnv
     duration_s: float
@@ -55,19 +57,19 @@ class RunCapsule:
 
     def start(self) -> None:
         """Arm the emulator ticker, tick observer, and one-shot events
-        — the same order as ``run_timeline``, so decisions match the
+        through :func:`~repro.experiments.common.arm_timeline` — the
+        function ``run_timeline`` arms with, so decisions match the
         batch path.  Idempotent, and a no-op after a restore (the armed
         events travelled inside the pickled heap)."""
         if self.started:
             return
         self.started = True
-        self.env.netem.start()
-        if self.on_tick is not None:
-            self.engine.every(
-                self.tick_s, TickObserver(self.engine, self.on_tick)
-            )
-        for time, callback in self.events:
-            self.engine.schedule_at(time, callback)
+        arm_timeline(
+            self.env,
+            on_tick=self.on_tick,
+            tick_s=self.tick_s,
+            events=self.events,
+        )
 
     def run_until(self, sim_time_s: float) -> float:
         """Advance the clock to ``min(sim_time_s, duration_s)``."""

@@ -105,3 +105,23 @@ class CheckpointPolicy:
         path = self.directory / name
         self.last_meta = write_snapshot(path, self.capsule)
         return path
+
+
+def checkpoint_into(
+    capsule, directory: str | Path, *, every_k_epochs: int
+) -> CheckpointPolicy:
+    """Make ``capsule`` checkpoint into ``directory``.
+
+    A capsule without a policy gets a new one at the given cadence.
+    One restored from a checkpoint already carries the policy it was
+    written under: its pickled cadence shapes the event heap, so it is
+    kept and only re-pointed at this invocation's directory.
+    """
+    policy = capsule.control_plane.checkpoints
+    if policy is None:
+        policy = CheckpointPolicy(directory, every_k_epochs=every_k_epochs)
+        policy.bind(capsule)
+        capsule.control_plane.attach_checkpoints(policy)
+    else:
+        policy.directory = Path(directory)
+    return policy

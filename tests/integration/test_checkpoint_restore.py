@@ -10,31 +10,38 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.catalog import CATALOG, EXPERIMENTS, summarize
 from repro.obs.stream import StreamingSink
 from repro.obs.trace import Tracer, set_default_tracer
-from repro.snap import (
-    build_capsule,
-    finish_capsule,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.snap import read_snapshot, write_snapshot
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Every checkpointable row of the catalogue, and where to cut it: past
+#: the throttle (fig13, fleet), the crash (churn), the orchestrator kill
+#: (failover).  A new checkpointable row needs a cut here.
+CHECKPOINTABLE = [row for row in CATALOG if row.capsule is not None]
+CUT_S = {"fig13": 40.0, "churn": 70.0, "fleet": 70.0, "failover": 80.0}
+
+
+def _fresh(row):
+    """The row's quick capsule, at its default region count."""
+    return row.capsule(**row.sizing(quick=True))
 
 
 def _summary(capsule):
     """Run to completion and render the deterministic summary bytes."""
     capsule.run_to_completion()
     return json.dumps(
-        finish_capsule(capsule), indent=2, sort_keys=True
+        summarize(capsule), indent=2, sort_keys=True
     ).encode()
 
 
-def _interrupted_summary(scenario, cut_s, tmp_path, **kwargs):
+def _interrupted_summary(row, cut_s, tmp_path):
     """Run to ``cut_s``, snapshot, discard, restore, finish."""
-    capsule = build_capsule(scenario, quick=True, **kwargs)
+    capsule = _fresh(row)
     capsule.run_until(cut_s)
-    path = tmp_path / f"{scenario}.bass"
+    path = tmp_path / f"{row.id}.bass"
     meta = write_snapshot(path, capsule)
     assert meta.sim_time_s == cut_s
     del capsule
@@ -44,19 +51,13 @@ def _interrupted_summary(scenario, cut_s, tmp_path, **kwargs):
 
 class TestByteIdentity:
     @pytest.mark.parametrize(
-        "scenario,cut_s",
-        [("fig13", 40.0), ("churn", 70.0), ("failover", 80.0)],
+        "row,cut_s",
+        [(row, CUT_S[row.id]) for row in CHECKPOINTABLE],
+        ids=[f"{row.id}-{CUT_S[row.id]}" for row in CHECKPOINTABLE],
     )
-    def test_restore_matches_uninterrupted(
-        self, scenario, cut_s, tmp_path
-    ):
-        reference = _summary(build_capsule(scenario, quick=True))
-        restored = _interrupted_summary(scenario, cut_s, tmp_path)
-        assert restored == reference
-
-    def test_fleet_two_regions(self, tmp_path):
-        reference = _summary(build_capsule("fleet", quick=True, regions=2))
-        restored = _interrupted_summary("fleet", 70.0, tmp_path, regions=2)
+    def test_restore_matches_uninterrupted(self, row, cut_s, tmp_path):
+        reference = _summary(_fresh(row))
+        restored = _interrupted_summary(row, cut_s, tmp_path)
         assert restored == reference
 
     def test_streaming_trace_shards_survive_the_cut(self, tmp_path):
@@ -69,7 +70,7 @@ class TestByteIdentity:
             )
             previous = set_default_tracer(tracer)
             try:
-                capsule = build_capsule("churn", quick=True)
+                capsule = _fresh(EXPERIMENTS["churn"])
                 if cut_s is not None:
                     capsule.run_until(cut_s)
                     path = shard_dir.parent / "cut.bass"

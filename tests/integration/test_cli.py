@@ -1,8 +1,38 @@
-"""CLI smoke tests: every experiment is listable and runnable."""
+"""CLI tests: every catalogue row is listable and runnable, prints what
+the golden says, and is offered exactly the flags its parts allow."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.experiments.catalog import CATALOG
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "cli"
+
+#: The one column of each golden that prints wall-clock time.
+WALL_CLOCK_COLUMN = {
+    "fleet": "median_decision_ms",
+    "table3": "avg_ms_per_component",
+    "table4": "avg_ms",
+}
+
+
+def _mask_column(text, column):
+    """Blank ``column`` in every body row of the table ``text`` prints
+    (the body runs from the dashes line to the first empty line)."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if column in line.split())
+    index = lines[header].split().index(column)
+    for i in range(header + 2, len(lines)):
+        if not lines[i].strip():
+            break
+        cells = lines[i].split()
+        cells[index] = "~"
+        lines[i] = "  ".join(cells)
+    return "\n".join(lines)
 
 
 class TestCli:
@@ -11,6 +41,24 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_list_tags_every_derived_capability(self, capsys):
+        assert main(["list"]) == 0
+        tags = {
+            line.split()[0]: {w for w in line.split() if w.startswith("[")}
+            for line in capsys.readouterr().out.splitlines()
+        }
+        for row in CATALOG:
+            expected = set()
+            if row.specs is not None:
+                expected.add("[sweep]")
+            if row.regions is not None:
+                expected.add("[regions]")
+            if row.capsule is not None:
+                expected.add("[checkpoint]")
+            if row.serve is not None:
+                expected.add("[serve]")
+            assert tags[row.id] == expected, row.id
 
     def test_every_benchmark_has_a_cli_entry(self):
         expected = {
@@ -30,6 +78,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert experiment in out
         assert "---" in out  # a table was printed
+
+    @pytest.mark.parametrize("experiment", [row.id for row in CATALOG])
+    def test_run_quick_matches_golden(self, experiment, capsys):
+        """``run <id> --quick`` stdout, recorded from the commit before
+        the catalogue existed: the whole user-visible surface, byte for
+        byte (a new row needs a golden recorded alongside it)."""
+        golden = (GOLDEN_DIR / f"{experiment}.txt").read_text()
+        assert main(["run", experiment, "--quick"]) == 0
+        out = capsys.readouterr().out
+        column = WALL_CLOCK_COLUMN.get(experiment)
+        if column is not None:
+            out, golden = _mask_column(out, column), _mask_column(golden, column)
+        assert out == golden
 
     def test_run_profile_prints_tick_breakdown(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -52,9 +113,71 @@ class TestCli:
         assert main(["report", str(trace)]) == 0
         assert "tick profile @" in capsys.readouterr().out
 
-    def test_profile_rejected_for_sweep_experiments(self):
+    def test_profile_rejected_for_non_checkpointable_experiments(self):
         with pytest.raises(SystemExit):
             main(["run", "fig2", "--quick", "--profile"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The default value, spelled out, is still an explicit flag.
+            ["run", "fig13", "--quick", "--regions", "2"],
+            # Single-cell mode used to accept and silently ignore it.
+            ["run", "fig13", "--quick", "--regions", "5", "--profile"],
+        ],
+    )
+    def test_regions_rejected_where_the_row_does_not_take_it(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "does not take it" in capsys.readouterr().err
+
+    def test_regions_sizes_the_single_cell_fleet_run(self, capsys):
+        assert main(["run", "fleet", "--quick", "--regions", "3",
+                     "--profile"]) == 0
+        assert '"regions": 3' in capsys.readouterr().out
+
+    def test_stop_at_with_out_is_rejected_not_silently_dropped(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit):
+            main(
+                ["run", "fig13", "--quick",
+                 "--checkpoint-dir", str(tmp_path / "ckpt"),
+                 "--stop-at", "30", "--out", str(out)]
+            )
+        assert "--restore-from ... --out" in capsys.readouterr().err
+        # Rejected before anything was built or written.
+        assert not out.exists()
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_serve_offers_exactly_the_servable_rows(self, capsys):
+        servable = [row.id for row in CATALOG if row.serve is not None]
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "{" + ",".join(servable) + "}" in capsys.readouterr().out
+        unservable = next(row.id for row in CATALOG if row.serve is None)
+        with pytest.raises(SystemExit):
+            main(["serve", unservable])
+
+    def test_no_experiment_id_is_spelled_outside_the_catalogue(self):
+        """The CLI, the checkpoint subsystem and the status plane learn
+        experiment ids from the table, never from a string literal."""
+        sources = [
+            REPO_ROOT / "src" / "repro" / "cli.py",
+            REPO_ROOT / "src" / "repro" / "obs" / "serve.py",
+            *sorted((REPO_ROOT / "src" / "repro" / "snap").glob("*.py")),
+        ]
+        for source in sources:
+            literals = {
+                node.value
+                for node in ast.walk(ast.parse(source.read_text()))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+            }
+            assert not literals & set(EXPERIMENTS), source
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -32,10 +32,8 @@ from repro.experiments.static_placement import (
     fig11_socialnet_p99,
     table2_camera_mesh,
 )
-from repro.experiments.thresholds import (
-    fig14cd_threshold_sweep,
-    fig16_exponential_thresholds,
-)
+from repro.experiments.thresholds import fig14cd_sweep_spec, fig16_sweep_spec
+from repro.runner import run_sweep
 
 
 class TestMotivation:
@@ -174,19 +172,21 @@ class TestMigrationScenarios:
 
 class TestThresholdsAndOverheads:
     def test_fig14cd_grid_runs(self):
-        cells = fig14cd_threshold_sweep(
-            heuristics=("longest_path",),
-            thresholds=(0.5, 0.95),
-            headrooms=(0.2,),
-            duration_s=120.0,
-        )
+        cells = run_sweep(
+            fig14cd_sweep_spec(
+                heuristics=("longest_path",),
+                thresholds=(0.5, 0.95),
+                headrooms=(0.2,),
+                duration_s=120.0,
+            )
+        ).results
         assert len(cells) == 2
         assert all(np.isfinite(c.mean_latency_s) for c in cells)
 
     def test_fig16_runs(self):
-        cells = fig16_exponential_thresholds(
-            thresholds=(0.25, 0.75), duration_s=120.0
-        )
+        cells = run_sweep(
+            fig16_sweep_spec(thresholds=(0.25, 0.75), duration_s=120.0)
+        ).results
         assert len(cells) == 2
         assert all(c.mean_latency_s > 0 for c in cells)
 

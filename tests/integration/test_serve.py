@@ -14,13 +14,9 @@ from urllib.request import urlopen
 import pytest
 
 from repro.cli import main
+from repro.experiments.catalog import EXPERIMENTS
 from repro.obs.report import render_report
-from repro.obs.serve import (
-    LiveRun,
-    attach_status_plane,
-    build_scenario,
-    start_server,
-)
+from repro.obs.serve import LiveRun, attach_status_plane, start_server
 from repro.obs.slo import SloRule
 from repro.obs.stream import StreamingSink
 from repro.obs.trace import Tracer, read_trace, set_default_tracer
@@ -33,15 +29,15 @@ def _get(server, path):
 
 
 def _live_churn(tmp_path, tracer, **plane_kwargs):
-    scenario = build_scenario("churn", quick=True)
+    capsule = EXPERIMENTS["churn"].serve(quick=True)
     plane = attach_status_plane(
-        scenario.env.control_plane,
+        capsule.control_plane,
         tracer,
         status_path=tmp_path / "status.json",
         every_k_epochs=2,
         **plane_kwargs,
     )
-    return LiveRun(scenario, plane)
+    return LiveRun(capsule, plane)
 
 
 @pytest.fixture()
@@ -87,7 +83,7 @@ class TestLiveEndpoints:
 
         # Crash at t=60; run to the horizon so detection + recovery and
         # at least one publish boundary have passed.
-        live.step(live.scenario.duration_s)
+        live.step(live.capsule.duration_s)
         assert live.done
         code, headers, status_body = _get(server, "/v1/status")
         assert code == 200

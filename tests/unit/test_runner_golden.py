@@ -20,7 +20,6 @@ from repro.apps.workload import ExponentialArrivals, FixedRate
 from repro.experiments.ablations import (
     ablate_hybrid_heuristic,
     ablate_routing_strategy,
-    ablation_grid,
     ablation_grid_spec,
 )
 from repro.experiments.churn import (
@@ -147,10 +146,6 @@ def test_ablation_grid_matches_direct_calls(tmp_path):
         ablate_hybrid_heuristic(node_cores=6.0, n_nodes=3),
         ablate_routing_strategy(),
     ]
-    assert_runner_matches_serial(
-        ablation_grid_spec(include=include), serial, tmp_path
-    )
-    # And the label-keyed convenience wrapper agrees, at jobs=2.
-    grid = ablation_grid(include=include, jobs=2)
-    assert list(grid) == list(include)
-    assert canonical_json(list(grid.values())) == canonical_json(serial)
+    spec = ablation_grid_spec(include=include)
+    assert [cell.label for cell in spec.cells] == list(include)
+    assert_runner_matches_serial(spec, serial, tmp_path)
