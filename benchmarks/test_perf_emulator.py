@@ -279,14 +279,15 @@ def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
             [capacities[key] for key in link_index], dtype=float
         )
         engine = IncrementalMaxMin()
-        engine.solve(demands, link_index, cap_values, ("bench", 0))
+        table = {flow.flow_id: flow for flow in demands}
+        engine.solve(table, link_index, cap_values)
         target = link_index[next(iter(active.values())).links[0]]
         base = float(cap_values[target])
         best = float("inf")
         for i in range(repeats * 2):
             cap_values[target] = base * 0.9 if i % 2 == 0 else base
             begin = time.perf_counter()
-            engine.solve(demands, link_index, cap_values, ("bench", 0))
+            engine.solve(table, link_index, cap_values)
             best = min(best, time.perf_counter() - begin)
         timings["incremental"] = best * 1000.0
     else:

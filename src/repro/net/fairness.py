@@ -42,22 +42,26 @@ enforces this over hundreds of randomized instances.  On a
 single-component instance the decomposed solve is additionally
 bit-identical to the reference run globally.
 
-One size cutover, ``_BATCH_MIN_FLOWS`` on the instance's active-flow
-count, picks the kernel; there is no other tuning and no selector.
+One size cutover, ``_BATCH_MIN_FLOWS`` on the number of active flows,
+picks the kernel; there is no other tuning and no selector.
 
 :class:`IncrementalMaxMin` is the emulator's stateful front end: it
-keeps the component structure while the flow set is unchanged and, above
-the cutover, re-solves only the components whose link capacities moved
-since the last allocation — in one batched call with a dirty-component
-mask — keeping every clean component's rates verbatim.  That is exactly
-equal to a from-scratch solve because a component's allocation is a
-pure function of its own flows and capacities.
+keeps the component structure between calls and takes *both* inputs as
+deltas.  A flow that was added, removed, rerouted or re-demanded
+re-components and re-solves only the components it leaves and the ones
+its new path reaches (a heartbeat or probe flow costs its one
+component, not the mesh); a capacity move re-solves, above the cutover,
+only the components owning a moved link — in one batched call with a
+dirty-component mask.  Every other component's rates are kept
+verbatim.  That is exactly equal to a from-scratch solve because a
+component's allocation is a pure function of its own flows and
+capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,9 +73,13 @@ _EPSILON = 1e-9
 #: per rep with each kernel forced): below it, socialnet_mesh (~20
 #: active flows) is 2.1x slower batched and fleet_epochs (~45 flows in
 #: 29 components) a wash; above it, flow_churn (1 200 flows) is 3x and
-#: city_tick (3 000 flows) 10x faster batched.  Dirty-component
-#: tracking is gated by the same constant: below it those workloads'
-#: partial solves re-solve every component anyway.
+#: city_tick (3 000 flows) 10x faster batched.  *Capacity*-dirty
+#: tracking is gated by the same constant: below it a capacity move
+#: dirties every component anyway (socialnet_mesh: all 4 718 partial
+#: solves had every component dirty).  In the incremental engine the
+#: same rule also sizes a flow-set change: a pool of fewer flows than
+#: this is water-filled by the dict kernel even on a large instance,
+#: unless capacities moved too and the compiled batch is needed anyway.
 _BATCH_MIN_FLOWS = 128
 
 LinkKey = tuple[str, str]
@@ -197,8 +205,8 @@ class ComponentBatch:
     ``link_starts[c]:link_starts[c + 1]`` — the segments
     ``np.minimum.reduceat`` reduces over.  Building the arrays costs
     O(path length) Python work, so the emulator's incremental engine
-    compiles once per flow-set shape and replays :meth:`solve` against
-    fresh capacities every tick.
+    compiles once per component structure and replays :meth:`solve`
+    against fresh capacities every tick.
     """
 
     __slots__ = (
@@ -417,9 +425,14 @@ def _water_fill(
     return rate
 
 
-def link_components(
-    active: Mapping[Hashable, FlowDemand],
-) -> list[dict[Hashable, FlowDemand]]:
+class _Component(NamedTuple):
+    """One link-connected component: its flows and the links they own."""
+
+    flows: dict[Hashable, FlowDemand]
+    links: list[LinkKey]
+
+
+def _link_groups(active: Mapping[Hashable, FlowDemand]) -> list[_Component]:
     """Group active flows into link-connected components.
 
     Two flows are in the same component when their paths are joined by
@@ -427,7 +440,9 @@ def link_components(
     the max-min allocation of each is independent of the others.  The
     returned list is deterministic: components appear in the order of
     their first flow in ``active``, and flows keep ``active``'s
-    iteration order within each component.
+    iteration order within each component.  Each component also carries
+    its links (each once), which is what lets the incremental engine
+    find the components a new path touches.
     """
     # link -> the (shared, growing) list of links of its component.
     # A flow joins all its links: new links are appended to the flow's
@@ -452,10 +467,21 @@ def link_components(
                 home.extend(members)
                 for merged in members:
                     label[merged] = home
-    groups: dict[int, dict[Hashable, FlowDemand]] = {}
+    groups: dict[int, _Component] = {}
     for fid, flow in active.items():
-        groups.setdefault(id(label[flow.links[0]]), {})[fid] = flow
+        links = label[flow.links[0]]
+        group = groups.get(id(links))
+        if group is None:
+            group = groups[id(links)] = _Component({}, links)
+        group.flows[fid] = flow
     return list(groups.values())
+
+
+def link_components(
+    active: Mapping[Hashable, FlowDemand],
+) -> list[dict[Hashable, FlowDemand]]:
+    """The flow groups of :func:`_link_groups`, without their links."""
+    return [component.flows for component in _link_groups(active)]
 
 
 def _use_batch(active_flows: int) -> bool:
@@ -513,70 +539,63 @@ def max_min_allocation(
     return rates
 
 
-class ArrayCapacities(Mapping):
-    """Read-only ``Mapping[LinkKey, float]`` view over a capacity array.
-
-    The emulator's structure-of-arrays core keeps link capacities in one
-    flat float64 array; this wrapper lets the dict kernel index it by
-    link key without materializing an O(links) dict every tick.
-    """
-
-    __slots__ = ("index", "values")
-
-    def __init__(
-        self, index: Mapping[LinkKey, int], values: np.ndarray
-    ) -> None:
-        self.index = index
-        self.values = values
-
-    def __getitem__(self, key: LinkKey) -> float:
-        return float(self.values[self.index[key]])
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.index
-
-    def __iter__(self) -> Iterator[LinkKey]:
-        return iter(self.index)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class IncrementalMaxMin:
     """Stateful max-min re-solver over retained connected components.
 
-    Tracks, between calls, the component structure of the active flows
-    and the per-link capacities of the last allocation.  While the flow
-    set is unchanged (same ``shape_rev``) a call skips the partition
-    and component search.  At or above ``_BATCH_MIN_FLOWS`` active
-    flows it additionally re-runs water-filling *only* over components
-    whose link capacities moved — one batched call with a
-    dirty-component mask — and every clean component keeps its cached
-    rates.  Because components share no links, a component's
-    allocation is a pure function of its own flows and capacities, so
-    the result is exactly — bitwise — the allocation
-    ``max_min_allocation`` computes from scratch
+    The flow set and the link capacities are both *incrementally
+    maintained* inputs.  Between calls the engine keeps the component
+    structure of the active flows (which component each flow and each
+    link belongs to), the complete allocation, and the capacities that
+    allocation was solved against.  The caller reports every flow that
+    was added, removed, rerouted or re-demanded with :meth:`touch`; at
+    the next :meth:`solve` the engine
+
+    1. pools the flows of every component those changes touch — the
+       old component of each touched flow, plus the components owning
+       a link of each new path — together with the touched flows' own
+       current rows (a flow added and removed again between two solves
+       is in neither, so it cancels),
+    2. re-runs :func:`_link_groups` on that pool only, which is where
+       merges (a bridging flow arrived) and splits (it left) fall out,
+       and replaces the pooled components with the result,
+    3. water-fills the replacement components — and, when capacities
+       moved, retained components too: all of them below
+       ``_BATCH_MIN_FLOWS`` active flows (on instances that small
+       nearly every capacity change touches every component), only the
+       ones owning a moved link at or above it (one dirty-component
+       mask over the compiled batch) — and leaves every other
+       component's cached rates alone.
+
+    A from-scratch solve (the first one, after :meth:`invalidate`, or
+    when the capacity array changes shape) is the same path with the
+    pool being every flow.  Because components share no links, a
+    component's allocation is a pure, order-independent function of
+    its own flows and capacities, so the result is exactly — bitwise —
+    what ``max_min_allocation`` computes from scratch
     (``tests/unit/test_fairness_incremental.py`` proves this over
-    seeded perturbation sequences).  Below the cutover every retained
-    component is re-solved through the dict kernel: on instances that
-    small nearly every capacity change touches every component, so
-    dirty tracking would be pure overhead.
+    seeded perturbation sequences, through pickling as well).
 
-    A shape change (flow add/remove/reroute/demand, topology change)
-    rebuilds the structure and re-solves everything.
+    Flow rows are duck-typed (``flow_id`` / ``links`` /
+    ``demand_mbps``) and held by reference: the emulator's mutable
+    ``Flow`` records serve directly, so a row mutated in place must be
+    reported with :meth:`touch` like any other change.
 
-    Counters: ``full_solves`` counts structure rebuilds,
-    ``partial_solves`` re-solves over the retained structure, and
-    ``components_resolved`` the components those re-solves
-    water-filled.
+    Counters: ``full_solves`` counts from-scratch structure builds,
+    ``partial_solves`` every other solve that water-filled at least
+    one component, and ``components_resolved`` the components those
+    partial solves water-filled.
     """
 
     def __init__(self) -> None:
-        self._shape_rev: object = None
         self._solved_caps: Optional[np.ndarray] = None
         self._rates: dict[Hashable, float] = {}
-        self._components: list[dict[Hashable, FlowDemand]] = []
-        self._active_count = 0
+        self._components: list[_Component] = []
+        #: Active flow id -> its component; link -> the component
+        #: owning it.  Values are the objects in ``_components``.
+        self._member_of: dict[Hashable, _Component] = {}
+        self._link_owner: dict[LinkKey, _Component] = {}
+        #: Flow ids reported since the last solve (an ordered set).
+        self._touched: dict[Hashable, None] = {}
         #: ``(batch, capacity-array position per batch link row)`` —
         #: derived from ``_components``; never serialized.
         self._compiled: Optional[tuple[ComponentBatch, np.ndarray]] = None
@@ -589,9 +608,12 @@ class IncrementalMaxMin:
     def component_count(self) -> int:
         return len(self._components)
 
+    def touch(self, flow_id: Hashable) -> None:
+        """Report that a flow was added, removed, rerouted or re-demanded."""
+        self._touched[flow_id] = None
+
     def invalidate(self) -> None:
-        """Drop all cached structure; the next call fully re-solves."""
-        self._shape_rev = None
+        """Drop all cached structure; the next call solves from scratch."""
         self._solved_caps = None
 
     def __getstate__(self) -> dict:
@@ -605,7 +627,7 @@ class IncrementalMaxMin:
         self, link_index: Mapping[LinkKey, int]
     ) -> tuple[ComponentBatch, np.ndarray]:
         if self._compiled is None:
-            batch = ComponentBatch(self._components)
+            batch = ComponentBatch([c.flows for c in self._components])
             cap_pos = np.fromiter(
                 (link_index[key] for key in batch.link_keys),
                 dtype=np.intp,
@@ -614,85 +636,137 @@ class IncrementalMaxMin:
             self._compiled = (batch, cap_pos)
         return self._compiled
 
+    def _restructure(
+        self,
+        flows: Mapping[Hashable, FlowDemand],
+        touched: Iterable[Hashable],
+        link_index: Mapping[LinkKey, int],
+    ) -> tuple[list[_Component], list[Hashable]]:
+        """Fold the touched flow ids into the component structure.
+
+        Returns the replacement components (appended to
+        ``_components``, rates not yet filled) and the touched ids
+        whose rate is settled without water-filling (loopback and
+        zero-demand flows).
+        """
+        rates, member_of = self._rates, self._member_of
+        link_owner = self._link_owner
+        granted, arrivals = _partition_flows(
+            [flows[fid] for fid in touched if fid in flows], link_index
+        )
+        dissolved: dict[int, _Component] = {}
+        for fid in touched:
+            old = member_of.pop(fid, None)
+            if old is not None:
+                dissolved[id(old)] = old
+            if fid not in granted:
+                rates.pop(fid, None)  # the flow is gone
+        rates.update(granted)
+        for flow in arrivals.values():
+            for key in flow.links:
+                owner = link_owner.get(key)
+                if owner is not None:
+                    dissolved[id(owner)] = owner
+        pool: dict[Hashable, FlowDemand] = {}
+        for component in dissolved.values():
+            for key in component.links:
+                del link_owner[key]
+            for fid, flow in component.flows.items():
+                if fid in member_of:  # untouched, so still a member
+                    pool[fid] = flow
+        pool.update(arrivals)
+        fresh = _link_groups(pool)
+        for component in fresh:
+            for fid in component.flows:
+                member_of[fid] = component
+            for key in component.links:
+                link_owner[key] = component
+        if dissolved or fresh:
+            self._components = [
+                c for c in self._components if id(c) not in dissolved
+            ] + fresh
+            self._compiled = None
+        return fresh, [fid for fid in granted if fid not in arrivals]
+
     def solve(
         self,
-        flows: Sequence[FlowDemand],
+        flows: Mapping[Hashable, FlowDemand],
         link_index: Mapping[LinkKey, int],
         cap_values: np.ndarray,
-        shape_rev: object,
-    ) -> tuple[dict[Hashable, float], Optional[list[Hashable]]]:
-        """(Re-)solve against the capacity array.
+    ) -> tuple[dict[Hashable, float], list[Hashable]]:
+        """(Re-)solve against the current flow table and capacity array.
 
         Args:
-            flows: the full flow set (consulted only on shape change).
+            flows: the full flow table, id -> row (consulted for the
+                touched ids only, or entirely when solving from
+                scratch).
             link_index: link key -> position in ``cap_values``.
             cap_values: current per-link capacities (not aliased; a
                 private copy is kept as the solved-state snapshot).
-            shape_rev: any value that changes whenever the flow set or
-                the link universe changes (the emulator passes its
-                ``(topology.version, flows_rev)``).
 
         Returns:
             ``(rates, changed)`` — the complete allocation (owned by
             the engine; treat as read-only) and the flow ids whose
-            rates were recomputed, or ``None`` when everything was.
+            rates were recomputed by this call.
         """
-        if (
-            self._shape_rev != shape_rev
-            or self._solved_caps is None
+        scratch = (
+            self._solved_caps is None
             or self._solved_caps.shape != cap_values.shape
-        ):
-            return self._solve_full(flows, link_index, cap_values, shape_rev)
-        moved = self._solved_caps != cap_values
-        if not moved.any():
-            return self._rates, []
-        self._solved_caps = cap_values.copy()
-        rates = self._rates
-        if not _use_batch(self._active_count):
-            capacities = ArrayCapacities(link_index, cap_values)
-            for component in self._components:
-                _solve_indexed(rates, component, capacities)
-            self.partial_solves += 1
-            self.components_resolved += len(self._components)
-            return rates, None
-        batch, cap_pos = self._batch(link_index)
-        dirty = np.logical_or.reduceat(moved[cap_pos], batch.link_starts[:-1])
-        if not dirty.any():
-            return rates, []  # only links no active flow crosses moved
-        values = batch.solve(cap_values[cap_pos], dirty).tolist()
-        changed: list[Hashable] = []
-        starts = batch.flow_starts
-        for ci in dirty.nonzero()[0].tolist():
-            rows = slice(starts[ci], starts[ci + 1])
-            fids = batch.flow_ids[rows]
-            rates.update(zip(fids, values[rows]))
-            changed += fids
-        self.partial_solves += 1
-        self.components_resolved += int(dirty.sum())
-        return rates, changed
-
-    def _solve_full(
-        self,
-        flows: Sequence[FlowDemand],
-        link_index: Mapping[LinkKey, int],
-        cap_values: np.ndarray,
-        shape_rev: object,
-    ) -> tuple[dict[Hashable, float], None]:
-        capacities = ArrayCapacities(link_index, cap_values)
-        rates, active = _partition_flows(flows, capacities)
-        self._components = link_components(active)
-        self._active_count = len(active)
-        self._compiled = None
-        self._rates = rates
-        if _use_batch(len(active)):
-            batch, cap_pos = self._batch(link_index)
-            everything = np.ones(batch.n_components, dtype=bool)
-            final = batch.solve(cap_values[cap_pos], everything)
-            rates.update(zip(batch.flow_ids, final.tolist()))
+        )
+        if scratch:
+            self._rates, self._components = {}, []
+            self._member_of, self._link_owner = {}, {}
+            touched: Iterable[Hashable] = flows
+            caps_moved = True
         else:
-            for component in self._components:
-                _solve_indexed(rates, component, capacities)
-        self._solved_caps = cap_values.copy()
-        self._shape_rev = shape_rev
-        self.full_solves += 1
-        return rates, None
+            touched = self._touched
+            moved = self._solved_caps != cap_values
+            caps_moved = bool(moved.any())
+            if not touched and not caps_moved:
+                return self._rates, []
+        fresh, changed = self._restructure(flows, touched, link_index)
+        self._touched = {}
+        if caps_moved:
+            self._solved_caps = cap_values.copy()
+        rates, components = self._rates, self._components
+        # The batched kernel runs over the one compiled batch of the
+        # whole instance, which the capacity-dirty mask needs anyway; a
+        # small pool on an instance whose capacities held skips it.
+        if _use_batch(len(self._member_of)) and (
+            caps_moved or _use_batch(sum(len(c.flows) for c in fresh))
+        ):
+            batch, cap_pos = self._batch(link_index)
+            dirty = np.zeros(len(components), dtype=bool)
+            dirty[len(components) - len(fresh):] = True
+            if caps_moved and not scratch:
+                dirty |= np.logical_or.reduceat(
+                    moved[cap_pos], batch.link_starts[:-1]
+                )
+            filled = dirty.nonzero()[0].tolist()
+            if filled:
+                values = batch.solve(cap_values[cap_pos], dirty).tolist()
+                starts = batch.flow_starts
+                for ci in filled:
+                    rows = slice(starts[ci], starts[ci + 1])
+                    fids = batch.flow_ids[rows]
+                    rates.update(zip(fids, values[rows]))
+                    changed += fids
+            resolved = len(filled)
+        else:
+            fill = components if caps_moved else fresh
+            caps = cap_values.tolist()
+            capacities = {
+                key: caps[link_index[key]]
+                for component in fill
+                for key in component.links
+            }
+            for component in fill:
+                _solve_indexed(rates, component.flows, capacities)
+                changed += component.flows
+            resolved = len(fill)
+        if scratch:
+            self.full_solves += 1
+        elif resolved:
+            self.partial_solves += 1
+            self.components_resolved += resolved
+        return rates, changed

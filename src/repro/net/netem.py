@@ -37,18 +37,26 @@ ids, with the object API kept as a thin view:
   per-tag accounting are ``bincount`` calls that add the same floats in
   the same order as the scalar loops they replaced.
 * **Allocations** come from a retained
-  :class:`~repro.net.fairness.IncrementalMaxMin`, which at city scale
-  re-runs water-filling only over the connected components whose
-  capacities moved since the previous solve — all of them in one
-  batched array pass, bit-identical to a from-scratch solve.
+  :class:`~repro.net.fairness.IncrementalMaxMin`, which holds the
+  ``Flow`` rows themselves and re-runs water-filling only over the
+  connected components a change reaches: the components a changed flow
+  leaves or joins, and — at city scale, in one batched array pass —
+  the ones whose capacities moved since the previous solve.
+  Bit-identical to a from-scratch solve.
 
 Invalidation rules: the scan structure rebuilds when the topology
 version or the process-wide ``Link.shaping_rev`` moves; flow arrays
-rebuild when ``_flows_rev`` moves; the incremental solver falls back to
-a full solve whenever ``(topology version, flows_rev)`` moves.  None of
-the derived structures are serialized — a restored emulator rebuilds
-them and, because a rebuild re-reads the same values, resumes with the
-same capacity epoch and byte-identical behaviour.
+rebuild when ``_flows_rev`` moves.  The incremental solver is *told*
+each changed flow (``add_flow`` / ``remove_flow`` / ``set_demand`` /
+``reroute_flow`` / ``on_topology_change`` all go through
+``_flow_changed``) and re-solves that flow's components only; it
+starts over from scratch on its first solve, when the topology version
+moves, and after a what-if ``recompute(capacities)``.  The scan groups
+and flow arrays are not serialized — a restored emulator rebuilds them
+and, because a rebuild re-reads the same values, resumes with the same
+capacity epoch and byte-identical behaviour; the solver's component
+structure and pending flow changes are state and travel with the
+snapshot.
 """
 
 from __future__ import annotations
@@ -64,12 +72,7 @@ from ..mesh.link import Link
 from ..mesh.routing import Router
 from ..mesh.topology import MeshTopology
 from ..sim.engine import Engine
-from .fairness import (
-    FlowDemand,
-    IncrementalMaxMin,
-    LinkKey,
-    max_min_allocation,
-)
+from .fairness import IncrementalMaxMin, LinkKey, max_min_allocation
 from .flows import Flow, FlowArrays
 from .queues import QueueArrays
 
@@ -169,11 +172,7 @@ class NetworkEmulator:
         #: epoch.
         self._flows_rev = 0
         self._alloc_fingerprint: Optional[tuple] = None
-        #: FlowDemand list reused across solves while the flow set is
-        #: unchanged (keyed by ``_flows_rev``) — rebuilding it every
-        #: tick is pure allocation churn.
-        self._demands_cache: Optional[tuple[int, list[FlowDemand]]] = None
-        #: FlowArrays mirror, same keying.
+        #: FlowArrays mirror, keyed by ``_flows_rev``.
         self._flow_arrays: Optional[tuple[int, FlowArrays]] = None
         self._incremental = IncrementalMaxMin()
         #: Cumulative wall time per tick phase and the tick count —
@@ -231,16 +230,21 @@ class NetworkEmulator:
         )
         self._flows[flow_id] = flow
         self._index_flow(flow)
-        self._flows_rev += 1
-        self._dirty = True
+        self._flow_changed(flow_id)
         return flow
 
     def remove_flow(self, flow_id: str) -> None:
         flow = self._flows.pop(flow_id, None)
         if flow is not None:
             self._unindex_flow(flow)
-            self._flows_rev += 1
-            self._dirty = True
+            self._flow_changed(flow_id)
+
+    def _flow_changed(self, flow_id: str) -> None:
+        """One flow was added, removed, rerouted or re-demanded: tell
+        the solver which, and move the flow-set revision."""
+        self._incremental.touch(flow_id)
+        self._flows_rev += 1
+        self._dirty = True
 
     def _index_flow(self, flow: Flow) -> None:
         for key in flow.links:
@@ -274,8 +278,7 @@ class NetworkEmulator:
         if flow.demand_mbps == demand_mbps:
             return  # nothing moved: keep the flow revision and caches
         flow.demand_mbps = demand_mbps
-        self._flows_rev += 1
-        self._dirty = True
+        self._flow_changed(flow_id)
 
     def reroute_flow(self, flow_id: str, src: str, dst: str) -> Flow:
         """Move a flow's endpoints (after a component migration)."""
@@ -307,8 +310,7 @@ class NetworkEmulator:
                 del self._flows[fid]
                 self._unindex_flow(flow)
                 removed.append(fid)
-                self._flows_rev += 1
-                self._dirty = True
+                self._flow_changed(fid)
                 continue
             if path != flow.path:
                 self._unindex_flow(flow)
@@ -316,8 +318,7 @@ class NetworkEmulator:
                 flow.links = self.router.path_link_keys(flow.src, flow.dst)
                 self._index_flow(flow)
                 rerouted.append(fid)
-                self._flows_rev += 1
-                self._dirty = True
+                self._flow_changed(fid)
         if rerouted:
             # Re-establish registration order in the per-link sets a
             # reroute appended to, so per-link sums keep visiting flows
@@ -425,21 +426,6 @@ class NetworkEmulator:
         """Instantaneous capacity of every directed link (what-if input)."""
         return self._capacities_now()
 
-    def _demands(self) -> list[FlowDemand]:
-        cached = self._demands_cache
-        if cached is not None and cached[0] == self._flows_rev:
-            return cached[1]
-        demands = [
-            FlowDemand(
-                flow_id=fid,
-                links=flow.links,
-                demand_mbps=flow.demand_mbps,
-            )
-            for fid, flow in self._flows.items()
-        ]
-        self._demands_cache = (self._flows_rev, demands)
-        return demands
-
     def _current_flow_arrays(self) -> FlowArrays:
         cached = self._flow_arrays
         if cached is not None and cached[0] == self._flows_rev:
@@ -471,9 +457,9 @@ class NetworkEmulator:
         # written on the flows afterwards, so it must be invalidated —
         # otherwise a later partial re-solve would leave clean
         # components holding what-if values.
-        rates = max_min_allocation(self._demands(), capacities)
+        rates = max_min_allocation(self._flows.values(), capacities)
         for fid, flow in self._flows.items():
-            flow.allocated_mbps = rates.get(fid, 0.0)
+            flow.allocated_mbps = rates[fid]
         self._incremental.invalidate()
         self._alloc_fingerprint = None
         self._dirty = False
@@ -485,22 +471,19 @@ class NetworkEmulator:
             self._flows_rev,
             self._cap_epoch,
         )
-        if fingerprint == self._alloc_fingerprint:
+        previous = self._alloc_fingerprint
+        if fingerprint == previous:
             self._dirty = False
             return
+        if previous is None or previous[0] != fingerprint[0]:
+            # Reconvergence may have re-pathed any flow: start over.
+            self._incremental.invalidate()
+        flows = self._flows
         rates, changed = self._incremental.solve(
-            self._demands(),
-            self._link_index,
-            self._cap_values,
-            (self.topology.version, self._flows_rev),
+            flows, self._link_index, self._cap_values
         )
-        if changed is None:
-            for fid, flow in self._flows.items():
-                flow.allocated_mbps = rates.get(fid, 0.0)
-        else:
-            flows = self._flows
-            for fid in changed:
-                flows[fid].allocated_mbps = rates[fid]
+        for fid in changed:
+            flows[fid].allocated_mbps = rates[fid]
         self._alloc_fingerprint = fingerprint
         self._dirty = False
 
@@ -557,8 +540,8 @@ class NetworkEmulator:
     def __getstate__(self) -> dict:
         """Checkpoint support: derived structures are rebuilt on use.
 
-        The scan groups duplicate trace data, and the flow/demand
-        mirrors duplicate the flow table; all are dropped from the
+        The scan groups duplicate trace data, and the flow-array
+        mirror duplicates the flow table; both are dropped from the
         payload.  ``_cap_values`` and ``_cap_epoch`` *are* kept — a
         restored emulator's first scan rebuilds the groups, re-reads
         the same values, finds nothing changed, and therefore resumes
@@ -569,7 +552,6 @@ class NetworkEmulator:
         state["_scan_rev"] = None
         state["_scan_groups"] = []
         state["_flow_arrays"] = None
-        state["_demands_cache"] = None
         state["_phase_s"] = dict.fromkeys(TICK_PHASES, 0.0)
         state["_phase_ticks"] = 0
         return state

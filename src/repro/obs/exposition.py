@@ -87,13 +87,15 @@ HELP_TEXT = {
         "Cumulative emulator tick wall time, by phase (wall clock)."
     ),
     "bass_solver_full_solves": (
-        "From-scratch max-min solves (component structure rebuilt)."
+        "From-scratch max-min solves (whole component structure built: "
+        "first solve, topology change, what-if invalidation)."
     ),
     "bass_solver_partial_solves": (
-        "Max-min re-solves over the retained component structure."
+        "Max-min solves that re-filled one or more components touched by "
+        "a flow change or a capacity move, keeping the rest."
     ),
     "bass_solver_components_resolved": (
-        "Connected components re-solved across all partial solves."
+        "Connected components water-filled across all partial solves."
     ),
     "bass_solver_components": "Connected components in the flow set.",
 }

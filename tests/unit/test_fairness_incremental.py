@@ -1,40 +1,54 @@
 """Exactness of the incremental max-min engine under perturbation.
 
-:class:`repro.net.fairness.IncrementalMaxMin` keeps the component
-structure while the flow set is unchanged and, above the
-``_BATCH_MIN_FLOWS`` cutover, re-runs water-filling only over components
-whose link capacities moved (one batched call with a dirty-component
-mask); everything else keeps cached rates.  The emulator leans on this
-every tick, and the golden figures are pinned byte-for-byte — so "only
-re-solve the dirty part" must produce *exactly* (``==``, no tolerance)
-the allocation a from-scratch reference-oracle solve computes, at
-every step of a long perturbation history: single-link capacity deltas,
-link death and revival, flow add/remove, demand changes, duplicate
-links on a path — below the cutover (dict kernel, every retained
-component re-solved) and above it (sparse, majority and all-dirty
-masks).
+:class:`repro.net.fairness.IncrementalMaxMin` takes both of its inputs
+as deltas.  Flow-set changes are reported per flow id (``touch``) and
+re-component only the pool of flows the changes reach; capacity changes
+re-fill every retained component below the ``_BATCH_MIN_FLOWS`` cutover
+and only the components owning a moved link above it (one batched call
+with a dirty-component mask).  Everything else keeps its cached rates.
+The emulator leans on this every tick, and the golden figures are pinned
+byte-for-byte — so "only re-solve the touched part" must produce
+*exactly* (``==``, no tolerance) the allocation a from-scratch
+reference-oracle solve computes, at every step of a long perturbation
+history: add, remove, add+remove cancelled, demand to/from zero,
+reroute (row replaced or mutated in place), duplicate links on a path,
+bridging flows that merge and split components, loopbacks, capacity
+deltas, link death and revival, several of these between two solves,
+and a pickle round trip mid-history — on both sides of the cutover.
 """
 
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.net.fairness import (
     _BATCH_MIN_FLOWS,
-    FlowDemand,
     IncrementalMaxMin,
+    _partition_flows,
+    link_components,
 )
 from tests.oracles import reference_allocation
+
+
+@dataclass
+class Row:
+    """A mutable flow row, like the emulator's ``Flow``: the engine
+    holds it by reference, so in-place edits must be ``touch``-ed."""
+
+    flow_id: str
+    links: tuple
+    demand_mbps: float
 
 
 class PerturbationHarness:
     """A mutable allocation instance driving one incremental engine.
 
-    Keeps the flow set, the link-capacity array, and a shape revision
-    that bumps exactly when the flow set changes — the same discipline
-    the emulator follows — and checks every engine answer against a
-    from-scratch solve.
+    Keeps the flow table and the link-capacity array, reports every
+    flow change to the engine the way the emulator does, and checks
+    every engine answer — rates, the ``changed`` list, and the retained
+    component structure — against a from-scratch solve.
     """
 
     def __init__(self, n_links: int, seed: int, max_hops: int = 5):
@@ -43,13 +57,16 @@ class PerturbationHarness:
         self.links = [(f"n{i}", f"n{i + 1}") for i in range(n_links)]
         self.link_index = {key: i for i, key in enumerate(self.links)}
         self.cap_values = self.rng.uniform(1.0, 100.0, size=n_links)
-        self.flows: dict[str, FlowDemand] = {}
-        self.rev = 0
+        self.flows: dict[str, Row] = {}
         self.next_fid = 0
         self.engine = IncrementalMaxMin()
         self.prev_rates: dict = {}
 
-    # -- mutations ------------------------------------------------------
+    # -- flow mutations (each reports itself to the engine) --------------
+
+    def pick(self) -> str:
+        fids = list(self.flows)
+        return fids[int(self.rng.integers(0, len(fids)))]
 
     def random_path(self) -> tuple:
         n_links = len(self.links)
@@ -62,39 +79,63 @@ class PerturbationHarness:
             path.append(path[0])
         return tuple(path)
 
-    def add_flow(self) -> None:
-        roll = self.rng.random()
-        if roll < 0.08:
-            path = ()  # loopback
-        else:
-            path = self.random_path()
-        if self.rng.random() < 0.08:
-            demand = 0.0
-        else:
-            demand = float(self.rng.uniform(0.1, 80.0))
+    def add_flow(self, path=None, demand=None) -> str:
+        if path is None:
+            path = () if self.rng.random() < 0.08 else self.random_path()
+        if demand is None:
+            zero = self.rng.random() < 0.08
+            demand = 0.0 if zero else float(self.rng.uniform(0.1, 80.0))
         fid = f"f{self.next_fid}"
         self.next_fid += 1
-        self.flows[fid] = FlowDemand(fid, path, demand)
-        self.rev += 1
+        self.flows[fid] = Row(fid, path, demand)
+        self.engine.touch(fid)
+        return fid
 
-    def remove_flow(self) -> None:
+    def remove_flow(self, fid=None) -> None:
         if not self.flows:
             return
-        fids = list(self.flows)
-        fid = fids[int(self.rng.integers(0, len(fids)))]
+        fid = self.pick() if fid is None else fid
         del self.flows[fid]
-        self.rev += 1
+        self.engine.touch(fid)
+
+    def add_then_remove(self) -> None:
+        """A flow that comes and goes between two solves cancels."""
+        self.remove_flow(self.add_flow())
 
     def change_demand(self) -> None:
         if not self.flows:
             return
-        fids = list(self.flows)
-        fid = fids[int(self.rng.integers(0, len(fids)))]
-        old = self.flows[fid]
-        self.flows[fid] = FlowDemand(
-            fid, old.links, float(self.rng.uniform(0.1, 80.0))
-        )
-        self.rev += 1
+        fid = self.pick()
+        self.flows[fid].demand_mbps = float(self.rng.uniform(0.1, 80.0))
+        self.engine.touch(fid)
+
+    def toggle_demand(self) -> None:
+        """Demand to or from <= epsilon: leaves or joins the active set."""
+        if not self.flows:
+            return
+        fid = self.pick()
+        row = self.flows[fid]
+        if row.demand_mbps > 1e-9:
+            row.demand_mbps = 0.0 if self.rng.random() < 0.5 else 1e-10
+        else:
+            row.demand_mbps = float(self.rng.uniform(0.1, 80.0))
+        self.engine.touch(fid)
+
+    def reroute(self) -> None:
+        """New path, same id: the row is replaced (``reroute_flow``) or
+        edited in place (``on_topology_change``)."""
+        if not self.flows:
+            return
+        fid = self.pick()
+        row = self.flows[fid]
+        path = () if self.rng.random() < 0.1 else self.random_path()
+        if self.rng.random() < 0.5:
+            self.flows[fid] = Row(fid, path, row.demand_mbps)
+        else:
+            row.links = path
+        self.engine.touch(fid)
+
+    # -- capacity mutations ---------------------------------------------
 
     def perturb_link(self) -> None:
         li = int(self.rng.integers(0, len(self.links)))
@@ -121,68 +162,136 @@ class PerturbationHarness:
         li = int(dead[int(self.rng.integers(0, dead.size))])
         self.cap_values[li] = float(self.rng.uniform(1.0, 100.0))
 
-    def step(self) -> None:
+    def mutate(self) -> None:
         roll = self.rng.random()
-        if roll < 0.45:
+        if roll < 0.30:
             self.perturb_link()
-        elif roll < 0.55:
+        elif roll < 0.36:
             self.kill_link()
-        elif roll < 0.62:
+        elif roll < 0.41:
             self.revive_link()
-        elif roll < 0.80:
+        elif roll < 0.57:
             self.add_flow()
-        elif roll < 0.93:
+        elif roll < 0.70:
             self.remove_flow()
-        else:
+        elif roll < 0.76:
+            self.add_then_remove()
+        elif roll < 0.84:
             self.change_demand()
+        elif roll < 0.91:
+            self.toggle_demand()
+        else:
+            self.reroute()
+
+    def step(self) -> None:
+        """One to three mutations between two solves, so flow-set and
+        capacity changes interleave."""
+        for _ in range(int(self.rng.integers(1, 4))):
+            self.mutate()
+
+    def checkpoint_round_trip(self) -> None:
+        """Pickle the flow table and the engine together, as a snapshot
+        of the emulator does, so rows stay shared between the two."""
+        self.flows, self.engine = pickle.loads(
+            pickle.dumps((self.flows, self.engine))
+        )
+        self.prev_rates = dict(self.engine._rates)
 
     # -- the check ------------------------------------------------------
 
-    def solve_and_verify(self) -> None:
+    def solve(self):
+        return self.engine.solve(self.flows, self.link_index, self.cap_values)
+
+    def solve_and_verify(self) -> list:
+        rates, changed = self.solve()
         flow_list = list(self.flows.values())
-        rates, changed = self.engine.solve(
-            flow_list,
-            self.link_index,
-            self.cap_values,
-            ("rev", self.rev),
-        )
         capacities = dict(zip(self.links, self.cap_values.tolist()))
         expected = reference_allocation(flow_list, capacities)
-        assert rates == expected, (
-            f"incremental diverged from scratch solve (rev={self.rev})"
-        )
-        if changed is not None:
-            # Partial re-solve: same flow universe as last time, and
-            # every flow outside the re-solved components kept its rate.
-            assert rates.keys() == self.prev_rates.keys()
-            untouched = rates.keys() - set(changed)
-            for fid in untouched:
-                assert rates[fid] == self.prev_rates[fid], fid
+        assert rates == expected, "incremental diverged from scratch solve"
+        assert len(changed) == len(set(changed))
+        # Every flow outside the re-solved components kept not just its
+        # rate but the very same cached float object.
+        for fid in rates.keys() - set(changed):
+            assert rates[fid] is self.prev_rates[fid], fid
         self.prev_rates = dict(rates)
+        self.verify_structure()
+        return changed
 
+    def verify_structure(self) -> None:
+        """The retained components are the from-scratch components."""
+        engine = self.engine
+        _, active = _partition_flows(list(self.flows.values()), self.link_index)
+        want = {frozenset(c) for c in link_components(active)}
+        assert {frozenset(c.flows) for c in engine._components} == want
+        assert len(engine._components) == len(want)
+        for component in engine._components:
+            for fid, row in component.flows.items():
+                assert row is self.flows[fid]
+                assert engine._member_of[fid] is component
+            assert set(component.links) == {
+                key for row in component.flows.values() for key in row.links
+            }
+            for key in component.links:
+                assert engine._link_owner[key] is component
+        assert engine._member_of.keys() == active.keys()
+        assert len(engine._link_owner) == sum(
+            len(c.links) for c in engine._components
+        )
 
     def active_count(self) -> int:
-        return sum(
-            1 for f in self.flows.values() if f.links and f.demand_mbps > 0
-        )
+        return len(self.engine._member_of)
+
+
+def small_harness(seed: int) -> PerturbationHarness:
+    harness = PerturbationHarness(n_links=30, seed=seed)
+    for _ in range(25):
+        harness.add_flow()
+    harness.solve_and_verify()
+    return harness
+
+
+def city_harness(seed: int) -> PerturbationHarness:
+    """Above the cutover with dozens of components: 1-2 hop flows over
+    far more links than they can join up."""
+    harness = PerturbationHarness(n_links=700, seed=seed, max_hops=2)
+    for _ in range(2 * _BATCH_MIN_FLOWS):
+        harness.add_flow()
+    harness.solve_and_verify()
+    assert harness.active_count() >= _BATCH_MIN_FLOWS
+    assert harness.engine.component_count > 30
+    return harness
+
+
+def dense_harness(seed: int) -> PerturbationHarness:
+    """Above the cutover with a few *large* components, so one flow
+    change pools more than ``_BATCH_MIN_FLOWS`` flows."""
+    harness = PerturbationHarness(n_links=3, seed=seed, max_hops=1)
+    for _ in range(5 * _BATCH_MIN_FLOWS):
+        harness.add_flow()
+    harness.solve_and_verify()
+    assert harness.engine.component_count == 3
+    assert all(
+        len(component.flows) >= _BATCH_MIN_FLOWS
+        for component in harness.engine._components
+    )
+    return harness
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_incremental_equals_scratch_over_perturbation_history(seed):
-    """>= 200 seeded steps of capacity deltas, link death/revival, flow
-    churn, and demand changes — exact equality at every step.  Below
-    the cutover: the dict kernel over the retained components."""
-    harness = PerturbationHarness(n_links=30, seed=seed * 1000)
-    for _ in range(25):
-        harness.add_flow()
-    harness.solve_and_verify()
-    for _ in range(200):
+    """>= 200 seeded steps of flow-set deltas, capacity deltas and link
+    death/revival — exact equality at every step.  Below the cutover:
+    the dict kernel over the touched (or, when capacities moved, all)
+    components.  One from-scratch build, ever."""
+    harness = small_harness(seed * 1000)
+    for step in range(200):
         harness.step()
+        if step % 40 == 17:
+            harness.checkpoint_round_trip()
         harness.solve_and_verify()
     assert harness.active_count() < _BATCH_MIN_FLOWS
-    # The history must have genuinely exercised both paths.
-    assert harness.engine.full_solves > 5
-    assert harness.engine.partial_solves > 5
+    assert harness.engine.full_solves == 1
+    assert harness.engine.partial_solves > 100
     assert harness.engine.components_resolved >= harness.engine.partial_solves
 
 
@@ -199,24 +308,13 @@ def test_incremental_with_production_thresholds_still_exact():
         harness.solve_and_verify()
 
 
-def city_harness(seed: int) -> PerturbationHarness:
-    """Above the cutover with dozens of components: 1-2 hop flows over
-    far more links than they can join up."""
-    harness = PerturbationHarness(n_links=700, seed=seed, max_hops=2)
-    for _ in range(2 * _BATCH_MIN_FLOWS):
-        harness.add_flow()
-    harness.solve_and_verify()
-    assert harness.active_count() >= _BATCH_MIN_FLOWS
-    assert harness.engine.component_count > 30
-    return harness
-
-
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
-    """The same 200-step history above the cutover, where partial
-    solves go through the batched kernel with a dirty-component mask.
-    Single-link steps give sparse masks; every tenth step moves 60 % of
-    the links (majority-dirty) and every twenty-fifth all of them."""
+    """The same 200-step history above the cutover, where capacity
+    moves go through the batched kernel with a dirty-component mask and
+    small flow-set pools through the dict kernel.  Single steps give
+    sparse masks; every tenth step moves 60 % of the links
+    (majority-dirty) and every twenty-fifth all of them."""
     harness = city_harness(seed * 1000)
     components = harness.engine.component_count
     sparse = majority = 0
@@ -227,6 +325,8 @@ def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
             harness.perturb_fraction(0.6)
         else:
             harness.step()
+        if step % 40 == 17:
+            harness.checkpoint_round_trip()
         before = (
             harness.engine.partial_solves,
             harness.engine.components_resolved,
@@ -238,8 +338,21 @@ def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
             sparse += resolved * 10 < components
             majority += resolved * 2 > components
     assert harness.active_count() >= _BATCH_MIN_FLOWS
-    assert harness.engine.full_solves > 5
+    assert harness.engine.full_solves == 1
     assert sparse > 20 and majority > 10
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_large_pools_above_the_cutover_stay_exact(seed):
+    """A few big components: one flow change pools hundreds of flows,
+    which go through the batched kernel even when no capacity moved."""
+    harness = dense_harness(seed * 1000)
+    for step in range(60):
+        harness.step()
+        if step == 30:
+            harness.checkpoint_round_trip()
+        harness.solve_and_verify()
+    assert harness.engine.full_solves == 1
 
 
 def test_batched_partial_solve_reports_exactly_the_dirty_components():
@@ -252,77 +365,73 @@ def test_batched_partial_solve_reports_exactly_the_dirty_components():
     harness.cap_values[cap_pos[0]] *= 0.5
     harness.cap_values[np.flatnonzero(~crossed)[0]] += 1.0
     before = engine.components_resolved
-    rates, changed = engine.solve(
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
-    )
+    rates, changed = harness.solve()
     assert engine.components_resolved == before + 1
     assert changed == batch.flow_ids[: batch.flow_starts[1]]
     # Only an uncrossed link moved: nothing to re-solve.
     harness.cap_values[np.flatnonzero(~crossed)[0]] += 1.0
-    _, changed = engine.solve(
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
-    )
+    partial = engine.partial_solves
+    _, changed = harness.solve()
     assert changed == []
     assert engine.components_resolved == before + 1
+    assert engine.partial_solves == partial
 
 
 def test_checkpoint_drops_compiled_arrays_and_resumes_exactly():
     """The batch arrays are derived state: not pickled, rebuilt from the
     retained components on the first batched solve after restore —
-    without counting a full solve or touching the solved-caps snapshot."""
+    without counting a full solve or touching the solved-caps snapshot.
+    The restored membership maps point at the restored components."""
     harness = city_harness(55)
     engine = harness.engine
     assert engine._compiled is not None
-    restored = pickle.loads(pickle.dumps(engine))
+    flows, restored = pickle.loads(pickle.dumps((harness.flows, engine)))
     assert restored._compiled is None
     assert len(pickle.dumps(engine)) == len(pickle.dumps(restored))
+    live = {id(component) for component in restored._components}
+    assert {id(c) for c in restored._member_of.values()} == live
+    assert {id(c) for c in restored._link_owner.values()} == live
     solved_caps = restored._solved_caps.copy()
     counters = (restored.full_solves, restored.partial_solves)
     restored._batch(harness.link_index)
     assert np.array_equal(restored._solved_caps, solved_caps)
     assert counters == (restored.full_solves, restored.partial_solves)
     harness.perturb_fraction(0.2)
-    args = (
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
+    rates, changed = harness.solve()
+    again, changed_again = restored.solve(
+        flows, harness.link_index, harness.cap_values
     )
-    rates, changed = engine.solve(*args)
-    again, changed_again = restored.solve(*args)
     assert again == rates and changed_again == changed
     assert restored.full_solves == counters[0]
     assert restored.partial_solves == counters[1] + 1
+
+
+def test_pending_changes_survive_a_checkpoint():
+    """Touched-but-unsolved flow ids are state: a snapshot taken between
+    the change and the next solve must still apply it."""
+    harness = small_harness(314)
+    harness.add_flow(path=harness.links[:2], demand=5.0)
+    harness.remove_flow()
+    harness.checkpoint_round_trip()
+    changed = harness.solve_and_verify()
+    assert changed
+    assert harness.engine.full_solves == 1
 
 
 def test_clean_capacities_return_cached_rates_without_resolving():
     harness = PerturbationHarness(n_links=10, seed=7)
     for _ in range(8):
         harness.add_flow()
-    rates, changed = harness.engine.solve(
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
-    )
-    assert changed is None  # first call is a full solve
+    rates, changed = harness.solve()
+    # The first call solves from scratch: every flow's rate is new.
+    assert sorted(changed) == sorted(harness.flows)
+    assert harness.engine.full_solves == 1
     before = (
         harness.engine.full_solves,
         harness.engine.partial_solves,
         harness.engine.components_resolved,
     )
-    again, changed = harness.engine.solve(
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
-    )
+    again, changed = harness.solve()
     assert changed == []
     assert again is rates  # cached object, no work done
     assert before == (
@@ -333,36 +442,112 @@ def test_clean_capacities_return_cached_rates_without_resolving():
 
 
 def test_invalidate_forces_full_resolve():
-    harness = PerturbationHarness(n_links=10, seed=11)
-    for _ in range(8):
-        harness.add_flow()
-    harness.solve_and_verify()
+    harness = small_harness(11)
     full_before = harness.engine.full_solves
+    harness.add_flow()  # pending changes are folded into the rebuild
     harness.engine.invalidate()
-    _, changed = harness.engine.solve(
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
-    )
-    assert changed is None
+    changed = harness.solve_and_verify()
+    assert sorted(changed) == sorted(harness.flows)
     assert harness.engine.full_solves == full_before + 1
+    assert harness.engine._touched == {}
 
 
-def test_shape_change_triggers_full_resolve_and_new_structure():
-    harness = PerturbationHarness(n_links=20, seed=23)
-    for _ in range(12):
-        harness.add_flow()
+def test_shape_change_resolves_only_the_touched_components():
+    """An arriving flow re-solves the components its path reaches and
+    nothing else; so does its departure."""
+    harness = PerturbationHarness(n_links=40, seed=23, max_hops=1)
+    for li in (0, 0, 10, 20, 20, 30):
+        harness.add_flow(path=(harness.links[li],), demand=30.0)
     harness.solve_and_verify()
-    assert harness.engine.component_count > 0
-    harness.add_flow()
-    _, changed = harness.engine.solve(
-        list(harness.flows.values()),
-        harness.link_index,
-        harness.cap_values,
-        ("rev", harness.rev),
+    engine = harness.engine
+    assert engine.component_count == 4
+    before = (engine.partial_solves, engine.components_resolved)
+    probe = harness.add_flow(path=(harness.links[10],), demand=3.0)
+    changed = harness.solve_and_verify()
+    assert sorted(changed) == sorted(["f2", probe])
+    harness.remove_flow(probe)
+    changed = harness.solve_and_verify()
+    assert changed == ["f2"]
+    assert engine.full_solves == 1
+    assert (engine.partial_solves, engine.components_resolved) == (
+        before[0] + 2,
+        before[1] + 2,
     )
-    assert changed is None  # shape rev moved -> full solve
+
+
+def test_cancelled_and_inactive_changes_fill_nothing():
+    """Add+remove between two solves, and flows that never enter the
+    active set (loopback, zero demand), water-fill no component."""
+    harness = small_harness(41)
+    engine = harness.engine
+    before = (engine.partial_solves, engine.components_resolved)
+    harness.add_then_remove()
+    assert harness.solve_and_verify() == []
+    loop = harness.add_flow(path=(), demand=7.0)
+    idle = harness.add_flow(path=harness.links[:2], demand=0.0)
+    assert sorted(harness.solve_and_verify()) == sorted([loop, idle])
+    assert engine._rates[loop] == 7.0 and engine._rates[idle] == 0.0
+    harness.remove_flow(loop)
+    harness.remove_flow(idle)
+    assert harness.solve_and_verify() == []
+    assert loop not in engine._rates and idle not in engine._rates
+    assert before == (engine.partial_solves, engine.components_resolved)
+
+
+def test_bridging_flow_merges_components_and_its_removal_splits_them():
+    harness = PerturbationHarness(n_links=20, seed=5, max_hops=1)
+    left = harness.add_flow(path=(harness.links[3],), demand=50.0)
+    right = harness.add_flow(path=(harness.links[4],), demand=50.0)
+    far = harness.add_flow(path=(harness.links[12],), demand=50.0)
+    harness.solve_and_verify()
+    engine = harness.engine
+    assert engine.component_count == 3
+    bridge = harness.add_flow(path=harness.links[3:5], demand=50.0)
+    changed = harness.solve_and_verify()
+    assert engine.component_count == 2
+    assert sorted(changed) == sorted([left, right, bridge])
+    assert engine._member_of[left] is engine._member_of[right]
+    # Still one component while the bridge merely idles...
+    harness.flows[bridge].demand_mbps = 20.0
+    harness.engine.touch(bridge)
+    harness.solve_and_verify()
+    assert engine.component_count == 2
+    # ...and two again the moment it leaves the active set.
+    harness.flows[bridge].demand_mbps = 0.0
+    harness.engine.touch(bridge)
+    changed = harness.solve_and_verify()
+    assert engine.component_count == 3
+    assert sorted(changed) == sorted([left, right, bridge])
+    assert engine._member_of[left] is not engine._member_of[right]
+    assert far not in changed
+    assert engine.full_solves == 1
+
+
+def test_rerouted_row_edited_in_place_releases_its_old_links():
+    """``on_topology_change`` rewrites ``links`` on the row the engine
+    already holds; the old component must still be found and its links
+    released."""
+    harness = PerturbationHarness(n_links=20, seed=9, max_hops=1)
+    mover = harness.add_flow(path=harness.links[2:4], demand=10.0)
+    stay = harness.add_flow(path=(harness.links[3],), demand=10.0)
+    harness.solve_and_verify()
+    assert harness.engine.component_count == 1
+    harness.flows[mover].links = (harness.links[15],)
+    harness.engine.touch(mover)
+    changed = harness.solve_and_verify()
+    assert sorted(changed) == sorted([mover, stay])
+    assert harness.engine.component_count == 2
+    assert harness.links[2] not in harness.engine._link_owner
+
+
+def test_unknown_link_is_rejected_before_anything_changes():
+    harness = small_harness(3)
+    engine = harness.engine
+    members = dict(engine._member_of)
+    harness.add_flow(path=(("ghost", "link"),), demand=1.0)
+    with pytest.raises(KeyError):
+        harness.solve()
+    assert engine._member_of == members
 
 
 def test_small_instances_skip_dirty_tracking():

@@ -1,10 +1,13 @@
 """Unit tests for the network emulator."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SimulationError, TopologyError
 from repro.mesh.topology import full_mesh_topology, line_topology
 from repro.mesh.traces import BandwidthTrace
+from repro.net.fairness import max_min_allocation
 from repro.net.netem import NetworkEmulator
 
 
@@ -235,7 +238,16 @@ class TestAllocationCaching:
         emu.recompute()
         assert calls["n"] == 1
         assert emu._flows_rev == before[0] + 1
-        assert emu.solver_stats()["full_solves"] == before[1]["full_solves"] + 1
+        # A demand change re-solves the flow's one component; it is not
+        # a from-scratch structure build.
+        after = emu.solver_stats()
+        assert after["full_solves"] == before[1]["full_solves"]
+        assert after["partial_solves"] == before[1]["partial_solves"] + 1
+        assert (
+            after["components_resolved"]
+            == before[1]["components_resolved"] + 1
+        )
+        assert emu.flow("f").allocated_mbps == 6.0
         assert emu._alloc_fingerprint != before[2]
         with pytest.raises(SimulationError):
             emu.set_demand("ghost", 6.0)
@@ -347,3 +359,146 @@ class TestFlowsByLinkIndex:
         result = emu.on_topology_change()
         assert result["removed"] == ["f"]
         assert emu._flows_by_link == {}
+
+
+class TestFlowSetDeltasReachTheSolver:
+    """Flow changes cost the components they touch, not the mesh."""
+
+    #: A rate the solver can never produce: planted on a flow, it shows
+    #: whether a recompute wrote that flow's ``allocated_mbps``.
+    UNWRITTEN = -1.0
+
+    def _islands(self):
+        """Six nodes in a line, three flows on disjoint links: three
+        components."""
+        emu = make_emulator([10.0] * 5)
+        emu.add_flow("a", "node1", "node2", 4.0)
+        emu.add_flow("b", "node3", "node4", 8.0)
+        emu.add_flow("c", "node5", "node6", 4.0)
+        emu.recompute()
+        assert emu.solver_stats()["components"] == 3
+        return emu
+
+    def _scratch_rates(self, emu):
+        return max_min_allocation(emu.flows, emu.capacities_now())
+
+    def _assert_rates_exact(self, emu):
+        want = self._scratch_rates(emu)
+        assert {f.flow_id: f.allocated_mbps for f in emu.flows} == want
+
+    def test_probe_resolves_only_its_component(self):
+        emu = self._islands()
+        before = emu.solver_stats()
+        emu.flow("a").allocated_mbps = self.UNWRITTEN
+        emu.flow("c").allocated_mbps = self.UNWRITTEN
+        emu.add_flow("__probe_1", "node3", "node4", 6.0, tag="probe")
+        emu.recompute()
+        assert emu.flow("b").allocated_mbps == 5.0
+        assert emu.flow("__probe_1").allocated_mbps == 5.0
+        emu.remove_flow("__probe_1")
+        emu.recompute()
+        assert emu.flow("b").allocated_mbps == 8.0
+        after = emu.solver_stats()
+        assert after["full_solves"] == before["full_solves"]
+        assert after["partial_solves"] == before["partial_solves"] + 2
+        assert (
+            after["components_resolved"] == before["components_resolved"] + 2
+        )
+        assert after["components"] == 3
+        assert emu.flow("a").allocated_mbps == self.UNWRITTEN
+        assert emu.flow("c").allocated_mbps == self.UNWRITTEN
+
+    def test_probe_added_and_removed_between_solves_costs_nothing(self):
+        emu = self._islands()
+        before = emu.solver_stats()
+        emu.add_flow("__probe_1", "node3", "node4", 6.0, tag="probe")
+        emu.remove_flow("__probe_1")
+        emu.recompute()
+        assert emu.solver_stats() == before
+        self._assert_rates_exact(emu)
+
+    def test_bridging_probe_merges_then_splits(self):
+        emu = self._islands()
+        emu.flow("c").allocated_mbps = self.UNWRITTEN
+        emu.add_flow("__probe_1", "node1", "node4", 9.0, tag="probe")
+        emu.recompute()
+        assert emu.solver_stats()["components"] == 2
+        emu.flow("c").allocated_mbps = 4.0
+        self._assert_rates_exact(emu)
+        emu.remove_flow("__probe_1")
+        emu.recompute()
+        assert emu.solver_stats()["components"] == 3
+        assert emu.solver_stats()["full_solves"] == 1
+        self._assert_rates_exact(emu)
+
+    def test_reroute_flow_reaches_the_solver(self):
+        emu = self._islands()
+        emu.flow("a").allocated_mbps = self.UNWRITTEN
+        emu.reroute_flow("c", "node3", "node4")  # joins b's component
+        emu.recompute()
+        stats = emu.solver_stats()
+        assert stats["full_solves"] == 1 and stats["components"] == 2
+        assert emu.flow("b").allocated_mbps == 6.0
+        assert emu.flow("c").allocated_mbps == 4.0
+        assert emu.flow("a").allocated_mbps == self.UNWRITTEN
+
+    def test_demand_to_zero_and_back_leaves_and_rejoins(self):
+        emu = self._islands()
+        emu.set_demand("b", 0.0)
+        emu.recompute()
+        assert emu.solver_stats()["components"] == 2
+        assert emu.flow("b").allocated_mbps == 0.0
+        emu.set_demand("b", 12.0)
+        emu.recompute()
+        assert emu.solver_stats()["components"] == 3
+        assert emu.flow("b").allocated_mbps == 10.0
+        assert emu.solver_stats()["full_solves"] == 1
+
+    def test_topology_change_reroutes_and_removals_reach_the_solver(self):
+        emu = NetworkEmulator(full_mesh_topology(4))
+        emu.add_flow("f", "node1", "node2", 2.0)
+        emu.add_flow("g", "node3", "node4", 3.0)
+        emu.add_flow("h", "node1", "node4", 1.0)
+        emu.recompute()
+        emu.topology.set_link_up("node1", "node2", False)
+        emu.topology.set_node_up("node4", False)
+        result = emu.on_topology_change()
+        assert result["rerouted"] == ["f"]
+        assert sorted(result["removed"]) == ["g", "h"]
+        assert set(emu._incremental._touched) == {"f", "g", "h"}
+        full = emu.solver_stats()["full_solves"]
+        emu.recompute()
+        # The topology version moved, so this one starts over.
+        assert emu.solver_stats()["full_solves"] == full + 1
+        assert emu.flow("f").links == (
+            ("node1", "node3"), ("node3", "node2"),
+        )
+        self._assert_rates_exact(emu)
+        assert emu._incremental._touched == {}
+
+    def test_what_if_recompute_still_invalidates(self):
+        emu = self._islands()
+        what_if = dict.fromkeys(emu.capacities_now(), 1.0)
+        emu.recompute(what_if)
+        assert emu.flow("b").allocated_mbps == 1.0
+        full = emu.solver_stats()["full_solves"]
+        emu.add_flow("__probe_1", "node3", "node4", 6.0, tag="probe")
+        emu.recompute()
+        assert emu.solver_stats()["full_solves"] == full + 1
+        self._assert_rates_exact(emu)
+        assert emu.flow("a").allocated_mbps == 4.0
+
+    def test_restored_emulator_applies_pending_flow_changes(self):
+        emu = self._islands()
+        emu.add_flow("__probe_1", "node3", "node4", 6.0, tag="probe")
+        restored = pickle.loads(pickle.dumps(emu))
+        for each in (emu, restored):
+            each.recompute()
+            each.remove_flow("__probe_1")
+            each.recompute()
+        assert restored.solver_stats() == emu.solver_stats()
+        assert restored.solver_stats()["full_solves"] == 1
+        assert [f.allocated_mbps for f in restored.flows] == [
+            f.allocated_mbps for f in emu.flows
+        ]
+        self._assert_rates_exact(restored)
