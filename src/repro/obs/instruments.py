@@ -23,7 +23,8 @@ Example:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Any, Mapping, Optional, Sequence
 
 from ..metrics.collector import MetricsCollector, TimeSeries
 from ..metrics.summary import percentile, text_histogram
@@ -158,6 +159,31 @@ class InstrumentRegistry:
         )
 
 
+def link_utilization(data: Mapping[str, Any]) -> Optional[float]:
+    """The link utilization a ``probe.headroom`` event's data implies.
+
+    None when the probe carries no usable capacity (missing, null or
+    non-positive); a missing ``available_mbps`` reads as a full link.
+    Clamped to [0, 1]: live available bandwidth can exceed a stale
+    cached capacity (e.g. right after a throttle lifts), which would
+    otherwise read as a negative utilization.
+    """
+    capacity = data.get("capacity_mbps", 0.0)
+    if capacity and capacity > 0:
+        available = data.get("available_mbps", 0.0)
+        return min(1.0, max(0.0, 1.0 - available / capacity))
+    return None
+
+
+def _held(family: str, name: str, **kwargs) -> cached_property:
+    """An instrument of ``StandardInstruments.registry`` that is created
+    on first use and held on the instance from then on (it is pickled
+    with the instance, still shared with the registry)."""
+    return cached_property(
+        lambda self: getattr(self.registry, family)(name, **kwargs)
+    )
+
+
 class StandardInstruments:
     """Derives the standard BASS metric set from the trace stream.
 
@@ -207,122 +233,190 @@ class StandardInstruments:
         )
 
     def on_event(self, event) -> None:  # noqa: ANN001 - TraceEvent, untyped to avoid cycle
-        registry = self.registry
-        kind = event.kind
-        time = event.time
-        if kind == "probe.max_capacity":
-            registry.counter("bass_probes_total", mode="full").inc(time)
-        elif kind == "probe.headroom":
-            registry.counter("bass_probes_total", mode="headroom").inc(time)
-            capacity = event.data.get("capacity_mbps", 0.0)
-            available = event.data.get("available_mbps", 0.0)
-            if capacity and capacity > 0:
-                utilization = min(1.0, max(0.0, 1.0 - available / capacity))
-                registry.histogram(
-                    "bass_link_utilization",
-                    buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
-                ).observe(time, utilization)
-        elif kind == "violation.detected":
-            registry.counter("bass_violations_total").inc(time)
-        elif kind == "violation.cleared":
-            registry.histogram("bass_violation_seconds").observe(
-                time, event.data.get("duration_s", 0.0)
+        handler = self._handlers.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    # -- held instruments ----------------------------------------------------
+    # Each is created in the registry by the first event that needs it
+    # (so a family enters the exposition when its first sample does) and
+    # read straight from the instance afterwards.  Instruments whose
+    # name or labels come from event data go through the registry.
+
+    _probes_full = _held("counter", "bass_probes_total", mode="full")
+    _probes_headroom = _held("counter", "bass_probes_total", mode="headroom")
+    _link_utilization = _held(
+        "histogram",
+        "bass_link_utilization",
+        buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
+    )
+    _violations = _held("counter", "bass_violations_total")
+    _violation_seconds = _held("histogram", "bass_violation_seconds")
+    _migrations = _held("counter", "bass_migrations_total")
+    _restart_seconds = _held("histogram", "bass_restart_seconds")
+    _recoveries = _held("counter", "bass_recoveries_total")
+    _deflections = _held("counter", "bass_migration_deflections_total")
+    _arbiter_conflicts = _held("counter", "bass_arbiter_conflicts_total")
+    _node_failures = _held("counter", "bass_node_failures_detected_total")
+    _detection_latency = _held("histogram", "bass_detection_latency_seconds")
+    _recovery_failures = _held("counter", "bass_recovery_failures_total")
+    _handoffs_requested = _held(
+        "counter", "bass_handoffs_total", phase="requested"
+    )
+    _handoffs_denied = _held("counter", "bass_handoffs_total", phase="denied")
+    _handoffs_aborted = _held(
+        "counter", "bass_handoffs_total", phase="aborted"
+    )
+    _handoffs_committed = _held(
+        "counter", "bass_handoffs_total", phase="committed"
+    )
+    _handoff_latency = _held(
+        "histogram",
+        "bass_handoff_latency_seconds",
+        buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0),
+    )
+    _cells_executed = _held(
+        "counter", "bass_sweep_cells_total", status="executed"
+    )
+    _cells_cached = _held("counter", "bass_sweep_cells_total", status="cached")
+    _cells_failed = _held("counter", "bass_sweep_cells_total", status="failed")
+    _cell_seconds = _held("histogram", "bass_sweep_cell_seconds")
+    _queue_depth = _held("gauge", "bass_sweep_queue_depth")
+    _steals = _held("counter", "bass_sweep_steals_total")
+    _worker_crashes = _held("counter", "bass_sweep_worker_crashes_total")
+    _cells_per_second = _held("gauge", "bass_sweep_cells_per_second")
+    _cache_hit_rate = _held("gauge", "bass_sweep_cache_hit_rate")
+    _tick_count = _held("gauge", "bass_tick_count")
+
+    # -- one handler per event kind ------------------------------------------
+
+    def _probe_max_capacity(self, event) -> None:
+        self._probes_full.inc(event.time)
+
+    def _probe_headroom(self, event) -> None:
+        self._probes_headroom.inc(event.time)
+        utilization = link_utilization(event.data)
+        if utilization is not None:
+            self._link_utilization.observe(event.time, utilization)
+
+    def _violation_detected(self, event) -> None:
+        self._violations.inc(event.time)
+
+    def _violation_cleared(self, event) -> None:
+        self._violation_seconds.observe(
+            event.time, event.data.get("duration_s", 0.0)
+        )
+
+    def _restart(self, event) -> None:
+        time, data = event.time, event.data
+        self._migrations.inc(time)
+        self._restart_seconds.observe(time, data.get("restart_s", 0.0))
+        if data.get("reason") == "crash recovery":
+            self._recoveries.inc(time)
+
+    def _migration_deflected(self, event) -> None:
+        self._deflections.inc(event.time)
+        self._arbiter_conflicts.inc(event.time)
+
+    def _fault_injected(self, event) -> None:
+        self.registry.counter(
+            "bass_faults_total", fault=event.data.get("fault", "unknown")
+        ).inc(event.time)
+
+    def _node_confirmed_dead(self, event) -> None:
+        self._node_failures.inc(event.time)
+        self._detection_latency.observe(
+            event.time, event.data.get("detection_latency_s", 0.0)
+        )
+
+    def _recovery_failed(self, event) -> None:
+        self._recovery_failures.inc(event.time)
+
+    def _arbiter_conflict(self, event) -> None:
+        self._arbiter_conflicts.inc(event.time)
+
+    def _handoff_requested(self, event) -> None:
+        self._handoffs_requested.inc(event.time)
+
+    def _handoff_denied(self, event) -> None:
+        self._handoffs_denied.inc(event.time)
+        self._arbiter_conflicts.inc(event.time)
+
+    def _handoff_aborted(self, event) -> None:
+        self._handoffs_aborted.inc(event.time)
+
+    def _handoff_committed(self, event) -> None:
+        self._handoffs_committed.inc(event.time)
+        self._handoff_latency.observe(
+            event.time, event.data.get("latency_s") or 0.0
+        )
+
+    def _cell_done(self, event) -> None:
+        self._cells_executed.inc(event.time)
+        self._cell_seconds.observe(
+            event.time, event.data.get("duration_s", 0.0)
+        )
+
+    def _cell_cached(self, event) -> None:
+        self._cells_cached.inc(event.time)
+
+    def _cell_failed(self, event) -> None:
+        self._cells_failed.inc(event.time)
+
+    def _sweep_fabric(self, event) -> None:
+        registry, time, data = self.registry, event.time, event.data
+        self._queue_depth.set(time, float(data.get("max_queue_depth", 0)))
+        self._steals.inc(time, float(data.get("steals", 0)))
+        self._worker_crashes.inc(time, float(data.get("worker_crashes", 0)))
+        for report in data.get("workers") or ():
+            worker = str(report.get("worker", "?"))
+            registry.gauge(
+                "bass_sweep_worker_busy_fraction", worker=worker
+            ).set(time, float(report.get("busy_fraction", 0.0)))
+            registry.gauge(
+                "bass_sweep_worker_cache_hit_rate", worker=worker
+            ).set(time, float(report.get("cache_hit_rate", 0.0)))
+
+    def _sweep_done(self, event) -> None:
+        self._cells_per_second.set(
+            event.time, event.data.get("cells_per_second", 0.0)
+        )
+        self._cache_hit_rate.set(
+            event.time, event.data.get("cache_hit_rate", 0.0)
+        )
+
+    def _profile_tick_phases(self, event) -> None:
+        registry, time, data = self.registry, event.time, event.data
+        self._tick_count.set(time, float(data.get("ticks", 0)))
+        phase_seconds = data.get("phase_seconds") or {}
+        for phase, seconds in sorted(phase_seconds.items()):
+            registry.gauge("bass_tick_phase_seconds", phase=str(phase)).set(
+                time, float(seconds)
             )
-        elif kind == "restart":
-            registry.counter("bass_migrations_total").inc(time)
-            registry.histogram("bass_restart_seconds").observe(
-                time, event.data.get("restart_s", 0.0)
-            )
-            if event.data.get("reason") == "crash recovery":
-                registry.counter("bass_recoveries_total").inc(time)
-        elif kind == "migration.deflected":
-            registry.counter("bass_migration_deflections_total").inc(time)
-            registry.counter("bass_arbiter_conflicts_total").inc(time)
-        elif kind == "fault.injected":
-            registry.counter(
-                "bass_faults_total",
-                fault=event.data.get("fault", "unknown"),
-            ).inc(time)
-        elif kind == "node.confirmed_dead":
-            registry.counter("bass_node_failures_detected_total").inc(time)
-            registry.histogram("bass_detection_latency_seconds").observe(
-                time, event.data.get("detection_latency_s", 0.0)
-            )
-        elif kind == "recovery.failed":
-            registry.counter("bass_recovery_failures_total").inc(time)
-        elif kind == "recovery.deflected":
-            registry.counter("bass_arbiter_conflicts_total").inc(time)
-        elif kind == "claim.conflict":
-            registry.counter("bass_arbiter_conflicts_total").inc(time)
-        elif kind == "handoff.requested":
-            registry.counter("bass_handoffs_total", phase="requested").inc(
-                time
-            )
-        elif kind == "handoff.denied":
-            registry.counter("bass_handoffs_total", phase="denied").inc(time)
-            registry.counter("bass_arbiter_conflicts_total").inc(time)
-        elif kind == "handoff.aborted":
-            registry.counter("bass_handoffs_total", phase="aborted").inc(time)
-        elif kind == "handoff.committed":
-            registry.counter("bass_handoffs_total", phase="committed").inc(
-                time
-            )
-            registry.histogram(
-                "bass_handoff_latency_seconds",
-                buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0),
-            ).observe(time, event.data.get("latency_s") or 0.0)
-        elif kind == "cell.done":
-            registry.counter("bass_sweep_cells_total", status="executed").inc(
-                time
-            )
-            registry.histogram("bass_sweep_cell_seconds").observe(
-                time, event.data.get("duration_s", 0.0)
-            )
-        elif kind == "cell.cached":
-            registry.counter("bass_sweep_cells_total", status="cached").inc(
-                time
-            )
-        elif kind == "cell.failed":
-            registry.counter("bass_sweep_cells_total", status="failed").inc(
-                time
-            )
-        elif kind == "sweep.fabric":
-            registry.gauge("bass_sweep_queue_depth").set(
-                time, float(event.data.get("max_queue_depth", 0))
-            )
-            registry.counter("bass_sweep_steals_total").inc(
-                time, float(event.data.get("steals", 0))
-            )
-            registry.counter("bass_sweep_worker_crashes_total").inc(
-                time, float(event.data.get("worker_crashes", 0))
-            )
-            for report in event.data.get("workers") or ():
-                worker = str(report.get("worker", "?"))
-                registry.gauge(
-                    "bass_sweep_worker_busy_fraction", worker=worker
-                ).set(time, float(report.get("busy_fraction", 0.0)))
-                registry.gauge(
-                    "bass_sweep_worker_cache_hit_rate", worker=worker
-                ).set(time, float(report.get("cache_hit_rate", 0.0)))
-        elif kind == "sweep.done":
-            registry.gauge("bass_sweep_cells_per_second").set(
-                time, event.data.get("cells_per_second", 0.0)
-            )
-            registry.gauge("bass_sweep_cache_hit_rate").set(
-                time, event.data.get("cache_hit_rate", 0.0)
-            )
-        elif kind == "profile.tick_phases":
-            registry.gauge("bass_tick_count").set(
-                time, float(event.data.get("ticks", 0))
-            )
-            phase_seconds = event.data.get("phase_seconds") or {}
-            for phase, seconds in sorted(phase_seconds.items()):
-                registry.gauge(
-                    "bass_tick_phase_seconds", phase=str(phase)
-                ).set(time, float(seconds))
-            for key, value in sorted(
-                (event.data.get("solver") or {}).items()
-            ):
-                registry.gauge(f"bass_solver_{key}").set(
-                    time, float(value)
-                )
+        for key, value in sorted((data.get("solver") or {}).items()):
+            registry.gauge(f"bass_solver_{key}").set(time, float(value))
+
+    #: ``event.kind`` → handler; kinds not listed derive no metric.
+    _handlers = {
+        "probe.max_capacity": _probe_max_capacity,
+        "probe.headroom": _probe_headroom,
+        "violation.detected": _violation_detected,
+        "violation.cleared": _violation_cleared,
+        "restart": _restart,
+        "migration.deflected": _migration_deflected,
+        "fault.injected": _fault_injected,
+        "node.confirmed_dead": _node_confirmed_dead,
+        "recovery.failed": _recovery_failed,
+        "recovery.deflected": _arbiter_conflict,
+        "claim.conflict": _arbiter_conflict,
+        "handoff.requested": _handoff_requested,
+        "handoff.denied": _handoff_denied,
+        "handoff.aborted": _handoff_aborted,
+        "handoff.committed": _handoff_committed,
+        "cell.done": _cell_done,
+        "cell.cached": _cell_cached,
+        "cell.failed": _cell_failed,
+        "sweep.fabric": _sweep_fabric,
+        "sweep.done": _sweep_done,
+        "profile.tick_phases": _profile_tick_phases,
+    }

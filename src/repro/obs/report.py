@@ -12,11 +12,12 @@ long after the run, on another machine, from an operator's bug report.
 
 from __future__ import annotations
 
-from collections import Counter as TallyCounter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..metrics.summary import p50, p95, p99, text_histogram
+from .instruments import link_utilization
 from .trace import TraceEvent, read_trace
 
 __all__ = [
@@ -70,26 +71,51 @@ class MigrationChain:
         )
 
 
+class _TraceIndex:
+    """One pass over a trace: events by id and, in trace order, by kind.
+
+    Every section of the report and both chain reconstructions read
+    from this instead of re-scanning (and re-indexing) the event list.
+    """
+
+    def __init__(self, events: Sequence[TraceEvent]) -> None:
+        self.by_id: dict[int, TraceEvent] = {}
+        self.by_kind: dict[str, list[TraceEvent]] = defaultdict(list)
+        by_id, by_kind = self.by_id, self.by_kind
+        for event in events:
+            by_id[event.id] = event
+            by_kind[event.kind].append(event)
+
+    def of_kind(self, kind: str) -> list[TraceEvent]:
+        return self.by_kind.get(kind, [])
+
+    def grouped_by_cause(self, kind: str) -> dict[int, list[TraceEvent]]:
+        """Events of ``kind`` that name a cause, grouped by that cause."""
+        groups: dict[int, list[TraceEvent]] = {}
+        for event in self.of_kind(kind):
+            if event.cause is not None:
+                groups.setdefault(event.cause, []).append(event)
+        return groups
+
+
 def migration_chains(events: Sequence[TraceEvent]) -> list[MigrationChain]:
     """Reconstruct every migration's cause chain from a trace."""
-    by_id = {event.id: event for event in events}
+    return _migration_chains(_TraceIndex(events))
+
+
+def _migration_chains(index: _TraceIndex) -> list[MigrationChain]:
     restarts_by_cause = {
         event.cause: event
-        for event in events
-        if event.kind == "restart" and event.cause is not None
+        for event in index.of_kind("restart")
+        if event.cause is not None
     }
-    deflections_by_cause: dict[int, list[TraceEvent]] = {}
-    for event in events:
-        if event.kind == "migration.deflected" and event.cause is not None:
-            deflections_by_cause.setdefault(event.cause, []).append(event)
+    deflections_by_cause = index.grouped_by_cause("migration.deflected")
 
     chains = []
-    for event in events:
-        if event.kind != "migration.selected":
-            continue
+    for event in index.of_kind("migration.selected"):
         chain = MigrationChain(selected=event)
         chain.restart = restarts_by_cause.get(event.id)
-        for ancestor in cause_chain(by_id, event)[1:]:
+        for ancestor in cause_chain(index.by_id, event)[1:]:
             if ancestor.kind == "epoch.plan" and chain.plan is None:
                 chain.plan = ancestor
                 chain.deflections = deflections_by_cause.get(ancestor.id, [])
@@ -135,25 +161,21 @@ class RecoveryChain:
 
 def recovery_chains(events: Sequence[TraceEvent]) -> list[RecoveryChain]:
     """Reconstruct every crash recovery's cause chain from a trace."""
-    by_id = {event.id: event for event in events}
-    by_cause: dict[str, dict[int, list[TraceEvent]]] = {}
-    for event in events:
-        if event.cause is not None:
-            by_cause.setdefault(event.kind, {}).setdefault(
-                event.cause, []
-            ).append(event)
+    return _recovery_chains(_TraceIndex(events))
+
+
+def _recovery_chains(index: _TraceIndex) -> list[RecoveryChain]:
+    restarts = index.grouped_by_cause("restart")
+    failures = index.grouped_by_cause("recovery.failed")
+    deflections = index.grouped_by_cause("recovery.deflected")
 
     chains = []
-    for event in events:
-        if event.kind != "recovery.plan":
-            continue
+    for event in index.of_kind("recovery.plan"):
         chain = RecoveryChain(plan=event)
-        chain.restarts = by_cause.get("restart", {}).get(event.id, [])
-        chain.failures = by_cause.get("recovery.failed", {}).get(event.id, [])
-        chain.deflections = by_cause.get("recovery.deflected", {}).get(
-            event.id, []
-        )
-        for ancestor in cause_chain(by_id, event)[1:]:
+        chain.restarts = restarts.get(event.id, [])
+        chain.failures = failures.get(event.id, [])
+        chain.deflections = deflections.get(event.id, [])
+        for ancestor in cause_chain(index.by_id, event)[1:]:
             if (
                 ancestor.kind == "node.confirmed_dead"
                 and chain.confirmed is None
@@ -319,7 +341,9 @@ def render_report(events: Sequence[TraceEvent]) -> str:
     if not events:
         return "(empty trace)"
     lines: list[str] = []
-    counts = TallyCounter(event.kind for event in events)
+    trace = _TraceIndex(events)
+    of_kind = trace.of_kind
+    counts = {kind: len(bucket) for kind, bucket in trace.by_kind.items()}
     span = max(event.time for event in events)
 
     lines.append(f"flight recorder report — {len(events)} events, "
@@ -329,7 +353,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
     for kind, count in sorted(counts.items()):
         lines.append(f"  {kind:<26s} {count}")
 
-    placements = [e for e in events if e.kind == "placement.bound"]
+    placements = of_kind("placement.bound")
     if placements:
         lines.append("")
         lines.append("placements:")
@@ -339,7 +363,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
                 f"{event.data.get('pod')} -> {event.data.get('node')}"
             )
 
-    chains = migration_chains(events)
+    chains = _migration_chains(trace)
     lines.append("")
     lines.append(f"migrations: {len(chains)}")
     for index, chain in enumerate(chains, 1):
@@ -361,7 +385,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
         if not chain.complete:
             lines.append(f"{indent}!! incomplete cause chain")
 
-    recoveries = recovery_chains(events)
+    recoveries = _recovery_chains(trace)
     if recoveries:
         lines.append("")
         lines.append(f"recoveries: {len(recoveries)}")
@@ -387,26 +411,22 @@ def render_report(events: Sequence[TraceEvent]) -> str:
             if not chain.complete:
                 lines.append(f"{indent}!! incomplete cause chain")
 
-    breaches = [e for e in events if e.kind == "slo.breach"]
+    breaches = of_kind("slo.breach")
     if breaches:
-        by_id = {event.id: event for event in events}
         lines.append("")
         lines.append(f"slo breaches: {len(breaches)}")
         for index, breach in enumerate(breaches, 1):
             lines.append(f"  [{index}] {_describe(breach)}")
-            for ancestor in cause_chain(by_id, breach)[1:]:
+            for ancestor in cause_chain(trace.by_id, breach)[1:]:
                 lines.append(f"      caused-by  {_describe(ancestor)}")
 
-    deflections = [e for e in events if e.kind == "migration.deflected"]
-    restarts = [e for e in events if e.kind == "restart"]
+    deflections = of_kind("migration.deflected")
+    restarts = of_kind("restart")
     restart_costs = [e.data.get("restart_s", 0.0) for e in restarts]
-    # Clamp: live available bandwidth can exceed a stale cached capacity
-    # (e.g. right after a throttle lifts), which would read as < 0.
     utilizations = [
-        min(1.0, max(0.0, 1.0 - e.data["available_mbps"] / e.data["capacity_mbps"]))
-        for e in events
-        if e.kind == "probe.headroom"
-        and e.data.get("capacity_mbps", 0.0) > 0
+        utilization
+        for e in of_kind("probe.headroom")
+        if (utilization := link_utilization(e.data)) is not None
     ]
 
     lines.append("")
@@ -438,8 +458,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
         )
         latencies = [
             e.data.get("detection_latency_s", 0.0)
-            for e in events
-            if e.kind == "node.confirmed_dead"
+            for e in of_kind("node.confirmed_dead")
         ]
         if latencies:
             lines.append(
@@ -455,9 +474,8 @@ def render_report(events: Sequence[TraceEvent]) -> str:
         )
         handoff_latencies = [
             e.data["latency_s"]
-            for e in events
-            if e.kind == "handoff.committed"
-            and e.data.get("latency_s") is not None
+            for e in of_kind("handoff.committed")
+            if e.data.get("latency_s") is not None
         ]
         if handoff_latencies:
             lines.append(
@@ -493,7 +511,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
             for row in text_histogram(utilizations, bins=8).splitlines()
         )
 
-    profiles = [e for e in events if e.kind == "profile.tick_phases"]
+    profiles = of_kind("profile.tick_phases")
     if profiles:
         last = profiles[-1]
         ticks = last.data.get("ticks", 0)
@@ -519,13 +537,9 @@ def render_report(events: Sequence[TraceEvent]) -> str:
                 f"re-solved of {solver.get('components', 0)}"
             )
 
-    sweep_dones = [e for e in events if e.kind == "sweep.done"]
+    sweep_dones = of_kind("sweep.done")
     if sweep_dones:
-        fabrics = {
-            e.data.get("sweep"): e
-            for e in events
-            if e.kind == "sweep.fabric"
-        }
+        fabrics = {e.data.get("sweep"): e for e in of_kind("sweep.fabric")}
         lines.append("")
         lines.append(f"sweeps: {len(sweep_dones)}")
         for done in sweep_dones:

@@ -20,8 +20,10 @@ run is live*, not after.
 * **Atomic publication** — a shard is written as ``<name>.tmp`` and
   renamed to its final ``trace-NNNNN.jsonl`` name only when complete,
   so readers (and a crash) see either a whole shard or nothing.  The
-  in-progress shard is additionally flushed line-by-line, so even its
-  ``.tmp`` file trails the emit stream by at most one OS buffer.
+  in-progress shard's ``.tmp`` file is written through an ordinary
+  buffered handle — only :meth:`StreamingSink.flush`, a checkpoint
+  pickle and the seal push it to the OS — so it trails the emit stream
+  by at most one buffer.
 
 Example:
     >>> import tempfile
@@ -95,11 +97,14 @@ class StreamingSink:
         """Record one event: ring buffer + current shard."""
         if self.closed:
             raise ValueError("sink is closed")
-        self.recent.append(event)
-        self.total_events += 1
+        # Everything that can refuse the event runs before anything is
+        # counted, so a failed append leaves ring, totals and shard agreeing.
+        line = event.to_json() + "\n"
         if self._handle is None:
             self._open_shard()
-        self._handle.write(event.to_json() + "\n")
+        self._handle.write(line)
+        self.recent.append(event)
+        self.total_events += 1
         self._shard_count += 1
         if self._shard_count >= self.shard_events:
             self._seal_shard()

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stream import StreamingSink
@@ -84,46 +84,90 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded decision, causally linked to what triggered it."""
+# One encoder and one decoder held for the life of the process:
+# ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call
+# and ``json.loads`` re-checks its arguments and whitespace per call.
+# Same bytes out, same lines accepted.
+_encode = json.JSONEncoder(sort_keys=True).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
+
+class _EventFields(NamedTuple):
     id: int
     kind: str
     time: float
-    app: Optional[str] = None
-    epoch: Optional[int] = None
-    cause: Optional[int] = None
-    data: dict[str, Any] = field(default_factory=dict)
+    app: Optional[str]
+    epoch: Optional[int]
+    cause: Optional[int]
+    data: dict[str, Any]
+
+
+class TraceEvent(_EventFields):
+    """One recorded decision, causally linked to what triggered it.
+
+    An immutable, value-equal, picklable tuple: the recorder builds one
+    per emit and the reader one per line, so construction is the cost
+    that matters (a frozen dataclass pays an ``object.__setattr__`` per
+    field, three times what the tuple costs).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: int,
+        kind: str,
+        time: float,
+        app: Optional[str] = None,
+        epoch: Optional[int] = None,
+        cause: Optional[int] = None,
+        data: Optional[dict[str, Any]] = None,
+    ) -> "TraceEvent":
+        if data is None:
+            # Fresh per event: a shared default dict would let one
+            # event's data show up in every other.
+            data = {}
+        return tuple.__new__(cls, (id, kind, time, app, epoch, cause, data))
 
     def to_json(self) -> str:
         """One-line JSON form (the JSONL trace-file record)."""
-        record: dict[str, Any] = {
-            "id": self.id,
-            "kind": self.kind,
-            "t": self.time,
-        }
-        if self.app is not None:
-            record["app"] = self.app
-        if self.epoch is not None:
-            record["epoch"] = self.epoch
-        if self.cause is not None:
-            record["cause"] = self.cause
-        if self.data:
-            record["data"] = self.data
-        return json.dumps(record, sort_keys=True)
+        id, kind, time, app, epoch, cause, data = self
+        record: dict[str, Any] = {"id": id, "kind": kind, "t": time}
+        if app is not None:
+            record["app"] = app
+        if epoch is not None:
+            record["epoch"] = epoch
+        if cause is not None:
+            record["cause"] = cause
+        if data:
+            record["data"] = data
+        return _encode(record)
 
     @staticmethod
     def from_json(line: str) -> "TraceEvent":
-        record = json.loads(line)
+        """The event a :meth:`to_json` line records.
+
+        Raises:
+            ValueError, KeyError, TypeError: the line is not one JSON
+                object with ``id``/``kind``/``t`` and an object ``data``.
+        """
+        line = line.strip(" \t\n\r")  # the whitespace json.loads allows
+        record, end = _raw_decode(line)
+        if end != len(line):
+            raise ValueError(f"extra data after the record (column {end})")
+        id = int(record["id"])  # first: a record that is no object fails here
+        data = record.get("data", {})
+        if not isinstance(data, dict):
+            raise TypeError("trace record data must be a JSON object")
         return TraceEvent(
-            id=int(record["id"]),
-            kind=str(record["kind"]),
-            time=float(record["t"]),
-            app=record.get("app"),
-            epoch=record.get("epoch"),
-            cause=record.get("cause"),
-            data=record.get("data", {}),
+            id,
+            # Kinds are a small vocabulary: one string per kind, not per line.
+            sys.intern(str(record["kind"])),
+            float(record["t"]),
+            record.get("app"),
+            record.get("epoch"),
+            record.get("cause"),
+            data,
         )
 
 
@@ -289,19 +333,21 @@ class Tracer(TracerBase):
     ) -> int:
         """Append an event; returns its id (use as a later ``cause``)."""
         event = TraceEvent(
-            id=self._next_id,
-            kind=kind,
-            time=time,
-            app=app if app is not None else self._app,
-            epoch=epoch if epoch is not None else self._epoch,
-            cause=cause if cause else None,
-            data=data,
+            self._next_id,
+            kind,
+            time,
+            app if app is not None else self._app,
+            epoch if epoch is not None else self._epoch,
+            cause if cause else None,
+            data,
         )
-        self._next_id += 1
         if self._sink is not None:
             self._sink.append(event)
         else:
             self._events.append(event)
+        # Only an event the store accepted consumes an id: a sink that
+        # refuses (closed, unencodable data) leaves no gap in the trace.
+        self._next_id += 1
         if self.instruments is not None:
             self.instruments.on_event(event)
         for observer in self._observers:

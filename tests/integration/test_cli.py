@@ -11,6 +11,7 @@ from repro.experiments.catalog import CATALOG
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "cli"
+REPORT_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "report"
 
 #: The one column of each golden that prints wall-clock time.
 WALL_CLOCK_COLUMN = {
@@ -91,6 +92,20 @@ class TestCli:
         if column is not None:
             out, golden = _mask_column(out, column), _mask_column(golden, column)
         assert out == golden
+
+    @pytest.mark.parametrize("experiment", ["fig13", "fleet", "failover"])
+    def test_report_matches_golden(self, experiment, capsys, tmp_path):
+        """``run <id> --quick --trace`` → ``report`` stdout, recorded
+        from the commit before the report read everything from one
+        index: migrations with full cause chains (fig13), handoffs
+        (fleet), a crash recovery (failover).  No sweep rows — their
+        ``cell.done`` events carry wall time."""
+        golden = (REPORT_GOLDEN_DIR / f"{experiment}.txt").read_text()
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", experiment, "--quick", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        assert capsys.readouterr().out == golden
 
     def test_run_profile_prints_tick_breakdown(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

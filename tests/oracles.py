@@ -14,12 +14,19 @@ test fixtures, not product: nothing under ``src/`` imports this module.
   ``update`` arithmetic ``QueueArrays.update_all`` replays elementwise,
   and :class:`LockstepQueue`, which steps one production row beside it
   and refuses to report a value the two disagree on.
+* :func:`event_to_json_reference`, :func:`read_trace_reference` and
+  :func:`on_event_reference` — the telemetry spine as it was before it
+  was made cheap: ``json.dumps`` per record, ``json.loads`` per line,
+  and the if/elif chain that re-derived every instrument per event.
 """
 
 from __future__ import annotations
 
+import json
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +39,8 @@ from repro.net.fairness import (
     link_components,
 )
 from repro.net.queues import QueueArrays
+from repro.obs.instruments import InstrumentRegistry
+from repro.obs.trace import TraceEvent
 
 
 def max_min_allocation_reference(
@@ -273,3 +282,181 @@ class LockstepQueue:
         delay = self.arrays.delay_s(0, capacity_mbps)
         assert delay == self.oracle.delay_s(capacity_mbps)
         return delay
+
+
+# -- the telemetry spine ------------------------------------------------------
+
+
+def event_to_json_reference(event: TraceEvent) -> str:
+    """``TraceEvent.to_json`` as first written: one ``json.dumps`` (and
+    so one ``JSONEncoder``) per record."""
+    record: dict[str, Any] = {
+        "id": event.id,
+        "kind": event.kind,
+        "t": event.time,
+    }
+    if event.app is not None:
+        record["app"] = event.app
+    if event.epoch is not None:
+        record["epoch"] = event.epoch
+    if event.cause is not None:
+        record["cause"] = event.cause
+    if event.data:
+        record["data"] = event.data
+    return json.dumps(record, sort_keys=True)
+
+
+def event_from_json_reference(line: str) -> TraceEvent:
+    """``TraceEvent.from_json`` as first written (``json.loads`` per
+    line), plus the one rule added since: ``data`` that is not a JSON
+    object makes the line malformed (it used to be stored as it came,
+    and ``"data": null`` then crashed the report)."""
+    record = json.loads(line)
+    event = TraceEvent(
+        id=int(record["id"]),
+        kind=str(record["kind"]),
+        time=float(record["t"]),
+        app=record.get("app"),
+        epoch=record.get("epoch"),
+        cause=record.get("cause"),
+        data=record.get("data", {}),
+    )
+    if "data" in record and not isinstance(record["data"], dict):
+        raise TypeError("data is not an object")
+    return event
+
+
+def read_trace_reference(path: str | Path) -> list[TraceEvent]:
+    """``read_trace`` as first written: the per-line loop that owns the
+    skip-with-``path:line``-warning rule for malformed lines."""
+    path = Path(path)
+    if path.is_dir():
+        events: list[TraceEvent] = []
+        for shard in sorted(path.glob("trace-*.jsonl")):
+            events.extend(read_trace_reference(shard))
+        return events
+    events = []
+    with open(path) as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                events.append(event_from_json_reference(line))
+            except (ValueError, KeyError, TypeError):
+                warnings.warn(
+                    f"{path}:{number}: skipping malformed trace line "
+                    f"(truncated write from a crashed run?)",
+                    stacklevel=2,
+                )
+    return events
+
+
+def on_event_reference(registry: InstrumentRegistry, event: TraceEvent) -> None:
+    """``StandardInstruments.on_event`` as first written: up to 25
+    string comparisons, every hit re-deriving its instruments from the
+    registry by ``(name, labels)``."""
+    kind = event.kind
+    time = event.time
+    if kind == "probe.max_capacity":
+        registry.counter("bass_probes_total", mode="full").inc(time)
+    elif kind == "probe.headroom":
+        registry.counter("bass_probes_total", mode="headroom").inc(time)
+        capacity = event.data.get("capacity_mbps", 0.0)
+        available = event.data.get("available_mbps", 0.0)
+        if capacity and capacity > 0:
+            utilization = min(1.0, max(0.0, 1.0 - available / capacity))
+            registry.histogram(
+                "bass_link_utilization",
+                buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
+            ).observe(time, utilization)
+    elif kind == "violation.detected":
+        registry.counter("bass_violations_total").inc(time)
+    elif kind == "violation.cleared":
+        registry.histogram("bass_violation_seconds").observe(
+            time, event.data.get("duration_s", 0.0)
+        )
+    elif kind == "restart":
+        registry.counter("bass_migrations_total").inc(time)
+        registry.histogram("bass_restart_seconds").observe(
+            time, event.data.get("restart_s", 0.0)
+        )
+        if event.data.get("reason") == "crash recovery":
+            registry.counter("bass_recoveries_total").inc(time)
+    elif kind == "migration.deflected":
+        registry.counter("bass_migration_deflections_total").inc(time)
+        registry.counter("bass_arbiter_conflicts_total").inc(time)
+    elif kind == "fault.injected":
+        registry.counter(
+            "bass_faults_total",
+            fault=event.data.get("fault", "unknown"),
+        ).inc(time)
+    elif kind == "node.confirmed_dead":
+        registry.counter("bass_node_failures_detected_total").inc(time)
+        registry.histogram("bass_detection_latency_seconds").observe(
+            time, event.data.get("detection_latency_s", 0.0)
+        )
+    elif kind == "recovery.failed":
+        registry.counter("bass_recovery_failures_total").inc(time)
+    elif kind == "recovery.deflected":
+        registry.counter("bass_arbiter_conflicts_total").inc(time)
+    elif kind == "claim.conflict":
+        registry.counter("bass_arbiter_conflicts_total").inc(time)
+    elif kind == "handoff.requested":
+        registry.counter("bass_handoffs_total", phase="requested").inc(time)
+    elif kind == "handoff.denied":
+        registry.counter("bass_handoffs_total", phase="denied").inc(time)
+        registry.counter("bass_arbiter_conflicts_total").inc(time)
+    elif kind == "handoff.aborted":
+        registry.counter("bass_handoffs_total", phase="aborted").inc(time)
+    elif kind == "handoff.committed":
+        registry.counter("bass_handoffs_total", phase="committed").inc(time)
+        registry.histogram(
+            "bass_handoff_latency_seconds",
+            buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0),
+        ).observe(time, event.data.get("latency_s") or 0.0)
+    elif kind == "cell.done":
+        registry.counter("bass_sweep_cells_total", status="executed").inc(time)
+        registry.histogram("bass_sweep_cell_seconds").observe(
+            time, event.data.get("duration_s", 0.0)
+        )
+    elif kind == "cell.cached":
+        registry.counter("bass_sweep_cells_total", status="cached").inc(time)
+    elif kind == "cell.failed":
+        registry.counter("bass_sweep_cells_total", status="failed").inc(time)
+    elif kind == "sweep.fabric":
+        registry.gauge("bass_sweep_queue_depth").set(
+            time, float(event.data.get("max_queue_depth", 0))
+        )
+        registry.counter("bass_sweep_steals_total").inc(
+            time, float(event.data.get("steals", 0))
+        )
+        registry.counter("bass_sweep_worker_crashes_total").inc(
+            time, float(event.data.get("worker_crashes", 0))
+        )
+        for report in event.data.get("workers") or ():
+            worker = str(report.get("worker", "?"))
+            registry.gauge(
+                "bass_sweep_worker_busy_fraction", worker=worker
+            ).set(time, float(report.get("busy_fraction", 0.0)))
+            registry.gauge(
+                "bass_sweep_worker_cache_hit_rate", worker=worker
+            ).set(time, float(report.get("cache_hit_rate", 0.0)))
+    elif kind == "sweep.done":
+        registry.gauge("bass_sweep_cells_per_second").set(
+            time, event.data.get("cells_per_second", 0.0)
+        )
+        registry.gauge("bass_sweep_cache_hit_rate").set(
+            time, event.data.get("cache_hit_rate", 0.0)
+        )
+    elif kind == "profile.tick_phases":
+        registry.gauge("bass_tick_count").set(
+            time, float(event.data.get("ticks", 0))
+        )
+        phase_seconds = event.data.get("phase_seconds") or {}
+        for phase, seconds in sorted(phase_seconds.items()):
+            registry.gauge(
+                "bass_tick_phase_seconds", phase=str(phase)
+            ).set(time, float(seconds))
+        for key, value in sorted((event.data.get("solver") or {}).items()):
+            registry.gauge(f"bass_solver_{key}").set(time, float(value))

@@ -1,12 +1,15 @@
 """Unit tests for run-report reconstruction from traces."""
 
+import pytest
+
 from repro.obs.report import (
     MigrationChain,
     cause_chain,
     migration_chains,
+    recovery_chains,
     render_report,
 )
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import TraceEvent, Tracer, read_trace
 
 
 def sample_trace():
@@ -113,6 +116,66 @@ class TestRenderReport:
         assert "probes: 0 full, 1 headroom" in text
         assert "violations: 1 detected" in text
         assert "restart seconds: p50=8.00" in text
+
+
+class TestDegradedProbes:
+    """The report reads link utilization through the helper the
+    instruments use, so it degrades on the inputs they degrade on."""
+
+    def _report(self, **data):
+        tracer = Tracer.with_instruments()
+        tracer.emit("probe.headroom", 1.0, capacity_mbps=10.0, available_mbps=5.0)
+        tracer.emit("probe.headroom", 2.0, src="a", dst="b", **data)
+        histogram = tracer.instruments.registry.histogram(
+            "bass_link_utilization",
+            buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
+        )
+        return render_report(tracer.events), histogram.series.values
+
+    def test_missing_available_mbps_reads_as_a_full_link(self):
+        text, observed = self._report(capacity_mbps=25.0)  # was a KeyError
+        assert observed == [0.5, 1.0]
+        assert "probes: 0 full, 2 headroom" in text
+        assert text.count("| 1") == 2  # one sample in each of two bins
+
+    def test_null_capacity_is_left_out(self):
+        text, observed = self._report(capacity_mbps=None)  # was a TypeError
+        assert observed == [0.5]
+        assert "probed link-utilization histogram:" in text
+
+    def test_a_trace_line_with_null_data_does_not_reach_the_report(
+        self, tmp_path
+    ):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"id": 1, "kind": "placement.bound", "t": 0.0, "data": null}\n'
+            '{"id": 2, "kind": "restart", "t": 1.0, "data": {"restart_s": 2.0}}\n'
+        )
+        with pytest.warns(UserWarning, match="trace.jsonl:1"):
+            events = read_trace(path)  # the report used to die on event 1
+        assert "restart seconds: p50=2.00" in render_report(events)
+
+
+class TestRecoveryChains:
+    def test_chain_reconstructed_from_a_plain_event_list(self):
+        tracer = Tracer()
+        fault = tracer.emit("fault.injected", 10.0, fault="node_crash")
+        suspected = tracer.emit("node.suspected", 16.0, cause=fault)
+        dead = tracer.emit("node.confirmed_dead", 22.0, cause=suspected)
+        plan = tracer.emit("recovery.plan", 22.0, cause=dead, pods=["a", "b"])
+        tracer.emit("restart", 22.0, cause=plan, component="a")
+        tracer.emit("recovery.deflected", 22.0, cause=plan, component="b")
+        tracer.emit("restart", 23.0, component="unrelated")
+        (chain,) = recovery_chains(tracer.events)
+        assert (chain.fault.id, chain.suspected.id, chain.confirmed.id) == (
+            fault, suspected, dead
+        )
+        assert [e.data["component"] for e in chain.restarts] == ["a"]
+        assert len(chain.deflections) == 1 and chain.complete
+        stranded = tracer.emit("recovery.failed", 24.0, cause=plan)
+        (chain,) = recovery_chains(tracer.events)
+        assert [e.id for e in chain.failures] == [stranded]
+        assert not chain.complete
 
 
 class TestMigrationChainDataclass:

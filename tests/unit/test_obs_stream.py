@@ -102,6 +102,45 @@ class TestRotation:
             sink.append(self._event(2))
 
 
+class TestRefusedAppendLeavesNoTrace:
+    """An event the sink cannot take must change nothing: not the ring,
+    not the totals, not the id sequence (it used to count first and
+    fail after, leaving them one ahead of the shard)."""
+
+    def _state(self, tracer):
+        sink = tracer.sink
+        return len(tracer), sink.total_events, [e.id for e in sink.recent]
+
+    def _lines(self, sink):
+        return [
+            line for shard in sink.shard_paths()
+            for line in shard.read_text().splitlines()
+        ]
+
+    def test_unencodable_event(self, tmp_path):
+        tracer = Tracer(sink=StreamingSink(tmp_path, window=8, shard_events=2))
+        tracer.emit("restart", 0.0)
+        before = self._state(tracer)
+        with pytest.raises(TypeError):
+            tracer.emit("restart", 1.0, obj={1, 2})
+        assert self._state(tracer) == before
+        assert tracer.emit("restart", 2.0) == 2  # no gap in the ids
+        tracer.emit("restart", 3.0)
+        tracer.close()
+        assert len(self._lines(tracer.sink)) == tracer.sink.total_events == 3
+        assert [e.id for e in read_trace(tmp_path)] == [1, 2, 3]
+
+    def test_emit_after_close(self, tmp_path):
+        tracer = Tracer(sink=StreamingSink(tmp_path, window=8))
+        tracer.emit("restart", 0.0)
+        tracer.close()
+        before = self._state(tracer)
+        with pytest.raises(ValueError, match="closed"):
+            tracer.emit("restart", 1.0)
+        assert self._state(tracer) == before == (1, 1, [1])
+        assert len(self._lines(tracer.sink)) == tracer.sink.total_events
+
+
 class TestBoundedResidency:
     def test_only_window_stays_resident(self, tmp_path):
         sink = StreamingSink(tmp_path, window=16, shard_events=100)

@@ -28,6 +28,21 @@ class TestTraceEvent:
         )
         assert TraceEvent.from_json(event.to_json()) == event
 
+    def test_is_immutable_value_equal_and_picklable(self):
+        import pickle
+
+        event = TraceEvent(id=1, kind="restart", time=2.0, data={"to": "n1"})
+        with pytest.raises(AttributeError):
+            event.time = 3.0
+        assert event == TraceEvent(1, "restart", 2.0, data={"to": "n1"})
+        assert event != TraceEvent(1, "restart", 2.0, data={"to": "n2"})
+        assert pickle.loads(pickle.dumps(event)) == event
+
+    def test_events_built_without_data_share_no_dict(self):
+        first = TraceEvent(id=1, kind="restart", time=0.0)
+        second = TraceEvent(id=2, kind="restart", time=0.0)
+        assert first.data == {} and first.data is not second.data
+
     def test_json_omits_empty_fields(self):
         event = TraceEvent(id=1, kind="run.start", time=0.0)
         line = event.to_json()
@@ -174,6 +189,19 @@ class TestReadTraceRobustness:
         path.write_text('{"kind": "restart", "t": 1.0}\n')  # no id
         with pytest.warns(UserWarning):
             assert read_trace(path) == []
+
+    @pytest.mark.parametrize("data", ["null", "[1, 2]", '"text"', "7"])
+    def test_non_object_data_is_a_malformed_line(self, tmp_path, data):
+        # Stored as it came, a null here used to crash every reader of
+        # ``event.data`` (the report first of all).
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"id": 1, "kind": "restart", "t": 1.0, "data": %s}\n'
+            '{"id": 2, "kind": "restart", "t": 2.0, "data": {}}\n' % data
+        )
+        with pytest.warns(UserWarning, match="trace.jsonl:1"):
+            events = read_trace(path)
+        assert [e.id for e in events] == [2]
 
     def test_blank_lines_ignored_silently(self, tmp_path):
         tracer = Tracer()
