@@ -98,7 +98,9 @@ class StreamingSink:
         if self.closed:
             raise ValueError("sink is closed")
         # Everything that can refuse the event runs before anything is
-        # counted, so a failed append leaves ring, totals and shard agreeing.
+        # counted, so a refused append leaves ring, totals and shard
+        # agreeing.  Sealing can still fail after the event is counted;
+        # ``total_events`` tells a caller which side of the line it was.
         line = event.to_json() + "\n"
         if self._handle is None:
             self._open_shard()

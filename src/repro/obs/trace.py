@@ -84,12 +84,12 @@ EVENT_KINDS = (
 )
 
 
-# One encoder and one decoder held for the life of the process:
-# ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call
-# and ``json.loads`` re-checks its arguments and whitespace per call.
-# Same bytes out, same lines accepted.
+# One encoder held for the life of the process: ``json.dumps(...,
+# sort_keys=True)`` builds a ``JSONEncoder`` per call.  Same bytes out.
+# The decoder is the one ``json.loads`` dispatches to for a ``str``,
+# without the per-call argument checks in front of it.
 _encode = json.JSONEncoder(sort_keys=True).encode
-_raw_decode = json.JSONDecoder().raw_decode
+_decode = json.JSONDecoder().decode
 
 
 class _EventFields(NamedTuple):
@@ -151,10 +151,7 @@ class TraceEvent(_EventFields):
             ValueError, KeyError, TypeError: the line is not one JSON
                 object with ``id``/``kind``/``t`` and an object ``data``.
         """
-        line = line.strip(" \t\n\r")  # the whitespace json.loads allows
-        record, end = _raw_decode(line)
-        if end != len(line):
-            raise ValueError(f"extra data after the record (column {end})")
+        record = _decode(line)
         id = int(record["id"])  # first: a record that is no object fails here
         data = record.get("data", {})
         if not isinstance(data, dict):
@@ -341,13 +338,20 @@ class Tracer(TracerBase):
             cause if cause else None,
             data,
         )
-        if self._sink is not None:
-            self._sink.append(event)
+        # An id is consumed exactly when the store recorded the event.  A
+        # sink that refuses one (closed, unencodable data) leaves no gap
+        # in the trace; one that fails after recording it (sealing the
+        # shard the event filled) must not see the id handed out again.
+        sink = self._sink
+        if sink is not None:
+            recorded = sink.total_events
+            try:
+                sink.append(event)
+            finally:
+                self._next_id += sink.total_events - recorded
         else:
             self._events.append(event)
-        # Only an event the store accepted consumes an id: a sink that
-        # refuses (closed, unencodable data) leaves no gap in the trace.
-        self._next_id += 1
+            self._next_id += 1
         if self.instruments is not None:
             self.instruments.on_event(event)
         for observer in self._observers:

@@ -140,6 +140,30 @@ class TestRefusedAppendLeavesNoTrace:
         assert self._state(tracer) == before == (1, 1, [1])
         assert len(self._lines(tracer.sink)) == tracer.sink.total_events
 
+    def test_failure_after_recording_still_consumes_the_id(
+        self, tmp_path, monkeypatch
+    ):
+        """The other side of the line: sealing the shard an event filled
+        can fail (ENOSPC surfaces when the handle closes) after the event
+        was counted, and then its id must never be handed out again."""
+        sink = StreamingSink(tmp_path, window=8, shard_events=2)
+        tracer = Tracer(sink=sink)
+        tracer.emit("restart", 0.0)
+        seal = sink._seal_shard
+
+        def disk_full():
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sink, "_seal_shard", disk_full)
+        with pytest.raises(OSError):
+            tracer.emit("restart", 1.0)
+        assert self._state(tracer) == (2, 2, [1, 2])
+        monkeypatch.setattr(sink, "_seal_shard", seal)
+        assert tracer.emit("restart", 2.0) == 3  # not 2 again
+        tracer.close()
+        assert len(self._lines(sink)) == sink.total_events == len(tracer) == 3
+        assert [e.id for e in read_trace(tmp_path)] == [1, 2, 3]
+
 
 class TestBoundedResidency:
     def test_only_window_stays_resident(self, tmp_path):
