@@ -246,15 +246,24 @@ def solve_snapshot(emu: NetworkEmulator) -> tuple[list[FlowDemand], dict]:
 
 
 def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
+    """:func:`time_instance` on the emulator's current flows and
+    capacities."""
+    return time_instance(*solve_snapshot(emu), repeats=repeats)
+
+
+def time_instance(
+    demands: list[FlowDemand], capacities: dict, *, repeats: int = 3
+) -> dict:
     """Best-of-N solve-only wall times (ms), whole instance.
 
     ``reference`` is the test oracle; ``indexed`` / ``batched`` force a
-    kernel through its whole-instance entry point; ``full`` is
+    kernel through its whole-instance entry point (``indexed`` is the
+    plan kernel with a throw-away plan per component); ``full`` is
     ``max_min_allocation`` (whichever kernel the cutover picks for
     ``active_flows``); ``incremental`` is a retained-engine re-solve
-    after a single-link capacity perturbation.
+    after a single-link capacity perturbation (below the cutover: the
+    plan kernel replaying its retained plans).
     """
-    demands, capacities = solve_snapshot(emu)
     _, active = _partition_flows(demands, capacities)
     solvers = {
         "reference": reference_allocation,
@@ -298,6 +307,80 @@ def time_solvers(emu: NetworkEmulator, *, repeats: int = 3) -> dict:
         "active_flows": len(active),
         "components": len(link_components(active)),
     }
+
+
+#: (label, links, flows as (path over link numbers, demand)) — the
+#: component shapes the 5-node social-network loop refills every tick:
+#: one link under 1-8 flows 88 % of the time, never more than two links.
+SOCIAL_SHAPES = [
+    ("1 link x 1 flow", 1, [((0,), 6.0)]),
+    ("1 link x 4 flows", 1, [((0,), d) for d in (0.4, 2.5, 6.0, 11.0)]),
+    (
+        "1 link x 8 flows",
+        1,
+        [((0,), d) for d in (0.2, 0.4, 0.9, 1.6, 2.5, 4.0, 6.0, 11.0)],
+    ),
+    (
+        "2 links x 8 flows",
+        2,
+        [((0,), d) for d in (0.4, 1.6, 4.0, 11.0)]
+        + [((1,), d) for d in (0.9, 6.0)]
+        + [((0, 1), d) for d in (0.2, 2.5)],
+    ),
+]
+
+
+def time_social_shapes(*, repeats: int = 200) -> list[dict]:
+    """The kernel table on :data:`SOCIAL_SHAPES` (one component each,
+    links tight enough that some flows are satisfied and the rest
+    share what is left)."""
+    rows = []
+    for label, n_links, flows in SOCIAL_SHAPES:
+        links = [(f"s{i}", f"s{i + 1}") for i in range(n_links)]
+        demands = [
+            FlowDemand(
+                flow_id=f"f{i}",
+                links=tuple(links[hop] for hop in path),
+                demand_mbps=demand,
+            )
+            for i, (path, demand) in enumerate(flows)
+        ]
+        capacities = {key: 9.0 + 4.0 * i for i, key in enumerate(links)}
+        expected = reference_allocation(demands, capacities)
+        assert forced_kernel(_fill_indexed)(demands, capacities) == expected
+        assert forced_kernel(_fill_batched)(demands, capacities) == expected
+        row = time_instance(demands, capacities, repeats=repeats)
+        row["shape"] = label
+        rows.append(row)
+    return rows
+
+
+def report_social_shapes(rows: list[dict], name: str) -> None:
+    save_table(
+        name,
+        [
+            "shape",
+            "solve_ref_us",
+            "solve_indexed_us",
+            "solve_batched_us",
+            "solve_incr_us",
+        ],
+        [
+            [
+                row["shape"],
+                fmt(row["solve_ms"]["reference"] * 1000.0, 1),
+                fmt(row["solve_ms"]["indexed"] * 1000.0, 1),
+                fmt(row["solve_ms"]["batched"] * 1000.0, 1),
+                fmt(row["solve_ms"]["incremental"] * 1000.0, 1),
+            ]
+            for row in rows
+        ],
+        note="social-network component shapes, one component each; "
+        "indexed = plan kernel with a throw-away plan, incr = the "
+        "retained plan replayed after a capacity move (whole "
+        "IncrementalMaxMin.solve call); not persisted to "
+        "BENCH_emulator.json",
+    )
 
 
 def oracle_allocation(emu: NetworkEmulator) -> dict:
@@ -479,6 +562,7 @@ def test_perf_emulator_smoke(benchmark):
     results = run_once(benchmark, lambda: run_suite(SMOKE_CASES))
     persist(results)
     report(results, "perf_emulator_smoke")
+    report_social_shapes(time_social_shapes(), "perf_emulator_social_shapes")
     for row in results.values():
         assert row["fast_ticks_per_s"] > 0
         # The fast path must never lose to the frozen reference by more

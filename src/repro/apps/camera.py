@@ -174,21 +174,19 @@ class CameraPipelineApp(Application):
         scalar draw per stage), summed in the order they are charged.
         """
         profile = self.profile
-        deployment = binding.deployment
-        now = binding.netem.now
         costs = EdgeCosts(binding)
+        stalls = costs.stalls
         fixed_s = []
         for src, dst, payload_field in self._CHAIN:
             for stage in (src, dst):
-                if not deployment.is_available(stage, now):
-                    fixed_s.append(
-                        max(0.0, deployment.unavailable_until(stage) - now)
-                    )
-            if deployment.node_of(src) != deployment.node_of(dst):
-                fixed_s.append(profile.per_hop_overhead_ms / 1000.0)
-            fixed_s.append(
-                costs.transfer_time_s(src, dst, getattr(profile, payload_field))
+                if stage in stalls:
+                    fixed_s.append(stalls[stage])
+            transfer_s = costs.crossing_time_s(
+                src, dst, getattr(profile, payload_field)
             )
+            if transfer_s is not None:
+                fixed_s.append(profile.per_hop_overhead_ms / 1000.0)
+                fixed_s.append(transfer_s)
 
         stage_ms = np.tile(self._stage_times_ms(), (n, 1))
         if rng is not None and profile.jitter_rel_std > 0:

@@ -306,7 +306,7 @@ class SocialNetworkApp(Application):
             return []
         costs = EdgeCosts(binding)
         tables = {
-            request_type: self._fixed_addends(request_type, binding, costs)
+            request_type: self._fixed_addends(request_type, costs)
             for request_type in dict.fromkeys(request_types)
         }
         service_ms = np.concatenate([_SERVICE_MS[t] for t in request_types])
@@ -318,8 +318,10 @@ class SocialNetworkApp(Application):
         latencies = []
         for request_type in request_types:
             latency_s = 0.0
-            for addends in tables[request_type]:
-                latency_s += next(service_s)
+            # ``zip`` stops on the table, so each request draws exactly
+            # its own steps' service terms from the shared iterator.
+            for addends, service in zip(tables[request_type], service_s):
+                latency_s += service
                 for addend in addends:
                     latency_s += addend
             latencies.append(latency_s)
@@ -328,34 +330,32 @@ class SocialNetworkApp(Application):
     def _fixed_addends(
         self,
         request_type: str,
-        binding: DeploymentBinding,
         costs: EdgeCosts,
     ) -> list[tuple[float, ...]]:
         """What each step of a chain adds beyond its service time, in
         the order charged: restart stalls (a service stalls a request
         once, where the chain first touches it), the inter-node hop
-        overhead, the payload's transfer time (left out when zero)."""
-        deployment = binding.deployment
-        now = binding.netem.now
+        overhead, the payload's transfer time (left out when zero).
+        A co-located step with nobody restarting adds nothing and costs
+        one probe of the binding's edge table."""
         overhead_s = self.inter_node_overhead_ms / 1000.0
+        stalls = costs.stalls
         stalled: set[str] = set()
         table = []
         for step in REQUEST_CHAINS[request_type]:
             addends = []
-            for service in (step.src, step.dst):
-                if service in stalled or deployment.is_available(service, now):
-                    continue
-                stalled.add(service)
-                addends.append(
-                    max(0.0, deployment.unavailable_until(service) - now)
-                )
-            if deployment.node_of(step.src) != deployment.node_of(step.dst):
-                addends.append(overhead_s)
-            transfer_s = costs.transfer_time_s(
+            if stalls:
+                for service in (step.src, step.dst):
+                    if service in stalls and service not in stalled:
+                        stalled.add(service)
+                        addends.append(stalls[service])
+            transfer_s = costs.crossing_time_s(
                 step.src, step.dst, step.payload_kb * _KB_TO_MBIT
             )
-            if transfer_s:
-                addends.append(transfer_s)
+            if transfer_s is not None:
+                addends.append(overhead_s)
+                if transfer_s:
+                    addends.append(transfer_s)
             table.append(tuple(addends))
         return table
 

@@ -24,12 +24,18 @@ class Deployment:
     Tracks the current placement, each pod's availability window (a pod
     is unavailable while restarting after a migration), and the full
     migration history for post-hoc analysis (Table 1, Fig 13 dots).
+
+    :meth:`bind`, :meth:`rebind` and :meth:`unbind` are the only
+    writers of placement, and each bumps :attr:`revision` — the exact
+    invalidation key for anything derived from "which pod is on which
+    node" (the binding's edge table).
     """
 
     def __init__(self, app: str) -> None:
         self.app = app
         self._bindings: dict[str, str] = {}
         self._available_at: dict[str, float] = {}
+        self.revision = 0
         self.migrations: list[MigrationRecord] = []
 
     def bind(self, pod_name: str, node: str, *, available_at: float = 0.0) -> None:
@@ -41,6 +47,7 @@ class Deployment:
             )
         self._bindings[pod_name] = node
         self._available_at[pod_name] = available_at
+        self.revision += 1
 
     def rebind(
         self,
@@ -65,6 +72,7 @@ class Deployment:
             )
         self._bindings[pod_name] = node
         self._available_at[pod_name] = time + restart_seconds
+        self.revision += 1
         record = MigrationRecord(
             time=time,
             pod_name=pod_name,
@@ -81,6 +89,7 @@ class Deployment:
             raise SchedulingError(f"pod {pod_name!r} is not deployed")
         node = self._bindings.pop(pod_name)
         self._available_at.pop(pod_name, None)
+        self.revision += 1
         return node
 
     def node_of(self, pod_name: str) -> str:
@@ -100,6 +109,16 @@ class Deployment:
 
     def unavailable_until(self, pod_name: str) -> float:
         return self._available_at.get(pod_name, 0.0)
+
+    def restarting(self, time: float) -> dict[str, float]:
+        """The deployed pods mid-restart at ``time``, each with the
+        instant it serves again — the pods :meth:`is_available` denies.
+        Empty except in the restart window after a migration."""
+        return {
+            pod: until
+            for pod, until in self._available_at.items()
+            if time < until
+        }
 
     def colocated(self, a: str, b: str) -> bool:
         """Whether two pods share a node."""

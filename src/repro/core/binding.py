@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional
+from typing import Mapping, Optional
 
 from ..cluster.deployment import Deployment
-from ..errors import DagError, RoutingError
+from ..errors import DagError, RoutingError, SimulationError
 from ..net.netem import NetworkEmulator
 from .dag import ComponentDAG
 
@@ -25,6 +25,32 @@ from .dag import ComponentDAG
 def edge_flow_id(app: str, src: str, dst: str) -> str:
     """Stable flow identifier for an application edge."""
     return f"{app}:{src}->{dst}"
+
+
+Crossing = Optional[tuple[tuple[str, str], Optional[str]]]
+"""Where an edge crosses the network: ``((src_node, dst_node), flow_id)``
+(``flow_id`` is None for a pair that is not a DAG edge), or None when
+its endpoints share a node."""
+
+
+class _Crossings(dict):
+    """``{(src, dst): Crossing}`` under one placement.
+
+    Holds every DAG edge whose endpoints are both deployed; any other
+    pair is resolved against the deployment when first asked for, which
+    raises :class:`~repro.errors.SchedulingError` for an endpoint that
+    is not deployed — where a ``node_of`` walk would have raised it.
+    """
+
+    __slots__ = ("_node_of",)
+
+    def __init__(self, deployment: Deployment) -> None:
+        self._node_of = deployment.node_of
+
+    def __missing__(self, edge: tuple[str, str]) -> Crossing:
+        nodes = (self._node_of(edge[0]), self._node_of(edge[1]))
+        crossing = self[edge] = None if nodes[0] == nodes[1] else (nodes, None)
+        return crossing
 
 
 class DeploymentBinding:
@@ -71,6 +97,43 @@ class DeploymentBinding:
             edge: sys.intern(edge_flow_id(dag.app, *edge))
             for edge in self._base_weights
         }
+        # ``(deployment revision, table)``: see :meth:`crossings`.
+        self._crossings: tuple[int, Optional[_Crossings]] = (-1, None)
+
+    # -- placement ------------------------------------------------------------
+
+    def crossings(self) -> Mapping[tuple[str, str], Crossing]:
+        """Where every edge runs under the current placement.
+
+        ``crossings()[(src, dst)]`` is the pair's :data:`Crossing`; it
+        raises :class:`~repro.errors.SchedulingError` when an endpoint
+        is not deployed.  This is structure derived from placement
+        alone, so the table is kept between calls and rebuilt exactly
+        when ``deployment.revision`` moved — a handful of migrations
+        per run, against per-tick readers (flow sync, latency
+        sampling).
+        """
+        deployment = self.deployment
+        revision, table = self._crossings
+        if revision != deployment.revision:
+            nodes = deployment.bindings
+            table = _Crossings(deployment)
+            for edge, flow_id in self._flow_ids.items():
+                src_node, dst_node = nodes.get(edge[0]), nodes.get(edge[1])
+                if src_node is not None and dst_node is not None:
+                    table[edge] = (
+                        None
+                        if src_node == dst_node
+                        else ((src_node, dst_node), flow_id)
+                    )
+            self._crossings = (deployment.revision, table)
+        return table
+
+    def __getstate__(self) -> dict:
+        """Checkpoints carry placement, not the table derived from it."""
+        state = self.__dict__.copy()
+        state["_crossings"] = (-1, None)
+        return state
 
     # -- demand control -------------------------------------------------------
 
@@ -96,8 +159,11 @@ class DeploymentBinding:
 
     def set_global_scale(self, scale: float) -> None:
         """Scale every edge's demand (e.g. load level of the workload)."""
+        if scale < 0:
+            raise DagError("demand scale must be >= 0")
+        scales = self._demand_scale
         for src, dst, _ in self.dag.edges():
-            self.set_demand_scale(src, dst, scale)
+            scales[(src, dst)] = scale
 
     def edge_demand(self, src: str, dst: str) -> float:
         """Current offered demand for an edge, Mbps.
@@ -111,13 +177,17 @@ class DeploymentBinding:
             and self.deployment.is_available(dst, now)
         ):
             return 0.0
-        override = self._demand_override.get((src, dst))
+        return self._offered_demand((src, dst))
+
+    def _offered_demand(self, edge: tuple[str, str]) -> float:
+        """What the edge sends when both its endpoints are serving."""
+        override = self._demand_override.get(edge)
         if override is not None:
             return override
-        base = self._base_weights.get((src, dst))
+        base = self._base_weights.get(edge)
         if base is None:
-            base = self.dag.weight(src, dst)
-        return base * self._demand_scale.get((src, dst), 1.0)
+            base = self.dag.weight(*edge)
+        return base * self._demand_scale.get(edge, 1.0)
 
     # -- flow synchronization ------------------------------------------------------
 
@@ -129,30 +199,41 @@ class DeploymentBinding:
         An edge whose endpoints the mesh cannot connect (crashed node,
         partition) gets no flow and is recorded as unroutable — its
         traffic simply does not arrive until routing heals.
+
+        The clock and the restart set are read once, placement comes
+        from :meth:`crossings`; per edge only the emulator is asked.
         """
-        for (src, dst), flow_id in self._flow_ids.items():
-            src_node = self.deployment.node_of(src)
-            dst_node = self.deployment.node_of(dst)
-            demand = self.edge_demand(src, dst)
-            if src_node == dst_node:
-                if self.netem.has_flow(flow_id):
-                    self.netem.remove_flow(flow_id)
-                self._unroutable.discard((src, dst))
+        netem = self.netem
+        crossings = self.crossings()
+        restarting = self.deployment.restarting(netem.now)
+        unroutable = self._unroutable
+        for edge, flow_id in self._flow_ids.items():
+            crossing = crossings[edge]
+            if crossing is None:
+                if netem.has_flow(flow_id):
+                    netem.remove_flow(flow_id)
+                unroutable.discard(edge)
                 continue
-            try:
-                if self.netem.has_flow(flow_id):
-                    flow = self.netem.flow(flow_id)
-                    if flow.src != src_node or flow.dst != dst_node:
-                        self.netem.reroute_flow(flow_id, src_node, dst_node)
-                    self.netem.set_demand(flow_id, demand)
-                else:
-                    self.netem.add_flow(flow_id, src_node, dst_node, demand)
-            except RoutingError:
-                self.netem.remove_flow(flow_id)
-                self._unroutable.add((src, dst))
+            src_node, dst_node = crossing[0]
+            if restarting and (edge[0] in restarting or edge[1] in restarting):
+                demand = 0.0  # a restarting component is silent
             else:
-                self._unroutable.discard((src, dst))
-        self.netem.recompute()
+                demand = self._offered_demand(edge)
+            try:
+                try:
+                    flow = netem.flow(flow_id)
+                except SimulationError:
+                    netem.add_flow(flow_id, src_node, dst_node, demand)
+                else:
+                    if flow.src != src_node or flow.dst != dst_node:
+                        netem.reroute_flow(flow_id, src_node, dst_node)
+                    netem.set_demand(flow_id, demand)
+            except RoutingError:
+                netem.remove_flow(flow_id)
+                unroutable.add(edge)
+            else:
+                unroutable.discard(edge)
+        netem.recompute()
 
     @property
     def unroutable_edges(self) -> set[tuple[str, str]]:
@@ -226,21 +307,34 @@ class DeploymentBinding:
 
 
 class EdgeCosts:
-    """Edge transfer times over one frozen network state.
+    """Edge transfer times and restart stalls over one frozen instant.
 
     A latency sampler prices many payloads at one instant: the clock,
     the placement, the allocation and the queues do not move between
-    them.  Edges between the same two nodes share one path, so each
-    ``(src_node, dst_node)`` path delay — the per-hop queue walk — is
-    asked of the emulator once and reused; every answer is the float a
-    fresh lookup would give.  Discard the object when simulated time,
+    them.  So the clock and the set of restarting components are read
+    once, here; and edges between the same two nodes share one path, so
+    each ``(src_node, dst_node)`` path delay — the per-hop queue walk —
+    is asked of the emulator once and reused.  Every answer is the
+    float a fresh lookup would give.
+
+    Only *structure* outlives the object: "which node is this pod on"
+    comes from the binding's revision-keyed
+    :meth:`~DeploymentBinding.crossings`.  Every *value* — rates,
+    delays, spare bandwidth, stalls — is read from the emulator and the
+    deployment by each object anew.  Discard it when simulated time,
     flows or placement move on.
     """
 
     def __init__(self, binding: DeploymentBinding) -> None:
-        self._node_of = binding.deployment.node_of
-        self._netem = binding.netem
-        self._flow_ids = binding._flow_ids
+        self._netem = netem = binding.netem
+        self._crossings = binding.crossings()
+        now = netem.now
+        #: Component mid-restart -> how long a request touching it now
+        #: stalls (s).  Empty outside restart windows.
+        self.stalls: dict[str, float] = {
+            pod: max(0.0, until - now)
+            for pod, until in binding.deployment.restarting(now).items()
+        }
         # (src_node, dst_node) -> path delay s; inf = no route.
         self._delays: dict[tuple[str, str], float] = {}
 
@@ -257,9 +351,24 @@ class EdgeCosts:
         """
         if payload_mbit <= 0:
             return 0.0
-        nodes = (self._node_of(src), self._node_of(dst))
-        if nodes[0] == nodes[1]:
+        return self.crossing_time_s(src, dst, payload_mbit) or 0.0
+
+    def crossing_time_s(
+        self, src: str, dst: str, payload_mbit: float
+    ) -> Optional[float]:
+        """:meth:`transfer_time_s`, or None when the edge does not cross
+        the network — the one placement probe a chain step needs to
+        charge both its hop overhead and its transfer.
+
+        Raises:
+            SchedulingError: an endpoint is not deployed.
+        """
+        crossing = self._crossings[(src, dst)]
+        if crossing is None:
+            return None
+        if payload_mbit <= 0:
             return 0.0
+        nodes, flow_id = crossing
         netem = self._netem
         delay_s = self._delays.get(nodes)
         if delay_s is None:
@@ -272,7 +381,6 @@ class EdgeCosts:
             # No route at all: the payload never arrives.
             return delay_s
         rate = 0.0
-        flow_id = self._flow_ids.get((src, dst))
         if flow_id is not None and netem.has_flow(flow_id):
             flow = netem.flow(flow_id)
             if flow.demand_mbps > 0:

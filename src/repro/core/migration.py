@@ -27,6 +27,7 @@ from ..errors import RoutingError
 from ..net.fairness import FlowDemand, max_min_allocation
 from ..net.netem import NetworkEmulator
 from ..obs.trace import NULL_TRACER, TracerBase
+from .binding import edge_flow_id
 from .dag import ComponentDAG
 
 _EPSILON = 1e-9
@@ -376,13 +377,13 @@ class MigrationPlanner:
         saturation — an optimistic bound would see phantom improvements
         everywhere and cause migration ping-pong.
         """
-        app_prefix = f"{self.dag.app}:"
-        own_flow_ids = set()
-        for peer, role, _ in self._component_edges(component):
-            if role == "out":
-                own_flow_ids.add(f"{app_prefix}{component}->{peer}")
-            else:
-                own_flow_ids.add(f"{app_prefix}{peer}->{component}")
+        app = self.dag.app
+        own_flow_ids = {
+            edge_flow_id(app, component, peer)
+            if role == "out"
+            else edge_flow_id(app, peer, component)
+            for peer, role, _ in self._component_edges(component)
+        }
 
         demands = [
             FlowDemand(

@@ -19,11 +19,16 @@ connected components of its flow<->link incidence graph (components
 share no links, so their allocations are independent) and each
 component is water-filled on its own.  Two kernels do that:
 
-* the *indexed* dict kernel (:func:`_fill_indexed`) — the textbook
-  per-round loop with the flows-per-link counts maintained
-  incrementally, one component at a time.  Small instances (the
-  paper's 5-node mesh, a few dozen flows) stay here: array set-up
-  would cost more than the whole solve.
+* the *plan* kernel (:class:`_Plan`; :func:`_fill_indexed` runs it over
+  a whole instance) — one component at a time, compiled once to local
+  integers (per-flow link slots, per-link member flows, the flows in
+  demand order) and then water-filled with list arithmetic: every
+  active flow of a component carries the same rate, so a round is one
+  scalar increment, O(live links) of bookkeeping and the flows it
+  retires.  Small instances (the paper's 5-node mesh, a few dozen
+  flows) stay here: array set-up would cost more than the whole solve.
+  The incremental engine keeps a component's plan for as long as it
+  keeps the component, so a capacity-only tick compiles nothing.
 * the *batched* kernel (:func:`_fill_batched`, :class:`ComponentBatch`)
   — one segmented NumPy water-fill over the concatenated arrays of
   *every* component.  Each round takes per-component increments from
@@ -61,25 +66,27 @@ capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 _EPSILON = 1e-9
 
 #: The one kernel cutover: instances with at least this many active
-#: flows run the batched array kernel, smaller ones the dict kernel.
+#: flows run the batched array kernel, smaller ones the plan kernel.
 #: Evidence (``python3 -m bench --trace``, ``net.fairness.incremental_s``
-#: per rep with each kernel forced): below it, socialnet_mesh (~20
-#: active flows) is 2.1x slower batched and fleet_epochs (~45 flows in
-#: 29 components) a wash; above it, flow_churn (1 200 flows) is 3x and
-#: city_tick (3 000 flows) 10x faster batched.  *Capacity*-dirty
-#: tracking is gated by the same constant: below it a capacity move
-#: dirties every component anyway (socialnet_mesh: all 4 718 partial
-#: solves had every component dirty).  In the incremental engine the
-#: same rule also sizes a flow-set change: a pool of fewer flows than
-#: this is water-filled by the dict kernel even on a large instance,
-#: unless capacities moved too and the compiled batch is needed anyway.
+#: per rep with each kernel forced, plan / batched): below it,
+#: socialnet_mesh (~20 active flows) 0.14 / 0.73 s and fleet_epochs
+#: (~45 flows in 29 components) 0.11 / 0.49 s; above it, flow_churn
+#: (1 200 flows) 0.30 / 0.27 s and city_tick (3 000 flows) 0.37 /
+#: 0.15 s.  No ledger workload sits between 45 and 1 200 active flows.
+#: *Capacity*-dirty tracking is gated by the same constant: below it a
+#: capacity move dirties every component anyway (socialnet_mesh: all
+#: 4 718 partial solves had every component dirty).  In the incremental
+#: engine the same rule also sizes a flow-set change: a pool of fewer
+#: flows than this is water-filled by the plan kernel even on a large
+#: instance, unless capacities moved too and the compiled batch is
+#: needed anyway.
 _BATCH_MIN_FLOWS = 128
 
 LinkKey = tuple[str, str]
@@ -127,71 +134,135 @@ def _partition_flows(
     return rates, active
 
 
-def _solve_indexed(
-    rates: dict[Hashable, float],
-    component: Mapping[Hashable, FlowDemand],
-    capacities: Mapping[LinkKey, float],
-) -> None:
-    """Water-fill one component with incrementally maintained counts.
+class _Plan:
+    """One component compiled for the ordered small-instance water-fill.
 
-    Identical arithmetic to the reference loop; the only change is that
-    the flows-per-link counts are decremented as flows retire instead of
-    being rebuilt from scratch every round, so a round costs
-    O(active links + active flows) rather than O(total path length).
-    The component's entries in ``rates`` are (re)started from zero.
+    A component's content is fixed for its lifetime (the incremental
+    engine dissolves it on any change to a member flow), so everything
+    the per-round loop needs is worked out once, as local integers:
+    flows and links are numbered in first-appearance order, each flow
+    lists its link slots *with multiplicity* (a path crossing a link
+    twice counts twice, as in the reference), each link its member
+    flows, and ``order`` is the flows by ascending demand.
+    :meth:`fill` replays the plan against fresh capacities.
     """
-    active = dict(component)
-    rates.update(dict.fromkeys(active, 0.0))
-    remaining = {key: float(capacities[key]) for flow in active.values() for key in flow.links}
-    counts: dict[LinkKey, int] = {}
-    for flow in active.values():
-        for key in flow.links:
-            counts[key] = counts.get(key, 0) + 1
 
-    while active:
-        delta = min(remaining[key] / count for key, count in counts.items())
-        delta = min(
-            delta,
-            min(
-                flow.demand_mbps - rates[fid]
-                for fid, flow in active.items()
-            ),
-        )
-        delta = max(delta, 0.0)
+    __slots__ = (
+        "flow_ids",
+        "links",
+        "demand",
+        "thresh",
+        "order",
+        "flow_links",
+        "link_flows",
+        "counts0",
+    )
 
-        for fid in active:
-            rates[fid] += delta
-        for key, count in counts.items():
-            remaining[key] -= delta * count
-
-        satisfied = [
-            fid
-            for fid, flow in active.items()
-            if rates[fid] >= flow.demand_mbps - _EPSILON
-        ]
-        retired = [active.pop(fid) for fid in satisfied]
-        # Saturation is judged against the round-start counts (still
-        # including the just-satisfied flows), matching the reference.
-        saturated = {
-            key for key in counts if remaining[key] <= _EPSILON
-        }
-        if saturated:
-            pinned = [
-                fid
-                for fid, flow in active.items()
-                if any(key in saturated for key in flow.links)
-            ]
-            retired.extend(active.pop(fid) for fid in pinned)
-        elif not satisfied and delta <= _EPSILON:
-            break  # numerical dead-end; all remaining rates stay put
-
-        for flow in retired:
+    def __init__(self, flows: Mapping[Hashable, FlowDemand]) -> None:
+        slot: dict[LinkKey, int] = {}
+        flow_links: list[list[int]] = []
+        link_flows: list[list[int]] = []
+        counts0: list[int] = []
+        demand: list[float] = []
+        for fi, flow in enumerate(flows.values()):
+            demand.append(flow.demand_mbps)
+            slots = []
             for key in flow.links:
-                left = counts[key] - 1
-                if left:
-                    counts[key] = left
-                else:
-                    del counts[key]
+                li = slot.get(key)
+                if li is None:
+                    li = slot[key] = len(slot)
+                    link_flows.append([])
+                    counts0.append(0)
+                slots.append(li)
+                counts0[li] += 1
+                link_flows[li].append(fi)
+            flow_links.append(slots)
+        self.flow_ids = list(flows)
+        #: Link keys in slot order: what :meth:`fill`'s ``remaining``
+        #: argument is indexed by.
+        self.links = list(slot)
+        self.demand = demand
+        #: ``demand - epsilon``: a flow is satisfied once the common
+        #: rate reaches it.
+        self.thresh = [d - _EPSILON for d in demand]
+        self.order = sorted(range(len(demand)), key=demand.__getitem__)
+        self.flow_links = flow_links
+        self.link_flows = link_flows
+        self.counts0 = counts0
+
+    def fill(self, remaining: list[float]) -> list[float]:
+        """Water-fill against ``remaining`` — the capacity of each link
+        of :attr:`links`, consumed — and return the rate of each flow of
+        :attr:`flow_ids`.
+
+        The reference round, op for op, on a smaller state.  Every
+        active flow of a component started at zero and took the same
+        increment each round, so one scalar ``rate`` is all of their
+        rates.  Float subtraction is monotone, so the smallest slack
+        ``demand - rate`` is the smallest active demand's, and the
+        flows satisfied by a round (``rate >= demand - epsilon``) are a
+        prefix of the active flows in demand order: ``head`` walks
+        ``order`` once per fill instead of every flow being scanned
+        every round.  A round costs O(live links) plus the flows it
+        retires.
+        """
+        demand, thresh, order = self.demand, self.thresh, self.order
+        flow_links, link_flows = self.flow_links, self.link_flows
+        counts = self.counts0.copy()
+        n_flows = active = len(demand)
+        live = list(range(len(counts)))
+        out: list = [None] * n_flows  # a flow's rate, once it retires
+        rate = 0.0
+        head = 0
+        while active:
+            # A flow pinned by a saturated link retires out of demand
+            # order: step over those *before* reading the slack.
+            first = order[head]
+            while out[first] is not None:
+                head += 1
+                first = order[head]
+            delta = demand[first] - rate  # the smallest slack
+            for li in live:
+                share = remaining[li] / counts[li]
+                if share < delta:
+                    delta = share
+            if delta < 0.0:
+                delta = 0.0
+
+            rate += delta
+            for li in live:
+                remaining[li] -= delta * counts[li]
+
+            retired = []
+            while head < n_flows:
+                fi = order[head]
+                if out[fi] is None:
+                    if not rate >= thresh[fi]:
+                        break
+                    out[fi] = rate
+                    retired.append(fi)
+                head += 1
+            # Saturation is judged against the round-start counts (still
+            # including the just-satisfied flows), matching the reference.
+            saturated = [li for li in live if remaining[li] <= _EPSILON]
+            if saturated:
+                for li in saturated:
+                    for fi in link_flows[li]:
+                        if out[fi] is None:  # pinned
+                            out[fi] = rate
+                            retired.append(fi)
+            elif not retired and delta <= _EPSILON:
+                break  # numerical dead-end; all remaining rates stay put
+
+            if retired:
+                active -= len(retired)
+                for fi in retired:
+                    for li in flow_links[fi]:
+                        counts[li] -= 1
+                live = [li for li in live if counts[li]]
+        if active:
+            return [rate if value is None else value for value in out]
+        return out
 
 
 class ComponentBatch:
@@ -425,11 +496,28 @@ def _water_fill(
     return rate
 
 
-class _Component(NamedTuple):
-    """One link-connected component: its flows and the links they own."""
+class _Component:
+    """One link-connected component: its flows and the links they own.
 
-    flows: dict[Hashable, FlowDemand]
-    links: list[LinkKey]
+    ``plan`` and ``cap_pos`` (the capacity-array position of each of
+    the plan's links) are compiled by the incremental engine the first
+    time it water-fills the component below the cutover, and live
+    exactly as long as the component does.  They are derived state: a
+    pickled component carries neither.
+    """
+
+    __slots__ = ("flows", "links", "plan", "cap_pos")
+
+    def __init__(
+        self, flows: dict[Hashable, FlowDemand], links: list[LinkKey]
+    ) -> None:
+        self.flows = flows
+        self.links = links
+        self.plan: Optional[_Plan] = None
+        self.cap_pos: list[int] = []
+
+    def __reduce__(self):
+        return _Component, (self.flows, self.links)
 
 
 def _link_groups(active: Mapping[Hashable, FlowDemand]) -> list[_Component]:
@@ -493,9 +581,12 @@ def _fill_indexed(
     components: Sequence[Mapping[Hashable, FlowDemand]],
     capacities: Mapping[LinkKey, float],
 ) -> None:
-    """Dict kernel over a whole instance: one component at a time."""
+    """Plan kernel over a whole instance: one component at a time, each
+    through a throw-away :class:`_Plan`."""
     for component in components:
-        _solve_indexed(rates, component, capacities)
+        plan = _Plan(component)
+        caps = [float(capacities[key]) for key in plan.links]
+        rates.update(zip(plan.flow_ids, plan.fill(caps)))
 
 
 def _fill_batched(
@@ -522,7 +613,7 @@ def max_min_allocation(
     The instance is split into link-connected components, each
     water-filled independently (components share no links, so the
     result is the same max-min fair allocation) — by the batched array
-    kernel at ``_BATCH_MIN_FLOWS`` active flows, by the dict kernel
+    kernel at ``_BATCH_MIN_FLOWS`` active flows, by the plan kernel
     below.  Both return bit-identical allocations.
 
     Args:
@@ -546,7 +637,9 @@ class IncrementalMaxMin:
     maintained* inputs.  Between calls the engine keeps the component
     structure of the active flows (which component each flow and each
     link belongs to), the complete allocation, and the capacities that
-    allocation was solved against.  The caller reports every flow that
+    allocation was solved against — plus, as derived state compiled on
+    first use and dropped with the component, each component's
+    water-fill :class:`_Plan`.  The caller reports every flow that
     was added, removed, rerouted or re-demanded with :meth:`touch`; at
     the next :meth:`solve` the engine
 
@@ -617,8 +710,9 @@ class IncrementalMaxMin:
         self._solved_caps = None
 
     def __getstate__(self) -> dict:
-        """Checkpoints carry the components, not the arrays compiled
-        from them (rebuilt on the next batched solve)."""
+        """Checkpoints carry the components, not what is compiled from
+        them: the batch arrays are dropped here and each component
+        pickles without its plan; both are rebuilt on first use."""
         state = self.__dict__.copy()
         state["_compiled"] = None
         return state
@@ -724,8 +818,11 @@ class IncrementalMaxMin:
             caps_moved = bool(moved.any())
             if not touched and not caps_moved:
                 return self._rates, []
-        fresh, changed = self._restructure(flows, touched, link_index)
-        self._touched = {}
+        fresh: list[_Component] = []
+        changed: list[Hashable] = []
+        if scratch or touched:
+            fresh, changed = self._restructure(flows, touched, link_index)
+            self._touched = {}
         if caps_moved:
             self._solved_caps = cap_values.copy()
         rates, components = self._rates, self._components
@@ -755,14 +852,14 @@ class IncrementalMaxMin:
         else:
             fill = components if caps_moved else fresh
             caps = cap_values.tolist()
-            capacities = {
-                key: caps[link_index[key]]
-                for component in fill
-                for key in component.links
-            }
             for component in fill:
-                _solve_indexed(rates, component.flows, capacities)
-                changed += component.flows
+                plan = component.plan
+                if plan is None:
+                    plan = component.plan = _Plan(component.flows)
+                    component.cap_pos = [link_index[key] for key in plan.links]
+                values = plan.fill([caps[pos] for pos in component.cap_pos])
+                rates.update(zip(plan.flow_ids, values))
+                changed += plan.flow_ids
             resolved = len(fill)
         if scratch:
             self.full_solves += 1

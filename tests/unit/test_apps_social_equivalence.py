@@ -11,7 +11,10 @@ and partitioned deployments.
 
 The count gate at the bottom is the clock-free regression fence: one
 sample call may ask the emulator for a path delay at most once per
-distinct inter-node ``(src_node, dst_node)`` pair its chains cross.
+distinct inter-node ``(src_node, dst_node)`` pair its chains cross, and
+— placement coming from the binding's revision-keyed edge table — may
+not ask the deployment where a pod is, or whether it is serving, at
+all while nobody is restarting.
 """
 
 from typing import Optional
@@ -28,7 +31,7 @@ from repro.apps.social import (
 )
 from repro.cluster.deployment import Deployment
 from repro.core.binding import DeploymentBinding, EdgeCosts, edge_flow_id
-from repro.errors import ConfigError, RoutingError
+from repro.errors import ConfigError, RoutingError, SchedulingError
 from repro.experiments.common import (
     build_env,
     deploy_app,
@@ -295,9 +298,7 @@ class TestSocialEquivalence:
             assert_same_samples(app, binding, n, seed=200 + n)
         # Steps 2-4 of this chain touch post-storage; only step 2, the
         # first, carries the 10 s stall.
-        table = app._fixed_addends(
-            "read_home_timeline", binding, EdgeCosts(binding)
-        )
+        table = app._fixed_addends("read_home_timeline", EdgeCosts(binding))
         assert [addends.count(10.0) for addends in table] == [0, 0, 1, 0, 0]
 
     @pytest.mark.parametrize("placement", ("k3s", "bass-longest-path"))
@@ -344,6 +345,25 @@ class TestSocialEquivalence:
         _, binding = _world(app, "k3s")
         for n in SAMPLE_SIZES:
             assert_same_samples(app, binding, n, seed=500 + n)
+
+    def test_request_type_outside_the_mix_has_no_dag_edges(self):
+        """Its steps are not edges of the deployed DAG, so they miss the
+        binding's edge table and carry no flow: placement is resolved
+        directly and the payload rides the path's spare bandwidth."""
+        app = SocialNetworkApp(
+            annotate_rps=50.0,
+            mix={"compose_post": 0.7, "read_user_timeline": 0.3},
+        )
+        _, binding = _world(app, "k3s", throttle=True)
+        assert ("nginx-frontend", "home-timeline-service") not in (
+            binding.crossings()
+        )
+        rng_old, rng_new = np.random.default_rng(6), np.random.default_rng(6)
+        assert bits(
+            [app.request_latency_s("read_home_timeline", binding, rng_new)]
+        ) == bits(
+            [oracle_request_latency_s(app, "read_home_timeline", binding, rng_old)]
+        )
 
     def test_empty_sample_draws_nothing(self):
         app, env, binding = _social("all-local")
@@ -428,16 +448,17 @@ class TestCameraEquivalence:
 # -- count gate ---------------------------------------------------------------
 
 
-class QueryCounter:
-    """Counts calls to the emulator's scalar path/queue/capacity queries."""
+class CallCounter:
+    """Counts calls to ``NAMES`` methods of the ``TARGET`` class."""
 
-    NAMES = ("path_delay_s", "queue_delay_s", "capacity")
+    TARGET: type
+    NAMES: tuple[str, ...]
 
     def __init__(self, monkeypatch) -> None:
         self.calls = dict.fromkeys(self.NAMES, 0)
         for name in self.NAMES:
             monkeypatch.setattr(
-                NetworkEmulator, name, self._counted(name, getattr(NetworkEmulator, name))
+                self.TARGET, name, self._counted(name, getattr(self.TARGET, name))
             )
 
     def _counted(self, name, fn):
@@ -447,8 +468,19 @@ class QueryCounter:
 
         return wrapper
 
-    def reset(self) -> None:
-        self.calls = dict.fromkeys(self.NAMES, 0)
+
+class QueryCounter(CallCounter):
+    """The emulator's scalar path/queue/capacity queries."""
+
+    TARGET = NetworkEmulator
+    NAMES = ("path_delay_s", "queue_delay_s", "capacity")
+
+
+class DeploymentCounter(CallCounter):
+    """The per-pod placement and availability lookups."""
+
+    TARGET = Deployment
+    NAMES = ("node_of", "is_available", "unavailable_until", "colocated")
 
 
 def _inter_node_pairs(binding, request_types) -> set[tuple[str, str]]:
@@ -506,3 +538,52 @@ class TestEmulatorQueryBudget:
         counter = QueryCounter(monkeypatch)
         app.sample_latencies_s(binding, 20, np.random.default_rng(1))
         assert 0 < counter.calls["path_delay_s"] <= len(pairs)
+
+
+class TestPlacementLookupBudget:
+    @pytest.mark.parametrize("placement", SOCIAL_PLACEMENTS)
+    def test_no_per_step_lookups_when_nobody_is_restarting(
+        self, placement, monkeypatch
+    ):
+        """Co-located and inter-node steps alike: the chain walk reads
+        the edge table, never ``node_of`` / ``is_available``."""
+        app, env, binding = _social(placement)
+        assert not binding.deployment.restarting(env.netem.now)
+        app.sample_latencies_s(binding, 6, np.random.default_rng(1))  # table built
+        counter = DeploymentCounter(monkeypatch)
+        for seed in range(5):
+            app.sample_latencies_s(binding, 50, np.random.default_rng(seed))
+        app.update_demands(binding, env.netem.now)
+        assert counter.calls == dict.fromkeys(DeploymentCounter.NAMES, 0)
+
+    def test_restart_window_still_costs_no_per_step_lookups(self, monkeypatch):
+        app, env, binding = _social("k3s")
+        _restart(env, binding, "post-storage-service")
+        counter = DeploymentCounter(monkeypatch)
+        got = app.sample_latencies_s(binding, 50, np.random.default_rng(2))
+        binding.sync_flows()
+        assert min(got) > 9.0  # every chain touches the restarting pod
+        assert counter.calls == dict.fromkeys(DeploymentCounter.NAMES, 0)
+
+    def test_camera_chain_reads_the_table_too(self, monkeypatch):
+        app, env, binding = _camera("k3s")
+        app.sample_latencies_s(binding, 1, np.random.default_rng(1))
+        counter = DeploymentCounter(monkeypatch)
+        app.sample_latencies_s(binding, 20, np.random.default_rng(1))
+        assert counter.calls == dict.fromkeys(DeploymentCounter.NAMES, 0)
+
+    def test_undeployed_chain_service_still_raises_scheduling_error(self):
+        """Where the per-step walk raised it: at the first step whose
+        endpoint is gone — a request type that never touches the
+        service is still priced."""
+        app, env, binding = _social("k3s")
+        binding.deployment.unbind("user-timeline-redis")
+        for request_type in ("read_user_timeline", "compose_post"):
+            with pytest.raises(SchedulingError) as new_error:
+                app.request_latency_s(request_type, binding)
+            with pytest.raises(SchedulingError) as old_error:
+                oracle_request_latency_s(app, request_type, binding)
+            assert str(new_error.value) == str(old_error.value)
+        assert bits([app.request_latency_s("read_home_timeline", binding)]) == bits(
+            [oracle_request_latency_s(app, "read_home_timeline", binding)]
+        )

@@ -113,3 +113,45 @@ class TestDeployment:
         dep.bind("b", "node1")
         assert dep.nodes_used == {"node1"}
         assert len(dep) == 2
+
+    def test_revision_moves_with_every_placement_write_and_nothing_else(self):
+        dep = Deployment("app")
+        assert dep.revision == 0
+        dep.bind("a", "node1")
+        dep.bind("b", "node2", available_at=5.0)
+        assert dep.revision == 2
+        dep.rebind("a", "node2", time=10.0, restart_seconds=20.0)
+        assert dep.revision == 3
+        dep.unbind("b")
+        assert dep.revision == 4
+        # Refused writes and every read leave it alone.
+        for refused in (
+            lambda: dep.bind("a", "node3"),
+            lambda: dep.rebind("a", "node2", time=0.0, restart_seconds=1.0),
+            lambda: dep.rebind("ghost", "node2", time=0.0, restart_seconds=1.0),
+            lambda: dep.unbind("ghost"),
+        ):
+            with pytest.raises((SchedulingError, MigrationError)):
+                refused()
+        dep.node_of("a"), dep.is_deployed("a"), dep.is_available("a", 15.0)
+        dep.unavailable_until("a"), dep.restarting(15.0), dep.colocated("a", "a")
+        dep.pods_on("node2"), dep.bindings, dep.nodes_used, len(dep)
+        assert dep.revision == 4
+
+    def test_restarting_is_the_set_is_available_denies(self):
+        dep = Deployment("app")
+        dep.bind("a", "node1")
+        dep.bind("b", "node1", available_at=5.0)
+        dep.bind("c", "node2")
+        dep.rebind("c", "node3", time=10.0, restart_seconds=20.0)
+        dep.bind("gone", "node2", available_at=50.0)
+        dep.unbind("gone")
+        for time in (0.0, 4.999, 5.0, 10.0, 29.999, 30.0, 49.0, 50.0, 1e9):
+            denied = {
+                pod: dep.unavailable_until(pod)
+                for pod in ("a", "b", "c", "gone")
+                if dep.is_deployed(pod) and not dep.is_available(pod, time)
+            }
+            assert dep.restarting(time) == denied, time
+        assert dep.restarting(12.0) == {"c": 30.0}
+        assert dep.restarting(30.0) == {}

@@ -1,11 +1,13 @@
 """Unit tests for the deployment ↔ network binding."""
 
+import pickle
+
 import pytest
 
 from repro.cluster.deployment import Deployment
-from repro.core.binding import DeploymentBinding, edge_flow_id
+from repro.core.binding import DeploymentBinding, EdgeCosts, edge_flow_id
 from repro.core.dag import Component, ComponentDAG
-from repro.errors import DagError
+from repro.errors import DagError, SchedulingError
 from repro.mesh.topology import full_mesh_topology
 from repro.net.netem import NetworkEmulator
 
@@ -150,3 +152,77 @@ class TestMeasurement:
         assert binding.inter_node_edges() == [("a", "b", 5.0)]
         deployment.rebind("b", "node1", time=0.0, restart_seconds=0.0)
         assert binding.inter_node_edges() == []
+
+
+class TestCrossings:
+    """``crossings()``: placement-derived structure, kept between calls
+    and keyed on the deployment's revision."""
+
+    AB = ("a", "b")
+
+    def crossing(self, src_node, dst_node):
+        return ((src_node, dst_node), edge_flow_id("app", "a", "b"))
+
+    def test_inter_node_colocated_and_undeployed(self):
+        binding, _, deployment, _ = make_world()
+        assert binding.crossings() == {self.AB: self.crossing("node1", "node2")}
+        deployment.rebind("b", "node1", time=0.0, restart_seconds=0.0)
+        assert binding.crossings() == {self.AB: None}
+        deployment.unbind("b")
+        assert binding.crossings() == {}
+        with pytest.raises(SchedulingError, match="'b' is not deployed"):
+            binding.crossings()[self.AB]
+        with pytest.raises(SchedulingError, match="'b' is not deployed"):
+            EdgeCosts(binding).crossing_time_s("a", "b", 1.0)
+        with pytest.raises(SchedulingError, match="'b' is not deployed"):
+            binding.sync_flows()
+
+    def test_kept_until_the_revision_moves(self):
+        binding, _, deployment, netem = make_world()
+        table = binding.crossings()
+        binding.sync_flows()
+        netem.engine.run_until(5.0)
+        binding.set_global_scale(2.0)
+        binding.sync_flows()
+        EdgeCosts(binding).transfer_time_s("a", "b", 1.0)
+        assert binding.crossings() is table  # nothing moved a pod
+        deployment.rebind("b", "node3", time=5.0, restart_seconds=0.0)
+        rebuilt = binding.crossings()
+        assert rebuilt is not table
+        assert rebuilt == {self.AB: self.crossing("node1", "node3")}
+
+    def test_rebind_between_two_sample_calls_changes_the_answer(self):
+        binding, _, deployment, _ = make_world()
+        binding.sync_flows()
+        assert EdgeCosts(binding).crossing_time_s("a", "b", 5.0) > 0.0
+        deployment.rebind("b", "node1", time=0.0, restart_seconds=0.0)
+        binding.sync_flows()
+        assert EdgeCosts(binding).crossing_time_s("a", "b", 5.0) is None
+        assert binding.edge_transfer_time_s("a", "b", 5.0) == 0.0
+        deployment.rebind("b", "node3", time=0.0, restart_seconds=0.0)
+        binding.sync_flows()
+        assert EdgeCosts(binding).crossing_time_s("a", "b", 5.0) > 0.0
+
+    def test_pairs_outside_the_dag_are_resolved_on_demand(self):
+        binding, _, deployment, _ = make_world()
+        crossings = binding.crossings()
+        # Not a DAG edge: placement still answers, with no flow to ride.
+        assert crossings[("b", "a")] == (("node2", "node1"), None)
+        assert crossings[("a", "a")] is None
+        deployment.rebind("a", "node2", time=0.0, restart_seconds=0.0)
+        assert binding.crossings()[("b", "a")] is None
+
+    def test_checkpoint_carries_placement_not_the_table(self):
+        binding, _, deployment, _ = make_world()
+        binding.sync_flows()
+        assert binding._crossings[0] == deployment.revision
+        restored = pickle.loads(pickle.dumps(binding))
+        assert restored._crossings == (-1, None)
+        assert restored.deployment.revision == deployment.revision
+        assert restored.crossings() == binding.crossings()
+        restored.deployment.rebind("b", "node3", time=0.0, restart_seconds=0.0)
+        restored.sync_flows()
+        assert restored.crossings() == {self.AB: self.crossing("node1", "node3")}
+        assert restored.netem.flow(edge_flow_id("app", "a", "b")).dst == "node3"
+        # The original is untouched by its copy's migration.
+        assert binding.crossings() == {self.AB: self.crossing("node1", "node2")}

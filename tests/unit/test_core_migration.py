@@ -6,6 +6,8 @@ import pytest
 from repro.cluster.deployment import Deployment
 from repro.cluster.orchestrator import ClusterState
 from repro.cluster.resources import NodeResources, ResourceSpec
+from repro.core import migration
+from repro.core.binding import DeploymentBinding
 from repro.core.dag import Component, ComponentDAG
 from repro.core.migration import MigrationPlanner, Violation
 from repro.mesh.topology import line_topology
@@ -220,3 +222,54 @@ class TestSelectTarget:
             achieved_mbps_of=lambda s, d: 8.0,
         )
         assert target is None
+
+
+class TestWhatIfOwnFlows:
+    """The what-if behind ``select_target`` re-routes the component's
+    own edges hypothetically, so the flows the binding registered for
+    them must be left out — by the binding's own id rule, or they would
+    be counted twice."""
+
+    def test_excluded_ids_are_the_ones_the_binding_registered(self, monkeypatch):
+        dag = ComponentDAG("shop")
+        for name in ("a", "b", "c", "d"):
+            dag.add_component(Component(name, cpu=1, memory_mb=10))
+        dag.add_dependency("a", "b", 4.0)
+        dag.add_dependency("b", "c", 3.0)
+        dag.add_dependency("b", "d", 2.0)
+        dag.add_dependency("a", "d", 1.0)
+        netem = NetworkEmulator(line_topology([25.0, 25.0, 25.0]))
+        deployment = Deployment("shop")
+        for name, node in zip("abcd", ("node1", "node2", "node3", "node4")):
+            deployment.bind(name, node)
+        binding = DeploymentBinding(dag, deployment, netem)
+        binding.sync_flows()
+        # Another tenant with the same component names is not "own".
+        netem.add_flow("other:a->b", "node1", "node2", 1.0)
+        netem.recompute()
+        registered = {
+            flow_id
+            for edge, flow_id in binding._flow_ids.items()
+            if "b" in edge
+        }
+        assert len(registered) == 3
+        assert all(netem.has_flow(flow_id) for flow_id in registered)
+
+        seen = []
+        solve = migration.max_min_allocation
+
+        def spy(demands, capacities):
+            seen.append({demand.flow_id for demand in demands})
+            return solve(demands, capacities)
+
+        monkeypatch.setattr(migration, "max_min_allocation", spy)
+        estimate = MigrationPlanner(dag)._estimate_achievable(
+            "b", "node4", deployment, netem
+        )
+        assert estimate > 0
+        (what_if,) = seen
+        live = {flow.flow_id for flow in netem.flows}
+        assert live - what_if == registered
+        assert "other:a->b" in what_if and "shop:a->d" in what_if
+        # a->b and b->c re-routed from node4; b->d became loopback.
+        assert len(what_if - live) == 2

@@ -182,7 +182,7 @@ def test_auto_never_picks_vectorized_on_small_perf_instances(monkeypatch):
     """The perf harness's smallest tracked case (``n005_f010``: 5 nodes,
     10 flows) ran ~4x *slower* through an array kernel — set-up dwarfs
     the solve.  Auto must keep instances of that size (and the paper's
-    5-node mesh with a few dozen flows) on the dict kernel, whatever the
+    5-node mesh with a few dozen flows) on the plan kernel, whatever the
     paths look like."""
 
     def refuse(*args, **kwargs):

@@ -281,7 +281,7 @@ def dense_harness(seed: int) -> PerturbationHarness:
 def test_incremental_equals_scratch_over_perturbation_history(seed):
     """>= 200 seeded steps of flow-set deltas, capacity deltas and link
     death/revival — exact equality at every step.  Below the cutover:
-    the dict kernel over the touched (or, when capacities moved, all)
+    the plan kernel over the touched (or, when capacities moved, all)
     components.  One from-scratch build, ever."""
     harness = small_harness(seed * 1000)
     for step in range(200):
@@ -312,7 +312,7 @@ def test_incremental_with_production_thresholds_still_exact():
 def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
     """The same 200-step history above the cutover, where capacity
     moves go through the batched kernel with a dirty-component mask and
-    small flow-set pools through the dict kernel.  Single steps give
+    small flow-set pools through the plan kernel.  Single steps give
     sparse masks; every tenth step moves 60 % of the links
     (majority-dirty) and every twenty-fifth all of them."""
     harness = city_harness(seed * 1000)
@@ -552,7 +552,7 @@ def test_unknown_link_is_rejected_before_anything_changes():
 
 def test_small_instances_skip_dirty_tracking():
     """Below the cutover a capacity change re-solves every retained
-    component through the dict kernel — no dirty tracking, and no
+    component through the plan kernel — no dirty tracking, and no
     structure rebuild either."""
     harness = PerturbationHarness(n_links=40, seed=31, max_hops=2)
     for _ in range(8):
