@@ -14,7 +14,11 @@ flow counts (10 -> 10000):
 * solve-only time of the reference / indexed / batched kernels on the
   whole instance (the kernel cutover is on the instance's active-flow
   count), plus the auto-dispatched from-scratch solve and the
-  incremental single-link re-solve.
+  incremental single-link re-solve, and
+* ticks/sec of *churned* ticks — 32 flow mutations before every tick,
+  the ledger's ``flow_churn`` mix — at 1 200 flows (against the frozen
+  tick path replaying the same mutations) and at 10 000, where the
+  flow table and the component structure are maintained by delta.
 
 Results are written to ``BENCH_emulator.json`` at the repo root (merged
 per case, so the smoke run in CI refreshes its sizes without clobbering
@@ -66,6 +70,20 @@ FULL_CASES = SMOKE_CASES + [(60, 500, 30)]
 
 #: (n_regions, nodes_per_region, n_flows, n_ticks) — city-scale cases.
 LARGE_CASES = [(25, 10, 2500, 40), (100, 10, 10000, 20)]
+
+
+#: (n_regions, nodes_per_region, n_flows, n_ticks) — churned-tick cases:
+#: before every tick ``CHURN_MIX`` flows are swapped (removed, and a new
+#: one added between fresh endpoints), retuned (``set_demand``) and
+#: rerouted — the ledger's ``flow_churn`` mix, 32 mutations per tick —
+#: so the flow table and the component structure are maintained by
+#: delta every tick instead of built once.
+CHURN_MIX = (10, 10, 2)
+CHURN_SMOKE_CASE = (12, 10, 1200, 20)
+CHURN_CITY_CASE = (100, 10, 10000, 20)
+#: Churn cases sit beside the frozen-flow-set case of the same size in
+#: ``BENCH_emulator.json``, under its name plus this.
+CHURN_SUFFIX = "_churn"
 
 
 def random_mesh(n_nodes: int, seed: int, *, trace_s: float) -> MeshTopology:
@@ -453,6 +471,152 @@ def run_large_case(
     return result
 
 
+class Churn:
+    """The ``flow_churn`` mutation mix against one emulator, replayable:
+    two instances with one seed mutate their emulators identically."""
+
+    def __init__(
+        self, emu: NetworkEmulator, n_regions: int, per_region: int, seed: int
+    ) -> None:
+        self.emu = emu
+        self.shape = (n_regions, per_region)
+        self.rng = np.random.default_rng(seed + 2)
+        self.ids = [flow.flow_id for flow in emu.flows]
+        self.next_id = len(self.ids)
+
+    def endpoints(self) -> tuple[str, str]:
+        n_regions, per_region = self.shape
+        r = int(self.rng.integers(0, n_regions))
+        j, k = self.rng.choice(per_region, size=2, replace=False)
+        return f"r{r}n{int(j)}", f"r{r}n{int(k)}"
+
+    def mutate(self) -> None:
+        emu, rng, ids = self.emu, self.rng, self.ids
+        swap, retune, _ = CHURN_MIX
+        picks = rng.choice(len(ids), size=sum(CHURN_MIX), replace=False)
+        for pick in picks[:swap]:
+            emu.remove_flow(ids[pick])
+            ids[pick] = f"f{self.next_id}"
+            self.next_id += 1
+            emu.add_flow(ids[pick], *self.endpoints(), float(rng.uniform(0.1, 15.0)))
+        for pick in picks[swap : swap + retune]:
+            emu.set_demand(ids[pick], float(rng.uniform(0.1, 15.0)))
+        for pick in picks[swap + retune :]:
+            emu.reroute_flow(ids[pick], *self.endpoints())
+
+
+def run_churn_case(
+    n_regions: int,
+    per_region: int,
+    n_flows: int,
+    n_ticks: int,
+    *,
+    baseline: bool,
+) -> dict:
+    """Ticks/sec of the tick loop with ``CHURN_MIX`` mutations before
+    every tick (mutations timed with the tick they precede).  With
+    ``baseline`` the frozen reference tick path replays the same
+    mutation stream and both must end on exactly equal allocations;
+    without it (city scale) the final allocation must equal the
+    decomposed reference oracle's."""
+    seed = 30_000 + n_regions
+
+    def build() -> tuple[NetworkEmulator, Churn]:
+        topo = regional_random_mesh(
+            n_regions, per_region, seed, trace_s=float(n_ticks + 60)
+        )
+        emu = NetworkEmulator(topo)
+        add_regional_flows(emu, n_regions, per_region, n_flows, seed)
+        return emu, Churn(emu, n_regions, per_region, seed)
+
+    def churned(tick):
+        def step(emu):
+            churn.mutate()
+            tick(emu)
+
+        return step
+
+    emu, churn = build()
+    fast_s = time_tick_loop(emu, n_ticks, churned(lambda e: e.tick()))
+    got = {f.flow_id: f.allocated_mbps for f in emu.flows}
+    result = {
+        "nodes": n_regions * per_region,
+        "flows": n_flows,
+        "ticks": n_ticks,
+        # A swap is a remove and an add: 32 emulator calls per tick.
+        "mutations_per_tick": sum(CHURN_MIX) + CHURN_MIX[0],
+        "fast_ticks_per_s": n_ticks / fast_s,
+        "solver_stats": emu.solver_stats(),
+    }
+    if baseline:
+        emu, churn = build()
+        queues = {
+            key: LinkQueue(buffer_mbit=float(buffer))
+            for key, buffer in zip(emu._link_keys, emu._queue_arrays.buffer_mbit)
+        }
+        ref_s = time_tick_loop(
+            emu, n_ticks, churned(lambda e: reference_tick(e, queues))
+        )
+        expected = {f.flow_id: f.allocated_mbps for f in emu.flows}
+        result["reference_ticks_per_s"] = n_ticks / ref_s
+        result["tick_speedup"] = ref_s / fast_s
+    else:
+        expected = oracle_allocation(emu)
+    assert got == expected, "churned fast path diverged from reference"
+    return result
+
+
+def record_churn_case(case: tuple, *, baseline: bool) -> dict:
+    """Run one churn case, persist it and refresh the churn table."""
+    n_regions, per_region, n_flows, n_ticks = case
+    churned = run_churn_case(
+        n_regions, per_region, n_flows, n_ticks, baseline=baseline
+    )
+    persist({case_name(n_regions * per_region, n_flows) + CHURN_SUFFIX: churned})
+    report_churn()
+    assert churned["solver_stats"]["full_solves"] == 1
+    return churned
+
+
+def report_churn() -> None:
+    """The churned-tick table, from every churn case on record (the
+    smoke leg and the slow city leg each refresh their own row)."""
+    cases = json.loads(BENCH_PATH.read_text())["cases"]
+    save_table(
+        "perf_emulator_churn",
+        [
+            "nodes",
+            "flows",
+            "mutations_per_tick",
+            "fast_ticks_per_s",
+            "ref_ticks_per_s",
+            "tick_speedup",
+            "partial_solves",
+            "full_solves",
+        ],
+        [
+            [
+                row["nodes"],
+                row["flows"],
+                row["mutations_per_tick"],
+                fmt(row["fast_ticks_per_s"], 1),
+                fmt(row.get("reference_ticks_per_s", 0.0), 1),
+                fmt(row.get("tick_speedup", 0.0), 2),
+                row["solver_stats"]["partial_solves"],
+                row["solver_stats"]["full_solves"],
+            ]
+            for name, row in cases.items()
+            if name.endswith(CHURN_SUFFIX)
+        ],
+        note="regional meshes, coarse desynced traces; every tick is "
+        "preceded by 10 swaps, 10 retunes and 2 reroutes (the ledger's "
+        "flow_churn mix), timed with it; final allocation equal to the "
+        "frozen reference tick path replaying the same mutations "
+        "(n120) or to the decomposed reference oracle (n1000) by "
+        "assertion; 0.0 = no baseline loop at that scale",
+    )
+
+
 def persist(results: dict[str, dict]) -> None:
     """Merge the measured cases into BENCH_emulator.json (smoke runs
     refresh their sizes without dropping the full sweep's entries)."""
@@ -563,6 +727,8 @@ def test_perf_emulator_smoke(benchmark):
     persist(results)
     report(results, "perf_emulator_smoke")
     report_social_shapes(time_social_shapes(), "perf_emulator_social_shapes")
+    churned = record_churn_case(CHURN_SMOKE_CASE, baseline=True)
+    assert churned["tick_speedup"] > 1.0
     for row in results.values():
         assert row["fast_ticks_per_s"] > 0
         # The fast path must never lose to the frozen reference by more
@@ -600,3 +766,5 @@ def test_perf_emulator_city_scale(benchmark):
     report_large(results, "perf_emulator_city")
     assert results["n250_f2500"]["fast_ticks_per_s"] >= 10.0
     assert results["n1000_f10000"]["fast_ticks_per_s"] >= 10.0
+    churned = record_churn_case(CHURN_CITY_CASE, baseline=False)
+    assert churned["fast_ticks_per_s"] >= 10.0

@@ -152,7 +152,7 @@ class DeploymentBinding:
         self, src: str, dst: str, demand_mbps: Optional[float]
     ) -> None:
         """Pin an edge's demand to an absolute value (None clears)."""
-        if demand_mbps is not None and demand_mbps < 0:
+        if demand_mbps is not None and not demand_mbps >= 0:  # NaN included
             raise DagError("demand override must be >= 0 or None")
         self.dag.weight(src, dst)
         self._demand_override[(src, dst)] = demand_mbps

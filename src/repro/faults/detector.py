@@ -73,7 +73,7 @@ class HeartbeatConfig:
             raise SimulationError(
                 "confirm_after_misses must be >= suspect_after_misses"
             )
-        if self.demand_mbps < 0 or self.burst_s <= 0:
+        if not self.demand_mbps >= 0 or self.burst_s <= 0:  # NaN included
             raise SimulationError(
                 "heartbeat demand must be >= 0 and burst_s positive"
             )

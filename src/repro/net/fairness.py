@@ -29,12 +29,17 @@ component is water-filled on its own.  Two kernels do that:
   flows) stay here: array set-up would cost more than the whole solve.
   The incremental engine keeps a component's plan for as long as it
   keeps the component, so a capacity-only tick compiles nothing.
-* the *batched* kernel (:func:`_fill_batched`, :class:`ComponentBatch`)
+* the *batched* kernel (:func:`_water_fill` over a :class:`_Layout`)
   — one segmented NumPy water-fill over the concatenated arrays of
-  *every* component.  Each round takes per-component increments from
-  ``np.minimum.reduceat`` over the link-headroom and flow-slack
-  segments, so a city of regional components costs ``max(rounds)``
-  array rounds instead of ``sum(rounds)`` Python rounds.
+  *every* component laid out.  Each round takes per-component
+  increments from ``np.minimum.reduceat`` over the link-headroom and
+  flow-slack segments, so a city of regional components costs
+  ``max(rounds)`` array rounds instead of ``sum(rounds)`` Python
+  rounds.  The layout is *gathered*, not compiled: given the flow x
+  link incidence as integer COO columns and a component label per
+  row, it is two dozen integer gathers whose cost is that of the rows
+  laid out — so it is built per solve, for the components to fill
+  only.
 
 Both are bit-compatible with each other and with the frozen reference
 loop that rebuilds the incidence map every round (a test fixture:
@@ -48,7 +53,8 @@ single-component instance the decomposed solve is additionally
 bit-identical to the reference run globally.
 
 One size cutover, ``_BATCH_MIN_FLOWS`` on the number of active flows,
-picks the kernel; there is no other tuning and no selector.
+picks the kernel — and with it the form the incremental engine keeps
+its structure in; there is no other tuning and no selector.
 
 :class:`IncrementalMaxMin` is the emulator's stateful front end: it
 keeps the component structure between calls and takes *both* inputs as
@@ -56,11 +62,15 @@ deltas.  A flow that was added, removed, rerouted or re-demanded
 re-components and re-solves only the components it leaves and the ones
 its new path reaches (a heartbeat or probe flow costs its one
 component, not the mesh); a capacity move re-solves, above the cutover,
-only the components owning a moved link — in one batched call with a
-dirty-component mask.  Every other component's rates are kept
-verbatim.  That is exactly equal to a from-scratch solve because a
-component's allocation is a pure function of its own flows and
-capacities.
+only the components owning a moved link.  Every other component's
+rates are kept verbatim.  That is exactly equal to a from-scratch
+solve because a component's allocation is a pure function of its own
+flows and capacities.  Below the cutover the structure is component
+objects, each with its retained plan; at or above it the structure is
+two integer label columns over the caller's flow table
+(:class:`~repro.net.flows.FlowArrays`) — re-grouped by merging link
+labels (:func:`_merge_links`), filled through one gathered layout —
+and no Python loop visits a flow's links.
 """
 
 from __future__ import annotations
@@ -72,21 +82,26 @@ import numpy as np
 
 _EPSILON = 1e-9
 
-#: The one kernel cutover: instances with at least this many active
-#: flows run the batched array kernel, smaller ones the plan kernel.
+#: The one size cutover: instances with at least this many active flows
+#: run the batched array kernel, smaller ones the plan kernel.
 #: Evidence (``python3 -m bench --trace``, ``net.fairness.incremental_s``
-#: per rep with each kernel forced, plan / batched): below it,
-#: socialnet_mesh (~20 active flows) 0.14 / 0.73 s and fleet_epochs
-#: (~45 flows in 29 components) 0.11 / 0.49 s; above it, flow_churn
-#: (1 200 flows) 0.30 / 0.27 s and city_tick (3 000 flows) 0.37 /
-#: 0.15 s.  No ledger workload sits between 45 and 1 200 active flows.
-#: *Capacity*-dirty tracking is gated by the same constant: below it a
-#: capacity move dirties every component anyway (socialnet_mesh: all
-#: 4 718 partial solves had every component dirty).  In the incremental
-#: engine the same rule also sizes a flow-set change: a pool of fewer
-#: flows than this is water-filled by the plan kernel even on a large
-#: instance, unless capacities moved too and the compiled batch is
-#: needed anyway.
+#: per rep with each side forced on the whole engine — kernel,
+#: structure and all — plan / batched): below it, socialnet_mesh (~20
+#: active flows) 0.16 / 0.76 s and fleet_epochs (~45 flows in 29
+#: components) 0.10 / 0.36 s; above it, flow_churn (1 200 flows) 0.31 /
+#: 0.19 s and city_tick (3 000 flows) 0.35 / 0.14 s, simulated results
+#: identical either way.  No ledger workload sits between 45 and 1 200
+#: active flows.
+#: Everything else that depends on size follows the same constant.
+#: *Capacity*-dirty tracking: below it a capacity move dirties every
+#: component anyway (socialnet_mesh: all 4 718 partial solves had every
+#: component dirty).  The *form* of the incremental engine's structure:
+#: component objects with retained plans below, label columns over an
+#: integer flow table at or above.  And the emulator's flow table:
+#: rebuilt per change below (one flow swapped: socialnet_mesh's ~20
+#: rows rebuild in 15 us against 45 us for the delta, fleet_epochs'
+#: ~100 in 47 against 46), maintained by delta at or above (1 200
+#: rows: 500 us against 85; 10 000: 6.2 ms against 0.55).
 _BATCH_MIN_FLOWS = 128
 
 LinkKey = tuple[str, str]
@@ -117,12 +132,17 @@ def _partition_flows(
     """Shared preamble: grant loopbacks, drop zero demands, validate links.
 
     Returns the initial rates dict and the active flow set, exactly as
-    the reference solver's first loop computes them.
+    the reference solver's first loop computes them — except that a NaN
+    demand, which the reference would spin on forever, is a
+    ``ValueError``.
     """
     rates: dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
     active: dict[Hashable, FlowDemand] = {}
     for flow in flows:
-        if flow.demand_mbps <= _EPSILON:
+        if not flow.demand_mbps > _EPSILON:
+            if flow.demand_mbps != flow.demand_mbps:
+                # No kernel terminates on a NaN demand: fail loudly.
+                raise ValueError(f"flow {flow.flow_id!r} has a NaN demand")
             continue
         if not flow.links:
             rates[flow.flow_id] = flow.demand_mbps  # loopback
@@ -265,127 +285,199 @@ class _Plan:
         return out
 
 
-class ComponentBatch:
-    """Every component of an instance, concatenated into flat arrays.
+class _Incidence:
+    """The flow x link incidence of a sequence of flow rows, as integers.
 
-    Flows are laid out component-major (components in the order given,
-    flows in each component's own order) and links in first-appearance
-    order, which is component-major too because components share no
-    links.  Component *c* therefore owns the contiguous flow rows
-    ``flow_starts[c]:flow_starts[c + 1]`` and link rows
-    ``link_starts[c]:link_starts[c + 1]`` — the segments
-    ``np.minimum.reduceat`` reduces over.  Building the arrays costs
-    O(path length) Python work, so the emulator's incremental engine
-    compiles once per component structure and replays :meth:`solve`
-    against fresh capacities every tick.
+    The columns of :class:`~repro.net.flows.FlowArrays` that the array
+    path reads — ``flow_ids``, ``demand``, ``entry_link`` (link ids,
+    flow-major) and ``ptr`` (row *i* owns entries ``ptr[i]:ptr[i + 1]``)
+    — for callers that keep no flow table: the stateless
+    ``max_min_allocation`` converts its demands once, and an
+    :class:`IncrementalMaxMin` driven without a table converts on every
+    flow-set change.
+    """
+
+    __slots__ = ("flow_ids", "demand", "ptr", "entry_link")
+
+    def __init__(self, rows: Iterable, link_index: Mapping[LinkKey, int]) -> None:
+        flow_ids: list[Hashable] = []
+        demand: list[float] = []
+        entry_link: list[int] = []
+        ptr = [0]
+        link_id = link_index.__getitem__
+        for row in rows:
+            flow_ids.append(row.flow_id)
+            demand.append(row.demand_mbps)
+            entry_link.extend(map(link_id, row.links))
+            ptr.append(len(entry_link))
+        self.flow_ids = flow_ids
+        self.demand = np.array(demand, dtype=np.float64)
+        self.ptr = np.array(ptr, dtype=np.intp)
+        self.entry_link = np.array(entry_link, dtype=np.intp)
+
+
+def _entry_runs(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry runs of ``rows`` of a flow-major table, gathered.
+
+    Returns ``(lens, index)``: each row's run length, and the positions
+    of their entries row after row — ``entry_link[index]`` is the rows'
+    links, flow-major.
+    """
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    index = np.arange(ends[-1] if ends.size else 0)
+    index += np.repeat(starts - (ends - lens), lens)
+    return lens, index
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal adjacent values starts."""
+    return np.concatenate(([True], values[1:] != values[:-1])).nonzero()[0]
+
+
+def _merge_links(
+    links: np.ndarray, lens: np.ndarray, n_links: int
+) -> tuple[np.ndarray, int]:
+    """Union the links each flow crosses; label every link with the
+    smallest link id of its component.
+
+    ``links`` is the flow-major concatenation of the flows' link ids and
+    ``lens`` their (positive) run lengths.  Returns ``(label per link
+    id, rounds taken)``; links no flow crosses keep their own id.
+
+    Consecutive links of a path are the edges of a graph on link ids.
+    ``parent`` is a forest over it whose pointers only ever point at
+    smaller ids, flattened after every round, so ``parent[x]`` is a
+    root.  A round hooks every root that an edge joins to a smaller
+    root under the smallest such root, in one sort and one
+    ``minimum.reduceat`` (``np.minimum.at`` would do, but is only fast
+    from NumPy 1.25).  A root that survives a round un-grown sees only
+    smaller roots around it in the next — each neighbour hooked under
+    something no larger than it — and hooks then; so the roots at
+    least halve every two rounds and ``2 * log2(links) + 1`` rounds
+    bound any input, a shuffled chain included (where passing labels
+    link to link without hooking the roots takes a round per hop).
+    Flattening is pointer doubling: ``log2(depth)`` gathers.
+    """
+    parent = np.arange(n_links)
+    joined = np.ones(links.size, dtype=bool)
+    joined[np.cumsum(lens) - 1] = False  # a path's last link has no successor
+    at = joined.nonzero()[0]
+    a, b = links[at], links[at + 1]
+    rounds = 0
+    while True:
+        root_a, root_b = parent[a], parent[b]
+        apart = root_a != root_b
+        if not apart.any():
+            return parent, rounds
+        rounds += 1
+        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        high = np.maximum(root_a, root_b)
+        order = np.argsort(high, kind="stable")
+        high = high[order]
+        low = np.minimum(root_a, root_b)[order]
+        cuts = _run_starts(high)
+        parent[high[cuts]] = np.minimum.reduceat(low, cuts)
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+
+
+class _Layout:
+    """Some components of a flow table, gathered for :func:`_water_fill`.
+
+    Args:
+        demand / ptr / entry_link: the table's columns.
+        rows: the table rows to lay out, grouped by component.
+        labels: the label of each of ``rows`` (equal labels adjacent).
+        n_links: size of the table's link id space.
+
+    Flows are laid out in the order given and links by the component
+    of the flows crossing them — both component-major, because
+    components share no links.  Component *c* therefore owns contiguous flow and
+    link rows, the segments ``np.minimum.reduceat`` reduces over.  Row
+    order *inside* a component is immaterial to the result: the round's
+    reductions are ``min`` and everything else is element-wise.
+    ``links`` holds the table's link id of each link row, which is its
+    position in the caller's capacity array.
+
+    Building this is two dozen integer gathers whose cost is that of
+    the rows laid out, so it is built per solve, for the dirty
+    components only, and thrown away.
     """
 
     __slots__ = (
-        "flow_ids",
-        "link_keys",
-        "flow_starts",
-        "link_starts",
+        "links",
         "demand",
+        "counts0",
         "entry_flow",
         "entry_link",
-        "counts0",
         "comp_of_flow",
         "comp_of_link",
+        "sizes_f",
+        "sizes_l",
     )
 
     def __init__(
-        self, components: Sequence[Mapping[Hashable, FlowDemand]]
+        self,
+        demand: np.ndarray,
+        ptr: np.ndarray,
+        entry_link: np.ndarray,
+        rows: np.ndarray,
+        labels: np.ndarray,
+        n_links: int,
     ) -> None:
-        flow_ids: list[Hashable] = []
-        demand: list[float] = []
-        link_index: dict[LinkKey, int] = {}
-        entry_flow: list[int] = []
-        entry_link: list[int] = []
-        flow_starts: list[int] = []
-        link_starts: list[int] = []
-        for component in components:
-            flow_starts.append(len(flow_ids))
-            link_starts.append(len(link_index))
-            for fid, flow in component.items():
-                fi = len(flow_ids)
-                flow_ids.append(fid)
-                demand.append(flow.demand_mbps)
-                for key in flow.links:
-                    li = link_index.get(key)
-                    if li is None:
-                        li = link_index[key] = len(link_index)
-                    entry_flow.append(fi)
-                    entry_link.append(li)
-        self.flow_ids = flow_ids
-        self.link_keys = list(link_index)
-        #: Segment starts per component, plus the end sentinel.
-        self.flow_starts = flow_starts + [len(flow_ids)]
-        self.link_starts = link_starts + [len(link_index)]
-        self.demand = np.array(demand, dtype=np.float64)
-        self.entry_flow = np.array(entry_flow, dtype=np.intp)
-        self.entry_link = np.array(entry_link, dtype=np.intp)
+        lens, index = _entry_runs(ptr, rows)
+        crossed = entry_link[index]
+        entry_flow = np.repeat(np.arange(rows.size), lens)
+        # Number the components in the order given...
+        comp_of_flow = np.zeros(rows.size, dtype=np.intp)
+        comp_of_flow[_run_starts(labels)[1:]] = 1
+        np.cumsum(comp_of_flow, out=comp_of_flow)
+        # ...and give each link the component of any flow crossing it.
+        comp_of_link = np.full(n_links, -1, dtype=np.intp)
+        comp_of_link[crossed] = comp_of_flow[entry_flow]
+        links = (comp_of_link >= 0).nonzero()[0]
+        comp_of_link = comp_of_link[links]
+        order = np.argsort(comp_of_link, kind="stable")
+        links, comp_of_link = links[order], comp_of_link[order]
+        slot = np.empty(n_links, dtype=np.intp)
+        slot[links] = np.arange(links.size)
+        self.links = links
+        self.demand = demand[rows]
+        self.entry_flow = entry_flow
+        self.entry_link = slot[crossed]
         #: Flows per link, with multiplicity (a path listing a link
         #: twice counts twice, as in the reference).
         self.counts0 = np.bincount(
-            self.entry_link, minlength=len(link_index)
+            self.entry_link, minlength=links.size
         ).astype(np.float64)
-        ids = np.arange(len(components))
-        self.comp_of_flow = np.repeat(ids, np.diff(self.flow_starts))
-        self.comp_of_link = np.repeat(ids, np.diff(self.link_starts))
+        self.comp_of_flow = comp_of_flow
+        self.comp_of_link = comp_of_link
+        self.sizes_f = np.bincount(comp_of_flow)
+        self.sizes_l = np.bincount(comp_of_link, minlength=self.sizes_f.size)
 
     @property
     def n_components(self) -> int:
-        return len(self.flow_starts) - 1
+        return self.sizes_f.size
 
-    def solve(self, cap: np.ndarray, selected: np.ndarray) -> np.ndarray:
-        """Water-fill the ``selected`` components against ``cap``.
-
-        Args:
-            cap: capacity per link row (consumed).
-            selected: bool per component; unselected components are
-                left alone and their rows of the result are meaningless.
-
-        Returns:
-            The rate per flow row.
-
-        A partial selection is first compacted to the selected
-        components' rows (order kept, indices renumbered), so the round
-        loop costs what the dirty part of the instance costs, not what
-        the whole instance does.
-        """
-        sizes_f = np.diff(self.flow_starts)
-        sizes_l = np.diff(self.link_starts)
-        if selected.all():
-            return _water_fill(
-                self.demand,
-                self.counts0.copy(),
-                cap,
-                self.entry_flow,
-                self.entry_link,
-                self.comp_of_flow,
-                self.comp_of_link,
-                sizes_f,
-                sizes_l,
-            )
-        flow_on = selected[self.comp_of_flow]
-        link_on = selected[self.comp_of_link]
-        entry_on = flow_on[self.entry_flow]
-        renumber_c = np.cumsum(selected) - 1
-        renumber_f = np.cumsum(flow_on) - 1
-        renumber_l = np.cumsum(link_on) - 1
-        rate = np.zeros(flow_on.size, dtype=np.float64)
-        rate[flow_on] = _water_fill(
-            self.demand[flow_on],
-            self.counts0[link_on],
-            cap[link_on],
-            renumber_f[self.entry_flow[entry_on]],
-            renumber_l[self.entry_link[entry_on]],
-            renumber_c[self.comp_of_flow[flow_on]],
-            renumber_c[self.comp_of_link[link_on]],
-            sizes_f[selected],
-            sizes_l[selected],
+    def fill(self, cap_values: np.ndarray) -> np.ndarray:
+        """Water-fill against ``cap_values`` (capacity per link id, left
+        alone); returns the rate of each row laid out."""
+        return _water_fill(
+            self.demand,
+            self.counts0.copy(),
+            cap_values[self.links],
+            self.entry_flow,
+            self.entry_link,
+            self.comp_of_flow,
+            self.comp_of_link,
+            self.sizes_f,
+            self.sizes_l,
         )
-        return rate
 
 
 def _water_fill(
@@ -572,6 +664,9 @@ def link_components(
     return [component.flows for component in _link_groups(active)]
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 def _use_batch(active_flows: int) -> bool:
     return active_flows >= _BATCH_MIN_FLOWS
 
@@ -595,13 +690,24 @@ def _fill_batched(
     capacities: Mapping[LinkKey, float],
 ) -> None:
     """Batched kernel over a whole instance: every component at once."""
-    batch = ComponentBatch(components)
-    cap = np.array(
-        [float(capacities[key]) for key in batch.link_keys],
-        dtype=np.float64,
+    link_index = {key: i for i, key in enumerate(capacities)}
+    table = _Incidence(
+        (flow for component in components for flow in component.values()),
+        link_index,
     )
-    final = batch.solve(cap, np.ones(len(components), dtype=bool))
-    rates.update(zip(batch.flow_ids, final.tolist()))
+    labels = np.repeat(
+        np.arange(len(components)), [len(component) for component in components]
+    )
+    layout = _Layout(
+        table.demand,
+        table.ptr,
+        table.entry_link,
+        np.arange(labels.size),
+        labels,
+        len(link_index),
+    )
+    cap = np.array([float(value) for value in capacities.values()])
+    rates.update(zip(table.flow_ids, layout.fill(cap).tolist()))
 
 
 def max_min_allocation(
@@ -637,36 +743,56 @@ class IncrementalMaxMin:
     maintained* inputs.  Between calls the engine keeps the component
     structure of the active flows (which component each flow and each
     link belongs to), the complete allocation, and the capacities that
-    allocation was solved against — plus, as derived state compiled on
-    first use and dropped with the component, each component's
-    water-fill :class:`_Plan`.  The caller reports every flow that
-    was added, removed, rerouted or re-demanded with :meth:`touch`; at
-    the next :meth:`solve` the engine
-
-    1. pools the flows of every component those changes touch — the
-       old component of each touched flow, plus the components owning
-       a link of each new path — together with the touched flows' own
-       current rows (a flow added and removed again between two solves
-       is in neither, so it cancels),
-    2. re-runs :func:`_link_groups` on that pool only, which is where
-       merges (a bridging flow arrived) and splits (it left) fall out,
-       and replaces the pooled components with the result,
-    3. water-fills the replacement components — and, when capacities
-       moved, retained components too: all of them below
-       ``_BATCH_MIN_FLOWS`` active flows (on instances that small
-       nearly every capacity change touches every component), only the
-       ones owning a moved link at or above it (one dirty-component
-       mask over the compiled batch) — and leaves every other
-       component's cached rates alone.
-
-    A from-scratch solve (the first one, after :meth:`invalidate`, or
-    when the capacity array changes shape) is the same path with the
-    pool being every flow.  Because components share no links, a
-    component's allocation is a pure, order-independent function of
-    its own flows and capacities, so the result is exactly — bitwise —
-    what ``max_min_allocation`` computes from scratch
+    allocation was solved against.  The caller reports every flow that
+    was added, removed, rerouted or re-demanded with :meth:`touch`; the
+    next :meth:`solve` re-components the flows those changes reach,
+    water-fills the components that result — plus, when capacities
+    moved, the components owning a moved link — and leaves every other
+    component's cached rates alone.  Because components share no
+    links, a component's allocation is a pure, order-independent
+    function of its own flows and capacities, so the result is exactly
+    — bitwise — what ``max_min_allocation`` computes from scratch
     (``tests/unit/test_fairness_incremental.py`` proves this over
     seeded perturbation sequences, through pickling as well).
+
+    The structure has two forms, and ``_BATCH_MIN_FLOWS`` on the active
+    flow count — the kernel cutover — picks between them.
+
+    *Below it*: ``_Component`` objects and two dicts (flow id -> its
+    component, link -> its owner).  A solve pools the flows of every
+    component the touched flows leave or whose links their new paths
+    reach, re-runs :func:`_link_groups` on the pool — which is where
+    merges (a bridging flow arrived) and splits (it left) fall out —
+    and water-fills the replacements through each component's retained
+    :class:`_Plan`; when capacities moved it re-fills every component
+    (on instances that small nearly every capacity change touches
+    every component).
+
+    *At or above it*: two label columns over the caller's integer flow
+    table (:class:`~repro.net.flows.FlowArrays`, or an
+    :class:`_Incidence` the engine converts for itself when driven
+    without one).  A component is named by its smallest link id;
+    ``_link_comp[l]`` is the component owning link *l* (-1: none) and
+    an active row's component is its first link's.  A link is *dirty*
+    when its capacity moved or a flow crossing it was added, removed or
+    re-demanded; a component is re-grouped iff it owns a flow-dirtied
+    link and re-filled iff it owns any dirty link.  That is the same
+    set the dict form dissolves: every piece a departing flow splits
+    off was joined to the rest through a link of that flow, so it still
+    owns one.  Re-grouping is :func:`_merge_links` over the released
+    rows' entries; the fill is one :class:`_Layout` gathered for the
+    dirty components.  No Python loop visits a flow's links.
+
+    Crossing the cutover converts one form into the other and nothing
+    else: labels are a pure function of the table and rates live in
+    ``_rates``, so neither direction water-fills or counts as a full
+    solve.  The label columns are derived state — a checkpoint carries
+    the pending dirty links, not the labels, and the first solve after
+    a restore re-labels the table without filling anything.
+
+    A from-scratch solve (the first one, after :meth:`invalidate`, or
+    when the capacity array changes shape) is the same path with every
+    flow touched.
 
     Flow rows are duck-typed (``flow_id`` / ``links`` /
     ``demand_mbps``) and held by reference: the emulator's mutable
@@ -682,53 +808,96 @@ class IncrementalMaxMin:
     def __init__(self) -> None:
         self._solved_caps: Optional[np.ndarray] = None
         self._rates: dict[Hashable, float] = {}
+        #: Whether the structure is in its label form (see above).
+        self._batched = False
+        #: Dict form.  Active flow id -> its component; link -> the
+        #: component owning it.  Values are the objects in
+        #: ``_components``.
         self._components: list[_Component] = []
-        #: Active flow id -> its component; link -> the component
-        #: owning it.  Values are the objects in ``_components``.
         self._member_of: dict[Hashable, _Component] = {}
         self._link_owner: dict[LinkKey, _Component] = {}
-        #: Flow ids reported since the last solve (an ordered set).
+        #: Label form.  ``_table`` is the table the row columns are
+        #: aligned with; ``_rows`` its active rows sorted by component,
+        #: ``_labels`` their labels and ``_fids`` their flow ids.  All
+        #: derived, none serialized; the two counts are kept so a
+        #: restored engine still reports.
+        self._link_comp: Optional[np.ndarray] = None
+        self._table = None
+        self._rows = self._labels = self._fids = _NO_ROWS
+        self._n_active = 0
+        self._n_components = 0
+        #: Flow ids reported since the last solve, and (label form
+        #: only) the links they crossed or cross — ordered sets.
         self._touched: dict[Hashable, None] = {}
-        #: ``(batch, capacity-array position per batch link row)`` —
-        #: derived from ``_components``; never serialized.
-        self._compiled: Optional[tuple[ComponentBatch, np.ndarray]] = None
+        self._touched_links: dict[LinkKey, None] = {}
         #: Observability counters (deterministic; surfaced as gauges).
         self.full_solves = 0
         self.partial_solves = 0
         self.components_resolved = 0
 
     @property
-    def component_count(self) -> int:
-        return len(self._components)
+    def batched(self) -> bool:
+        """Whether the last solve left at least ``_BATCH_MIN_FLOWS``
+        active flows: the structure is label columns over a flow table,
+        which is then worth handing to :meth:`solve`."""
+        return self._batched
 
-    def touch(self, flow_id: Hashable) -> None:
-        """Report that a flow was added, removed, rerouted or re-demanded."""
+    @property
+    def active_flows(self) -> int:
+        return self._n_active if self._batched else len(self._member_of)
+
+    @property
+    def component_count(self) -> int:
+        return self._n_components if self._batched else len(self._components)
+
+    def touch(self, flow_id: Hashable, links: Iterable[LinkKey] = ()) -> None:
+        """Report that a flow was added, removed, rerouted or re-demanded.
+
+        ``links`` are the links it crossed before the change and
+        crosses after it.  Only the label form needs them (a removed
+        row has left the table by the next solve; the dict form finds
+        the old component by flow id).
+        """
         self._touched[flow_id] = None
+        if self._batched:
+            self._touched_links.update(dict.fromkeys(links))
 
     def invalidate(self) -> None:
         """Drop all cached structure; the next call solves from scratch."""
         self._solved_caps = None
 
     def __getstate__(self) -> dict:
-        """Checkpoints carry the components, not what is compiled from
-        them: the batch arrays are dropped here and each component
-        pickles without its plan; both are rebuilt on first use."""
+        """Checkpoints carry the structure, not what is derived from
+        it: each component pickles without its plan and the label
+        columns are dropped; both are rebuilt on first use."""
         state = self.__dict__.copy()
-        state["_compiled"] = None
+        state["_link_comp"] = state["_table"] = None
+        state["_rows"] = state["_labels"] = state["_fids"] = _NO_ROWS
         return state
 
-    def _batch(
-        self, link_index: Mapping[LinkKey, int]
-    ) -> tuple[ComponentBatch, np.ndarray]:
-        if self._compiled is None:
-            batch = ComponentBatch([c.flows for c in self._components])
-            cap_pos = np.fromiter(
-                (link_index[key] for key in batch.link_keys),
-                dtype=np.intp,
-                count=len(batch.link_keys),
-            )
-            self._compiled = (batch, cap_pos)
-        return self._compiled
+    def _settle(
+        self,
+        flows: Mapping[Hashable, FlowDemand],
+        touched: Iterable[Hashable],
+        link_index: Mapping[LinkKey, int],
+    ) -> tuple[dict[Hashable, FlowDemand], list[Hashable]]:
+        """Drop the rates of touched flows that are gone and grant the
+        ones that need no water-filling (loopback, zero demand).
+
+        Returns the touched flows that are active now, and the ids
+        whose rate is thereby settled.
+        """
+        rates = self._rates
+        granted, arrivals = _partition_flows(
+            [flows[fid] for fid in touched if fid in flows], link_index
+        )
+        for fid in touched:
+            if fid not in granted:
+                rates.pop(fid, None)  # the flow is gone
+        rates.update(granted)
+        return arrivals, [fid for fid in granted if fid not in arrivals]
+
+    # -- dict form --------------------------------------------------------
 
     def _restructure(
         self,
@@ -740,22 +909,15 @@ class IncrementalMaxMin:
 
         Returns the replacement components (appended to
         ``_components``, rates not yet filled) and the touched ids
-        whose rate is settled without water-filling (loopback and
-        zero-demand flows).
+        whose rate is settled without water-filling.
         """
-        rates, member_of = self._rates, self._member_of
-        link_owner = self._link_owner
-        granted, arrivals = _partition_flows(
-            [flows[fid] for fid in touched if fid in flows], link_index
-        )
+        member_of, link_owner = self._member_of, self._link_owner
+        arrivals, settled = self._settle(flows, touched, link_index)
         dissolved: dict[int, _Component] = {}
         for fid in touched:
             old = member_of.pop(fid, None)
             if old is not None:
                 dissolved[id(old)] = old
-            if fid not in granted:
-                rates.pop(fid, None)  # the flow is gone
-        rates.update(granted)
         for flow in arrivals.values():
             for key in flow.links:
                 owner = link_owner.get(key)
@@ -771,22 +933,157 @@ class IncrementalMaxMin:
         pool.update(arrivals)
         fresh = _link_groups(pool)
         for component in fresh:
-            for fid in component.flows:
-                member_of[fid] = component
-            for key in component.links:
-                link_owner[key] = component
+            self._adopt(component)
         if dissolved or fresh:
             self._components = [
                 c for c in self._components if id(c) not in dissolved
             ] + fresh
-            self._compiled = None
-        return fresh, [fid for fid in granted if fid not in arrivals]
+        return fresh, settled
+
+    def _adopt(self, component: _Component) -> None:
+        for fid in component.flows:
+            self._member_of[fid] = component
+        for key in component.links:
+            self._link_owner[key] = component
+
+    def _to_labels(
+        self, fresh: list[_Component], link_index: Mapping[LinkKey, int]
+    ) -> np.ndarray:
+        """Dict form -> label form; returns the labels of ``fresh``
+        (the tail of ``_components``)."""
+        link_comp = np.full(len(link_index), -1, dtype=np.intp)
+        labels = []
+        for component in self._components:
+            ids = [link_index[key] for key in component.links]
+            labels.append(min(ids))
+            link_comp[ids] = labels[-1]
+        self._components, self._member_of, self._link_owner = [], {}, {}
+        self._link_comp = link_comp
+        self._batched = True
+        return np.array(labels[len(labels) - len(fresh):], dtype=np.intp)
+
+    # -- label form -------------------------------------------------------
+
+    def _release(self, dirty_links: np.ndarray) -> None:
+        """Dissolve the components owning any of ``dirty_links``."""
+        link_comp = self._link_comp
+        owners = link_comp[dirty_links]
+        owners = owners[owners >= 0]
+        if owners.size:
+            gone = np.zeros(link_comp.size + 1, dtype=bool)  # [-1]: unowned
+            gone[owners] = True
+            link_comp[gone[link_comp]] = -1
+
+    def _align(self, table) -> np.ndarray:
+        """Line the row columns up with ``table`` and group the active
+        rows no component owns (new, or released).
+
+        Returns the label of each row so grouped — the components so
+        formed, repeated — rates not yet filled.
+        """
+        link_comp = self._link_comp
+        ptr, entry_link = table.ptr, table.entry_link
+        starts = ptr[:-1]
+        rows = ((table.demand > _EPSILON) & (ptr[1:] > starts)).nonzero()[0]
+        labels = link_comp[entry_link[starts[rows]]]
+        pool = (labels < 0).nonzero()[0]
+        fresh = pool
+        if pool.size:
+            lens, index = _entry_runs(ptr, rows[pool])
+            crossed = entry_link[index]
+            label_of, _ = _merge_links(crossed, lens, link_comp.size)
+            grouped = label_of[crossed]
+            link_comp[crossed] = grouped
+            fresh = labels[pool] = grouped[np.cumsum(lens) - lens]
+        order = np.argsort(labels, kind="stable")
+        self._table = table
+        self._rows, self._labels = rows[order], labels[order]
+        flow_ids = table.flow_ids
+        self._fids = np.fromiter(flow_ids, dtype=object, count=len(flow_ids))[
+            self._rows
+        ]
+        self._n_active = rows.size
+        self._n_components = int(
+            np.count_nonzero(link_comp == np.arange(link_comp.size))
+        )
+        return fresh
+
+    def _to_components(
+        self, fresh: np.ndarray, flows: Mapping[Hashable, FlowDemand]
+    ) -> list[_Component]:
+        """Label form -> dict form; returns the components of the
+        ``fresh`` labels."""
+        by_label: dict[int, _Component] = {}
+        for fid, label in zip(self._fids.tolist(), self._labels.tolist()):
+            component = by_label.get(label)
+            if component is None:
+                component = by_label[label] = _Component({}, [])
+            component.flows[fid] = flows[fid]
+        for component in by_label.values():
+            component.links = list(
+                dict.fromkeys(
+                    key for flow in component.flows.values() for key in flow.links
+                )
+            )
+            self._adopt(component)
+        self._components = list(by_label.values())
+        self._link_comp = self._table = None
+        self._rows = self._labels = self._fids = _NO_ROWS
+        self._batched = False
+        return [by_label[label] for label in dict.fromkeys(fresh.tolist())]
+
+    def _relabel(
+        self,
+        flows: Mapping[Hashable, FlowDemand],
+        touched: Iterable[Hashable],
+        link_index: Mapping[LinkKey, int],
+        table,
+        scratch: bool,
+    ) -> tuple[np.ndarray, list[Hashable]]:
+        """Fold the touched flows into the label columns.
+
+        Returns the labels of the re-grouped components (rates not yet
+        filled) and the touched ids whose rate is settled without
+        water-filling.
+        """
+        fresh, settled = _NO_ROWS, []
+        if touched:
+            _, settled = self._settle(flows, touched, link_index)
+        if self._link_comp is None:
+            # From scratch, or restored: label the whole table — and,
+            # when restored, fill none of it.
+            self._link_comp = np.full(len(link_index), -1, dtype=np.intp)
+            everything = self._align(table)
+            if scratch:
+                return everything, settled
+        elif table is not self._table and not touched:
+            self._align(table)
+        if touched:
+            self._release(
+                np.fromiter(
+                    map(link_index.__getitem__, self._touched_links),
+                    dtype=np.intp,
+                    count=len(self._touched_links),
+                )
+            )
+            fresh = self._align(table)
+        return fresh, settled
+
+    def _bind(self, flows, link_index, table, rows_changed: bool):
+        """The integer table to read: the caller's, or one converted
+        here — again whenever the rows changed."""
+        if table is None:
+            table = self._table
+            if table is None or rows_changed:
+                table = _Incidence(flows.values(), link_index)
+        return table
 
     def solve(
         self,
         flows: Mapping[Hashable, FlowDemand],
         link_index: Mapping[LinkKey, int],
         cap_values: np.ndarray,
+        table=None,
     ) -> tuple[dict[Hashable, float], list[Hashable]]:
         """(Re-)solve against the current flow table and capacity array.
 
@@ -797,6 +1094,11 @@ class IncrementalMaxMin:
             link_index: link key -> position in ``cap_values``.
             cap_values: current per-link capacities (not aliased; a
                 private copy is kept as the solved-state snapshot).
+            table: ``flows`` as an integer table (``flow_ids`` /
+                ``demand`` / ``ptr`` / ``entry_link``, link ids being
+                ``link_index`` values), when the caller keeps one.
+                Only read in the label form; without it the engine
+                converts ``flows`` itself whenever they changed.
 
         Returns:
             ``(rates, changed)`` — the complete allocation (owned by
@@ -808,8 +1110,9 @@ class IncrementalMaxMin:
             or self._solved_caps.shape != cap_values.shape
         )
         if scratch:
-            self._rates, self._components = {}, []
-            self._member_of, self._link_owner = {}, {}
+            self._rates = {}
+            self._components, self._member_of, self._link_owner = [], {}, {}
+            self._link_comp = self._table = None
             touched: Iterable[Hashable] = flows
             caps_moved = True
         else:
@@ -818,39 +1121,51 @@ class IncrementalMaxMin:
             caps_moved = bool(moved.any())
             if not touched and not caps_moved:
                 return self._rates, []
-        fresh: list[_Component] = []
+        # The re-grouped components: labels, or ``_Component`` objects.
+        fresh: Sequence = []
         changed: list[Hashable] = []
-        if scratch or touched:
+        if self._batched:
+            table = self._bind(flows, link_index, table, bool(touched))
+            fresh, changed = self._relabel(
+                flows, touched, link_index, table, scratch
+            )
+            if not _use_batch(self._n_active):
+                fresh = self._to_components(fresh, flows)
+        elif scratch or touched:
             fresh, changed = self._restructure(flows, touched, link_index)
-            self._touched = {}
+            if _use_batch(len(self._member_of)):
+                table = self._bind(flows, link_index, table, True)
+                fresh = self._to_labels(fresh, link_index)
+                self._align(table)
+        if scratch or touched:
+            self._touched, self._touched_links = {}, {}
         if caps_moved:
             self._solved_caps = cap_values.copy()
-        rates, components = self._rates, self._components
-        # The batched kernel runs over the one compiled batch of the
-        # whole instance, which the capacity-dirty mask needs anyway; a
-        # small pool on an instance whose capacities held skips it.
-        if _use_batch(len(self._member_of)) and (
-            caps_moved or _use_batch(sum(len(c.flows) for c in fresh))
-        ):
-            batch, cap_pos = self._batch(link_index)
-            dirty = np.zeros(len(components), dtype=bool)
-            dirty[len(components) - len(fresh):] = True
+        rates = self._rates
+        if self._batched:
+            dirty = np.zeros(cap_values.size + 1, dtype=bool)  # [-1]: unowned
+            dirty[fresh] = True
             if caps_moved and not scratch:
-                dirty |= np.logical_or.reduceat(
-                    moved[cap_pos], batch.link_starts[:-1]
+                dirty[self._link_comp[moved]] = True
+                dirty[-1] = False
+            picked = dirty[self._labels]
+            rows = self._rows[picked]
+            resolved = 0
+            if rows.size:
+                layout = _Layout(
+                    table.demand,
+                    table.ptr,
+                    table.entry_link,
+                    rows,
+                    self._labels[picked],
+                    cap_values.size,
                 )
-            filled = dirty.nonzero()[0].tolist()
-            if filled:
-                values = batch.solve(cap_values[cap_pos], dirty).tolist()
-                starts = batch.flow_starts
-                for ci in filled:
-                    rows = slice(starts[ci], starts[ci + 1])
-                    fids = batch.flow_ids[rows]
-                    rates.update(zip(fids, values[rows]))
-                    changed += fids
-            resolved = len(filled)
+                fids = self._fids[picked].tolist()
+                rates.update(zip(fids, layout.fill(cap_values).tolist()))
+                changed += fids
+                resolved = layout.n_components
         else:
-            fill = components if caps_moved else fresh
+            fill = self._components if caps_moved else fresh
             caps = cap_values.tolist()
             for component in fill:
                 plan = component.plan

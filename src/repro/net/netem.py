@@ -32,31 +32,34 @@ ids, with the object API kept as a thin view:
 * **Queues** live in one :class:`~repro.net.queues.QueueArrays`: the
   whole fleet advances in one vectorized update per tick, and per-link
   delay and loss queries read one row by link id.
-* **Flows** mirror into a :class:`~repro.net.flows.FlowArrays`
-  (rebuilt only when ``_flows_rev`` moves): per-link offered load and
+* **Flows** mirror into one integer flow table, a
+  :class:`~repro.net.flows.FlowArrays`: per-link offered load and
   per-tag accounting are ``bincount`` calls that add the same floats in
-  the same order as the scalar loops they replaced.
+  the same order as the scalar loops they replaced.  It is brought up
+  to date once per read, when ``_flows_rev`` has moved: at city scale
+  by folding in the rows that changed, on small flow sets by a rebuild.
 * **Allocations** come from a retained
   :class:`~repro.net.fairness.IncrementalMaxMin`, which holds the
   ``Flow`` rows themselves and re-runs water-filling only over the
   connected components a change reaches: the components a changed flow
-  leaves or joins, and — at city scale, in one batched array pass —
-  the ones whose capacities moved since the previous solve.
-  Bit-identical to a from-scratch solve.
+  leaves or joins, and — at city scale, in one batched array pass over
+  the same flow table — the ones whose capacities moved since the
+  previous solve.  Bit-identical to a from-scratch solve.
 
 Invalidation rules: the scan structure rebuilds when the topology
-version or the process-wide ``Link.shaping_rev`` moves; flow arrays
-rebuild when ``_flows_rev`` moves.  The incremental solver is *told*
-each changed flow (``add_flow`` / ``remove_flow`` / ``set_demand`` /
-``reroute_flow`` / ``on_topology_change`` all go through
-``_flow_changed``) and re-solves that flow's components only; it
-starts over from scratch on its first solve, when the topology version
-moves, and after a what-if ``recompute(capacities)``.  The scan groups
-and flow arrays are not serialized — a restored emulator rebuilds them
-and, because a rebuild re-reads the same values, resumes with the same
-capacity epoch and byte-identical behaviour; the solver's component
-structure and pending flow changes are state and travel with the
-snapshot.
+version or the process-wide ``Link.shaping_rev`` moves.  Every flow
+mutation (``add_flow`` / ``remove_flow`` / ``set_demand`` /
+``reroute_flow`` / ``on_topology_change``) goes through
+``_flow_changed``, which notes the flow for the table's next read and
+*tells* the incremental solver, which re-solves that flow's components
+only; the solver starts over from scratch on its first solve, when the
+topology version moves, and after a what-if ``recompute(capacities)``.
+The scan groups and the flow table are not serialized — a restored
+emulator rebuilds them and, because a rebuild re-reads the same
+values, resumes with the same capacity epoch and byte-identical
+behaviour; the solver's component structure (below the array cutover;
+above it, it is re-derived from the flow table) and pending flow
+changes are state and travel with the snapshot.
 """
 
 from __future__ import annotations
@@ -172,8 +175,10 @@ class NetworkEmulator:
         #: epoch.
         self._flows_rev = 0
         self._alloc_fingerprint: Optional[tuple] = None
-        #: FlowArrays mirror, keyed by ``_flows_rev``.
+        #: The flow table, keyed by ``_flows_rev``, and the flow ids
+        #: that changed since it was current (an ordered set).
         self._flow_arrays: Optional[tuple[int, FlowArrays]] = None
+        self._stale_rows: dict[str, None] = {}
         self._incremental = IncrementalMaxMin()
         #: Cumulative wall time per tick phase and the tick count —
         #: diagnostics only (surfaced via /metrics and the profiler,
@@ -211,7 +216,7 @@ class NetworkEmulator:
         """Register a fluid flow; its route is fixed until rerouted."""
         if flow_id in self._flows:
             raise SimulationError(f"duplicate flow id {flow_id!r}")
-        if demand_mbps < 0:
+        if not demand_mbps >= 0:  # NaN included
             raise SimulationError("demand_mbps must be >= 0")
         # Flow ids outlive the emulator in results, traces and rate
         # snapshots; interned, every emulator a process (re)builds for
@@ -230,19 +235,21 @@ class NetworkEmulator:
         )
         self._flows[flow_id] = flow
         self._index_flow(flow)
-        self._flow_changed(flow_id)
+        self._flow_changed(flow_id, links)
         return flow
 
     def remove_flow(self, flow_id: str) -> None:
         flow = self._flows.pop(flow_id, None)
         if flow is not None:
             self._unindex_flow(flow)
-            self._flow_changed(flow_id)
+            self._flow_changed(flow_id, flow.links)
 
-    def _flow_changed(self, flow_id: str) -> None:
+    def _flow_changed(self, flow_id: str, links: tuple[LinkKey, ...]) -> None:
         """One flow was added, removed, rerouted or re-demanded: tell
-        the solver which, and move the flow-set revision."""
-        self._incremental.touch(flow_id)
+        the solver which (and the ``links`` it crossed or crosses),
+        note it for the flow table, and move the flow-set revision."""
+        self._incremental.touch(flow_id, links)
+        self._stale_rows[flow_id] = None
         self._flows_rev += 1
         self._dirty = True
 
@@ -272,13 +279,13 @@ class NetworkEmulator:
         return list(self._flows.values())
 
     def set_demand(self, flow_id: str, demand_mbps: float) -> None:
-        if demand_mbps < 0:
+        if not demand_mbps >= 0:  # NaN included
             raise SimulationError("demand_mbps must be >= 0")
         flow = self.flow(flow_id)
         if flow.demand_mbps == demand_mbps:
             return  # nothing moved: keep the flow revision and caches
         flow.demand_mbps = demand_mbps
-        self._flow_changed(flow_id)
+        self._flow_changed(flow_id, flow.links)
 
     def reroute_flow(self, flow_id: str, src: str, dst: str) -> Flow:
         """Move a flow's endpoints (after a component migration)."""
@@ -310,15 +317,16 @@ class NetworkEmulator:
                 del self._flows[fid]
                 self._unindex_flow(flow)
                 removed.append(fid)
-                self._flow_changed(fid)
+                self._flow_changed(fid, flow.links)
                 continue
             if path != flow.path:
                 self._unindex_flow(flow)
+                left = flow.links
                 flow.path = path
                 flow.links = self.router.path_link_keys(flow.src, flow.dst)
                 self._index_flow(flow)
                 rerouted.append(fid)
-                self._flow_changed(fid)
+                self._flow_changed(fid, left + flow.links)
         if rerouted:
             # Re-establish registration order in the per-link sets a
             # reroute appended to, so per-link sums keep visiting flows
@@ -427,10 +435,22 @@ class NetworkEmulator:
         return self._capacities_now()
 
     def _current_flow_arrays(self) -> FlowArrays:
+        """The flow table, brought up to date once per read.
+
+        While the solver is in its array form (``_BATCH_MIN_FLOWS``
+        active flows: the one size cutover) the stale rows are folded
+        into the cached table; below it the delta's fixed cost buys
+        nothing over a rebuild.
+        """
         cached = self._flow_arrays
         if cached is not None and cached[0] == self._flows_rev:
             return cached[1]
-        arrays = FlowArrays(self._flows, self._link_index)
+        if cached is not None and self._incremental.batched:
+            arrays = cached[1]
+            arrays.update(self._flows, self._link_index, self._stale_rows)
+        else:
+            arrays = FlowArrays(self._flows, self._link_index)
+        self._stale_rows = {}
         self._flow_arrays = (self._flows_rev, arrays)
         return arrays
 
@@ -450,7 +470,12 @@ class NetworkEmulator:
         """
         if capacities is None:
             self._scan_capacities()
-            self._recompute_arrays()
+            # The solver reads the flow table only in its array form: a
+            # query-driven recompute below the cutover never builds it.
+            batched = self._incremental.batched
+            self._recompute_arrays(
+                self._current_flow_arrays() if batched else None
+            )
             return
         # What-if path: solve caller-supplied capacities from scratch.
         # The incremental engine's cached rates no longer match what is
@@ -464,8 +489,9 @@ class NetworkEmulator:
         self._alloc_fingerprint = None
         self._dirty = False
 
-    def _recompute_arrays(self) -> None:
-        """Refresh flow allocations from the capacity arrays."""
+    def _recompute_arrays(self, table: Optional[FlowArrays]) -> None:
+        """Refresh flow allocations from the capacity arrays (and the
+        flow ``table``, when the caller has it current)."""
         fingerprint = (
             self.topology.version,
             self._flows_rev,
@@ -480,7 +506,7 @@ class NetworkEmulator:
             self._incremental.invalidate()
         flows = self._flows
         rates, changed = self._incremental.solve(
-            flows, self._link_index, self._cap_values
+            flows, self._link_index, self._cap_values, table
         )
         for fid in changed:
             flows[fid].allocated_mbps = rates[fid]
@@ -497,7 +523,7 @@ class NetworkEmulator:
         arrays.accumulate_offered_by_tag(self.tick_s, self._offered_mbit_by_tag)
         self._queue_arrays.update_all(self.tick_s, offered, self._cap_values)
         t2 = _time.perf_counter()
-        self._recompute_arrays()
+        self._recompute_arrays(arrays)
         t3 = _time.perf_counter()
         phases = self._phase_s
         phases["capacity_scan"] += t1 - t0
@@ -552,6 +578,7 @@ class NetworkEmulator:
         state["_scan_rev"] = None
         state["_scan_groups"] = []
         state["_flow_arrays"] = None
+        state["_stale_rows"] = {}
         state["_phase_s"] = dict.fromkeys(TICK_PHASES, 0.0)
         state["_phase_ticks"] = 0
         return state

@@ -66,19 +66,20 @@ sizes.
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from queue import Empty, Queue as _Inbox
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .cache import MISS, ResultCache
 from .costmodel import order_longest_first
 from .worker import execute_cell, initialize_worker
+
+if TYPE_CHECKING:  # annotations only: see ``mp_context``
+    import multiprocessing.context
 
 #: How often the driver wakes to check worker liveness when the result
 #: queue is quiet, seconds.
@@ -97,6 +98,11 @@ MAX_BOOT_FAILURES = 3
 
 def mp_context() -> multiprocessing.context.BaseContext:
     """``fork`` where available (fast, inherits sys.path), else spawn."""
+    # Imported on first use, like ``asyncio`` below: only ``jobs > 1``
+    # sweeps run the fabric, and the two cost every other process that
+    # imports the runner ~45 ms and ~7 MiB.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -664,6 +670,8 @@ async def _drive(driver: _QueueDriver) -> None:
     caller's settle callback (which streams the canonical-order prefix)
     — there is no end-of-phase barrier anywhere.
     """
+    import asyncio
+
     loop = asyncio.get_running_loop()
     while driver.unsettled > 0:
         message = await loop.run_in_executor(None, driver.poll)
@@ -707,6 +715,8 @@ def execute_queue(
         sweep=sweep,
         settle=settle,
     )
+    import asyncio
+
     try:
         asyncio.run(_drive(driver))
     finally:

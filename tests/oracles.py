@@ -9,7 +9,8 @@ test fixtures, not product: nothing under ``src/`` imports this module.
   :func:`reference_allocation`, which runs it per link-connected
   component (the canonical decomposed semantics ``max_min_allocation``
   implements); :func:`forced_kernel` pins ``max_min_allocation`` to one
-  of its two kernels.
+  of its two kernels; :class:`ComponentBatchReference` is the batched
+  kernel's layout compiled by the row walk the integer gather replaced.
 * :class:`LinkQueue` — the one-queue-per-object fluid queue whose
   ``update`` arithmetic ``QueueArrays.update_all`` replays elementwise,
   and :class:`LockstepQueue`, which steps one production row beside it
@@ -36,6 +37,7 @@ from repro.net.fairness import (
     FlowDemand,
     LinkKey,
     _partition_flows,
+    _water_fill,
     link_components,
 )
 from repro.net.queues import QueueArrays
@@ -148,6 +150,72 @@ def forced_kernel(fill: Callable) -> Callable:
         return rates
 
     return solve
+
+
+class ComponentBatchReference:
+    """The batched kernel's layout as it was compiled before it was
+    gathered: a Python walk over every flow row of every component.
+
+    Frozen from ``ComponentBatch.__init__`` — flows component-major in
+    the order given, links in first-appearance order — so the gathered
+    ``fairness._Layout`` can be held to the rates this layout fills to.
+    :meth:`fill` water-fills every component through the production
+    round loop (``fairness._water_fill``, which is not what changed).
+    """
+
+    def __init__(
+        self, components: Sequence[Mapping[Hashable, FlowDemand]]
+    ) -> None:
+        flow_ids: list[Hashable] = []
+        demand: list[float] = []
+        link_index: dict[LinkKey, int] = {}
+        entry_flow: list[int] = []
+        entry_link: list[int] = []
+        flow_starts: list[int] = []
+        link_starts: list[int] = []
+        for component in components:
+            flow_starts.append(len(flow_ids))
+            link_starts.append(len(link_index))
+            for fid, flow in component.items():
+                fi = len(flow_ids)
+                flow_ids.append(fid)
+                demand.append(flow.demand_mbps)
+                for key in flow.links:
+                    li = link_index.get(key)
+                    if li is None:
+                        li = link_index[key] = len(link_index)
+                    entry_flow.append(fi)
+                    entry_link.append(li)
+        self.flow_ids = flow_ids
+        self.link_keys = list(link_index)
+        self.flow_starts = flow_starts + [len(flow_ids)]
+        self.link_starts = link_starts + [len(link_index)]
+        self.demand = np.array(demand, dtype=np.float64)
+        self.entry_flow = np.array(entry_flow, dtype=np.intp)
+        self.entry_link = np.array(entry_link, dtype=np.intp)
+        self.counts0 = np.bincount(
+            self.entry_link, minlength=len(link_index)
+        ).astype(np.float64)
+        ids = np.arange(len(components))
+        self.comp_of_flow = np.repeat(ids, np.diff(self.flow_starts))
+        self.comp_of_link = np.repeat(ids, np.diff(self.link_starts))
+
+    def fill(self, capacities: Mapping[LinkKey, float]) -> dict[Hashable, float]:
+        cap = np.array(
+            [float(capacities[key]) for key in self.link_keys], dtype=np.float64
+        )
+        rates = _water_fill(
+            self.demand,
+            self.counts0.copy(),
+            cap,
+            self.entry_flow,
+            self.entry_link,
+            self.comp_of_flow,
+            self.comp_of_link,
+            np.diff(self.flow_starts),
+            np.diff(self.link_starts),
+        )
+        return dict(zip(self.flow_ids, rates.tolist()))
 
 
 @dataclass

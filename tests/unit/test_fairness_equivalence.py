@@ -188,7 +188,7 @@ def test_auto_never_picks_vectorized_on_small_perf_instances(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("array kernel picked for a small instance")
 
-    monkeypatch.setattr(fairness.ComponentBatch, "__init__", refuse)
+    monkeypatch.setattr(fairness._Layout, "__init__", refuse)
     rng = np.random.default_rng(505)
     for n_links, n_flows in ((5, 10), (10, 45), (20, _BATCH_MIN_FLOWS - 1)):
         for _ in range(20):

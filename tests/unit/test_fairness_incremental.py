@@ -29,7 +29,14 @@ from repro.net.fairness import (
     _partition_flows,
     link_components,
 )
+from repro.net.flows import FlowArrays
 from tests.oracles import reference_allocation
+
+#: How a harness hands the engine its flow table: not at all (the
+#: engine converts the rows itself on every change), as a
+#: ``FlowArrays`` kept current by ``update`` like the emulator's, or as
+#: one rebuilt from scratch before every solve.
+TABLES = (None, "delta", "rebuilt")
 
 
 @dataclass
@@ -40,6 +47,7 @@ class Row:
     flow_id: str
     links: tuple
     demand_mbps: float
+    tag: str = "app"
 
 
 class PerturbationHarness:
@@ -51,7 +59,12 @@ class PerturbationHarness:
     component structure — against a from-scratch solve.
     """
 
-    def __init__(self, n_links: int, seed: int, max_hops: int = 5):
+    def __init__(self, n_links: int, seed: int, max_hops: int = 5, table=None):
+        assert table in TABLES
+        self.table_mode = table
+        self.table = None
+        #: Flow ids changed since ``table`` was current (delta mode).
+        self.stale: dict = {}
         self.max_hops = max_hops
         self.rng = np.random.default_rng(seed)
         self.links = [(f"n{i}", f"n{i + 1}") for i in range(n_links)]
@@ -88,15 +101,21 @@ class PerturbationHarness:
         fid = f"f{self.next_fid}"
         self.next_fid += 1
         self.flows[fid] = Row(fid, path, demand)
-        self.engine.touch(fid)
+        self.touch(fid, path)
         return fid
+
+    def touch(self, fid: str, links: tuple) -> None:
+        """Report a change the way the emulator does: the id and the
+        links the flow crossed or crosses to the engine, the id to the
+        flow table's stale set."""
+        self.engine.touch(fid, links)
+        self.stale[fid] = None
 
     def remove_flow(self, fid=None) -> None:
         if not self.flows:
             return
         fid = self.pick() if fid is None else fid
-        del self.flows[fid]
-        self.engine.touch(fid)
+        self.touch(fid, self.flows.pop(fid).links)
 
     def add_then_remove(self) -> None:
         """A flow that comes and goes between two solves cancels."""
@@ -106,8 +125,12 @@ class PerturbationHarness:
         if not self.flows:
             return
         fid = self.pick()
-        self.flows[fid].demand_mbps = float(self.rng.uniform(0.1, 80.0))
-        self.engine.touch(fid)
+        self.set_demand(fid, float(self.rng.uniform(0.1, 80.0)))
+
+    def set_demand(self, fid: str, demand: float) -> None:
+        row = self.flows[fid]
+        row.demand_mbps = demand
+        self.touch(fid, row.links)
 
     def toggle_demand(self) -> None:
         """Demand to or from <= epsilon: leaves or joins the active set."""
@@ -116,10 +139,9 @@ class PerturbationHarness:
         fid = self.pick()
         row = self.flows[fid]
         if row.demand_mbps > 1e-9:
-            row.demand_mbps = 0.0 if self.rng.random() < 0.5 else 1e-10
+            self.set_demand(fid, 0.0 if self.rng.random() < 0.5 else 1e-10)
         else:
-            row.demand_mbps = float(self.rng.uniform(0.1, 80.0))
-        self.engine.touch(fid)
+            self.set_demand(fid, float(self.rng.uniform(0.1, 80.0)))
 
     def reroute(self) -> None:
         """New path, same id: the row is replaced (``reroute_flow``) or
@@ -129,11 +151,16 @@ class PerturbationHarness:
         fid = self.pick()
         row = self.flows[fid]
         path = () if self.rng.random() < 0.1 else self.random_path()
-        if self.rng.random() < 0.5:
-            self.flows[fid] = Row(fid, path, row.demand_mbps)
-        else:
+        self.repath(fid, path, in_place=self.rng.random() >= 0.5)
+
+    def repath(self, fid: str, path: tuple, in_place: bool) -> None:
+        row = self.flows[fid]
+        left = row.links
+        if in_place:
             row.links = path
-        self.engine.touch(fid)
+        else:
+            self.flows[fid] = Row(fid, path, row.demand_mbps)
+        self.touch(fid, left + path)
 
     # -- capacity mutations ---------------------------------------------
 
@@ -196,11 +223,25 @@ class PerturbationHarness:
             pickle.dumps((self.flows, self.engine))
         )
         self.prev_rates = dict(self.engine._rates)
+        # Like the emulator's, the flow table is not part of a snapshot.
+        self.table, self.stale = None, {}
 
     # -- the check ------------------------------------------------------
 
+    def current_table(self):
+        if self.table_mode is None:
+            return None
+        if self.table is None or self.table_mode == "rebuilt":
+            self.table = FlowArrays(self.flows, self.link_index)
+        else:
+            self.table.update(self.flows, self.link_index, self.stale)
+        self.stale = {}
+        return self.table
+
     def solve(self):
-        return self.engine.solve(self.flows, self.link_index, self.cap_values)
+        return self.engine.solve(
+            self.flows, self.link_index, self.cap_values, self.current_table()
+        )
 
     def solve_and_verify(self) -> list:
         rates, changed = self.solve()
@@ -222,6 +263,11 @@ class PerturbationHarness:
         engine = self.engine
         _, active = _partition_flows(list(self.flows.values()), self.link_index)
         want = {frozenset(c) for c in link_components(active)}
+        assert engine.active_flows == len(active)
+        assert engine.component_count == len(want)
+        if engine.batched:
+            self.verify_labels(want)
+            return
         assert {frozenset(c.flows) for c in engine._components} == want
         assert len(engine._components) == len(want)
         for component in engine._components:
@@ -238,8 +284,30 @@ class PerturbationHarness:
             len(c.links) for c in engine._components
         )
 
+    def verify_labels(self, want: set) -> None:
+        """Label form: the rows sharing a label are a from-scratch
+        component, named by the smallest id among exactly the links its
+        flows cross; no dict structure is kept beside the columns."""
+        engine = self.engine
+        assert not engine._components
+        assert not engine._member_of and not engine._link_owner
+        flow_ids = engine._table.flow_ids
+        members: dict = {}
+        for row, label in zip(engine._rows.tolist(), engine._labels.tolist()):
+            members.setdefault(label, set()).add(flow_ids[row])
+        assert {frozenset(fids) for fids in members.values()} == want
+        owned: dict = {}
+        for link, label in enumerate(engine._link_comp.tolist()):
+            if label >= 0:
+                owned.setdefault(label, set()).add(self.links[link])
+        assert owned.keys() == members.keys()
+        for label, fids in members.items():
+            crossed = {key for fid in fids for key in self.flows[fid].links}
+            assert owned[label] == crossed
+            assert label == min(self.link_index[key] for key in crossed)
+
     def active_count(self) -> int:
-        return len(self.engine._member_of)
+        return self.engine.active_flows
 
 
 def small_harness(seed: int) -> PerturbationHarness:
@@ -250,30 +318,28 @@ def small_harness(seed: int) -> PerturbationHarness:
     return harness
 
 
-def city_harness(seed: int) -> PerturbationHarness:
+def city_harness(seed: int, table=None) -> PerturbationHarness:
     """Above the cutover with dozens of components: 1-2 hop flows over
     far more links than they can join up."""
-    harness = PerturbationHarness(n_links=700, seed=seed, max_hops=2)
+    harness = PerturbationHarness(n_links=700, seed=seed, max_hops=2, table=table)
     for _ in range(2 * _BATCH_MIN_FLOWS):
         harness.add_flow()
     harness.solve_and_verify()
     assert harness.active_count() >= _BATCH_MIN_FLOWS
+    assert harness.engine.batched
     assert harness.engine.component_count > 30
     return harness
 
 
-def dense_harness(seed: int) -> PerturbationHarness:
+def dense_harness(seed: int, table=None) -> PerturbationHarness:
     """Above the cutover with a few *large* components, so one flow
     change pools more than ``_BATCH_MIN_FLOWS`` flows."""
-    harness = PerturbationHarness(n_links=3, seed=seed, max_hops=1)
+    harness = PerturbationHarness(n_links=3, seed=seed, max_hops=1, table=table)
     for _ in range(5 * _BATCH_MIN_FLOWS):
         harness.add_flow()
     harness.solve_and_verify()
     assert harness.engine.component_count == 3
-    assert all(
-        len(component.flows) >= _BATCH_MIN_FLOWS
-        for component in harness.engine._components
-    )
+    assert (np.bincount(harness.engine._labels) >= _BATCH_MIN_FLOWS).all()
     return harness
 
 
@@ -308,14 +374,10 @@ def test_incremental_with_production_thresholds_still_exact():
         harness.solve_and_verify()
 
 
-@pytest.mark.parametrize("seed", [4, 5, 6])
-def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
-    """The same 200-step history above the cutover, where capacity
-    moves go through the batched kernel with a dirty-component mask and
-    small flow-set pools through the plan kernel.  Single steps give
-    sparse masks; every tenth step moves 60 % of the links
-    (majority-dirty) and every twenty-fifth all of them."""
-    harness = city_harness(seed * 1000)
+def run_city_history(harness: PerturbationHarness) -> None:
+    """200 steps above the cutover.  Single steps give sparse dirty
+    sets; every tenth step moves 60 % of the links (majority-dirty) and
+    every twenty-fifth all of them."""
     components = harness.engine.component_count
     sparse = majority = 0
     for step in range(200):
@@ -338,14 +400,32 @@ def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
             sparse += resolved * 10 < components
             majority += resolved * 2 > components
     assert harness.active_count() >= _BATCH_MIN_FLOWS
+    assert harness.engine.batched
     assert harness.engine.full_solves == 1
     assert sparse > 20 and majority > 10
 
 
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_batched_incremental_equals_scratch_over_perturbation_history(seed):
+    """The same 200-step history above the cutover, where the structure
+    is label columns over an integer flow table and every fill is one
+    layout gathered for the dirty components.  Driven without a table:
+    the engine converts the rows itself whenever they change."""
+    run_city_history(city_harness(seed * 1000))
+
+
+@pytest.mark.parametrize("table", ["delta", "rebuilt"])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_table_path_equals_scratch_over_perturbation_history(seed, table):
+    """...and handed a ``FlowArrays`` the way the emulator hands its
+    own: kept current by ``update``, or rebuilt before every solve."""
+    run_city_history(city_harness(seed * 1000, table=table))
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_large_pools_above_the_cutover_stay_exact(seed):
-    """A few big components: one flow change pools hundreds of flows,
-    which go through the batched kernel even when no capacity moved."""
+    """A few big components: one flow change re-groups hundreds of
+    flows."""
     harness = dense_harness(seed * 1000)
     for step in range(60):
         harness.step()
@@ -355,21 +435,41 @@ def test_large_pools_above_the_cutover_stay_exact(seed):
     assert harness.engine.full_solves == 1
 
 
+@pytest.mark.parametrize("table", ["delta", "rebuilt"])
+def test_large_pools_on_the_table_path_stay_exact(table):
+    harness = dense_harness(7000, table=table)
+    for step in range(60):
+        harness.step()
+        if step == 30:
+            harness.checkpoint_round_trip()
+        harness.solve_and_verify()
+    assert harness.engine.full_solves == 1
+
+
 def test_batched_partial_solve_reports_exactly_the_dirty_components():
-    harness = city_harness(77)
+    check_partial_solve_reports_the_dirty_components(city_harness(77))
+
+
+@pytest.mark.parametrize("table", ["delta", "rebuilt"])
+def test_table_path_partial_solve_reports_exactly_the_dirty_components(table):
+    check_partial_solve_reports_the_dirty_components(city_harness(77, table=table))
+
+
+def check_partial_solve_reports_the_dirty_components(harness) -> None:
     engine = harness.engine
-    batch, cap_pos = engine._batch(harness.link_index)
-    # Move one link of component 0 and one link no active flow crosses.
-    crossed = np.zeros(len(harness.links), dtype=bool)
-    crossed[cap_pos] = True
-    harness.cap_values[cap_pos[0]] *= 0.5
-    harness.cap_values[np.flatnonzero(~crossed)[0]] += 1.0
+    link_comp = engine._link_comp
+    # Move one link of one component and one link no active flow crosses.
+    label = int(engine._labels[0])
+    members = engine._rows[engine._labels == label]
+    uncrossed = int(np.flatnonzero(link_comp < 0)[0])
+    harness.cap_values[np.flatnonzero(link_comp == label)[0]] *= 0.5
+    harness.cap_values[uncrossed] += 1.0
     before = engine.components_resolved
     rates, changed = harness.solve()
     assert engine.components_resolved == before + 1
-    assert changed == batch.flow_ids[: batch.flow_starts[1]]
+    assert changed == [engine._table.flow_ids[row] for row in members]
     # Only an uncrossed link moved: nothing to re-solve.
-    harness.cap_values[np.flatnonzero(~crossed)[0]] += 1.0
+    harness.cap_values[uncrossed] += 1.0
     partial = engine.partial_solves
     _, changed = harness.solve()
     assert changed == []
@@ -378,32 +478,111 @@ def test_batched_partial_solve_reports_exactly_the_dirty_components():
 
 
 def test_checkpoint_drops_compiled_arrays_and_resumes_exactly():
-    """The batch arrays are derived state: not pickled, rebuilt from the
-    retained components on the first batched solve after restore —
-    without counting a full solve or touching the solved-caps snapshot.
-    The restored membership maps point at the restored components."""
-    harness = city_harness(55)
+    """The label columns are derived state: not pickled, re-derived
+    from the flow table on the first solve after restore — without
+    filling anything, counting a full solve or touching the solved-caps
+    snapshot."""
+    harness = city_harness(55, table="delta")
     engine = harness.engine
-    assert engine._compiled is not None
+    assert engine._link_comp is not None and engine._table is not None
     flows, restored = pickle.loads(pickle.dumps((harness.flows, engine)))
-    assert restored._compiled is None
+    assert restored.batched
+    assert restored._link_comp is None and restored._table is None
+    assert restored._rows.size == restored._labels.size == 0
     assert len(pickle.dumps(engine)) == len(pickle.dumps(restored))
-    live = {id(component) for component in restored._components}
-    assert {id(c) for c in restored._member_of.values()} == live
-    assert {id(c) for c in restored._link_owner.values()} == live
-    solved_caps = restored._solved_caps.copy()
+    assert restored.component_count == engine.component_count
+    assert restored.active_flows == engine.active_flows
     counters = (restored.full_solves, restored.partial_solves)
-    restored._batch(harness.link_index)
-    assert np.array_equal(restored._solved_caps, solved_caps)
+    # Only a link nobody crosses moved: the first solve re-labels the
+    # table and fills nothing.
+    harness.cap_values[np.flatnonzero(engine._link_comp < 0)[0]] += 1.0
+    table = FlowArrays(flows, harness.link_index)
+    rates, changed = restored.solve(
+        flows, harness.link_index, harness.cap_values, table
+    )
+    assert changed == [] and rates == engine._rates
+    assert np.array_equal(restored._link_comp, engine._link_comp)
     assert counters == (restored.full_solves, restored.partial_solves)
+    assert harness.solve()[1] == []
     harness.perturb_fraction(0.2)
     rates, changed = harness.solve()
     again, changed_again = restored.solve(
-        flows, harness.link_index, harness.cap_values
+        flows, harness.link_index, harness.cap_values, table
     )
     assert again == rates and changed_again == changed
     assert restored.full_solves == counters[0]
     assert restored.partial_solves == counters[1] + 1
+
+
+def history_with_pending_touches(harness: PerturbationHarness, pickle_at) -> list:
+    """Forty steps; at ``pickle_at`` the harness is checkpointed *after*
+    the step's mutations and before its solve.  Returns every step's
+    rates, changed ids and counters."""
+    seen = []
+    for step in range(40):
+        harness.step()
+        harness.step()
+        if step == pickle_at:
+            assert harness.engine._touched
+            harness.checkpoint_round_trip()
+        changed = harness.solve_and_verify()
+        engine = harness.engine
+        seen.append(
+            (
+                dict(engine._rates),
+                sorted(changed),
+                engine.full_solves,
+                engine.partial_solves,
+                engine.components_resolved,
+                engine.component_count,
+            )
+        )
+    return seen
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_checkpoint_with_touches_pending_equals_the_uninterrupted_run(table):
+    """A snapshot taken between the changes and the solve carries the
+    pending dirty links, not the labels: the restored engine re-labels
+    the table, fills exactly what the uninterrupted one fills, and
+    counts the same."""
+    straight = history_with_pending_touches(city_harness(91, table=table), None)
+    restored = history_with_pending_touches(city_harness(91, table=table), 12)
+    assert restored == straight
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_history_oscillating_across_the_cutover_stays_exact(table):
+    """The active count crosses ``_BATCH_MIN_FLOWS`` in both directions,
+    repeatedly, with flow and capacity changes pending at each
+    crossing: the structure changes form, the rates stay exact, and a
+    crossing is never a full solve."""
+    harness = PerturbationHarness(n_links=400, seed=17, max_hops=2, table=table)
+    for _ in range(_BATCH_MIN_FLOWS + 10):
+        harness.add_flow(path=harness.random_path(), demand=5.0)
+    harness.solve_and_verify()
+    assert harness.engine.batched
+    crossings = 0
+    for swing in range(6):
+        shrink = swing % 2 == 0
+        for _ in range(25):
+            if shrink:
+                harness.remove_flow()
+            else:
+                harness.add_flow(path=harness.random_path(), demand=5.0)
+            if harness.rng.random() < 0.5:
+                harness.mutate()
+            was = harness.engine.batched
+            harness.solve_and_verify()
+            crossings += harness.engine.batched != was
+            assert harness.engine.batched == (
+                harness.active_count() >= _BATCH_MIN_FLOWS
+            )
+        assert harness.engine.batched != shrink
+        if swing == 3:
+            harness.checkpoint_round_trip()
+    assert crossings >= 6
+    assert harness.engine.full_solves == 1
 
 
 def test_pending_changes_survive_a_checkpoint():

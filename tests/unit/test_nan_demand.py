@@ -1,0 +1,146 @@
+"""A NaN demand is rejected at every boundary it can enter through.
+
+``demand < 0`` lets NaN through, and a NaN demand is not a value any
+water-filling kernel survives: the plan kernel's slack never shrinks, so
+it never terminates (``set_demand(fid, nan)`` hung the next
+``run_until``), and the batched kernel returns NaN for every flow of the
+component.  Each test runs under an alarm, so a regression shows up as a
+failure rather than a hung suite.  ``inf`` stays a legal demand.
+"""
+
+import signal
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from repro.core.binding import DeploymentBinding
+from repro.core.dag import Component, ComponentDAG
+from repro.cluster.deployment import Deployment
+from repro.errors import DagError, SimulationError
+from repro.faults import HeartbeatConfig
+from repro.mesh.topology import full_mesh_topology
+from repro.net.fairness import (
+    _BATCH_MIN_FLOWS,
+    FlowDemand,
+    IncrementalMaxMin,
+    max_min_allocation,
+)
+from repro.net.netem import NetworkEmulator
+
+NAN = float("nan")
+LINK = ("a", "b")
+
+
+@contextmanager
+def time_limit(seconds: float = 10.0):
+    """Fail, rather than hang, when the body outlives ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def mesh_emulator() -> NetworkEmulator:
+    emu = NetworkEmulator(full_mesh_topology(4, capacity_mbps=10.0))
+    for i, (src, dst) in enumerate(
+        [("node1", "node2"), ("node1", "node2"), ("node2", "node3"),
+         ("node3", "node4"), ("node1", "node4"), ("node2", "node4")]
+    ):
+        emu.add_flow(f"f{i}", src, dst, 4.0 + i)
+    emu.start()
+    return emu
+
+
+def test_add_flow_rejects_nan_and_the_emulator_keeps_running():
+    with time_limit():
+        emu = mesh_emulator()
+        with pytest.raises(SimulationError):
+            emu.add_flow("bad", "node1", "node3", NAN)
+        assert not emu.has_flow("bad")
+        emu.engine.run_until(3.0)
+        assert all(np.isfinite(f.allocated_mbps) for f in emu.flows)
+
+
+def test_set_demand_rejects_nan_and_the_emulator_keeps_running():
+    with time_limit():
+        emu = mesh_emulator()
+        emu.engine.run_until(1.0)
+        with pytest.raises(SimulationError):
+            emu.set_demand("f0", NAN)
+        assert emu.flow("f0").demand_mbps == 4.0
+        emu.engine.run_until(3.0)
+        assert all(np.isfinite(f.allocated_mbps) for f in emu.flows)
+
+
+def test_negative_demands_are_still_rejected():
+    emu = mesh_emulator()
+    with pytest.raises(SimulationError):
+        emu.add_flow("bad", "node1", "node3", -1.0)
+    with pytest.raises(SimulationError):
+        emu.set_demand("f0", -0.5)
+
+
+def test_binding_override_rejects_nan():
+    dag = ComponentDAG("app")
+    dag.add_component(Component("a", cpu=1, memory_mb=10))
+    dag.add_component(Component("b", cpu=1, memory_mb=10))
+    dag.add_dependency("a", "b", 5.0)
+    deployment = Deployment("app")
+    deployment.bind("a", "node1")
+    deployment.bind("b", "node2")
+    netem = NetworkEmulator(full_mesh_topology(3, capacity_mbps=10.0))
+    binding = DeploymentBinding(dag, deployment, netem)
+    with time_limit():
+        with pytest.raises(DagError):
+            binding.set_demand_override("a", "b", NAN)
+        binding.set_demand_override("a", "b", None)  # clearing stays legal
+        binding.sync_flows()
+        netem.recompute()
+
+
+def test_heartbeat_config_rejects_nan():
+    with pytest.raises(SimulationError):
+        HeartbeatConfig(demand_mbps=NAN).validate()
+    HeartbeatConfig(demand_mbps=0.0).validate()
+
+
+@pytest.mark.parametrize("others", [2, _BATCH_MIN_FLOWS], ids=["plan", "batched"])
+def test_stateless_solver_fails_loudly_on_nan(others):
+    """Direct solver callers have no emulator in front of them."""
+    flows = [FlowDemand("f", (LINK,), NAN)] + [
+        FlowDemand(f"g{i}", (LINK,), 3.0) for i in range(others)
+    ]
+    with time_limit():
+        with pytest.raises(ValueError, match="NaN"):
+            max_min_allocation(flows, {LINK: 10.0})
+
+
+@pytest.mark.parametrize("others", [2, _BATCH_MIN_FLOWS], ids=["plan", "batched"])
+def test_incremental_solver_fails_loudly_on_nan(others):
+    table = {f"g{i}": FlowDemand(f"g{i}", (LINK,), 3.0) for i in range(others)}
+    engine = IncrementalMaxMin()
+    caps = np.array([10.0])
+    with time_limit():
+        engine.solve(table, {LINK: 0}, caps)
+        table["f"] = FlowDemand("f", (LINK,), NAN)
+        engine.touch("f", (LINK,))
+        with pytest.raises(ValueError, match="NaN"):
+            engine.solve(table, {LINK: 0}, caps)
+
+
+def test_infinite_demand_stays_legal():
+    flows = [FlowDemand("f", (LINK,), float("inf")), FlowDemand("g", (LINK,), 3.0)]
+    with time_limit():
+        assert max_min_allocation(flows, {LINK: 10.0}) == {"f": 7.0, "g": 3.0}
+        emu = mesh_emulator()
+        emu.set_demand("f2", float("inf"))
+        emu.recompute()
+        assert emu.flow("f2").allocated_mbps == 10.0

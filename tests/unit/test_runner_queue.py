@@ -145,6 +145,33 @@ def test_single_pending_cell_runs_inline_at_any_jobs(
     assert [r.squared for r in outcome.results] == [0, 1, 4, 9]
 
 
+def test_serial_sweeps_never_import_the_fabric_runtime():
+    """``asyncio`` and ``multiprocessing`` are the fabric's alone: they
+    are imported by the first ``jobs > 1`` sweep, not by importing the
+    runner or running a serial sweep (~45 ms and ~7 MiB for every
+    process that never starts a worker)."""
+    code = (
+        "import sys\n"
+        "import repro.experiments\n"
+        "from repro.runner import CellSpec, SweepSpec, run_sweep\n"
+        f"cells = tuple(CellSpec(fn={SQUARE!r}, kwargs={{'value': v}})"
+        " for v in range(4))\n"
+        "spec = SweepSpec(name='squares', cells=cells)\n"
+        "serial = run_sweep(spec, jobs=1)\n"
+        "loaded = {'asyncio', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not loaded, f'imported without a fabric run: {loaded}'\n"
+        "queued = run_sweep(spec, jobs=2)\n"
+        "assert queued.stats.backend == 'queue'\n"
+        "assert queued.to_canonical_json() == serial.to_canonical_json()\n"
+        "assert {'asyncio', 'multiprocessing'} <= set(sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_parallel_sweeps_take_the_fabric(jobs):
     golden = run_sweep(square_spec()).to_canonical_json()
