@@ -1,4 +1,4 @@
-"""Fleet scalability: regionalized control plane under 10x growth.
+"""Fleet scalability: the sharded control plane under 10x growth.
 
 Sweeps ``tenants x regions`` from 1x1 to 10x4 over regional meshes
 (dense neighbourhoods on a thin backbone ring) and checks the two
@@ -15,7 +15,7 @@ regionalization guarantees:
 
 A forced handoff-pressure cell exercises the two-phase cross-region
 protocol end to end and audits the cluster ledger after the run; the
-per-round ledger check (on by default) audits every epoch in between.
+per-round ledger check audits every epoch in between.
 
 Results are written to ``BENCH_fleet.json`` at the repo root (merged
 per case, like ``BENCH_emulator.json``) so the trajectory is tracked

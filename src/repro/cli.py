@@ -391,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,  # resolved to the catalogue row's default
         metavar="N",
-        help="region count for the regionalized fleet experiment",
+        help="region count for the fleet experiment",
     )
     runner.add_argument(
         "--checkpoint-dir",

@@ -5,7 +5,9 @@ utilisation (goodput) threshold for migration, the headroom fraction kept
 spare on each link, probing intervals and costs, and the controller
 cooldown.  Defaults follow the values used throughout §4 and §6 of the
 paper (50 % goodput threshold, 20 % headroom, 30 s probe interval, 1 s
-probe duration, 20–30 s restart cost).
+probe duration, 20–30 s restart cost).  :class:`FleetConfig` holds
+the per-mesh knobs of the one control plane: whether tenants share
+probes, and how many regions the mesh is cut into (default one).
 """
 
 from __future__ import annotations
@@ -118,27 +120,18 @@ class FleetConfig:
 
     Unlike :class:`BassConfig`, which is per application, a
     :class:`FleetConfig` governs machinery *shared* by every tenant of
-    one mesh: the fleet-wide net-monitor and the migration arbiter.
+    one mesh: the fleet-wide net-monitor and the regional layout of the
+    one control plane.
 
     Attributes:
         probe_sharing: tenants share a single :class:`NetMonitor`, so
             each link is probed once per epoch regardless of tenant
-            count.  Disabled, every app gets a private monitor (the
-            pre-control-plane behaviour) and duplicates probe traffic.
-        arbiter_enabled: arm the fleet arbiter — per controller epoch,
-            at most one application may migrate onto any given node, so
-            concurrent tenants never race onto the same node's
-            CPU/memory/bandwidth inside one epoch.
-        startup_probe_respects_cooldown: the startup max-capacity round
-            of a newly deployed app skips links the shared monitor full-
-            probed within ``full_probe_cooldown_s``, instead of
-            re-flooding them.
-        ledger_checks: after every epoch, assert the cluster resource
-            ledger is consistent (no node over-allocated).
+            count.  Disabled, every app gets a private monitor (scoped
+            to its home region) and duplicates probe traffic.
         regions: shard the control plane into this many regions via the
-            deterministic topology partitioner.  ``None`` (the default)
-            keeps the single global observe/plan/act loop — the legacy
-            code path, byte-identical to the pre-region control plane.
+            deterministic topology partitioner.  The default, one
+            region spanning the mesh, is what every single-app figure
+            runs on.
         region_specs: explicit region layout as ``(name, (node, ...))``
             pairs; overrides ``regions``.  Kept as nested tuples so the
             config stays hashable and JSON-encodable for the sweep
@@ -150,32 +143,24 @@ class FleetConfig:
     """
 
     probe_sharing: bool = True
-    arbiter_enabled: bool = True
-    startup_probe_respects_cooldown: bool = True
-    ledger_checks: bool = True
-    regions: Optional[int] = None
+    regions: int = 1
     region_specs: Optional[tuple[tuple[str, tuple[str, ...]], ...]] = None
     handoff_rtt_s: float = 2.0
 
     def validate(self) -> "FleetConfig":
         """Range-check the region knobs; return self for chaining."""
-        if self.regions is not None and self.regions < 1:
-            raise ConfigError("regions must be >= 1 or None")
+        regions = self.regions
+        if (
+            not isinstance(regions, int)
+            or isinstance(regions, bool)
+            or regions < 1
+        ):
+            raise ConfigError(f"regions must be an int >= 1, got {regions!r}")
         if self.region_specs is not None and not self.region_specs:
             raise ConfigError("region_specs must be non-empty or None")
         if self.handoff_rtt_s < 0:
             raise ConfigError("handoff_rtt_s must be >= 0")
-        if self.regionalized and not self.arbiter_enabled:
-            raise ConfigError(
-                "a regionalized control plane requires the fleet arbiter "
-                "(claims and handoffs are brokered through it)"
-            )
         return self
-
-    @property
-    def regionalized(self) -> bool:
-        """Whether the two-tier (region + fleet arbiter) path is on."""
-        return self.regions is not None or self.region_specs is not None
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .migration import MigrationPlanner, Violation
 from .netmonitor import NetMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .controlplane import FleetArbiter
     from .regions import RegionController
 
 
@@ -102,39 +101,27 @@ class BandwidthController:
                 self.config.probe.headroom_interval_s
                 + self.config.migration.restart_seconds
             )
-        self._task = None
         self._pending: Optional[ControllerIteration] = None
         self._pending_violations: list[Violation] = []
         self._epoch_seq = 0
         self._pending_plan_event: Optional[int] = None
-        #: Region this tenant is homed in (set by a regionalized control
-        #: plane).  When present, target selection is restricted to the
-        #: region's nodes and out-of-region escapes become handoff
-        #: requests brokered by the fleet arbiter.
+        #: Region this tenant is homed in, set when the control plane
+        #: registers it.  Target selection is restricted to the region's
+        #: nodes, migrations claim their target on the region's board,
+        #: and out-of-region escapes become handoff requests brokered by
+        #: the fleet arbiter.  None for a controller nobody registered,
+        #: which still evaluates — unarbitrated, over the whole mesh.
         self.region: Optional["RegionController"] = None
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the periodic evaluation on the engine."""
-        if self._task is None:
-            self._task = self.netem.engine.every(
-                self.config.probe.headroom_interval_s, self.evaluate
-            )
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
 
     # -- one evaluation -----------------------------------------------------------
     #
     # An evaluation runs in three phases so the multi-tenant control
     # plane can interleave them across applications: ``observe`` (flow
-    # sync + probing, sharing a fleet-wide probed-link set), ``plan``
+    # sync + probing, sharing a region-wide probed-link set), ``plan``
     # (violation detection and candidate selection), and ``act``
-    # (migration, gated by the fleet arbiter).  ``evaluate`` chains the
-    # three, which is the standalone single-app behaviour.
+    # (migration, arbitrated on the home region's claims board).  The
+    # plane's periodic epoch is the only timer; ``evaluate`` chains the
+    # three for manual driving.
 
     def evaluate(self) -> ControllerIteration:
         """Run one monitoring/migration cycle; returns its record."""
@@ -248,13 +235,12 @@ class BandwidthController:
                 return event_id
         return None
 
-    def act(self, arbiter: Optional["FleetArbiter"] = None) -> ControllerIteration:
+    def act(self) -> ControllerIteration:
         """Phase 3: migrate the planned candidates and record the epoch.
 
-        Args:
-            arbiter: fleet arbiter; when given, nodes claimed by *other*
-                applications this epoch are excluded from target
-                selection and successful migrations claim their target.
+        Nodes claimed by *other* applications on the home region's board
+        are excluded from target selection, and successful migrations
+        claim their target there.
         """
         iteration = self._require_pending()
         now = iteration.time
@@ -267,7 +253,7 @@ class BandwidthController:
             for component in iteration.candidates:
                 if len(iteration.migrated) >= budget:
                     break
-                if self._try_migrate(component, deployment, now, arbiter):
+                if self._try_migrate(component, deployment, now):
                     iteration.migrated.append(component)
                     continue
                 # The selected endpoint cannot move usefully (no target
@@ -279,7 +265,7 @@ class BandwidthController:
                 ):
                     if partner in iteration.migrated:
                         continue
-                    if self._try_migrate(partner, deployment, now, arbiter):
+                    if self._try_migrate(partner, deployment, now):
                         iteration.migrated.append(partner)
                         break
             if iteration.migrated:
@@ -365,13 +351,7 @@ class BandwidthController:
                 partners.append(violation.component)
         return partners
 
-    def _try_migrate(
-        self,
-        component: str,
-        deployment,
-        now: float,
-        arbiter: Optional["FleetArbiter"] = None,
-    ) -> bool:
+    def _try_migrate(self, component: str, deployment, now: float) -> bool:
         """All per-component gates, then the migration itself."""
         if not self._cooldown_elapsed(component, now):
             return False
@@ -380,31 +360,27 @@ class BandwidthController:
         last = self._last_migrated_at.get(component)
         if last is not None and now - last < self.min_residency_s:
             return False
-        if self._migrate_one(component, deployment, arbiter):
+        if self._migrate_one(component, deployment):
             self._last_migrated_at[component] = now
             self._violating_since.pop(component, None)
             return True
         return False
 
-    def _migrate_one(
-        self,
-        component: str,
-        deployment,
-        arbiter: Optional["FleetArbiter"] = None,
-    ) -> bool:
+    def _migrate_one(self, component: str, deployment) -> bool:
         """Pick a target and migrate; False when no suitable node exists."""
         spec = self.binding.dag.component(component)
         if spec.pinned_node is not None:
             return False  # pinned components (clients) never move
+        region = self.region
         claimed = (
-            arbiter.nodes_claimed_by_others(self.app)
-            if arbiter is not None
+            region.nodes_claimed_by_others(self.app)
+            if region is not None
             else set()
         )
         # Crashed nodes are never migration targets (empty set unless a
         # fault plan is active, so the healthy path is unchanged).
         down = self.netem.topology.down_nodes
-        allow = self.region.nodes if self.region is not None else None
+        allow = region.nodes if region is not None else None
         target = self.planner.select_target(
             component,
             deployment,
@@ -429,7 +405,7 @@ class BandwidthController:
                 achieved_mbps_of=self.binding.achieved_mbps,
             )
             if preferred is not None and preferred != target:
-                arbiter.record_conflict(
+                region.record_conflict(
                     self.netem.now, self.app, component, preferred, target
                 )
                 if self.tracer.enabled:
@@ -442,7 +418,7 @@ class BandwidthController:
                         granted=target,
                     )
         if target is None:
-            if self.region is not None:
+            if region is not None:
                 self._maybe_request_handoff(
                     component, deployment, claimed, down
                 )
@@ -479,8 +455,8 @@ class BandwidthController:
                     error=str(error),
                 )
             return False
-        if arbiter is not None:
-            arbiter.claim(self.netem.now, self.app, component, target)
+        if region is not None:
+            region.claim(self.netem.now, self.app, component, target)
         # Re-arm the edge flows the moment the restart window closes —
         # until then the component's edges rightly carry zero demand.
         self.netem.engine.schedule_in(restart + 1e-6, self.binding.sync_flows)

@@ -1,30 +1,30 @@
-"""The multi-tenant control plane.
+"""The control plane: one regional fleet round per mesh.
 
 The paper's evaluation (§6) co-deploys up to three applications on one
-mesh.  Each application still owns its DAG, deployment binding, and
-:class:`~repro.core.controller.BandwidthController`, but the machinery
-that touches the *shared substrate* is owned once per mesh by a
-:class:`ControlPlane`:
+mesh.  Each application owns its DAG, deployment binding, and
+:class:`~repro.core.controller.BandwidthController`; everything that
+touches the *shared substrate* is owned once per mesh by a
+:class:`ControlPlane`.  There is one of it: the five-node figures and
+the city-scale fleet run the same epoch and differ only in how many
+regions the mesh is cut into (``FleetConfig.regions``, default one
+region spanning the mesh).
 
 * **Shared net-monitor** — one :class:`~repro.core.netmonitor.NetMonitor`
-  serves every tenant, so startup max-capacity floods respect one
-  fleet-wide per-link cooldown and periodic headroom probes are
-  deduplicated per link per epoch regardless of tenant count.
+  per mesh, probed through region-scoped views: startup max-capacity
+  floods respect one fleet-wide per-link cooldown and headroom probes
+  are deduplicated per link per epoch regardless of tenant count.
 * **Epoch loop** — tenants with the same probing cadence share one
-  periodic task.  Each epoch runs in three phases across all tenants:
-  ``observe`` (flow sync + shared probing), ``plan`` (violation
-  detection), ``act`` (migration).  Acting order is deterministic:
-  highest violation severity first, ties broken by application name.
-* **Fleet arbiter** — a per-epoch claims board.  When an application
-  migrates a component onto a node, that node is claimed for the rest
-  of the epoch; other applications' target selection excludes it, so
-  two tenants never race their restarts onto the same node's
-  CPU/memory/bandwidth inside one epoch.  Deflected choices are logged
-  as conflicts for the scalability reports.
-
-A mesh with a single tenant behaves exactly as the pre-control-plane
-harness did: one monitor, one controller, same probe order, same
-migration decisions.
+  periodic task, the only timer that drives a controller.  Each epoch
+  is a *fleet round*: region by region, every tenant ``observe``s (flow
+  sync + shared probing), ``plan``s (violation detection), then tenants
+  ``act`` (migration), highest violation severity first, ties by
+  application name.
+* **Claims** — a migration claims its target node on the home region's
+  board for the round and co-tenants select around it, so two tenants
+  never race their restarts onto one node inside a round.  The
+  :class:`FleetArbiter` orders the regions' claim batches, records
+  collisions and deflections as conflicts, publishes the winners for
+  the next round, and brokers cross-region moves as two-phase handoffs.
 """
 
 from __future__ import annotations
@@ -87,27 +87,25 @@ class ArbiterConflict:
 class FleetArbiter:
     """The fleet-level migration arbiter.
 
-    Two operating modes share one instance:
-
-    * **Synchronous (legacy)** — a per-epoch claims board.  Within one
-      controller epoch, the first application to migrate onto a node
-      claims it; subsequent applications must pick elsewhere (or wait
-      an epoch).  Claims reset every epoch — this arbitrates *races*,
-      not long-term placement, which the resource ledger already owns.
-    * **Eventually consistent (regionalized)** — regions act
-      autonomously against their local boards and submit *claim
-      batches* asynchronously.  :meth:`resolve` orders all pending
-      claims by ``(severity desc, epoch, region, app, component)``
-      without any global lock; losers of a same-node race are recorded
-      as conflicts, and the winning claims are *published* — regions
-      see them at their next round, one round late.  Hard resource
-      safety never depends on this: the cluster ledger's atomic
-      ``can_fit`` check guards every migration regardless of claim
-      ordering.
+    Regions act autonomously against their local boards and submit
+    *claim batches* asynchronously.  :meth:`resolve` orders all pending
+    claims by ``(severity desc, epoch, region, app, component)`` without
+    any global lock; losers of a same-node race are recorded as
+    conflicts, and the winning claims are *published* — regions see
+    them at their next round, one round late.  Hard resource safety
+    never depends on this: the cluster ledger's atomic ``can_fit`` check
+    guards every migration regardless of claim ordering.
 
     Cross-region migrations additionally go through the two-phase
     handoff protocol (:class:`~repro.core.regions.HandoffRequest`),
     tracked on :attr:`handoffs`.
+
+    The arbiter also keeps the **recovery board** — the synchronous
+    ``begin_epoch`` / ``nodes_claimed_by_others`` / ``claim`` trio.  A
+    crash recovery is its own arbitration round, fleet-wide and outside
+    any region's round (:class:`~repro.faults.recovery.RecoveryCoordinator`):
+    each re-placement claims its target, later tenants select around
+    it, and the board clears when the next round begins.
     """
 
     def __init__(self) -> None:
@@ -121,12 +119,13 @@ class FleetArbiter:
         self.handoffs: list[HandoffRequest] = []
 
     def begin_epoch(self, time: float) -> None:
-        """Clear the claims board for a new epoch."""
+        """Count a round (fleet or recovery) and clear the recovery
+        board."""
         self.epoch_count += 1
         self._epoch_claims = {}
 
     def nodes_claimed_by_others(self, app: str) -> set[str]:
-        """Nodes another application migrated onto this epoch."""
+        """Nodes another application was recovered onto this round."""
         return {
             node
             for node, owner in self._epoch_claims.items()
@@ -134,7 +133,7 @@ class FleetArbiter:
         }
 
     def claim(self, time: float, app: str, component: str, node: str) -> None:
-        """Record an admitted migration, claiming ``node`` this epoch."""
+        """Record a recovery re-placement, claiming ``node`` this round."""
         self._epoch_claims[node] = app
         self.claims.append(ArbiterClaim(time, app, component, node))
 
@@ -154,7 +153,7 @@ class FleetArbiter:
     def conflict_count(self) -> int:
         return len(self.conflicts)
 
-    # -- eventually-consistent claim epochs (regionalized mode) ------------
+    # -- eventually-consistent claim epochs --------------------------------
 
     def submit_batch(self, batch: list[RegionClaim]) -> None:
         """Async ingest of one region's round claims (no lock, no
@@ -261,12 +260,17 @@ def check_cluster_ledger(cluster: ClusterState) -> None:
 
 
 class ControlPlane:
-    """Owns the shared monitor, epoch loop, and arbiter for one mesh.
+    """Owns the region map, shared monitor, epoch loop, and arbiter for
+    one mesh.
+
+    The region map is computed here, from the topology as it stands: a
+    node added to the topology afterwards belongs to no region.
 
     Args:
         netem: the mesh's network emulator (its engine drives epochs).
         orchestrator: executes migrations; supplies the cluster ledger.
-        config: fleet-level knobs; defaults share probes and arbitrate.
+        config: fleet-level knobs; defaults share probes across one
+            region spanning the mesh.
     """
 
     def __init__(
@@ -281,20 +285,12 @@ class ControlPlane:
         self.orchestrator = orchestrator
         self.tracer = resolve_tracer(tracer)
         self.config = (config if config is not None else FleetConfig()).validate()
-        self.arbiter: Optional[FleetArbiter] = (
-            FleetArbiter() if self.config.arbiter_enabled else None
-        )
+        self.arbiter = FleetArbiter()
         self._monitor: Optional[NetMonitor] = None
         self._controllers: dict[str, BandwidthController] = {}
         self._tasks: dict[float, "PeriodicTask"] = {}
         self.recovery: Optional["RecoveryCoordinator"] = None
-        #: Two-tier (regionalized) state; all None/empty on the legacy
-        #: single-loop path, which stays byte-identical.
-        self.region_map: Optional[RegionMap] = (
-            RegionMap.from_config(netem.topology, self.config)
-            if self.config.regionalized
-            else None
-        )
+        self.region_map = RegionMap.from_config(netem.topology, self.config)
         self._regions: dict[str, RegionController] = {}
         self._home_region: dict[str, str] = {}
         #: Per-fleet-round decision latency: max over regions of the
@@ -302,8 +298,8 @@ class ControlPlane:
         #: the fleet-level latency had regions run in parallel.
         self.epoch_decision_seconds: list[float] = []
         self.round_stats: list[RegionRoundStats] = []
-        #: Fleet epochs completed (both the legacy and regionalized
-        #: paths); drives the status publisher's k-epoch cadence.
+        #: Fleet epochs completed; drives the status publisher's
+        #: k-epoch cadence.
         self.epoch_count = 0
         #: Optional live status plane (see repro.obs.status); None by
         #: default, so batch experiments run byte-identical to seed.
@@ -335,24 +331,14 @@ class ControlPlane:
         """Managed application names, in registration order."""
         return list(self._controllers)
 
-    @property
-    def regionalized(self) -> bool:
-        return self.region_map is not None
-
     def region_controller(self, name: str) -> RegionController:
         """The named region's runtime (created on first use)."""
-        if self.region_map is None:
-            raise SchedulingError("control plane is not regionalized")
         region = self._regions.get(name)
         if region is None:
             spec = self.region_map.spec(name)
-            if self._monitor is None:
-                self._monitor = NetMonitor(
-                    self.netem, None, tracer=self.tracer
-                )
             region = RegionController(
                 spec,
-                self._monitor.region_view(name, spec.nodes),
+                self._fleet_monitor().region_view(name, spec.nodes),
                 region_map=self.region_map,
                 tracer=self.tracer,
             )
@@ -360,8 +346,8 @@ class ControlPlane:
         return region
 
     def home_region(self, app: str) -> Optional[str]:
-        """The region running this tenant's control loop (None on the
-        legacy path)."""
+        """The region running this tenant's control loop (None for an
+        app this plane does not manage)."""
         return self._home_region.get(app)
 
     def controller(self, app: str) -> BandwidthController:
@@ -374,6 +360,17 @@ class ControlPlane:
 
     # -- monitor sharing ---------------------------------------------------
 
+    def _fleet_monitor(
+        self, probe_config: Optional[ProbeConfig] = None
+    ) -> NetMonitor:
+        """The one fleet monitor, created on first use — from the first
+        tenant's probe configuration when a tenant is what asked."""
+        if self._monitor is None:
+            self._monitor = NetMonitor(
+                self.netem, probe_config, tracer=self.tracer
+            )
+        return self._monitor
+
     def monitor_for(
         self,
         probe_config: Optional[ProbeConfig],
@@ -382,35 +379,32 @@ class ControlPlane:
     ) -> NetMonitor:
         """The monitor a new tenant should use.
 
-        With probe sharing on, every tenant gets the one fleet monitor
-        (created from the *first* tenant's probe configuration — later
-        tenants share its cadence parameters).  Otherwise each call
-        returns a fresh private monitor, the legacy behaviour.
+        ``assignments`` (the tenant's pod → node map) routes the tenant
+        to its home region, so its startup flood and epoch probing stay
+        inside the region; without it the monitor spans the mesh.
 
-        On a regionalized control plane, ``assignments`` (the tenant's
-        pod → node map) routes the tenant to its home region's scoped
-        monitor view, so its startup flood and epoch probing stay
-        inside the region.
+        With probe sharing on, every tenant of a region gets that
+        region's view of the one fleet monitor (created from the *first*
+        tenant's probe configuration — later tenants share its cadence
+        parameters).  Otherwise each call returns a fresh private
+        monitor with its own caches, scoped the same way.
         """
-        if not self.config.probe_sharing:
-            return NetMonitor(self.netem, probe_config, tracer=self.tracer)
-        if self._monitor is None:
-            self._monitor = NetMonitor(
-                self.netem, probe_config, tracer=self.tracer
+        home = (
+            self.region_map.home_of_nodes(assignments.values())
+            if assignments
+            else None
+        )
+        if self.config.probe_sharing:
+            monitor = self._fleet_monitor(probe_config)
+            return (
+                monitor if home is None else self.region_controller(home).monitor
             )
-        if self.region_map is not None and assignments:
-            home = self.region_map.home_of_nodes(assignments.values())
-            return self.region_controller(home).monitor
-        return self._monitor
-
-    def startup_probe(self, monitor: NetMonitor) -> int:
-        """Run a tenant's startup max-capacity round on ``monitor``.
-
-        Returns the number of links actually flooded — zero when the
-        shared monitor probed them all within its cooldown already.
-        """
-        return monitor.probe_all_links(
-            force=not self.config.startup_probe_respects_cooldown
+        return NetMonitor(
+            self.netem,
+            probe_config,
+            tracer=self.tracer,
+            region=home or "",
+            scope=None if home is None else self.region_map.spec(home).nodes,
         )
 
     # -- crash recovery ----------------------------------------------------
@@ -437,9 +431,9 @@ class ControlPlane:
     def register(self, controller: BandwidthController) -> None:
         """Adopt a controller into the fleet epoch loop.
 
+        The tenant is homed in the region hosting most of its pods.
         Tenants sharing a ``headroom_interval_s`` share one periodic
-        task; a new cadence arms a new task starting now.  The
-        controller must not also be started standalone.
+        task; a new cadence arms a new task starting now.
         """
         app = controller.app
         if app in self._controllers:
@@ -447,8 +441,7 @@ class ControlPlane:
                 f"app {app!r} is already managed by this control plane"
             )
         self._controllers[app] = controller
-        if self.region_map is not None:
-            self._assign_home(controller)
+        self._assign_home(controller)
         interval = controller.config.probe.headroom_interval_s
         if interval not in self._tasks and not self.suspended:
             self._tasks[interval] = self.engine.every(
@@ -464,7 +457,9 @@ class ControlPlane:
 
         Homing follows the pods: after a cross-region handoff shifts the
         majority, the tenant's control loop — and its region-scoped
-        monitor — move with them.
+        monitor — move with them.  A private monitor (probe sharing
+        off) is the tenant's own from deployment on; only a re-home
+        re-scopes it, keeping its caches.
         """
         app = controller.app
         deployment = self.orchestrator.deployment(app)
@@ -475,7 +470,12 @@ class ControlPlane:
         self._home_region[app] = home
         region = self.region_controller(home)
         controller.region = region
-        controller.monitor = region.monitor
+        if self.config.probe_sharing:
+            controller.monitor = region.monitor
+        elif previous is not None:
+            controller.monitor = controller.monitor.region_view(
+                home, region.nodes
+            )
         if self.tracer.enabled:
             self.tracer.emit(
                 "region.assigned",
@@ -512,13 +512,10 @@ class ControlPlane:
     def run_epoch(
         self, interval: Optional[float] = None
     ) -> list[ControllerIteration]:
-        """One fleet epoch over the tenants of one probing cadence.
-
-        Phases: every tenant observes (flow sync + probing, sharing one
-        probed-link set so each link is probed at most once), every
-        tenant plans, then tenants act ordered by violation severity
-        (worst first; ties by app name) under the arbiter.  With
-        ``interval=None`` all tenants participate (manual driving).
+        """One fleet epoch over the tenants of one probing cadence: a
+        fleet round (:meth:`_run_fleet_round`), then the end-of-epoch
+        hooks.  With ``interval=None`` all tenants participate (manual
+        driving).
         """
         group = [
             controller
@@ -528,26 +525,7 @@ class ControlPlane:
         ]
         if not group:
             return []
-        if self.region_map is not None:
-            iterations = self._run_fleet_round(group)
-            self._end_epoch()
-            return iterations
-        if self.arbiter is not None:
-            self.arbiter.begin_epoch(self.netem.now)
-        shared_probed: Optional[set[tuple[str, str]]] = (
-            set() if self.config.probe_sharing else None
-        )
-        for controller in group:
-            controller.observe(shared_probed=shared_probed)
-        ranked = sorted(
-            ((controller.plan(), controller) for controller in group),
-            key=lambda pair: (-pair[0], pair[1].app),
-        )
-        iterations = [
-            controller.act(self.arbiter) for _, controller in ranked
-        ]
-        if self.config.ledger_checks:
-            check_cluster_ledger(self.orchestrator.cluster)
+        iterations = self._run_fleet_round(group)
         self._end_epoch()
         return iterations
 
@@ -619,14 +597,16 @@ class ControlPlane:
             return self.recovery.drain_deferred()
         return []
 
-    # -- the regionalized fleet round --------------------------------------
+    # -- the fleet round ---------------------------------------------------
 
     def _run_fleet_round(
         self, group: list[BandwidthController]
     ) -> list[ControllerIteration]:
         """One fleet round: every region runs its local observe/plan/act
-        against its eventually-consistent claim view, then the arbiter
-        resolves the round's claim batches and brokers handoffs.
+        (each link probed at most once per region, tenants acting worst
+        violation first) against its eventually-consistent claim view,
+        then the arbiter resolves the round's claim batches and brokers
+        handoffs.
 
         The recorded decision latency is ``max`` over the regions' plan
         + act wall time (regions are independent — a real fleet runs
@@ -639,11 +619,9 @@ class ControlPlane:
         published = arbiter.published_claims()
         by_region: dict[str, list[BandwidthController]] = {}
         for controller in group:
-            home = self._home_region.get(controller.app)
-            if home is None:
-                self._assign_home(controller)
-                home = self._home_region[controller.app]
-            by_region.setdefault(home, []).append(controller)
+            by_region.setdefault(
+                self._home_region[controller.app], []
+            ).append(controller)
         iterations: list[ControllerIteration] = []
         region_decision = 0.0
         batch_events: dict[str, int] = {}
@@ -663,7 +641,7 @@ class ControlPlane:
             )
             for severity, controller in ranked:
                 region.set_acting_context(controller.app, severity)
-                iterations.append(controller.act(region))
+                iterations.append(controller.act())
             region.clear_acting_context()
             batch = region.drain_batch()
             arbiter.submit_batch(batch)
@@ -709,21 +687,16 @@ class ControlPlane:
         self.epoch_decision_seconds.append(
             region_decision + (perf_counter() - started)
         )
-        if self.config.ledger_checks:
-            check_cluster_ledger(self.orchestrator.cluster)
+        check_cluster_ledger(self.orchestrator.cluster)
         return iterations
 
     def _resolve_claims(
-        self,
-        epoch: int,
-        now: float,
-        batch_events: Optional[dict[str, int]] = None,
+        self, epoch: int, now: float, batch_events: dict[str, int]
     ) -> None:
         """Arbiter resolution: order the round's claim batches, record
         cross-region collisions, publish the winners."""
         collisions = self.arbiter.resolve(now)
         if self.tracer.enabled:
-            batch_events = batch_events or {}
             for loser, winner in collisions:
                 self.tracer.emit(
                     "claim.conflict",
@@ -893,8 +866,7 @@ class ControlPlane:
                     )
                 self._settle_handoff(request)
                 self._assign_home(controller, cause=request.release_event)
-                if self.config.ledger_checks:
-                    check_cluster_ledger(self.orchestrator.cluster)
+                check_cluster_ledger(self.orchestrator.cluster)
                 return
         request.phase = "aborted"
         request.completed_at = now
@@ -911,13 +883,10 @@ class ControlPlane:
                 note=abort_note,
             )
         self._settle_handoff(request)
-        if self.config.ledger_checks:
-            check_cluster_ledger(self.orchestrator.cluster)
+        check_cluster_ledger(self.orchestrator.cluster)
 
     def _settle_handoff(self, request: HandoffRequest) -> None:
-        region = self._regions.get(request.source_region)
-        if region is not None:
-            region.handoff_settled(request)
+        self._regions[request.source_region].handoff_settled(request)
 
     def broker_recovery_handoff(
         self, request: HandoffRequest

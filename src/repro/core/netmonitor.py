@@ -31,7 +31,7 @@ from ..obs.trace import TracerBase, resolve_tracer
 from ..sim.counters import sequence
 
 #: Probe flow ids must be unique across *all* monitors sharing one
-#: emulator (the control plane shares one monitor per mesh; standalone
+#: emulator (the control plane shares one monitor per mesh; private
 #: per-application monitors remain supported).  A registered sequence so
 #: checkpoints capture/restore the position (:mod:`repro.sim.counters`).
 _PROBE_SEQUENCE = sequence("netmonitor.probe", start=1)
@@ -208,14 +208,13 @@ class NetMonitor:
             return True
         return self.netem.now - last >= self.config.full_probe_cooldown_s
 
-    def probe_all_links(self, *, force: bool = False) -> int:
+    def probe_all_links(self) -> int:
         """Startup round: max-capacity probe of every directed link (§4.2).
 
         Honours the per-link ``full_probe_cooldown_s``: links this
         monitor full-probed within the cooldown are *not* re-flooded, so
         on a shared fleet monitor, deploying a second application moments
-        after the first triggers no duplicate startup flood.  ``force``
-        restores the unconditional probe of every link.
+        after the first triggers no duplicate startup flood.
 
         Returns:
             The number of links actually probed.
@@ -224,7 +223,7 @@ class NetMonitor:
         for src, dst, _ in self.netem.topology.iter_directed_links():
             if not self.in_scope(src, dst):
                 continue  # region views never flood another region
-            if force or self.full_probe_allowed(src, dst):
+            if self.full_probe_allowed(src, dst):
                 self.full_probe(src, dst)
                 probed += 1
         return probed

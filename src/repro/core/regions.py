@@ -1,10 +1,12 @@
-"""The region layer of the two-tier control plane.
+"""The region layer of the control plane.
 
-City-scale meshes cannot run one global observe/plan/act loop: probe
-load and migration-decision latency both grow with the number of nodes
-and tenants (see ROADMAP's fleet-scale item and the decentralized
-resource-mapping designs in PAPERS.md).  This module shards the control
-plane geographically:
+Every mesh runs the regional fleet round; the paper's five-node figures
+run it with one region spanning the mesh (``FleetConfig.regions``
+defaults to 1).  City-scale meshes cannot afford one global
+observe/plan/act loop: probe load and migration-decision latency both
+grow with the number of nodes and tenants (see the decentralized
+resource-mapping designs in PAPERS.md), so the same plane shards
+geographically:
 
 * :func:`partition_topology` deterministically splits a mesh into
   balanced, connectivity-aware regions (explicit layouts are supported
@@ -29,6 +31,7 @@ fleet layer brokers through the two-phase handoff protocol.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -134,7 +137,7 @@ class RegionMap:
                     for name, nodes in fleet_config.region_specs
                 ]
             ).validate_covers(topology)
-        return partition_topology(topology, fleet_config.regions or 1)
+        return partition_topology(topology, fleet_config.regions)
 
 
 def partition_topology(
@@ -148,6 +151,9 @@ def partition_topology(
     the lexicographically-smallest unassigned node on its frontier.
     Disconnected leftovers fall to the smallest region, so the map
     always covers the whole mesh.
+
+    Costs one BFS per seed after the first; the default one-region map
+    is the node list, with no distance or frontier work at all.
     """
     names = sorted(topology.node_names)
     if n_regions < 1:
@@ -156,25 +162,28 @@ def partition_topology(
         raise TopologyError(
             f"cannot split {len(names)} nodes into {n_regions} regions"
         )
-    hop = _hop_distances(topology, names)
 
-    # Farthest-first seed selection.
+    # Farthest-first seed selection: ``nearest`` is each node's hop
+    # distance to its closest seed so far (unreachable: len(names)).
     seeds = [names[0]]
+    nearest = dict.fromkeys(names, len(names))
     while len(seeds) < n_regions:
-        best = None
-        best_rank = None
-        for name in names:
-            if name in seeds:
-                continue
-            nearest = min(hop[seed].get(name, len(names)) for seed in seeds)
-            rank = (-nearest, name)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = name
-        seeds.append(best)
+        for name, hops in _hop_distances(topology, seeds[-1]).items():
+            nearest[name] = min(nearest[name], hops)
+        seeds.append(
+            min(
+                (name for name in names if name not in seeds),
+                key=lambda name: (-nearest[name], name),
+            )
+        )
 
-    assigned: dict[str, int] = {seed: i for i, seed in enumerate(seeds)}
-    members: list[list[str]] = [[seed] for seed in seeds]
+    # A lone seed owns the whole mesh, so there is nothing left to grow.
+    members: list[list[str]] = (
+        [[seed] for seed in seeds] if n_regions > 1 else [names]
+    )
+    assigned: dict[str, int] = {
+        node: i for i, nodes in enumerate(members) for node in nodes
+    }
     frontiers: list[set[str]] = [
         {n for n in topology.neighbors(seed) if n not in assigned}
         for seed in seeds
@@ -215,23 +224,17 @@ def partition_topology(
     )
 
 
-def _hop_distances(
-    topology: MeshTopology, names: list[str]
-) -> dict[str, dict[str, int]]:
-    """All-pairs hop counts via BFS from every node (small meshes)."""
-    adjacency = {name: sorted(topology.neighbors(name)) for name in names}
-    distances: dict[str, dict[str, int]] = {}
-    for source in names:
-        dist = {source: 0}
-        queue = [source]
-        while queue:
-            current = queue.pop(0)
-            for neighbor in adjacency[current]:
-                if neighbor not in dist:
-                    dist[neighbor] = dist[current] + 1
-                    queue.append(neighbor)
-        distances[source] = dist
-    return distances
+def _hop_distances(topology: MeshTopology, source: str) -> dict[str, int]:
+    """Hop counts from ``source`` to every node it can reach (BFS)."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        current = queue.popleft()
+        for neighbor in topology.neighbors(current):
+            if neighbor not in dist:
+                dist[neighbor] = dist[current] + 1
+                queue.append(neighbor)
+    return dist
 
 
 # -- claims and handoffs -------------------------------------------------------
@@ -299,9 +302,8 @@ class HandoffRequest:
 class RegionController:
     """One region's control-plane runtime.
 
-    Presents the same claims-board interface controllers use with the
-    legacy :class:`~repro.core.controlplane.FleetArbiter`
-    (``nodes_claimed_by_others`` / ``claim`` / ``record_conflict``), but
+    The claims board its tenants' controllers arbitrate against
+    (``nodes_claimed_by_others`` / ``claim`` / ``record_conflict``),
     backed by an *eventually consistent* view: the region's own claims
     this round plus the arbiter's published board from the previous
     round.  Other regions' in-flight claims are invisible until the
@@ -314,7 +316,7 @@ class RegionController:
         spec: RegionSpec,
         monitor: "NetMonitor",
         *,
-        region_map: Optional[RegionMap] = None,
+        region_map: RegionMap,
         tracer: Optional[TracerBase] = None,
     ) -> None:
         self.spec = spec
@@ -382,7 +384,7 @@ class RegionController:
         conflicts, self._conflicts = self._conflicts, []
         return conflicts
 
-    # -- claims-board interface (duck-typed FleetArbiter) ------------------
+    # -- claims-board interface ---------------------------------------------
 
     def nodes_claimed_by_others(self, app: str) -> set[str]:
         """Nodes this tenant must select around: the region's own claims
@@ -450,11 +452,7 @@ class RegionController:
         callers that broker it immediately (crash recovery does not
         wait for the next fleet round).
         """
-        target_region = (
-            self.region_map.region_of(target_node)
-            if self.region_map is not None
-            else ""
-        )
+        target_region = self.region_map.region_of(target_node)
         request = HandoffRequest(
             epoch=self.epoch,
             source_region=self.name,

@@ -55,7 +55,7 @@ class BassScheduler:
             developer pick whichever suits the application's data flow).
         headroom_fraction: spare link fraction preserved when checking
             candidate nodes' bandwidth feasibility.
-        allow: restrict packing to these nodes — a regionalized fleet
+        allow: restrict packing to these nodes — a many-region fleet
             schedules each tenant inside its home region's jurisdiction
             (explicitly pinned pods may still land outside it).
 

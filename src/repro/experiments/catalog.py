@@ -730,11 +730,10 @@ def summarize(capsule: RunCapsule) -> dict:
     interrupted-and-restored run vs an uninterrupted one — serialize to
     byte-identical documents.
     """
-    cp = capsule.control_plane
     return {
         "scenario": capsule.scenario,
         "duration_s": capsule.duration_s,
         "sim_time_s": capsule.engine.now,
-        "epochs": cp.epoch_count if cp is not None else 0,
+        "epochs": capsule.control_plane.epoch_count,
         **EXPERIMENTS[capsule.scenario].summary(capsule),
     }

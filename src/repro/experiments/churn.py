@@ -152,8 +152,7 @@ class PreparedChurn:
         """Assemble the :class:`ChurnResult` once the clock has run."""
         env = self.env
         latency = self.detector.detection_latency_s.get(self.crash_node)
-        coordinator = env.control_plane.recovery if env.control_plane else None
-        arbiter = env.control_plane.arbiter if env.control_plane else None
+        coordinator = env.control_plane.recovery
         return ChurnResult(
             label=(
                 label
@@ -173,9 +172,7 @@ class PreparedChurn:
             actions=(
                 list(coordinator.actions) if coordinator is not None else []
             ),
-            conflict_count=(
-                arbiter.conflict_count if arbiter is not None else 0
-            ),
+            conflict_count=env.control_plane.arbiter.conflict_count,
             epoch_interval_s=self.epoch_interval_s,
             goodput_stats=recovery_timeline_stats(
                 self.times, self.goodput, fault_at_s=self.crash_at_s
@@ -253,7 +250,6 @@ def prepare_churn(
     )
     detector.start()
     if recovery:
-        assert env.control_plane is not None
         env.control_plane.enable_recovery(detector)
 
     return PreparedChurn(

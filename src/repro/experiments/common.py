@@ -44,9 +44,9 @@ class ExperimentEnv:
     cluster: ClusterState
     orchestrator: Orchestrator
     rng: RngStreams
-    #: Multi-tenant runtime: shared monitor, epoch loop, arbiter.  None
-    #: only for hand-assembled envs that bypass :func:`build_env`.
-    control_plane: Optional[ControlPlane] = None
+    #: The mesh's one control plane: region map, shared monitor, epoch
+    #: loop, arbiter.
+    control_plane: ControlPlane
     #: Flight recorder shared by every layer of this env (the no-op
     #: tracer unless one was passed to or resolved by :func:`build_env`).
     tracer: TracerBase = NULL_TRACER
@@ -91,8 +91,8 @@ def build_env(
             scenarios like the social-network mesh runs).
         tick_s: fluid-model step.
         restart_seconds: migration restart cost.
-        fleet: control-plane knobs (probe sharing, arbiter); defaults
-            share probes across tenants and arbitrate migrations.
+        fleet: control-plane knobs (probe sharing, regions); defaults
+            share probes across tenants in one region spanning the mesh.
         tracer: flight recorder wired through every layer; defaults to
             the process default (``repro.obs.trace.set_default_tracer``,
             installed by ``bass-repro run --trace``), which is the no-op
@@ -176,7 +176,9 @@ def deploy_app(
         config: BASS configuration; defaults reproduce §4's values.
             ``config.migrations_enabled=False`` gives the no-migration
             baselines even with the controller armed.
-        start_controller: arm the periodic controller evaluation.
+        start_controller: register the controller with the control
+            plane's epoch loop.  Off, the controller is returned unhomed
+            for the caller to drive through ``evaluate()``.
         force_assignments: skip scheduling and place components exactly
             here (used by experiments that pin the initial deployment,
             e.g. "the Pion server is initially deployed on node 2").
@@ -200,24 +202,19 @@ def deploy_app(
     binding = DeploymentBinding(dag, deployment, env.netem)
     app.on_deployed(binding)
     binding.sync_flows()
-    cp = env.control_plane
-    if cp is not None:
-        # Assignments let a regionalized plane route the tenant to its
-        # home region's scoped monitor (startup flood stays in-region).
-        monitor = cp.monitor_for(config.probe, assignments=assignments)
-        cp.startup_probe(monitor)
-    else:
-        monitor = NetMonitor(env.netem, config.probe, tracer=env.tracer)
-        monitor.probe_all_links()
+    # Assignments route the tenant to its home region's scoped monitor
+    # (the startup flood stays in-region and skips links the monitor
+    # full-probed within its cooldown).
+    monitor = env.control_plane.monitor_for(
+        config.probe, assignments=assignments
+    )
+    monitor.probe_all_links()
     controller = BandwidthController(
         dag.app, env.orchestrator, binding, monitor, config,
         tracer=env.tracer,
     )
     if start_controller:
-        if cp is not None:
-            cp.register(controller)
-        else:
-            controller.start()
+        env.control_plane.register(controller)
     return AppHandle(
         app=app,
         dag=dag,

@@ -44,7 +44,7 @@ from .multi_tenant import SINK, StreamPairApp, fleet_probe_stats
 
 @dataclass
 class FleetResult:
-    """Fleet-level accounting of one regionalized run."""
+    """Fleet-level accounting of one many-region run."""
 
     regions: int
     tenants: int
@@ -178,7 +178,7 @@ def prepare_fleet(
     config: Optional[BassConfig] = None,
     env: Optional[ExperimentEnv] = None,
 ) -> PreparedFleet:
-    """Build the regionalized fleet substrate of :func:`fleet_mesh`.
+    """Build the many-region fleet substrate of :func:`fleet_mesh`.
 
     Tenants are dealt round-robin across regions (tenant ``i`` lives in
     region ``i % regions``): its source is pinned at the region gateway
@@ -200,7 +200,7 @@ def prepare_fleet(
         use_partitioner: derive regions with the deterministic
             partitioner (``FleetConfig.regions``) instead of the
             explicit specs matching the builder's layout.
-        env: reuse a pre-built substrate (must be regionalized).
+        env: reuse a pre-built substrate (its region layout is used).
     """
     if env is None:
         topology = regional_mesh(
@@ -292,7 +292,7 @@ def fleet_mesh(
     config: Optional[BassConfig] = None,
     env: Optional[ExperimentEnv] = None,
 ) -> FleetResult:
-    """Run a regionalized fleet of stream-pair tenants (see
+    """Run a many-region fleet of stream-pair tenants (see
     :func:`prepare_fleet` for the substrate and argument details)."""
     prepared = prepare_fleet(
         regions=regions,

@@ -20,10 +20,8 @@ minimal workload that exercises probing, violation detection, and
 migration.  All tenants share one path so probe deduplication and
 target contention are maximal — the worst case for the control plane.
 
-All scenarios accept ``fleet=FleetConfig(regions=N)`` to run on the
-regionalized (sharded) control plane; a one-region fleet makes exactly
-the decisions the single-loop plane makes (parity-pinned by
-``tests/integration/test_fleet.py``).  The regionalized scenarios
+All scenarios run on the default one-region control plane and accept
+``fleet=FleetConfig(regions=N)`` to shard it.  The many-region scenarios
 proper — backbone meshes, forced cross-region handoffs — live in
 :mod:`repro.experiments.fleet` and reuse :class:`StreamPairApp` and
 :func:`fleet_probe_stats` from here.
@@ -91,13 +89,13 @@ class MultiTenantResult:
 
     tenants: int
     duration_s: float
-    #: Probe events across every monitor in the env (one shared monitor
-    #: under the control plane; per-app monitors with sharing disabled).
+    #: Probe events across every monitor in the env (one shared view
+    #: per region; per-app monitors with sharing disabled).
     full_probes: int
     headroom_probes: int
     headroom_cache_hits: int
     probe_events_per_hour: float
-    #: Fleet-epoch and arbiter accounting (zero with the arbiter off).
+    #: Fleet-epoch and arbiter accounting.
     epoch_count: int
     conflict_count: int
     migrations_by_app: dict[str, int] = field(default_factory=dict)
@@ -189,7 +187,7 @@ def multi_tenant_mesh(
     run_timeline(env, duration_s, events=events)
 
     full, headroom, hits, per_hour = fleet_probe_stats(handles, duration_s)
-    arbiter = env.control_plane.arbiter if env.control_plane else None
+    arbiter = env.control_plane.arbiter
     return MultiTenantResult(
         tenants=tenants,
         duration_s=duration_s,
@@ -197,8 +195,8 @@ def multi_tenant_mesh(
         headroom_probes=headroom,
         headroom_cache_hits=hits,
         probe_events_per_hour=per_hour,
-        epoch_count=arbiter.epoch_count if arbiter is not None else 0,
-        conflict_count=arbiter.conflict_count if arbiter is not None else 0,
+        epoch_count=arbiter.epoch_count,
+        conflict_count=arbiter.conflict_count,
         migrations_by_app={
             h.app.name: len(h.deployment.migrations) for h in handles
         },

@@ -15,12 +15,15 @@ dependency pair moves.  Surviving partners stay put, and within one
 dead node the lost pods are re-placed largest-bandwidth first, mirroring
 the candidate ordering of the migration path.
 
-Multi-tenant recoveries run through the :class:`FleetArbiter`: each
-re-placement claims its target node for the arbitration round, later
-tenants select around existing claims, and any deflection is recorded
-as a conflict (plus a ``recovery.deflected`` trace event) — so two
-tenants recovering from one crash cannot stampede the same surviving
-node inside a round.
+Multi-tenant recoveries run through the :class:`FleetArbiter`'s
+recovery board: each re-placement claims its target node for the
+arbitration round, later tenants select around existing claims, and any
+deflection is recorded as a conflict (plus a ``recovery.deflected``
+trace event) — so two tenants recovering from one crash cannot stampede
+the same surviving node inside a round.  Tenants are processed region by
+region and each pod is re-placed inside its home region first; only
+when no in-region node survives does it cross, through the two-phase
+handoff.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..core.controlplane import check_cluster_ledger
 from ..errors import MigrationError
 from ..obs.trace import TracerBase, resolve_tracer
 
@@ -138,23 +142,19 @@ class RecoveryCoordinator:
             return []
         netem = self.cp.netem
         orchestrator = self.cp.orchestrator
-        arbiter = self.cp.arbiter
         now = netem.now
-        if arbiter is not None:
-            # A recovery is its own arbitration round: claims made here
-            # protect surviving nodes from a multi-tenant stampede.
-            arbiter.begin_epoch(now)
+        # A recovery is its own arbitration round: claims made here
+        # protect surviving nodes from a multi-tenant stampede.
+        self.cp.arbiter.begin_epoch(now)
         down = netem.topology.down_nodes
         round_actions: list[RecoveryAction] = []
-        tenants = sorted(self.cp.tenants)
-        if self.cp.regionalized:
-            # Recovery routes through the owning region: tenants are
-            # processed region by region, and each pod is re-placed
-            # inside its home region first (cross-region only via the
-            # two-phase handoff, below).
-            tenants.sort(
-                key=lambda app: (self.cp.home_region(app) or "", app)
-            )
+        # Recovery routes through the owning region: tenants are
+        # processed region by region, and each pod is re-placed inside
+        # its home region first (cross-region only via the two-phase
+        # handoff, below).
+        tenants = sorted(
+            self.cp.tenants, key=lambda app: (self.cp.home_region(app), app)
+        )
         for app in tenants:
             controller = self.cp.controller(app)
             deployment = orchestrator.deployment(app)
@@ -175,13 +175,6 @@ class RecoveryCoordinator:
             )
             plan_event = None
             if self.tracer.enabled:
-                # The region key only appears on a regionalized plane,
-                # keeping legacy traces byte-identical.
-                extra = (
-                    {"region": self.cp.home_region(app)}
-                    if self.cp.regionalized
-                    else {}
-                )
                 plan_event = self.tracer.emit(
                     "recovery.plan",
                     now,
@@ -190,20 +183,18 @@ class RecoveryCoordinator:
                     node=node,
                     pods=list(lost),
                     detection_latency_s=detection_latency_s,
-                    **extra,
+                    region=self.cp.home_region(app),
                 )
             for component in lost:
-                action = self._replace_one(
-                    app, component, node, controller, deployment,
-                    arbiter, down, plan_event,
+                round_actions.append(
+                    self._replace_one(
+                        app, component, node, controller, deployment,
+                        down, plan_event,
+                    )
                 )
-                round_actions.append(action)
             controller.binding.sync_flows()
         self.actions.extend(round_actions)
-        if self.cp.config.ledger_checks:
-            from ..core.controlplane import check_cluster_ledger
-
-            check_cluster_ledger(orchestrator.cluster)
+        check_cluster_ledger(orchestrator.cluster)
         return round_actions
 
     def drain_deferred(self) -> list[RecoveryAction]:
@@ -229,26 +220,18 @@ class RecoveryCoordinator:
         node: str,
         controller,
         deployment,
-        arbiter,
         down: set,
         plan_event: Optional[int],
     ) -> RecoveryAction:
         """Select a surviving target for one lost pod and migrate it."""
         netem = self.cp.netem
         orchestrator = self.cp.orchestrator
+        arbiter = self.cp.arbiter
         now = netem.now
-        claimed = (
-            arbiter.nodes_claimed_by_others(app)
-            if arbiter is not None
-            else set()
-        )
+        claimed = arbiter.nodes_claimed_by_others(app)
         planner = controller.planner
-        region = (
-            self.cp.region_controller(self.cp.home_region(app))
-            if self.cp.regionalized
-            else None
-        )
-        allow = region.nodes if region is not None else None
+        region = controller.region
+        allow = region.nodes
         target = planner.select_target(
             component,
             deployment,
@@ -281,7 +264,7 @@ class RecoveryCoordinator:
                         preferred=preferred,
                         granted=target,
                     )
-        if target is None and region is not None:
+        if target is None:
             # No surviving in-region node can take the pod: escalate
             # across the region boundary through the two-phase handoff
             # (brokered synchronously — a dead pod cannot wait out the
@@ -308,8 +291,7 @@ class RecoveryCoordinator:
                 )
                 granted = self.cp.broker_recovery_handoff(request)
                 if granted is not None:
-                    if arbiter is not None:
-                        arbiter.claim(now, app, component, granted)
+                    arbiter.claim(now, app, component, granted)
                     return RecoveryAction(
                         time=now,
                         app=app,
@@ -317,7 +299,6 @@ class RecoveryCoordinator:
                         from_node=node,
                         to_node=granted,
                     )
-        if target is None:
             if self.tracer.enabled:
                 self.tracer.emit(
                     "recovery.failed",
@@ -349,8 +330,7 @@ class RecoveryCoordinator:
                 from_node=node,
                 to_node=None,
             )
-        if arbiter is not None:
-            arbiter.claim(now, app, component, target)
+        arbiter.claim(now, app, component, target)
         # The replacement cold-starts (the checkpoint died with the
         # node); re-arm its edge flows once the restart window closes.
         netem.engine.schedule_in(

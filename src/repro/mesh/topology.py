@@ -236,8 +236,9 @@ class MeshTopology:
 
     def graph(self) -> nx.Graph:
         """An undirected networkx view of the *live* mesh (hop-count
-        weights), for analysis and plotting.  networkx is imported here
-        and only here: routing runs on :meth:`live_adjacency`."""
+        weights), for analysis and plotting.  networkx is an optional
+        dependency (the ``dev`` extra), imported lazily here and only
+        here: routing runs on :meth:`live_adjacency`."""
         import networkx as nx
 
         graph = nx.Graph()
@@ -489,7 +490,7 @@ def regional_mesh(
     ``r{i}n{j}`` (``j`` starting at 1) with fast intra-region links;
     region gateways (``r{i}n1``) form a backbone ring (a chain for two
     regions) of slower, higher-latency links.  This is the topology the
-    regionalized control plane is built for: probing floods stay cheap
+    many-region control plane is built for: probing floods stay cheap
     inside a region, and only handoffs cross the backbone.
     """
     if n_regions < 1:

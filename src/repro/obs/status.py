@@ -92,7 +92,10 @@ class StatusPublisher:
             "revision": self.revision + 1,
             "sim_time_s": now,
             "epoch": epoch,
-            "regions": self._regions_block(down_nodes),
+            "regions": [
+                cp.region_controller(name).health(down_nodes)
+                for name in cp.region_map.names
+            ],
             "tenants": self._tenants_block(now, down_nodes),
             "arbiter": self._arbiter_block(),
             "recovery": (
@@ -116,27 +119,6 @@ class StatusPublisher:
             }
         return document
 
-    def _regions_block(self, down_nodes: set) -> list[dict]:
-        cp = self.cp
-        if cp.region_map is None:
-            nodes = sorted(cp.netem.topology.node_names)
-            down = sorted(set(nodes) & set(down_nodes))
-            return [
-                {
-                    "name": "fleet",
-                    "health": "degraded" if down else "ok",
-                    "nodes": nodes,
-                    "down_nodes": down,
-                    "epoch": cp.epoch_count,
-                    "pending_handoffs": 0,
-                }
-            ]
-        blocks = []
-        for name in cp.region_map.names:
-            region = cp.region_controller(name)
-            blocks.append(region.health(down_nodes))
-        return blocks
-
     def _tenants_block(self, now: float, down_nodes: set) -> list[dict]:
         cp = self.cp
         blocks = []
@@ -158,10 +140,8 @@ class StatusPublisher:
             )
         return blocks
 
-    def _arbiter_block(self) -> Optional[dict]:
+    def _arbiter_block(self) -> dict:
         arbiter = self.cp.arbiter
-        if arbiter is None:
-            return None
         return {
             "claims": len(arbiter.claims),
             "conflicts": arbiter.conflict_count,

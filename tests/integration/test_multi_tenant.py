@@ -13,7 +13,8 @@ Three guarantees:
 
 import pytest
 
-from repro.config import FleetConfig
+from repro.config import BassConfig, FleetConfig
+from repro.experiments.catalog import EXPERIMENTS
 from repro.experiments.common import build_env, deploy_app
 from repro.experiments.migration import table1_migration_iterations
 from repro.experiments.multi_tenant import (
@@ -70,36 +71,24 @@ class TestDeterminism:
 class TestStartupFlood:
     def test_second_deploy_does_not_reflood(self):
         env = build_env(with_traces=False)
-        deploy_app(
+        first = deploy_app(
             env,
             StreamPairApp("appa"),
             "bass-longest-path",
             force_assignments={"sink": "node2"},
         )
-        monitor = env.control_plane.monitor
-        after_first = monitor.full_probe_count
-        deploy_app(
+        # The counters live on the region's view, not the fleet monitor.
+        monitor = first.monitor
+        assert monitor.full_probe_count == 12  # every directed link
+        second = deploy_app(
             env,
             StreamPairApp("appb"),
             "bass-longest-path",
             force_assignments={"sink": "node3"},
         )
         # Back-to-back deploys: at most one max-capacity round per link.
-        assert monitor.full_probe_count == after_first
-
-    def test_legacy_flood_restored_when_cooldown_disabled(self):
-        env = build_env(
-            with_traces=False,
-            fleet=FleetConfig(startup_probe_respects_cooldown=False),
-        )
-        for name, sink in (("appa", "node2"), ("appb", "node3")):
-            deploy_app(
-                env,
-                StreamPairApp(name),
-                "bass-longest-path",
-                force_assignments={"sink": sink},
-            )
-        assert env.control_plane.monitor.full_probe_count == 24
+        assert second.monitor is monitor
+        assert monitor.full_probe_count == 12
 
 
 class TestArbiter:
@@ -108,10 +97,100 @@ class TestArbiter:
         assert result.conflict_count > 0
         assert result.total_migrations >= 1
 
-    def test_arbiter_off_records_no_conflicts(self):
-        result = multi_tenant_contention(
+
+class TestDefaultPlane:
+    """What running every env on the one-region fleet round guarantees."""
+
+    def test_contention_counts_match_the_single_loop_plane(self):
+        # ``multi_tenant_contention(tenants=4)`` on an env we can look
+        # into.  Measured on both planes before the single-loop one was
+        # deleted: 3 claims, 3 migrations, 3 conflicts over 6 epochs.
+        env = build_env(seed=11, with_traces=False)
+        result = multi_tenant_mesh(
             tenants=4,
             duration_s=180.0,
-            fleet=FleetConfig(arbiter_enabled=False),
+            seed=11,
+            throttle_mbps=3.0,
+            config=BassConfig().with_migration(
+                cooldown_s=10.0, restart_seconds=5.0
+            ),
+            env=env,
         )
-        assert result.conflict_count == 0
+        cp = env.control_plane
+        assert {cp.home_region(app) for app in cp.tenants} == {"region0"}
+        assert cp.arbiter.handoffs == []
+        assert len(cp.arbiter.claims) == 3
+        assert result.total_migrations == 3
+        assert result.conflict_count == 3
+        assert result.epoch_count == 6
+
+    @pytest.mark.parametrize(
+        "row_id, claims, migrations, epochs",
+        [("fig13", 4, 4, 4), ("churn", 1, 1, 5), ("failover", 1, 1, 3)],
+    )
+    def test_single_app_rows_run_one_region(
+        self, row_id, claims, migrations, epochs
+    ):
+        """Counts measured on the single-loop plane these rows ran on
+        before it was deleted (arbiter rounds include recovery rounds)."""
+        row = EXPERIMENTS[row_id]
+        capsule = row.capsule(**row.sizing(quick=True))
+        capsule.run_to_completion()
+        cp = capsule.control_plane
+        assert cp.region_map.names == ["region0"]
+        assert {cp.home_region(app) for app in cp.tenants} == {"region0"}
+        assert cp.arbiter.handoffs == []
+        assert len(cp.arbiter.claims) == claims
+        assert cp.arbiter.conflict_count == 0
+        assert cp.epoch_count == epochs
+        assert (
+            sum(
+                len(cp.orchestrator.deployment(app).migrations)
+                for app in cp.tenants
+            )
+            == migrations
+        )
+
+    @pytest.mark.parametrize("tenants", [1, 4])
+    def test_shared_probing_is_flat_in_tenant_count(self, tenants):
+        result = multi_tenant_mesh(tenants=tenants, duration_s=240.0)
+        assert result.probe_events_per_hour == 300.0
+
+    @pytest.mark.parametrize(
+        "tenants, per_hour", [(1, 300.0), (4, 1125.0)]
+    )
+    def test_private_monitors_duplicate_probes(self, tenants, per_hour):
+        """``probe_sharing=False`` is honoured on the default plane: the
+        private baseline's probe events grow with the tenant count."""
+        result = multi_tenant_mesh(
+            tenants=tenants,
+            duration_s=240.0,
+            fleet=FleetConfig(probe_sharing=False),
+        )
+        assert result.probe_events_per_hour == per_hour
+
+    def test_private_monitors_survive_sharding(self):
+        """At ``regions=2`` every tenant keeps its own in-scope monitor."""
+        fleet = FleetConfig(regions=2, probe_sharing=False)
+
+        def run(tenants):
+            env = build_env(seed=11, with_traces=False, fleet=fleet)
+            result = multi_tenant_mesh(
+                tenants=tenants, duration_s=240.0, env=env
+            )
+            return env.control_plane, result
+
+        _, one = run(1)
+        cp, four = run(4)
+        monitors = [cp.controller(app).monitor for app in cp.tenants]
+        assert len({id(m) for m in monitors}) == 4
+        for app, monitor in zip(cp.tenants, monitors):
+            home = cp.home_region(app)
+            assert monitor.region == home
+            assert monitor.scope == cp.region_map.spec(home).nodes
+            assert all(
+                monitor.in_scope(r.src, r.dst) for r in monitor.probe_log
+            )
+        assert (
+            four.probe_events_per_hour > 1.5 * one.probe_events_per_hour
+        )

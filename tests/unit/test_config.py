@@ -1,8 +1,16 @@
 """Unit tests for configuration validation."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import DEFAULT_CONFIG, BassConfig, MigrationConfig, ProbeConfig
+from repro.config import (
+    DEFAULT_CONFIG,
+    BassConfig,
+    FleetConfig,
+    MigrationConfig,
+    ProbeConfig,
+)
 from repro.errors import ConfigError
 
 
@@ -49,6 +57,41 @@ class TestMigrationConfig:
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ConfigError):
             MigrationConfig(**kwargs).validate()
+
+
+class TestFleetConfig:
+    def test_defaults_are_one_shared_region(self):
+        config = FleetConfig().validate()
+        assert (config.regions, config.probe_sharing) == (1, True)
+
+    def test_field_set_is_exactly_the_four_with_callers(self):
+        assert {f.name for f in dataclasses.fields(FleetConfig)} == {
+            "probe_sharing",
+            "regions",
+            "region_specs",
+            "handoff_rtt_s",
+        }
+
+    @pytest.mark.parametrize("regions", [None, 0, -1, True, False, 2.0, "2"])
+    def test_regions_must_be_a_positive_int(self, regions):
+        with pytest.raises(ConfigError, match="regions"):
+            FleetConfig(regions=regions).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"region_specs": ()}, {"handoff_rtt_s": -1.0}],
+    )
+    def test_invalid_values_raise(self, kwargs):
+        with pytest.raises(ConfigError):
+            FleetConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "removed",
+        ["arbiter_enabled", "ledger_checks", "startup_probe_respects_cooldown"],
+    )
+    def test_removed_switches_are_unknown_keywords(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            FleetConfig(**{removed: True})
 
 
 class TestBassConfig:

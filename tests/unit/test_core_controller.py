@@ -6,6 +6,7 @@ from repro.cluster.orchestrator import ClusterState, Orchestrator
 from repro.config import BassConfig
 from repro.core.binding import DeploymentBinding
 from repro.core.controller import BandwidthController
+from repro.core.controlplane import ControlPlane
 from repro.core.dag import Component, ComponentDAG
 from repro.mesh.node import MeshNode
 from repro.mesh.topology import MeshTopology
@@ -142,21 +143,35 @@ class TestEvaluate:
 
 
 class TestPeriodic:
+    """The control plane's epoch is the only timer a controller has."""
+
     def test_start_arms_periodic_evaluation(self):
         controller, topo, netem, deployment = make_controller()
-        controller.start()
+        ControlPlane(netem, controller.orchestrator).register(controller)
         topo.link("node2", "node3").set_rate_limit(3.0)
         netem.start()
         netem.engine.run_until(65.0)
-        assert len(controller.iterations) == 2  # t=30, t=60
+        assert len(controller.iterations) == 2  # one per 30 s epoch
         assert deployment.migrations  # migrated at first post-drop eval
 
     def test_stop(self):
         controller, _, netem, _ = make_controller()
-        controller.start()
-        controller.stop()
+        plane = ControlPlane(netem, controller.orchestrator)
+        plane.register(controller)
+        plane.stop()
         netem.engine.run_until(100.0)
         assert controller.iterations == []
+
+    def test_unregistered_controller_still_evaluates(self):
+        """``deploy_app(start_controller=False)``'s shape: no region, no
+        claims board — ``evaluate()`` is observe -> plan -> act."""
+        controller, topo, _, deployment = make_controller()
+        assert controller.region is None
+        topo.link("node2", "node3").set_rate_limit(3.0)
+        iteration = controller.evaluate()
+        assert iteration.migrated == ["consumer"]
+        assert deployment.node_of("consumer") == "node1"
+        assert not hasattr(controller, "start")
 
     def test_table1_rows_only_nonzero_iterations(self):
         controller, topo, _, _ = make_controller()

@@ -79,17 +79,36 @@ class TestMonitorSharing:
         env = _env()
         cp = env.control_plane
         monitor = cp.monitor_for(ProbeConfig())
-        assert cp.startup_probe(monitor) == 12  # every directed link
-        assert cp.startup_probe(monitor) == 0  # within the cooldown
+        assert monitor.probe_all_links() == 12  # every directed link
+        assert monitor.probe_all_links() == 0  # within the cooldown
 
-    def test_startup_probe_can_be_forced_by_config(self):
-        env = _env(
-            fleet=FleetConfig(startup_probe_respects_cooldown=False)
-        )
+    def test_one_site_creates_the_fleet_monitor(self):
+        """A region runtime asked for before the first tenant and the
+        tenant's own monitor are views of one fleet monitor."""
+        env = _env()
         cp = env.control_plane
-        monitor = cp.monitor_for(ProbeConfig())
-        assert cp.startup_probe(monitor) == 12
-        assert cp.startup_probe(monitor) == 12
+        assert cp.monitor is None
+        region = cp.region_controller("region0")
+        fleet_monitor = cp.monitor
+        assert fleet_monitor is not None
+        assignments = {"source": "node1", "sink": "node2"}
+        tenant_monitor = cp.monitor_for(
+            ProbeConfig(), assignments=assignments
+        )
+        assert tenant_monitor is region.monitor
+        assert cp.monitor is fleet_monitor
+        assert tenant_monitor._caches is fleet_monitor._caches
+
+    def test_private_monitor_is_scoped_to_the_home_region(self):
+        env = _env(fleet=FleetConfig(regions=2, probe_sharing=False))
+        cp = env.control_plane
+        home = cp.region_map.region_of("node1")
+        nodes = cp.region_map.spec(home).nodes
+        monitor = cp.monitor_for(
+            ProbeConfig(), assignments={"source": "node1"}
+        )
+        assert (monitor.region, monitor.scope) == (home, nodes)
+        assert monitor is not cp.region_controller(home).monitor
 
 
 class TestHeadroomReuse:

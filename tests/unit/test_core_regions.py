@@ -128,6 +128,44 @@ class TestPartitionTopology:
             }
             assert len(homes) == 1
 
+    def test_one_region_does_no_all_pairs_work(self, monkeypatch):
+        """The default plane's map is the node list, built without a
+        single BFS — and it is the map ``regions=1`` and an explicit
+        one-spec layout describe."""
+        from repro.config import FleetConfig
+        from repro.core import regions
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("all-pairs work for a one-region map")
+
+        monkeypatch.setattr(regions, "_hop_distances", unreachable)
+        topology = regional_mesh(4, 5)
+        everything = frozenset(topology.node_names)
+        partitioned = partition_topology(topology, 1)
+        assert [(s.name, s.nodes) for s in partitioned.specs] == [
+            ("region0", everything)
+        ]
+        for config in (
+            FleetConfig(),
+            FleetConfig(regions=1),
+            FleetConfig(region_specs=(("region0", tuple(everything)),)),
+        ):
+            derived = RegionMap.from_config(topology, config)
+            assert [(s.name, s.nodes) for s in derived.specs] == [
+                ("region0", everything)
+            ]
+
+    def test_seeds_are_farthest_first_with_name_ties(self):
+        # A 6-node line: seed 1 is the smallest name, seed 2 the far
+        # end, seed 3 the node farthest from both (ties by name).
+        topology = line_topology([10.0] * 5)
+        region_map = partition_topology(topology, 3)
+        assert [sorted(spec.nodes) for spec in region_map.specs] == [
+            ["node1", "node2"],
+            ["node5", "node6"],
+            ["node3", "node4"],
+        ]
+
     def test_single_region_and_errors(self):
         topology = line_topology([10.0, 10.0, 10.0])  # 4 nodes
         region_map = partition_topology(topology, 1)

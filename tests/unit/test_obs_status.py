@@ -121,10 +121,12 @@ class TestStatusPublisher:
         assert document["revision"] == 1
         assert document["sim_time_s"] == 30.0
         (region,) = document["regions"]
-        assert region["name"] == "fleet"  # legacy single-loop plane
+        assert region["name"] == "region0"  # one region spans the mesh
+        assert region["nodes"] == sorted(env.topology.node_names)
         assert region["health"] == "ok"
         (tenant,) = document["tenants"]
         assert tenant["app"] == "tenant00"
+        assert tenant["home_region"] == "region0"
         assert tenant["placements"] == {"sink": "node2", "source": "node1"}
         assert document["arbiter"]["claims"] == 0
         assert document["recovery"] is None
