@@ -19,8 +19,8 @@ What can be run, and what may be done with each experiment, is declared
 once in :mod:`repro.experiments.catalog`; ``list`` tags every id with
 the capabilities its catalogue row has.  Sweep-shaped experiments
 (``[sweep]``) additionally accept ``--jobs N`` (``1`` runs the cells in
-this process; more fan them over N warm worker processes through the
-work-stealing chunk queue — see DESIGN.md "Parallel sweeps"),
+this process; more hand them out one at a time to N warm worker
+processes — see DESIGN.md "Parallel sweeps"),
 ``--cache-dir PATH`` (memoize completed cells content-addressed on
 disk; workers share the store directly), ``--no-cache``, and ``--out
 PATH`` (write the merged results as canonical JSON — byte-identical

@@ -59,10 +59,6 @@ HELP_TEXT = {
     "bass_sweep_cell_seconds": "Fresh sweep-cell execution time.",
     "bass_sweep_cells_per_second": "Closing sweep throughput.",
     "bass_sweep_cache_hit_rate": "Closing sweep cache hit rate.",
-    "bass_sweep_queue_depth": (
-        "Peak undispatched-chunk depth in the sweep work queue."
-    ),
-    "bass_sweep_steals_total": "Chunk remainders stolen from busy workers.",
     "bass_sweep_worker_crashes_total": "Sweep worker deaths survived.",
     "bass_sweep_worker_busy_fraction": (
         "Warm-worker busy time over lifetime, per worker."

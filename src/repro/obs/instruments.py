@@ -214,10 +214,8 @@ class StandardInstruments:
       ``bass_sweep_cell_seconds`` timing fresh executions and the
       ``bass_sweep_cells_per_second`` / ``bass_sweep_cache_hit_rate``
       gauges carrying each sweep's closing summary;
-    * ``bass_sweep_queue_depth`` / ``bass_sweep_steals_total`` /
-      ``bass_sweep_worker_crashes_total`` — the sweep fabric's peak
-      undispatched-chunk depth, chunk steals, and worker deaths
-      survived, with ``bass_sweep_worker_busy_fraction{worker}`` and
+    * ``bass_sweep_worker_crashes_total`` — the sweep fabric's worker
+      deaths survived, with ``bass_sweep_worker_busy_fraction{worker}`` and
       ``bass_sweep_worker_cache_hit_rate{worker}`` carrying each warm
       worker's utilization and shared-store hit rate (from the
       ``sweep.fabric`` event);
@@ -281,8 +279,6 @@ class StandardInstruments:
     _cells_cached = _held("counter", "bass_sweep_cells_total", status="cached")
     _cells_failed = _held("counter", "bass_sweep_cells_total", status="failed")
     _cell_seconds = _held("histogram", "bass_sweep_cell_seconds")
-    _queue_depth = _held("gauge", "bass_sweep_queue_depth")
-    _steals = _held("counter", "bass_sweep_steals_total")
     _worker_crashes = _held("counter", "bass_sweep_worker_crashes_total")
     _cells_per_second = _held("gauge", "bass_sweep_cells_per_second")
     _cache_hit_rate = _held("gauge", "bass_sweep_cache_hit_rate")
@@ -365,8 +361,6 @@ class StandardInstruments:
 
     def _sweep_fabric(self, event) -> None:
         registry, time, data = self.registry, event.time, event.data
-        self._queue_depth.set(time, float(data.get("max_queue_depth", 0)))
-        self._steals.inc(time, float(data.get("steals", 0)))
         self._worker_crashes.inc(time, float(data.get("worker_crashes", 0)))
         for report in data.get("workers") or ():
             worker = str(report.get("worker", "?"))

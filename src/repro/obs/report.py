@@ -559,11 +559,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
                 continue
             lines.append(
                 f"    fabric: {fabric.data.get('jobs', 0)} worker(s), "
-                f"{fabric.data.get('chunks', 0)} chunk(s) of "
-                f"{fabric.data.get('chunk_size', 0)}, "
-                f"{fabric.data.get('steals', 0)} steal(s), "
-                f"peak queue depth "
-                f"{fabric.data.get('max_queue_depth', 0)}, "
+                f"{fabric.data.get('dispatched', 0)} cell(s) dispatched, "
                 f"{fabric.data.get('worker_crashes', 0)} crash(es) "
                 f"survived"
             )

@@ -15,7 +15,7 @@ from .cache import MISS, CacheEntryWarning, ResultCache, cell_key, open_cache
 from .codec import canonical_json, decode_value, encode_value
 from .costmodel import cell_cost, order_longest_first
 from .fingerprint import code_fingerprint
-from .queue import FabricStats, WorkerReport, default_chunk_size, plan_chunks
+from .queue import FabricStats, WorkerReport
 from .sweep import (
     CellFailure,
     CellSpec,
@@ -44,11 +44,9 @@ __all__ = [
     "cell_key",
     "code_fingerprint",
     "decode_value",
-    "default_chunk_size",
     "derive_cell_seed",
     "encode_value",
     "open_cache",
     "order_longest_first",
-    "plan_chunks",
     "run_sweep",
 ]

@@ -5,30 +5,21 @@ over 400 simulated seconds differ by two orders of magnitude in wall
 time.  Dispatching them in spec order lets a long cell land last and
 serialize the sweep's tail; the sweep fabric instead orders pending
 cells **longest-expected-first** so big cells start early and the small
-ones fill the gaps (classic LPT list scheduling), with work-stealing
-mopping up whatever the estimate gets wrong.
+ones fill the gaps (classic LPT list scheduling); handing out one cell
+at a time bounds what a wrong estimate can cost to one cell.
 
 The estimate is deliberately coarse: simulated wall time scales with
 the horizon and with the amount of mesh the emulator ticks over, so the
 model reads the conventional kwarg names the experiment cells already
 use (``duration_s`` / ``total_s`` / ``settle_s``, ``nodes`` /
-``tenants``, ``flows`` / ``rps``) and falls back to calibrated
-defaults when a cell names none of them.  Only the *relative* order
-matters for packing; the absolute scale is only used to amortize
-dispatch overhead in the benchmarks.
-
-Calibration constants derive from ``BENCH_emulator.json``'s tick-rate
-series (60 nodes / 500 flows ticks at ~383/s on the reference box, 5
-nodes / 10 flows at several thousand per second): per simulated second,
-cost grows roughly linearly in ``nodes * flows`` past a fixed
-per-tick floor.
+``tenants``, ``flows`` / ``rps``) and falls back to defaults when a
+cell names none of them.  Only the *relative* order of the estimates is
+used.
 
 Example:
-    >>> cell_cost("m:f", {"duration_s": 600.0}) > cell_cost(
-    ...     "m:f", {"duration_s": 60.0}
-    ... )
+    >>> cell_cost({"duration_s": 600.0}) > cell_cost({"duration_s": 60.0})
     True
-    >>> cell_cost("m:f", {"weight": 50}) > cell_cost("m:f", {"weight": 1})
+    >>> cell_cost({"weight": 50}) > cell_cost({"weight": 1})
     True
 """
 
@@ -64,16 +55,14 @@ def _first_number(kwargs: Mapping[str, Any], keys: Sequence[str]) -> float:
     return 0.0
 
 
-def cell_cost(fn: str, kwargs: Mapping[str, Any]) -> float:
+def cell_cost(kwargs: Mapping[str, Any]) -> float:
     """Expected wall seconds for one cell, from its kwargs.
 
     An explicit ``weight`` kwarg (used by synthetic benchmark cells)
     dominates; otherwise the estimate is
     ``base + horizon * (per_s + per_node_flow * nodes * flows)`` with
-    calibrated defaults for anything the cell does not name.  ``fn`` is
-    accepted for future per-function calibration but unused today.
+    defaults for anything the cell does not name.
     """
-    del fn
     weight = kwargs.get("weight")
     if isinstance(weight, (int, float)) and not isinstance(weight, bool):
         return BASE_COST_S + float(weight)
@@ -91,8 +80,8 @@ def order_longest_first(
     """``indices`` sorted by descending cost, ties broken by index.
 
     Deterministic for a given spec: equal-cost cells keep canonical
-    order, so the chunk layout — and therefore the cache/trace shape of
-    a run — never depends on dict ordering or timing.
+    order, so the dispatch order never depends on dict ordering or
+    timing.
 
     Example:
         >>> order_longest_first([1.0, 5.0, 5.0, 0.5], [0, 1, 2, 3])

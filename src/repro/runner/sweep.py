@@ -5,9 +5,8 @@ seed) evaluations of a module-level function.  :func:`run_sweep`
 consults a content-addressed :class:`~repro.runner.cache.ResultCache`
 before executing anything, then runs the pending cells one of two ways,
 chosen from ``jobs`` and the pending count alone: in this process, in
-order (``jobs=1``, or at most one cell left to run), or through the
-work-stealing chunk queue over persistent warm workers
-(:mod:`repro.runner.queue`).  Results merge back **in canonical cell
+order (``jobs=1``, or at most one cell left to run), or one cell at a
+time over persistent warm workers (:mod:`repro.runner.queue`).  Results merge back **in canonical cell
 order** — so the output at any ``jobs`` is byte-identical to
 ``jobs=1``, which is byte-identical to the serial loops the sweep
 replaced.  The golden tests pin exactly that.
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..obs.trace import TracerBase, resolve_tracer
@@ -149,12 +148,18 @@ class SweepStats:
 
     ``backend`` names the path the pending cells took: ``"serial"``
     (in-process) or ``"queue"`` (the fabric).  The fabric fields
-    (``chunks`` onward) are zero on the serial path; on the queue path
-    they carry the work-stealing queue's accounting: chunk layout,
-    steals, peak queue depth, worker crashes survived, and the
+    (``dispatched`` onward) are zero on the serial path; on the queue
+    path they carry the fabric's accounting: cells handed to workers
+    (crash retries included), worker crashes survived, and the
     per-worker :class:`~repro.runner.queue.WorkerReport` tuple (busy
     fractions and cache hit rates feed the ``bass_sweep_worker_*``
     instruments).
+
+    ``chunks`` and ``steals`` are residue: the frozen ``bench/``
+    harness reads them into ``runner.queue.chunks_n`` / ``steals_n``.
+    The dispatch unit is the cell and no work changes hands after
+    dispatch, so they read ``dispatched`` and 0 until ROADMAP item 1's [benchmark] PR renames
+    the layers and deletes them.
     """
 
     cells: int
@@ -165,12 +170,17 @@ class SweepStats:
     cells_per_second: float
     cache_hit_rate: float
     backend: str = "serial"
-    chunks: int = 0
-    chunk_size: int = 0
-    steals: int = 0
-    max_queue_depth: int = 0
+    dispatched: int = 0
     worker_crashes: int = 0
     workers: tuple = ()
+
+    @property
+    def chunks(self) -> int:
+        return self.dispatched
+
+    @property
+    def steals(self) -> int:
+        return 0
 
 
 @dataclass
@@ -186,8 +196,8 @@ class SweepOutcome:
         """The sweep's golden output: canonical JSON of the result list.
 
         Byte-identical across ``jobs`` settings and across runs (for
-        deterministic cells) — this is the string the ``--jobs 2`` CI
-        golden diffs against the serial run.
+        deterministic cells) — this is the string the ``--jobs 2``
+        CLI test diffs against the serial run.
         """
         return canonical_json(self.results)
 
@@ -206,9 +216,9 @@ def run_sweep(
     Args:
         spec: the sweep definition (canonical cell order).
         jobs: worker processes.  ``1`` runs every cell in this process
-            and starts none; more fan the pending cells out over the
-            work-stealing fabric (:mod:`repro.runner.queue`) — unless
-            at most one cell is pending, which also runs inline.
+            and starts none; more hand the pending cells out one at a
+            time to that many warm workers (:mod:`repro.runner.queue`)
+            — unless at most one cell is pending, which also runs inline.
             Outputs are byte-identical either way.
         cache: completed-cell store; None disables memoization.
             Whichever process computes a cell writes its entry (the
@@ -302,7 +312,7 @@ def run_sweep(
             )
         stream_prefix()
 
-    fabric: Optional[FabricStats] = None
+    fabric = FabricStats()  # what the serial path reports: nothing
     if backend == "queue":
         fabric = execute_queue(
             [
@@ -311,7 +321,7 @@ def run_sweep(
                     fn=spec.cells[index].fn,
                     kwargs=resolved[index],
                     key=keys[index],
-                    cost=cell_cost(spec.cells[index].fn, resolved[index]),
+                    cost=cell_cost(resolved[index]),
                     label=spec.cells[index].label,
                 )
                 for index in pending
@@ -361,41 +371,24 @@ def run_sweep(
         cells_per_second=(total / wall_s if wall_s > 0 else 0.0),
         cache_hit_rate=(cached / total if total else 0.0),
         backend=backend,
-        chunks=fabric.chunks if fabric is not None else 0,
-        chunk_size=fabric.chunk_size if fabric is not None else 0,
-        steals=fabric.steals if fabric is not None else 0,
-        max_queue_depth=(
-            fabric.max_queue_depth if fabric is not None else 0
-        ),
-        worker_crashes=(
-            fabric.worker_crashes if fabric is not None else 0
-        ),
-        workers=fabric.workers if fabric is not None else (),
+        dispatched=fabric.dispatched,
+        worker_crashes=fabric.worker_crashes,
+        workers=fabric.workers,
     )
-    if tracer.enabled and fabric is not None:
-        busy = fabric.worker_busy_fractions()
+    if tracer.enabled and backend == "queue":
         tracer.emit(
             "sweep.fabric",
             wall_s,
             sweep=spec.name,
             backend=backend,
             jobs=jobs,
-            chunks=fabric.chunks,
-            chunk_size=fabric.chunk_size,
-            steals=fabric.steals,
-            max_queue_depth=fabric.max_queue_depth,
+            dispatched=fabric.dispatched,
             worker_crashes=fabric.worker_crashes,
             workers=[
                 {
-                    "worker": report.worker,
-                    "busy_s": report.busy_s,
-                    "alive_s": report.alive_s,
-                    "busy_fraction": busy[report.worker],
-                    "cells": report.cells,
-                    "cache_hits": report.cache_hits,
-                    "cache_misses": report.cache_misses,
+                    **asdict(report),
+                    "busy_fraction": report.busy_fraction,
                     "cache_hit_rate": report.cache_hit_rate,
-                    "crashed": report.crashed,
                 }
                 for report in fabric.workers
             ],

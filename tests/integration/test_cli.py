@@ -153,6 +153,19 @@ class TestCli:
                      "--profile"]) == 0
         assert '"regions": 3' in capsys.readouterr().out
 
+    def test_jobs_flag_reaches_the_fabric_and_leaves_bytes_alone(
+        self, tmp_path
+    ):
+        """``--jobs 1`` is the in-process loop, ``--jobs 2`` two warm
+        workers taking one cell at a time.  Same bytes."""
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"fig14cd-jobs{jobs}.json"
+            assert main(["run", "fig14cd", "--quick", "--no-cache",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            outs[jobs] = out.read_bytes()
+        assert outs["1"] and outs["1"] == outs["2"]
+
     def test_stop_at_with_out_is_rejected_not_silently_dropped(
         self, capsys, tmp_path
     ):

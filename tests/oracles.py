@@ -493,12 +493,6 @@ def on_event_reference(registry: InstrumentRegistry, event: TraceEvent) -> None:
     elif kind == "cell.failed":
         registry.counter("bass_sweep_cells_total", status="failed").inc(time)
     elif kind == "sweep.fabric":
-        registry.gauge("bass_sweep_queue_depth").set(
-            time, float(event.data.get("max_queue_depth", 0))
-        )
-        registry.counter("bass_sweep_steals_total").inc(
-            time, float(event.data.get("steals", 0))
-        )
         registry.counter("bass_sweep_worker_crashes_total").inc(
             time, float(event.data.get("worker_crashes", 0))
         )

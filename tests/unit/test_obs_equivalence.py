@@ -51,7 +51,7 @@ MEASURED = (
     "capacity_mbps", "available_mbps", "duration_s", "restart_s",
     "detection_latency_s", "latency_s", "cells_per_second", "cache_hit_rate",
 )
-COUNTED = ("max_queue_depth", "steals", "worker_crashes", "ticks")
+COUNTED = ("worker_crashes", "ticks")
 worker_reports = st.lists(
     st.fixed_dictionaries(
         {},

@@ -1,19 +1,23 @@
-"""The work-stealing sweep fabric: what ``run_sweep`` does at jobs > 1.
+"""The sweep fabric: what ``run_sweep`` does at jobs > 1.
 
 The contract pinned here: ``jobs=1`` (or at most one pending cell) runs
-in-process and starts nothing; any ``jobs > 1`` goes through the fabric
-and — whatever chunk layout the fabric picks — merges to the serial
-loop's exact bytes and writes the serial loop's exact cache entries; a
-worker that *dies* mid-chunk is survived (its chunk re-queued and every
-cell reduced exactly once, with a poison cell eventually surfacing as a
-failure instead of crash-looping the fabric); and duplicate-key cells
-share the workers' content-addressed store.
+in-process and starts nothing; any ``jobs > 1`` hands the cells out one
+at a time, longest-expected-first, to that many warm workers and —
+whichever worker runs which cell — merges to the serial loop's exact
+bytes and writes the serial loop's exact cache entries; a worker that
+*dies* is replaced at once and survived (the cell it held re-queued and
+every cell reduced exactly once, with a poison cell surfacing as a
+failure after ``MAX_CELL_RETRIES + 1`` deaths instead of crash-looping
+the fabric); and duplicate-key cells share the workers' content-addressed
+store.
 """
 
 import multiprocessing.process
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,17 +30,17 @@ from repro.runner import (
     SweepSpec,
     canonical_json,
     cell_cost,
-    default_chunk_size,
     order_longest_first,
-    plan_chunks,
     run_sweep,
 )
+from repro.runner import queue as fabric
 from repro.runner.costmodel import BASE_COST_S
 from repro.runner.queue import PendingCell, execute_queue
 
 SQUARE = "repro.runner.testing:square_cell"
 CRASH = "repro.runner.testing:crashing_cell"
 BUSY = "repro.runner.testing:busy_cell"
+SLOW = "repro.runner.testing:slow_cell"
 KILLER = "repro.runner.testing:worker_killing_cell"
 OPAQUE = "repro.runner.testing:unserializable_cell"
 
@@ -53,56 +57,28 @@ def square_spec(values=(0, 1, 2, 3, 4, 5, 6, 7), **spec_kwargs):
     )
 
 
-# -- cost model and chunk planning (pure, no processes) -----------------------
+# -- cost model (pure, no processes) ------------------------------------------
 
 
 def test_cell_cost_explicit_weight_dominates():
-    light = cell_cost(BUSY, {"weight": 0.01})
-    heavy = cell_cost(BUSY, {"weight": 5.0})
+    light = cell_cost({"weight": 0.01})
+    heavy = cell_cost({"weight": 5.0})
     assert heavy > light
     assert heavy == pytest.approx(BASE_COST_S + 5.0)
 
 
 def test_cell_cost_scales_with_horizon_and_grid_size():
-    short = cell_cost("m:f", {"duration_s": 60.0})
-    long = cell_cost("m:f", {"duration_s": 600.0})
+    short = cell_cost({"duration_s": 60.0})
+    long = cell_cost({"duration_s": 600.0})
     assert long > short
-    small = cell_cost("m:f", {"duration_s": 600.0, "nodes": 5, "flows": 10})
-    big = cell_cost("m:f", {"duration_s": 600.0, "nodes": 50, "flows": 100})
+    small = cell_cost({"duration_s": 600.0, "nodes": 5, "flows": 10})
+    big = cell_cost({"duration_s": 600.0, "nodes": 50, "flows": 100})
     assert big > small
 
 
 def test_order_longest_first_breaks_ties_by_index():
     costs = {0: 1.0, 1: 3.0, 2: 1.0, 3: 3.0}
     assert order_longest_first(costs, [0, 1, 2, 3]) == [1, 3, 0, 2]
-
-
-def test_default_chunk_size_targets_four_chunks_per_worker():
-    assert default_chunk_size(32, 4) == 2
-    assert default_chunk_size(3, 4) == 1
-    assert default_chunk_size(100, 1) == 25
-
-
-def _pending(costs):
-    return [
-        PendingCell(index=i, fn="m:f", kwargs={}, key=None, cost=cost)
-        for i, cost in enumerate(costs)
-    ]
-
-
-def test_plan_chunks_is_cost_ordered_and_deterministic():
-    pending = _pending([1.0, 9.0, 2.0, 8.0, 3.0])
-    chunks = plan_chunks(pending, 2)
-    layout = [[cell.index for cell in chunk] for chunk in chunks]
-    assert layout == [[1, 3], [4, 2], [0]]  # longest-expected first
-    assert layout == [
-        [cell.index for cell in chunk] for chunk in plan_chunks(pending, 2)
-    ]
-
-
-def test_plan_chunks_rejects_nonpositive_size():
-    with pytest.raises(ValueError, match="chunk_size"):
-        plan_chunks(_pending([1.0]), 0)
 
 
 # -- one dispatch path: serial at jobs=1, the fabric above --------------------
@@ -124,7 +100,7 @@ def test_serial_path_starts_no_process_and_emits_no_fabric_event(
     tracer = Tracer.with_instruments()
     outcome = run_sweep(square_spec(), jobs=1, tracer=tracer)
     assert outcome.stats.backend == "serial"
-    assert outcome.stats.chunks == 0 and outcome.stats.workers == ()
+    assert outcome.stats.dispatched == 0 and outcome.stats.workers == ()
     assert not [e for e in tracer.events if e.kind == "sweep.fabric"]
     backends = {
         e.kind: e.data["backend"]
@@ -146,10 +122,10 @@ def test_single_pending_cell_runs_inline_at_any_jobs(
 
 
 def test_serial_sweeps_never_import_the_fabric_runtime():
-    """``asyncio`` and ``multiprocessing`` are the fabric's alone: they
-    are imported by the first ``jobs > 1`` sweep, not by importing the
-    runner or running a serial sweep (~45 ms and ~7 MiB for every
-    process that never starts a worker)."""
+    """``multiprocessing`` is the fabric's alone: it is imported by
+    the first ``jobs > 1`` sweep, not by importing the runner or
+    running a serial sweep — and nothing imports ``asyncio`` at all
+    (tens of milliseconds and several MiB each, for every process)."""
     code = (
         "import sys\n"
         "import repro.experiments\n"
@@ -163,7 +139,8 @@ def test_serial_sweeps_never_import_the_fabric_runtime():
         "queued = run_sweep(spec, jobs=2)\n"
         "assert queued.stats.backend == 'queue'\n"
         "assert queued.to_canonical_json() == serial.to_canonical_json()\n"
-        "assert {'asyncio', 'multiprocessing'} <= set(sys.modules)\n"
+        "assert 'multiprocessing' in sys.modules\n"
+        "assert 'asyncio' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run(
@@ -178,7 +155,7 @@ def test_parallel_sweeps_take_the_fabric(jobs):
     queued = run_sweep(square_spec(), jobs=jobs)
     assert queued.to_canonical_json() == golden
     assert queued.stats.backend == "queue"
-    assert queued.stats.chunks >= 1
+    assert queued.stats.dispatched == 8
     assert len(queued.stats.workers) == jobs
 
 
@@ -186,10 +163,7 @@ def test_parallel_sweeps_take_the_fabric(jobs):
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
-@pytest.mark.parametrize("chunk_size", [1, 3])
-def test_queue_backend_matches_serial_bytes(jobs, chunk_size):
-    """Chunk layout is the fabric's own choice (``run_sweep`` passes
-    none), so force layouts it would pick for other grid shapes."""
+def test_queue_backend_matches_serial_bytes(jobs):
     spec = square_spec()
     golden = run_sweep(spec).to_canonical_json()
     settled = {}
@@ -207,12 +181,12 @@ def test_queue_backend_matches_serial_bytes(jobs, chunk_size):
             for i, cell in enumerate(spec.cells)
         ],
         jobs=jobs,
-        chunk_size=chunk_size,
+        cache_root=None,
+        sweep=spec.name,
         settle=settle,
     )
     assert canonical_json([settled[i] for i in range(8)]) == golden
-    assert stats.chunk_size == chunk_size
-    assert stats.chunks >= -(-8 // chunk_size)
+    assert stats.dispatched == 8
 
 
 def test_heterogeneous_costs_still_merge_canonically():
@@ -285,50 +259,114 @@ def test_queue_backend_surfaces_original_tracebacks():
     assert excinfo.value.failures[0].label == "boom"
 
 
+# -- one cell per idle worker -------------------------------------------------
+
+
+def test_equal_cost_heavy_cells_land_on_different_workers():
+    """Nothing in ``slow_cell``'s kwargs tells the cost model which
+    cells are heavy, so balance must come from the grain: two 0.5 s
+    cells among eight 5 ms ones keep *both* workers busy >= 0.5 s."""
+    sleeps = [0.5, 0.5] + [0.005] * 8
+    spec = SweepSpec(
+        name="two-heavy",
+        cells=tuple(
+            CellSpec(fn=SLOW, kwargs={"value": v, "sleep_s": sleep_s})
+            for v, sleep_s in enumerate(sleeps)
+        ),
+        modules=("repro.runner",),
+    )
+    outcome = run_sweep(spec, jobs=2)
+    assert [r.value for r in outcome.results] == list(range(10))
+    assert [report.busy_s >= 0.5 for report in outcome.stats.workers] == [
+        True, True,
+    ]
+
+
 # -- worker-crash recovery ----------------------------------------------------
 
 
-def test_transient_worker_death_requeues_and_reduces_exactly_once(tmp_path):
-    """Kill a worker mid-chunk: the chunk is re-queued, every cell
-    appears exactly once in the merged output, and the fabric records
-    the death."""
-    marker = str(tmp_path / "died-once")
-    cells = [
+def transient_spec(marker, cells=12, killer_at=2):
+    specs = [
         CellSpec(fn=SQUARE, kwargs={"value": v}, label=f"v{v}")
-        for v in range(12)  # two workers: chunks of two cells
+        for v in range(cells)
     ]
-    cells[2] = CellSpec(
+    specs[killer_at] = CellSpec(
         fn=KILLER,
         kwargs={"value": 9, "survive_marker": marker},
         label="killer",
     )
-    spec = SweepSpec(
-        name="transient", cells=tuple(cells), modules=("repro.runner",)
+    return SweepSpec(
+        name="transient", cells=tuple(specs), modules=("repro.runner",)
     )
-    outcome = run_sweep(spec, jobs=2)
-    assert outcome.stats.chunk_size == 2
+
+
+def test_transient_worker_death_requeues_and_reduces_exactly_once(tmp_path):
+    """Kill a worker mid-cell: the cell it held is re-queued, every
+    cell appears exactly once in the merged output, and the fabric
+    records the one death."""
+    marker = str(tmp_path / "died-once")
+    outcome = run_sweep(transient_spec(marker), jobs=2)
     assert [r.squared for r in outcome.results] == [
         81 if v == 2 else v * v for v in range(12)
     ]
     assert outcome.stats.failed == 0
-    assert outcome.stats.worker_crashes >= 1
+    assert outcome.stats.worker_crashes == 1
+    assert outcome.stats.dispatched == 13  # the killer went out twice
     assert os.path.exists(marker)
+
+
+def test_liveness_poll_backstops_a_missing_death_notice(
+    tmp_path, monkeypatch
+):
+    """A dead worker's pipe stays open while anything it forked still
+    holds the write end, so ``gone`` may never come; the quiet-inbox
+    poll must still find the corpse."""
+    handle = fabric._QueueDriver.handle
+    monkeypatch.setattr(
+        fabric._QueueDriver,
+        "handle",
+        lambda self, message: (
+            None if message[0] == "gone" else handle(self, message)
+        ),
+    )
+    outcome = run_sweep(transient_spec(str(tmp_path / "marker")), jobs=2)
+    assert outcome.stats.failed == 0
+    assert outcome.stats.worker_crashes == 1
+
+
+def test_dead_worker_is_replaced_while_siblings_stream_results(tmp_path):
+    """The survivor's results keep the inbox from ever going quiet, so
+    replacement cannot wait for the liveness poll: the reader's ``gone``
+    brings it at once and the replacement does its share of the grid."""
+    cells = 3000
+    spec = transient_spec(
+        str(tmp_path / "marker"), cells=cells + 1, killer_at=0
+    )
+    outcome = run_sweep(spec, jobs=2)
+    assert outcome.stats.failed == 0
+    assert outcome.stats.worker_crashes == 1
+    reports = outcome.stats.workers
+    assert [report.worker for report in reports] == [0, 1, 2]
+    assert sorted(report.crashed for report in reports) == [False, False, True]
+    assert sum(report.cells for report in reports) == cells + 1
+    replacement = reports[2]  # whichever of the first two died
+    assert not replacement.crashed and replacement.cells >= cells // 4
 
 
 def test_poison_cell_surfaces_as_failure_not_a_hang():
     """A cell that kills every host it lands on must settle as a
-    failure with a traceback naming the dead worker — and every other
-    cell still completes."""
+    failure with a traceback naming the dead worker — after exactly
+    ``MAX_CELL_RETRIES + 1`` deaths — and every other cell still
+    completes."""
     cells = [
         CellSpec(fn=SQUARE, kwargs={"value": v}, label=f"v{v}")
-        for v in range(10)  # two workers: chunks of two cells
+        for v in range(10)
     ]
     cells[1] = CellSpec(fn=KILLER, kwargs={"value": 7}, label="poison")
     spec = SweepSpec(
         name="poison", cells=tuple(cells), modules=("repro.runner",)
     )
     outcome = run_sweep(spec, jobs=2, strict=False)
-    assert outcome.stats.chunk_size == 2
     assert outcome.stats.failed == 1
     assert outcome.results[1] is None
     healthy = [r for r in outcome.results if r is not None]
@@ -338,9 +376,67 @@ def test_poison_cell_surfaces_as_failure_not_a_hang():
     failure = outcome.failures[0]
     assert failure.index == 1
     assert failure.label == "poison"
-    assert "SweepWorkerCrash" in failure.traceback
-    assert "exitcode" in failure.traceback
-    assert outcome.stats.worker_crashes >= 2  # shared chunk + isolation
+    assert re.search(
+        r"SweepWorkerCrash: worker \d+ \(pid \d+\) died with exitcode 137 "
+        r"while executing cell 1",
+        failure.traceback,
+    )
+    deaths = fabric.MAX_CELL_RETRIES + 1
+    assert outcome.stats.worker_crashes == deaths
+    assert sum(report.crashed for report in outcome.stats.workers) == deaths
+
+
+def test_workers_that_cannot_boot_abort_the_sweep(monkeypatch):
+    """A worker that dies before ``ready`` every time is a broken
+    interpreter, not a bad cell: the fabric gives up after
+    ``MAX_BOOT_FAILURES`` instead of respawn-looping."""
+    if fabric.mp_context().get_start_method() != "fork":
+        pytest.skip("the patched boot hook reaches workers only by fork")
+    monkeypatch.setattr(fabric, "initialize_worker", lambda _: os._exit(3))
+    begin = time.perf_counter()
+    deaths = fabric.MAX_BOOT_FAILURES + 1
+    with pytest.raises(RuntimeError, match=f"failed to boot {deaths} times"):
+        run_sweep(square_spec(), jobs=2)
+    assert time.perf_counter() - begin < 10.0
+
+
+def test_cell_sent_to_a_dead_worker_is_requeued_not_lost():
+    """The worker dies between ``ready`` and its first cell: the send
+    fails, the binding made before it stands, and the reap puts the
+    cell back (charged a retry it did not earn — bounded)."""
+    spec = square_spec(values=(0, 1, 2))
+    settled = {}
+    driver = fabric._QueueDriver(
+        [
+            PendingCell(
+                index=i, fn=cell.fn, kwargs=spec.resolved_kwargs(i),
+                key=None, cost=0.0,
+            )
+            for i, cell in enumerate(spec.cells)
+        ],
+        jobs=1,
+        cache_root=None,
+        sweep=spec.name,
+        settle=lambda index, ok, payload, *_: settled.update(
+            {index: (ok, payload.squared)}
+        ),
+    )
+    try:
+        ready = driver.inbox.get(timeout=30.0)
+        assert ready[0] == "ready"
+        worker = driver.workers[ready[1]]
+        worker.process.kill()
+        worker.process.join(timeout=30.0)
+        assert not fabric._send(worker.tasks, None)
+        driver.handle(ready)
+        assert worker.cell == 0
+        driver.run()
+    finally:
+        driver.shutdown()
+    assert settled == {0: (True, 0), 1: (True, 1), 2: (True, 4)}
+    stats = driver.fabric_stats()
+    assert (stats.worker_crashes, stats.dispatched) == (1, 4)
+    assert driver.crash_counts == {0: 1}
 
 
 def test_poison_cell_raises_in_strict_mode():
@@ -461,12 +557,10 @@ def test_fabric_trace_event_feeds_queue_instruments(tmp_path):
     assert len(fabric_events) == 1
     data = fabric_events[0].data
     assert data["backend"] == "queue"
-    assert data["chunks"] >= 1
+    assert data["dispatched"] == 8
     assert data["workers"]  # per-worker reports ride on the event
 
     registry = tracer.instruments.registry
-    assert registry.gauge("bass_sweep_queue_depth").value >= 1
-    assert registry.counter("bass_sweep_steals_total").value >= 0
     for report in data["workers"]:
         worker = str(report["worker"])
         busy = registry.gauge(
