@@ -14,8 +14,8 @@ the two fleet-level guarantees:
 """
 
 from repro.core.controlplane import check_cluster_ledger
-from repro.core.registry import get_scheduler
-from repro.experiments.common import SCHEDULER_NAMES, build_env
+from repro.core.registry import get_scheduler, scheduler_names
+from repro.experiments.common import build_env
 from repro.experiments.multi_tenant import (
     contention_sweep_spec,
     multi_tenant_mesh,
@@ -132,5 +132,5 @@ def test_ledger_consistent_throughout_contention():
 
 def test_registry_resolves_every_legacy_name():
     for name in ("k3s", "bass-bfs", "bass-longest-path", "bass-hybrid"):
-        assert name in SCHEDULER_NAMES
+        assert name in scheduler_names()
         assert callable(get_scheduler(name))

@@ -17,15 +17,16 @@ recorder for the run and writes the decision-event log as JSONL;
 
 What can be run, and what may be done with each experiment, is declared
 once in :mod:`repro.experiments.catalog`; ``list`` tags every id with
-the capabilities its catalogue row has.  Sweep-shaped experiments
-(``[sweep]``) additionally accept ``--jobs N`` (``1`` runs the cells in
-this process; more hand them out one at a time to N warm worker
-processes — see DESIGN.md "Parallel sweeps"),
-``--cache-dir PATH`` (memoize completed cells content-addressed on
-disk; workers share the store directly), ``--no-cache``, and ``--out
-PATH`` (write the merged results as canonical JSON — byte-identical
-across ``--jobs``).  ``[checkpoint]`` experiments also run as a single
-checkpointable cell (``--checkpoint-dir`` / ``--stop-at`` /
+the capabilities its catalogue row has.  Every experiment is a grid of
+independent cells run through the sweep runner, so every ``run``
+accepts ``--jobs N`` (``1`` runs the cells in this process; more hand
+them out one at a time to N warm worker processes — see DESIGN.md
+"Parallel sweeps"), ``--cache-dir PATH`` (memoize completed cells
+content-addressed on disk; workers share the store directly),
+``--no-cache``, and ``--out PATH`` (write the merged results as
+canonical JSON — byte-identical across ``--jobs`` wherever the cells
+measure no wall time).  ``[checkpoint]`` experiments also run as a
+single checkpointable cell (``--checkpoint-dir`` / ``--stop-at`` /
 ``--restore-from`` / ``--profile``), ``[serve]`` ones tick live under
 ``bass-repro serve``, and ``[regions]`` ones take ``--regions N``.
 """
@@ -129,12 +130,6 @@ def _check_flags(args, parser, row: Experiment) -> bool:
             f"'bass-repro list'; {row.id!r} does not take it"
         )
     if not single_cell:
-        if (runner_flags or args.out is not None) and row.specs is None:
-            parser.error(
-                f"--jobs/--cache-dir/--no-cache/--out apply only to "
-                f"sweep-shaped experiments; {row.id!r} is not one "
-                f"(see 'bass-repro list')"
-            )
         return False
     if row.capsule is None:
         parser.error(
@@ -245,20 +240,16 @@ def _tracing(args, restored) -> Iterator[None]:
 
 
 def _run_batch(args, row: Experiment, sizing: dict) -> Optional[str]:
-    """Run the experiment in its usual shape and print its table;
-    returns the ``--out`` document of a sweep (canonical JSON of the
-    merged results — byte-identical across ``--jobs``)."""
+    """Run the row's grids through the sweep runner and print its
+    table; returns the ``--out`` document (canonical JSON of the merged
+    results — byte-identical across ``--jobs``)."""
     print(f"== {row.id}: {row.description} ==\n")
-    outcomes = []
-    if row.specs is None:
-        table = row.report(**sizing)
-    else:
-        cache = None if args.no_cache else open_cache(args.cache_dir)
-        outcomes = [
-            run_sweep(spec, jobs=args.jobs, cache=cache)
-            for spec in row.specs(**sizing)
-        ]
-        table = row.render(*outcomes)
+    cache = None if args.no_cache else open_cache(args.cache_dir)
+    outcomes = [
+        run_sweep(spec, jobs=args.jobs, cache=cache)
+        for spec in row.specs(**sizing)
+    ]
+    table = row.render(*outcomes)
     print(_table(table.headers, table.rows))
     if table.note:
         print(f"\n{table.note}")
@@ -274,7 +265,7 @@ def _run_batch(args, row: Experiment, sizing: dict) -> Optional[str]:
             f"cached, cache hit rate {stats.cache_hit_rate:.0%})",
             file=sys.stderr,
         )
-    if not (outcomes and args.out):
+    if not args.out:
         return None
     return canonical_json({o.spec.name: o.results for o in outcomes})
 
@@ -366,14 +357,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for sweep-shaped experiments "
-        "(results stay byte-identical to --jobs 1)",
+        help="worker processes the experiment's cells are handed to "
+        "(results stay byte-identical to --jobs 1; with --trace, only "
+        "cells run in this process record their in-cell events)",
     )
     runner.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="memoize completed sweep cells in this content-addressed "
-        "cache directory (shared directly by the sweep workers)",
+        help="memoize completed cells in this content-addressed "
+        "cache directory (shared directly by the workers)",
     )
     runner.add_argument(
         "--no-cache",
@@ -383,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     runner.add_argument(
         "--out",
         metavar="PATH",
-        help="write the sweep's merged results as canonical JSON "
+        help="write the merged cell results as canonical JSON "
         "(byte-identical across --jobs settings)",
     )
     runner.add_argument(

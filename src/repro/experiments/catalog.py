@@ -5,19 +5,18 @@ the source of truth for what ``bass-repro`` can do.  ``run`` (batch and
 single-cell/checkpoint mode), ``serve`` and ``list`` all read it, and
 so do the checkpoint tests; nothing else in the tree knows an
 experiment by name.  A row carries the id, the one-line description,
-and whichever *parts* the experiment has.  Its capabilities are which
-parts are present, never a separate flag:
+how to run it, and whichever optional *parts* the experiment has.  Its
+capabilities are which parts are present, never a separate flag:
 
-* ``report`` — the batch shape: run the experiment, return its
-  :class:`Table`.
-* ``specs`` + ``render`` — the sweep shape (``[sweep]`` in ``list``):
-  ``specs`` builds the :class:`~repro.runner.SweepSpec` objects the
-  driver runs, ``render`` turns the outcomes into the :class:`Table`.
+* ``specs`` + ``render`` — every row has these: ``specs`` builds the
+  :class:`~repro.runner.SweepSpec` grids of cells the driver hands to
+  ``run_sweep`` (a single-configuration figure is a one-cell grid),
+  ``render`` turns the outcomes into the :class:`Table`.
 * ``capsule`` + ``summary`` — checkpointable (``[checkpoint]``): the
   run as one :class:`~repro.snap.capsule.RunCapsule` the CLI can stop,
   snapshot, restore and profile, and the deterministic summary of a
   finished one.  The substrates are the exact ``prepare_*`` objects
-  the batch paths drive, so a capsule run makes the same decisions —
+  the batch cells drive, so a capsule run makes the same decisions —
   restore determinism rides on batch determinism.
 * ``serve`` — servable (``[serve]``): the capsule ``bass-repro serve``
   ticks live.  The row's own ``capsule`` builder, unless the served
@@ -70,9 +69,8 @@ class Experiment:
 
     id: str
     description: str
-    report: Optional[Callable[..., Table]] = None
-    specs: Optional[Callable[..., tuple[SweepSpec, ...]]] = None
-    render: Optional[Callable[..., Table]] = None
+    specs: Callable[..., tuple[SweepSpec, ...]]
+    render: Callable[..., Table]
     capsule: Optional[Callable[..., RunCapsule]] = None
     summary: Optional[Callable[[RunCapsule], dict]] = None
     serve: Optional[Callable[..., RunCapsule]] = None
@@ -91,7 +89,6 @@ class Experiment:
     def capabilities(self) -> tuple[str, ...]:
         """The ``list`` tags, derived from which parts are present."""
         parts = {
-            "sweep": self.specs,
             "regions": self.regions,
             "checkpoint": self.capsule,
             "serve": self.serve,
@@ -105,40 +102,66 @@ def _or(value: Optional[float], missing: str, spec: str = ".0f") -> str:
     return missing if value is None else format(value, spec)
 
 
-# -- batch reports ------------------------------------------------------------
+# -- spec builders and row renderers ------------------------------------------
+#
+# ``_x_specs(quick)`` sizes the row's grids; ``_x_table(*outcomes)``
+# renders them.
 
 
-def _fig2(quick: bool) -> Table:
-    links = motivation.fig2_bandwidth_variation(
-        duration_s=600.0 if quick else 3600.0
+def _one_cell(name: str, fn, **fixed) -> tuple[SweepSpec, ...]:
+    """A single-configuration figure is a one-cell grid over the
+    function it already is."""
+    return (SweepSpec.grid(name, fn, fixed=fixed),)
+
+
+def _fig2_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "fig2",
+        motivation.fig2_bandwidth_variation,
+        duration_s=600.0 if quick else 3600.0,
     )
+
+
+def _fig2_table(outcome: SweepOutcome) -> Table:
+    (links,) = outcome.results
     return Table(
         ["link", "mean_mbps", "rel_std"],
         [[l.label, f"{l.mean_mbps:.2f}", f"{l.rel_std:.2f}"] for l in links],
     )
 
 
-def _fig4(quick: bool) -> Table:
-    points = motivation.fig4_pion_bottleneck(
-        participant_counts=(4, 8, 10, 12, 14) if quick else
-        (4, 6, 8, 10, 11, 12, 13, 14),
-        settle_s=30.0 if quick else 60.0,
+def _fig4_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        motivation.fig4_pion_bottleneck.spec(
+            participant_counts=(4, 8, 10, 12, 14) if quick else
+            (4, 6, 8, 10, 11, 12, 13, 14),
+            settle_s=30.0 if quick else 60.0,
+        ),
     )
+
+
+def _fig4_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["participants", "per_client_mbps", "loss"],
         [
             [p.participants, f"{p.per_client_mbps:.2f}",
              f"{p.loss_fraction:.3f}"]
-            for p in points
+            for p in outcome.results
         ],
     )
 
 
-def _fig5(quick: bool) -> Table:
-    series = motivation.fig5_socialnet_throttle(
+def _fig5_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "fig5",
+        motivation.fig5_socialnet_throttle,
         total_s=200.0 if quick else 360.0,
         throttle_start_s=60.0 if quick else 120.0,
     )
+
+
+def _fig5_table(outcome: SweepOutcome) -> Table:
+    (series,) = outcome.results
     phases = zip(("before", "during", "after"), series.phase_means())
     return Table(
         ["phase", "mean_latency_s"],
@@ -146,14 +169,15 @@ def _fig5(quick: bool) -> Table:
     )
 
 
-def _fig8(quick: bool) -> Table:
-    timeline = (
-        migration.fig8_migration_timeline(
-            drop_time_s=60.0, second_drop_time_s=300.0, total_s=500.0
-        )
-        if quick
-        else migration.fig8_migration_timeline()
+def _fig8_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    trimmed = dict(drop_time_s=60.0, second_drop_time_s=300.0, total_s=500.0)
+    return _one_cell(
+        "fig8", migration.fig8_migration_timeline, **(trimmed if quick else {})
     )
+
+
+def _fig8_table(outcome: SweepOutcome) -> Table:
+    (timeline,) = outcome.results
     rows = [["full probe", f"{t:.0f}", ""] for t in timeline.full_probe_times]
     rows += [
         ["migration", f"{m.time:.0f}",
@@ -166,78 +190,109 @@ def _fig8(quick: bool) -> Table:
     )
 
 
-def _fig10(quick: bool) -> Table:
-    rows = static_placement.fig10_camera_static(
-        duration_s=40.0 if quick else 120.0
+def _fig10_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        static_placement.fig10_camera_static.spec(
+            duration_s=40.0 if quick else 120.0
+        ),
     )
+
+
+def _fig10_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["scheduler", "mean_ms", "chain_hops"],
         [
             [r.scheduler, f"{r.mean_latency_ms:.0f}", r.inter_node_chain_hops]
-            for r in rows
+            for r in outcome.results
         ],
     )
 
 
-def _fig11(quick: bool) -> Table:
-    cells = static_placement.fig11_socialnet_p99(
-        rates=(100.0, 300.0) if quick else (100.0, 200.0, 300.0),
-        duration_s=60.0 if quick else 150.0,
+def _fig11_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        static_placement.fig11_socialnet_p99.spec(
+            rates=(100.0, 300.0) if quick else (100.0, 200.0, 300.0),
+            duration_s=60.0 if quick else 150.0,
+        ),
     )
+
+
+def _fig11_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["scheduler", "rps", "restricted", "p99_s"],
         [
             [c.scheduler, int(c.rps), c.restricted, f"{c.p99_latency_s:.2f}"]
-            for c in cells
+            for c in outcome.results
         ],
     )
 
 
-def _fig12(quick: bool) -> Table:
-    series = migration.fig12_video_query_interval(
-        intervals=(30.0, None) if quick else (30.0, 60.0, 90.0, None),
-        total_s=160.0 if quick else 300.0,
-        restrict_for_s=100.0 if quick else 180.0,
+def _fig12_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        migration.fig12_video_query_interval.spec(
+            intervals=(30.0, None) if quick else (30.0, 60.0, 90.0, None),
+            total_s=160.0 if quick else 300.0,
+            restrict_for_s=100.0 if quick else 180.0,
+        ),
     )
+
+
+def _fig12_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["interval_s", "migrations", "mean_mbps_during"],
         [
             [_or(s.interval_s, "none", ""), len(s.migrations),
              f"{s.mean_during(40.0, 100.0):.2f}"]
-            for s in series
+            for s in outcome.results
         ],
     )
 
 
-def _fig13(quick: bool) -> Table:
-    series = migration.fig13_socialnet_migration(
-        intervals=(30.0, None) if quick else (30.0, 60.0, 90.0, None),
-        total_s=160.0 if quick else 300.0,
-        restrict_for_s=120.0 if quick else 180.0,
+def _fig13_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        migration.fig13_socialnet_migration.spec(
+            intervals=(30.0, None) if quick else (30.0, 60.0, 90.0, None),
+            total_s=160.0 if quick else 300.0,
+            restrict_for_s=120.0 if quick else 180.0,
+        ),
     )
+
+
+def _fig13_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["interval_s", "migrations", "mean_s_during", "p99_s"],
         [
             [_or(s.interval_s, "none", ""), len(s.migrations),
              f"{s.mean_during(30.0, 130.0):.2f}", f"{s.p99():.2f}"]
-            for s in series
+            for s in outcome.results
         ],
     )
 
 
-def _table1(quick: bool) -> Table:
-    result = migration.table1_migration_iterations(
-        total_s=200.0 if quick else 260.0
+def _table1_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "table1",
+        migration.table1_migration_iterations,
+        total_s=200.0 if quick else 260.0,
     )
+
+
+def _table1_table(outcome: SweepOutcome) -> Table:
+    (result,) = outcome.results
     return Table(["iteration", "over_quota", "migrated"], result.rows)
 
 
-def _fig14a(quick: bool) -> Table:
-    result = migration.fig14a_restart_cdf(
+def _fig14a_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "fig14a",
+        migration.fig14a_restart_cdf,
         total_s=140.0 if quick else 240.0,
         restart_at_s=70.0 if quick else 120.0,
     )
-    baseline, restart = result.means()
+
+
+def _fig14a_table(outcome: SweepOutcome) -> Table:
+    baseline, restart = outcome.results[0].means()
     return Table(
         ["series", "mean_latency_s"],
         [["steady state", f"{baseline:.3f}"],
@@ -245,39 +300,55 @@ def _fig14a(quick: bool) -> Table:
     )
 
 
-def _fig14b(quick: bool) -> Table:
-    results = migration.fig14b_scheduler_cdf(
-        duration_s=400.0 if quick else 1200.0
+def _fig14b_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        migration.fig14b_scheduler_cdf.spec(
+            duration_s=400.0 if quick else 1200.0
+        ),
     )
+
+
+def _fig14b_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["configuration", "median_s", "p99_s", "migrations"],
         [
             [r.label, f"{r.median():.2f}", f"{r.p99():.2f}", r.migrations]
-            for r in results
+            for r in outcome.results
         ],
     )
 
 
-def _fig15b(quick: bool) -> Table:
-    results = migration.fig15b_video_thresholds(
-        thresholds=(None, 0.65) if quick else (None, 0.65, 0.85),
-        duration_s=300.0 if quick else 600.0,
+def _fig15b_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        migration.fig15b_video_thresholds.spec(
+            thresholds=(None, 0.65) if quick else (None, 0.65, 0.85),
+            duration_s=300.0 if quick else 600.0,
+        ),
     )
+
+
+def _fig15b_table(outcome: SweepOutcome) -> Table:
     nodes = ("node1", "node2", "node3", "node4")
     return Table(
         ["threshold", "migrations", *nodes],
         [
             [_or(r.threshold, "none", ""), r.migrations]
             + [f"{r.bitrate_by_node[n]:.2f}" for n in nodes]
-            for r in results
+            for r in outcome.results
         ],
     )
 
 
-def _churn(quick: bool) -> Table:
+def _churn_specs(quick: bool) -> tuple[SweepSpec, ...]:
     duration = 160.0 if quick else 240.0
-    results = churn.churn_comparison(duration_s=duration)
-    shared = churn.churn_recovery(tenants=2, duration_s=duration)
+    shared = _one_cell(
+        "churn-shared", churn.churn_recovery, tenants=2, duration_s=duration
+    )
+    return (churn.churn_comparison.spec(duration_s=duration), *shared)
+
+
+def _churn_table(comparison: SweepOutcome, shared: SweepOutcome) -> Table:
+    (both,) = shared.results
     return Table(
         ["mode", "detect_s", "recover_s", "pre_goodput", "dip",
          "post_goodput", "replaced"],
@@ -291,38 +362,43 @@ def _churn(quick: bool) -> Table:
                 f"{r.goodput_stats.post_mean:.2f}",
                 r.recovered_pods,
             ]
-            for r in results
+            for r in comparison.results
         ],
-        note=f"two tenants, one crash: {shared.recovered_pods} pods "
-        f"re-placed, {shared.conflict_count} arbiter conflicts, "
-        f"detection {shared.detection_latency_s:.0f}s",
+        note=f"two tenants, one crash: {both.recovered_pods} pods "
+        f"re-placed, {both.conflict_count} arbiter conflicts, "
+        f"detection {both.detection_latency_s:.0f}s",
     )
 
 
-def _fleet(quick: bool, regions: int) -> Table:
-    duration = 120.0 if quick else 240.0
-    rows = []
-    for n_regions, tenants in ((1, 2), (regions, 2 * regions)):
-        result = fleet.fleet_mesh(
-            regions=n_regions, tenants=tenants, duration_s=duration
-        )
-        decisions = result.decision_seconds or [0.0]
-        rows.append(
-            [
-                n_regions,
-                tenants,
-                f"{result.probe_events_per_link_hour:.1f}",
-                f"{p50(decisions) * 1e3:.3f}",
-                result.conflict_count,
-                result.committed_handoffs,
-            ]
-        )
-    pressure = fleet.fleet_handoff(duration_s=120.0 if quick else 180.0)
+def _fleet_specs(quick: bool, regions: int) -> tuple[SweepSpec, ...]:
+    scaling = fleet.fleet_scaling_spec(
+        region_counts=(1, regions), duration_s=120.0 if quick else 240.0
+    )
+    handoff = _one_cell(
+        "fleet-handoff",
+        fleet.fleet_handoff,
+        duration_s=120.0 if quick else 180.0,
+    )
+    return (scaling, *handoff)
+
+
+def _fleet_table(scaling: SweepOutcome, handoff: SweepOutcome) -> Table:
+    (pressure,) = handoff.results
     latencies = pressure.handoff_latencies or [0.0]
     return Table(
         ["regions", "tenants", "probes_per_link_hour",
          "median_decision_ms", "conflicts", "handoffs"],
-        rows,
+        [
+            [
+                result.regions,
+                result.tenants,
+                f"{result.probe_events_per_link_hour:.1f}",
+                f"{p50(result.decision_seconds or [0.0]) * 1e3:.3f}",
+                result.conflict_count,
+                result.committed_handoffs,
+            ]
+            for result in scaling.results
+        ],
         note=f"handoff pressure (region 0 packed + throttled): "
         f"{pressure.handoff_counts.get('committed', 0)} committed @ "
         f"p50 {p50(latencies):.1f}s, "
@@ -333,8 +409,16 @@ def _fleet(quick: bool, regions: int) -> Table:
     )
 
 
-def _failover(quick: bool) -> Table:
-    result = failover.failover_outage(duration_s=180.0 if quick else 240.0)
+def _failover_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "failover",
+        failover.failover_outage,
+        duration_s=180.0 if quick else 240.0,
+    )
+
+
+def _failover_table(outcome: SweepOutcome) -> Table:
+    (result,) = outcome.results
     stats = result.goodput_stats
     gap = result.resume_epoch_gap
     return Table(
@@ -357,37 +441,53 @@ def _failover(quick: bool) -> Table:
     )
 
 
-def _table2(quick: bool) -> Table:
-    rows = static_placement.table2_camera_mesh(
-        duration_s=300.0 if quick else 1200.0
+def _table2_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return (
+        static_placement.table2_camera_mesh.spec(
+            duration_s=300.0 if quick else 1200.0
+        ),
     )
+
+
+def _table2_table(outcome: SweepOutcome) -> Table:
     return Table(
         ["scenario", "scheduler", "median_ms", "migrations"],
         [
             [r.scenario, r.scheduler, f"{r.median_latency_ms:.0f}",
              r.migrations]
-            for r in rows
+            for r in outcome.results
         ],
     )
 
 
-def _table3(quick: bool) -> Table:
-    rows = overheads.table3_scheduling_latency(trials=5 if quick else 20)
+def _table3_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "table3",
+        overheads.table3_scheduling_latency,
+        trials=5 if quick else 20,
+    )
+
+
+def _table3_table(outcome: SweepOutcome) -> Table:
+    (rows,) = outcome.results
     return Table(
         ["application", "scheduler", "avg_ms_per_component"],
         [[r.app, r.scheduler, f"{r.avg_ms:.4f}"] for r in rows],
     )
 
 
-def _table4(quick: bool) -> Table:
-    rows = overheads.table4_dag_processing(trials=10 if quick else 50)
+def _table4_specs(quick: bool) -> tuple[SweepSpec, ...]:
+    return _one_cell(
+        "table4", overheads.table4_dag_processing, trials=10 if quick else 50
+    )
+
+
+def _table4_table(outcome: SweepOutcome) -> Table:
+    (rows,) = outcome.results
     return Table(
         ["application", "components", "avg_ms"],
         [[r.app, r.components, f"{r.avg_ms:.3f}"] for r in rows],
     )
-
-
-# -- sweeps: spec builders and row renderers ----------------------------------
 
 
 def _fig14cd_specs(quick: bool) -> tuple[SweepSpec, ...]:
@@ -665,57 +765,57 @@ def _failover_summary(capsule: RunCapsule) -> dict:
 
 CATALOG: tuple[Experiment, ...] = (
     Experiment("fig2", "bandwidth variation on two CityLab links",
-               report=_fig2),
+               _fig2_specs, _fig2_table),
     Experiment("fig4", "Pion bitrate/loss vs participants on a bottleneck",
-               report=_fig4),
+               _fig4_specs, _fig4_table),
     Experiment("fig5", "social-network latency through a 25 Mbps throttle",
-               report=_fig5),
-    Experiment("fig8", "worked migration timeline", report=_fig8),
+               _fig5_specs, _fig5_table),
+    Experiment("fig8", "worked migration timeline", _fig8_specs, _fig8_table),
     Experiment("fig10", "camera latency per scheduler, unconstrained LAN",
-               report=_fig10),
+               _fig10_specs, _fig10_table),
     Experiment("fig11", "social-network p99 vs RPS, ± one throttled node",
-               report=_fig11),
+               _fig11_specs, _fig11_table),
     Experiment("fig12", "video bitrate vs bandwidth-query interval",
-               report=_fig12),
+               _fig12_specs, _fig12_table),
     Experiment("fig13", "social-network latency vs monitoring interval",
-               report=_fig13, capsule=_fig13_capsule, summary=_fig13_summary,
-               serve=_fig13_capsule),
+               _fig13_specs, _fig13_table, capsule=_fig13_capsule,
+               summary=_fig13_summary, serve=_fig13_capsule),
     Experiment("table1", "migration iterations: over-quota vs migrated",
-               report=_table1),
+               _table1_specs, _table1_table),
     Experiment("fig14a", "restart cost on end-to-end latency",
-               report=_fig14a),
+               _fig14a_specs, _fig14a_table),
     Experiment("fig14b", "scheduler comparison CDF on the emulated mesh",
-               report=_fig14b),
+               _fig14b_specs, _fig14b_table),
     Experiment("fig14cd", "threshold x headroom sweep, fixed arrivals",
-               specs=_fig14cd_specs, render=_fig14cd_table),
+               _fig14cd_specs, _fig14cd_table),
     Experiment("fig15b", "video bitrate by node vs migration threshold",
-               report=_fig15b),
+               _fig15b_specs, _fig15b_table),
     Experiment("fig16", "threshold sweep under exponential arrivals",
-               specs=_fig16_specs, render=_fig16_table),
+               _fig16_specs, _fig16_table),
     Experiment("multitenant",
                "probe sharing and migration arbitration at scale",
-               specs=_multitenant_specs, render=_multitenant_table),
+               _multitenant_specs, _multitenant_table),
     Experiment("fleet",
                "regionalized control plane: sharded schedulers, handoffs",
-               report=_fleet, capsule=_fleet_capsule, summary=_fleet_summary,
-               regions=2),
+               _fleet_specs, _fleet_table, capsule=_fleet_capsule,
+               summary=_fleet_summary, regions=2),
     Experiment("churn", "node crash: detection latency and recovery vs k3s",
-               report=_churn, capsule=_churn_capsule, summary=_churn_summary,
-               serve=_churn_live_capsule),
+               _churn_specs, _churn_table, capsule=_churn_capsule,
+               summary=_churn_summary, serve=_churn_live_capsule),
     Experiment("failover",
                "orchestrator kill mid-run: deferred decisions, goodput dip",
-               report=_failover, capsule=_failover_capsule,
+               _failover_specs, _failover_table, capsule=_failover_capsule,
                summary=_failover_summary),
     Experiment("churnsweep", "randomized crash plans across seeds",
-               specs=_churnsweep_specs, render=_churnsweep_table),
+               _churnsweep_specs, _churnsweep_table),
     Experiment("ablations", "the design-choice ablation battery",
-               specs=_ablations_specs, render=_ablations_table),
+               _ablations_specs, _ablations_table),
     Experiment("table2", "camera median latency on the emulated mesh",
-               report=_table2),
+               _table2_specs, _table2_table),
     Experiment("table3", "per-component scheduling latency",
-               report=_table3),
+               _table3_specs, _table3_table),
     Experiment("table4", "DAG processing time per application",
-               report=_table4),
+               _table4_specs, _table4_table),
 )
 
 #: ``id -> row``; what ``repro.cli.EXPERIMENTS`` re-exports.

@@ -42,9 +42,16 @@ from ..faults import (
 from ..mesh.topology import citylab_subset
 from ..metrics.summary import RecoveryStats, recovery_timeline_stats
 from ..obs.trace import TracerBase
-from ..runner import CellSpec, SweepSpec
+from ..runner import SweepSpec
 from ..sim.rng import RngStreams
-from .common import AppHandle, ExperimentEnv, build_env, deploy_app, run_timeline
+from .common import (
+    AppHandle,
+    ExperimentEnv,
+    build_env,
+    deploy_app,
+    grid_figure,
+    run_timeline,
+)
 from .multi_tenant import SINK, StreamPairApp
 
 #: The control-plane node collecting heartbeats.
@@ -356,18 +363,16 @@ def churn_seed_sweep_spec(
     *, seeds: tuple[int, ...] = DEFAULT_CHURN_SEEDS, settle_s: float = 120.0
 ) -> SweepSpec:
     """The randomized-churn seed sweep as a sweep spec."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.churn:_churn_seed_cell",
-            kwargs={"settle_s": settle_s},
-            label=f"seed{seed}",
-            seed=seed,
-        )
-        for seed in seeds
+    return SweepSpec.grid(
+        "churn-seeds",
+        _churn_seed_cell,
+        {"seed": seeds},
+        fixed={"settle_s": settle_s},
+        label="seed{seed}",
     )
-    return SweepSpec(name="churn-seeds", cells=cells)
 
 
+@grid_figure
 def churn_comparison(
     *,
     duration_s: float = 240.0,
@@ -375,28 +380,23 @@ def churn_comparison(
     crash_node: str = "node2",
     crash_at_s: float = 60.0,
     tenants: int = 1,
-) -> tuple[ChurnResult, ChurnResult]:
-    """BASS-with-recovery vs the never-re-placing k3s baseline.
+) -> SweepSpec:
+    """BASS-with-recovery, then the never-re-placing k3s baseline.
 
     Identical seed, topology, workload, and crash; the only difference
-    is whether detector confirmations drive re-placement.
+    is whether detector confirmations drive re-placement (each run
+    labels itself ``bass`` / ``k3s``).
     """
-    bass = churn_recovery(
-        tenants=tenants,
-        duration_s=duration_s,
+    return SweepSpec.grid(
+        "churn-comparison",
+        churn_recovery,
+        {"recovery": (True, False)},
+        fixed={
+            "tenants": tenants,
+            "duration_s": duration_s,
+            "crash_node": crash_node,
+            "crash_at_s": crash_at_s,
+        },
+        label="recovery={recovery}",
         seed=seed,
-        crash_node=crash_node,
-        crash_at_s=crash_at_s,
-        recovery=True,
-        label="bass",
     )
-    baseline = churn_recovery(
-        tenants=tenants,
-        duration_s=duration_s,
-        seed=seed,
-        crash_node=crash_node,
-        crash_at_s=crash_at_s,
-        recovery=False,
-        label="k3s",
-    )
-    return bass, baseline

@@ -8,8 +8,9 @@ controller.  Every scenario module builds on these helpers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..apps.base import Application
 from ..cluster.orchestrator import ClusterState, Orchestrator
@@ -19,19 +20,13 @@ from ..core.controller import BandwidthController
 from ..core.controlplane import ControlPlane
 from ..core.dag import ComponentDAG
 from ..core.netmonitor import NetMonitor
-from ..core.registry import get_scheduler, scheduler_names
+from ..core.registry import get_scheduler
 from ..mesh.topology import MeshTopology, citylab_subset
 from ..net.netem import NetworkEmulator
 from ..obs.trace import NULL_TRACER, TracerBase, resolve_tracer
+from ..runner import SweepSpec, run_sweep
 from ..sim.engine import Engine
 from ..sim.rng import RngStreams
-
-#: Scheduler names accepted throughout the experiment harness.  Kept as
-#: a tuple for backwards compatibility; the registry
-#: (:mod:`repro.core.registry`) is the source of truth, and schedulers
-#: registered after import time are resolvable even though they are not
-#: reflected here.
-SCHEDULER_NAMES = scheduler_names()
 
 
 @dataclass
@@ -59,13 +54,18 @@ class AppHandle:
     app: Application
     dag: ComponentDAG
     binding: DeploymentBinding
-    monitor: NetMonitor
-    controller: Optional[BandwidthController] = None
+    controller: BandwidthController
     assignments: dict[str, str] = field(default_factory=dict)
 
     @property
     def deployment(self):
         return self.binding.deployment
+
+    @property
+    def monitor(self) -> NetMonitor:
+        """The controller's current monitor: the control plane re-points
+        it when the tenant's home region moves."""
+        return self.controller.monitor
 
 
 def build_env(
@@ -219,10 +219,28 @@ def deploy_app(
         app=app,
         dag=dag,
         binding=binding,
-        monitor=monitor,
         controller=controller,
         assignments=assignments,
     )
+
+
+def grid_figure(declare: Callable[..., SweepSpec]) -> Callable[..., list[Any]]:
+    """A figure that is a grid of independent configurations.
+
+    The decorated function *declares* the figure: it returns the
+    :class:`~repro.runner.SweepSpec` of its cells.  Calling the figure
+    runs that grid in this process, in canonical order, and returns the
+    cell results; ``figure.spec(...)`` is the declaration itself — what
+    the catalogue hands to ``run_sweep`` under ``--jobs`` /
+    ``--cache-dir``, and what a seed ensemble adds an axis to.
+    """
+
+    @functools.wraps(declare)
+    def figure(*args: Any, **kwargs: Any) -> list[Any]:
+        return run_sweep(declare(*args, **kwargs)).results
+
+    figure.spec = declare
+    return figure
 
 
 class TickObserver:

@@ -32,6 +32,7 @@ from typing import Optional
 from ..config import BassConfig, FleetConfig
 from ..core.controller import ControllerIteration
 from ..mesh.topology import regional_mesh, regional_specs
+from ..runner import SweepSpec
 from .common import (
     AppHandle,
     ExperimentEnv,
@@ -154,9 +155,7 @@ class PreparedFleet:
             cross_region_migrations=cross,
             tenants_by_region=tenants_by_region,
             iterations_by_app={
-                h.app.name: h.controller.iterations
-                for h in handles
-                if h.controller is not None
+                h.app.name: h.controller.iterations for h in handles
             },
         )
 
@@ -346,4 +345,38 @@ def fleet_handoff(
         throttle_link_mbps=0.5,
         throttle_at_s=60.0,
         config=config,
+    )
+
+
+def _fleet_scaling_cell(
+    *, regions: int, tenants_per_region: int, duration_s: float, seed: int
+) -> FleetResult:
+    """One region count of the scaling row: the fleet grows with it."""
+    return fleet_mesh(
+        regions=regions,
+        tenants=tenants_per_region * regions,
+        duration_s=duration_s,
+        seed=seed,
+    )
+
+
+def fleet_scaling_spec(
+    *,
+    region_counts: tuple[int, ...] = (1, 2),
+    tenants_per_region: int = 2,
+    duration_s: float = 240.0,
+    seed: int = 11,
+) -> SweepSpec:
+    """Steady-state scaling as a grid over region counts — probe rate
+    per link and decision latency must stay flat across its cells."""
+    return SweepSpec.grid(
+        "fleet-scaling",
+        _fleet_scaling_cell,
+        {"regions": region_counts},
+        fixed={
+            "tenants_per_region": tenants_per_region,
+            "duration_s": duration_s,
+        },
+        label="regions{regions}",
+        seed=seed,
     )

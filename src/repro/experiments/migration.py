@@ -20,10 +20,12 @@ from ..config import BassConfig
 from ..core.dag import Component, ComponentDAG
 from ..mesh.node import MeshNode
 from ..mesh.topology import MeshTopology, citylab_subset, full_mesh_topology
+from ..runner import SweepSpec
 from ..sim.rng import RngStreams
 from .common import (
     build_env,
     deploy_app,
+    grid_figure,
     run_timeline,
     set_node_egress_limit,
 )
@@ -162,6 +164,79 @@ class Fig12Series:
         return float(self.bitrate_mbps[mask].mean())
 
 
+def _fig12_cell(
+    *,
+    interval: Optional[float],
+    participants: int,
+    restrict_at_s: float,
+    restrict_for_s: float,
+    restrict_to_mbps: float,
+    total_s: float,
+    stream_mbps: float,
+    seed: int,
+) -> Fig12Series:
+    """One bandwidth-query interval of Fig 12 (None: no migration)."""
+    topology = full_mesh_topology(3, capacity_mbps=1000.0)
+    env = build_env(topology, seed=seed, restart_seconds=20.0)
+    people = [
+        Participant(f"p{i}", "node3", publishes=(i == 0))
+        for i in range(participants)
+    ]
+    app = VideoConferenceApp(people, stream_mbps=stream_mbps)
+    config = BassConfig(migrations_enabled=interval is not None)
+    if interval is not None:
+        config = config.with_probe(headroom_interval_s=interval)
+        config = config.with_migration(cooldown_s=0.0)
+    handle = deploy_app(
+        env,
+        app,
+        "bass-longest-path",
+        config=config,
+        force_assignments={"sfu": "node2"},
+    )
+    times: list[float] = []
+    bitrates: list[float] = []
+
+    def sample(t: float) -> None:
+        receivers = [
+            p for p in app.participants if app.subscribed_streams(p) > 0
+        ]
+        times.append(t)
+        bitrates.append(
+            float(
+                np.mean(
+                    [
+                        app.client_bitrate_mbps(p, handle.binding)
+                        for p in receivers
+                    ]
+                )
+            )
+        )
+
+    run_timeline(
+        env,
+        total_s,
+        on_tick=sample,
+        events=[
+            (
+                restrict_at_s,
+                lambda: set_node_egress_limit(env, "node2", restrict_to_mbps),
+            ),
+            (
+                restrict_at_s + restrict_for_s,
+                lambda: set_node_egress_limit(env, "node2", None),
+            ),
+        ],
+    )
+    return Fig12Series(
+        interval_s=interval,
+        times=np.asarray(times),
+        bitrate_mbps=np.asarray(bitrates),
+        migrations=list(handle.deployment.migrations),
+    )
+
+
+@grid_figure
 def fig12_video_query_interval(
     intervals: tuple[Optional[float], ...] = (30.0, 60.0, 90.0, None),
     *,
@@ -172,7 +247,7 @@ def fig12_video_query_interval(
     total_s: float = 300.0,
     stream_mbps: float = 3.0,
     seed: int = 12,
-) -> list[Fig12Series]:
+) -> SweepSpec:
     """Fig 12: how fast each bandwidth-query interval recovers bitrate.
 
     Setup per §6.2.3: 3-node LAN, Pion on node2, 9 participants on
@@ -182,72 +257,21 @@ def fig12_video_query_interval(
     reconnects); without migration the clients sit at the degraded rate
     for the whole window.
     """
-    results = []
-    restrict_end = restrict_at_s + restrict_for_s
-    for interval in intervals:
-        topology = full_mesh_topology(3, capacity_mbps=1000.0)
-        env = build_env(topology, seed=seed, restart_seconds=20.0)
-        people = [
-            Participant(f"p{i}", "node3", publishes=(i == 0))
-            for i in range(participants)
-        ]
-        app = VideoConferenceApp(people, stream_mbps=stream_mbps)
-        config = BassConfig(migrations_enabled=interval is not None)
-        if interval is not None:
-            config = config.with_probe(headroom_interval_s=interval)
-            config = config.with_migration(cooldown_s=0.0)
-        handle = deploy_app(
-            env,
-            app,
-            "bass-longest-path",
-            config=config,
-            force_assignments={"sfu": "node2"},
-        )
-        times: list[float] = []
-        bitrates: list[float] = []
-
-        def sample(t: float) -> None:
-            receivers = [
-                p for p in app.participants if app.subscribed_streams(p) > 0
-            ]
-            times.append(t)
-            bitrates.append(
-                float(
-                    np.mean(
-                        [
-                            app.client_bitrate_mbps(p, handle.binding)
-                            for p in receivers
-                        ]
-                    )
-                )
-            )
-
-        run_timeline(
-            env,
-            total_s,
-            on_tick=sample,
-            events=[
-                (
-                    restrict_at_s,
-                    lambda: set_node_egress_limit(
-                        env, "node2", restrict_to_mbps
-                    ),
-                ),
-                (
-                    restrict_end,
-                    lambda: set_node_egress_limit(env, "node2", None),
-                ),
-            ],
-        )
-        results.append(
-            Fig12Series(
-                interval_s=interval,
-                times=np.asarray(times),
-                bitrate_mbps=np.asarray(bitrates),
-                migrations=list(handle.deployment.migrations),
-            )
-        )
-    return results
+    return SweepSpec.grid(
+        "fig12",
+        _fig12_cell,
+        {"interval": intervals},
+        fixed={
+            "participants": participants,
+            "restrict_at_s": restrict_at_s,
+            "restrict_for_s": restrict_for_s,
+            "restrict_to_mbps": restrict_to_mbps,
+            "total_s": total_s,
+            "stream_mbps": stream_mbps,
+        },
+        label="interval={interval}",
+        seed=seed,
+    )
 
 
 # -- Fig 13 + Table 1: social network under throttling, with migrations ----------
@@ -359,6 +383,39 @@ def prepare_fig13_cell(
     )
 
 
+def _fig13_cell(
+    *,
+    interval: Optional[float],
+    rps: float,
+    restrict_at_s: float,
+    restrict_for_s: float,
+    restrict_to_mbps: float,
+    total_s: float,
+    seed: int,
+) -> Fig13Series:
+    """One monitoring interval of Fig 13 (None: no migration)."""
+    cell = prepare_fig13_cell(
+        interval, rps=rps, restrict_to_mbps=restrict_to_mbps, seed=seed
+    )
+    run_timeline(
+        cell.env,
+        total_s,
+        on_tick=cell.sample,
+        events=[
+            (restrict_at_s, cell.throttle),
+            (restrict_at_s + restrict_for_s, cell.unthrottle),
+        ],
+    )
+    return Fig13Series(
+        interval_s=interval,
+        times=np.asarray(cell.times),
+        latency_s=np.asarray(cell.latency_s),
+        migrations=list(cell.handle.deployment.migrations),
+        table1_rows=cell.handle.controller.table1_rows(),
+    )
+
+
+@grid_figure
 def fig13_socialnet_migration(
     intervals: tuple[Optional[float], ...] = (30.0, 60.0, 90.0, None),
     *,
@@ -368,7 +425,7 @@ def fig13_socialnet_migration(
     restrict_to_mbps: float = 25.0,
     total_s: float = 300.0,
     seed: int = 13,
-) -> list[Fig13Series]:
+) -> SweepSpec:
     """Fig 13 / Table 1: migrations vs monitoring interval under throttle.
 
     3-node LAN at 400 RPS, longest-path initial placement; 10 s in,
@@ -377,39 +434,20 @@ def fig13_socialnet_migration(
     interval best for the tail, and Table 1's cascade-free candidate
     counts.
     """
-    results = []
-    restrict_end = restrict_at_s + restrict_for_s
-    for interval in intervals:
-        cell = prepare_fig13_cell(
-            interval,
-            rps=rps,
-            restrict_to_mbps=restrict_to_mbps,
-            seed=seed,
-        )
-        handle = cell.handle
-        run_timeline(
-            cell.env,
-            total_s,
-            on_tick=cell.sample,
-            events=[
-                (restrict_at_s, cell.throttle),
-                (restrict_end, cell.unthrottle),
-            ],
-        )
-        results.append(
-            Fig13Series(
-                interval_s=interval,
-                times=np.asarray(cell.times),
-                latency_s=np.asarray(cell.latency_s),
-                migrations=list(handle.deployment.migrations),
-                table1_rows=(
-                    handle.controller.table1_rows()
-                    if handle.controller is not None
-                    else []
-                ),
-            )
-        )
-    return results
+    return SweepSpec.grid(
+        "fig13",
+        _fig13_cell,
+        {"interval": intervals},
+        fixed={
+            "rps": rps,
+            "restrict_at_s": restrict_at_s,
+            "restrict_for_s": restrict_for_s,
+            "restrict_to_mbps": restrict_to_mbps,
+            "total_s": total_s,
+        },
+        label="interval={interval}",
+        seed=seed,
+    )
 
 
 # -- Fig 14(a): restart cost -------------------------------------------------------
@@ -515,13 +553,72 @@ class Fig14bResult:
         return float(np.median(self.latency_s))
 
 
+#: Fig 14b's four set-ups: label -> (scheduler, migrations enabled).
+FIG14B_CONFIGURATIONS = {
+    "longest-path+mig": ("bass-longest-path", True),
+    "bfs+mig": ("bass-bfs", True),
+    "longest-path-nomig": ("bass-longest-path", False),
+    "k3s": ("k3s", False),
+}
+
+
+def _fig14b_cell(
+    *,
+    label: str,
+    rps: float,
+    duration_s: float,
+    seed: int,
+    restart_seconds: float,
+) -> Fig14bResult:
+    """One of :data:`FIG14B_CONFIGURATIONS` on the trace-replay mesh."""
+    scheduler, migrate = FIG14B_CONFIGURATIONS[label]
+    rng_streams = RngStreams(seed)
+    topology = citylab_subset(
+        with_traces=True,
+        trace_duration_s=duration_s,
+        rng=rng_streams.get("traces"),
+    )
+    env = build_env(
+        topology,
+        seed=seed,
+        buffer_mbit=400.0,
+        restart_seconds=restart_seconds,
+    )
+    app = SocialNetworkApp(annotate_rps=rps)
+    config = BassConfig(migrations_enabled=migrate).with_migration(
+        goodput_threshold=0.5, link_utilization_threshold=0.65
+    )
+    handle = deploy_app(
+        env,
+        app,
+        scheduler,
+        config=config,
+        start_controller=migrate,
+    )
+    app.set_rps(rps)
+    app.update_demands(handle.binding, 0.0)
+    rng = env.rng.get(f"fig14b-{label}")
+    latencies: list[float] = []
+
+    def sample(t: float) -> None:
+        latencies.extend(app.sample_latencies_s(handle.binding, 6, rng))
+
+    run_timeline(env, duration_s, on_tick=sample)
+    return Fig14bResult(
+        label=label,
+        latency_s=np.asarray(latencies),
+        migrations=len(handle.deployment.migrations),
+    )
+
+
+@grid_figure
 def fig14b_scheduler_cdf(
     *,
     rps: float = 70.0,
     duration_s: float = 1200.0,
     seed: int = 140,
     restart_seconds: float = 8.0,
-) -> list[Fig14bResult]:
+) -> SweepSpec:
     """Fig 14b: end-to-end latency CDFs of the four configurations.
 
     CityLab trace replay.  Paper ordering (at its 50 RPS, payload
@@ -532,54 +629,18 @@ def fig14b_scheduler_cdf(
     migrations visibly rescue the tail — at 70 RPS (see EXPERIMENTS.md
     for the calibration note).
     """
-    configurations = [
-        ("longest-path+mig", "bass-longest-path", True),
-        ("bfs+mig", "bass-bfs", True),
-        ("longest-path-nomig", "bass-longest-path", False),
-        ("k3s", "k3s", False),
-    ]
-    results = []
-    for label, scheduler, migrate in configurations:
-        rng_streams = RngStreams(seed)
-        topology = citylab_subset(
-            with_traces=True,
-            trace_duration_s=duration_s,
-            rng=rng_streams.get("traces"),
-        )
-        env = build_env(
-            topology,
-            seed=seed,
-            buffer_mbit=400.0,
-            restart_seconds=restart_seconds,
-        )
-        app = SocialNetworkApp(annotate_rps=rps)
-        config = BassConfig(migrations_enabled=migrate).with_migration(
-            goodput_threshold=0.5, link_utilization_threshold=0.65
-        )
-        handle = deploy_app(
-            env,
-            app,
-            scheduler,
-            config=config,
-            start_controller=migrate,
-        )
-        app.set_rps(rps)
-        app.update_demands(handle.binding, 0.0)
-        rng = env.rng.get(f"fig14b-{label}")
-        latencies: list[float] = []
-
-        def sample(t: float) -> None:
-            latencies.extend(app.sample_latencies_s(handle.binding, 6, rng))
-
-        run_timeline(env, duration_s, on_tick=sample)
-        results.append(
-            Fig14bResult(
-                label=label,
-                latency_s=np.asarray(latencies),
-                migrations=len(handle.deployment.migrations),
-            )
-        )
-    return results
+    return SweepSpec.grid(
+        "fig14b",
+        _fig14b_cell,
+        {"label": tuple(FIG14B_CONFIGURATIONS)},
+        fixed={
+            "rps": rps,
+            "duration_s": duration_s,
+            "restart_seconds": restart_seconds,
+        },
+        label="{label}",
+        seed=seed,
+    )
 
 
 # -- Fig 15(b): video bitrates per node under migration thresholds ------------------
@@ -594,6 +655,64 @@ class Fig15bResult:
     migrations: int
 
 
+def _fig15b_cell(
+    *,
+    threshold: Optional[float],
+    per_node_clients: int,
+    duration_s: float,
+    stream_mbps: float,
+    seed: int,
+) -> Fig15bResult:
+    """One migration threshold of Fig 15b (None: no migration)."""
+    worker_nodes = ["node1", "node2", "node3", "node4"]
+    rng_streams = RngStreams(seed)
+    topology = citylab_subset(
+        with_traces=True,
+        trace_duration_s=duration_s,
+        rng=rng_streams.get("traces"),
+    )
+    env = build_env(topology, seed=seed, restart_seconds=20.0)
+    app = VideoConferenceApp.conference_at_nodes(
+        worker_nodes, per_node_clients, stream_mbps=stream_mbps
+    )
+    config = BassConfig(migrations_enabled=threshold is not None)
+    if threshold is not None:
+        # Persistent saturation makes every placement look somewhat
+        # violating; a long minimum residency keeps the SFU from
+        # chasing marginal wins (each restart costs 20 s of blank
+        # streams, which only amortizes over minutes — §6.3.2).
+        config = config.with_migration(
+            link_utilization_threshold=threshold,
+            min_residency_s=240.0,
+        )
+    handle = deploy_app(
+        env,
+        app,
+        "bass-longest-path",
+        config=config,
+        force_assignments={"sfu": "node3"},
+    )
+    sums: dict[str, float] = {n: 0.0 for n in worker_nodes}
+    count = 0
+
+    def sample(t: float) -> None:
+        nonlocal count
+        by_node = app.mean_bitrate_by_node(handle.binding)
+        for node, value in by_node.items():
+            sums[node] += value
+        count += 1
+
+    run_timeline(env, duration_s, on_tick=sample)
+    return Fig15bResult(
+        threshold=threshold,
+        bitrate_by_node={
+            node: total / max(count, 1) for node, total in sums.items()
+        },
+        migrations=len(handle.deployment.migrations),
+    )
+
+
+@grid_figure
 def fig15b_video_thresholds(
     thresholds: tuple[Optional[float], ...] = (None, 0.65, 0.85),
     *,
@@ -601,7 +720,7 @@ def fig15b_video_thresholds(
     duration_s: float = 600.0,
     stream_mbps: float = 2.5,
     seed: int = 15,
-) -> list[Fig15bResult]:
+) -> SweepSpec:
     """Fig 15b: can migrating the SFU rescue poorly-connected clients?
 
     3 publishing clients at each of the 4 CityLab workers; the SFU
@@ -610,57 +729,18 @@ def fig15b_video_thresholds(
     doubling node2's clients' bitrate (paper: 240 → 480 Kbps) and
     improving node1's; nodes 3/4 see no improvement.
     """
-    results = []
-    worker_nodes = ["node1", "node2", "node3", "node4"]
-    for threshold in thresholds:
-        rng_streams = RngStreams(seed)
-        topology = citylab_subset(
-            with_traces=True,
-            trace_duration_s=duration_s,
-            rng=rng_streams.get("traces"),
-        )
-        env = build_env(topology, seed=seed, restart_seconds=20.0)
-        app = VideoConferenceApp.conference_at_nodes(
-            worker_nodes, per_node_clients, stream_mbps=stream_mbps
-        )
-        config = BassConfig(migrations_enabled=threshold is not None)
-        if threshold is not None:
-            # Persistent saturation makes every placement look somewhat
-            # violating; a long minimum residency keeps the SFU from
-            # chasing marginal wins (each restart costs 20 s of blank
-            # streams, which only amortizes over minutes — §6.3.2).
-            config = config.with_migration(
-                link_utilization_threshold=threshold,
-                min_residency_s=240.0,
-            )
-        handle = deploy_app(
-            env,
-            app,
-            "bass-longest-path",
-            config=config,
-            force_assignments={"sfu": "node3"},
-        )
-        sums: dict[str, float] = {n: 0.0 for n in worker_nodes}
-        count = 0
-
-        def sample(t: float) -> None:
-            nonlocal count
-            by_node = app.mean_bitrate_by_node(handle.binding)
-            for node, value in by_node.items():
-                sums[node] += value
-            count += 1
-
-        run_timeline(env, duration_s, on_tick=sample)
-        results.append(
-            Fig15bResult(
-                threshold=threshold,
-                bitrate_by_node={
-                    node: total / max(count, 1) for node, total in sums.items()
-                },
-                migrations=len(handle.deployment.migrations),
-            )
-        )
-    return results
+    return SweepSpec.grid(
+        "fig15b",
+        _fig15b_cell,
+        {"threshold": thresholds},
+        fixed={
+            "per_node_clients": per_node_clients,
+            "duration_s": duration_s,
+            "stream_mbps": stream_mbps,
+        },
+        label="thr={threshold}",
+        seed=seed,
+    )
 
 
 # -- Table 1: migration iterations --------------------------------------------

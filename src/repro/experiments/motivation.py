@@ -21,7 +21,14 @@ from ..mesh.tracegen import (
     citylab_stable_link_trace,
     citylab_variable_link_trace,
 )
-from .common import build_env, deploy_app, run_timeline, set_node_egress_limit
+from ..runner import SweepSpec
+from .common import (
+    build_env,
+    deploy_app,
+    grid_figure,
+    run_timeline,
+    set_node_egress_limit,
+)
 
 
 # -- Fig 2 -------------------------------------------------------------------
@@ -79,13 +86,71 @@ class Fig4Point:
     loss_fraction: float
 
 
+def _fig4_cell(
+    *,
+    participants: int,
+    bottleneck_mbps: float,
+    stream_mbps: float,
+    settle_s: float,
+) -> Fig4Point:
+    """One participant count of Fig 4 (seeded by the count itself)."""
+    topology = full_mesh_topology(3, capacity_mbps=1000.0)
+    env = build_env(topology, seed=participants)
+    app = VideoConferenceApp(
+        [
+            Participant(f"p{i}", "node3", publishes=(i == 0))
+            for i in range(participants)
+        ],
+        stream_mbps=stream_mbps,
+    )
+    handle = deploy_app(
+        env,
+        app,
+        "k3s",
+        config=BassConfig(migrations_enabled=False),
+        start_controller=False,
+        force_assignments={"sfu": "node2"},
+    )
+    set_node_egress_limit(env, "node2", bottleneck_mbps)
+    bitrates: list[float] = []
+    losses: list[float] = []
+
+    def sample(t: float) -> None:
+        if t < settle_s / 2:
+            return  # let queues reach steady state
+        rates = [
+            app.client_bitrate_mbps(p, handle.binding)
+            for p in app.participants
+            if app.subscribed_streams(p) > 0
+        ]
+        bitrates.append(float(np.mean(rates)))
+        losses.append(
+            float(
+                np.mean(
+                    [
+                        app.client_loss_fraction(p, handle.binding)
+                        for p in app.participants
+                    ]
+                )
+            )
+        )
+
+    run_timeline(env, settle_s, on_tick=sample)
+    return Fig4Point(
+        participants=participants,
+        per_client_mbps=float(np.mean(bitrates)),
+        loss_fraction=float(np.mean(losses)),
+    )
+
+
+@grid_figure
 def fig4_pion_bottleneck(
     participant_counts: tuple[int, ...] = (4, 6, 8, 10, 11, 12, 13, 14),
     *,
     bottleneck_mbps: float = 30.0,
     stream_mbps: float = 3.0,
     settle_s: float = 60.0,
-) -> list[Fig4Point]:
+) -> SweepSpec:
     """Fig 4: per-client bitrate and loss vs participant count.
 
     Setup mirrors Fig 3: a 3-node LAN, the Pion SFU on node2, all
@@ -94,56 +159,17 @@ def fig4_pion_bottleneck(
     share per client drops below the stream rate and the queue starts
     dropping packets.
     """
-    points = []
-    for count in participant_counts:
-        topology = full_mesh_topology(3, capacity_mbps=1000.0)
-        env = build_env(topology, seed=count)
-        participants = [
-            Participant(f"p{i}", "node3", publishes=(i == 0))
-            for i in range(count)
-        ]
-        app = VideoConferenceApp(participants, stream_mbps=stream_mbps)
-        handle = deploy_app(
-            env,
-            app,
-            "k3s",
-            config=BassConfig(migrations_enabled=False),
-            start_controller=False,
-            force_assignments={"sfu": "node2"},
-        )
-        set_node_egress_limit(env, "node2", bottleneck_mbps)
-        bitrates: list[float] = []
-        losses: list[float] = []
-
-        def sample(t: float) -> None:
-            if t < settle_s / 2:
-                return  # let queues reach steady state
-            rates = [
-                app.client_bitrate_mbps(p, handle.binding)
-                for p in app.participants
-                if app.subscribed_streams(p) > 0
-            ]
-            bitrates.append(float(np.mean(rates)))
-            losses.append(
-                float(
-                    np.mean(
-                        [
-                            app.client_loss_fraction(p, handle.binding)
-                            for p in app.participants
-                        ]
-                    )
-                )
-            )
-
-        run_timeline(env, settle_s, on_tick=sample)
-        points.append(
-            Fig4Point(
-                participants=count,
-                per_client_mbps=float(np.mean(bitrates)),
-                loss_fraction=float(np.mean(losses)),
-            )
-        )
-    return points
+    return SweepSpec.grid(
+        "fig4",
+        _fig4_cell,
+        {"participants": participant_counts},
+        fixed={
+            "bottleneck_mbps": bottleneck_mbps,
+            "stream_mbps": stream_mbps,
+            "settle_s": settle_s,
+        },
+        label="p{participants}",
+    )
 
 
 # -- Fig 5 -------------------------------------------------------------------

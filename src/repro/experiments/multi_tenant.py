@@ -36,7 +36,7 @@ from ..apps.base import Application
 from ..config import BassConfig, FleetConfig
 from ..core.controller import ControllerIteration
 from ..core.dag import Component, ComponentDAG
-from ..runner import CellSpec, SweepSpec
+from ..runner import SweepSpec
 from .common import (
     AppHandle,
     ExperimentEnv,
@@ -201,9 +201,7 @@ def multi_tenant_mesh(
             h.app.name: len(h.deployment.migrations) for h in handles
         },
         iterations_by_app={
-            h.app.name: h.controller.iterations
-            for h in handles
-            if h.controller is not None
+            h.app.name: h.controller.iterations for h in handles
         },
     )
 
@@ -254,15 +252,6 @@ def _mesh_cell(
     )
 
 
-def _contention_cell(
-    *, tenants: int, duration_s: float, seed: int = 11
-) -> MultiTenantResult:
-    """One migration-race cell (shared throttle, arbiter engaged)."""
-    return multi_tenant_contention(
-        tenants=tenants, duration_s=duration_s, seed=seed
-    )
-
-
 def multi_tenant_scaling_spec(
     *,
     tenant_counts: tuple[int, ...] = (1, 2, 4, 8),
@@ -271,20 +260,17 @@ def multi_tenant_scaling_spec(
     probe_sharing: bool = True,
 ) -> SweepSpec:
     """Probe-traffic scaling across tenant counts as a sweep spec."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.multi_tenant:_mesh_cell",
-            kwargs={
-                "tenants": tenants,
-                "duration_s": duration_s,
-                "seed": seed,
-                "probe_sharing": probe_sharing,
-            },
-            label=f"tenants{tenants}",
-        )
-        for tenants in tenant_counts
+    return SweepSpec.grid(
+        "multitenant-scaling",
+        _mesh_cell,
+        {"tenants": tenant_counts},
+        fixed={
+            "duration_s": duration_s,
+            "seed": seed,
+            "probe_sharing": probe_sharing,
+        },
+        label="tenants{tenants}",
     )
-    return SweepSpec(name="multitenant-scaling", cells=cells)
 
 
 def contention_sweep_spec(
@@ -294,16 +280,10 @@ def contention_sweep_spec(
     seed: int = 11,
 ) -> SweepSpec:
     """Migration-race severity across tenant counts as a sweep spec."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.multi_tenant:_contention_cell",
-            kwargs={
-                "tenants": tenants,
-                "duration_s": duration_s,
-                "seed": seed,
-            },
-            label=f"tenants{tenants}",
-        )
-        for tenants in tenant_counts
+    return SweepSpec.grid(
+        "multitenant-contention",
+        multi_tenant_contention,
+        {"tenants": tenant_counts},
+        fixed={"duration_s": duration_s, "seed": seed},
+        label="tenants{tenants}",
     )
-    return SweepSpec(name="multitenant-contention", cells=cells)

@@ -27,7 +27,7 @@ from ..core.ordering import (
     longest_path_order,
 )
 from ..net.fairness import FlowDemand, max_min_allocation
-from ..runner import CellSpec, SweepSpec
+from ..runner import SweepSpec
 
 #: The DAG sizes and flow counts the scalability benchmarks sweep.
 ORDERING_SIZES = (25, 50, 100, 200, 400)
@@ -136,27 +136,21 @@ def ordering_scalability_spec(
     *, sizes: tuple[int, ...] = ORDERING_SIZES
 ) -> SweepSpec:
     """Heuristic-timing sweep over DAG sizes (run with ``cache=None``)."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.scalability:ordering_timing_cell",
-            kwargs={"n_components": n},
-            label=f"n{n}",
-        )
-        for n in sizes
+    return SweepSpec.grid(
+        "scalability-ordering",
+        ordering_timing_cell,
+        {"n_components": sizes},
+        label="n{n_components}",
     )
-    return SweepSpec(name="scalability-ordering", cells=cells)
 
 
 def allocation_scalability_spec(
     *, flow_counts: tuple[int, ...] = ALLOCATION_FLOW_COUNTS
 ) -> SweepSpec:
     """Allocator-timing sweep over flow counts (run with ``cache=None``)."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.scalability:allocation_timing_cell",
-            kwargs={"n_flows": n},
-            label=f"f{n}",
-        )
-        for n in flow_counts
+    return SweepSpec.grid(
+        "scalability-allocation",
+        allocation_timing_cell,
+        {"n_flows": flow_counts},
+        label="f{n_flows}",
     )
-    return SweepSpec(name="scalability-allocation", cells=cells)

@@ -19,8 +19,15 @@ from ..apps.social import SocialNetworkApp
 from ..config import BassConfig
 from ..mesh.topology import citylab_subset, full_mesh_topology
 from ..mesh.traces import BandwidthTrace
+from ..runner import SweepSpec
 from ..sim.rng import RngStreams
-from .common import build_env, deploy_app, run_timeline, set_node_egress_limit
+from .common import (
+    build_env,
+    deploy_app,
+    grid_figure,
+    run_timeline,
+    set_node_egress_limit,
+)
 
 SCHEDULERS = ("bass-bfs", "bass-longest-path", "k3s")
 
@@ -57,12 +64,44 @@ def _camera_chain_hops(placement: dict[str, str]) -> int:
     )
 
 
+def _fig10_cell(*, scheduler: str, duration_s: float, seed: int) -> Fig10Row:
+    """One scheduler's box of Fig 10."""
+    topology = full_mesh_topology(
+        3, capacity_mbps=1000.0, cpu_cores=16.0, memory_mb=131072.0
+    )
+    env = build_env(topology, seed=seed)
+    app = _microbenchmark_camera_app()
+    handle = deploy_app(
+        env,
+        app,
+        scheduler,
+        config=BassConfig(migrations_enabled=False),
+        start_controller=False,
+    )
+    rng = env.rng.get(f"camera-{scheduler}")
+    latencies: list[float] = []
+
+    def sample(t: float) -> None:
+        latencies.extend(app.sample_latencies_s(handle.binding, 5, rng))
+
+    run_timeline(env, duration_s, on_tick=sample)
+    array = np.asarray(latencies) * 1000.0
+    return Fig10Row(
+        scheduler=scheduler,
+        mean_latency_ms=float(array.mean()),
+        median_latency_ms=float(np.median(array)),
+        placement=dict(handle.assignments),
+        inter_node_chain_hops=_camera_chain_hops(handle.assignments),
+    )
+
+
+@grid_figure
 def fig10_camera_static(
     *,
     duration_s: float = 120.0,
     seed: int = 10,
     schedulers: tuple[str, ...] = SCHEDULERS,
-) -> list[Fig10Row]:
+) -> SweepSpec:
     """Fig 10: camera latency per scheduler on an unconstrained LAN.
 
     The paper's means are 410 (BFS) / 428 (longest-path) / 433 (k3s) ms;
@@ -70,40 +109,14 @@ def fig10_camera_static(
     the heavy stream→sampler edge and crosses the network fewer times
     along the critical chain than k3s's least-allocated spreading.
     """
-    rows = []
-    for scheduler in schedulers:
-        topology = full_mesh_topology(
-            3, capacity_mbps=1000.0, cpu_cores=16.0, memory_mb=131072.0
-        )
-        env = build_env(topology, seed=seed)
-        app = _microbenchmark_camera_app()
-        handle = deploy_app(
-            env,
-            app,
-            scheduler,
-            config=BassConfig(migrations_enabled=False),
-            start_controller=False,
-        )
-        rng = env.rng.get(f"camera-{scheduler}")
-        latencies: list[float] = []
-
-        def sample(t: float) -> None:
-            latencies.extend(
-                app.sample_latencies_s(handle.binding, 5, rng)
-            )
-
-        run_timeline(env, duration_s, on_tick=sample)
-        array = np.asarray(latencies) * 1000.0
-        rows.append(
-            Fig10Row(
-                scheduler=scheduler,
-                mean_latency_ms=float(array.mean()),
-                median_latency_ms=float(np.median(array)),
-                placement=dict(handle.assignments),
-                inter_node_chain_hops=_camera_chain_hops(handle.assignments),
-            )
-        )
-    return rows
+    return SweepSpec.grid(
+        "fig10",
+        _fig10_cell,
+        {"scheduler": schedulers},
+        fixed={"duration_s": duration_s},
+        label="{scheduler}",
+        seed=seed,
+    )
 
 
 # -- Fig 11 -------------------------------------------------------------------------
@@ -120,6 +133,50 @@ class Fig11Cell:
     mean_latency_s: float
 
 
+def _fig11_cell(
+    *,
+    scheduler: str,
+    restricted: bool,
+    rps: float,
+    throttle_mbps: float,
+    duration_s: float,
+    seed: int,
+) -> Fig11Cell:
+    """One (scheduler, restricted?, rps) configuration of Fig 11."""
+    topology = full_mesh_topology(
+        4, capacity_mbps=1000.0, cpu_cores=4.0, memory_mb=12288.0
+    )
+    env = build_env(topology, seed=seed, buffer_mbit=200.0)
+    if restricted:
+        set_node_egress_limit(env, "node2", throttle_mbps)
+    app = SocialNetworkApp(annotate_rps=rps)
+    handle = deploy_app(
+        env,
+        app,
+        scheduler,
+        config=BassConfig(migrations_enabled=False),
+        start_controller=False,
+    )
+    app.set_rps(rps)
+    app.update_demands(handle.binding, 0.0)
+    rng = env.rng.get(f"lat-{scheduler}-{rps}-{restricted}")
+    latencies: list[float] = []
+
+    def sample(t: float) -> None:
+        latencies.extend(app.sample_latencies_s(handle.binding, 8, rng))
+
+    run_timeline(env, duration_s, on_tick=sample)
+    array = np.asarray(latencies)
+    return Fig11Cell(
+        scheduler=scheduler,
+        rps=rps,
+        restricted=restricted,
+        p99_latency_s=float(np.percentile(array, 99)),
+        mean_latency_s=float(array.mean()),
+    )
+
+
+@grid_figure
 def fig11_socialnet_p99(
     *,
     rates: tuple[float, ...] = (100.0, 200.0, 300.0),
@@ -128,7 +185,7 @@ def fig11_socialnet_p99(
     duration_s: float = 150.0,
     seed: int = 11,
     schedulers: tuple[str, ...] = ("bass-longest-path", "k3s"),
-) -> list[Fig11Cell]:
+) -> SweepSpec:
     """Fig 11: social-network p99 vs RPS, unrestricted and restricted.
 
     4-node LAN of 4-core machines (the paper's d710s).  In the
@@ -137,46 +194,18 @@ def fig11_socialnet_p99(
     k3s is about to load with hot services — the paper throttles "one
     node" and observes k3s two orders of magnitude worse at 200–300 RPS.
     """
-    cells = []
-    for scheduler in schedulers:
-        for restricted in restricted_values:
-            for rps in rates:
-                topology = full_mesh_topology(
-                    4, capacity_mbps=1000.0, cpu_cores=4.0, memory_mb=12288.0
-                )
-                env = build_env(topology, seed=seed, buffer_mbit=200.0)
-                if restricted:
-                    set_node_egress_limit(env, "node2", throttle_mbps)
-                app = SocialNetworkApp(annotate_rps=rps)
-                handle = deploy_app(
-                    env,
-                    app,
-                    scheduler,
-                    config=BassConfig(migrations_enabled=False),
-                    start_controller=False,
-                )
-                app.set_rps(rps)
-                app.update_demands(handle.binding, 0.0)
-                rng = env.rng.get(f"lat-{scheduler}-{rps}-{restricted}")
-                latencies: list[float] = []
-
-                def sample(t: float) -> None:
-                    latencies.extend(
-                        app.sample_latencies_s(handle.binding, 8, rng)
-                    )
-
-                run_timeline(env, duration_s, on_tick=sample)
-                array = np.asarray(latencies)
-                cells.append(
-                    Fig11Cell(
-                        scheduler=scheduler,
-                        rps=rps,
-                        restricted=restricted,
-                        p99_latency_s=float(np.percentile(array, 99)),
-                        mean_latency_s=float(array.mean()),
-                    )
-                )
-    return cells
+    return SweepSpec.grid(
+        "fig11",
+        _fig11_cell,
+        {
+            "scheduler": schedulers,
+            "restricted": restricted_values,
+            "rps": rates,
+        },
+        fixed={"throttle_mbps": throttle_mbps, "duration_s": duration_s},
+        label="{scheduler}/restricted={restricted}/rps{rps:g}",
+        seed=seed,
+    )
 
 
 # -- Table 2 -----------------------------------------------------------------------------
@@ -194,12 +223,58 @@ class Table2Row:
     migrations: int
 
 
+def _table2_cell(
+    *, scenario: str, scheduler: str, duration_s: float, seed: int
+) -> Table2Row:
+    """One (scenario, scheduler) cell of Table 2."""
+    rng = RngStreams(seed).get("traces")
+    topology = citylab_subset(
+        with_traces=True, trace_duration_s=duration_s, rng=rng
+    )
+    if scenario == "no_variation":
+        for link in topology.links:
+            a, b = link.id
+            peak = max(
+                link.capacity(a, b, float(t))
+                for t in np.arange(0, duration_s, 10.0)
+            )
+            link.set_trace(BandwidthTrace.constant(peak))
+    env = build_env(topology, seed=seed)
+    app = CameraPipelineApp()  # §6.3.1 sizes: sampler 4, detector 8
+    handle = deploy_app(
+        env,
+        app,
+        scheduler,
+        config=BassConfig(),  # migrations on, paper saw none trigger
+        start_controller=scheduler != "k3s",
+    )
+    latency_rng = env.rng.get(f"cam-{scenario}-{scheduler}")
+    latencies: list[float] = []
+
+    def sample(t: float) -> None:
+        latencies.extend(
+            app.sample_latencies_s(handle.binding, 3, latency_rng)
+        )
+
+    run_timeline(env, duration_s, on_tick=sample)
+    array = np.asarray(latencies) * 1000.0
+    return Table2Row(
+        scenario=scenario,
+        scheduler=scheduler,
+        median_latency_ms=float(np.median(array)),
+        mean_latency_ms=float(array.mean()),
+        p95_latency_ms=float(np.percentile(array, 95)),
+        migrations=len(handle.deployment.migrations),
+    )
+
+
+@grid_figure
 def table2_camera_mesh(
     *,
     duration_s: float = 1200.0,
     seed: int = 22,
     schedulers: tuple[str, ...] = SCHEDULERS,
-) -> list[Table2Row]:
+) -> SweepSpec:
     """Table 2: camera on the emulated CityLab mesh, ± bandwidth variation.
 
     "No variation" fixes every link at the maximum value observed in its
@@ -207,48 +282,14 @@ def table2_camera_mesh(
     Paper medians (ms): BFS 540/538, longest-path 551/552, k3s 577/692 —
     i.e. k3s inflates ~20 % under variation while BASS is flat.
     """
-    rows = []
-    for scenario in ("no_variation", "with_variation"):
-        for scheduler in schedulers:
-            rng = RngStreams(seed).get("traces")
-            topology = citylab_subset(
-                with_traces=True, trace_duration_s=duration_s, rng=rng
-            )
-            if scenario == "no_variation":
-                for link in topology.links:
-                    a, b = link.id
-                    peak = max(
-                        link.capacity(a, b, float(t))
-                        for t in np.arange(0, duration_s, 10.0)
-                    )
-                    link.set_trace(BandwidthTrace.constant(peak))
-            env = build_env(topology, seed=seed)
-            app = CameraPipelineApp()  # §6.3.1 sizes: sampler 4, detector 8
-            handle = deploy_app(
-                env,
-                app,
-                scheduler,
-                config=BassConfig(),  # migrations on, paper saw none trigger
-                start_controller=scheduler != "k3s",
-            )
-            latency_rng = env.rng.get(f"cam-{scenario}-{scheduler}")
-            latencies: list[float] = []
-
-            def sample(t: float) -> None:
-                latencies.extend(
-                    app.sample_latencies_s(handle.binding, 3, latency_rng)
-                )
-
-            run_timeline(env, duration_s, on_tick=sample)
-            array = np.asarray(latencies) * 1000.0
-            rows.append(
-                Table2Row(
-                    scenario=scenario,
-                    scheduler=scheduler,
-                    median_latency_ms=float(np.median(array)),
-                    mean_latency_ms=float(array.mean()),
-                    p95_latency_ms=float(np.percentile(array, 95)),
-                    migrations=len(handle.deployment.migrations),
-                )
-            )
-    return rows
+    return SweepSpec.grid(
+        "table2",
+        _table2_cell,
+        {
+            "scenario": ("no_variation", "with_variation"),
+            "scheduler": schedulers,
+        },
+        fixed={"duration_s": duration_s},
+        label="{scenario}/{scheduler}",
+        seed=seed,
+    )

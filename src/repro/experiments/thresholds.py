@@ -20,7 +20,7 @@ from ..apps.social import SocialNetworkApp
 from ..apps.workload import ExponentialArrivals, FixedRate
 from ..config import BassConfig
 from ..mesh.topology import citylab_subset
-from ..runner import CellSpec, SweepSpec
+from ..runner import SweepSpec
 from ..sim.rng import RngStreams
 from .common import build_env, deploy_app, run_timeline
 
@@ -144,24 +144,18 @@ def fig14cd_sweep_spec(
     """The fig 14c/d grid (fixed request arrivals at 50 RPS) as a sweep
     spec, cells in the canonical (heuristic, threshold, headroom)
     nested-loop order."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.thresholds:_fig14cd_cell",
-            kwargs={
-                "heuristic": heuristic,
-                "threshold": threshold,
-                "headroom": headroom,
-                "rps": rps,
-                "duration_s": duration_s,
-            },
-            label=f"{heuristic}/thr{threshold:g}/hr{headroom:g}",
-            seed=seed,
-        )
-        for heuristic in heuristics
-        for threshold in thresholds
-        for headroom in headrooms
+    return SweepSpec.grid(
+        "fig14cd",
+        _fig14cd_cell,
+        {
+            "heuristic": heuristics,
+            "threshold": thresholds,
+            "headroom": headrooms,
+        },
+        fixed={"rps": rps, "duration_s": duration_s},
+        label="{heuristic}/thr{threshold:g}/hr{headroom:g}",
+        seed=seed,
     )
-    return SweepSpec(name="fig14cd", cells=cells)
 
 
 def fig16_sweep_spec(
@@ -174,21 +168,18 @@ def fig16_sweep_spec(
 ) -> SweepSpec:
     """Fig 16's threshold sweep as a sweep spec: exponential (Poisson)
     arrivals, longest-path scheduling, headroom fixed at 20 %."""
-    cells = tuple(
-        CellSpec(
-            fn="repro.experiments.thresholds:_fig16_cell",
-            kwargs={
-                "threshold": threshold,
-                "mean_rps": mean_rps,
-                "headroom": headroom,
-                "duration_s": duration_s,
-            },
-            label=f"thr{threshold:g}",
-            seed=seed,
-        )
-        for threshold in thresholds
+    return SweepSpec.grid(
+        "fig16",
+        _fig16_cell,
+        {"threshold": thresholds},
+        fixed={
+            "mean_rps": mean_rps,
+            "headroom": headroom,
+            "duration_s": duration_s,
+        },
+        label="thr{threshold:g}",
+        seed=seed,
     )
-    return SweepSpec(name="fig16", cells=cells)
 
 
 def best_threshold(cells: list[ThresholdCell]) -> float:

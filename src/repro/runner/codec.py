@@ -16,7 +16,16 @@ The encoding is reversible without a schema:
   configs that differ only in dict insertion order share one encoding
   (and therefore one cache entry);
 * floats round-trip exactly through ``repr`` (shortest-repr floats are
-  bijective in Python 3), including ``NaN`` for never-recovered stats.
+  bijective in Python 3), including ``NaN`` for never-recovered stats;
+* series fields stay what the figures return — NumPy arrays — and
+  become ``{"__ndarray__": [...], "dtype": "float64"}``, decoded back
+  to an array of that dtype (NumPy *scalars* still normalize to plain
+  Python numbers).
+
+Every cell result round-trips: ``decode_value(encode_value(r)) == r``,
+and for the result dataclasses that hold arrays — where NumPy's
+elementwise ``==`` makes dataclass equality raise — the arrays are
+``np.array_equal`` and ``encode_value`` of both sides is identical.
 
 Decoding re-imports the dataclass by name, so encoded values only
 round-trip for classes importable in the decoding process (true for
@@ -37,9 +46,12 @@ import importlib
 import json
 from typing import Any
 
+import numpy as np
+
 _DATACLASS_KEY = "__dataclass__"
 _TUPLE_KEY = "__tuple__"
-_MARKERS = (_DATACLASS_KEY, _TUPLE_KEY)
+_NDARRAY_KEY = "__ndarray__"
+_MARKERS = (_DATACLASS_KEY, _TUPLE_KEY, _NDARRAY_KEY)
 
 
 def encode_value(value: Any) -> Any:
@@ -70,9 +82,11 @@ def encode_value(value: Any) -> Any:
                 )
             encoded[key] = encode_value(item)
         return encoded
+    if isinstance(value, np.ndarray):
+        return {_NDARRAY_KEY: value.tolist(), "dtype": str(value.dtype)}
     # numpy scalars first: np.float64 *is* a float subclass, but the
     # canonical encoding normalizes to plain Python scalars throughout.
-    if type(value).__module__ == "numpy" and hasattr(value, "item"):
+    if isinstance(value, np.generic):
         return encode_value(value.item())
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -97,6 +111,8 @@ def decode_value(value: Any) -> Any:
             return obj(**fields)
         if _TUPLE_KEY in value:
             return tuple(decode_value(item) for item in value[_TUPLE_KEY])
+        if _NDARRAY_KEY in value:
+            return np.asarray(value[_NDARRAY_KEY], dtype=value["dtype"])
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_value(item) for item in value]

@@ -30,6 +30,7 @@ carrying the original traceback once every cell has settled.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -101,6 +102,51 @@ class SweepSpec:
     cells: tuple[CellSpec, ...]
     modules: tuple[str, ...] = ("repro",)
     base_seed: Optional[int] = None
+
+    @classmethod
+    def grid(
+        cls,
+        name: str,
+        fn: Callable[..., Any],
+        axes: Optional[Mapping[str, Sequence[Any]]] = None,
+        *,
+        fixed: Optional[Mapping[str, Any]] = None,
+        label: str = "",
+        seed: Optional[int] = None,
+    ) -> "SweepSpec":
+        """The full grid of ``fn`` over ``axes``: one cell per point, in
+        nested-loop order (first axis outermost).
+
+        Each cell calls the module-level ``fn`` with its axis values
+        plus the ``fixed`` kwargs; ``label`` is a format template over
+        the axis names.  ``seed`` — given once, or as an axis of that
+        name — rides on :attr:`CellSpec.seed`.  No axes is one cell.
+
+        Example:
+            >>> spec = SweepSpec.grid(
+            ...     "demo", derive_cell_seed, {"a": (1, 2), "b": ("x", "y")},
+            ...     fixed={"c": 0}, label="{a}{b}", seed=7)
+            >>> [cell.label for cell in spec.cells]
+            ['1x', '1y', '2x', '2y']
+            >>> spec.cells[0].fn, spec.resolved_kwargs(0)
+            ('repro.runner.sweep:derive_cell_seed', {'a': 1, 'b': 'x', 'c': 0, 'seed': 7})
+        """
+        axes = axes or {}
+        path = f"{fn.__module__}:{fn.__qualname__}"
+        cells = []
+        for values in itertools.product(*axes.values()):
+            point = dict(zip(axes, values))
+            text = label.format(**point)
+            cell_seed = point.pop("seed", seed)
+            cells.append(
+                CellSpec(
+                    fn=path,
+                    kwargs={**point, **(fixed or {})},
+                    label=text,
+                    seed=cell_seed,
+                )
+            )
+        return cls(name=name, cells=tuple(cells))
 
     def resolved_kwargs(self, index: int) -> dict[str, Any]:
         """The cell's kwargs with its seed merged in (if any)."""

@@ -18,7 +18,6 @@ def _ids(rows):
 
 
 CHECKPOINTABLE = [row for row in CATALOG if row.capsule is not None]
-SWEEPS = [row for row in CATALOG if row.specs is not None]
 
 
 def test_ids_are_unique():
@@ -27,10 +26,10 @@ def test_ids_are_unique():
 
 @pytest.mark.parametrize("row", CATALOG, ids=_ids(CATALOG))
 def test_parts_come_in_the_pairs_the_driver_needs(row):
-    """Exactly one way to run in batch (a report, or specs + renderer),
-    and a capsule builder always brings its summary."""
-    assert (row.report is None) != (row.specs is None)
-    assert (row.specs is None) == (row.render is None)
+    """One way to run in batch — grids of cells plus their renderer, on
+    every row — and a capsule builder always brings its summary."""
+    assert not hasattr(row, "report")
+    assert callable(row.specs) and callable(row.render)
     assert (row.capsule is None) == (row.summary is None)
 
 
@@ -53,7 +52,7 @@ def test_fresh_capsule_is_the_rows_and_pickles_before_start(row):
     assert clone.engine.now == 0.0
 
 
-@pytest.mark.parametrize("row", SWEEPS, ids=_ids(SWEEPS))
+@pytest.mark.parametrize("row", CATALOG, ids=_ids(CATALOG))
 def test_quick_sweep_cells_have_unique_keys(row):
     """Two cells sharing a content address would share a cache entry."""
     for spec in row.specs(**row.sizing(quick=True)):

@@ -2,12 +2,18 @@
 the golden says, and is offered exactly the flags its parts allow."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
 from repro.experiments.catalog import CATALOG
+from repro.runner import canonical_json, decode_value
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "cli"
@@ -36,6 +42,10 @@ def _mask_column(text, column):
     return "\n".join(lines)
 
 
+def _mask_throughput(report):
+    return re.sub(r"[0-9.]+ cells/s", "~ cells/s", report)
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -51,8 +61,6 @@ class TestCli:
         }
         for row in CATALOG:
             expected = set()
-            if row.specs is not None:
-                expected.add("[sweep]")
             if row.regions is not None:
                 expected.add("[regions]")
             if row.capsule is not None:
@@ -81,31 +89,40 @@ class TestCli:
         assert "---" in out  # a table was printed
 
     @pytest.mark.parametrize("experiment", [row.id for row in CATALOG])
-    def test_run_quick_matches_golden(self, experiment, capsys):
+    def test_run_quick_matches_golden(self, experiment, capsys, tmp_path):
         """``run <id> --quick`` stdout, recorded from the commit before
         the catalogue existed: the whole user-visible surface, byte for
-        byte (a new row needs a golden recorded alongside it)."""
+        byte (a new row needs a golden recorded alongside it).  Every
+        row also writes ``--out``: its cell results round-trip through
+        the sweep codec."""
         golden = (GOLDEN_DIR / f"{experiment}.txt").read_text()
-        assert main(["run", experiment, "--quick"]) == 0
-        out = capsys.readouterr().out
+        document = tmp_path / "out.json"
+        assert main(["run", experiment, "--quick", "--out", str(document)]) == 0
+        out = capsys.readouterr().out.replace(f"results: {document}\n", "")
         column = WALL_CLOCK_COLUMN.get(experiment)
         if column is not None:
             out, golden = _mask_column(out, column), _mask_column(golden, column)
         assert out == golden
+        written = document.read_text()
+        decoded = decode_value(json.loads(written))
+        assert decoded and all(decoded.values())
+        assert canonical_json(decoded) + "\n" == written
 
     @pytest.mark.parametrize("experiment", ["fig13", "fleet", "failover"])
     def test_report_matches_golden(self, experiment, capsys, tmp_path):
         """``run <id> --quick --trace`` → ``report`` stdout, recorded
         from the commit before the report read everything from one
         index: migrations with full cause chains (fig13), handoffs
-        (fleet), a crash recovery (failover).  No sweep rows — their
-        ``cell.done`` events carry wall time."""
+        (fleet), a crash recovery (failover).  The ``sweeps:`` block's
+        throughput is wall-derived, so it is masked on both sides."""
         golden = (REPORT_GOLDEN_DIR / f"{experiment}.txt").read_text()
         trace = tmp_path / "trace.jsonl"
         assert main(["run", experiment, "--quick", "--trace", str(trace)]) == 0
         capsys.readouterr()
         assert main(["report", str(trace)]) == 0
-        assert capsys.readouterr().out == golden
+        out = capsys.readouterr().out
+        assert "cells/s" in out
+        assert _mask_throughput(out) == _mask_throughput(golden)
 
     def test_run_profile_prints_tick_breakdown(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -157,14 +174,49 @@ class TestCli:
         self, tmp_path
     ):
         """``--jobs 1`` is the in-process loop, ``--jobs 2`` two warm
-        workers taking one cell at a time.  Same bytes."""
-        outs = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / f"fig14cd-jobs{jobs}.json"
-            assert main(["run", "fig14cd", "--quick", "--no-cache",
-                         "--jobs", jobs, "--out", str(out)]) == 0
-            outs[jobs] = out.read_bytes()
-        assert outs["1"] and outs["1"] == outs["2"]
+        workers taking one cell at a time.  Same bytes — on a row that
+        was always a sweep and on one that used to loop by hand."""
+        for experiment in ("fig14cd", "fig11"):
+            outs = {}
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{experiment}-jobs{jobs}.json"
+                assert main(["run", experiment, "--quick", "--no-cache",
+                             "--jobs", jobs, "--out", str(out)]) == 0
+                outs[jobs] = out.read_bytes()
+            assert outs["1"] and outs["1"] == outs["2"], experiment
+
+    def test_runner_flags_reach_a_single_configuration_row(
+        self, capsys, tmp_path
+    ):
+        """``fig2`` is one cell: ``--jobs 2`` is accepted (and runs it
+        inline), and a second ``--cache-dir`` run replays it."""
+        golden = (GOLDEN_DIR / "fig2.txt").read_text()
+        argv = ["run", "fig2", "--quick", "--jobs", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert cold.out == golden
+        assert "1 executed, 0 cached" in cold.err
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == golden
+        assert "0 executed, 1 cached" in warm.err
+
+    def test_two_fresh_processes_write_the_same_fig13_summary(self, tmp_path):
+        """The structure-of-arrays tick core is deterministic across
+        processes, and ``--profile`` (wall-clock accounting, stderr
+        only) does not perturb the summary."""
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run", "fig13",
+                 "--quick", "--profile", "--out", str(out)],
+                check=True, env=env, capture_output=True, timeout=300,
+            )
+            outs.append(out.read_bytes())
+        assert outs[0] and outs[0] == outs[1]
 
     def test_stop_at_with_out_is_rejected_not_silently_dropped(
         self, capsys, tmp_path

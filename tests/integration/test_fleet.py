@@ -22,6 +22,7 @@ from repro.experiments.fleet import fleet_handoff, fleet_mesh
 from repro.experiments.multi_tenant import (
     SINK,
     StreamPairApp,
+    fleet_probe_stats,
 )
 from repro.mesh.topology import line_topology, regional_mesh, regional_specs
 from repro.net.netem import NetworkEmulator
@@ -95,6 +96,39 @@ class TestHandoffPhases:
         # The tenant is re-homed where the majority of its pods live
         # (one pod each side: ties break to region order).
         assert cp.home_region("tenant00") == "region0"
+
+    def test_handle_monitor_follows_the_tenant_to_its_new_home(self):
+        """A committed handoff that moves the tenant's home re-points
+        its controller at the new region's monitor; the handle reads
+        the controller's, so fleet probe accounting keeps counting."""
+        env = build_fleet_env(handoff_rtt_s=2.0)
+        cp = env.control_plane
+        handle = deploy_pair(env, "tenant00", 1)
+        run_timeline(env, 1.0)
+        first_home = handle.monitor
+        region = cp.region_controller("region1")
+        region.begin_round(1, cp.arbiter.published_claims())
+        request = region.queue_handoff(
+            time=env.netem.now,
+            app="tenant00",
+            component=SINK,
+            source_node="r1n2",
+            target_node="r0n2",
+            severity=1.5,
+            enqueue=False,
+        )
+        cp._review_handoff(request)
+        run_timeline(env, 3.0)
+        assert request.phase == "committed"
+        # One pod each side: the tie breaks to region order, away from
+        # where the tenant started.
+        assert cp.home_region("tenant00") == "region0"
+        assert handle.monitor is handle.controller.monitor
+        assert handle.monitor is not first_home
+        _, at_move, _, _ = fleet_probe_stats([handle], 3.0)
+        run_timeline(env, 100.0)  # three more 30 s epochs
+        _, later, _, _ = fleet_probe_stats([handle], 100.0)
+        assert later > at_move
 
     def test_abort_when_destination_cannot_admit(self):
         """Phase-3 failure: the destination node's ledger is full at

@@ -5,8 +5,8 @@ import pytest
 from repro.apps.camera import CameraPipelineApp
 from repro.config import BassConfig
 from repro.errors import ConfigError
+from repro.core.registry import scheduler_names
 from repro.experiments.common import (
-    SCHEDULER_NAMES,
     build_env,
     deploy_app,
     run_timeline,
@@ -43,7 +43,7 @@ class TestBuildEnv:
 
 
 class TestScheduleWith:
-    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("name", scheduler_names())
     def test_all_names_work(self, name):
         env = build_env(seed=2, with_traces=False)
         dag = CameraPipelineApp().build_dag()

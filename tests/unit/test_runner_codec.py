@@ -96,3 +96,21 @@ def test_decoded_dataclass_is_the_real_class():
     decoded = decode_value(encode_value(SquareResult(2, 4, 0)))
     assert isinstance(decoded, SquareResult)
     assert decoded == SquareResult(value=2, squared=4, seed=0)
+
+
+def test_arrays_round_trip_as_arrays():
+    """Series fields stay NumPy arrays; a size-2 array used to escape
+    as ``ValueError: can only convert an array of size 1``."""
+    series = np.array([1.0, 2.0, 0.1])
+    decoded = decode_value(encode_value(series))
+    assert isinstance(decoded, np.ndarray)
+    assert decoded.dtype == series.dtype
+    assert np.array_equal(decoded, series)
+    assert decode_value(encode_value(np.arange(3))).dtype == np.arange(3).dtype
+    # Inside a result: same canonical bytes on the far side.
+    nested = Nested(name="n", point=(series,), weights={"empty": np.array([])})
+    assert canonical_json(decode_value(encode_value(nested))) == canonical_json(
+        nested
+    )
+    with pytest.raises(TypeError, match="collides with a codec marker"):
+        encode_value({"__ndarray__": [1.0]})

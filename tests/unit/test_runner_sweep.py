@@ -16,7 +16,7 @@ from repro.runner import (
     derive_cell_seed,
     run_sweep,
 )
-from repro.runner.testing import SquareResult
+from repro.runner.testing import SquareResult, square_cell
 
 SQUARE = "repro.runner.testing:square_cell"
 CRASH = "repro.runner.testing:crashing_cell"
@@ -214,3 +214,108 @@ def test_trace_events_are_canonical_order_and_instrumented(tmp_path):
     assert (executed.value, cached.value) == (1.0, 4.0)
     assert registry.gauge("bass_sweep_cache_hit_rate").value == 0.8
     assert registry.gauge("bass_sweep_cells_per_second").value > 0
+
+
+class TestGrid:
+    def test_cells_come_in_nested_loop_order(self):
+        spec = SweepSpec.grid(
+            "g",
+            square_cell,
+            {"value": (1, 2), "seed": (7, 8)},
+            fixed={"extra": "x"},
+            label="v{value}/s{seed}",
+        )
+        assert spec.name == "g"
+        assert spec.cells == tuple(
+            CellSpec(
+                fn=SQUARE,
+                kwargs={"value": value, "extra": "x"},
+                label=f"v{value}/s{seed}",
+                seed=seed,
+            )
+            for value in (1, 2)
+            for seed in (7, 8)
+        )
+
+    def test_no_axes_is_one_cell(self):
+        spec = SweepSpec.grid("one", square_cell, fixed={"value": 3}, seed=5)
+        assert spec.cells == (CellSpec(fn=SQUARE, kwargs={"value": 3}, seed=5),)
+        assert run_sweep(spec).results == [
+            SquareResult(value=3, squared=9, seed=5)
+        ]
+
+    def test_reproduces_the_hand_built_specs_cell_for_cell(self):
+        """The comprehensions the grid helper replaced, verbatim: cache
+        keys and ``derive_cell_seed`` inputs must not move."""
+        from repro.experiments.churn import churn_seed_sweep_spec
+        from repro.experiments.multi_tenant import multi_tenant_scaling_spec
+        from repro.experiments.thresholds import (
+            fig14cd_sweep_spec,
+            fig16_sweep_spec,
+        )
+
+        assert fig14cd_sweep_spec() == SweepSpec(
+            name="fig14cd",
+            cells=tuple(
+                CellSpec(
+                    fn="repro.experiments.thresholds:_fig14cd_cell",
+                    kwargs={
+                        "heuristic": heuristic,
+                        "threshold": threshold,
+                        "headroom": headroom,
+                        "rps": 50.0,
+                        "duration_s": 600.0,
+                    },
+                    label=f"{heuristic}/thr{threshold:g}/hr{headroom:g}",
+                    seed=144,
+                )
+                for heuristic in ("bfs", "longest_path")
+                for threshold in (0.25, 0.50, 0.65, 0.75, 0.95)
+                for headroom in (0.10, 0.20, 0.30)
+            ),
+        )
+        assert fig16_sweep_spec(duration_s=200.0) == SweepSpec(
+            name="fig16",
+            cells=tuple(
+                CellSpec(
+                    fn="repro.experiments.thresholds:_fig16_cell",
+                    kwargs={
+                        "threshold": threshold,
+                        "mean_rps": 50.0,
+                        "headroom": 0.20,
+                        "duration_s": 200.0,
+                    },
+                    label=f"thr{threshold:g}",
+                    seed=16,
+                )
+                for threshold in (0.25, 0.50, 0.65, 0.75)
+            ),
+        )
+        assert multi_tenant_scaling_spec(probe_sharing=False) == SweepSpec(
+            name="multitenant-scaling",
+            cells=tuple(
+                CellSpec(
+                    fn="repro.experiments.multi_tenant:_mesh_cell",
+                    kwargs={
+                        "tenants": tenants,
+                        "duration_s": 240.0,
+                        "seed": 11,
+                        "probe_sharing": False,
+                    },
+                    label=f"tenants{tenants}",
+                )
+                for tenants in (1, 2, 4, 8)
+            ),
+        )
+        assert churn_seed_sweep_spec(seeds=(3, 1), settle_s=60.0) == SweepSpec(
+            name="churn-seeds",
+            cells=tuple(
+                CellSpec(
+                    fn="repro.experiments.churn:_churn_seed_cell",
+                    kwargs={"settle_s": 60.0},
+                    label=f"seed{seed}",
+                    seed=seed,
+                )
+                for seed in (3, 1)
+            ),
+        )

@@ -9,7 +9,6 @@ from repro.core.registry import (
     unregister_scheduler,
 )
 from repro.errors import ConfigError
-from repro.experiments.common import SCHEDULER_NAMES
 
 
 class TestBuiltins:
@@ -28,9 +27,6 @@ class TestBuiltins:
         assert {"k3s", "bass-bfs", "bass-longest-path", "bass-hybrid"} <= set(
             names
         )
-
-    def test_compat_tuple_matches_registry(self):
-        assert SCHEDULER_NAMES == scheduler_names()
 
     def test_unknown_name_raises_with_known_names(self):
         with pytest.raises(ConfigError, match="bass-bfs"):
