@@ -192,7 +192,7 @@ class SocialNetworkApp(Application):
         mix: Optional[dict[str, float]] = None,
         jitter_rel_std: float = 0.10,
     ) -> None:
-        if annotate_rps <= 0:
+        if not annotate_rps > 0:  # NaN included
             raise ConfigError("annotate_rps must be positive")
         self.annotate_rps = annotate_rps
         self._mix = dict(mix) if mix is not None else dict(DEFAULT_MIX)
@@ -252,7 +252,7 @@ class SocialNetworkApp(Application):
 
     def set_rps(self, rps: float) -> None:
         """Set the instantaneous offered request rate."""
-        if rps < 0:
+        if not rps >= 0:  # NaN included
             raise ConfigError("rps must be >= 0")
         self.current_rps = rps
 

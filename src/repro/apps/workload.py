@@ -20,7 +20,7 @@ class FixedRate:
     """Constant request rate: exactly ``rps`` requests every second."""
 
     def __init__(self, rps: float) -> None:
-        if rps < 0:
+        if not rps >= 0:  # NaN included
             raise ConfigError("rps must be non-negative")
         self.rps = float(rps)
 
@@ -51,7 +51,7 @@ class ExponentialArrivals:
     def __init__(
         self, mean_rps: float, rng: Optional[np.random.Generator] = None
     ) -> None:
-        if mean_rps < 0:
+        if not mean_rps >= 0:  # NaN included
             raise ConfigError("mean_rps must be non-negative")
         self.mean_rps_value = float(mean_rps)
         self._rng = rng if rng is not None else np.random.default_rng(0)

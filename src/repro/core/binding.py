@@ -143,7 +143,7 @@ class DeploymentBinding:
         Workload models use this to convert request rate into traffic
         (e.g. demand proportional to offered RPS).
         """
-        if scale < 0:
+        if not scale >= 0:  # NaN included
             raise DagError("demand scale must be >= 0")
         self.dag.weight(src, dst)  # validates the edge exists
         self._demand_scale[(src, dst)] = scale
@@ -159,7 +159,7 @@ class DeploymentBinding:
 
     def set_global_scale(self, scale: float) -> None:
         """Scale every edge's demand (e.g. load level of the workload)."""
-        if scale < 0:
+        if not scale >= 0:  # NaN included
             raise DagError("demand scale must be >= 0")
         scales = self._demand_scale
         for src, dst, _ in self.dag.edges():

@@ -28,7 +28,10 @@ component is water-filled on its own.  Two kernels do that:
   retires.  Small instances (the paper's 5-node mesh, a few dozen
   flows) stay here: array set-up would cost more than the whole solve.
   The incremental engine keeps a component's plan for as long as it
-  keeps the component, so a capacity-only tick compiles nothing.
+  keeps the component, so a capacity-only tick compiles nothing — and
+  fills nothing for a component whose every link has room for the
+  demands crossing it: the plan certifies that its capacity-free
+  rates are what the fill would return, bit for bit.
 * the *batched* kernel (:func:`_water_fill` over a :class:`_Layout`)
   — one segmented NumPy water-fill over the concatenated arrays of
   *every* component laid out.  Each round takes per-component
@@ -62,10 +65,11 @@ deltas.  A flow that was added, removed, rerouted or re-demanded
 re-components and re-solves only the components it leaves and the ones
 its new path reaches (a heartbeat or probe flow costs its one
 component, not the mesh); a capacity move re-solves, above the cutover,
-only the components owning a moved link.  Every other component's
-rates are kept verbatim.  That is exactly equal to a from-scratch
-solve because a component's allocation is a pure function of its own
-flows and capacities.  Below the cutover the structure is component
+only the components owning a moved link, and below it only the
+components whose plan cannot certify its capacity-free rates.  Every
+other component's rates are kept verbatim.  That is exactly equal to a
+from-scratch solve because a component's allocation is a pure function
+of its own flows and capacities.  Below the cutover the structure is component
 objects, each with its retained plan; at or above it the structure is
 two integer label columns over the caller's flow table
 (:class:`~repro.net.flows.FlowArrays`) — re-grouped by merging link
@@ -76,11 +80,13 @@ and no Python loop visits a flow's links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 _EPSILON = 1e-9
+_INF = float("inf")
 
 #: The one size cutover: instances with at least this many active flows
 #: run the batched array kernel, smaller ones the plan kernel.
@@ -93,9 +99,13 @@ _EPSILON = 1e-9
 #: identical either way.  No ledger workload sits between 45 and 1 200
 #: active flows.
 #: Everything else that depends on size follows the same constant.
-#: *Capacity*-dirty tracking: below it a capacity move dirties every
-#: component anyway (socialnet_mesh: all 4 718 partial solves had every
-#: component dirty).  The *form* of the incremental engine's structure:
+#: *Capacity*-dirty tracking: only at or above it.  Below it every 5-node
+#: trace moves every second, so a moved-link mask would mark every
+#: component anyway (socialnet_mesh: all 4 718 capacity-only solves);
+#: what spares a component there is its plan's certificate, which asks
+#: whether the fill can bind at all rather than whether its links moved
+#: (80 % of socialnet_mesh's fills skipped).  The *form* of the
+#: incremental engine's structure:
 #: component objects with retained plans below, label columns over an
 #: integer flow table at or above.  And the emulator's flow table:
 #: rebuilt per change below (one flow swapped: socialnet_mesh's ~20
@@ -165,6 +175,36 @@ class _Plan:
     twice counts twice, as in the reference), each link its member
     flows, and ``order`` is the flows by ascending demand.
     :meth:`fill` replays the plan against fresh capacities.
+
+    *The certificate.*  A plan the incremental engine retains across a
+    capacity move also derives, on first use, each link slot's
+    ``bound`` — the demands of its member flows summed with
+    multiplicity (``need``), plus a margin ``1e-6 * (need + 1)`` — and
+    its ``free`` rates, ``fill([inf] * len(links))``.  :meth:`certify`
+    accepts capacities that all exceed their bound, and then
+    ``fill(caps)`` *is* ``free``, bit for bit: the two fills perform
+    the same float operations.  ``remaining`` is read only by the tests
+    ``share < delta`` and ``remaining <= epsilon``; everything else
+    reads demands, counts and the scalar ``rate``.  Against ``+inf``
+    both tests are false in every round.  Against ``caps`` they are
+    false too, by induction over the rounds: while they have been, both
+    fills took the same branches, so hold the same ``rate`` and
+    ``counts``, and in exact arithmetic a live link has consumed its
+    retired slots' rates plus ``counts * rate``, each retired rate at
+    most its flow's demand, so ``remaining >= margin + sum over active
+    slots of (demand - rate) >= margin + counts * delta`` — a share at
+    least ``delta + margin / counts``, and a residual at least the
+    margin, which is above epsilon.  Floats add the rounding of at most
+    ``R`` rounds (``R`` <= flows + 1): the consumed sum and ``rate`` are
+    off by at most ``(2R + 4) * 2**-53 * need``, and each residual by
+    that fraction of itself, which can only flip a test when the
+    residual is itself within a few ``need`` of it.  Below the cutover
+    (``R`` < 130) that is under ``3e-14 * need``, seven orders of
+    magnitude inside the margin.  ``+inf`` capacities are certified
+    trivially; a NaN one or an infinite demand never is.  ``gave_free``
+    records that the engine's last answer for the component was
+    ``free``, so an unchanged answer is not written back.  All three
+    are derived state, like the plan itself.
     """
 
     __slots__ = (
@@ -176,6 +216,9 @@ class _Plan:
         "flow_links",
         "link_flows",
         "counts0",
+        "bound",
+        "free",
+        "gave_free",
     )
 
     def __init__(self, flows: Mapping[Hashable, FlowDemand]) -> None:
@@ -209,6 +252,27 @@ class _Plan:
         self.flow_links = flow_links
         self.link_flows = link_flows
         self.counts0 = counts0
+        #: The certificate, derived by the first :meth:`certify` (which
+        #: also sets ``free`` and ``gave_free``).
+        self.bound: Optional[list[float]] = None
+
+    def certify(self, caps: list[float]) -> bool:
+        """Whether ``fill(caps)`` is provably :attr:`free` (the class
+        docstring has the proof): every capacity exceeds its slot's
+        bound."""
+        bound = self.bound
+        if bound is None:
+            demand = self.demand
+            bound = []
+            for members in self.link_flows:
+                need = 0.0
+                for fi in members:
+                    need += demand[fi]
+                bound.append(need + 1e-6 * (need + 1.0))
+            self.bound = bound
+            self.free = self.fill([_INF] * len(bound))
+            self.gave_free = False
+        return all(map(gt, caps, bound))
 
     def fill(self, remaining: list[float]) -> list[float]:
         """Water-fill against ``remaining`` — the capacity of each link
@@ -764,9 +828,12 @@ class IncrementalMaxMin:
     reach, re-runs :func:`_link_groups` on the pool — which is where
     merges (a bridging flow arrived) and splits (it left) fall out —
     and water-fills the replacements through each component's retained
-    :class:`_Plan`; when capacities moved it re-fills every component
-    (on instances that small nearly every capacity change touches
-    every component).
+    :class:`_Plan`.  When capacities moved it visits every retained
+    component (on instances that small nearly every capacity change
+    touches every component) but re-fills only those its plan cannot
+    certify (:meth:`_Plan.certify`): a component whose links all have
+    room for its demands gets the plan's capacity-free rates instead,
+    and is left out of ``changed`` when that was already its answer.
 
     *At or above it*: two label columns over the caller's integer flow
     table (:class:`~repro.net.flows.FlowArrays`, or an
@@ -802,7 +869,7 @@ class IncrementalMaxMin:
     Counters: ``full_solves`` counts from-scratch structure builds,
     ``partial_solves`` every other solve that water-filled at least
     one component, and ``components_resolved`` the components those
-    partial solves water-filled.
+    partial solves water-filled (a certified component was not).
     """
 
     def __init__(self) -> None:
@@ -1165,17 +1232,31 @@ class IncrementalMaxMin:
                 changed += fids
                 resolved = layout.n_components
         else:
-            fill = self._components if caps_moved else fresh
             caps = cap_values.tolist()
-            for component in fill:
+            visit, new = fresh, None
+            if caps_moved and not scratch:
+                # Every component is visited; the ones not just formed
+                # are retained, and may be certified instead of filled.
+                visit, new = self._components, {id(c) for c in fresh}
+            certified = 0
+            for component in visit:
                 plan = component.plan
                 if plan is None:
                     plan = component.plan = _Plan(component.flows)
                     component.cap_pos = [link_index[key] for key in plan.links]
-                values = plan.fill([caps[pos] for pos in component.cap_pos])
-                rates.update(zip(plan.flow_ids, values))
+                local = [caps[pos] for pos in component.cap_pos]
+                if new is not None and id(component) not in new:
+                    if plan.certify(local):
+                        certified += 1
+                        if not plan.gave_free:
+                            plan.gave_free = True
+                            rates.update(zip(plan.flow_ids, plan.free))
+                            changed += plan.flow_ids
+                        continue
+                    plan.gave_free = False
+                rates.update(zip(plan.flow_ids, plan.fill(local)))
                 changed += plan.flow_ids
-            resolved = len(fill)
+            resolved = len(visit) - certified
         if scratch:
             self.full_solves += 1
         elif resolved:

@@ -658,20 +658,6 @@ class NetworkEmulator:
             delivered *= 1.0 - float(loss[self._link_index[key]])
         return 1.0 - delivered
 
-    def transfer_time_s(self, src: str, dst: str, megabits: float) -> float:
-        """Time to push ``megabits`` at the path's current spare rate.
-
-        Used by request-level latency models for per-RPC payloads.  A
-        co-located pair transfers at memory speed (modelled as 0).
-        """
-        if megabits <= 0:
-            return 0.0
-        if not self.router.path_link_keys(src, dst):
-            return 0.0
-        rate = self.path_available_bandwidth(src, dst)
-        rate = max(rate, 0.01)  # a starved path still trickles
-        return megabits / rate
-
     def offered_mbit_by_tag(self) -> dict[str, float]:
         """Cumulative link-traversal traffic per tag — overhead accounting
         for §6.3.4 (probe traffic as a share of all traffic)."""

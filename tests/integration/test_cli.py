@@ -46,6 +46,33 @@ def _mask_throughput(report):
     return re.sub(r"[0-9.]+ cells/s", "~ cells/s", report)
 
 
+def _run_in_fresh_process(*argv):
+    """``bass-repro run *argv`` in a new interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", *argv],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _assert_same_lines(got: bytes, want: bytes, what: str) -> None:
+    """``got == want``, failing on the first line that differs."""
+    assert want, f"{what}: the reference is empty"
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for number, (line, expected) in enumerate(zip(got_lines, want_lines), 1):
+        assert line == expected, (
+            f"{what}, line {number}:\n  got  {line!r}\n  want {expected!r}"
+        )
+    assert len(got_lines) == len(want_lines), (
+        f"{what}: {len(got_lines)} lines, want {len(want_lines)}"
+    )
+
+
+def _shards(directory: Path) -> bytes:
+    return b"".join(p.read_bytes() for p in sorted(directory.glob("trace-*.jsonl")))
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -217,6 +244,51 @@ class TestCli:
             )
             outs.append(out.read_bytes())
         assert outs[0] and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("experiment, stop_at", [("fig13", 60), ("churn", 70)])
+    def test_checkpoint_stop_restore_matches_the_uninterrupted_run(
+        self, experiment, stop_at, tmp_path
+    ):
+        """Run to ``stop_at``, checkpoint and exit (a simulated kill);
+        restore in a fresh process and run to the end: the summary is
+        the uninterrupted run's, line for line.  The checkpoint crosses
+        the tick core mid-run, so flow and queue arrays and the
+        incremental solver's retained state round-trip through the
+        pickle — and its derived state (plans, certificates, label
+        columns) must be rebuilt, not carried.  The reference keeps the
+        same checkpoint cadence: deferred snapshot writes take engine
+        event slots.  churn's streaming trace is wholly deterministic,
+        so its concatenated shards must match as well (fig13's embeds
+        ``placement.plan``'s wall-clock ``dag_processing_ms``)."""
+        cadence = ("--checkpoint-every", "3")
+        streamed = experiment == "churn"
+
+        def stream(name):
+            return ("--trace-stream", str(tmp_path / name)) if streamed else ()
+
+        _run_in_fresh_process(
+            experiment, "--quick", "--checkpoint-dir", str(tmp_path / "ck"),
+            *cadence, "--stop-at", str(stop_at), *stream("shards-restored"),
+        )
+        _run_in_fresh_process(
+            experiment, "--quick", "--restore-from", str(tmp_path / "ck"),
+            "--out", str(tmp_path / "restored.json"),
+        )
+        _run_in_fresh_process(
+            experiment, "--quick", "--checkpoint-dir", str(tmp_path / "ck-ref"),
+            *cadence, *stream("shards-ref"), "--out", str(tmp_path / "reference.json"),
+        )
+        _assert_same_lines(
+            (tmp_path / "restored.json").read_bytes(),
+            (tmp_path / "reference.json").read_bytes(),
+            f"{experiment} summary",
+        )
+        if streamed:
+            _assert_same_lines(
+                _shards(tmp_path / "shards-restored"),
+                _shards(tmp_path / "shards-ref"),
+                f"{experiment} trace",
+            )
 
     def test_stop_at_with_out_is_rejected_not_silently_dropped(
         self, capsys, tmp_path

@@ -4,8 +4,9 @@
 as deltas.  Flow-set changes are reported per flow id (``touch``) and
 re-component only the pool of flows the changes reach; capacity changes
 re-fill every retained component below the ``_BATCH_MIN_FLOWS`` cutover
-and only the components owning a moved link above it (one batched call
-with a dirty-component mask).  Everything else keeps its cached rates.
+that its capacity-free certificate does not cover, and only the
+components owning a moved link above it (one batched call with a
+dirty-component mask).  Everything else keeps its cached rates.
 The emulator leans on this every tick, and the golden figures are pinned
 byte-for-byte — so "only re-solve the touched part" must produce
 *exactly* (``==``, no tolerance) the allocation a from-scratch
@@ -730,17 +731,36 @@ def test_unknown_link_is_rejected_before_anything_changes():
 
 
 def test_small_instances_skip_dirty_tracking():
-    """Below the cutover a capacity change re-solves every retained
-    component through the plan kernel — no dirty tracking, and no
-    structure rebuild either."""
-    harness = PerturbationHarness(n_links=40, seed=31, max_hops=2)
-    for _ in range(8):
-        harness.add_flow()
+    """Below the cutover a capacity move visits every retained
+    component — no dirty tracking — but re-fills only the constrained
+    ones: a component whose every link has room for its flows' demands
+    is answered with its plan's capacity-free rates, and ``changed``
+    lists it only on the solve where that answer is new."""
+    harness = PerturbationHarness(n_links=10, seed=31)
+    busy = [harness.add_flow(path=(harness.links[0],), demand=50.0) for _ in range(2)]
+    idle = harness.add_flow(path=(harness.links[5],), demand=5.0)
+    harness.cap_values[0], harness.cap_values[5] = 10.0, 3.0
     harness.solve_and_verify()
-    components = harness.engine.component_count
-    assert components > 1
-    harness.perturb_link()
-    harness.solve_and_verify()
-    assert harness.engine.full_solves == 1
-    assert harness.engine.partial_solves == 1
-    assert harness.engine.components_resolved == components
+    engine = harness.engine
+    assert engine.component_count == 2
+
+    def tick(cap_busy, cap_idle):
+        before = engine.components_resolved
+        harness.cap_values[0], harness.cap_values[5] = cap_busy, cap_idle
+        changed = harness.solve_and_verify()
+        return sorted(changed), engine.components_resolved - before
+
+    # The idle flow's link widens past its demand: it becomes free.
+    assert tick(12.0, 40.0) == (sorted(busy + [idle]), 1)
+    assert engine._rates[idle] == 5.0
+    # Both links move again; only the constrained component is filled
+    # and only its flows are written back.
+    assert tick(8.0, 30.0) == (sorted(busy), 1)
+    assert tick(9.0, 5.0 + 1e-3) == (sorted(busy), 1)
+    # Below its bound the idle component is filled like any other...
+    assert tick(9.5, 4.0) == (sorted(busy + [idle]), 2)
+    # ...and on the way back it is new again, once.
+    assert tick(7.0, 60.0) == (sorted(busy + [idle]), 1)
+    assert tick(7.5, 61.0) == (sorted(busy), 1)
+    assert engine.full_solves == 1
+    assert engine.partial_solves == 6

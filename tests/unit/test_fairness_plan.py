@@ -15,9 +15,14 @@ kernel to the frozen reference with ``==``:
 * a plan retained across capacity changes gives what a throw-away plan
   gives;
 * a plan is compiled once per component, recompiled only for the
-  components a flow change dissolves, and never checkpointed.
+  components a flow change dissolves, and never checkpointed;
+* a retained plan's capacity-free certificate accepts exactly the
+  capacities above its bounds, where the fill it replaces returns the
+  free rates bit for bit — and on the social loop it replaces most
+  fills.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -299,3 +304,128 @@ def test_checkpoint_carries_no_plan_and_resumes_byte_identically():
         assert restored.solver_stats() == netem.solver_stats()
     assert all(c.plan is not None for c in restored._incremental._components)
     assert restored.solver_stats()["full_solves"] == 1
+
+
+# -- (d) the capacity-free certificate ----------------------------------------
+
+#: Where a link's capacity sits against its slot's bound, and whether
+#: the certificate must accept it there.
+PLACEMENTS = {
+    "below": False,
+    "at": False,
+    "ulps above": True,
+    "margin above": True,
+    "inf": True,
+}
+
+
+def _place(bound: float, where: str, fraction: float, ulps: int) -> float:
+    if where == "below":
+        return bound * fraction
+    if where == "at":
+        return bound
+    if where == "ulps above":
+        for _ in range(ulps):
+            bound = math.nextafter(bound, math.inf)
+        return bound
+    if where == "margin above":
+        return bound + 1e-6 * (bound + 1.0)
+    return math.inf
+
+
+@st.composite
+def placed_capacities(draw):
+    """The components of a ``component_shapes`` draw, each compiled,
+    with every link's capacity drawn below, at, a few ulps above, a
+    margin above or at ``+inf`` of its bound."""
+    flows, _, _ = draw(component_shapes())
+    _, active = fairness._partition_flows(flows, dict.fromkeys(LINKS, 1.0))
+    plans = [_Plan(component) for component in fairness.link_components(active)]
+    placed = []
+    for plan in plans:
+        plan.certify([0.0] * len(plan.links))  # derives the bounds
+        wheres = [draw(st.sampled_from(list(PLACEMENTS))) for _ in plan.links]
+        caps = [
+            _place(
+                bound,
+                where,
+                draw(st.floats(0.0, 1.0, exclude_max=True)),
+                draw(st.integers(1, 4)),
+            )
+            for bound, where in zip(plan.bound, wheres)
+        ]
+        placed.append((plan, caps, all(PLACEMENTS[w] for w in wheres)))
+    return flows, placed
+
+
+def _bits(values) -> list:
+    return [value.hex() for value in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_capacities())
+def test_certificate_accepts_only_what_fills_to_the_free_rates(shape):
+    """Whenever the certificate accepts, ``fill(caps)`` and the free
+    rates are bit-equal and are the reference allocation; it accepts
+    exactly the capacities strictly above every bound."""
+    flows, placed = shape
+    for plan, caps, certifiable in placed:
+        assert plan.certify(caps) is certifiable
+        filled = plan.fill(list(caps))
+        members = [flow for flow in flows if flow.flow_id in plan.flow_ids]
+        expected = reference_allocation(members, dict(zip(plan.links, caps)))
+        assert dict(zip(plan.flow_ids, filled)) == expected
+        if certifiable:
+            assert _bits(filled) == _bits(plan.free)
+
+
+def test_retained_plans_cross_their_bounds_both_ways():
+    """A history whose capacities swing each component below, onto and
+    above its bound, both ways, with a pickle round trip mid-way: exact
+    at every step, and both sides of the certificate are exercised."""
+    harness = PerturbationHarness(n_links=12, seed=5, max_hops=2)
+    for _ in range(10):
+        harness.add_flow(
+            path=harness.random_path(), demand=float(harness.rng.uniform(1.0, 20.0))
+        )
+    harness.solve_and_verify()
+    engine = harness.engine
+    need = np.zeros(len(harness.links))
+    for row in harness.flows.values():
+        for key in row.links:
+            need[harness.link_index[key]] += row.demand_mbps
+    crossed = need > 0.0
+    factors = np.array([0.5, 1.0, 1.001, 4.0, np.inf])
+    certified = filled = 0
+    for step in range(80):
+        picks = harness.rng.integers(0, factors.size, size=need.size)
+        harness.cap_values[crossed] = need[crossed] * factors[picks[crossed]]
+        if step % 30 == 17:
+            harness.checkpoint_round_trip()
+            engine = harness.engine
+        before = engine.components_resolved
+        harness.solve_and_verify()
+        resolved = engine.components_resolved - before
+        filled += resolved
+        certified += engine.component_count - resolved
+    assert certified > 40 and filled > 40
+    assert engine.full_solves == 1
+
+
+def test_social_loop_fills_a_quarter_of_what_it_did(monkeypatch):
+    """On the 5-node loop most components have room for all their
+    demand, so most capacity-only ticks certify instead of filling.
+    ``_Plan.fill`` calls over ticks 10-120 of this run: 880 before the
+    certificate, 203 with it (a full ``socialnet_mesh`` rep: 19 220 →
+    3 826)."""
+    env, _ = _social_env(10.0)
+    fills = [0]
+    fill = _Plan.fill
+
+    def counted(plan, remaining):
+        fills[0] += 1
+        return fill(plan, remaining)
+
+    monkeypatch.setattr(_Plan, "fill", counted)
+    env.engine.run_until(120.0)
+    assert 0 < fills[0] <= 880 // 4

@@ -1,6 +1,7 @@
 """A NaN demand is rejected at every boundary it can enter through.
 
-``demand < 0`` lets NaN through, and a NaN demand is not a value any
+``demand < 0`` lets NaN through — so does ``scale < 0`` and ``rps < 0``
+wherever a load scale enters — and a NaN demand is not a value any
 water-filling kernel survives: the plan kernel's slack never shrinks, so
 it never terminates (``set_demand(fid, nan)`` hung the next
 ``run_until``), and the batched kernel returns NaN for every flow of the
@@ -14,10 +15,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.apps.social import SocialNetworkApp
+from repro.apps.workload import ExponentialArrivals, FixedRate
 from repro.core.binding import DeploymentBinding
 from repro.core.dag import Component, ComponentDAG
 from repro.cluster.deployment import Deployment
-from repro.errors import DagError, SimulationError
+from repro.errors import ConfigError, DagError, SimulationError
 from repro.faults import HeartbeatConfig
 from repro.mesh.topology import full_mesh_topology
 from repro.net.fairness import (
@@ -88,22 +91,68 @@ def test_negative_demands_are_still_rejected():
         emu.set_demand("f0", -0.5)
 
 
-def test_binding_override_rejects_nan():
+def chain_binding(colocated: bool = False) -> DeploymentBinding:
+    """Edges ``a -> b`` (5 Mbps) and ``b -> c`` (2 Mbps); ``b`` shares
+    ``a``'s node when ``colocated``."""
     dag = ComponentDAG("app")
-    dag.add_component(Component("a", cpu=1, memory_mb=10))
-    dag.add_component(Component("b", cpu=1, memory_mb=10))
+    for name in "abc":
+        dag.add_component(Component(name, cpu=1, memory_mb=10))
     dag.add_dependency("a", "b", 5.0)
+    dag.add_dependency("b", "c", 2.0)
     deployment = Deployment("app")
     deployment.bind("a", "node1")
-    deployment.bind("b", "node2")
+    deployment.bind("b", "node1" if colocated else "node2")
+    deployment.bind("c", "node3")
     netem = NetworkEmulator(full_mesh_topology(3, capacity_mbps=10.0))
-    binding = DeploymentBinding(dag, deployment, netem)
+    return DeploymentBinding(dag, deployment, netem)
+
+
+def test_binding_override_rejects_nan():
+    binding = chain_binding()
+    netem = binding.netem
     with time_limit():
         with pytest.raises(DagError):
             binding.set_demand_override("a", "b", NAN)
         binding.set_demand_override("a", "b", None)  # clearing stays legal
         binding.sync_flows()
         netem.recompute()
+
+
+@pytest.mark.parametrize("colocated", [False, True], ids=["crossing", "colocated"])
+def test_binding_scales_reject_nan_and_keep_what_they_had(colocated):
+    """A refused scale is not stored: the next sync runs on the old
+    scales, and a co-located edge's demand stays a number."""
+    binding = chain_binding(colocated)
+    binding.set_demand_scale("b", "c", 0.5)
+    scales = dict(binding._demand_scale)
+    with time_limit():
+        with pytest.raises(DagError):
+            binding.set_demand_scale("a", "b", NAN)
+        with pytest.raises(DagError):
+            binding.set_global_scale(NAN)
+        assert binding._demand_scale == scales
+        assert binding.edge_demand("a", "b") == 5.0
+        assert binding.edge_demand("b", "c") == 1.0
+        binding.sync_flows()
+        binding.netem.recompute()
+        assert all(np.isfinite(f.allocated_mbps) for f in binding.netem.flows)
+    binding.set_global_scale(float("inf"))  # unbounded load stays legal
+    assert binding.edge_demand("a", "b") == float("inf")
+
+
+def test_request_rates_reject_nan():
+    for make in (
+        lambda: SocialNetworkApp(annotate_rps=NAN),
+        lambda: FixedRate(NAN),
+        lambda: ExponentialArrivals(NAN),
+    ):
+        with pytest.raises(ConfigError):
+            make()
+    app = SocialNetworkApp(annotate_rps=50.0)
+    app.set_rps(20.0)
+    with pytest.raises(ConfigError):
+        app.set_rps(NAN)
+    assert app.current_rps == 20.0
 
 
 def test_heartbeat_config_rejects_nan():

@@ -147,12 +147,6 @@ class TestQueuesAndDelay:
         expected = 2 * emu.topology.link("node1", "node2").latency_ms / 1000.0
         assert emu.path_delay_s("node1", "node3") == pytest.approx(expected)
 
-    def test_transfer_time(self):
-        emu = make_emulator([10.0])
-        assert emu.transfer_time_s("node1", "node2", 5.0) == pytest.approx(0.5)
-        assert emu.transfer_time_s("node1", "node1", 5.0) == 0.0
-        assert emu.transfer_time_s("node1", "node2", 0.0) == 0.0
-
 
 class TestAccounting:
     def test_offered_mbit_by_tag(self):
