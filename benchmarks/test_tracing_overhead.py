@@ -104,15 +104,17 @@ _STREAM_WINDOW = 4096
 
 
 def test_streaming_sink_cost_and_residency(tmp_path):
-    """The streaming leg: emit cost within 2x of the in-memory path,
-    and resident events bounded by the ring window under a 1M-event
-    synthetic load (the whole point of the sink)."""
+    """The streaming leg: emit-to-disk cost within 1.25x of the
+    in-memory path plus its ``to_jsonl`` export (the like-for-like
+    comparison: both end with the trace on disk), and resident events
+    bounded by the ring window under a 1M-event synthetic load (the
+    whole point of the sink)."""
     _timed_guard_loop(Tracer(), iterations=1000)  # warm up
 
     in_memory = Tracer()
     in_memory_s = _timed_guard_loop(in_memory, iterations=_STREAM_EVENTS)
-    # Recorded, not asserted: what the buffered path still owes before
-    # its trace is on disk, which the streaming leg has already paid.
+    # What the buffered path still owes before its trace is on disk,
+    # which the streaming leg has already paid.
     started = time.perf_counter()
     in_memory.to_jsonl(tmp_path / "buffered.jsonl")
     export_s = time.perf_counter() - started
@@ -131,24 +133,26 @@ def test_streaming_sink_cost_and_residency(tmp_path):
     assert len(streaming) == _STREAM_EVENTS
     assert sink.published_shards == _STREAM_EVENTS // 100_000
 
-    ratio = streaming_s / in_memory_s
+    ratio = streaming_s / (in_memory_s + export_s)
     save_table(
         "streaming_sink_overhead",
         ["measure", "value"],
         [
             ["in-memory emit, 1M events (s)", fmt(in_memory_s, 3)],
             ["streaming emit, 1M events (s)", fmt(streaming_s, 3)],
-            ["streaming / in-memory ratio", fmt(ratio, 2)],
+            ["streaming / in-memory ratio (recorded only)",
+             fmt(streaming_s / in_memory_s, 2)],
             ["to_jsonl export of the in-memory events (s)", fmt(export_s, 3)],
-            ["streaming / (in-memory + export) ratio",
-             fmt(streaming_s / (in_memory_s + export_s), 2)],
+            ["streaming / (in-memory + export) ratio", fmt(ratio, 2)],
             ["resident events (window)", len(sink.recent)],
             ["published shards", sink.published_shards],
         ],
-        note="streaming must stay within 2x of the buffered emit path "
-             "while holding only O(window) events resident",
+        note="streaming must stay within 1.25x of the buffered path "
+             "including its to_jsonl export (both end with the trace on "
+             "disk) while holding only O(window) events resident; the "
+             "raw emit-only ratio is recorded, not asserted",
     )
-    assert ratio < 2.0, (
-        f"streaming emit is {ratio:.2f}x the in-memory path; the "
-        "incremental writer must stay within 2x"
+    assert ratio < 1.25, (
+        f"streaming emit is {ratio:.2f}x the in-memory emit + export "
+        "path; the incremental writer must stay within 1.25x"
     )

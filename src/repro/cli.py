@@ -34,13 +34,13 @@ single checkpointable cell (``--checkpoint-dir`` / ``--stop-at`` /
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .experiments.catalog import EXPERIMENTS, Experiment, summarize
+from .experiments.catalog import EXPERIMENTS, Experiment
 from .obs.report import read_trace, render_report
 from .obs.stream import StreamingSink
 from .obs.trace import Tracer, set_default_tracer
@@ -129,9 +129,16 @@ def _check_flags(args, parser, row: Experiment) -> bool:
             f"--regions applies only to experiments tagged [regions] in "
             f"'bass-repro list'; {row.id!r} does not take it"
         )
+    if args.checkpoint_every is not None and not args.checkpoint_dir:
+        parser.error(
+            "--checkpoint-every sets the cadence of a new checkpoint "
+            "policy, so it needs --checkpoint-dir"
+        )
+    if args.no_fingerprint_check and not args.restore_from:
+        parser.error("--no-fingerprint-check applies only to --restore-from")
     if not single_cell:
         return False
-    if row.capsule is None:
+    if row.checkpoint is None:
         parser.error(
             f"--checkpoint-dir/--stop-at/--restore-from/--profile run a "
             f"single checkpointable cell; {row.id!r} is not one "
@@ -147,8 +154,8 @@ def _check_flags(args, parser, row: Experiment) -> bool:
             parser.error("--stop-at needs --checkpoint-dir to write into")
         if args.out:
             parser.error(
-                "--stop-at writes a checkpoint, not a summary, so --out "
-                "would write nothing; get the summary from the resumed "
+                "--stop-at writes a checkpoint, not a result, so --out "
+                "would write nothing; get the result from the resumed "
                 "run: --restore-from ... --out PATH"
             )
     if args.restore_from and (args.trace or args.trace_stream):
@@ -182,14 +189,16 @@ def _restore(args, parser):
             f"restore it with 'bass-repro run {capsule.scenario} "
             f"--restore-from {source}'"
         )
-    if (
-        args.stop_at is not None
-        and not args.checkpoint_dir
-        and capsule.control_plane.checkpoints is None
-    ):
+    policy = capsule.control_plane.checkpoints
+    if args.stop_at is not None and not args.checkpoint_dir and policy is None:
         parser.error(
             "--stop-at needs a checkpoint policy: pass --checkpoint-dir "
             "(the restored snapshot carries none)"
+        )
+    if args.checkpoint_every is not None and policy is not None:
+        parser.error(
+            f"{source} keeps the checkpoint cadence it was written under "
+            f"(every {policy.every_k_epochs} epochs); drop --checkpoint-every"
         )
     print(
         f"restored {meta.scenario} from {source} at "
@@ -270,19 +279,22 @@ def _run_batch(args, row: Experiment, sizing: dict) -> Optional[str]:
     return canonical_json({o.spec.name: o.results for o in outcomes})
 
 
-def _run_cell(args, capsule) -> Optional[str]:
+def _run_cell(args, capsule, spec_name: str) -> Optional[str]:
     """Drive one checkpointable cell instead of the experiment's usual
-    shape; returns its summary document, or None on ``--stop-at``.
+    shape; returns the ``--out`` document — what batch ``--out`` writes
+    for that one cell — or None on ``--stop-at``.
 
-    The contract the CI smoke leg pins: stop at tick T, restore in a
-    fresh process, run to completion — and the summary (``--out``) and
-    trace shards are byte-identical to an uninterrupted run with the
-    same checkpoint cadence attached.
+    The contract the checkpoint tests pin: stop at tick T, restore in a
+    fresh process, run to completion — and the document and trace
+    shards are byte-identical to an uninterrupted run with the same
+    checkpoint cadence attached.
     """
     policy = capsule.control_plane.checkpoints
     if args.checkpoint_dir:
         policy = checkpoint_into(
-            capsule, args.checkpoint_dir, every_k_epochs=args.checkpoint_every
+            capsule,
+            args.checkpoint_dir,
+            every_k_epochs=_checkpoint_every(args),
         )
     if args.profile:
         # Idempotent; restored capsules start with zeroed phase
@@ -295,8 +307,12 @@ def _run_cell(args, capsule) -> Optional[str]:
         print(f"stopped at t={reached:.0f}s; checkpoint -> {path}")
     else:
         capsule.run_to_completion()
-        document = json.dumps(summarize(capsule), indent=2, sort_keys=True)
-        print(document)
+        print(
+            f"{spec_name}: ran to t={capsule.engine.now:.0f}s "
+            f"({capsule.control_plane.epoch_count} epochs)"
+        )
+        if args.out:
+            document = canonical_json({spec_name: [capsule.result()]})
     if args.profile:
         # Emit before the trace is written/sealed so the report's
         # profile section sees the event.
@@ -304,18 +320,27 @@ def _run_cell(args, capsule) -> Optional[str]:
     return document
 
 
+def _checkpoint_every(args) -> int:
+    return 5 if args.checkpoint_every is None else args.checkpoint_every
+
+
 def _run(args, parser) -> int:
     """``bass-repro run``: check the flags against the catalogue row,
     then drive it — batch or single-cell — under one tracing block."""
     row = EXPERIMENTS[args.experiment]
     single_cell = _check_flags(args, parser, row)
-    sizing = row.sizing(args.quick, args.regions)
     restored = _restore(args, parser) if args.restore_from else None
     with _tracing(args, restored):
         if single_cell:
-            capsule = restored if restored is not None else row.capsule(**sizing)
-            document = _run_cell(args, capsule)
+            spec, _ = row.checkpoint_cell(args.quick, args.regions)
+            capsule = (
+                restored
+                if restored is not None
+                else row.capsule_for(args.quick, args.regions)
+            )
+            document = _run_cell(args, capsule, spec.name)
         else:
+            sizing = row.sizing(args.quick, args.regions)
             document = _run_batch(args, row, sizing)
     if args.out and document is not None:
         with open(args.out, "w") as handle:
@@ -394,10 +419,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     runner.add_argument(
         "--checkpoint-every",
         type=int,
-        default=5,
+        default=None,  # resolved to 5 where a new policy is attached
         metavar="K",
         help="write a checkpoint every K controller epochs "
-        "(0 disables periodic writes; default 5)",
+        "(0 disables periodic writes; default 5; needs --checkpoint-dir)",
     )
     runner.add_argument(
         "--stop-at",
@@ -405,7 +430,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         metavar="SECONDS",
         help="stop the run at this simulated time and write one "
-        "checkpoint instead of a summary (requires --checkpoint-dir)",
+        "checkpoint instead of a result (requires --checkpoint-dir)",
     )
     runner.add_argument(
         "--restore-from",
@@ -507,17 +532,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     server.add_argument(
         "--checkpoint-every",
         type=int,
-        default=5,
+        default=None,  # resolved to 5 where it is used
         metavar="K",
-        help="checkpoint every K controller epochs (default 5)",
+        help="checkpoint every K controller epochs (default 5; needs "
+        "--checkpoint-dir)",
     )
     args = parser.parse_args(argv)
 
     if args.command == "serve":
         from .obs.serve import ServeOptions, serve_run
 
+        if args.checkpoint_every is not None and not args.checkpoint_dir:
+            parser.error("--checkpoint-every needs --checkpoint-dir")
+        row = EXPERIMENTS[args.scenario]
         return serve_run(
-            EXPERIMENTS[args.scenario].serve,
+            functools.partial(row.capsule_for, **row.serve),
             ServeOptions(
                 host=args.host,
                 port=args.port,
@@ -529,7 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 stream_dir=args.stream_dir,
                 linger=not args.no_linger,
                 checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
+                checkpoint_every=_checkpoint_every(args),
             ),
         )
 

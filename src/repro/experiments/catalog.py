@@ -12,34 +12,33 @@ capabilities are which parts are present, never a separate flag:
   :class:`~repro.runner.SweepSpec` grids of cells the driver hands to
   ``run_sweep`` (a single-configuration figure is a one-cell grid),
   ``render`` turns the outcomes into the :class:`Table`.
-* ``capsule`` + ``summary`` — checkpointable (``[checkpoint]``): the
-  run as one :class:`~repro.snap.capsule.RunCapsule` the CLI can stop,
-  snapshot, restore and profile, and the deterministic summary of a
-  finished one.  The substrates are the exact ``prepare_*`` objects
-  the batch cells drive, so a capsule run makes the same decisions —
-  restore determinism rides on batch determinism.
-* ``serve`` — servable (``[serve]``): the capsule ``bass-repro serve``
-  ticks live.  The row's own ``capsule`` builder, unless the served
-  variant genuinely differs.
+* ``checkpoint`` — checkpointable (``[checkpoint]``): the label (a
+  template over the row's sizing) of the ``@checkpointable`` cell of
+  the row's own grids that single-cell mode builds as a
+  :class:`~repro.experiments.common.RunCapsule` to stop, snapshot,
+  restore and profile — so restore determinism is checked on a run
+  the figures make, and its result is the one the sweep records.
+* ``serve`` — servable (``[serve]``): the keyword arguments ``bass-repro
+  serve`` overrides on the checkpoint cell (``{}`` serves it as is).
 * ``regions`` — the default region count, present only on rows whose
-  builders take ``--regions`` (``[regions]``).
+  grids take ``--regions`` (``[regions]``).
 
-Every builder is called with ``**row.sizing(quick, regions)``: ``quick``
+``specs`` is called with ``**row.sizing(quick, regions)``: ``quick``
 — the ``--quick`` sizing lives here, next to the full one — plus
 ``regions`` on rows that declare it.  This module is not imported by
-``repro.experiments`` itself: the experiment modules stay importable
-without the checkpoint subsystem.
+``repro.experiments`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..config import BassConfig
 from ..metrics.summary import p50
 from ..runner import SweepOutcome, SweepSpec
-from ..snap.capsule import RunCapsule
+from ..runner.worker import resolve_cell_function
+from .common import RunCapsule
 from . import (
     ablations,
     churn,
@@ -71,15 +70,13 @@ class Experiment:
     description: str
     specs: Callable[..., tuple[SweepSpec, ...]]
     render: Callable[..., Table]
-    capsule: Optional[Callable[..., RunCapsule]] = None
-    summary: Optional[Callable[[RunCapsule], dict]] = None
-    serve: Optional[Callable[..., RunCapsule]] = None
+    checkpoint: Optional[str] = None
+    serve: Optional[Mapping[str, Any]] = None
     regions: Optional[int] = None
 
     def sizing(self, quick: bool, regions: Optional[int] = None) -> dict:
-        """The keyword arguments every builder of this row takes:
-        ``quick``, plus ``regions`` on rows that declare a default
-        (which ``None`` resolves to)."""
+        """What ``specs`` takes: ``quick``, plus ``regions`` on rows
+        that declare a default (which ``None`` resolves to)."""
         if self.regions is None:
             return {"quick": quick}
         chosen = self.regions if regions is None else regions
@@ -90,10 +87,36 @@ class Experiment:
         """The ``list`` tags, derived from which parts are present."""
         parts = {
             "regions": self.regions,
-            "checkpoint": self.capsule,
+            "checkpoint": self.checkpoint,
             "serve": self.serve,
         }
         return tuple(tag for tag, part in parts.items() if part is not None)
+
+    def checkpoint_cell(
+        self, quick: bool, regions: Optional[int] = None
+    ) -> tuple[SweepSpec, int]:
+        """The grid holding the ``checkpoint`` cell and its index there
+        (the first match: ``--regions 1`` repeats fleet's 1-region cell)."""
+        sizing = self.sizing(quick, regions)
+        label = self.checkpoint.format(**sizing)
+        return next(
+            (spec, index)
+            for spec in self.specs(**sizing)
+            for index, cell in enumerate(spec.cells)
+            if cell.label == label
+        )
+
+    def capsule_for(
+        self, quick: bool, regions: Optional[int] = None, **overrides: Any
+    ) -> RunCapsule:
+        """The ``checkpoint`` cell's run, built with the sweep's kwargs
+        plus ``overrides`` and not yet ticked, stamped with the row id
+        (restores look the row up by it)."""
+        spec, index = self.checkpoint_cell(quick, regions)
+        cell = resolve_cell_function(spec.cells[index].fn)
+        capsule = cell.capsule(**spec.resolved_kwargs(index), **overrides)
+        capsule.scenario = self.id
+        return capsule
 
 
 def _or(value: Optional[float], missing: str, spec: str = ".0f") -> str:
@@ -115,11 +138,8 @@ def _one_cell(name: str, fn, **fixed) -> tuple[SweepSpec, ...]:
 
 
 def _fig2_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell(
-        "fig2",
-        motivation.fig2_bandwidth_variation,
-        duration_s=600.0 if quick else 3600.0,
-    )
+    return _one_cell("fig2", motivation.fig2_bandwidth_variation,
+                     duration_s=600.0 if quick else 3600.0)
 
 
 def _fig2_table(outcome: SweepOutcome) -> Table:
@@ -152,12 +172,9 @@ def _fig4_table(outcome: SweepOutcome) -> Table:
 
 
 def _fig5_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell(
-        "fig5",
-        motivation.fig5_socialnet_throttle,
-        total_s=200.0 if quick else 360.0,
-        throttle_start_s=60.0 if quick else 120.0,
-    )
+    return _one_cell("fig5", motivation.fig5_socialnet_throttle,
+                     total_s=200.0 if quick else 360.0,
+                     throttle_start_s=60.0 if quick else 120.0)
 
 
 def _fig5_table(outcome: SweepOutcome) -> Table:
@@ -270,11 +287,8 @@ def _fig13_table(outcome: SweepOutcome) -> Table:
 
 
 def _table1_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell(
-        "table1",
-        migration.table1_migration_iterations,
-        total_s=200.0 if quick else 260.0,
-    )
+    return _one_cell("table1", migration.table1_migration_iterations,
+                     total_s=200.0 if quick else 260.0)
 
 
 def _table1_table(outcome: SweepOutcome) -> Table:
@@ -283,12 +297,9 @@ def _table1_table(outcome: SweepOutcome) -> Table:
 
 
 def _fig14a_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell(
-        "fig14a",
-        migration.fig14a_restart_cdf,
-        total_s=140.0 if quick else 240.0,
-        restart_at_s=70.0 if quick else 120.0,
-    )
+    return _one_cell("fig14a", migration.fig14a_restart_cdf,
+                     total_s=140.0 if quick else 240.0,
+                     restart_at_s=70.0 if quick else 120.0)
 
 
 def _fig14a_table(outcome: SweepOutcome) -> Table:
@@ -374,11 +385,8 @@ def _fleet_specs(quick: bool, regions: int) -> tuple[SweepSpec, ...]:
     scaling = fleet.fleet_scaling_spec(
         region_counts=(1, regions), duration_s=120.0 if quick else 240.0
     )
-    handoff = _one_cell(
-        "fleet-handoff",
-        fleet.fleet_handoff,
-        duration_s=120.0 if quick else 180.0,
-    )
+    handoff = _one_cell("fleet-handoff", fleet.fleet_handoff,
+                        duration_s=120.0 if quick else 180.0)
     return (scaling, *handoff)
 
 
@@ -410,11 +418,8 @@ def _fleet_table(scaling: SweepOutcome, handoff: SweepOutcome) -> Table:
 
 
 def _failover_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell(
-        "failover",
-        failover.failover_outage,
-        duration_s=180.0 if quick else 240.0,
-    )
+    return _one_cell("failover", failover.failover_outage,
+                     duration_s=180.0 if quick else 240.0)
 
 
 def _failover_table(outcome: SweepOutcome) -> Table:
@@ -461,11 +466,8 @@ def _table2_table(outcome: SweepOutcome) -> Table:
 
 
 def _table3_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell(
-        "table3",
-        overheads.table3_scheduling_latency,
-        trials=5 if quick else 20,
-    )
+    return _one_cell("table3", overheads.table3_scheduling_latency,
+                     trials=5 if quick else 20)
 
 
 def _table3_table(outcome: SweepOutcome) -> Table:
@@ -629,138 +631,6 @@ def _ablations_table(outcome: SweepOutcome) -> Table:
     return Table(["ablation", "summary"], rows)
 
 
-# -- checkpointable cells: capsule builders and summaries ---------------------
-
-
-def _prepared_capsule(
-    scenario: str, prepared, duration_s: float, **timeline
-) -> RunCapsule:
-    """A capsule over a ``prepare_*`` substrate; the summary reads the
-    result back off ``extras["prepared"]``."""
-    return RunCapsule(
-        scenario=scenario,
-        env=prepared.env,
-        duration_s=duration_s,
-        extras={"prepared": prepared},
-        **timeline,
-    )
-
-
-def _fig13_capsule(quick: bool) -> RunCapsule:
-    cell = migration.prepare_fig13_cell(30.0)
-    restrict_at_s = 10.0
-    restrict_for_s = 60.0 if quick else 180.0
-    return _prepared_capsule(
-        "fig13",
-        cell,
-        120.0 if quick else 300.0,
-        on_tick=cell.sample,
-        events=(
-            (restrict_at_s, cell.throttle),
-            (restrict_at_s + restrict_for_s, cell.unthrottle),
-        ),
-    )
-
-
-def _fig13_summary(capsule: RunCapsule) -> dict:
-    cell = capsule.extras["prepared"]
-    latencies = cell.latency_s
-    return {
-        "samples": len(cell.times),
-        "mean_latency_s": (
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
-        "migrations": len(cell.handle.deployment.migrations),
-    }
-
-
-def _churn_capsule(quick: bool) -> RunCapsule:
-    prepared = churn.prepare_churn()
-    return _prepared_capsule(
-        "churn", prepared, 160.0 if quick else 240.0, on_tick=prepared.sample
-    )
-
-
-def _churn_live_capsule(quick: bool) -> RunCapsule:
-    # The batch churn experiment freezes migrations to isolate recovery;
-    # the served run keeps them on so headroom probes feed the rolling
-    # windows every epoch.
-    prepared = churn.prepare_churn(config=BassConfig())
-    return _prepared_capsule(
-        "churn", prepared, 150.0 if quick else 240.0, on_tick=prepared.sample
-    )
-
-
-def _churn_summary(capsule: RunCapsule) -> dict:
-    result = capsule.extras["prepared"].result(capsule.duration_s)
-    stats = result.goodput_stats
-    return {
-        "samples": len(result.times),
-        "detection_latency_s": result.detection_latency_s,
-        "recovered_pods": result.recovered_pods,
-        "stranded_pods": result.stranded_pods,
-        "conflicts": result.conflict_count,
-        "goodput_pre_mean": stats.pre_mean,
-        "goodput_dip_min": stats.dip_min,
-        "goodput_post_mean": stats.post_mean,
-        "time_to_recover_s": stats.time_to_recover_s,
-    }
-
-
-def _fleet_capsule(quick: bool, regions: int) -> RunCapsule:
-    prepared = fleet.prepare_fleet(regions=regions, tenants=2 * regions)
-    return _prepared_capsule(
-        "fleet",
-        prepared,
-        120.0 if quick else 240.0,
-        events=tuple(prepared.events),
-    )
-
-
-def _fleet_summary(capsule: RunCapsule) -> dict:
-    result = capsule.extras["prepared"].result(capsule.duration_s)
-    return {
-        "regions": result.regions,
-        "tenants": result.tenants,
-        "full_probes": result.full_probes,
-        "headroom_probes": result.headroom_probes,
-        "conflicts": result.conflict_count,
-        "committed_handoffs": result.committed_handoffs,
-        "migrations": result.total_migrations,
-        "cross_region_migrations": result.cross_region_migrations,
-        "tenants_by_region": dict(sorted(result.tenants_by_region.items())),
-    }
-
-
-def _failover_capsule(quick: bool) -> RunCapsule:
-    prepared = failover.prepare_failover()
-    return _prepared_capsule(
-        "failover",
-        prepared,
-        180.0 if quick else 240.0,
-        on_tick=prepared.sample,
-    )
-
-
-def _failover_summary(capsule: RunCapsule) -> dict:
-    result = capsule.extras["prepared"].result(capsule.duration_s)
-    stats = result.goodput_stats
-    return {
-        "kill_at_s": result.kill_at_s,
-        "down_s": result.down_s,
-        "resume_at_s": result.resume_at_s,
-        "missed_epochs": result.missed_epochs,
-        "deferred_recoveries": result.deferred_recoveries,
-        "resume_epoch_gap": result.resume_epoch_gap,
-        "recovered_pods": result.churn.recovered_pods,
-        "detection_latency_s": result.churn.detection_latency_s,
-        "goodput_pre_mean": stats.pre_mean,
-        "goodput_dip_min": stats.dip_min,
-        "goodput_post_mean": stats.post_mean,
-        "time_to_recover_s": stats.time_to_recover_s,
-    }
-
-
 # -- the table ----------------------------------------------------------------
 
 CATALOG: tuple[Experiment, ...] = (
@@ -778,8 +648,8 @@ CATALOG: tuple[Experiment, ...] = (
     Experiment("fig12", "video bitrate vs bandwidth-query interval",
                _fig12_specs, _fig12_table),
     Experiment("fig13", "social-network latency vs monitoring interval",
-               _fig13_specs, _fig13_table, capsule=_fig13_capsule,
-               summary=_fig13_summary, serve=_fig13_capsule),
+               _fig13_specs, _fig13_table, checkpoint="interval=30.0",
+               serve={}),
     Experiment("table1", "migration iterations: over-quota vs migrated",
                _table1_specs, _table1_table),
     Experiment("fig14a", "restart cost on end-to-end latency",
@@ -797,15 +667,17 @@ CATALOG: tuple[Experiment, ...] = (
                _multitenant_specs, _multitenant_table),
     Experiment("fleet",
                "regionalized control plane: sharded schedulers, handoffs",
-               _fleet_specs, _fleet_table, capsule=_fleet_capsule,
-               summary=_fleet_summary, regions=2),
+               _fleet_specs, _fleet_table, checkpoint="regions{regions}",
+               regions=2),
     Experiment("churn", "node crash: detection latency and recovery vs k3s",
-               _churn_specs, _churn_table, capsule=_churn_capsule,
-               summary=_churn_summary, serve=_churn_live_capsule),
+               _churn_specs, _churn_table, checkpoint="recovery=True",
+               # Served with migrations on: headroom probes feed the
+               # rolling windows (the cell freezes them).
+               serve={"config": BassConfig()}),
     Experiment("failover",
                "orchestrator kill mid-run: deferred decisions, goodput dip",
-               _failover_specs, _failover_table, capsule=_failover_capsule,
-               summary=_failover_summary),
+               _failover_specs, _failover_table,
+               checkpoint=""),  # the row's one, unlabelled cell
     Experiment("churnsweep", "randomized crash plans across seeds",
                _churnsweep_specs, _churnsweep_table),
     Experiment("ablations", "the design-choice ablation battery",
@@ -821,19 +693,3 @@ CATALOG: tuple[Experiment, ...] = (
 #: ``id -> row``; what ``repro.cli.EXPERIMENTS`` re-exports.
 EXPERIMENTS: dict[str, Experiment] = {row.id: row for row in CATALOG}
 
-
-def summarize(capsule: RunCapsule) -> dict:
-    """A deterministic summary of a completed capsule.
-
-    Every value is a plain JSON type derived purely from simulation
-    state, so two runs that made the same decisions — e.g. an
-    interrupted-and-restored run vs an uninterrupted one — serialize to
-    byte-identical documents.
-    """
-    return {
-        "scenario": capsule.scenario,
-        "duration_s": capsule.duration_s,
-        "sim_time_s": capsule.engine.now,
-        "epochs": capsule.control_plane.epoch_count,
-        **EXPERIMENTS[capsule.scenario].summary(capsule),
-    }

@@ -47,10 +47,11 @@ from ..sim.rng import RngStreams
 from .common import (
     AppHandle,
     ExperimentEnv,
+    RunCapsule,
     build_env,
+    checkpointable,
     deploy_app,
     grid_figure,
-    run_timeline,
 )
 from .multi_tenant import SINK, StreamPairApp
 
@@ -129,12 +130,11 @@ def _fleet_goodput(
 
 @dataclass
 class PreparedChurn:
-    """A fully-wired churn run that has not ticked yet.
+    """A fully-wired churn run: what :func:`churn_recovery` builds.
 
-    :func:`prepare_churn` returns one of these; :func:`churn_recovery`
-    immediately drives it to completion, while the live status plane
-    (``bass-repro serve``) ticks it incrementally, sampling through
-    :meth:`sample` exactly as the batch path does.
+    The batch sweep drives it to the horizon, while the live status
+    plane (``bass-repro serve``) ticks it incrementally, both sampling
+    through :meth:`sample`.
     """
 
     env: ExperimentEnv
@@ -145,6 +145,8 @@ class PreparedChurn:
     crash_node: str
     crash_at_s: float
     epoch_interval_s: float
+    #: The result's label (None: ``bass`` / ``k3s`` by recovery mode).
+    label: Optional[str] = None
     times: list[float] = field(default_factory=list)
     goodput: list[float] = field(default_factory=list)
 
@@ -153,17 +155,15 @@ class PreparedChurn:
         self.times.append(now)
         self.goodput.append(_fleet_goodput(self.env, self.handles, now))
 
-    def result(
-        self, duration_s: float, label: Optional[str] = None
-    ) -> ChurnResult:
+    def result(self, duration_s: float) -> ChurnResult:
         """Assemble the :class:`ChurnResult` once the clock has run."""
         env = self.env
         latency = self.detector.detection_latency_s.get(self.crash_node)
         coordinator = env.control_plane.recovery
         return ChurnResult(
             label=(
-                label
-                if label is not None
+                self.label
+                if self.label is not None
                 else ("bass" if self.recovery_enabled else "k3s")
             ),
             crash_node=self.crash_node,
@@ -187,9 +187,11 @@ class PreparedChurn:
         )
 
 
-def prepare_churn(
+@checkpointable
+def churn_recovery(
     *,
     tenants: int = 1,
+    duration_s: float = 240.0,
     seed: int = 23,
     crash_node: str = "node2",
     crash_at_s: float = 60.0,
@@ -197,23 +199,37 @@ def prepare_churn(
     demand_mbps: float = 2.0,
     source_node: str = "node1",
     recovery: bool = True,
+    label: Optional[str] = None,
     heartbeat: Optional[HeartbeatConfig] = None,
     config: Optional[BassConfig] = None,
     fleet: Optional[FleetConfig] = None,
     tracer: Optional[TracerBase] = None,
     env: Optional[ExperimentEnv] = None,
     extra_faults: tuple = (),
-) -> PreparedChurn:
-    """Build the churn substrate without running the clock.
+) -> RunCapsule:
+    """Crash ``crash_node`` mid-run and measure detection + recovery.
 
-    Construction order is identical to the original inline path in
-    :func:`churn_recovery` (env → tenants → injector → detector →
-    recovery wiring), so a prepared-then-run churn is byte-identical to
-    the batch run — the determinism the goldens pin.
+    Every tenant is a pinned-source stream pair whose sink starts on
+    ``crash_node``, so the crash severs all of them at once.  With
+    ``recovery=True`` the failure detector's confirmation triggers
+    fleet-arbitrated re-placement (BASS); with ``recovery=False`` the
+    pods stay bound to the dead node forever (the k3s baseline).
 
-    ``extra_faults`` appends events (e.g. an
-    :class:`~repro.faults.plan.OrchestratorKill`) to the crash plan;
-    the failover experiment layers its outage on this substrate.
+    Args:
+        tenants: co-deployed stream pairs (>1 exercises the arbiter).
+        crash_at_s: when the node dies.
+        reboot_after_s: bring the node back after this long (None: stays
+            dead).  Recovery has already moved the pods by then; the
+            detector just reports the node alive again.
+        recovery: wire detector confirmations into crash recovery.
+        heartbeat: detection timing; defaults to 5 s beats, suspect
+            after 2 misses, confirm after 4.
+        config: per-tenant BASS config.  Defaults disable goodput
+            migrations so crash recovery is the only re-placement path.
+        env: reuse a pre-built substrate (tests pre-populate the mesh).
+        extra_faults: events appended to the crash plan (e.g. an
+            :class:`~repro.faults.plan.OrchestratorKill`); the failover
+            experiment layers its outage on this substrate.
     """
     if config is None:
         config = BassConfig(migrations_enabled=False)
@@ -259,7 +275,7 @@ def prepare_churn(
     if recovery:
         env.control_plane.enable_recovery(detector)
 
-    return PreparedChurn(
+    prepared = PreparedChurn(
         env=env,
         handles=handles,
         detector=detector,
@@ -268,65 +284,14 @@ def prepare_churn(
         crash_node=crash_node,
         crash_at_s=crash_at_s,
         epoch_interval_s=config.probe.headroom_interval_s,
+        label=label,
     )
-
-
-def churn_recovery(
-    *,
-    tenants: int = 1,
-    duration_s: float = 240.0,
-    seed: int = 23,
-    crash_node: str = "node2",
-    crash_at_s: float = 60.0,
-    reboot_after_s: Optional[float] = None,
-    demand_mbps: float = 2.0,
-    source_node: str = "node1",
-    recovery: bool = True,
-    label: Optional[str] = None,
-    heartbeat: Optional[HeartbeatConfig] = None,
-    config: Optional[BassConfig] = None,
-    fleet: Optional[FleetConfig] = None,
-    tracer: Optional[TracerBase] = None,
-    env: Optional[ExperimentEnv] = None,
-) -> ChurnResult:
-    """Crash ``crash_node`` mid-run and measure detection + recovery.
-
-    Every tenant is a pinned-source stream pair whose sink starts on
-    ``crash_node``, so the crash severs all of them at once.  With
-    ``recovery=True`` the failure detector's confirmation triggers
-    fleet-arbitrated re-placement (BASS); with ``recovery=False`` the
-    pods stay bound to the dead node forever (the k3s baseline).
-
-    Args:
-        tenants: co-deployed stream pairs (>1 exercises the arbiter).
-        crash_at_s: when the node dies.
-        reboot_after_s: bring the node back after this long (None: stays
-            dead).  Recovery has already moved the pods by then; the
-            detector just reports the node alive again.
-        recovery: wire detector confirmations into crash recovery.
-        heartbeat: detection timing; defaults to 5 s beats, suspect
-            after 2 misses, confirm after 4.
-        config: per-tenant BASS config.  Defaults disable goodput
-            migrations so crash recovery is the only re-placement path.
-        env: reuse a pre-built substrate (tests pre-populate the mesh).
-    """
-    prepared = prepare_churn(
-        tenants=tenants,
-        seed=seed,
-        crash_node=crash_node,
-        crash_at_s=crash_at_s,
-        reboot_after_s=reboot_after_s,
-        demand_mbps=demand_mbps,
-        source_node=source_node,
-        recovery=recovery,
-        heartbeat=heartbeat,
-        config=config,
-        fleet=fleet,
-        tracer=tracer,
+    return RunCapsule(
         env=env,
+        prepared=prepared,
+        duration_s=duration_s,
+        on_tick=prepared.sample,
     )
-    run_timeline(prepared.env, duration_s, on_tick=prepared.sample)
-    return prepared.result(duration_s, label)
 
 
 def _churn_seed_cell(*, seed: int, settle_s: float = 120.0) -> ChurnResult:

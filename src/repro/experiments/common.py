@@ -274,7 +274,7 @@ def arm_timeline(
 
     The order fixes engine sequence numbers (hence every tie-break at
     equal times), so the batch path (:func:`run_timeline`) and the
-    checkpointable path (``RunCapsule.start``) both arm through here.
+    checkpointable path (:meth:`RunCapsule.start`) both arm through here.
     """
     env.netem.start()
     if on_tick is not None:
@@ -306,6 +306,107 @@ def run_timeline(
     """
     arm_timeline(env, on_tick=on_tick, tick_s=tick_s, events=events)
     env.engine.run_until(duration_s)
+
+
+_EPSILON = 1e-9
+
+
+@dataclass
+class RunCapsule:
+    """One run that has not finished: substrate + timeline + progress.
+
+    The picklable root object a snapshot serializes (:mod:`repro.snap`).
+    ``prepared`` is the scenario's wired state — the object whose bound
+    methods the timeline references and whose ``result(duration_s)``
+    reads the run's outcome back.  Pickling the capsule pickles the
+    whole object graph in one pass, so every cross-reference — the
+    tracer shared by twelve subsystems, the periodic tasks holding the
+    control plane — restores to the *same* shared objects.
+
+    The ``started`` flag is the restore contract: :meth:`start` arms the
+    emulator ticker, tick observer, and timeline events exactly once.  A
+    capsule restored mid-run has them in its pickled heap already, so
+    ``start`` is a no-op and driving simply continues.
+    """
+
+    env: ExperimentEnv
+    prepared: Any
+    duration_s: float
+    tick_s: float = 1.0
+    on_tick: Optional[Callable[[float], None]] = None
+    events: tuple[tuple[float, Callable[[], None]], ...] = ()
+    #: The catalogue id of the experiment this run is a cell of
+    #: (:mod:`repro.experiments.catalog` stamps it); restores look the
+    #: row up by it.
+    scenario: str = ""
+    started: bool = False
+
+    @property
+    def engine(self) -> Engine:
+        return self.env.engine
+
+    @property
+    def control_plane(self) -> ControlPlane:
+        return self.env.control_plane
+
+    @property
+    def done(self) -> bool:
+        return self.engine.now >= self.duration_s - _EPSILON
+
+    def start(self) -> None:
+        """Arm the run through :func:`arm_timeline` — the function
+        :func:`run_timeline` arms with, so decisions match the batch
+        path.  Idempotent, and a no-op after a restore (the armed events
+        travelled inside the pickled heap)."""
+        if self.started:
+            return
+        self.started = True
+        arm_timeline(
+            self.env,
+            on_tick=self.on_tick,
+            tick_s=self.tick_s,
+            events=self.events,
+        )
+
+    def run_until(self, sim_time_s: float) -> float:
+        """Advance the clock to ``min(sim_time_s, duration_s)``."""
+        self.start()
+        target = min(sim_time_s, self.duration_s)
+        if target > self.engine.now:
+            self.engine.run_until(target)
+        return self.engine.now
+
+    def run_to_completion(self) -> float:
+        """Tick to the scenario horizon."""
+        return self.run_until(self.duration_s)
+
+    def result(self) -> Any:
+        """The run's outcome, read back off the prepared state."""
+        return self.prepared.result(self.duration_s)
+
+
+def checkpointable(
+    build: Callable[..., RunCapsule]
+) -> Callable[..., Any]:
+    """A sweep cell whose run can be stopped, snapshotted and restored.
+
+    The decorated function *builds* the run: it wires the substrate and
+    returns its :class:`RunCapsule` without moving the clock.  Calling
+    the cell builds, ticks to the horizon and returns
+    ``capsule.result()`` — the batch path ``run_sweep`` takes;
+    ``cell.capsule(...)`` is the builder itself — what ``bass-repro run
+    --checkpoint-dir`` / ``--profile`` and ``serve`` drive.  One
+    function, so the run a checkpoint covers is a cell the figures make.
+    """
+
+    @functools.wraps(build)
+    def cell(*args: Any, **kwargs: Any) -> Any:
+        capsule = build(*args, **kwargs)
+        capsule.run_to_completion()
+        return capsule.result()
+
+    cell.capsule = build
+    return cell
 
 
 def set_node_egress_limit(

@@ -29,20 +29,18 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..config import BassConfig
 from ..faults.plan import OrchestratorKill
 from ..metrics.summary import RecoveryStats
-from .churn import ChurnResult, PreparedChurn, prepare_churn
-from .common import run_timeline
+from .churn import ChurnResult, PreparedChurn, churn_recovery
+from .common import RunCapsule
 
 __all__ = [
     "FailoverResult",
     "PreparedFailover",
     "failover_outage",
-    "prepare_failover",
 ]
 
 
@@ -92,18 +90,10 @@ class PreparedFailover:
     kill_at_s: float
     down_s: float
 
-    @property
-    def env(self):
-        return self.churn.env
-
-    @property
-    def sample(self):
-        return self.churn.sample
-
     def result(self, duration_s: float) -> FailoverResult:
         """Assemble the outage accounting once the clock has run."""
-        cp = self.env.control_plane
-        churn_result = self.churn.result(duration_s, label="failover")
+        cp = self.churn.env.control_plane
+        churn_result = self.churn.result(duration_s)
         down_at, up_at = cp.outages[0]
         resume_at = up_at if up_at is not None else duration_s
         interval = self.churn.epoch_interval_s
@@ -123,19 +113,18 @@ class PreparedFailover:
         )
 
 
-def prepare_failover(
+def _build(
     *,
+    duration_s: float = 240.0,
     tenants: int = 1,
     seed: int = 23,
     crash_node: str = "node2",
     crash_at_s: float = 70.0,
     kill_at_s: float = 60.0,
     down_s: float = 45.0,
-    config: Optional[BassConfig] = None,
-    tracer=None,
-) -> PreparedFailover:
-    """Build the failover substrate: churn + an orchestrator outage
-    covering the crash's detection window.
+) -> RunCapsule:
+    """Wire the failover run (``failover_outage.capsule``): churn + an
+    orchestrator outage covering the crash's detection window.
 
     Defaults stage the worst case: the orchestrator dies at 60 s, the
     worker crashes at 70 s (into the outage), the detector confirms
@@ -147,30 +136,29 @@ def prepare_failover(
             "the scenario wants the crash inside the outage: "
             f"kill_at_s={kill_at_s} must precede crash_at_s={crash_at_s}"
         )
-    churn = prepare_churn(
+    capsule = churn_recovery.capsule(
         tenants=tenants,
+        duration_s=duration_s,
         seed=seed,
         crash_node=crash_node,
         crash_at_s=crash_at_s,
-        config=config,
-        tracer=tracer,
+        label="failover",
         extra_faults=(OrchestratorKill(at_s=kill_at_s, down_s=down_s),),
     )
-    return PreparedFailover(churn=churn, kill_at_s=kill_at_s, down_s=down_s)
+    return replace(
+        capsule,
+        prepared=PreparedFailover(
+            churn=capsule.prepared, kill_at_s=kill_at_s, down_s=down_s
+        ),
+    )
 
 
-def failover_outage(
-    *,
-    duration_s: float = 240.0,
-    tenants: int = 1,
-    seed: int = 23,
-    crash_node: str = "node2",
-    crash_at_s: float = 70.0,
-    kill_at_s: float = 60.0,
-    down_s: float = 45.0,
-    via_restore: bool = False,
-) -> FailoverResult:
+def failover_outage(*, via_restore: bool = False, **kwargs) -> FailoverResult:
     """Run the orchestrator-outage scenario to completion.
+
+    A checkpointable cell like ``@checkpointable`` ones:
+    ``failover_outage.capsule(**kwargs)`` builds the run without
+    ticking it, and the keyword arguments are that builder's.
 
     With ``via_restore`` the run round-trips through a real snapshot
     file mid-outage: checkpoint, drop the live objects, restore from
@@ -178,39 +166,24 @@ def failover_outage(
     suspended one) drains its deferred decisions.  Results are
     identical either way; the failover benchmark asserts it.
     """
-    prepared = prepare_failover(
-        tenants=tenants,
-        seed=seed,
-        crash_node=crash_node,
-        crash_at_s=crash_at_s,
-        kill_at_s=kill_at_s,
-        down_s=down_s,
-    )
-    if not via_restore:
-        run_timeline(prepared.env, duration_s, on_tick=prepared.sample)
-        return prepared.result(duration_s)
+    capsule = _build(**kwargs)
+    if via_restore:
+        from ..snap.snapshot import read_snapshot, write_snapshot
 
-    from ..snap.capsule import RunCapsule
-    from ..snap.snapshot import read_snapshot, write_snapshot
+        # Snapshot mid-outage: after the crash is confirmed-and-deferred,
+        # before the orchestrator resumes.
+        outage = capsule.prepared
+        capsule.run_until(outage.kill_at_s + outage.down_s / 2.0)
+        handle, path = tempfile.mkstemp(suffix=".bass", prefix="failover-")
+        os.close(handle)
+        try:
+            write_snapshot(path, capsule)
+            del capsule, outage
+            _, capsule = read_snapshot(path)
+        finally:
+            os.unlink(path)
+    capsule.run_to_completion()
+    return capsule.result()
 
-    capsule = RunCapsule(
-        scenario="failover",
-        env=prepared.env,
-        duration_s=duration_s,
-        on_tick=prepared.sample,
-        extras={"prepared": prepared},
-    )
-    # Snapshot mid-outage: after the crash is confirmed-and-deferred,
-    # before the orchestrator resumes.
-    capsule.run_until(kill_at_s + down_s / 2.0)
-    handle, path = tempfile.mkstemp(suffix=".bass", prefix="failover-")
-    os.close(handle)
-    try:
-        write_snapshot(path, capsule)
-        del capsule, prepared
-        _, restored = read_snapshot(path)
-    finally:
-        os.unlink(path)
-    restored.run_to_completion()
-    finished = restored.extras["prepared"]
-    return finished.result(duration_s)
+
+failover_outage.capsule = _build

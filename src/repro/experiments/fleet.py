@@ -36,9 +36,10 @@ from ..runner import SweepSpec
 from .common import (
     AppHandle,
     ExperimentEnv,
+    RunCapsule,
     build_env,
+    checkpointable,
     deploy_app,
-    run_timeline,
 )
 from .multi_tenant import SINK, StreamPairApp, fleet_probe_stats
 
@@ -92,16 +93,10 @@ class FleetResult:
 
 @dataclass
 class PreparedFleet:
-    """A built fleet substrate the caller drives (and may checkpoint).
-
-    :func:`prepare_fleet` assembles tenants and timeline events in the
-    exact order :func:`fleet_mesh` always has, so a prepared run's
-    decisions are byte-identical to the one-shot path.
-    """
+    """A built fleet substrate: what :func:`fleet_mesh` wires."""
 
     env: ExperimentEnv
     handles: list[AppHandle]
-    events: list
     regions: int
     tenants: int
 
@@ -160,11 +155,13 @@ class PreparedFleet:
         )
 
 
-def prepare_fleet(
+@checkpointable
+def fleet_mesh(
     *,
     regions: int = 2,
     tenants: int = 4,
     nodes_per_region: int = 3,
+    duration_s: float = 240.0,
     seed: int = 11,
     demand_mbps: float = 2.0,
     node_cpu_cores: float = 8.0,
@@ -176,8 +173,8 @@ def prepare_fleet(
     fleet: Optional[FleetConfig] = None,
     config: Optional[BassConfig] = None,
     env: Optional[ExperimentEnv] = None,
-) -> PreparedFleet:
-    """Build the many-region fleet substrate of :func:`fleet_mesh`.
+) -> RunCapsule:
+    """Run a many-region fleet of stream-pair tenants.
 
     Tenants are dealt round-robin across regions (tenant ``i`` lives in
     region ``i % regions``): its source is pinned at the region gateway
@@ -264,53 +261,14 @@ def prepare_fleet(
                     ),
                 )
             )
-    return PreparedFleet(
+    return RunCapsule(
         env=env,
-        handles=handles,
-        events=events,
-        regions=regions,
-        tenants=tenants,
+        prepared=PreparedFleet(
+            env=env, handles=handles, regions=regions, tenants=tenants
+        ),
+        duration_s=duration_s,
+        events=tuple(events),
     )
-
-
-def fleet_mesh(
-    *,
-    regions: int = 2,
-    tenants: int = 4,
-    nodes_per_region: int = 3,
-    duration_s: float = 240.0,
-    seed: int = 11,
-    demand_mbps: float = 2.0,
-    node_cpu_cores: float = 8.0,
-    handoff_rtt_s: float = 2.0,
-    pin_region: Optional[int] = None,
-    throttle_link_mbps: Optional[float] = None,
-    throttle_at_s: float = 60.0,
-    use_partitioner: bool = False,
-    fleet: Optional[FleetConfig] = None,
-    config: Optional[BassConfig] = None,
-    env: Optional[ExperimentEnv] = None,
-) -> FleetResult:
-    """Run a many-region fleet of stream-pair tenants (see
-    :func:`prepare_fleet` for the substrate and argument details)."""
-    prepared = prepare_fleet(
-        regions=regions,
-        tenants=tenants,
-        nodes_per_region=nodes_per_region,
-        seed=seed,
-        demand_mbps=demand_mbps,
-        node_cpu_cores=node_cpu_cores,
-        handoff_rtt_s=handoff_rtt_s,
-        pin_region=pin_region,
-        throttle_link_mbps=throttle_link_mbps,
-        throttle_at_s=throttle_at_s,
-        use_partitioner=use_partitioner,
-        fleet=fleet,
-        config=config,
-        env=env,
-    )
-    run_timeline(prepared.env, duration_s, events=prepared.events)
-    return prepared.result(duration_s)
 
 
 def fleet_handoff(
@@ -348,11 +306,12 @@ def fleet_handoff(
     )
 
 
+@checkpointable
 def _fleet_scaling_cell(
     *, regions: int, tenants_per_region: int, duration_s: float, seed: int
-) -> FleetResult:
+) -> RunCapsule:
     """One region count of the scaling row: the fleet grows with it."""
-    return fleet_mesh(
+    return fleet_mesh.capsule(
         regions=regions,
         tenants=tenants_per_region * regions,
         duration_s=duration_s,

@@ -23,7 +23,9 @@ from ..mesh.topology import MeshTopology, citylab_subset, full_mesh_topology
 from ..runner import SweepSpec
 from ..sim.rng import RngStreams
 from .common import (
+    RunCapsule,
     build_env,
+    checkpointable,
     deploy_app,
     grid_figure,
     run_timeline,
@@ -297,19 +299,18 @@ class Fig13Series:
 
 @dataclass
 class Fig13Cell:
-    """One wired fig13 interval setting that has not ticked yet.
+    """One wired fig13 interval setting: what :func:`_fig13_cell` builds.
 
-    Built by :func:`prepare_fig13_cell`; the batch sweep drives it
-    immediately, while ``bass-repro serve`` ticks it live under the
-    status plane, both sampling through :meth:`sample`.  Construction
-    order matches the original inline loop exactly, so the batch
-    results stay byte-identical.
+    The batch sweep drives it to the horizon, while ``bass-repro serve``
+    ticks it live under the status plane, both sampling through
+    :meth:`sample`.
     """
 
     env: object
     app: SocialNetworkApp
     handle: object
     rng: object
+    interval: Optional[float]
     restrict_to_mbps: float
     times: list[float] = field(default_factory=list)
     latency_s: list[float] = field(default_factory=list)
@@ -338,15 +339,29 @@ class Fig13Cell:
         self.times.append(now)
         self.latency_s.append(self.sample_latency_s())
 
+    def result(self, duration_s: float) -> Fig13Series:
+        """The series, once the clock has run."""
+        return Fig13Series(
+            interval_s=self.interval,
+            times=np.asarray(self.times),
+            latency_s=np.asarray(self.latency_s),
+            migrations=list(self.handle.deployment.migrations),
+            table1_rows=self.handle.controller.table1_rows(),
+        )
 
-def prepare_fig13_cell(
-    interval: Optional[float],
+
+@checkpointable
+def _fig13_cell(
     *,
-    rps: float = 400.0,
-    restrict_to_mbps: float = 25.0,
-    seed: int = 13,
-) -> Fig13Cell:
-    """Assemble one fig13 interval cell without running the clock.
+    interval: Optional[float],
+    rps: float,
+    restrict_at_s: float,
+    restrict_for_s: float,
+    restrict_to_mbps: float,
+    total_s: float,
+    seed: int,
+) -> RunCapsule:
+    """One monitoring interval of Fig 13 (None: no migration).
 
     Heterogeneous nodes sized so the application (12 cores) spans two
     nodes and the top-ranked node (node2, which the packer fills with
@@ -373,45 +388,23 @@ def prepare_fig13_cell(
     handle = deploy_app(env, app, "bass-longest-path", config=config)
     app.set_rps(rps)
     app.update_demands(handle.binding, 0.0)
-    rng = env.rng.get(f"fig13-{interval}")
-    return Fig13Cell(
+    cell = Fig13Cell(
         env=env,
         app=app,
         handle=handle,
-        rng=rng,
+        rng=env.rng.get(f"fig13-{interval}"),
+        interval=interval,
         restrict_to_mbps=restrict_to_mbps,
     )
-
-
-def _fig13_cell(
-    *,
-    interval: Optional[float],
-    rps: float,
-    restrict_at_s: float,
-    restrict_for_s: float,
-    restrict_to_mbps: float,
-    total_s: float,
-    seed: int,
-) -> Fig13Series:
-    """One monitoring interval of Fig 13 (None: no migration)."""
-    cell = prepare_fig13_cell(
-        interval, rps=rps, restrict_to_mbps=restrict_to_mbps, seed=seed
-    )
-    run_timeline(
-        cell.env,
-        total_s,
+    return RunCapsule(
+        env=env,
+        prepared=cell,
+        duration_s=total_s,
         on_tick=cell.sample,
-        events=[
+        events=(
             (restrict_at_s, cell.throttle),
             (restrict_at_s + restrict_for_s, cell.unthrottle),
-        ],
-    )
-    return Fig13Series(
-        interval_s=interval,
-        times=np.asarray(cell.times),
-        latency_s=np.asarray(cell.latency_s),
-        migrations=list(cell.handle.deployment.migrations),
-        table1_rows=cell.handle.controller.table1_rows(),
+        ),
     )
 
 

@@ -19,11 +19,10 @@ two serialized by one lock.  The endpoints:
 =============  ===========================================================
 
 Everything here is opt-in plumbing around unmodified experiments: a
-served run is a :class:`~repro.snap.capsule.RunCapsule` built by a
-servable row of the experiment catalogue
-(:mod:`repro.experiments.catalog`) over the same ``prepare_*``
-substrates the batch paths drive, so it makes the same decisions a
-batch run would.
+served run is the :class:`~repro.experiments.common.RunCapsule` of a
+servable catalogue row's checkpoint cell
+(:mod:`repro.experiments.catalog`) — one of the cells its batch grids
+run — so it makes the same decisions a batch run would.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class LiveRun:
     endpoint renders under it, and :meth:`step` advances the clock
     under it, so scrapes always observe a consistent simulation state.
 
-    The run itself is a :class:`~repro.snap.capsule.RunCapsule` — the
+    The run itself is a :class:`~repro.experiments.common.RunCapsule` — the
     picklable root object the checkpoint subsystem serializes — freshly
     built or restored mid-run, so a served run can be snapshotted on
     SIGTERM and resumed by a fresh ``bass-repro serve --checkpoint-dir``
@@ -134,7 +133,7 @@ class LiveRun:
 
     def start(self) -> None:
         """Arm the emulator, tick observer, and timeline events
-        (:meth:`RunCapsule.start <repro.snap.capsule.RunCapsule.start>`).
+        (:meth:`RunCapsule.start <repro.experiments.common.RunCapsule.start>`).
         A no-op on a restored capsule (everything is already armed)."""
         self.capsule.start()
 
@@ -321,10 +320,11 @@ def serve_run(build: Callable[..., object], options: ServeOptions) -> int:
     horizon while serving the status plane; afterwards keep serving
     until SIGINT/SIGTERM, then shut down cleanly.
 
-    ``build`` is a servable catalogue row's ``serve`` part
-    (:mod:`repro.experiments.catalog`): called as ``build(quick=...)``
-    once the run's tracer is the process default, it returns the
-    :class:`~repro.snap.capsule.RunCapsule` to tick.
+    ``build`` builds a servable catalogue row's checkpoint cell with its
+    ``serve`` overrides (:mod:`repro.experiments.catalog`): called as
+    ``build(quick=...)`` once the run's tracer is the process default,
+    it returns the :class:`~repro.experiments.common.RunCapsule` to
+    tick.
 
     With ``checkpoint_dir``, the run writes periodic snapshots and a
     final one on SIGTERM (after publishing status, before sealing the

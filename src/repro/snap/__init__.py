@@ -12,18 +12,20 @@ Layers:
 * :mod:`repro.snap.snapshot` — the on-disk format: atomic writes, a
   JSON header carrying schema version + code fingerprint + payload
   digest, and refuse-to-restore on any mismatch.
-* :mod:`repro.snap.capsule` — :class:`RunCapsule`, the picklable root
-  object bundling a scenario's substrate with its timeline.
 * :mod:`repro.snap.policy` — :class:`CheckpointPolicy`, the every-k-
   epochs / on-SIGTERM trigger attached via
   ``ControlPlane.attach_checkpoints``.
 
-Which experiments are checkpointable, how each one's capsule is built
-and what its summary reports is declared in the experiment catalogue
-(:mod:`repro.experiments.catalog`), not here.
+The root object a snapshot serializes is
+:class:`~repro.experiments.common.RunCapsule` (re-exported here): a
+checkpointable cell's wired substrate and timeline, built by the cell
+function's ``capsule`` builder (``@checkpointable``).  Which
+experiments are checkpointable, and which of their cells, is declared
+in the experiment catalogue (:mod:`repro.experiments.catalog`), not
+here.
 """
 
-from .capsule import RunCapsule
+from ..experiments.common import RunCapsule
 from .policy import CheckpointPolicy, checkpoint_into
 from .snapshot import (
     SNAPSHOT_VERSION,

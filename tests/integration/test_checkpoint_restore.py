@@ -1,18 +1,19 @@
 """The checkpoint invariant, end to end: a run checkpointed at tick T
 and restored (same process or a fresh one) must finish byte-identical
-to the uninterrupted run — summaries and JSONL traces alike."""
+to the uninterrupted run — full cell results and JSONL traces alike."""
 
-import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.catalog import CATALOG, EXPERIMENTS, summarize
+from repro.experiments.catalog import CATALOG, EXPERIMENTS
 from repro.obs.stream import StreamingSink
 from repro.obs.trace import Tracer, set_default_tracer
+from repro.runner import canonical_json
 from repro.snap import read_snapshot, write_snapshot
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -20,24 +21,24 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: Every checkpointable row of the catalogue, and where to cut it: past
 #: the throttle (fig13, fleet), the crash (churn), the orchestrator kill
 #: (failover).  A new checkpointable row needs a cut here.
-CHECKPOINTABLE = [row for row in CATALOG if row.capsule is not None]
+CHECKPOINTABLE = [row for row in CATALOG if row.checkpoint is not None]
 CUT_S = {"fig13": 40.0, "churn": 70.0, "fleet": 70.0, "failover": 80.0}
 
 
 def _fresh(row):
-    """The row's quick capsule, at its default region count."""
-    return row.capsule(**row.sizing(quick=True))
+    """The row's quick checkpoint cell, at its default region count."""
+    return row.capsule_for(quick=True)
 
 
-def _summary(capsule):
-    """Run to completion and render the deterministic summary bytes."""
+def _result(capsule):
+    """Run to completion and encode the cell's full result, fleet's
+    wall-clock ``decision_seconds`` blanked."""
     capsule.run_to_completion()
-    return json.dumps(
-        summarize(capsule), indent=2, sort_keys=True
-    ).encode()
+    document = canonical_json(capsule.result())
+    return re.sub(r'"decision_seconds":\[[^\]]*\]', "", document).encode()
 
 
-def _interrupted_summary(row, cut_s, tmp_path):
+def _interrupted_result(row, cut_s, tmp_path):
     """Run to ``cut_s``, snapshot, discard, restore, finish."""
     capsule = _fresh(row)
     capsule.run_until(cut_s)
@@ -46,7 +47,7 @@ def _interrupted_summary(row, cut_s, tmp_path):
     assert meta.sim_time_s == cut_s
     del capsule
     _, restored = read_snapshot(path)
-    return _summary(restored)
+    return _result(restored)
 
 
 class TestByteIdentity:
@@ -56,12 +57,12 @@ class TestByteIdentity:
         ids=[f"{row.id}-{CUT_S[row.id]}" for row in CHECKPOINTABLE],
     )
     def test_restore_matches_uninterrupted(self, row, cut_s, tmp_path):
-        reference = _summary(_fresh(row))
-        restored = _interrupted_summary(row, cut_s, tmp_path)
+        reference = _result(_fresh(row))
+        restored = _interrupted_result(row, cut_s, tmp_path)
         assert restored == reference
 
     def test_streaming_trace_shards_survive_the_cut(self, tmp_path):
-        """The invariant covers traces, not just summaries: concatenated
+        """The invariant covers traces, not just results: concatenated
         shards of the resumed run equal the uninterrupted run's."""
 
         def run(shard_dir, cut_s=None):
@@ -78,17 +79,17 @@ class TestByteIdentity:
                     del capsule, tracer
                     _, capsule = read_snapshot(path)
                     set_default_tracer(capsule.env.tracer)
-                summary = _summary(capsule)
+                result = _result(capsule)
                 capsule.env.tracer.close()
             finally:
                 set_default_tracer(previous)
             sink = StreamingSink(shard_dir)  # read side only
             shards = b"".join(p.read_bytes() for p in sink.shard_paths())
-            return summary, shards
+            return result, shards
 
-        ref_summary, ref_shards = run(tmp_path / "ref")
-        cut_summary, cut_shards = run(tmp_path / "cut", cut_s=70.0)
-        assert cut_summary == ref_summary
+        ref_result, ref_shards = run(tmp_path / "ref")
+        cut_result, cut_shards = run(tmp_path / "cut", cut_s=70.0)
+        assert cut_result == ref_result
         assert cut_shards == ref_shards
         assert len(ref_shards) > 0
 
@@ -97,7 +98,8 @@ class TestFreshProcessRestore:
     def test_cli_stop_restore_matches_uninterrupted(self, tmp_path):
         """The full invariant across a process boundary, via the CLI:
         run to t=70, checkpoint, restore in a *fresh* interpreter, run
-        to completion — summary bytes equal the uninterrupted run's."""
+        to completion — the ``--out`` document (the cell's full result)
+        equals the uninterrupted run's byte for byte."""
         environ = dict(os.environ)
         environ["PYTHONPATH"] = str(REPO_ROOT / "src")
 

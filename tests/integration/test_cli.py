@@ -90,7 +90,7 @@ class TestCli:
             expected = set()
             if row.regions is not None:
                 expected.add("[regions]")
-            if row.capsule is not None:
+            if row.checkpoint is not None:
                 expected.add("[checkpoint]")
             if row.serve is not None:
                 expected.add("[serve]")
@@ -192,10 +192,47 @@ class TestCli:
             main(argv)
         assert "does not take it" in capsys.readouterr().err
 
-    def test_regions_sizes_the_single_cell_fleet_run(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # No policy is attached without a directory to write into.
+            (["run", "fig13", "--quick", "--checkpoint-every", "3"],
+             "--checkpoint-every"),
+            (["run", "fig13", "--quick", "--no-fingerprint-check"],
+             "--no-fingerprint-check"),
+            (["serve", "fig13", "--quick", "--checkpoint-every", "3"],
+             "--checkpoint-every"),
+        ],
+    )
+    def test_flags_rejected_where_they_would_be_ignored(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
+    def test_checkpoint_every_rejected_on_a_restore_that_keeps_its_cadence(
+        self, capsys, tmp_path
+    ):
+        """A restored run keeps the policy it was checkpointed under, so
+        a new cadence would be silently ignored."""
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", "churn", "--quick", "--checkpoint-dir", ckpt,
+                     "--stop-at", "40"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["run", "churn", "--quick", "--restore-from", ckpt,
+                  "--checkpoint-dir", ckpt, "--checkpoint-every", "3"])
+        assert "every 5 epochs" in capsys.readouterr().err
+
+    def test_regions_sizes_the_single_cell_fleet_run(self, tmp_path):
+        out = tmp_path / "fleet.json"
         assert main(["run", "fleet", "--quick", "--regions", "3",
-                     "--profile"]) == 0
-        assert '"regions": 3' in capsys.readouterr().out
+                     "--profile", "--out", str(out)]) == 0
+        (result,) = decode_value(json.loads(out.read_text()))[
+            "fleet-scaling"
+        ]
+        assert result.regions == 3 and result.tenants == 6
 
     def test_jobs_flag_reaches_the_fabric_and_leaves_bytes_alone(
         self, tmp_path
@@ -232,7 +269,7 @@ class TestCli:
     def test_two_fresh_processes_write_the_same_fig13_summary(self, tmp_path):
         """The structure-of-arrays tick core is deterministic across
         processes, and ``--profile`` (wall-clock accounting, stderr
-        only) does not perturb the summary."""
+        only) does not perturb the cell's result."""
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         outs = []
         for name in ("a.json", "b.json"):
@@ -250,8 +287,9 @@ class TestCli:
         self, experiment, stop_at, tmp_path
     ):
         """Run to ``stop_at``, checkpoint and exit (a simulated kill);
-        restore in a fresh process and run to the end: the summary is
-        the uninterrupted run's, line for line.  The checkpoint crosses
+        restore in a fresh process and run to the end: the ``--out``
+        document — the cell's full result, as batch ``--out`` writes it
+        — is the uninterrupted run's.  The checkpoint crosses
         the tick core mid-run, so flow and queue arrays and the
         incremental solver's retained state round-trip through the
         pickle — and its derived state (plans, certificates, label
@@ -281,7 +319,7 @@ class TestCli:
         _assert_same_lines(
             (tmp_path / "restored.json").read_bytes(),
             (tmp_path / "reference.json").read_bytes(),
-            f"{experiment} summary",
+            f"{experiment} result",
         )
         if streamed:
             _assert_same_lines(

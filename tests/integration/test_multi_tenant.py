@@ -126,15 +126,18 @@ class TestDefaultPlane:
 
     @pytest.mark.parametrize(
         "row_id, claims, migrations, epochs",
-        [("fig13", 4, 4, 4), ("churn", 1, 1, 5), ("failover", 1, 1, 3)],
+        [("fig13", 8, 8, 5), ("churn", 1, 1, 5), ("failover", 1, 1, 3)],
     )
     def test_single_app_rows_run_one_region(
         self, row_id, claims, migrations, epochs
     ):
-        """Counts measured on the single-loop plane these rows ran on
-        before it was deleted (arbiter rounds include recovery rounds)."""
+        """Counts of each row's quick checkpoint cell (arbiter rounds
+        include recovery rounds).  churn and failover were measured on
+        the single-loop plane these rows ran on before it was deleted;
+        fig13's is the ``interval=30.0`` cell, whose 8 migrations are
+        the ones ``tests/golden/cli/fig13.txt`` prints."""
         row = EXPERIMENTS[row_id]
-        capsule = row.capsule(**row.sizing(quick=True))
+        capsule = row.capsule_for(quick=True)
         capsule.run_to_completion()
         cp = capsule.control_plane
         assert cp.region_map.names == ["region0"]

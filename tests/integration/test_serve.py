@@ -8,6 +8,13 @@ real experiment.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
@@ -21,6 +28,8 @@ from repro.obs.slo import SloRule
 from repro.obs.stream import StreamingSink
 from repro.obs.trace import Tracer, read_trace, set_default_tracer
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 
 def _get(server, path):
     host, port = server.server_address[:2]
@@ -29,7 +38,8 @@ def _get(server, path):
 
 
 def _live_churn(tmp_path, tracer, **plane_kwargs):
-    capsule = EXPERIMENTS["churn"].serve(quick=True)
+    row = EXPERIMENTS["churn"]
+    capsule = row.capsule_for(quick=True, **row.serve)
     plane = attach_status_plane(
         capsule.control_plane,
         tracer,
@@ -132,6 +142,56 @@ class TestLiveEndpoints:
         with pytest.raises(HTTPError) as excinfo:
             _get(server, "/nope")
         assert excinfo.value.code == 404
+
+
+class TestServeProcess:
+    def test_serve_fig13_answers_until_sigterm(self, tmp_path):
+        """``bass-repro serve fig13 --quick --port 0`` end to end: the
+        process announces its port, ticks to the horizon, serves the
+        OpenMetrics exposition and the status document, and exits 0 on
+        SIGTERM."""
+        status_path = tmp_path / "status.json"
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "fig13",
+             "--quick", "--port", "0", "--status-path", str(status_path)],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"serving \S+ on http://([^:]+):(\d+) ", banner)
+            assert match, banner
+            base = f"http://{match.group(1)}:{match.group(2)}"
+
+            def get(path):
+                with urlopen(base + path, timeout=10) as response:
+                    return response.read().decode()
+
+            deadline = time.monotonic() + 120.0
+            while not json.loads(get("/v1/epoch"))["done"]:
+                assert time.monotonic() < deadline, "horizon never reached"
+                time.sleep(0.2)
+            metrics = get("/metrics").splitlines()
+            assert any(
+                line.startswith("# HELP bass_probes_total") for line in metrics
+            )
+            assert "# TYPE bass_probes_total counter" in metrics
+            assert metrics[-1] == "# EOF"
+            assert any(
+                "bass_rolling_probe_rate_per_second" in line
+                for line in metrics
+            )
+            assert json.loads(get("/v1/status"))["version"] == 1
+            assert json.loads(status_path.read_text())["version"] == 1
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
 
 class TestSloBreachPipeline:
