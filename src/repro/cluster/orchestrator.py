@@ -80,7 +80,7 @@ class Orchestrator:
         restart_seconds: float = 20.0,
         tracer: Optional[TracerBase] = None,
     ) -> None:
-        if restart_seconds < 0:
+        if not restart_seconds >= 0:  # NaN included
             raise SchedulingError("restart_seconds must be >= 0")
         self.cluster = cluster
         self.engine = engine if engine is not None else Engine()
@@ -226,7 +226,7 @@ class Orchestrator:
             raise MigrationError(
                 f"node {target_node!r} cannot fit pod {pod_name!r}"
             )
-        if restart_override_s is not None and restart_override_s < 0:
+        if restart_override_s is not None and not restart_override_s >= 0:
             raise MigrationError("restart_override_s must be >= 0")
         self.cluster.node(source).release(spec.resources)
         target.allocate(spec.resources)

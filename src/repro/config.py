@@ -104,7 +104,7 @@ class MigrationConfig:
             raise ConfigError("headroom_fraction must be in [0, 1)")
         if self.cooldown_s < 0:
             raise ConfigError("cooldown_s must be >= 0")
-        if self.restart_seconds < 0:
+        if not self.restart_seconds >= 0:  # NaN included
             raise ConfigError("restart_seconds must be >= 0")
         if self.max_per_iteration < 1:
             raise ConfigError("max_per_iteration must be >= 1")

@@ -99,6 +99,11 @@ class DeploymentBinding:
         }
         # ``(deployment revision, table)``: see :meth:`crossings`.
         self._crossings: tuple[int, Optional[_Crossings]] = (-1, None)
+        # Bumped when a scale or an override actually changes.
+        self._demand_rev = 0
+        # What the last full pass of :meth:`sync_flows` read; None
+        # forces the next one.
+        self._synced: Optional[tuple] = None
 
     # -- placement ------------------------------------------------------------
 
@@ -130,9 +135,11 @@ class DeploymentBinding:
         return table
 
     def __getstate__(self) -> dict:
-        """Checkpoints carry placement, not the table derived from it."""
+        """Checkpoints carry placement, not the table derived from it,
+        nor the key of the last flow sync."""
         state = self.__dict__.copy()
         state["_crossings"] = (-1, None)
+        state["_synced"] = None
         return state
 
     # -- demand control -------------------------------------------------------
@@ -146,6 +153,8 @@ class DeploymentBinding:
         if not scale >= 0:  # NaN included
             raise DagError("demand scale must be >= 0")
         self.dag.weight(src, dst)  # validates the edge exists
+        if self._demand_scale.get((src, dst)) != scale:
+            self._demand_rev += 1
         self._demand_scale[(src, dst)] = scale
 
     def set_demand_override(
@@ -155,15 +164,18 @@ class DeploymentBinding:
         if demand_mbps is not None and not demand_mbps >= 0:  # NaN included
             raise DagError("demand override must be >= 0 or None")
         self.dag.weight(src, dst)
+        if self._demand_override.get((src, dst)) != demand_mbps:
+            self._demand_rev += 1
         self._demand_override[(src, dst)] = demand_mbps
 
     def set_global_scale(self, scale: float) -> None:
         """Scale every edge's demand (e.g. load level of the workload)."""
         if not scale >= 0:  # NaN included
             raise DagError("demand scale must be >= 0")
-        scales = self._demand_scale
-        for src, dst, _ in self.dag.edges():
-            scales[(src, dst)] = scale
+        scales = dict.fromkeys(self._base_weights, scale)
+        if self._demand_scale != scales:
+            self._demand_rev += 1
+        self._demand_scale.update(scales)
 
     def edge_demand(self, src: str, dst: str) -> float:
         """Current offered demand for an edge, Mbps.
@@ -202,10 +214,31 @@ class DeploymentBinding:
 
         The clock and the restart set are read once, placement comes
         from :meth:`crossings`; per edge only the emulator is asked.
+        The per-edge pass is skipped when nothing it reads has moved
+        since the last one — placement (``Deployment.revision``), the
+        mesh (``topology.version``), a scale or override, the restart
+        set, and the emulator's flow table (``flow_revision``, as that
+        pass left it): it would only re-assert what every flow already
+        has.  The final ``recompute()`` always runs.
         """
         netem = self.netem
-        crossings = self.crossings()
         restarting = self.deployment.restarting(netem.now)
+        key = (
+            self.deployment.revision,
+            netem.topology.version,
+            self._demand_rev,
+            restarting,
+            netem.flow_revision,
+        )
+        if key != self._synced:
+            self._sync_edges(restarting)
+            self._synced = (*key[:-1], netem.flow_revision)
+        netem.recompute()
+
+    def _sync_edges(self, restarting: Mapping[str, float]) -> None:
+        """The per-edge pass of :meth:`sync_flows`."""
+        netem = self.netem
+        crossings = self.crossings()
         unroutable = self._unroutable
         for edge, flow_id in self._flow_ids.items():
             crossing = crossings[edge]
@@ -233,7 +266,6 @@ class DeploymentBinding:
                 unroutable.add(edge)
             else:
                 unroutable.discard(edge)
-        netem.recompute()
 
     @property
     def unroutable_edges(self) -> set[tuple[str, str]]:

@@ -99,12 +99,10 @@ class ComponentDAG:
             raise DagError(f"edge {src}->{dst}: negative bandwidth")
         if dst in self._succ[src]:
             raise DagError(f"duplicate edge {src}->{dst}")
+        if self._reaches(dst, src):
+            raise CycleError(f"edge {src}->{dst} would create a cycle")
         self._succ[src][dst] = float(bandwidth_mbps)
         self._pred[dst][src] = float(bandwidth_mbps)
-        if self._has_cycle():
-            del self._succ[src][dst]
-            del self._pred[dst][src]
-            raise CycleError(f"edge {src}->{dst} would create a cycle")
 
     # -- queries ---------------------------------------------------------------
 
@@ -187,11 +185,20 @@ class ComponentDAG:
 
     # -- algorithms -------------------------------------------------------------
 
-    def _has_cycle(self) -> bool:
-        try:
-            self.topological_sort()
-        except CycleError:
-            return True
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a directed path leads from ``start`` to ``goal`` — the
+        one cycle an edge ``goal -> start`` added to a DAG can close."""
+        succ = self._succ
+        seen = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                return True
+            for nxt in succ[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         return False
 
     def topological_sort(self) -> list[str]:

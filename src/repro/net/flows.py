@@ -103,6 +103,8 @@ class FlowArrays:
         "_links",
         "_serials",
         "_serial_of",
+        "_offered",
+        "_tag_sums",
     )
 
     def __init__(
@@ -141,6 +143,16 @@ class FlowArrays:
         #: serial number per flow id, ascending down the rows.
         self._serials: Optional[np.ndarray] = None
         self._serial_of: dict[str, int] = {}
+        #: :meth:`offered_mbps` and the per-tag sums of
+        #: :meth:`accumulate_offered_by_tag` (keyed by ``tick_s``), kept
+        #: until :meth:`update` next touches the table.  Both stay keyed
+        #: by their argument although the emulator always passes the same
+        #: ``tick_s`` and link count: its table is shared
+        #: (``NetworkEmulator._current_flow_arrays``), and a reader with
+        #: another tick length or link count must not leave the tick a
+        #: memo of the wrong shape or scale.
+        self._offered: Optional[np.ndarray] = None
+        self._tag_sums: Optional[tuple[float, list[tuple[str, float]]]] = None
 
     def _set_runs(self, lens: np.ndarray) -> None:
         """Derive ``hops`` / ``ptr`` / ``entry_flow`` from run lengths."""
@@ -174,6 +186,7 @@ class FlowArrays:
         cannot express; that (and a row count ``touched`` does not
         account for) rebuilds.
         """
+        self._offered = self._tag_sums = None
         if self._serials is None:
             self._serials = np.arange(len(self.flow_ids))
             self._serial_of = dict(zip(self.flow_ids, range(len(self.flow_ids))))
@@ -262,14 +275,24 @@ class FlowArrays:
         self.tags, self.tag_codes = tags, codes
 
     def offered_mbps(self, n_links: int) -> np.ndarray:
-        """Offered demand per directed link (sum over crossing flows)."""
-        if self.entry_link.size == 0:
-            return np.zeros(n_links, dtype=float)
-        return np.bincount(
-            self.entry_link,
-            weights=self.demand[self.entry_flow],
-            minlength=n_links,
-        )
+        """Offered demand per directed link (sum over crossing flows).
+
+        A pure function of the table, so it is computed once per table
+        state; the returned array is shared and read-only.
+        """
+        offered = self._offered
+        if offered is None or offered.size != n_links:
+            if self.entry_link.size == 0:
+                offered = np.zeros(n_links, dtype=float)
+            else:
+                offered = np.bincount(
+                    self.entry_link,
+                    weights=self.demand[self.entry_flow],
+                    minlength=n_links,
+                )
+            offered.flags.writeable = False
+            self._offered = offered
+        return offered
 
     def accumulate_offered_by_tag(
         self, tick_s: float, accumulator: dict[str, float]
@@ -278,13 +301,17 @@ class FlowArrays:
 
         Mirrors the scalar accounting ``demand * tick_s * hops`` per
         flow; a tag present in the flow set always gets (or keeps) a
-        key, even when its flows currently traverse zero links.
+        key, even when its flows currently traverse zero links.  The
+        per-tag sums are computed once per table state and ``tick_s``.
         """
         if not self.tags:
             return
-        terms = self.demand * tick_s * self.hops
-        sums = np.bincount(
-            self.tag_codes, weights=terms, minlength=len(self.tags)
-        )
-        for code, tag in enumerate(self.tags):
-            accumulator[tag] = accumulator.get(tag, 0.0) + float(sums[code])
+        memo = self._tag_sums
+        if memo is None or memo[0] != tick_s:
+            terms = self.demand * tick_s * self.hops
+            sums = np.bincount(
+                self.tag_codes, weights=terms, minlength=len(self.tags)
+            )
+            memo = self._tag_sums = (tick_s, list(zip(self.tags, sums.tolist())))
+        for tag, value in memo[1]:
+            accumulator[tag] = accumulator.get(tag, 0.0) + value

@@ -88,9 +88,10 @@ class _TraceGroup:
 
     All member traces agree on sample times, replay mode and period, so
     a single ``index_and_expiry`` on the representative trace gives the
-    sample index for every member; the group's capacities come from one
-    column gather of the stacked values matrix.  Until ``expiry`` the
-    group's capacities cannot change and the scan skips it.
+    sample index for every member.  ``values`` is stored sample-major
+    (row *k* holds every member's sample *k*), so the group's capacities
+    are one contiguous row.  Until ``expiry`` the group's capacities
+    cannot change and the scan skips it.
     """
 
     __slots__ = ("rows", "values", "limits", "trace", "expiry")
@@ -278,6 +279,12 @@ class NetworkEmulator:
     def flows(self) -> list[Flow]:
         return list(self._flows.values())
 
+    @property
+    def flow_revision(self) -> int:
+        """Moves on every change to the flow set — an add, a removal, a
+        reroute, a demand that actually changed, a re-path."""
+        return self._flows_rev
+
     def set_demand(self, flow_id: str, demand_mbps: float) -> None:
         if not demand_mbps >= 0:  # NaN included
             raise SimulationError("demand_mbps must be >= 0")
@@ -391,7 +398,7 @@ class NetworkEmulator:
         self._scan_groups = [
             _TraceGroup(
                 np.array(rows, dtype=np.intp),
-                np.array(values, dtype=float),
+                np.array(values, dtype=float).T.copy(),
                 np.array(limits, dtype=float),
                 trace,
             )
@@ -417,9 +424,9 @@ class NetworkEmulator:
             if t < group.expiry:
                 continue
             index, group.expiry = group.trace.index_and_expiry(t)
-            column = np.minimum(group.values[:, index], group.limits)
-            if not np.array_equal(cap[group.rows], column):
-                cap[group.rows] = column
+            caps = np.minimum(group.values[index], group.limits)
+            if (cap[group.rows] != caps).any():
+                cap[group.rows] = caps
                 changed = True
         if changed:
             self._cap_epoch += 1
@@ -641,12 +648,25 @@ class NetworkEmulator:
         return self._queue_arrays.delay_s(row, self.capacity(src, dst))
 
     def path_delay_s(self, src: str, dst: str) -> float:
-        """One-way path delay: propagation plus queueing at each hop."""
+        """One-way path delay: propagation plus queueing at each hop.
+
+        Each hop adds its :meth:`queue_delay_s`.  An empty queue's delay
+        is ``0.0`` whatever the capacity (``0.0 / c``, or ``0.0 / 1.0``
+        on a dead link) and ``total + 0.0 == total``, so the backlog row
+        is read first and the capacity — topology, link, trace bisect —
+        only under a standing queue.
+        """
         links = self.router.path_link_keys(src, dst)
+        queues = self._queue_arrays
+        backlog = queues.backlog_mbit
+        link_index = self._link_index
+        link = self.topology.link
         total = 0.0
         for a, b in links:
-            total += self.topology.link(a, b).latency_ms / 1000.0
-            total += self.queue_delay_s(a, b)
+            total += link(a, b).latency_ms / 1000.0
+            row = link_index[(a, b)]
+            if backlog[row]:
+                total += queues.delay_s(row, self.capacity(a, b))
         return total
 
     def path_loss_fraction(self, src: str, dst: str) -> float:

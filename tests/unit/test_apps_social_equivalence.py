@@ -496,7 +496,17 @@ def _inter_node_pairs(binding, request_types) -> set[tuple[str, str]]:
 class TestEmulatorQueryBudget:
     @pytest.mark.parametrize("placement", ("k3s", "bass-longest-path"))
     def test_one_path_delay_per_node_pair(self, placement, monkeypatch):
-        app, env, binding = _social(placement)
+        self.check_budget(placement, False, monkeypatch)
+
+    @pytest.mark.parametrize("placement", ("k3s", "bass-longest-path"))
+    def test_capacity_is_read_under_a_standing_queue(self, placement, monkeypatch):
+        """Egress throttled to 3 Mbps: queues stand, and only their hops
+        are asked for a capacity."""
+        self.check_budget(placement, True, monkeypatch)
+
+    @staticmethod
+    def check_budget(placement, throttle, monkeypatch):
+        app, env, binding = _social(placement, throttle=throttle)
         # The types this seed draws, from an identical generator.
         types = list(app.mix)
         drawn = {
@@ -517,14 +527,25 @@ class TestEmulatorQueryBudget:
             if not binding.deployment.colocated(step.src, step.dst)
         )
         assert inter_node_steps > len(pairs)  # there is reuse to capture
+        # Hops with a standing queue, counted once per pair crossing them.
+        standing = sum(
+            env.netem.queue_delay_s(*hop) > 0
+            for a, b in pairs
+            for hop in env.netem.router.path_link_keys(a, b)
+        )
+        if throttle:
+            assert standing > 0, "no queue stands; the throttled case is vacuous"
+        else:
+            assert standing < hops  # some queue is empty: there is work to skip
 
         counter = QueryCounter(monkeypatch)
         app.sample_latencies_s(binding, 50, np.random.default_rng(42))
         assert 0 < counter.calls["path_delay_s"] <= len(pairs)
-        assert counter.calls["queue_delay_s"] <= hops
-        # Every flow is live here, so no edge falls back to probing the
-        # path's spare capacity: capacity is read only under a queue.
-        assert counter.calls["capacity"] == counter.calls["queue_delay_s"]
+        # The walk reads the backlog row itself; every flow is live here,
+        # so no edge falls back to probing the path's spare capacity:
+        # capacity is read only under a standing queue.
+        assert counter.calls["queue_delay_s"] == 0
+        assert counter.calls["capacity"] == standing
 
     def test_camera_frames_share_one_lookup(self, monkeypatch):
         app, env, binding = _camera("k3s")

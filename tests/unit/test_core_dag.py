@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.social import SocialNetworkApp
 from repro.core.dag import Component, ComponentDAG
 from repro.errors import CycleError, DagError, UnknownComponentError
 
@@ -63,6 +64,35 @@ class TestConstruction:
         # The offending edge must not linger.
         assert dag.dependencies("c") == {}
         dag.validate()
+
+    def test_rejected_edge_leaves_the_graph_untouched(self):
+        dag = ComponentDAG("app")
+        for name in "abcd":
+            dag.add_component(Component(name))
+        for src, dst in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+            dag.add_dependency(src, dst, 1.0)
+        before = list(dag.edges())
+        with pytest.raises(CycleError):
+            dag.add_dependency("d", "a", 2.0)  # closes a->c->d->a
+        assert list(dag.edges()) == before
+        assert dag.dependents("a") == {} and dag.dependencies("d") == {}
+        dag.add_dependency("a", "d", 3.0)  # a second path is no cycle
+        assert dag.topological_sort() == ["a", "b", "c", "d"]
+
+    def test_building_the_social_dag_sorts_once(self, monkeypatch):
+        """The cycle check walks from the new edge's head; the one full
+        sort is ``validate()``'s."""
+        sorts = []
+        sort = ComponentDAG.topological_sort
+
+        def counted(self):
+            sorts.append(self.app)
+            return sort(self)
+
+        monkeypatch.setattr(ComponentDAG, "topological_sort", counted)
+        dag = SocialNetworkApp().build_dag()
+        assert dag.edge_count() > 1
+        assert sorts == [dag.app]
 
     def test_component_with_negative_resources_raises(self):
         with pytest.raises(DagError):

@@ -105,6 +105,45 @@ def test_delta_table_equals_scratch_build_after_every_read(history):
         state.read_and_check()
 
 
+def read_sums(table_of, ticks) -> tuple:
+    """``offered_mbps`` and the tag accumulation over ``ticks``, as bits,
+    asking ``table_of()`` for the table at every read."""
+    acc = {"seen": 1.5}
+    for tick_s in ticks:
+        table_of().accumulate_offered_by_tag(tick_s, acc)
+    offered = [value.hex() for value in table_of().offered_mbps(N_LINKS).tolist()]
+    return offered, [(tag, value.hex()) for tag, value in acc.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(histories, st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=3))
+def test_memoised_sums_equal_a_fresh_tables_after_every_update(history, ticks):
+    """The per-link and per-tag sums are kept until ``update`` touches
+    the table.  Read before every update (so a memo that outlived it
+    would show) and twice after, they equal those of a table built
+    fresh for each read; the offered array is shared and read-only."""
+    state = History()
+
+    def kept():
+        return state.table
+
+    def fresh():
+        return FlowArrays(state.flows, LINK_INDEX)
+
+    for step in history:
+        read_sums(kept, ticks)
+        for op in step:
+            state.apply(op)
+        state.table.update(state.flows, LINK_INDEX, state.stale)
+        state.stale = {}
+        want = read_sums(fresh, ticks)
+        assert read_sums(kept, ticks) == want
+        assert read_sums(kept, ticks) == want
+        offered = state.table.offered_mbps(N_LINKS)
+        assert offered is state.table.offered_mbps(N_LINKS)
+        assert not offered.flags.writeable
+
+
 def test_tags_are_first_appearance_order_over_the_current_rows():
     """History ``add p1[probe], add a1[app], remove p1, add p2[probe]``:
     ``probe`` was seen first but ``app`` now heads the rows, and the

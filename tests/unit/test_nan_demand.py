@@ -17,10 +17,19 @@ import pytest
 
 from repro.apps.social import SocialNetworkApp
 from repro.apps.workload import ExponentialArrivals, FixedRate
+from repro.cluster.orchestrator import Orchestrator
+from repro.config import MigrationConfig
 from repro.core.binding import DeploymentBinding
 from repro.core.dag import Component, ComponentDAG
 from repro.cluster.deployment import Deployment
-from repro.errors import ConfigError, DagError, SimulationError
+from repro.errors import (
+    ConfigError,
+    DagError,
+    MigrationError,
+    SchedulingError,
+    SimulationError,
+)
+from repro.experiments.common import build_env
 from repro.faults import HeartbeatConfig
 from repro.mesh.topology import full_mesh_topology
 from repro.net.fairness import (
@@ -153,6 +162,30 @@ def test_request_rates_reject_nan():
     with pytest.raises(ConfigError):
         app.set_rps(NAN)
     assert app.current_rps == 20.0
+
+
+def test_restart_windows_reject_nan():
+    """``restart_seconds < 0`` let NaN through, and a NaN window stored
+    by ``Deployment.rebind`` kept the pod unavailable forever while
+    ``restarting()`` never listed it: ``sync_flows`` kept its edges at
+    full demand while ``edge_demand`` and ``goodput`` reported it down."""
+    with pytest.raises(SchedulingError):
+        build_env(full_mesh_topology(3), restart_seconds=NAN)
+    with pytest.raises(ConfigError):
+        MigrationConfig(restart_seconds=NAN).validate()
+    env = build_env(full_mesh_topology(3), restart_seconds=5.0)
+    orchestrator = env.orchestrator
+    with pytest.raises(SchedulingError):
+        Orchestrator(env.cluster, engine=env.engine, restart_seconds=NAN)
+    deployment = orchestrator.deploy(
+        chain_binding().dag.to_pods(), {"a": "node1", "b": "node2", "c": "node3"}
+    )
+    with pytest.raises(MigrationError):
+        orchestrator.migrate("app", "a", "node2", restart_override_s=NAN)
+    assert deployment.node_of("a") == "node1"
+    assert deployment.is_available("a", env.engine.now)
+    record = orchestrator.migrate("app", "a", "node2", restart_override_s=0.0)
+    assert record.to_node == "node2"
 
 
 def test_heartbeat_config_rejects_nan():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro.cluster.deployment import Deployment
 from repro.core.binding import DeploymentBinding, edge_flow_id
 from repro.core.dag import Component, ComponentDAG
-from repro.mesh.topology import full_mesh_topology
+from repro.mesh.topology import full_mesh_topology, line_topology
+from repro.mesh.traces import BandwidthTrace
 from repro.net.netem import NetworkEmulator
 
 _EPS = 1e-6
@@ -85,6 +86,65 @@ class TestEmulatorInvariants:
         allocated = emu.link_allocated("node1", "node2")
         assert available >= -_EPS
         assert abs((available + allocated) - 20.0) < _EPS or allocated < 20.0
+
+
+LINE = ("node1", "node2", "node3", "node4")
+
+
+def frozen_path_delay_s(emu: NetworkEmulator, src: str, dst: str) -> float:
+    """The per-hop sum: propagation, then backlog over capacity (a dead
+    link drains at a nominal 1 Mbps), every hop asked its capacity."""
+    total = 0.0
+    for a, b in emu.router.path_link_keys(src, dst):
+        total += emu.topology.link(a, b).latency_ms / 1000.0
+        capacity = emu.topology.capacity(a, b, emu.now)
+        backlog = float(emu._queue_arrays.backlog_mbit[emu._link_index[(a, b)]])
+        total += backlog / 1.0 if capacity <= 0 else backlog / capacity
+    return total
+
+
+class TestPathDelay:
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["plain", "dead", "throttled", "traced"]),
+            min_size=3,
+            max_size=3,
+        ),
+        latencies=st.lists(
+            st.sampled_from([0.0, 1.0, 2.5, 7.0]), min_size=3, max_size=3
+        ),
+        backlogs=st.lists(
+            st.sampled_from([0.0, 0.0, -0.0, 1e-12, 0.4, 3.0, 25.0]),
+            min_size=6,
+            max_size=6,
+        ),
+        t=st.sampled_from([0.0, 1.5, 4.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_path_delay_is_the_per_hop_sum(self, kinds, latencies, backlogs, t):
+        """Skipping the capacity read on an empty queue is exact, on a
+        dead link (up and routed, but a zero trace sample) and a
+        throttled one too."""
+        topo = line_topology([10.0, 20.0, 30.0])
+        for i, (kind, latency) in enumerate(zip(kinds, latencies)):
+            a, b = LINE[i], LINE[i + 1]
+            link = topo.link(a, b)
+            link.latency_ms = latency
+            if kind == "dead":
+                link.set_trace(BandwidthTrace([0.0, 2.0], [0.0, 0.0]))
+            elif kind == "throttled":
+                link.set_rate_limit(3.0, src=a, dst=b)
+            elif kind == "traced":
+                link.set_trace(
+                    BandwidthTrace([0.0, 1.0, 2.0, 3.0], [8.0, 0.0, 2.5, 40.0])
+                )
+        emu = NetworkEmulator(topo)
+        emu.engine.run_until(t)
+        emu._queue_arrays.backlog_mbit[:] = backlogs
+        for src in LINE:
+            for dst in LINE:
+                want = frozen_path_delay_s(emu, src, dst)
+                assert emu.path_delay_s(src, dst).hex() == want.hex()
 
 
 @st.composite
