@@ -179,9 +179,7 @@ def test_fleet_handoff_pressure_and_ledger(benchmark):
             pin_region=0,
             throttle_link_mbps=0.5,
             throttle_at_s=60.0,
-            config=BassConfig().with_migration(
-                cooldown_s=10.0, restart_seconds=5.0
-            ),
+            config=BassConfig().with_migration(cooldown_s=10.0),
             env=env,
         )
         check_cluster_ledger(env.cluster)

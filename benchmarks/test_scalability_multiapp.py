@@ -122,9 +122,7 @@ def test_ledger_consistent_throughout_contention():
         tenants=8,
         duration_s=180.0,
         throttle_mbps=3.0,
-        config=BassConfig().with_migration(
-            cooldown_s=10.0, restart_seconds=5.0
-        ),
+        config=BassConfig().with_migration(cooldown_s=10.0),
         env=env,
     )
     check_cluster_ledger(env.cluster)

@@ -147,9 +147,6 @@ class Orchestrator:
                 f"unknown pod {pod_name!r} in app {app!r}"
             ) from None
 
-    def pod_specs(self, app: str) -> list[PodSpec]:
-        return list(self._pod_specs[app].values())
-
     @property
     def apps(self) -> list[str]:
         return list(self._deployments)
@@ -255,6 +252,3 @@ class Orchestrator:
                 reason=reason,
             )
         return record
-
-    def migration_count(self, app: str) -> int:
-        return len(self.deployment(app).migrations)

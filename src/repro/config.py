@@ -1,13 +1,21 @@
 """System-wide configuration for BASS.
 
-:class:`BassConfig` gathers every tunable the paper exposes: the link
-utilisation (goodput) threshold for migration, the headroom fraction kept
-spare on each link, probing intervals and costs, and the controller
-cooldown.  Defaults follow the values used throughout §4 and §6 of the
-paper (50 % goodput threshold, 20 % headroom, 30 s probe interval, 1 s
-probe duration, 20–30 s restart cost).  :class:`FleetConfig` holds
-the per-mesh knobs of the one control plane: whether tenants share
-probes, and how many regions the mesh is cut into (default one).
+:class:`BassConfig` gathers the per-application tunables the paper
+exposes: the link utilisation (goodput) threshold for migration, the
+headroom fraction kept spare on each link, probing intervals and costs,
+and the controller cooldown.  Defaults follow the values used throughout
+§4 and §6 of the paper (50 % goodput threshold, 20 % headroom, 30 s
+probe interval, 1 s probe duration).  :class:`FleetConfig` holds the
+per-mesh knobs of the one control plane: whether tenants share probes,
+and how many regions the mesh is cut into (default one).
+
+Two settings live outside these classes, each in one place.  The
+restart cost a migration pays (paper: ~20 s for Pion, ~30 s end to end)
+is the orchestrator's, set per environment by
+``build_env(restart_seconds=)``; :attr:`MigrationConfig.min_residency_s`
+derives its default from it.  The component-ordering heuristic is the
+scheduler's name: ``bass-bfs``, ``bass-longest-path`` or
+``bass-hybrid``.
 """
 
 from __future__ import annotations
@@ -30,18 +38,12 @@ class ProbeConfig:
             a headroom probe (paper: 10 % of capacity for 1 s).
         full_probe_cooldown_s: minimum spacing between max-capacity probes
             of the same link, so a flapping link is not flooded repeatedly.
-        headroom_reuse_s: window within which a link's last headroom-probe
-            result is served from cache instead of injecting fresh probe
-            traffic.  0 disables reuse (every request probes).  A shared
-            fleet monitor raises this so tenants at different cadences do
-            not multiply probe traffic on common links.
     """
 
     headroom_interval_s: float = 30.0
     probe_duration_s: float = 1.0
     headroom_probe_fraction: float = 0.10
     full_probe_cooldown_s: float = 60.0
-    headroom_reuse_s: float = 0.0
 
     def validate(self) -> None:
         if self.headroom_interval_s <= 0:
@@ -52,8 +54,6 @@ class ProbeConfig:
             raise ConfigError("headroom_probe_fraction must be in (0, 1]")
         if self.full_probe_cooldown_s < 0:
             raise ConfigError("full_probe_cooldown_s must be >= 0")
-        if self.headroom_reuse_s < 0:
-            raise ConfigError("headroom_reuse_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ class MigrationConfig:
             as a fraction of link capacity (paper: ~20 %).
         cooldown_s: minimum time between a low-bandwidth detection and the
             migration trigger, to ignore transient dips.
-        restart_seconds: service unavailability while a component restarts
-            on its new node (paper: ~20 s for Pion, ~30 s end to end).
         max_per_iteration: migrations allowed per controller evaluation;
             bounds disruption (Table 1's iterations migrate 1–2 each).
         improvement_margin: a migration target must promise at least
@@ -80,17 +78,17 @@ class MigrationConfig:
             (hysteresis against ping-pong under sustained congestion).
         min_residency_s: minimum time a component stays put after a
             migration before it may move again.  None derives a default
-            from the probe interval plus the restart cost; raise it for
+            of one probe interval plus the restart cost the orchestrator
+            charges (``build_env(restart_seconds=)``); raise it for
             applications whose migration cost amortizes slowly (§6.3.2:
-            a conference must last "at least tens of minutes" to amortize
-            the 20 s reconnect).
+            a conference must last "at least tens of minutes" to
+            amortize the 20 s reconnect).
     """
 
     goodput_threshold: float = 0.50
     link_utilization_threshold: float = 0.65
     headroom_fraction: float = 0.20
     cooldown_s: float = 30.0
-    restart_seconds: float = 20.0
     max_per_iteration: int = 2
     improvement_margin: float = 0.10
     min_residency_s: Optional[float] = None
@@ -104,8 +102,6 @@ class MigrationConfig:
             raise ConfigError("headroom_fraction must be in [0, 1)")
         if self.cooldown_s < 0:
             raise ConfigError("cooldown_s must be >= 0")
-        if not self.restart_seconds >= 0:  # NaN included
-            raise ConfigError("restart_seconds must be >= 0")
         if self.max_per_iteration < 1:
             raise ConfigError("max_per_iteration must be >= 1")
         if self.improvement_margin < 0:
@@ -165,43 +161,27 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class BassConfig:
-    """Top-level configuration: probing + migration + scheduling knobs.
+    """Top-level configuration: probing and migration knobs.
+
+    The component-ordering heuristic is not a field: the scheduler name
+    chooses it (§3.2.1 leaves the choice to the developer).
 
     Attributes:
         probe: net-monitor probing parameters.
         migration: controller migration parameters.
-        heuristic: default component-ordering heuristic, ``"bfs"`` or
-            ``"longest_path"`` (§3.2.1 leaves the choice to the developer).
         migrations_enabled: master switch for dynamic re-orchestration;
             disabled reproduces the "no migration" baselines.
     """
 
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     migration: MigrationConfig = field(default_factory=MigrationConfig)
-    heuristic: str = "longest_path"
     migrations_enabled: bool = True
-
-    _HEURISTICS = ("bfs", "longest_path", "hybrid")
 
     def validate(self) -> "BassConfig":
         """Check all nested values; return self for chaining."""
         self.probe.validate()
         self.migration.validate()
-        if self.heuristic not in self._HEURISTICS:
-            raise ConfigError(
-                f"heuristic must be one of {self._HEURISTICS}, "
-                f"got {self.heuristic!r}"
-            )
         return self
-
-    def with_options(self, **overrides: Any) -> "BassConfig":
-        """Return a copy with top-level fields replaced.
-
-        Nested fields can be overridden by passing whole ``ProbeConfig`` /
-        ``MigrationConfig`` instances, or with the convenience helpers
-        :meth:`with_migration` / :meth:`with_probe`.
-        """
-        return replace(self, **overrides).validate()
 
     def with_migration(self, **overrides: Any) -> "BassConfig":
         """Return a copy with migration sub-fields replaced."""
@@ -212,6 +192,3 @@ class BassConfig:
     def with_probe(self, **overrides: Any) -> "BassConfig":
         """Return a copy with probe sub-fields replaced."""
         return replace(self, probe=replace(self.probe, **overrides)).validate()
-
-
-DEFAULT_CONFIG = BassConfig()

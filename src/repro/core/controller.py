@@ -93,13 +93,15 @@ class BandwidthController:
         #: Minimum residency before the same component may move again —
         #: a guard against ping-pong under sustained congestion.  The
         #: default sizes it so the post-restart state is observed at
-        #: least once; configs may raise it for slow-amortizing apps.
+        #: least once: one probe interval past the restart the
+        #: orchestrator charges.  Configs may raise it for
+        #: slow-amortizing apps.
         if self.config.migration.min_residency_s is not None:
             self.min_residency_s = self.config.migration.min_residency_s
         else:
             self.min_residency_s = (
                 self.config.probe.headroom_interval_s
-                + self.config.migration.restart_seconds
+                + orchestrator.restart_seconds
             )
         self._pending: Optional[ControllerIteration] = None
         self._pending_violations: list[Violation] = []

@@ -11,7 +11,7 @@ substrate consumes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..cluster.pod import PodSpec
@@ -240,18 +240,3 @@ class ComponentDAG:
             )
             for component in self.components
         ]
-
-
-@dataclass
-class EdgeRef:
-    """A concrete inter-component edge within a deployed application."""
-
-    app: str
-    src: str
-    dst: str
-    required_mbps: float = field(default=0.0)
-
-    @property
-    def flow_id(self) -> str:
-        """Stable flow identifier used by the deployment binding."""
-        return f"{self.app}:{self.src}->{self.dst}"

@@ -62,10 +62,6 @@ class Violation:
     headroom_mbps: float
 
     @property
-    def goodput_violated(self) -> bool:
-        return self.goodput < 1.0
-
-    @property
     def headroom_violated(self) -> bool:
         return self.available_mbps < self.headroom_mbps
 

@@ -20,7 +20,7 @@ application traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Optional
 
@@ -57,19 +57,15 @@ class MonitorCaches:
     Link *capacity* is a physical fact, so the capacity cache and the
     full-probe cooldown clock are keyed on the directed link and shared
     fleet-wide: a region that full-probed a link spares every other
-    view the flood.  *Headroom* measurements and probe-event provenance
-    are observations made by one control loop, so they are keyed on
-    ``(region, src, dst)`` — a region-scoped view never serves (or
-    poisons) another region's headroom entry, and the fleet-wide
-    monitor (region ``""``) keeps its own namespace.
+    view the flood.  Probe-event provenance is an observation made by
+    one control loop, so it is keyed on ``(region, src, dst)`` — a
+    region-scoped view never cites another region's probe, and the
+    fleet-wide monitor (region ``""``) keeps its own namespace.
     """
 
     capacity: dict[tuple[str, str], float] = field(default_factory=dict)
     capacity_time: dict[tuple[str, str], float] = field(default_factory=dict)
     last_full_probe: dict[tuple[str, str], float] = field(default_factory=dict)
-    headroom: dict[tuple[str, str, str], ProbeResult] = field(
-        default_factory=dict
-    )
     probe_event_ids: dict[tuple[str, str, str], int] = field(
         default_factory=dict
     )
@@ -83,7 +79,7 @@ class NetMonitor:
         config: probing parameters.
         region: label of the region this monitor serves; the empty
             string is the fleet-wide (unscoped) monitor.  Region labels
-            namespace the headroom cache, never the capacity cache.
+            namespace probe-event provenance, never the capacity cache.
         scope: restrict probing to links with *both* endpoints in this
             node set (None = the whole mesh).  Startup floods and
             path-link enumeration stay inside the scope, so a region
@@ -113,16 +109,13 @@ class NetMonitor:
         self._capacity_cache = self._caches.capacity
         self._cache_time = self._caches.capacity_time
         self._last_full_probe = self._caches.last_full_probe
-        #: Headroom results keyed (region, src, dst): views of different
-        #: regions never alias each other's entries.
-        self._last_headroom = self._caches.headroom
         #: Flight-recorder id of the last probe event per (region, link),
         #: so downstream decisions (violations) can cite the measurement
-        #: that triggered them even across headroom-cache reuse.
+        #: that triggered them; views of different regions never alias
+        #: each other's entries.
         self._probe_event_ids = self._caches.probe_event_ids
         self.full_probe_count = 0
         self.headroom_probe_count = 0
-        self.headroom_cache_hits = 0
         self.probe_log: list[ProbeResult] = []
 
     def region_view(
@@ -132,7 +125,7 @@ class NetMonitor:
 
         The view probes only links inside ``nodes``, keeps its own
         probe counters (per-region overhead accounting), and namespaces
-        its headroom cache under ``region`` while sharing the fleet's
+        its probe-event ids under ``region`` while sharing the fleet's
         capacity cache and full-probe cooldowns.
         """
         return NetMonitor(
@@ -231,38 +224,15 @@ class NetMonitor:
     # -- headroom probing ----------------------------------------------------------
 
     def headroom_probe(
-        self,
-        src: str,
-        dst: str,
-        headroom_mbps: float,
-        *,
-        reuse_s: Optional[float] = None,
+        self, src: str, dst: str, headroom_mbps: float
     ) -> ProbeResult:
         """Check that ``headroom_mbps`` of spare capacity exists on the
         direct link, injecting only a small probe (never a flood).
 
-        When the link was headroom-probed within ``reuse_s`` seconds
-        (default: the config's ``headroom_reuse_s``), the cached
-        measurement is served instead of injecting fresh traffic — the
-        ``headroom_ok`` verdict is re-evaluated against *this* caller's
-        requirement, so tenants with different headroom needs share one
-        measurement.  Cache hits are not probe events: they are counted
-        in ``headroom_cache_hits`` and do not enter ``probe_log``.
+        Every request probes.  The probe is sized from the link's cached
+        capacity, read live only for a link never full-probed.
         """
-        key = (self.region, src, dst)
-        if reuse_s is None:
-            reuse_s = self.config.headroom_reuse_s
-        if reuse_s > 0:
-            recent = self._last_headroom.get(key)
-            if recent is not None and self.netem.now - recent.time < reuse_s:
-                self.headroom_cache_hits += 1
-                return replace(
-                    recent,
-                    headroom_ok=recent.available_mbps >= headroom_mbps,
-                )
-        cached = self._capacity_cache.get(
-            (src, dst), self.netem.capacity(src, dst)
-        )
+        cached = self.cached_capacity(src, dst)
         probe_rate = min(
             cached * self.config.headroom_probe_fraction, headroom_mbps
         )
@@ -278,10 +248,9 @@ class NetMonitor:
             available_mbps=available,
             headroom_ok=available >= headroom_mbps,
         )
-        self._last_headroom[key] = result
         self.probe_log.append(result)
         if self.tracer.enabled:
-            self._probe_event_ids[key] = self.tracer.emit(
+            self._probe_event_ids[(self.region, src, dst)] = self.tracer.emit(
                 "probe.headroom",
                 result.time,
                 src=src,

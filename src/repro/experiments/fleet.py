@@ -105,9 +105,7 @@ class PreparedFleet:
         env = self.env
         handles = self.handles
         cp = env.control_plane
-        full, headroom, _, per_hour = fleet_probe_stats(
-            handles, duration_s
-        )
+        full, headroom, per_hour = fleet_probe_stats(handles, duration_s)
         arbiter = cp.arbiter
         region_map = cp.region_map
         intra_links = sum(
@@ -289,7 +287,7 @@ def fleet_handoff(
     room, so handoffs release, admit, and commit there; two tenants
     racing for the same remote node exercise the denial path.
     """
-    config = BassConfig().with_migration(cooldown_s=10.0, restart_seconds=5.0)
+    config = BassConfig().with_migration(cooldown_s=10.0)
     return fleet_mesh(
         regions=2,
         tenants=tenants,

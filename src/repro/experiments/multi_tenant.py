@@ -93,7 +93,6 @@ class MultiTenantResult:
     #: per region; per-app monitors with sharing disabled).
     full_probes: int
     headroom_probes: int
-    headroom_cache_hits: int
     probe_events_per_hour: float
     #: Fleet-epoch and arbiter accounting.
     epoch_count: int
@@ -110,15 +109,14 @@ class MultiTenantResult:
 
 def fleet_probe_stats(
     handles: list[AppHandle], duration_s: float
-) -> tuple[int, int, int, float]:
-    """(full, headroom, cache hits, events/hour) over distinct monitors."""
+) -> tuple[int, int, float]:
+    """(full, headroom, events/hour) over distinct monitors."""
     monitors = list({id(h.monitor): h.monitor for h in handles}.values())
     full = sum(m.full_probe_count for m in monitors)
     headroom = sum(m.headroom_probe_count for m in monitors)
-    hits = sum(m.headroom_cache_hits for m in monitors)
     events = sum(len(m.probe_log) for m in monitors)
     per_hour = events * 3600.0 / duration_s if duration_s > 0 else 0.0
-    return full, headroom, hits, per_hour
+    return full, headroom, per_hour
 
 
 def multi_tenant_mesh(
@@ -186,14 +184,13 @@ def multi_tenant_mesh(
         )
     run_timeline(env, duration_s, events=events)
 
-    full, headroom, hits, per_hour = fleet_probe_stats(handles, duration_s)
+    full, headroom, per_hour = fleet_probe_stats(handles, duration_s)
     arbiter = env.control_plane.arbiter
     return MultiTenantResult(
         tenants=tenants,
         duration_s=duration_s,
         full_probes=full,
         headroom_probes=headroom,
-        headroom_cache_hits=hits,
         probe_events_per_hour=per_hour,
         epoch_count=arbiter.epoch_count,
         conflict_count=arbiter.conflict_count,
@@ -221,9 +218,7 @@ def multi_tenant_contention(
     the arbiter admits one tenant per epoch onto it and deflects the
     rest, so ``conflict_count`` counts the serialized races.
     """
-    config = BassConfig().with_migration(
-        cooldown_s=10.0, restart_seconds=5.0
-    )
+    config = BassConfig().with_migration(cooldown_s=10.0)
     return multi_tenant_mesh(
         tenants=tenants,
         duration_s=duration_s,

@@ -180,15 +180,3 @@ def fig16_sweep_spec(
         label="thr{threshold:g}",
         seed=seed,
     )
-
-
-def best_threshold(cells: list[ThresholdCell]) -> float:
-    """The threshold whose best-headroom cell minimizes upper-quartile
-    latency (how Fig 14b's inputs were chosen)."""
-    by_threshold: dict[float, float] = {}
-    for cell in cells:
-        current = by_threshold.get(cell.threshold, float("inf"))
-        by_threshold[cell.threshold] = min(
-            current, cell.upper_quartile_latency_s
-        )
-    return min(by_threshold, key=lambda t: by_threshold[t])

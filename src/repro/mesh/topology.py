@@ -210,15 +210,6 @@ class MeshTopology:
         """Names of currently crashed nodes."""
         return set(self._down_nodes)
 
-    @property
-    def up_worker_names(self) -> list[str]:
-        """Schedulable nodes that are currently alive."""
-        return [
-            n.name
-            for n in self._nodes.values()
-            if n.schedulable and n.name not in self._down_nodes
-        ]
-
     # -- derived views ---------------------------------------------------
 
     def live_adjacency(self) -> dict[str, list[str]]:

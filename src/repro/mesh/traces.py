@@ -146,11 +146,6 @@ class BandwidthTrace:
         expiry -= 1e-9 * (abs(expiry) + 1.0)
         return index, expiry
 
-    def value_and_expiry(self, t: float) -> tuple[float, float]:
-        """``(value_at(t), conservative expiry)`` — see index_and_expiry."""
-        index, expiry = self.index_and_expiry(t)
-        return float(self._values[index]), expiry
-
     def grid_key(self) -> tuple:
         """Exact identity of the time grid and replay mode.
 

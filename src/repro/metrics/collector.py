@@ -57,9 +57,6 @@ class TimeSeries:
     def values_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def times_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
-
     def between(self, start: float, end: float) -> "TimeSeries":
         """Sub-series with start <= time < end.
 

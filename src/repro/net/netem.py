@@ -52,8 +52,10 @@ mutation (``add_flow`` / ``remove_flow`` / ``set_demand`` /
 ``reroute_flow`` / ``on_topology_change``) goes through
 ``_flow_changed``, which notes the flow for the table's next read and
 *tells* the incremental solver, which re-solves that flow's components
-only; the solver starts over from scratch on its first solve, when the
-topology version moves, and after a what-if ``recompute(capacities)``.
+only; the solver starts over from scratch on its first solve and when
+the topology version moves.  There is one allocation path: a what-if
+(the migration planner's) hands ``capacities_now()`` to the stateless
+``max_min_allocation`` and never writes rates onto the flows.
 The scan groups and the flow table are not serialized — a restored
 emulator rebuilds them and, because a rebuild re-reads the same
 values, resumes with the same capacity epoch and byte-identical
@@ -75,7 +77,10 @@ from ..mesh.link import Link
 from ..mesh.routing import Router
 from ..mesh.topology import MeshTopology
 from ..sim.engine import Engine
-from .fairness import IncrementalMaxMin, LinkKey, max_min_allocation
+# ``max_min_allocation`` is not called here.  It stays importable as
+# ``repro.net.netem.max_min_allocation`` because the perf ledger's span
+# table (bench/spans.py) wraps it under that name.
+from .fairness import IncrementalMaxMin, LinkKey, max_min_allocation  # noqa: F401
 from .flows import Flow, FlowArrays
 from .queues import QueueArrays
 
@@ -182,7 +187,7 @@ class NetworkEmulator:
         self._stale_rows: dict[str, None] = {}
         self._incremental = IncrementalMaxMin()
         #: Cumulative wall time per tick phase and the tick count —
-        #: diagnostics only (surfaced via /metrics and the profiler,
+        #: diagnostics only (surfaced via /metrics and ``run --profile``,
         #: never written into run summaries or traces by default).
         self._phase_s: dict[str, float] = dict.fromkeys(TICK_PHASES, 0.0)
         self._phase_ticks = 0
@@ -433,13 +438,10 @@ class NetworkEmulator:
 
     # -- fluid model ------------------------------------------------------
 
-    def _capacities_now(self) -> dict[LinkKey, float]:
-        self._scan_capacities()
-        return dict(zip(self._link_keys, self._cap_values.tolist()))
-
     def capacities_now(self) -> dict[LinkKey, float]:
         """Instantaneous capacity of every directed link (what-if input)."""
-        return self._capacities_now()
+        self._scan_capacities()
+        return dict(zip(self._link_keys, self._cap_values.tolist()))
 
     def _current_flow_arrays(self) -> FlowArrays:
         """The flow table, brought up to date once per read.
@@ -461,40 +463,21 @@ class NetworkEmulator:
         self._flow_arrays = (self._flows_rev, arrays)
         return arrays
 
-    def recompute(self, capacities: Optional[dict[LinkKey, float]] = None) -> None:
+    def recompute(self) -> None:
         """Recompute the max-min allocation for the current instant.
 
-        Args:
-            capacities: an explicit capacity vector for what-if
-                analysis; omitted (the normal path), the emulator scans
-                the topology and solves incrementally against its own
-                capacity arrays.
-
-        The solve is skipped entirely when the allocation fingerprint —
-        topology version, flow-set revision, and capacity epoch —
-        matches the previous computation: nothing moved, so the rates
-        already on the flows are still exact.
+        Scans the topology's capacities and solves incrementally against
+        the emulator's own capacity arrays.  The solve is skipped
+        entirely when the allocation fingerprint — topology version,
+        flow-set revision, and capacity epoch — matches the previous
+        computation: nothing moved, so the rates already on the flows
+        are still exact.
         """
-        if capacities is None:
-            self._scan_capacities()
-            # The solver reads the flow table only in its array form: a
-            # query-driven recompute below the cutover never builds it.
-            batched = self._incremental.batched
-            self._recompute_arrays(
-                self._current_flow_arrays() if batched else None
-            )
-            return
-        # What-if path: solve caller-supplied capacities from scratch.
-        # The incremental engine's cached rates no longer match what is
-        # written on the flows afterwards, so it must be invalidated —
-        # otherwise a later partial re-solve would leave clean
-        # components holding what-if values.
-        rates = max_min_allocation(self._flows.values(), capacities)
-        for fid, flow in self._flows.items():
-            flow.allocated_mbps = rates[fid]
-        self._incremental.invalidate()
-        self._alloc_fingerprint = None
-        self._dirty = False
+        self._scan_capacities()
+        # The solver reads the flow table only in its array form: a
+        # query-driven recompute below the cutover never builds it.
+        batched = self._incremental.batched
+        self._recompute_arrays(self._current_flow_arrays() if batched else None)
 
     def _recompute_arrays(self, table: Optional[FlowArrays]) -> None:
         """Refresh flow allocations from the capacity arrays (and the
@@ -537,20 +520,15 @@ class NetworkEmulator:
         phases["bookkeeping"] += t2 - t1
         phases["solve"] += t3 - t2
         self._phase_ticks += 1
-        profiler = self.engine.profiler
-        if profiler is not None:
-            prefix = "repro.net.netem.NetworkEmulator.tick"
-            profiler.record_external(f"{prefix}[capacity_scan]", t1 - t0)
-            profiler.record_external(f"{prefix}[bookkeeping]", t2 - t1)
-            profiler.record_external(f"{prefix}[solve]", t3 - t2)
 
     def tick_phase_stats(self) -> dict:
         """Per-phase cumulative tick wall time, for diagnostics.
 
-        Returns ``{"ticks": n, "seconds": {phase: total_s}}``.  Wall
-        clock, so never folded into run summaries or traces — only
-        surfaced through /metrics gauges, the profiler table, and the
-        report's profile section.
+        Returns ``{"ticks": n, "seconds": {phase: total_s}}``, the one
+        store of tick-phase time.  Wall clock, so never folded into run
+        summaries or traces — only surfaced through /metrics gauges,
+        ``run --profile``'s stderr breakdown, and the report's profile
+        section.
         """
         return {"ticks": self._phase_ticks, "seconds": dict(self._phase_s)}
 

@@ -84,7 +84,7 @@ HELP_TEXT = {
     ),
     "bass_solver_full_solves": (
         "From-scratch max-min solves (whole component structure built: "
-        "first solve, topology change, what-if invalidation)."
+        "first solve or topology change)."
     ),
     "bass_solver_partial_solves": (
         "Max-min solves that re-filled one or more components touched by "

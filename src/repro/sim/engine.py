@@ -80,21 +80,6 @@ class EngineProfiler:
             stats.count += 1
             stats.total_s += elapsed
 
-    def record_external(
-        self, site: str, elapsed_s: float, *, count: int = 1
-    ) -> None:
-        """Charge externally measured wall time to a synthetic site.
-
-        Lets instrumented callees (the emulator's tick phases) publish
-        sub-callback accounting into the same table as event timing;
-        their parent callback's own site still carries the total.
-        """
-        stats = self._sites.get(site)
-        if stats is None:
-            stats = self._sites[site] = CallbackSiteStats(site)
-        stats.count += count
-        stats.total_s += elapsed_s
-
     def stats(self) -> list[CallbackSiteStats]:
         """Per-site stats, most expensive first."""
         return sorted(

@@ -26,6 +26,7 @@ from repro.experiments.multi_tenant import (
 )
 from repro.mesh.topology import line_topology, regional_mesh, regional_specs
 from repro.net.netem import NetworkEmulator
+from repro.obs.trace import Tracer
 
 
 def build_fleet_env(
@@ -47,9 +48,7 @@ def deploy_pair(env, name, region, *, demand_mbps=2.0, sink=None):
         env,
         app,
         "bass-longest-path",
-        config=BassConfig().with_migration(
-            cooldown_s=10.0, restart_seconds=5.0
-        ),
+        config=BassConfig().with_migration(cooldown_s=10.0),
         force_assignments={SINK: sink or f"r{region}n2"},
     )
 
@@ -125,9 +124,9 @@ class TestHandoffPhases:
         assert cp.home_region("tenant00") == "region0"
         assert handle.monitor is handle.controller.monitor
         assert handle.monitor is not first_home
-        _, at_move, _, _ = fleet_probe_stats([handle], 3.0)
+        _, at_move, _ = fleet_probe_stats([handle], 3.0)
         run_timeline(env, 100.0)  # three more 30 s epochs
-        _, later, _, _ = fleet_probe_stats([handle], 100.0)
+        _, later, _ = fleet_probe_stats([handle], 100.0)
         assert later > at_move
 
     def test_abort_when_destination_cannot_admit(self):
@@ -250,25 +249,20 @@ class TestFleetScenarios:
         assert result.intra_region_links == 6  # 3 per full-mesh triangle
 
 
-class TestRegionScopedHeadroomCache:
-    def test_views_of_different_regions_never_alias(self):
-        """The headroom cache keys on (region, link): a fresh region
-        view must re-probe even when another region's view measured the
-        same directed link moments ago."""
+class TestRegionScopedProbeEvents:
+    def test_views_of_different_regions_never_cite_each_other(self):
+        """Probe-event provenance keys on (region, link): a region
+        view's headroom probe is cited by that view only, never by
+        another region's view of the same directed link nor by the
+        fleet-wide monitor."""
         topology = line_topology([10.0])
         netem = NetworkEmulator(topology)
         netem.start()
-        fleet_monitor = NetMonitor(netem)
+        fleet_monitor = NetMonitor(netem, tracer=Tracer())
         view_a = fleet_monitor.region_view("a", ["node1", "node2"])
         view_b = fleet_monitor.region_view("b", ["node1", "node2"])
 
-        view_a.headroom_probe("node1", "node2", 1.0, reuse_s=30.0)
-        assert view_a.headroom_probe_count == 1
-        # Same region, same link, inside the reuse window: cache hit.
-        view_a.headroom_probe("node1", "node2", 1.0, reuse_s=30.0)
-        assert view_a.headroom_probe_count == 1
-        assert view_a.headroom_cache_hits == 1
-        # Different region: no aliasing, a fresh probe is injected.
-        view_b.headroom_probe("node1", "node2", 1.0, reuse_s=30.0)
-        assert view_b.headroom_probe_count == 1
-        assert view_b.headroom_cache_hits == 0
+        view_a.headroom_probe("node1", "node2", 1.0)
+        assert view_a.probe_event_id("node1", "node2") is not None
+        assert view_b.probe_event_id("node1", "node2") is None
+        assert fleet_monitor.probe_event_id("node1", "node2") is None

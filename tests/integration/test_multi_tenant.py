@@ -111,9 +111,7 @@ class TestDefaultPlane:
             duration_s=180.0,
             seed=11,
             throttle_mbps=3.0,
-            config=BassConfig().with_migration(
-                cooldown_s=10.0, restart_seconds=5.0
-            ),
+            config=BassConfig().with_migration(cooldown_s=10.0),
             env=env,
         )
         cp = env.control_plane

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.config import (
-    DEFAULT_CONFIG,
     BassConfig,
     FleetConfig,
     MigrationConfig,
@@ -49,7 +48,7 @@ class TestMigrationConfig:
             {"link_utilization_threshold": 0.0},
             {"headroom_fraction": 1.0},
             {"cooldown_s": -1},
-            {"restart_seconds": -1},
+            {"min_residency_s": -1.0},
             {"max_per_iteration": 0},
             {"improvement_margin": -0.1},
         ],
@@ -96,17 +95,22 @@ class TestFleetConfig:
 
 class TestBassConfig:
     def test_default_is_valid(self):
-        assert DEFAULT_CONFIG.validate() is DEFAULT_CONFIG
+        config = BassConfig()
+        assert config.validate() is config
 
-    def test_unknown_heuristic_raises(self):
-        with pytest.raises(ConfigError):
-            BassConfig(heuristic="alphabetical").validate()
-
-    def test_with_options(self):
-        config = BassConfig().with_options(heuristic="bfs")
-        assert config.heuristic == "bfs"
-        # Originals are untouched (frozen dataclass).
-        assert BassConfig().heuristic == "longest_path"
+    @pytest.mark.parametrize(
+        "config_class, removed",
+        [
+            (MigrationConfig, "restart_seconds"),
+            (BassConfig, "heuristic"),
+            (ProbeConfig, "headroom_reuse_s"),
+        ],
+    )
+    def test_removed_settings_are_unknown_keywords(self, config_class, removed):
+        # The restart cost is the orchestrator's, the heuristic is the
+        # scheduler name, and every headroom request probes.
+        with pytest.raises(TypeError, match=removed):
+            config_class(**{removed: 1.0})
 
     def test_with_migration(self):
         config = BassConfig().with_migration(goodput_threshold=0.25)

@@ -9,7 +9,7 @@ from repro.core.controlplane import (
     FleetArbiter,
     check_cluster_ledger,
 )
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import SchedulingError
 from repro.experiments.common import build_env, deploy_app
 from repro.experiments.multi_tenant import StreamPairApp
 
@@ -112,37 +112,13 @@ class TestMonitorSharing:
 
 
 class TestHeadroomReuse:
-    def test_cache_hit_within_window_is_not_a_probe_event(self):
-        env = _env()
-        monitor = env.control_plane.monitor_for(
-            ProbeConfig(headroom_reuse_s=10.0)
-        )
-        first = monitor.headroom_probe("node1", "node2", 1.0)
-        again = monitor.headroom_probe("node1", "node2", 1.0)
-        assert monitor.headroom_probe_count == 1
-        assert monitor.headroom_cache_hits == 1
-        assert len(monitor.probe_log) == 1
-        assert again.available_mbps == first.available_mbps
-
-    def test_cached_verdict_reevaluated_per_caller(self):
-        env = _env()
-        monitor = env.control_plane.monitor_for(
-            ProbeConfig(headroom_reuse_s=10.0)
-        )
-        monitor.headroom_probe("node1", "node2", 1.0)
-        huge = monitor.headroom_probe("node1", "node2", 1e9)
-        assert huge.headroom_ok is False
-
     def test_reuse_disabled_by_default(self):
+        """There is no headroom cache: every request probes."""
         env = _env()
         monitor = env.control_plane.monitor_for(ProbeConfig())
         monitor.headroom_probe("node1", "node2", 1.0)
         monitor.headroom_probe("node1", "node2", 1.0)
         assert monitor.headroom_probe_count == 2
-
-    def test_negative_reuse_rejected(self):
-        with pytest.raises(ConfigError):
-            ProbeConfig(headroom_reuse_s=-1.0).validate()
 
 
 class TestTenantLifecycle:

@@ -101,9 +101,6 @@ class TestHybridOrder:
         assignments = scheduler.schedule(mixed_dag(), cluster)
         assert len(assignments) == 8
 
-    def test_config_accepts_hybrid(self):
-        BassConfig(heuristic="hybrid").validate()
-
 
 class TestStatefulMigration:
     def test_component_state_size(self):
@@ -176,7 +173,7 @@ class TestStatefulMigration:
             orch,
             binding,
             monitor,
-            BassConfig().with_migration(cooldown_s=0.0, restart_seconds=5.0),
+            BassConfig().with_migration(cooldown_s=0.0),
         )
         topo.link("node2", "node3").set_rate_limit(3.0)
         iteration = controller.evaluate()

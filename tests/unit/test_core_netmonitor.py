@@ -98,6 +98,22 @@ class TestHeadroomProbe:
         monitor.headroom_probe("node1", "node2", 1.0)
         assert monitor.headroom_probe_count == 2
 
+    def test_cached_link_reads_live_capacity_once(self, monkeypatch):
+        """The probe is sized from the cached capacity; on a full-probed
+        link the only live read is the spare-capacity measurement."""
+        monitor, netem = monitor_on([10.0])
+        monitor.full_probe("node1", "node2")
+        live = netem.capacity
+        reads = []
+
+        def counting(src, dst):
+            reads.append((src, dst))
+            return live(src, dst)
+
+        monkeypatch.setattr(netem, "capacity", counting)
+        monitor.headroom_probe("node1", "node2", 1.0)
+        assert reads == [("node1", "node2")]
+
 
 class TestPathViews:
     def test_cached_path_capacity_is_bottleneck(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.camera import CameraPipelineApp
-from repro.config import BassConfig
+from repro.config import BassConfig, MigrationConfig
 from repro.errors import ConfigError
 from repro.core.registry import scheduler_names
 from repro.experiments.common import (
@@ -98,8 +98,16 @@ class TestDeployApp:
                 env,
                 CameraPipelineApp(),
                 "bass-bfs",
-                config=BassConfig(heuristic="nope"),
+                config=BassConfig(
+                    migration=MigrationConfig(goodput_threshold=2.0)
+                ),
             )
+
+    def test_residency_guard_follows_the_orchestrator_restart_cost(self):
+        # One probe interval past the restart the run actually pays.
+        env = build_env(seed=3, with_traces=False, restart_seconds=8.0)
+        handle = deploy_app(env, CameraPipelineApp(), "bass-bfs")
+        assert handle.controller.min_residency_s == 30.0 + 8.0
 
 
 class TestRunTimeline:

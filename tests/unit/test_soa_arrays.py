@@ -182,17 +182,6 @@ class TestCapacityScanEpoch:
         emu.topology.link("b", "c").set_rate_limit(3.0)
         assert emu.capacity("b", "c") == 3.0 != before
 
-    def test_what_if_recompute_restores_live_allocations(self):
-        emu = build_traced_emulator()
-        emu.tick()
-        live = {f.flow_id: f.allocated_mbps for f in emu.flows}
-        emu.recompute({("a", "b"): 1.0, ("b", "a"): 1.0,
-                       ("b", "c"): 1.0, ("c", "b"): 1.0})
-        throttled = {f.flow_id: f.allocated_mbps for f in emu.flows}
-        assert throttled != live
-        emu.recompute()
-        assert {f.flow_id: f.allocated_mbps for f in emu.flows} == live
-
 
 class TestCheckpointRoundTrip:
     def run_ticks(self, engine, emu, n):
