@@ -34,7 +34,6 @@ single checkpointable cell (``--checkpoint-dir`` / ``--stop-at`` /
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,12 +41,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .experiments.catalog import EXPERIMENTS, Experiment
 from .obs.report import read_trace, render_report
+from .obs.serve import serve_run
 from .obs.stream import StreamingSink
 from .obs.trace import Tracer, set_default_tracer
 from .runner import canonical_json, open_cache, run_sweep
 from .snap import (
     SnapshotError,
     checkpoint_into,
+    inspect_snapshot,
     latest_checkpoint,
     read_snapshot,
 )
@@ -168,6 +169,27 @@ def _check_flags(args, parser, row: Experiment) -> bool:
     return True
 
 
+def _read_capsule(parser, source: Path, scenario: str, resume, **kw):
+    """Restore the snapshot at ``source`` into its capsule — the one
+    restore path of ``run --restore-from`` and ``serve
+    --checkpoint-dir``.
+
+    A snapshot of another row than ``scenario`` is refused from its
+    header, before anything is unpickled; ``resume(other)`` spells the
+    command that would resume it.  ``kw`` goes to ``read_snapshot``.
+    """
+    try:
+        meta = inspect_snapshot(source)
+        if meta.scenario != scenario:
+            parser.error(
+                f"{source} snapshots scenario {meta.scenario!r}; resume "
+                f"it with '{resume(meta.scenario)}'"
+            )
+        return read_snapshot(source, **kw)
+    except SnapshotError as error:
+        parser.error(str(error))
+
+
 def _restore(args, parser):
     """Read ``--restore-from`` (a snapshot file, or the newest ``*.bass``
     in a directory) back into its capsule."""
@@ -177,18 +199,13 @@ def _restore(args, parser):
         if found is None:
             parser.error(f"no *.bass checkpoint found in {source}")
         source = found
-    try:
-        meta, capsule = read_snapshot(
-            source, check_fingerprint=not args.no_fingerprint_check
-        )
-    except SnapshotError as error:
-        parser.error(str(error))
-    if capsule.scenario != args.experiment:
-        parser.error(
-            f"{source} snapshots scenario {capsule.scenario!r}; "
-            f"restore it with 'bass-repro run {capsule.scenario} "
-            f"--restore-from {source}'"
-        )
+    meta, capsule = _read_capsule(
+        parser,
+        source,
+        args.experiment,
+        lambda scenario: f"bass-repro run {scenario} --restore-from {source}",
+        check_fingerprint=not args.no_fingerprint_check,
+    )
     policy = capsule.control_plane.checkpoints
     if args.stop_at is not None and not args.checkpoint_dir and policy is None:
         parser.error(
@@ -347,6 +364,71 @@ def _run(args, parser) -> int:
             handle.write(document + "\n")
         print(f"results: {args.out}")
     return 0
+
+
+def _serve(args, parser) -> int:
+    """``bass-repro serve``: resume the killed run from the newest
+    snapshot in ``--checkpoint-dir`` if there is one — the snapshot
+    supplies horizon, sizing, trace sink and status cadence — or else
+    build the row's checkpoint cell fresh under a new instrumented
+    recorder; then tick it live."""
+    if args.checkpoint_every is not None and not args.checkpoint_dir:
+        parser.error("--checkpoint-every needs --checkpoint-dir")
+    source = (
+        latest_checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
+    )
+    capsule = None
+    if source is not None:
+        meta, capsule = _read_capsule(
+            parser,
+            source,
+            args.scenario,
+            lambda scenario: f"bass-repro serve {scenario} "
+            f"--checkpoint-dir {args.checkpoint_dir}",
+        )
+        if capsule.control_plane.status is None:
+            parser.error(
+                f"{source} has no status plane attached — it was written "
+                "by 'bass-repro run', not 'bass-repro serve'; restore it "
+                "with 'bass-repro run --restore-from' instead"
+            )
+        tracer = capsule.env.tracer
+        print(
+            f"resuming {meta.scenario} from {source} at "
+            f"t={meta.sim_time_s:.0f}s (epoch "
+            f"{capsule.control_plane.epoch_count}, status revision "
+            f"{capsule.control_plane.status.revision})"
+        )
+    else:
+        sink = StreamingSink(args.stream_dir) if args.stream_dir else None
+        tracer = Tracer.with_instruments(sink=sink)
+    previous = set_default_tracer(tracer)
+    try:
+        if capsule is None:
+            row = EXPERIMENTS[args.scenario]
+            capsule = row.capsule_for(args.quick, **row.serve)
+            if args.duration is not None:
+                capsule.duration_s = args.duration
+        return serve_run(
+            capsule,
+            host=args.host,
+            port=args.port,
+            pace=args.pace,
+            status_path=args.status_path,
+            status_every=args.status_every,
+            linger=not args.no_linger,
+            policy=(
+                checkpoint_into(
+                    capsule,
+                    args.checkpoint_dir,
+                    every_k_epochs=_checkpoint_every(args),
+                )
+                if args.checkpoint_dir
+                else None
+            ),
+        )
+    finally:
+        set_default_tracer(previous)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -540,27 +622,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "serve":
-        from .obs.serve import ServeOptions, serve_run
-
-        if args.checkpoint_every is not None and not args.checkpoint_dir:
-            parser.error("--checkpoint-every needs --checkpoint-dir")
-        row = EXPERIMENTS[args.scenario]
-        return serve_run(
-            functools.partial(row.capsule_for, **row.serve),
-            ServeOptions(
-                host=args.host,
-                port=args.port,
-                quick=args.quick,
-                duration_s=args.duration,
-                pace=args.pace,
-                status_path=args.status_path,
-                status_every=args.status_every,
-                stream_dir=args.stream_dir,
-                linger=not args.no_linger,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=_checkpoint_every(args),
-            ),
-        )
+        return _serve(args, parser)
 
     if args.command == "list":
         for name in sorted(EXPERIMENTS):

@@ -7,13 +7,14 @@ Prometheus-style counters/gauges/histograms on the metrics collector;
 :mod:`repro.obs.report` reconstructs a human-readable timeline — every
 migration with its full cause chain — from a saved trace.
 
-The streaming half (this PR's always-on subsystem):
-:mod:`repro.obs.stream` bounds trace memory with rotating JSONL shards,
-:mod:`repro.obs.exposition` renders OpenMetrics text and O(1) rolling
-windows, :mod:`repro.obs.slo` evaluates declarative watchdogs on those
-windows, :mod:`repro.obs.status` publishes versioned ``status.json``
-snapshots every k epochs, and :mod:`repro.obs.serve` exposes it all
-over HTTP for ``bass-repro serve``.
+The live half: :mod:`repro.obs.stream` bounds trace memory with
+rotating JSONL shards, :mod:`repro.obs.exposition` renders OpenMetrics
+text and O(1) rolling windows, :mod:`repro.obs.slo` evaluates
+declarative watchdogs on those windows, :mod:`repro.obs.status`
+publishes versioned ``status.json`` snapshots every k epochs (the
+publisher owns the windows and the watchdog), and
+:mod:`repro.obs.serve` exposes it all over HTTP for ``bass-repro
+serve``.
 """
 
 from .exposition import (

@@ -69,7 +69,8 @@ class SloRule:
     description: str = ""
 
 
-#: The default rule set wired by ``bass-repro serve``: the probe-cost
+#: The rule set every :class:`~repro.obs.status.StatusPublisher`
+#: watches (so every ``bass-repro serve`` run): the probe-cost
 #: ceiling mirrors the paper's sharing-based overhead budget, the
 #: detection bound tracks the heartbeat detector's worst case, and the
 #: handoff bound keeps cross-region moves inside one decision interval.

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .exposition import RollingWindows
-from .slo import SloWatchdog
+from .slo import DEFAULT_SLO_RULES, SloWatchdog
 from .trace import TracerBase, resolve_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,18 +37,21 @@ class StatusPublisher:
     """Snapshots control-plane state into ``status.json`` every k epochs.
 
     Wire it with :meth:`ControlPlane.attach_status`; the control plane
-    calls :meth:`on_epoch` at the end of every fleet epoch.  SLO
-    watchdog rules (when given) are evaluated *every* epoch — breaches
-    must not wait for a publish boundary — while the snapshot file is
-    rewritten only every ``every_k_epochs``.
+    calls :meth:`on_epoch` at the end of every fleet epoch.  The
+    publisher owns the live plane: its :attr:`windows` (fed by the
+    tracer when it records) are summarized into every snapshot, and its
+    :attr:`watchdog` evaluates :data:`~repro.obs.slo.DEFAULT_SLO_RULES`
+    on them *every* epoch — breaches must not wait for a publish
+    boundary — while the snapshot file is rewritten only every
+    ``every_k_epochs``.  All of it pickles with the control plane, so a
+    restored run keeps its revision, windows and breach state.
 
     Args:
         control_plane: the plane to snapshot.
         path: where ``status.json`` lives.
         every_k_epochs: publish cadence in controller epochs.
-        windows: optional rolling windows summarized into the snapshot.
-        watchdog: optional SLO watchdog evaluated each epoch.
-        tracer: flight recorder for ``status.published`` events.
+        tracer: flight recorder for ``status.published`` and
+            ``slo.breach`` events, and the feed of the rolling windows.
     """
 
     def __init__(
@@ -57,8 +60,6 @@ class StatusPublisher:
         path: str | Path,
         *,
         every_k_epochs: int = 5,
-        windows: Optional[RollingWindows] = None,
-        watchdog: Optional[SloWatchdog] = None,
         tracer: Optional[TracerBase] = None,
     ) -> None:
         if every_k_epochs < 1:
@@ -66,9 +67,13 @@ class StatusPublisher:
         self.cp = control_plane
         self.path = Path(path)
         self.every_k_epochs = every_k_epochs
-        self.windows = windows
-        self.watchdog = watchdog
         self.tracer = resolve_tracer(tracer)
+        self.windows = RollingWindows()
+        if self.tracer.enabled:
+            self.tracer.add_observer(self.windows)
+        self.watchdog = SloWatchdog(
+            DEFAULT_SLO_RULES, self.windows, self.tracer
+        )
         self.revision = 0
         self.last_snapshot: Optional[dict] = None
 
@@ -76,8 +81,7 @@ class StatusPublisher:
 
     def on_epoch(self, now: float, epoch: int) -> None:
         """Called by the control plane at the end of every fleet epoch."""
-        if self.watchdog is not None:
-            self.watchdog.evaluate(now, epoch=epoch)
+        self.watchdog.evaluate(now, epoch=epoch)
         if epoch % self.every_k_epochs == 0:
             self.publish(now, epoch)
 
@@ -87,7 +91,7 @@ class StatusPublisher:
         """One versioned status document (the ``status.json`` schema)."""
         cp = self.cp
         down_nodes = cp.netem.topology.down_nodes
-        document: dict = {
+        return {
             "version": STATUS_VERSION,
             "revision": self.revision + 1,
             "sim_time_s": now,
@@ -101,14 +105,8 @@ class StatusPublisher:
             "recovery": (
                 cp.recovery.snapshot() if cp.recovery is not None else None
             ),
-            "slo": (
-                self.watchdog.snapshot()
-                if self.watchdog is not None
-                else None
-            ),
-        }
-        if self.windows is not None:
-            document["rolling"] = {
+            "slo": self.watchdog.snapshot(),
+            "rolling": {
                 "window_s": self.windows.window_s,
                 "probe_rate_per_second": round(
                     self.windows.value("probe_rate", now), 6
@@ -116,8 +114,8 @@ class StatusPublisher:
                 "violation_rate_per_second": round(
                     self.windows.value("violation_rate", now), 6
                 ),
-            }
-        return document
+            },
+        }
 
     def _tenants_block(self, now: float, down_nodes: set) -> list[dict]:
         cp = self.cp

@@ -226,6 +226,38 @@ class TestCli:
                   "--checkpoint-dir", ckpt, "--checkpoint-every", "3"])
         assert "every 5 epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, resume",
+        [
+            (["serve", "fig13", "--quick", "--port", "0", "--no-linger",
+              "--checkpoint-dir"],
+             "bass-repro serve churn --checkpoint-dir"),
+            (["run", "fig13", "--quick", "--restore-from"],
+             "bass-repro run churn --restore-from"),
+        ],
+    )
+    def test_another_rows_snapshot_is_refused_from_its_header(
+        self, argv, resume, capsys, monkeypatch, tmp_path
+    ):
+        """Both resume surfaces read the scenario off the snapshot
+        header and refuse another row's snapshot before unpickling it,
+        naming the command that does resume it."""
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", "churn", "--quick", "--checkpoint-dir", ckpt,
+                     "--stop-at", "70"]) == 0
+        capsys.readouterr()
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("the payload was unpickled")
+
+        monkeypatch.setattr("repro.cli.read_snapshot", unpickled)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, ckpt])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "snapshots scenario 'churn'" in err
+        assert resume in err
+
     def test_regions_sizes_the_single_cell_fleet_run(self, tmp_path):
         out = tmp_path / "fleet.json"
         assert main(["run", "fleet", "--quick", "--regions", "3",

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
@@ -23,8 +24,9 @@ import pytest
 from repro.cli import main
 from repro.experiments.catalog import EXPERIMENTS
 from repro.obs.report import render_report
-from repro.obs.serve import LiveRun, attach_status_plane, start_server
-from repro.obs.slo import SloRule
+from repro.obs.serve import start_server
+from repro.obs.slo import SloRule, SloWatchdog
+from repro.obs.status import StatusPublisher
 from repro.obs.stream import StreamingSink
 from repro.obs.trace import Tracer, read_trace, set_default_tracer
 
@@ -37,22 +39,34 @@ def _get(server, path):
         return response.status, response.headers, response.read().decode()
 
 
-def _live_churn(tmp_path, tracer, **plane_kwargs):
+def _live_churn(tmp_path, tracer):
+    """A quick churn capsule with a status publisher attached, as
+    ``bass-repro serve churn`` builds it."""
     row = EXPERIMENTS["churn"]
     capsule = row.capsule_for(quick=True, **row.serve)
-    plane = attach_status_plane(
-        capsule.control_plane,
-        tracer,
-        status_path=tmp_path / "status.json",
-        every_k_epochs=2,
-        **plane_kwargs,
+    capsule.control_plane.attach_status(
+        StatusPublisher(
+            capsule.control_plane,
+            tmp_path / "status.json",
+            every_k_epochs=2,
+            tracer=tracer,
+        )
     )
-    return LiveRun(capsule, plane)
+    return capsule
+
+
+def _finish(live):
+    """What ``serve_run`` does at the horizon: publish, then seal."""
+    live.control_plane.status.publish(
+        live.engine.now, live.control_plane.epoch_count
+    )
+    live.env.tracer.close()
 
 
 @pytest.fixture()
 def live_churn(tmp_path):
-    """A served quick churn run, stepped under test control."""
+    """A served quick churn run, stepped under test control: the
+    capsule, its server, and its publisher."""
     tracer = Tracer.with_instruments()
     previous = set_default_tracer(tracer)
     server = None
@@ -60,7 +74,7 @@ def live_churn(tmp_path):
         live = _live_churn(tmp_path, tracer)
         server = start_server(live, port=0)
         live.start()
-        yield live, server, live.plane
+        yield live, server, SimpleNamespace(publisher=live.control_plane.status)
     finally:
         if server is not None:
             server.shutdown()
@@ -73,7 +87,7 @@ class TestLiveEndpoints:
         live, server, plane = live_churn
 
         # Before the crash: probes and rolling gauges are live.
-        live.step(45.0)
+        server.step(45.0)
         status, headers, body = _get(server, "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
@@ -93,7 +107,7 @@ class TestLiveEndpoints:
 
         # Crash at t=60; run to the horizon so detection + recovery and
         # at least one publish boundary have passed.
-        live.step(live.capsule.duration_s)
+        server.step(live.duration_s)
         assert live.done
         code, headers, status_body = _get(server, "/v1/status")
         assert code == 200
@@ -113,7 +127,7 @@ class TestLiveEndpoints:
         assert "bass_node_failures_detected_total 1" in body
         assert "bass_rolling_detection_latency_p95_seconds" in body
 
-        live.finish()
+        _finish(live)
         on_disk = json.loads(plane.publisher.path.read_text())
         assert on_disk["revision"] == plane.publisher.revision
 
@@ -122,14 +136,14 @@ class TestLiveEndpoints:
         # Step epoch-by-epoch past the crash until the detector confirms.
         detected_at = None
         while not live.done:
-            live.step(30.0)
+            server.step(30.0)
             _, _, body = _get(server, "/metrics")
             if "bass_node_failures_detected_total 1" in body:
                 detected_at = live.engine.now
                 break
         assert detected_at is not None
         # Within k=2 further epochs the published document must show it.
-        live.step(2 * 30.0)
+        server.step(2 * 30.0)
         _, _, status_body = _get(server, "/v1/status")
         document = json.loads(status_body)
         assert "node2" in document["regions"][0]["down_nodes"]
@@ -194,17 +208,111 @@ class TestServeProcess:
             process.stdout.close()
 
 
+def _serve_churn(tmp_path, name):
+    """``bass-repro serve churn`` with checkpoints, a shard stream and a
+    status file under ``tmp_path/name``, as a live process."""
+    run_dir = tmp_path / name
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "churn",
+         "--quick", "--port", "0", "--pace", "25", "--no-linger",
+         "--checkpoint-dir", str(run_dir / "ckpt"),
+         "--stream-dir", str(run_dir / "shards"),
+         "--status-path", str(run_dir / "status.json")],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def _decisions(shards):
+    """The served run's decision stream: what happened, when, to whom.
+    Status publishes (a kill adds one) and wall-clock ``*_ms`` fields
+    are dropped; ids and causes shift with the extra publish."""
+    return [
+        (
+            event.kind,
+            event.time,
+            event.app,
+            event.epoch,
+            {k: v for k, v in event.data.items() if not k.endswith("_ms")},
+        )
+        for event in read_trace(shards)
+        if event.kind != "status.published"
+    ]
+
+
+class TestServeKillResume:
+    def test_sigterm_then_same_command_resumes_the_run(self, tmp_path):
+        """Kill a served churn run mid-run, re-run the same command: it
+        resumes from the final snapshot, keeps the status revision
+        monotonic, reaches the horizon, and its decisions are an
+        uninterrupted served run's."""
+        process = _serve_churn(tmp_path, "killed")
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"serving churn on (http://\S+) ", banner)
+            assert match, banner
+            deadline = time.monotonic() + 120.0
+            while True:
+                with urlopen(match.group(1) + "/v1/epoch", timeout=10) as r:
+                    epoch = json.loads(r.read())
+                assert not epoch["done"], "horizon reached before the kill"
+                if epoch["epoch"] >= 2:
+                    break
+                assert time.monotonic() < deadline, "epoch 2 never reached"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+            first = process.stdout.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        assert "interrupted at t=" in first, first
+        assert "bass-repro serve churn --checkpoint-dir" in first
+        status_path = tmp_path / "killed" / "status.json"
+        revision_at_kill = json.loads(status_path.read_text())["revision"]
+
+        # The resume and an uninterrupted reference, side by side.
+        processes = {
+            name: _serve_churn(tmp_path, name)
+            for name in ("killed", "reference")
+        }
+        outputs = {}
+        try:
+            for name, process in processes.items():
+                outputs[name], _ = process.communicate(timeout=300)
+                assert process.returncode == 0, outputs[name]
+        finally:
+            for process in processes.values():
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+        assert "resuming churn" in outputs["killed"]
+        assert "run complete at t=" in outputs["killed"]
+        final = json.loads(status_path.read_text())
+        assert final["revision"] > revision_at_kill
+        horizon = EXPERIMENTS["churn"].capsule_for(quick=True).duration_s
+        assert final["sim_time_s"] == horizon
+        resumed = _decisions(tmp_path / "killed" / "shards")
+        assert resumed and resumed == _decisions(
+            tmp_path / "reference" / "shards"
+        )
+
+
 class TestSloBreachPipeline:
     def test_probe_spike_breaches_and_report_renders_cause(self, tmp_path):
         tracer = Tracer.with_instruments()
         previous = set_default_tracer(tracer)
         try:
-            live = _live_churn(
-                tmp_path,
-                tracer,
+            live = _live_churn(tmp_path, tracer)
+            publisher = live.control_plane.status
+            publisher.watchdog = SloWatchdog(
                 # An absurdly low ceiling: the first epoch's ordinary
                 # probe activity is the "spike" that must trip it.
-                rules=(
+                (
                     SloRule(
                         "probe-rate-ceiling",
                         "probe_rate",
@@ -212,9 +320,11 @@ class TestSloBreachPipeline:
                         description="test ceiling",
                     ),
                 ),
+                publisher.windows,
+                tracer,
             )
             live.start()
-            live.step(65.0)  # two epochs: breach evaluated at each end
+            live.run_until(65.0)  # two epochs: breach evaluated at each end
             breaches = tracer.events_of_kind("slo.breach")
             assert len(breaches) == 1  # edge-triggered, not re-emitted
             breach = breaches[0]
@@ -226,7 +336,7 @@ class TestSloBreachPipeline:
                 "probe.headroom", "probe.max_capacity"
             )
             # And the watchdog's state reaches status.json.
-            live.finish()
+            _finish(live)
             document = json.loads((tmp_path / "status.json").read_text())
             assert document["slo"]["breach_count"] == 1
             (active,) = document["slo"]["active_breaches"]

@@ -161,20 +161,41 @@ class TestStatusPublisher:
         self, tmp_path
     ):
         env = _env_with_tenant()
-        tracer, windows, dog = _watchdog()
+        tracer, _, dog = _watchdog()
         publisher = StatusPublisher(
             env.control_plane,
             tmp_path / "status.json",
             every_k_epochs=100,  # never publishes in this test
-            windows=windows,
-            watchdog=dog,
             tracer=tracer,
         )
+        publisher.watchdog = dog
         for t in (1.0, 1.5, 2.0):
             tracer.emit("probe.headroom", t, src="n1", dst="n2")
         publisher.on_epoch(2.0, 1)  # 1 % 100 != 0: no file write
         assert len(tracer.events_of_kind("slo.breach")) == 1
         assert not (tmp_path / "status.json").exists()
+
+    def test_publisher_owns_its_windows_and_watchdog(self, tmp_path):
+        """A bare publisher on a recording tracer feeds its own rolling
+        windows and watches the default SLO rules on them."""
+        env = _env_with_tenant()
+        tracer = Tracer()
+        publisher = StatusPublisher(
+            env.control_plane,
+            tmp_path / "status.json",
+            every_k_epochs=1,
+            tracer=tracer,
+        )
+        tracer.emit("probe.headroom", 1.0, src="n1", dst="n2")
+        assert publisher.windows.probe_rate.count(1.0) == 1
+        publisher.on_epoch(1.0, 1)
+        document = json.loads((tmp_path / "status.json").read_text())
+        assert [rule["name"] for rule in document["slo"]["rules"]] == [
+            rule.name for rule in DEFAULT_SLO_RULES
+        ]
+        assert document["slo"]["breach_count"] == 0
+        assert document["rolling"]["window_s"] == publisher.windows.window_s
+        assert document["rolling"]["probe_rate_per_second"] > 0
 
     def test_status_published_event_traced(self, tmp_path):
         env = _env_with_tenant()
