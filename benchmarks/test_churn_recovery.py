@@ -139,9 +139,7 @@ def test_trace_reconstructs_full_cause_chain():
     assert registry.counter("bass_node_failures_detected_total").value == 1.0
     latency = registry.histogram("bass_detection_latency_seconds")
     assert latency.count == 1
-    assert latency.percentile(50) == pytest.approx(
-        result.detection_latency_s
-    )
+    assert latency.sum == pytest.approx(result.detection_latency_s)
 
     # And `bass-repro report` renders the chain end to end.
     report = render_report(tracer.events)

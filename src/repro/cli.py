@@ -34,6 +34,7 @@ single checkpointable cell (``--checkpoint-dir`` / ``--stop-at`` /
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -52,6 +53,31 @@ from .snap import (
     latest_checkpoint,
     read_snapshot,
 )
+
+
+def _checked(cast, accept, expected: str):
+    """An argparse ``type=``: cast, then refuse what ``accept`` rejects,
+    so a bad number is a usage error that names its flag."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid <name> value"
+    return parse
+
+
+# NaN fails every comparison, so the float checks refuse it too.
+_positive_int = _checked(int, lambda v: v > 0, "an integer > 0")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_seconds = _checked(
+    float, lambda v: 0 < v < math.inf, "a finite number > 0"
+)
+_seconds = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
 def _table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -461,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     runner.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="worker processes the experiment's cells are handed to "
@@ -487,7 +513,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     runner.add_argument(
         "--regions",
-        type=int,
+        type=_positive_int,
         default=None,  # resolved to the catalogue row's default
         metavar="N",
         help="region count for the fleet experiment",
@@ -500,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     runner.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_count,
         default=None,  # resolved to 5 where a new policy is attached
         metavar="K",
         help="write a checkpoint every K controller epochs "
@@ -508,7 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     runner.add_argument(
         "--stop-at",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="stop the run at this simulated time and write one "
@@ -567,14 +593,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     server.add_argument(
         "--duration",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="override the scenario's simulated horizon",
     )
     server.add_argument(
         "--pace",
-        type=float,
+        type=_seconds,
         default=0.0,
         metavar="X",
         help="simulated seconds advanced per wall second "
@@ -588,7 +614,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     server.add_argument(
         "--status-every",
-        type=int,
+        type=_positive_int,
         default=5,
         metavar="K",
         help="publish status.json every K controller epochs",
@@ -613,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     server.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_count,
         default=None,  # resolved to 5 where it is used
         metavar="K",
         help="checkpoint every K controller epochs (default 5; needs "

@@ -23,8 +23,6 @@
 from .binding import DeploymentBinding
 from .controller import BandwidthController, ControllerIteration
 from .controlplane import (
-    ArbiterClaim,
-    ArbiterConflict,
     ControlPlane,
     FleetArbiter,
     check_cluster_ledger,
@@ -50,8 +48,6 @@ from .profiling import EdgeProfile, OnlineProfiler
 from .scheduler import BassScheduler
 
 __all__ = [
-    "ArbiterClaim",
-    "ArbiterConflict",
     "BandwidthController",
     "BassScheduler",
     "Component",

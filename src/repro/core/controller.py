@@ -407,9 +407,7 @@ class BandwidthController:
                 achieved_mbps_of=self.binding.achieved_mbps,
             )
             if preferred is not None and preferred != target:
-                region.record_conflict(
-                    self.netem.now, self.app, component, preferred, target
-                )
+                region.record_conflict()
                 if self.tracer.enabled:
                     self.tracer.emit(
                         "migration.deflected",

@@ -29,7 +29,6 @@ region spanning the mesh).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -46,7 +45,6 @@ from .regions import (
     RegionClaim,
     RegionController,
     RegionMap,
-    RegionRoundStats,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,32 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Engine, PeriodicTask
 
 _EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class ArbiterClaim:
-    """One admitted migration: ``app`` moved ``component`` to ``node``."""
-
-    time: float
-    app: str
-    component: str
-    node: str
-
-
-@dataclass(frozen=True)
-class ArbiterConflict:
-    """A migration choice deflected by another tenant's claim.
-
-    ``granted`` is the node actually used instead of the preferred one
-    (None when no alternative qualified and the migration waited for the
-    next epoch).
-    """
-
-    time: float
-    app: str
-    component: str
-    preferred: str
-    granted: Optional[str]
 
 
 class FleetArbiter:
@@ -109,8 +81,10 @@ class FleetArbiter:
     """
 
     def __init__(self) -> None:
-        self.claims: list[ArbiterClaim] = []
-        self.conflicts: list[ArbiterConflict] = []
+        #: Claims admitted (recoveries and resolved region claims) and
+        #: conflicts recorded, over the run; the trace has the details.
+        self.claim_count = 0
+        self.conflict_count = 0
         self.epoch_count = 0
         self._epoch_claims: dict[str, str] = {}  # node -> claiming app
         self._pending: list[RegionClaim] = []
@@ -135,23 +109,13 @@ class FleetArbiter:
     def claim(self, time: float, app: str, component: str, node: str) -> None:
         """Record a recovery re-placement, claiming ``node`` this round."""
         self._epoch_claims[node] = app
-        self.claims.append(ArbiterClaim(time, app, component, node))
+        self.claim_count += 1
 
-    def record_conflict(
-        self,
-        time: float,
-        app: str,
-        component: str,
-        preferred: str,
-        granted: Optional[str],
-    ) -> None:
-        self.conflicts.append(
-            ArbiterConflict(time, app, component, preferred, granted)
-        )
-
-    @property
-    def conflict_count(self) -> int:
-        return len(self.conflicts)
+    def record_conflict(self) -> None:
+        """Count one choice deflected, or one claim lost, to another
+        tenant's claim (the trace event beside each call has who and
+        where)."""
+        self.conflict_count += 1
 
     # -- eventually-consistent claim epochs --------------------------------
 
@@ -179,17 +143,13 @@ class FleetArbiter:
         )
         board: dict[str, RegionClaim] = {}
         collisions: list[tuple[RegionClaim, RegionClaim]] = []
+        self.claim_count += len(ordered)
         for claim in ordered:
-            self.claims.append(
-                ArbiterClaim(claim.time, claim.app, claim.component, claim.node)
-            )
             held = board.get(claim.node)
             if held is None:
                 board[claim.node] = claim
             elif held.region != claim.region or held.app != claim.app:
-                self.record_conflict(
-                    time, claim.app, claim.component, claim.node, None
-                )
+                self.record_conflict()
                 collisions.append((claim, held))
         self._pending = []
         self._published = board
@@ -297,7 +257,6 @@ class ControlPlane:
         #: (plan + act) wall time, plus the arbiter's resolution time —
         #: the fleet-level latency had regions run in parallel.
         self.epoch_decision_seconds: list[float] = []
-        self.round_stats: list[RegionRoundStats] = []
         #: Fleet epochs completed; drives the status publisher's
         #: k-epoch cadence.
         self.epoch_count = 0
@@ -656,20 +615,8 @@ class ControlPlane:
                         for c in batch
                     ],
                 )
-            for conflict in region.drain_conflicts():
-                arbiter.record_conflict(*conflict)
-            decision = perf_counter() - started
-            region_decision = max(region_decision, decision)
-            stats = RegionRoundStats(
-                region=name,
-                epoch=epoch,
-                tenants=len(tenants),
-                decision_seconds=decision,
-                claims=len(batch),
-                handoffs_requested=region.queued_handoffs,
-                max_severity=ranked[0][0] if ranked else 0.0,
-            )
-            self.round_stats.append(stats)
+            arbiter.conflict_count += region.drain_conflicts()
+            region_decision = max(region_decision, perf_counter() - started)
             if self.tracer.enabled:
                 self.tracer.emit(
                     "region.epoch",
@@ -678,8 +625,8 @@ class ControlPlane:
                     region=name,
                     tenants=len(tenants),
                     claims=len(batch),
-                    handoffs=stats.handoffs_requested,
-                    max_severity=stats.max_severity,
+                    handoffs=region.queued_handoffs,
+                    max_severity=ranked[0][0] if ranked else 0.0,
                 )
         started = perf_counter()
         self._resolve_claims(epoch, now, batch_events)
@@ -749,9 +696,7 @@ class ControlPlane:
             request.note = (
                 f"target held by {held.app!r} ({held.region})"
             )
-            arbiter.record_conflict(
-                now, request.app, request.component, request.target_node, None
-            )
+            arbiter.record_conflict()
             if self.tracer.enabled:
                 self.tracer.emit(
                     "handoff.denied",

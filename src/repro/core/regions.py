@@ -330,7 +330,7 @@ class RegionController:
         #: (one round stale — the eventual-consistency window).
         self._stale_claims: dict[str, tuple[str, str]] = {}
         self._batch: list[RegionClaim] = []
-        self._conflicts: list[tuple] = []
+        self._conflict_count = 0
         self._handoff_queue: list[HandoffRequest] = []
         self._pending_handoffs: set[tuple[str, str]] = set()
         self._acting_app: Optional[str] = None
@@ -364,7 +364,7 @@ class RegionController:
             if owner[0] != self.name
         }
         self._batch = []
-        self._conflicts = []
+        self._conflict_count = 0
 
     def set_acting_context(self, app: str, severity: float) -> None:
         """Stamp subsequent claims with the acting tenant's severity."""
@@ -380,9 +380,10 @@ class RegionController:
         batch, self._batch = self._batch, []
         return batch
 
-    def drain_conflicts(self) -> list[tuple]:
-        conflicts, self._conflicts = self._conflicts, []
-        return conflicts
+    def drain_conflicts(self) -> int:
+        """The round's conflict count, for the arbiter's tally."""
+        count, self._conflict_count = self._conflict_count, 0
+        return count
 
     # -- claims-board interface ---------------------------------------------
 
@@ -418,15 +419,8 @@ class RegionController:
             )
         )
 
-    def record_conflict(
-        self,
-        time: float,
-        app: str,
-        component: str,
-        preferred: str,
-        granted: Optional[str],
-    ) -> None:
-        self._conflicts.append((time, app, component, preferred, granted))
+    def record_conflict(self) -> None:
+        self._conflict_count += 1
 
     # -- cross-region handoffs ---------------------------------------------
 
@@ -510,16 +504,3 @@ class RegionController:
             "epoch": self.epoch,
             "pending_handoffs": len(self._pending_handoffs),
         }
-
-
-@dataclass
-class RegionRoundStats:
-    """Per-region accounting for one fleet round (scalability reports)."""
-
-    region: str
-    epoch: int
-    tenants: int = 0
-    decision_seconds: float = 0.0
-    claims: int = 0
-    handoffs_requested: int = 0
-    max_severity: float = 0.0

@@ -252,9 +252,7 @@ class RecoveryCoordinator:
                 allow=allow,
             )
             if preferred is not None and preferred != target:
-                arbiter.record_conflict(
-                    now, app, component, preferred, target
-                )
+                arbiter.record_conflict()
                 if self.tracer.enabled:
                     self.tracer.emit(
                         "recovery.deflected",

@@ -1,11 +1,8 @@
-"""Measurement utilities: time-series collection and summaries."""
+"""Measurement utilities: summaries of sampled values."""
 
-from .collector import MetricsCollector, TimeSeries
 from .summary import cdf_points, percentile, rolling_mean, summarize
 
 __all__ = [
-    "MetricsCollector",
-    "TimeSeries",
     "cdf_points",
     "percentile",
     "rolling_mean",

@@ -2,8 +2,8 @@
 and the live status plane.
 
 The flight recorder (:mod:`repro.obs.trace`) records every orchestrator
-decision as a causally-linked event; :mod:`repro.obs.instruments` layers
-Prometheus-style counters/gauges/histograms on the metrics collector;
+decision as a causally-linked event; :mod:`repro.obs.instruments`
+derives Prometheus-style counters/gauges/histograms from it;
 :mod:`repro.obs.report` reconstructs a human-readable timeline — every
 migration with its full cause chain — from a saved trace.
 

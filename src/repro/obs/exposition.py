@@ -32,7 +32,13 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .instruments import Counter, Gauge, Histogram, InstrumentRegistry
+from .instruments import (
+    HANDOFF_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    InstrumentRegistry,
+)
 
 #: Content type a conforming scraper expects from ``/metrics``.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -365,8 +371,6 @@ class RollingPercentile:
         return float("inf")
 
 
-#: Handoff-latency buckets mirror StandardInstruments' histogram.
-HANDOFF_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 #: Detection-latency buckets cover the heartbeat-miss scale.
 DETECTION_BUCKETS = (1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0)
 

@@ -1,16 +1,17 @@
-"""Prometheus-style instruments layered on :class:`MetricsCollector`.
+"""Prometheus-style instruments: counters, gauges and histograms.
 
-The paper's testbed scrapes Prometheus (§5); the reproduction's
-:class:`~repro.metrics.collector.MetricsCollector` stores raw time
-series.  This module adds the three Prometheus instrument families on
-top, so orchestrator subsystems can expose counters (probe counts by
-mode), gauges (current violations), and histograms (restart durations,
-per-link utilization) that are queryable *and* exported with every
-other series.
+The paper's testbed scrapes Prometheus (§5).  This module holds the
+three Prometheus instrument families, so orchestrator subsystems can
+expose counters (probe counts by mode), gauges (current violations),
+and histograms (restart durations, per-link utilization).  Each
+instrument holds only its current value — a counter's total, a gauge's
+last sample, a histogram's buckets, count and sum — which is what the
+exposition (:mod:`repro.obs.exposition`) renders; the per-sample
+history is the trace itself.
 
-Every operation takes an explicit ``time`` — simulation time, supplied
-by the instrumented component — so instruments stay clock-free and
-deterministic.
+Every operation takes the sample's simulation time (the trace event's),
+so call sites never read a wall clock; these instruments hold values
+only and do not store it.
 
 Example:
     >>> registry = InstrumentRegistry()
@@ -26,38 +27,34 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
 
-from ..metrics.collector import MetricsCollector, TimeSeries
-from ..metrics.summary import percentile, text_histogram
-
 #: Default histogram buckets (seconds-ish scale, Prometheus-style).
 DEFAULT_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0)
 
+#: Buckets of ``bass_handoff_latency_seconds`` (request→commit), shared
+#: with the rolling windows' handoff-latency percentile.
+HANDOFF_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
+
 
 class Counter:
-    """Monotonically increasing total; each ``inc`` records the running
-    cumulative value into the backing series."""
+    """Monotonically increasing total."""
 
-    def __init__(self, series: TimeSeries) -> None:
-        self.series = series
+    def __init__(self) -> None:
         self.value = 0.0
 
     def inc(self, time: float, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-        self.series.record(time, self.value)
 
 
 class Gauge:
-    """A value that can go up and down; ``set`` records each sample."""
+    """A value that can go up and down."""
 
-    def __init__(self, series: TimeSeries) -> None:
-        self.series = series
+    def __init__(self) -> None:
         self.value = 0.0
 
     def set(self, time: float, value: float) -> None:
         self.value = value
-        self.series.record(time, value)
 
     def inc(self, time: float, amount: float = 1.0) -> None:
         self.set(time, self.value + amount)
@@ -67,27 +64,20 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed distribution; raw observations back percentile queries.
+    """Bucketed distribution.
 
     Cumulative bucket counts follow Prometheus ``le`` semantics (each
     bucket counts observations ≤ its upper bound, with an implicit
-    +Inf bucket).  The raw samples are also recorded in the backing
-    series, so exact percentiles and the text renderer stay available.
+    +Inf bucket).
     """
 
-    def __init__(
-        self,
-        series: TimeSeries,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        self.series = series
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         self.buckets = tuple(sorted(buckets))
         self.bucket_counts = [0] * (len(self.buckets) + 1)  # +Inf last
         self.count = 0
         self.sum = 0.0
 
     def observe(self, time: float, value: float) -> None:
-        self.series.record(time, value)
         self.count += 1
         self.sum += value
         for index, bound in enumerate(self.buckets):
@@ -95,27 +85,16 @@ class Histogram:
                 self.bucket_counts[index] += 1
         self.bucket_counts[-1] += 1
 
-    def percentile(self, q: float) -> float:
-        """Exact percentile over the raw observations (NaN when empty)."""
-        return percentile(self.series.values, q)
-
-    def render(self, *, bins: int = 10, width: int = 40) -> str:
-        """Text histogram of the raw observations (for run reports)."""
-        return text_histogram(self.series.values, bins=bins, width=width)
-
 
 class InstrumentRegistry:
-    """Named, labelled instruments backed by one metrics collector.
+    """Named, labelled instruments.
 
     Repeated requests for the same (name, labels) return the same
     instrument; asking for a different instrument family under an
     existing key is an error.
     """
 
-    def __init__(self, collector: Optional[MetricsCollector] = None) -> None:
-        self.collector = (
-            collector if collector is not None else MetricsCollector()
-        )
+    def __init__(self) -> None:
         self._instruments: dict[
             tuple[str, tuple[tuple[str, str], ...]], object
         ] = {}
@@ -124,7 +103,7 @@ class InstrumentRegistry:
         key = (name, tuple(sorted(labels.items())))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = factory(self.collector.series(name, **labels), **kwargs)
+            instrument = factory(**kwargs)
             self._instruments[key] = instrument
         elif not isinstance(instrument, factory):
             raise TypeError(
@@ -269,9 +248,7 @@ class StandardInstruments:
         "counter", "bass_handoffs_total", phase="committed"
     )
     _handoff_latency = _held(
-        "histogram",
-        "bass_handoff_latency_seconds",
-        buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0),
+        "histogram", "bass_handoff_latency_seconds", buckets=HANDOFF_BUCKETS
     )
     _cells_executed = _held(
         "counter", "bass_sweep_cells_total", status="executed"

@@ -141,7 +141,7 @@ class StatusPublisher:
     def _arbiter_block(self) -> dict:
         arbiter = self.cp.arbiter
         return {
-            "claims": len(arbiter.claims),
+            "claims": arbiter.claim_count,
             "conflicts": arbiter.conflict_count,
             "epochs": arbiter.epoch_count,
             "handoffs": arbiter.handoff_counts(),

@@ -78,8 +78,10 @@ class CheckpointPolicy:
 
     def _write_due(self) -> None:
         self._armed = False
-        path = self.write()
-        self.written.append(path)
+        # Listed before the pickle is taken, so a run resumed from this
+        # snapshot prunes it in its turn.
+        self.written.append(self._path(None))
+        self.write()
         while len(self.written) > self.keep:
             stale = self.written.pop(0)
             stale.unlink(missing_ok=True)
@@ -96,15 +98,15 @@ class CheckpointPolicy:
         """
         if self.capsule is None:
             raise ValueError("policy has no capsule bound")
-        epoch = self.capsule.control_plane.epoch_count
-        name = (
-            f"{label}.bass"
-            if label is not None
-            else f"checkpoint-e{epoch:06d}.bass"
-        )
-        path = self.directory / name
+        path = self._path(label)
         self.last_meta = write_snapshot(path, self.capsule)
         return path
+
+    def _path(self, label: Optional[str]) -> Path:
+        if label is None:
+            epoch = self.capsule.control_plane.epoch_count
+            label = f"checkpoint-e{epoch:06d}"
+        return self.directory / f"{label}.bass"
 
 
 def checkpoint_into(
@@ -115,13 +117,17 @@ def checkpoint_into(
     A capsule without a policy gets a new one at the given cadence.
     One restored from a checkpoint already carries the policy it was
     written under: its pickled cadence shapes the event heap, so it is
-    kept and only re-pointed at this invocation's directory.
+    kept and only re-pointed at this invocation's directory.  Pointed
+    elsewhere, it forgets the snapshots it wrote before: they are not
+    this run's to prune.
     """
+    directory = Path(directory)
     policy = capsule.control_plane.checkpoints
     if policy is None:
         policy = CheckpointPolicy(directory, every_k_epochs=every_k_epochs)
         policy.bind(capsule)
         capsule.control_plane.attach_checkpoints(policy)
-    else:
-        policy.directory = Path(directory)
+    elif directory.resolve() != policy.directory.resolve():
+        policy.directory = directory
+        policy.written = []
     return policy

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.catalog import CATALOG, EXPERIMENTS
 from repro.obs.stream import StreamingSink
 from repro.obs.trace import Tracer, set_default_tracer
@@ -137,3 +138,55 @@ class TestFreshProcessRestore:
             "--out", str(reference),
         )
         assert restored.read_bytes() == reference.read_bytes()
+
+
+class TestPruningAfterRestore:
+    """A restored run's checkpoint policy prunes only its own directory
+    and keeps ``keep`` (3) periodic snapshots there.  fig13 runs ten
+    epochs; cut at t=150 with a snapshot every epoch, then resumed from
+    epoch 4."""
+
+    @staticmethod
+    def _periodic(directory):
+        return sorted(p.name for p in directory.glob("checkpoint-e*.bass"))
+
+    def _cut(self, tmp_path, capsys):
+        first = tmp_path / "A"
+        assert main(["run", "fig13", "--checkpoint-dir", str(first),
+                     "--checkpoint-every", "1", "--stop-at", "150"]) == 0
+        capsys.readouterr()
+        assert self._periodic(first) == [
+            "checkpoint-e000003.bass",
+            "checkpoint-e000004.bass",
+            "checkpoint-e000005.bass",
+        ]
+        return first
+
+    def test_resuming_elsewhere_leaves_the_first_directory_alone(
+        self, tmp_path, capsys
+    ):
+        first = self._cut(tmp_path, capsys)
+        before = sorted(p.name for p in first.iterdir())
+        second = tmp_path / "B"
+        assert main(["run", "fig13", "--restore-from",
+                     str(first / "checkpoint-e000004.bass"),
+                     "--checkpoint-dir", str(second)]) == 0
+        assert sorted(p.name for p in first.iterdir()) == before
+        assert self._periodic(second) == [
+            "checkpoint-e000008.bass",
+            "checkpoint-e000009.bass",
+            "checkpoint-e000010.bass",
+        ]
+
+    def test_resuming_in_place_prunes_the_snapshot_it_resumed_from(
+        self, tmp_path, capsys
+    ):
+        first = self._cut(tmp_path, capsys)
+        assert main(["run", "fig13", "--restore-from",
+                     str(first / "checkpoint-e000004.bass"),
+                     "--checkpoint-dir", str(first)]) == 0
+        assert self._periodic(first) == [
+            "checkpoint-e000008.bass",
+            "checkpoint-e000009.bass",
+            "checkpoint-e000010.bass",
+        ]

@@ -18,6 +18,8 @@ from repro.runner import canonical_json, decode_value
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "cli"
 REPORT_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "report"
+#: A bounded ``serve`` run: an ephemeral port, no serving past the horizon.
+SERVE = ["serve", "--quick", "--port", "0", "--no-linger"]
 
 #: The one column of each golden that prints wall-clock time.
 WALL_CLOCK_COLUMN = {
@@ -211,6 +213,35 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(argv)
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "fig13", "--quick", "--checkpoint-dir", "ck",
+              "--stop-at", "nan"], "--stop-at"),
+            (["run", "fig13", "--quick", "--checkpoint-dir", "ck",
+              "--stop-at", "-5"], "--stop-at"),
+            (["run", "fig13", "--quick", "--checkpoint-dir", "ck",
+              "--checkpoint-every", "-1"], "--checkpoint-every"),
+            (["run", "fig14cd", "--quick", "--jobs", "0"], "--jobs"),
+            (["run", "fleet", "--quick", "--regions", "0"], "--regions"),
+            ([*SERVE, "--duration", "nan"], "--duration"),
+            ([*SERVE, "--duration", "-10"], "--duration"),
+            ([*SERVE, "--pace", "-1"], "--pace"),
+            ([*SERVE, "--status-every", "0"], "--status-every"),
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(
+        self, argv, flag, capsys, monkeypatch, tmp_path
+    ):
+        """Each of these once ran (stopping at t=0, ticking forever,
+        serving zero epochs) or died with a traceback."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_every_rejected_on_a_restore_that_keeps_its_cadence(
         self, capsys, tmp_path

@@ -117,7 +117,7 @@ class TestDefaultPlane:
         cp = env.control_plane
         assert {cp.home_region(app) for app in cp.tenants} == {"region0"}
         assert cp.arbiter.handoffs == []
-        assert len(cp.arbiter.claims) == 3
+        assert cp.arbiter.claim_count == 3
         assert result.total_migrations == 3
         assert result.conflict_count == 3
         assert result.epoch_count == 6
@@ -141,7 +141,7 @@ class TestDefaultPlane:
         assert cp.region_map.names == ["region0"]
         assert {cp.home_region(app) for app in cp.tenants} == {"region0"}
         assert cp.arbiter.handoffs == []
-        assert len(cp.arbiter.claims) == claims
+        assert cp.arbiter.claim_count == claims
         assert cp.arbiter.conflict_count == 0
         assert cp.epoch_count == epochs
         assert (

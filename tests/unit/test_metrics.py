@@ -1,93 +1,10 @@
-"""Unit tests for metrics collection and summaries."""
+"""Unit tests for metric summaries."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.metrics.collector import MetricsCollector, TimeSeries
 from repro.metrics.summary import cdf_points, percentile, rolling_mean, summarize
-
-
-class TestTimeSeries:
-    def test_record_and_mean(self):
-        series = TimeSeries("latency")
-        series.record(0.0, 1.0)
-        series.record(1.0, 3.0)
-        assert series.mean() == 2.0
-        assert len(series) == 2
-
-    def test_between(self):
-        series = TimeSeries("x")
-        for t in range(10):
-            series.record(float(t), float(t))
-        window = series.between(2.0, 5.0)
-        assert window.values == [2.0, 3.0, 4.0]
-
-    def test_empty_mean_is_nan(self):
-        assert math.isnan(TimeSeries("x").mean())
-
-    def test_between_empty_series(self):
-        window = TimeSeries("x").between(0.0, 10.0)
-        assert window.times == [] and window.values == []
-
-    def test_between_matches_linear_scan_on_random_data(self):
-        """The bisect fast path must equal the reference linear scan."""
-
-        def reference(series, start, end):
-            subset = TimeSeries(series.name, series.labels)
-            for t, v in zip(series.times, series.values):
-                if start <= t < end:
-                    subset.record(t, v)
-            return subset
-
-        rng = np.random.default_rng(1234)
-        for case in range(50):
-            times = np.sort(rng.uniform(0.0, 100.0, size=40))
-            if case % 3 == 0:  # duplicate timestamps are legal
-                times = np.repeat(times[::2], 2)
-            series = TimeSeries("x")
-            for t in times:
-                series.record(float(t), float(rng.normal()))
-            start, end = sorted(rng.uniform(-10.0, 110.0, size=2))
-            window = series.between(start, end)
-            expected = reference(series, start, end)
-            assert window.times == expected.times
-            assert window.values == expected.values
-
-    def test_between_unsorted_times_fall_back_to_scan(self):
-        series = TimeSeries("x")
-        for t, v in [(5.0, 50.0), (1.0, 10.0), (3.0, 30.0)]:
-            series.record(t, v)
-        window = series.between(1.0, 5.0)
-        assert window.times == [1.0, 3.0]
-        assert window.values == [10.0, 30.0]
-
-    def test_between_unsorted_constructor_times(self):
-        series = TimeSeries("x", times=[4.0, 2.0], values=[40.0, 20.0])
-        window = series.between(0.0, 3.0)
-        assert window.times == [2.0]
-        assert window.values == [20.0]
-
-
-class TestCollector:
-    def test_series_keyed_by_labels(self):
-        collector = MetricsCollector()
-        collector.record("bitrate", 0.0, 1.0, node="node1")
-        collector.record("bitrate", 0.0, 2.0, node="node2")
-        assert len(collector.all_series("bitrate")) == 2
-
-    def test_same_labels_same_series(self):
-        collector = MetricsCollector()
-        a = collector.series("x", node="n", app="a")
-        b = collector.series("x", app="a", node="n")  # order-insensitive
-        assert a is b
-
-    def test_names(self):
-        collector = MetricsCollector()
-        collector.record("a", 0.0, 1.0)
-        collector.record("b", 0.0, 1.0)
-        assert collector.names() == {"a", "b"}
 
 
 class TestSummaries:
@@ -132,29 +49,6 @@ class TestSummaries:
         values = [1000.0, 2.0]
         smoothed = rolling_mean(times, values, window_s=10.0)
         assert smoothed[1] == 2.0
-
-
-class TestExport:
-    def test_series_to_csv_roundtrip(self, tmp_path):
-        series = TimeSeries("latency")
-        series.record(0.0, 1.5)
-        series.record(1.0, 2.5)
-        path = tmp_path / "latency.csv"
-        series.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time_s,value"
-        assert lines[1] == "0.0,1.5"
-
-    def test_collector_export_dir(self, tmp_path):
-        collector = MetricsCollector()
-        collector.record("bitrate", 0.0, 1.0, node="node1")
-        collector.record("bitrate", 0.0, 2.0, node="node2")
-        collector.record("latency", 0.0, 3.0)
-        paths = collector.export_dir(tmp_path / "out")
-        assert len(paths) == 3
-        names = {p.name for p in paths}
-        assert "latency.csv" in names
-        assert "bitrate__node-node1.csv" in names
 
 
 class TestPercentileHelpers:
@@ -219,44 +113,6 @@ class TestTextHistogram:
 
         with pytest.raises(ValueError):
             text_histogram([1.0], bins=0)
-
-
-class TestExportSanitization:
-    def test_unsafe_label_values_are_sanitized(self, tmp_path):
-        collector = MetricsCollector()
-        collector.record(
-            "bitrate", 0.0, 1.0, link="node1:node2", path="a/b c"
-        )
-        paths = collector.export_dir(tmp_path / "out")
-        assert len(paths) == 1
-        name = paths[0].name
-        assert "/" not in name and ":" not in name and " " not in name
-        assert paths[0].exists()
-
-    def test_collisions_get_numeric_suffixes(self, tmp_path):
-        collector = MetricsCollector()
-        # Distinct label values that sanitize to the same filename.
-        collector.record("x", 0.0, 1.0, link="a/b")
-        collector.record("x", 0.0, 2.0, link="a:b")
-        collector.record("x", 0.0, 3.0, link="a b")
-        paths = collector.export_dir(tmp_path / "out")
-        assert len(paths) == 3
-        assert len({p.name for p in paths}) == 3
-        for path in paths:
-            assert path.exists()
-
-    def test_degenerate_name_falls_back(self, tmp_path):
-        collector = MetricsCollector()
-        collector.record("///", 0.0, 1.0)
-        paths = collector.export_dir(tmp_path / "out")
-        assert paths[0].name == "x.csv"
-
-    def test_traversal_is_neutralized(self, tmp_path):
-        collector = MetricsCollector()
-        collector.record("m", 0.0, 1.0, f="../../escape")
-        paths = collector.export_dir(tmp_path / "out")
-        assert paths[0].parent == tmp_path / "out"
-        assert ".." not in paths[0].name
 
 
 class TestRecoveryTimelineStats:

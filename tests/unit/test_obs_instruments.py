@@ -1,10 +1,9 @@
 """Unit tests for Prometheus-style instruments."""
 
-import math
+import pickle
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector
 from repro.obs.instruments import InstrumentRegistry, StandardInstruments
 from repro.obs.trace import Tracer
 
@@ -16,7 +15,6 @@ class TestCounter:
         counter.inc(0.0)
         counter.inc(1.0, 2.5)
         assert counter.value == 3.5
-        assert counter.series.values == [1.0, 3.5]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -30,7 +28,6 @@ class TestGauge:
         gauge.inc(1.0)
         gauge.dec(2.0, 3.0)
         assert gauge.value == 2.0
-        assert gauge.series.values == [4.0, 5.0, 2.0]
 
 
 class TestHistogram:
@@ -45,15 +42,10 @@ class TestHistogram:
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(60.5)
 
-    def test_percentile_and_render(self):
-        histogram = InstrumentRegistry().histogram("latency")
-        for value in range(1, 11):
-            histogram.observe(0.0, float(value))
-        assert histogram.percentile(50) == pytest.approx(5.5)
-        assert "|" in histogram.render(bins=5)
-
-    def test_percentile_empty_is_nan(self):
-        assert math.isnan(InstrumentRegistry().histogram("x").percentile(50))
+    def test_empty_histogram_counts_nothing(self):
+        histogram = InstrumentRegistry().histogram("x", buckets=(1.0, 5.0))
+        assert histogram.bucket_counts == [0, 0, 0]
+        assert (histogram.count, histogram.sum) == (0, 0.0)
 
 
 class TestRegistry:
@@ -70,11 +62,16 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_backed_by_shared_collector(self):
-        collector = MetricsCollector()
-        registry = InstrumentRegistry(collector)
-        registry.counter("probes", mode="full").inc(1.0)
-        assert "probes" in collector.names()
+    def test_items_lists_instruments_in_exposition_order(self):
+        registry = InstrumentRegistry()
+        headroom = registry.counter("probes", mode="headroom")
+        full = registry.counter("probes", mode="full")
+        hits = registry.gauge("hits")
+        assert registry.items() == [
+            ("hits", (), hits),
+            ("probes", (("mode", "full"),), full),
+            ("probes", (("mode", "headroom"),), headroom),
+        ]
 
 
 class TestStandardInstruments:
@@ -102,7 +99,9 @@ class TestStandardInstruments:
             "bass_link_utilization",
             buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
         )
-        assert utilization.series.values == [pytest.approx(0.75)]
+        # 0.75 lands in the le=0.8 bucket and every one above it.
+        assert utilization.bucket_counts == [0, 0, 0, 0, 1, 1, 1, 1, 1]
+        assert utilization.sum == pytest.approx(0.75)
 
     def test_utilization_clamped_on_stale_capacity(self):
         tracer = Tracer.with_instruments()
@@ -115,13 +114,14 @@ class TestStandardInstruments:
             "bass_link_utilization",
             buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
         )
-        assert histogram.series.values == [0.0]
+        assert (histogram.count, histogram.sum) == (1, 0.0)
+        assert histogram.bucket_counts == [1] * 9
 
     def test_unknown_kinds_ignored(self):
         instruments = StandardInstruments()
         tracer = Tracer(instruments=instruments)
         tracer.emit("run.start", 0.0, seed=1)  # must not raise
-        assert instruments.registry.collector.names() == set()
+        assert instruments.registry.items() == []
 
     def test_tick_profile_event_sets_phase_and_solver_gauges(self):
         tracer = Tracer.with_instruments()
@@ -155,3 +155,22 @@ class TestStandardInstruments:
         tracer = Tracer.with_instruments()
         tracer.emit("profile.tick_phases", 5.0)  # must not raise
         assert tracer.instruments.registry.gauge("bass_tick_count").value == 0.0
+
+
+class TestBoundedState:
+    def test_instrument_state_does_not_grow_with_the_event_count(self):
+        """Instruments hold values, not samples: the pickled instrument
+        set is the same size after 10 000 probes as after 1 000 (both
+        counts pickle as two-byte integers; below 256 they take one)."""
+
+        def pickled_size(events):
+            instruments = StandardInstruments()
+            tracer = Tracer(instruments=instruments)
+            for index in range(events):
+                tracer.emit(
+                    "probe.headroom", float(index),
+                    capacity_mbps=100.0, available_mbps=25.0,
+                )
+            return len(pickle.dumps(instruments))
+
+        assert pickled_size(10_000) == pickled_size(1_000)

@@ -130,17 +130,17 @@ class TestDegradedProbes:
             "bass_link_utilization",
             buckets=(0.1, 0.25, 0.5, 0.65, 0.8, 0.9, 0.95, 1.0),
         )
-        return render_report(tracer.events), histogram.series.values
+        return render_report(tracer.events), (histogram.count, histogram.sum)
 
     def test_missing_available_mbps_reads_as_a_full_link(self):
         text, observed = self._report(capacity_mbps=25.0)  # was a KeyError
-        assert observed == [0.5, 1.0]
+        assert observed == (2, 1.5)  # utilizations 0.5 and 1.0
         assert "probes: 0 full, 2 headroom" in text
         assert text.count("| 1") == 2  # one sample in each of two bins
 
     def test_null_capacity_is_left_out(self):
         text, observed = self._report(capacity_mbps=None)  # was a TypeError
-        assert observed == [0.5]
+        assert observed == (1, 0.5)
         assert "probed link-utilization histogram:" in text
 
     def test_a_trace_line_with_null_data_does_not_reach_the_report(
