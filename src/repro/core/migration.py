@@ -19,12 +19,12 @@ prose semantics and prune partners in both edge directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from ..cluster.deployment import Deployment
 from ..cluster.orchestrator import ClusterState
 from ..errors import RoutingError
-from ..net.fairness import FlowDemand, max_min_allocation
+from ..net.fairness import FlowDemand, LinkKey, max_min_allocation
 from ..net.netem import NetworkEmulator
 from ..obs.trace import NULL_TRACER, TracerBase
 from .binding import edge_flow_id
@@ -281,6 +281,9 @@ class MigrationPlanner:
             current_achieved = self._current_achieved(
                 component, achieved_mbps_of
             )
+        # Every candidate is priced at this instant: read the capacities
+        # once, when the first one is.
+        capacities = None
         candidates = []
         for node in cluster.schedulable_nodes():
             name = node.node_name
@@ -293,8 +296,10 @@ class MigrationPlanner:
             bandwidth_ok = self._edges_satisfied_from(
                 component, name, deployment, netem
             )
+            if capacities is None:
+                capacities = netem.capacities_now()
             estimate = self._estimate_achievable(
-                component, name, deployment, netem
+                component, name, deployment, netem, capacities
             )
             if (
                 not bandwidth_ok
@@ -361,38 +366,33 @@ class MigrationPlanner:
         node: str,
         deployment: Deployment,
         netem: NetworkEmulator,
+        capacities: Mapping[LinkKey, float],
     ) -> float:
         """Aggregate bandwidth the component would achieve on ``node``.
 
-        Runs a *what-if* max-min allocation: all current flows except
-        the component's own edges stay put, the component's edges are
-        re-routed as if it ran on ``node``, and the fair allocation is
-        recomputed.  Edges co-located with their peer count at full
-        demand (loopback).  Using the joint allocation (rather than
-        independent per-edge caps) keeps the comparison honest under
-        saturation — an optimistic bound would see phantom improvements
-        everywhere and cause migration ping-pong.
+        Runs a *what-if* max-min allocation at ``capacities``: the
+        component's edges are routed as if it ran on ``node`` and solved
+        jointly with the current flows linked to those paths — the ones
+        ``netem.linked_flows`` reaches, less the component's own edges.
+        Max-min decomposes over link-connected components, so no other
+        flow can move the answer; the rest of the fleet is not priced.
+        Edges co-located with their peer count at full demand
+        (loopback).  Using the joint allocation (rather than independent
+        per-edge caps) keeps the comparison honest under saturation — an
+        optimistic bound would see phantom improvements everywhere and
+        cause migration ping-pong.
         """
         app = self.dag.app
+        edges = self._component_edges(component)
         own_flow_ids = {
             edge_flow_id(app, component, peer)
             if role == "out"
             else edge_flow_id(app, peer, component)
-            for peer, role, _ in self._component_edges(component)
+            for peer, role, _ in edges
         }
-
-        demands = [
-            FlowDemand(
-                flow_id=flow.flow_id,
-                links=flow.links,
-                demand_mbps=flow.demand_mbps,
-            )
-            for flow in netem.flows
-            if flow.flow_id not in own_flow_ids
-        ]
         loopback_total = 0.0
-        hypothetical_ids = []
-        for peer, role, mbps in self._component_edges(component):
+        hypothetical = []
+        for peer, role, mbps in edges:
             if mbps <= 0 or not deployment.is_deployed(peer):
                 continue
             peer_node = deployment.node_of(peer)
@@ -404,17 +404,30 @@ class MigrationPlanner:
                 path = netem.router.traceroute(src, dst)
             except RoutingError:
                 continue  # unreachable peer contributes nothing
-            flow_id = f"__whatif_{component}_{role}_{peer}"
-            demands.append(
+            hypothetical.append(
                 FlowDemand(
-                    flow_id=flow_id,
+                    flow_id=f"__whatif_{component}_{role}_{peer}",
                     links=tuple(zip(path, path[1:])),
                     demand_mbps=mbps,
                 )
             )
-            hypothetical_ids.append(flow_id)
-        rates = max_min_allocation(demands, netem.capacities_now())
-        return loopback_total + sum(rates[fid] for fid in hypothetical_ids)
+        linked = netem.linked_flows(
+            (key for demand in hypothetical for key in demand.links),
+            own_flow_ids,
+        )
+        demands = [
+            FlowDemand(
+                flow_id=flow.flow_id,
+                links=flow.links,
+                demand_mbps=flow.demand_mbps,
+            )
+            for flow in linked
+        ]
+        demands.extend(hypothetical)
+        rates = max_min_allocation(demands, capacities)
+        return loopback_total + sum(
+            rates[demand.flow_id] for demand in hypothetical
+        )
 
     def _component_edges(
         self, component: str

@@ -54,7 +54,8 @@ mutation (``add_flow`` / ``remove_flow`` / ``set_demand`` /
 *tells* the incremental solver, which re-solves that flow's components
 only; the solver starts over from scratch on its first solve and when
 the topology version moves.  There is one allocation path: a what-if
-(the migration planner's) hands ``capacities_now()`` to the stateless
+(the migration planner's) hands ``capacities_now()`` and the flows
+``linked_flows`` reaches from its paths to the stateless
 ``max_min_allocation`` and never writes rates onto the flows.
 The scan groups and the flow table are not serialized — a restored
 emulator rebuilds them and, because a rebuild re-reads the same
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import sys
 import time as _time
-from typing import Optional
+from typing import Container, Iterable, Optional
 
 import numpy as np
 
@@ -587,6 +588,35 @@ class NetworkEmulator:
             return 0.0
         flows = self._flows
         return sum(flows[fid].allocated_mbps for fid in members)
+
+    def linked_flows(
+        self, links: Iterable[LinkKey], exclude: Container[str] = ()
+    ) -> list[Flow]:
+        """The flows joined to ``links`` by a chain of shared links.
+
+        Walks the reverse index: every flow on a reached link is
+        reached, and its links are reached in turn.  A flow in
+        ``exclude`` is skipped and joins nothing.  Components of a
+        max-min instance share no links, so these flows are all that
+        can move the rates of flows routed over ``links`` — what a
+        what-if needs, at O(reached) rather than O(fleet).  Zero-demand
+        flows are walked too; a solve drops them.
+        """
+        flows = self._flows
+        by_link = self._flows_by_link
+        reached: dict[str, Flow] = {}
+        seen: set[LinkKey] = set()
+        frontier = list(links)
+        while frontier:
+            key = frontier.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            for fid in by_link.get(key, ()):
+                if fid not in reached and fid not in exclude:
+                    flow = reached[fid] = flows[fid]
+                    frontier.extend(flow.links)
+        return list(reached.values())
 
     def link_offered(self, src: str, dst: str) -> float:
         """Sum of offered demand crossing the directed link."""

@@ -15,6 +15,9 @@ test fixtures, not product: nothing under ``src/`` imports this module.
   ``update`` arithmetic ``QueueArrays.update_all`` replays elementwise,
   and :class:`LockstepQueue`, which steps one production row beside it
   and refuses to report a value the two disagree on.
+* :func:`whole_fleet_estimate` — the migration planner's what-if as it
+  was before it was scoped: every flow of the fleet but the
+  component's own, solved at a fresh ``capacities_now()``.
 * :func:`event_to_json_reference`, :func:`read_trace_reference` and
   :func:`on_event_reference` — the telemetry spine as it was before it
   was made cheap: ``json.dumps`` per record, ``json.loads`` per line,
@@ -31,7 +34,8 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.core.binding import edge_flow_id
+from repro.errors import RoutingError, SimulationError
 from repro.net.fairness import (
     _EPSILON,
     FlowDemand,
@@ -39,6 +43,7 @@ from repro.net.fairness import (
     _partition_flows,
     _water_fill,
     link_components,
+    max_min_allocation,
 )
 from repro.net.queues import QueueArrays
 from repro.obs.instruments import InstrumentRegistry
@@ -150,6 +155,56 @@ def forced_kernel(fill: Callable) -> Callable:
         return rates
 
     return solve
+
+
+def whole_fleet_estimate(planner, component, node, deployment, netem) -> float:
+    """``MigrationPlanner._estimate_achievable`` priced over the whole
+    fleet: all current flows except the component's own edges stay put,
+    the component's edges are re-routed as if it ran on ``node``, and
+    the fair allocation is recomputed.  Loopback edges count at full
+    demand; an unreachable peer contributes nothing."""
+    app = planner.dag.app
+    own_flow_ids = {
+        edge_flow_id(app, component, peer)
+        if role == "out"
+        else edge_flow_id(app, peer, component)
+        for peer, role, _ in planner._component_edges(component)
+    }
+
+    demands = [
+        FlowDemand(
+            flow_id=flow.flow_id,
+            links=flow.links,
+            demand_mbps=flow.demand_mbps,
+        )
+        for flow in netem.flows
+        if flow.flow_id not in own_flow_ids
+    ]
+    loopback_total = 0.0
+    hypothetical_ids = []
+    for peer, role, mbps in planner._component_edges(component):
+        if mbps <= 0 or not deployment.is_deployed(peer):
+            continue
+        peer_node = deployment.node_of(peer)
+        if peer_node == node:
+            loopback_total += mbps
+            continue
+        src, dst = (node, peer_node) if role == "out" else (peer_node, node)
+        try:
+            path = netem.router.traceroute(src, dst)
+        except RoutingError:
+            continue
+        flow_id = f"__whatif_{component}_{role}_{peer}"
+        demands.append(
+            FlowDemand(
+                flow_id=flow_id,
+                links=tuple(zip(path, path[1:])),
+                demand_mbps=mbps,
+            )
+        )
+        hypothetical_ids.append(flow_id)
+    rates = max_min_allocation(demands, netem.capacities_now())
+    return loopback_total + sum(rates[fid] for fid in hypothetical_ids)
 
 
 class ComponentBatchReference:

@@ -10,7 +10,7 @@ from repro.core import migration
 from repro.core.binding import DeploymentBinding
 from repro.core.dag import Component, ComponentDAG
 from repro.core.migration import MigrationPlanner, Violation
-from repro.mesh.topology import line_topology
+from repro.mesh.topology import line_topology, regional_mesh
 from repro.net.netem import NetworkEmulator
 
 
@@ -203,6 +203,32 @@ class TestSelectTarget:
         )
         assert target == "node2"
 
+    def test_capacities_are_read_once_per_decision(self, monkeypatch):
+        planner, deployment, cluster, netem = self._world("node3")
+        reads = []
+        read = netem.capacities_now
+
+        def counted():
+            reads.append(netem.now)
+            return read()
+
+        monkeypatch.setattr(netem, "capacities_now", counted)
+        priced = []
+        estimate = planner._estimate_achievable
+
+        def spy(component, node, *args):
+            priced.append(node)
+            return estimate(component, node, *args)
+
+        monkeypatch.setattr(planner, "_estimate_achievable", spy)
+        planner.select_target("consumer", deployment, cluster, netem)
+        assert priced == ["node1", "node2"] and len(reads) == 1
+        # No candidate fits: nothing is priced and nothing read.
+        cluster.node("node1").allocate(ResourceSpec(4, 0))
+        cluster.node("node2").allocate(ResourceSpec(4, 0))
+        planner.select_target("consumer", deployment, cluster, netem)
+        assert priced == ["node1", "node2"] and len(reads) == 1
+
     def test_improvement_gate_blocks_pointless_moves(self):
         # Consumer sits on node2 with a healthy direct 25 Mbps link;
         # moving to node3 would put it behind two hops with competing
@@ -228,7 +254,25 @@ class TestWhatIfOwnFlows:
     """The what-if behind ``select_target`` re-routes the component's
     own edges hypothetically, so the flows the binding registered for
     them must be left out — by the binding's own id rule, or they would
-    be counted twice."""
+    be counted twice — and prices them against the flows linked to the
+    hypothetical paths only."""
+
+    @staticmethod
+    def _priced(monkeypatch, planner, component, node, deployment, netem):
+        """The estimate and the flow ids its one what-if solve saw."""
+        seen = []
+        solve = migration.max_min_allocation
+
+        def spy(demands, capacities):
+            seen.append({demand.flow_id for demand in demands})
+            return solve(demands, capacities)
+
+        monkeypatch.setattr(migration, "max_min_allocation", spy)
+        estimate = planner._estimate_achievable(
+            component, node, deployment, netem, netem.capacities_now()
+        )
+        (what_if,) = seen
+        return estimate, what_if
 
     def test_excluded_ids_are_the_ones_the_binding_registered(self, monkeypatch):
         dag = ComponentDAG("shop")
@@ -246,6 +290,8 @@ class TestWhatIfOwnFlows:
         binding.sync_flows()
         # Another tenant with the same component names is not "own".
         netem.add_flow("other:a->b", "node1", "node2", 1.0)
+        # Nothing priced crosses node3->node2 or node2->node1.
+        netem.add_flow("far:x->y", "node3", "node1", 6.0)
         netem.recompute()
         registered = {
             flow_id
@@ -255,21 +301,40 @@ class TestWhatIfOwnFlows:
         assert len(registered) == 3
         assert all(netem.has_flow(flow_id) for flow_id in registered)
 
-        seen = []
-        solve = migration.max_min_allocation
-
-        def spy(demands, capacities):
-            seen.append({demand.flow_id for demand in demands})
-            return solve(demands, capacities)
-
-        monkeypatch.setattr(migration, "max_min_allocation", spy)
-        estimate = MigrationPlanner(dag)._estimate_achievable(
-            "b", "node4", deployment, netem
+        estimate, what_if = self._priced(
+            monkeypatch, MigrationPlanner(dag), "b", "node4", deployment, netem
         )
         assert estimate > 0
-        (what_if,) = seen
         live = {flow.flow_id for flow in netem.flows}
-        assert live - what_if == registered
-        assert "other:a->b" in what_if and "shop:a->d" in what_if
-        # a->b and b->c re-routed from node4; b->d became loopback.
-        assert len(what_if - live) == 2
+        hypothetical = what_if - live
+        # a->b re-routed node1->node4 and b->c node4->node3; b->d became
+        # loopback.  Priced beside them: the flows linked to those paths
+        # (a->d and the other tenant share node1->node2), none of b's own.
+        assert len(hypothetical) == 2
+        assert what_if - hypothetical == {"other:a->b", "shop:a->d"}
+        assert not what_if & registered
+        assert "far:x->y" not in what_if
+
+    def test_another_region_s_flows_are_never_priced(self, monkeypatch):
+        dag = ComponentDAG("shop")
+        for name in ("a", "b"):
+            dag.add_component(Component(name, cpu=1, memory_mb=10))
+        dag.add_dependency("a", "b", 5.0)
+        # Two regions; neither's traffic crosses the backbone.
+        netem = NetworkEmulator(regional_mesh(2, 3))
+        deployment = Deployment("shop")
+        deployment.bind("a", "r0n1")
+        deployment.bind("b", "r0n2")
+        DeploymentBinding(dag, deployment, netem).sync_flows()
+        netem.add_flow("near", "r0n3", "r0n2", 7.0)
+        for i, (src, dst) in enumerate(
+            [("r1n1", "r1n2"), ("r1n2", "r1n3"), ("r1n3", "r1n1")]
+        ):
+            netem.add_flow(f"region1:{i}", src, dst, 9.0)
+        netem.recompute()
+
+        estimate, what_if = self._priced(
+            monkeypatch, MigrationPlanner(dag), "a", "r0n3", deployment, netem
+        )
+        assert estimate == 5.0
+        assert what_if == {"__whatif_a_out_b", "near"}

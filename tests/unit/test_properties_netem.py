@@ -2,11 +2,13 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cluster.deployment import Deployment
 from repro.core.binding import DeploymentBinding, edge_flow_id
 from repro.core.dag import Component, ComponentDAG
-from repro.mesh.topology import full_mesh_topology, line_topology
+from repro.errors import RoutingError
+from repro.mesh.topology import full_mesh_topology, line_topology, regional_mesh
 from repro.mesh.traces import BandwidthTrace
 from repro.net.netem import NetworkEmulator
 
@@ -229,3 +231,108 @@ class TestBindingInvariants:
                 flow = emu.flow(flow_id)
                 assert flow.src == deployment.node_of(src)
                 assert flow.dst == deployment.node_of(dst)
+
+
+REGION_NODES = [f"r{i}n{j}" for i in range(3) for j in (1, 2, 3)]
+REGION_LINKS = [link.id for link in regional_mesh(3, 3).links]
+FLOW_IDS = [f"f{i}" for i in range(12)]
+
+
+class ReverseIndexMachine(RuleBasedStateMachine):
+    """``_flows_by_link`` stays the index of ``flows`` through every
+    mutation: the flows crossing each link, in ``_flows`` order.
+
+    ``link_allocated``, ``link_offered`` and the migration what-if
+    (``linked_flows``) all read it; a stale member or a missed entry
+    would skew them silently.  A 3-region mesh gives multi-hop paths
+    over the backbone ring, so reroutes after a failure move flows
+    between links.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.emu = NetworkEmulator(regional_mesh(3, 3))
+
+    @rule(
+        fid=st.sampled_from(FLOW_IDS),
+        src=st.sampled_from(REGION_NODES),
+        dst=st.sampled_from(REGION_NODES),
+        demand=st.sampled_from([0.0, 1.0, 4.5, 20.0]),
+    )
+    def add_flow(self, fid, src, dst, demand):
+        if self.emu.has_flow(fid):
+            return
+        try:
+            self.emu.add_flow(fid, src, dst, demand)
+        except RoutingError:
+            assert not self.emu.has_flow(fid)
+
+    @rule(fid=st.sampled_from(FLOW_IDS))
+    def remove_flow(self, fid):
+        self.emu.remove_flow(fid)
+
+    @rule(
+        fid=st.sampled_from(FLOW_IDS),
+        src=st.sampled_from(REGION_NODES),
+        dst=st.sampled_from(REGION_NODES),
+    )
+    def reroute_flow(self, fid, src, dst):
+        if not self.emu.has_flow(fid):
+            return
+        try:
+            self.emu.reroute_flow(fid, src, dst)
+        except RoutingError:
+            assert not self.emu.has_flow(fid)
+
+    @rule(fid=st.sampled_from(FLOW_IDS), demand=st.sampled_from([0.0, 2.0, 9.0]))
+    def set_demand(self, fid, demand):
+        if self.emu.has_flow(fid):
+            self.emu.set_demand(fid, demand)
+
+    @rule(pair=st.sampled_from(REGION_LINKS), up=st.booleans())
+    def set_link_up(self, pair, up):
+        self.emu.topology.set_link_up(*pair, up)
+        self.emu.on_topology_change()
+
+    @rule(node=st.sampled_from(REGION_NODES), up=st.booleans())
+    def set_node_up(self, node, up):
+        self.emu.topology.set_node_up(node, up)
+        self.emu.on_topology_change()
+
+    @rule(
+        links=st.lists(st.sampled_from(REGION_LINKS), max_size=3),
+        exclude=st.sets(st.sampled_from(FLOW_IDS), max_size=3),
+    )
+    def linked_flows_is_the_closure(self, links, exclude):
+        start = [(a, b) for a, b in links] + [(b, a) for a, b in links]
+        reached = {flow.flow_id for flow in self.emu.linked_flows(start, exclude)}
+        # The fixpoint over the flow list, without the index.
+        closure, frontier = set(), set(start)
+        while True:
+            grown = {
+                flow.flow_id
+                for flow in self.emu.flows
+                if flow.flow_id not in exclude | closure
+                and frontier & set(flow.links)
+            }
+            if not grown:
+                break
+            closure |= grown
+            frontier |= {key for fid in grown for key in self.emu.flow(fid).links}
+        assert reached == closure
+
+    @invariant()
+    def index_is_rebuilt_from_flows(self):
+        rebuilt: dict = {}
+        for flow in self.emu.flows:
+            for key in flow.links:
+                rebuilt.setdefault(key, {})[flow.flow_id] = None
+        assert {key: list(ids) for key, ids in self.emu._flows_by_link.items()} == {
+            key: list(ids) for key, ids in rebuilt.items()
+        }
+
+
+ReverseIndexMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestReverseIndex = ReverseIndexMachine.TestCase
