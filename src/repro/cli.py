@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .experiments.catalog import EXPERIMENTS, Experiment
 from .obs.report import read_trace, render_report
 from .obs.serve import serve_run
-from .obs.stream import StreamingSink
+from .obs.stream import StreamingSink, shard_files
 from .obs.trace import Tracer, set_default_tracer
 from .runner import canonical_json, open_cache, run_sweep
 from .snap import (
@@ -193,6 +193,32 @@ def _check_flags(args, parser, row: Experiment) -> bool:
             "to their original directory)"
         )
     return True
+
+
+def _check_paths(parser, files=(), directories=()) -> None:
+    """Refuse, before any work, a path the run could only fail on at
+    the end: a file (``--out``, ``--trace``) whose directory does not
+    exist, or a directory the run creates (``--trace-stream``,
+    ``--cache-dir``) at or under a regular file.  ``files`` and
+    ``directories`` are ``(flag, path)`` pairs; an unset path is
+    skipped."""
+    for flag, path in files:
+        if not path:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            parser.error(f"{flag} {path}: is a directory")
+        if not path.parent.is_dir():
+            parser.error(
+                f"{flag} {path}: no such directory {str(path.parent)!r}"
+            )
+    for flag, path in directories:
+        if not path:
+            continue
+        path = Path(path)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            parser.error(f"{flag} {path}: {existing} is not a directory")
 
 
 def _read_capsule(parser, source: Path, scenario: str, resume, **kw):
@@ -372,6 +398,15 @@ def _run(args, parser) -> int:
     then drive it — batch or single-cell — under one tracing block."""
     row = EXPERIMENTS[args.experiment]
     single_cell = _check_flags(args, parser, row)
+    _check_paths(
+        parser,
+        files=[("--out", args.out), ("--trace", args.trace)],
+        directories=[
+            ("--trace-stream", args.trace_stream),
+            ("--cache-dir", args.cache_dir),
+            ("--checkpoint-dir", args.checkpoint_dir),
+        ],
+    )
     restored = _restore(args, parser) if args.restore_from else None
     with _tracing(args, restored):
         if single_cell:
@@ -400,6 +435,13 @@ def _serve(args, parser) -> int:
     recorder; then tick it live."""
     if args.checkpoint_every is not None and not args.checkpoint_dir:
         parser.error("--checkpoint-every needs --checkpoint-dir")
+    _check_paths(
+        parser,
+        directories=[
+            ("--stream-dir", args.stream_dir),
+            ("--checkpoint-dir", args.checkpoint_dir),
+        ],
+    )
     source = (
         latest_checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
     )
@@ -455,6 +497,30 @@ def _serve(args, parser) -> int:
         )
     finally:
         set_default_tracer(previous)
+
+
+def _report(args, parser) -> int:
+    """``bass-repro report``: render a trace file or shard directory.
+
+    A directory with no published shard is refused rather than shown
+    as an empty trace: a live run's directory holds only its in-progress
+    ``.tmp`` shard until that shard fills or the run closes.
+    """
+    path = Path(args.trace)
+    if path.is_dir():
+        if not shard_files(path):
+            message = f"{path} holds no published trace-*.jsonl shard"
+            pending = next(path.glob("trace-*.jsonl.tmp"), None)
+            if pending is not None:
+                message += (
+                    f"; {pending.name} is still being written (a shard is "
+                    "published when it fills or its run closes)"
+                )
+            parser.error(message)
+    elif not path.is_file():
+        parser.error(f"{path}: no such trace file or shard directory")
+    print(render_report(read_trace(path)))
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -658,8 +724,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "report":
-        print(render_report(read_trace(args.trace)))
-        return 0
+        return _report(args, parser)
 
     return _run(args, parser)
 

@@ -63,11 +63,15 @@ def ar1_trace(
     sigma_stationary = rel_std * mean_mbps
     sigma_eps = sigma_stationary * np.sqrt(1.0 - phi * phi)
     noise = rng.normal(0.0, sigma_eps, size=n)
-    values = np.empty(n)
-    values[0] = mean_mbps + rng.normal(0.0, sigma_stationary)
-    for i in range(1, n):
-        values[i] = mean_mbps + phi * (values[i - 1] - mean_mbps) + noise[i]
-    values = np.clip(values, floor_mbps, None)
+    # The recursion runs over Python floats: the same IEEE operations in
+    # the same order as over numpy scalars, without boxing one per sample.
+    mean, phi = float(mean_mbps), float(phi)
+    value = mean + rng.normal(0.0, sigma_stationary)
+    samples = [value]
+    for eps in noise[1:].tolist():
+        value = mean + phi * (value - mean) + eps
+        samples.append(value)
+    values = np.clip(np.array(samples), floor_mbps, None)
     times = np.arange(n) * dt_s
     return BandwidthTrace(times, values)
 

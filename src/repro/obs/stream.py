@@ -58,6 +58,22 @@ DEFAULT_WINDOW = 4096
 DEFAULT_SHARD_EVENTS = 100_000
 
 
+def shard_files(directory: str | Path) -> list[Path]:
+    """The published ``trace-<index>.jsonl`` shards in ``directory``, in
+    index order — their concatenation is the trace.
+
+    Ordered by the parsed index, not the name: the index is zero-padded
+    to five digits only, so from shard 100 000 on, ``trace-100000``
+    sorts before ``trace-99999`` by name.
+    """
+    indexed = []
+    for path in Path(directory).glob("trace-*.jsonl"):
+        index = path.name[len("trace-") : -len(".jsonl")]
+        if index.isdigit():
+            indexed.append((int(index), path))
+    return [path for _, path in sorted(indexed)]
+
+
 class StreamingSink:
     """Size-bounded ring buffer + rotating, atomically-published shards.
 
@@ -213,4 +229,4 @@ class StreamingSink:
 
     def shard_paths(self) -> list[Path]:
         """Published (complete) shards, in emit order."""
-        return sorted(self.directory.glob("trace-*.jsonl"))
+        return shard_files(self.directory)

@@ -30,10 +30,9 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .stream import StreamingSink
+from .stream import StreamingSink, shard_files
 
 #: The core event taxonomy (emitters may add further kinds; the report
 #: treats unknown kinds as timeline annotations).  Documented in
@@ -84,11 +83,39 @@ EVENT_KINDS = (
 )
 
 
-# One encoder held for the life of the process: ``json.dumps(...,
-# sort_keys=True)`` builds a ``JSONEncoder`` per call.  Same bytes out.
+def _held_encoder():
+    """``json.dumps(record, sort_keys=True)`` with its C encoder built
+    once: ``JSONEncoder.encode`` builds a fresh one per call.  Same
+    bytes out; the pure-Python encoder is the fallback where ``_json``
+    is missing.
+
+    No circular-reference markers: a held markers dict keeps the ids
+    of the containers an encode that raised was inside, and a later
+    record holding one of them again (or a new one at a freed id)
+    would be refused as circular.  A cyclic record recurses until
+    ``RecursionError`` instead.
+    """
+    fallback = json.JSONEncoder(sort_keys=True, check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return fallback.encode
+    iterencode = json.encoder.c_make_encoder(
+        None,  # markers
+        fallback.default,
+        json.encoder.encode_basestring_ascii,
+        None,  # indent
+        fallback.key_separator,
+        fallback.item_separator,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    join = "".join
+    return lambda record: join(iterencode(record, 0))
+
+
+_encode = _held_encoder()
 # The decoder is the one ``json.loads`` dispatches to for a ``str``,
 # without the per-call argument checks in front of it.
-_encode = json.JSONEncoder(sort_keys=True).encode
 _decode = json.JSONDecoder().decode
 
 
@@ -130,7 +157,15 @@ class TraceEvent(_EventFields):
         return tuple.__new__(cls, (id, kind, time, app, epoch, cause, data))
 
     def to_json(self) -> str:
-        """One-line JSON form (the JSONL trace-file record)."""
+        """One-line JSON form (the JSONL trace-file record): the bytes
+        ``json.dumps(record, sort_keys=True)`` writes.
+
+        Raises:
+            TypeError: ``data`` holds a value JSON cannot encode (a set,
+                keys of mixed types).
+            RecursionError: ``data`` contains itself (the held encoder
+                keeps no circular-reference markers between records).
+        """
         id, kind, time, app, epoch, cause, data = self
         record: dict[str, Any] = {"id": id, "kind": kind, "t": time}
         if app is not None:
@@ -329,14 +364,19 @@ class Tracer(TracerBase):
         **data: Any,
     ) -> int:
         """Append an event; returns its id (use as a later ``cause``)."""
-        event = TraceEvent(
-            self._next_id,
-            kind,
-            time,
-            app if app is not None else self._app,
-            epoch if epoch is not None else self._epoch,
-            cause if cause else None,
-            data,
+        # Built positionally: ``data`` is always this call's own dict, so
+        # ``TraceEvent.__new__``'s keyword defaults have nothing to add.
+        event = tuple.__new__(
+            TraceEvent,
+            (
+                self._next_id,
+                kind,
+                time,
+                app if app is not None else self._app,
+                epoch if epoch is not None else self._epoch,
+                cause if cause else None,
+                data,
+            ),
         )
         # An id is consumed exactly when the store recorded the event.  A
         # sink that refuses one (closed, unencodable data) leaves no gap
@@ -412,7 +452,7 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     path = Path(path)
     if path.is_dir():
         events: list[TraceEvent] = []
-        for shard in sorted(path.glob("trace-*.jsonl")):
+        for shard in shard_files(path):
             events.extend(read_trace(shard))
         return events
     events = []

@@ -13,6 +13,8 @@ import pytest
 
 from repro.cli import EXPERIMENTS, main
 from repro.experiments.catalog import CATALOG
+from repro.obs.stream import StreamingSink
+from repro.obs.trace import Tracer
 from repro.runner import canonical_json, decode_value
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -137,21 +139,94 @@ class TestCli:
         assert decoded and all(decoded.values())
         assert canonical_json(decoded) + "\n" == written
 
-    @pytest.mark.parametrize("experiment", ["fig13", "fleet", "failover"])
-    def test_report_matches_golden(self, experiment, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "experiment, recorder",
+        [
+            pytest.param(experiment, flag, id=experiment + suffix)
+            for flag, suffix in (("--trace", ""), ("--trace-stream", "-stream"))
+            for experiment in ("fig13", "fleet", "failover")
+        ],
+    )
+    def test_report_matches_golden(self, experiment, recorder, capsys, tmp_path):
         """``run <id> --quick --trace`` → ``report`` stdout, recorded
         from the commit before the report read everything from one
         index: migrations with full cause chains (fig13), handoffs
-        (fleet), a crash recovery (failover).  The ``sweeps:`` block's
-        throughput is wall-derived, so it is masked on both sides."""
+        (fleet), a crash recovery (failover).  The same report comes out
+        of the shard directory ``--trace-stream`` writes.  The
+        ``sweeps:`` block's throughput is wall-derived, so it is masked
+        on both sides."""
         golden = (REPORT_GOLDEN_DIR / f"{experiment}.txt").read_text()
-        trace = tmp_path / "trace.jsonl"
-        assert main(["run", experiment, "--quick", "--trace", str(trace)]) == 0
+        trace = tmp_path / "trace"
+        assert main(["run", experiment, "--quick", recorder, str(trace)]) == 0
         capsys.readouterr()
         assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "cells/s" in out
         assert _mask_throughput(out) == _mask_throughput(golden)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fig13", "--quick", "--out", "missing/o.json"],
+             "--out missing/o.json: no such directory 'missing'"),
+            (["run", "fig13", "--quick", "--out", "."],
+             "--out .: is a directory"),
+            (["run", "fig13", "--quick", "--trace", "missing/t.jsonl"],
+             "--trace missing/t.jsonl: no such directory 'missing'"),
+            (["run", "fig13", "--quick", "--trace-stream", "afile/shards"],
+             "--trace-stream afile/shards: afile is not a directory"),
+            (["run", "fig14cd", "--quick", "--cache-dir", "afile"],
+             "--cache-dir afile: afile is not a directory"),
+            (["run", "fig13", "--quick", "--checkpoint-dir", "afile/ck"],
+             "--checkpoint-dir afile/ck: afile is not a directory"),
+            ([*SERVE, "--stream-dir", "afile/shards"],
+             "--stream-dir afile/shards: afile is not a directory"),
+            ([*SERVE, "--checkpoint-dir", "afile"],
+             "--checkpoint-dir afile: afile is not a directory"),
+            (["report", "missing.jsonl"],
+             "missing.jsonl: no such trace file or shard directory"),
+            (["report", "."], ". holds no published trace-*.jsonl shard"),
+        ],
+    )
+    def test_unusable_paths_are_usage_errors_before_any_work(
+        self, argv, message, capsys, monkeypatch, tmp_path
+    ):
+        """Each of these used to run the whole experiment and then die
+        with a traceback when it came to write (losing the result), or
+        report a directory of nothing as an empty trace."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the path was checked")
+
+        for name in ("_run_batch", "_run_cell", "serve_run", "read_trace"):
+            monkeypatch.setattr(f"repro.cli.{name}", work)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_report_names_the_shard_still_being_written(
+        self, capsys, tmp_path
+    ):
+        """A live run's directory holds only its ``.tmp`` shard until
+        the first seal; ``report`` says so instead of printing an empty
+        trace, and renders the shard once it is published."""
+        sink = StreamingSink(tmp_path, shard_events=10)
+        tracer = Tracer(sink=sink)
+        tracer.emit("restart", 1.0, component="sfu")
+        sink.flush()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "trace-00000.jsonl.tmp is still being written" in (
+            capsys.readouterr().err
+        )
+        tracer.close()
+        assert main(["report", str(tmp_path)]) == 0
+        assert "1 events" in capsys.readouterr().out
 
     def test_run_profile_prints_tick_breakdown(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

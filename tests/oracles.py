@@ -18,6 +18,8 @@ test fixtures, not product: nothing under ``src/`` imports this module.
 * :func:`whole_fleet_estimate` — the migration planner's what-if as it
   was before it was scoped: every flow of the fleet but the
   component's own, solved at a fresh ``capacities_now()``.
+* :func:`ar1_values_reference` — the AR(1) capacity recursion as
+  first written, one numpy scalar assigned per sample.
 * :func:`event_to_json_reference`, :func:`read_trace_reference` and
   :func:`on_event_reference` — the telemetry spine as it was before it
   was made cheap: ``json.dumps`` per record, ``json.loads`` per line,
@@ -405,6 +407,32 @@ class LockstepQueue:
         delay = self.arrays.delay_s(0, capacity_mbps)
         assert delay == self.oracle.delay_s(capacity_mbps)
         return delay
+
+
+# -- trace generation ---------------------------------------------------------
+
+
+def ar1_values_reference(
+    mean_mbps: float,
+    rel_std: float,
+    duration_s: float,
+    *,
+    dt_s: float = 1.0,
+    phi: float = 0.95,
+    rng: np.random.Generator,
+    floor_mbps: float = 0.1,
+) -> np.ndarray:
+    """``ar1_trace(...).values`` as first written: the recursion over
+    numpy scalars, one element assigned per sample."""
+    n = max(2, int(round(duration_s / dt_s)))
+    sigma_stationary = rel_std * mean_mbps
+    sigma_eps = sigma_stationary * np.sqrt(1.0 - phi * phi)
+    noise = rng.normal(0.0, sigma_eps, size=n)
+    values = np.empty(n)
+    values[0] = mean_mbps + rng.normal(0.0, sigma_stationary)
+    for i in range(1, n):
+        values[i] = mean_mbps + phi * (values[i - 1] - mean_mbps) + noise[i]
+    return np.clip(values, floor_mbps, None)
 
 
 # -- the telemetry spine ------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.mesh.tracegen import (
     step_trace,
     trace_with_fades,
 )
+from tests.oracles import ar1_values_reference
 
 
 class TestAr1:
@@ -49,6 +50,35 @@ class TestAr1:
     def test_zero_rel_std_is_constant(self):
         trace = ar1_trace(10.0, 0.0, 100.0, rng=np.random.default_rng(4))
         assert trace.stats().std_mbps == 0.0
+
+
+class TestAr1MatchesTheScalarLoop:
+    """The recursion runs over Python floats; the bytes must be those of
+    the numpy-scalar loop it replaced, for every profile's parameters
+    (``citylab_link_trace``'s low / moderate / high, Fig 2's stable and
+    variable links) and a mean that arrives as a numpy scalar."""
+
+    @pytest.mark.parametrize(
+        "mean, rel_std, phi",
+        [
+            (np.float64(23.7), 0.08, 0.97),
+            (np.float64(11.2), 0.15, 0.95),
+            (np.float64(5.4), 0.27, 0.92),
+            (19.9, 0.10, 0.97),
+            (7.62, 0.22, 0.92),
+            (3, 2.0, 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_bytes_equal(self, mean, rel_std, phi, seed):
+        got = ar1_trace(
+            mean, rel_std, 1200.0, phi=phi, rng=np.random.default_rng(seed)
+        )
+        want = ar1_values_reference(
+            mean, rel_std, 1200.0, phi=phi, rng=np.random.default_rng(seed)
+        )
+        assert got.values.dtype == want.dtype
+        assert got.values.tobytes() == want.tobytes()
 
 
 class TestFades:

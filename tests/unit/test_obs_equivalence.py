@@ -7,6 +7,8 @@ Generated event streams — every declared kind, nested / unicode / NaN /
 path byte for byte as they come out of the oracle.
 """
 
+import json
+import math
 import pickle
 import tempfile
 import warnings
@@ -15,6 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import trace
 from repro.obs.exposition import render_openmetrics
 from repro.obs.instruments import InstrumentRegistry, StandardInstruments
 from repro.obs.stream import StreamingSink
@@ -154,6 +157,37 @@ class TestEncode:
         assert again[:6] == event[:6]
         # Sorted keys make the line canonical, and NaN equal to itself.
         assert again.to_json() == event.to_json() == event_to_json_reference(event)
+
+    #: Data the generated streams reach only by chance.
+    EDGE_DATA = [
+        {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+        {"astral": "\U0001F600 \U00010348", "bmp": "é ü — \u2028 \x00"},
+        {"\U0001F600key": 1, "é": 2, "plain": 3},
+        {"nested": [[1, [2.5, {"z": None, "a": True}]], {"b": [False, "s"]}]},
+        {"big": 2**200, "neg": -(2**70) - 1, "tiny": 5e-324, "huge": 1.8e308},
+        {"empty": {}, "none": [], "ints": list(range(5))},
+    ]
+
+    def _events(self):
+        return [
+            TraceEvent(i, "custom.note", 1.5 * i, "tenant00", i, i - 1, data)
+            for i, data in enumerate(self.EDGE_DATA, 1)
+        ] + [TraceEvent(2**64, "restart", 7, None, None, None, {})]
+
+    def test_to_json_equals_oracle_on_edge_data(self):
+        for event in self._events():
+            assert event.to_json() == event_to_json_reference(event)
+
+    def test_pure_python_fallback_writes_the_same_bytes(self, monkeypatch):
+        """Without the C accelerator the held encoder is the pure-Python
+        ``JSONEncoder``, and the bytes do not change."""
+        events = self._events()
+        want = [event_to_json_reference(e) for e in events]  # C encoder
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = trace._held_encoder()
+        assert isinstance(encode.__self__, json.JSONEncoder)
+        monkeypatch.setattr(trace, "_encode", encode)
+        assert [e.to_json() for e in events] == want
 
 
 # -- file damage ----------------------------------------------------------

@@ -3,8 +3,9 @@ buffered path, shard rotation, and bounded residency."""
 
 import pytest
 
-from repro.obs.stream import StreamingSink
+from repro.obs.stream import StreamingSink, shard_files
 from repro.obs.trace import TraceEvent, Tracer, read_trace
+from tests.oracles import event_to_json_reference
 
 
 def _emit_script(tracer, count):
@@ -68,6 +69,21 @@ class TestRotation:
         ]
         assert sink.published_shards == 3
 
+    def test_shards_are_read_in_index_order_past_five_digits(self, tmp_path):
+        """Names pad the index to five digits only, so by name
+        ``trace-100000`` sorts before ``trace-99999``; the trace is the
+        shards in index order."""
+        indexes = [99_998, 99_999, 100_000, 100_001, 1_000_000]
+        for i in indexes:
+            name = StreamingSink(tmp_path)._shard_name(i)
+            (tmp_path / name).write_text(self._event(i).to_json() + "\n")
+        (tmp_path / "trace-notes.jsonl").write_text("not a shard\n")
+        (tmp_path / "trace-01000002.jsonl.tmp").write_text("in progress\n")
+        want = [f"trace-{i:05d}.jsonl" for i in indexes]
+        assert [p.name for p in shard_files(tmp_path)] == want
+        assert [p.name for p in StreamingSink(tmp_path).shard_paths()] == want
+        assert [e.id for e in read_trace(tmp_path)] == indexes
+
     def test_partial_final_shard_published_on_close(self, tmp_path):
         sink = StreamingSink(tmp_path, shard_events=10)
         for i in range(1, 4):
@@ -129,6 +145,39 @@ class TestRefusedAppendLeavesNoTrace:
         tracer.close()
         assert len(self._lines(tracer.sink)) == tracer.sink.total_events == 3
         assert [e.id for e in read_trace(tmp_path)] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({1, 2}, TypeError),  # a value JSON has no form for
+            ({1: "a", "b": 2}, TypeError),  # sort_keys cannot order the keys
+            (None, RecursionError),  # the dict itself: a cycle
+        ],
+        ids=["set", "mixed-keys", "cycle"],
+    )
+    def test_refused_data_leaves_the_held_encoder_clean(
+        self, tmp_path, bad, error
+    ):
+        """The encoder is built once and kept: an encode that raised
+        must leave nothing behind that changes a later line — not even
+        for the very dict it failed inside, mended and emitted again."""
+        tracer = Tracer(sink=StreamingSink(tmp_path, window=8, shard_events=2))
+        tracer.emit("restart", 0.0, ranking=[["n1", 1.5]])
+        before = self._state(tracer)
+        obj = {"a": [1], "b": {"c": 2}}
+        obj["b"]["bad"] = obj if bad is None else bad
+        with pytest.raises(error):
+            tracer.emit("restart", 1.0, app="t", obj=obj)
+        assert self._state(tracer) == before
+        del obj["b"]["bad"]
+        assert tracer.emit("restart", 2.0, app="t", obj=obj) == 2
+        tracer.close()
+        lines = self._lines(tracer.sink)
+        assert lines == [event_to_json_reference(e) for e in read_trace(tmp_path)]
+        assert lines[1] == (
+            '{"app": "t", "data": {"obj": {"a": [1], "b": {"c": 2}}}, '
+            '"id": 2, "kind": "restart", "t": 2.0}'
+        )
 
     def test_emit_after_close(self, tmp_path):
         tracer = Tracer(sink=StreamingSink(tmp_path, window=8))
