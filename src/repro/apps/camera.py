@@ -23,13 +23,15 @@ is why bandwidth-aware placement wins even with no link constraint
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from ..core.binding import DeploymentBinding, EdgeCosts
 from ..core.dag import Component, ComponentDAG
+from ..errors import ConfigError
 from .base import Application
 
 #: Pipeline stage names, in data-flow order.
@@ -74,6 +76,15 @@ class CameraProfile:
     # serialization — the reason co-location wins even on fast LANs
     # (Fig 10a shows ~20 ms differences at negligible link load).
     per_hop_overhead_ms: float = 15.0
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"CameraProfile.{spec.name} must be finite and >= 0, "
+                    f"got {value!r}"
+                )
 
 
 class CameraPipelineApp(Application):

@@ -30,13 +30,16 @@ inflation of Fig 5.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.binding import DeploymentBinding, EdgeCosts
+from ..core.binding import Crossing, DeploymentBinding, EdgeCosts
 from ..core.dag import Component, ComponentDAG
 from ..errors import ConfigError
 from .base import Application
@@ -160,9 +163,9 @@ DEFAULT_MIX: dict[str, float] = {
 
 _KB_TO_MBIT = 8.0 / 1000.0
 
-#: Per-step service times (ms) of each chain, as one array per type.
-_SERVICE_MS: dict[str, np.ndarray] = {
-    request_type: np.array([step.service_ms for step in chain])
+#: Per-step service times (ms) of each chain.
+_SERVICE_MS: dict[str, tuple[float, ...]] = {
+    request_type: tuple(step.service_ms for step in chain)
     for request_type, chain in REQUEST_CHAINS.items()
 }
 
@@ -192,10 +195,21 @@ class SocialNetworkApp(Application):
         mix: Optional[dict[str, float]] = None,
         jitter_rel_std: float = 0.10,
     ) -> None:
-        if not annotate_rps > 0:  # NaN included
-            raise ConfigError("annotate_rps must be positive")
+        if not (math.isfinite(annotate_rps) and annotate_rps > 0):
+            raise ConfigError("annotate_rps must be positive and finite")
+        if not (math.isfinite(jitter_rel_std) and jitter_rel_std >= 0):
+            raise ConfigError("jitter_rel_std must be finite and >= 0")
         self.annotate_rps = annotate_rps
         self._mix = dict(mix) if mix is not None else dict(DEFAULT_MIX)
+        # A NaN fraction passes the sum check and a negative one breaks
+        # the CDF's monotonicity, which the sampler's draw relies on.
+        bad = {
+            request_type: fraction
+            for request_type, fraction in self._mix.items()
+            if not (math.isfinite(fraction) and fraction >= 0)
+        }
+        if bad:
+            raise ConfigError(f"request mix fractions must be finite and >= 0: {bad}")
         if abs(sum(self._mix.values()) - 1.0) > 1e-6:
             raise ConfigError("request mix fractions must sum to 1")
         unknown = set(self._mix) - set(REQUEST_CHAINS)
@@ -204,16 +218,22 @@ class SocialNetworkApp(Application):
         # The sampler draws request types by inverting this CDF, built
         # exactly as ``Generator.choice(p=weights / weights.sum())``
         # builds its own, so the draws are the ones ``choice`` makes.
+        # Kept as a list: ``bisect_right`` over a monotone CDF is
+        # ``searchsorted(side="right")``.
         weights = np.array(list(self._mix.values()))
         self._mix_types = tuple(self._mix)
-        self._mix_cdf = (weights / weights.sum()).cumsum()
-        self._mix_cdf /= self._mix_cdf[-1]
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._mix_cdf = cdf.tolist()
         self.jitter_rel_std = jitter_rel_std
         #: Fixed cost per inter-node RPC hop (ms): TCP/Istio-sidecar
         #: proxying and (de)serialization that loopback calls skip.
         self.inter_node_overhead_ms = 5.0
         self._per_request_mbit = self._compute_per_request_mbit()
         self.current_rps = annotate_rps
+        # ``(crossings table, {request type: compiled chain})``: see
+        # :meth:`_chain`.
+        self._chains: tuple = (None, {})
 
     @property
     def mix(self) -> Mapping[str, float]:
@@ -252,8 +272,8 @@ class SocialNetworkApp(Application):
 
     def set_rps(self, rps: float) -> None:
         """Set the instantaneous offered request rate."""
-        if not rps >= 0:  # NaN included
-            raise ConfigError("rps must be >= 0")
+        if not (math.isfinite(rps) and rps >= 0):
+            raise ConfigError("rps must be finite and >= 0")
         self.current_rps = rps
 
     def update_demands(self, binding: DeploymentBinding, t: float) -> None:
@@ -282,9 +302,11 @@ class SocialNetworkApp(Application):
         rng: np.random.Generator,
     ) -> list[float]:
         """``n`` request latencies drawn from the request mix."""
-        draws = self._mix_cdf.searchsorted(rng.random(n), side="right")
+        cdf, types = self._mix_cdf, self._mix_types
         return self._latencies_s(
-            [self._mix_types[i] for i in draws], binding, rng
+            [types[bisect_right(cdf, u)] for u in rng.random(n).tolist()],
+            binding,
+            rng,
         )
 
     def _latencies_s(
@@ -296,11 +318,13 @@ class SocialNetworkApp(Application):
         """Latencies of the given requests, all issued right now.
 
         Nothing a request's latency depends on moves within the call,
-        so each distinct type's chain is walked once into a table of
-        per-step fixed addends; per request only the jittered service
-        terms differ.  They are drawn in one batch (the same values,
-        in the same order, as one scalar draw per step) and each
-        latency is summed step by step in chain order.
+        so each distinct type's compiled chain (:meth:`_chain`) is
+        priced once into a table of per-step fixed addends; per request
+        only the jittered service terms differ.  They are drawn in one
+        batch (the same values, in the same order, as one scalar draw
+        per step) and each latency is summed step by step in chain
+        order, ``ms * max(0.1, z) / 1000.0`` then the step's addends:
+        the floats the per-step loop added.
         """
         if not request_types:
             return []
@@ -309,19 +333,20 @@ class SocialNetworkApp(Application):
             request_type: self._fixed_addends(request_type, costs)
             for request_type in dict.fromkeys(request_types)
         }
-        service_ms = np.concatenate([_SERVICE_MS[t] for t in request_types])
         if rng is not None and self.jitter_rel_std > 0:
-            service_ms = service_ms * np.maximum(
-                0.1, rng.normal(1.0, self.jitter_rel_std, size=len(service_ms))
-            )
-        service_s = iter((service_ms / 1000.0).tolist())
+            size = sum(len(_SERVICE_MS[t]) for t in request_types)
+            jitter = iter(rng.normal(1.0, self.jitter_rel_std, size=size).tolist())
+        else:
+            jitter = repeat(1.0)  # ms * 1.0 / 1000.0 == ms / 1000.0
         latencies = []
         for request_type in request_types:
             latency_s = 0.0
-            # ``zip`` stops on the table, so each request draws exactly
-            # its own steps' service terms from the shared iterator.
-            for addends, service in zip(tables[request_type], service_s):
-                latency_s += service
+            # ``zip`` stops on the service times, so each request draws
+            # exactly its own steps' jitter from the shared iterator.
+            for ms, addends, z in zip(
+                _SERVICE_MS[request_type], tables[request_type], jitter
+            ):
+                latency_s += ms * (z if z > 0.1 else 0.1) / 1000.0  # max(0.1, z)
                 for addend in addends:
                     latency_s += addend
             latencies.append(latency_s)
@@ -331,33 +356,75 @@ class SocialNetworkApp(Application):
         self,
         request_type: str,
         costs: EdgeCosts,
-    ) -> list[tuple[float, ...]]:
+    ) -> list[list[float]]:
         """What each step of a chain adds beyond its service time, in
         the order charged: restart stalls (a service stalls a request
         once, where the chain first touches it), the inter-node hop
         overhead, the payload's transfer time (left out when zero).
-        A co-located step with nobody restarting adds nothing and costs
-        one probe of the binding's edge table."""
+        A co-located step with nobody restarting adds nothing."""
         overhead_s = self.inter_node_overhead_ms / 1000.0
+        price = costs.crossing_cost_s
         stalls = costs.stalls
         stalled: set[str] = set()
         table = []
-        for step in REQUEST_CHAINS[request_type]:
+        for crossing, payload_mbit, src, dst in self._chain(
+            request_type, costs.crossings
+        ):
             addends = []
             if stalls:
-                for service in (step.src, step.dst):
+                for service in (src, dst):
                     if service in stalls and service not in stalled:
                         stalled.add(service)
                         addends.append(stalls[service])
-            transfer_s = costs.crossing_time_s(
-                step.src, step.dst, step.payload_kb * _KB_TO_MBIT
-            )
-            if transfer_s is not None:
+            if crossing is not None:
                 addends.append(overhead_s)
+                transfer_s = price(crossing, payload_mbit)
                 if transfer_s:
                     addends.append(transfer_s)
-            table.append(tuple(addends))
+            table.append(addends)
         return table
+
+    def _chain(
+        self, request_type: str, crossings: Mapping[tuple[str, str], Crossing]
+    ) -> list[tuple[Crossing, float, str, str]]:
+        """``request_type``'s chain as ``(crossing, payload Mbit, src,
+        dst)`` per step under the placement ``crossings`` describes.
+
+        Compiled the first time the type is priced under that table and
+        kept until the binding hands out a new one (a migration); a type
+        with an undeployed service raises
+        :class:`~repro.errors.SchedulingError` here, at its first such
+        step, and is never kept.
+        """
+        table, chains = self._chains
+        if table is not crossings:
+            chains = {}
+            self._chains = (crossings, chains)
+        chain = chains.get(request_type)
+        if chain is None:
+            chain = chains[request_type] = self._compile(request_type, crossings)
+        return chain
+
+    @staticmethod
+    def _compile(
+        request_type: str, crossings: Mapping[tuple[str, str], Crossing]
+    ) -> list[tuple[Crossing, float, str, str]]:
+        return [
+            (
+                crossings[(step.src, step.dst)],
+                step.payload_kb * _KB_TO_MBIT,
+                step.src,
+                step.dst,
+            )
+            for step in REQUEST_CHAINS[request_type]
+        ]
+
+    def __getstate__(self) -> dict:
+        """Checkpoints carry the model, not the chains compiled against
+        one placement table."""
+        state = self.__dict__.copy()
+        state["_chains"] = (None, {})
+        return state
 
     def hottest_edges(self, top: int = 5) -> list[tuple[str, str, float]]:
         """The highest-traffic edges (per-request Mbit), descending —

@@ -359,7 +359,9 @@ class EdgeCosts:
 
     def __init__(self, binding: DeploymentBinding) -> None:
         self._netem = netem = binding.netem
-        self._crossings = binding.crossings()
+        #: The binding's placement table this instant prices against
+        #: (:meth:`DeploymentBinding.crossings`).
+        self.crossings = binding.crossings()
         now = netem.now
         #: Component mid-restart -> how long a request touching it now
         #: stalls (s).  Empty outside restart windows.
@@ -395,9 +397,20 @@ class EdgeCosts:
         Raises:
             SchedulingError: an endpoint is not deployed.
         """
-        crossing = self._crossings[(src, dst)]
+        crossing = self.crossings[(src, dst)]
         if crossing is None:
             return None
+        return self.crossing_cost_s(crossing, payload_mbit)
+
+    def crossing_cost_s(
+        self,
+        crossing: tuple[tuple[str, str], Optional[str]],
+        payload_mbit: float,
+    ) -> float:
+        """Time for ``payload_mbit`` to ride ``crossing``, a non-None
+        :data:`Crossing` already read from :attr:`crossings` — the
+        pricing behind :meth:`crossing_time_s`, for callers that hold
+        the crossings of a chain across calls."""
         if payload_mbit <= 0:
             return 0.0
         nodes, flow_id = crossing
@@ -413,14 +426,19 @@ class EdgeCosts:
             # No route at all: the payload never arrives.
             return delay_s
         rate = 0.0
-        if flow_id is not None and netem.has_flow(flow_id):
-            flow = netem.flow(flow_id)
-            if flow.demand_mbps > 0:
-                rate = flow.allocated_mbps
+        if flow_id is not None:
+            try:
+                flow = netem.flow(flow_id)
+            except SimulationError:
+                pass  # no flow: not synced yet, or unroutable at the last sync
+            else:
+                if flow.demand_mbps > 0:
+                    rate = flow.allocated_mbps
         if rate <= 0:
             # No live flow (or one silenced by a restart window): the
             # payload would ride whatever the path has spare.  Restart
             # stalls themselves are charged by the caller, not here.
             rate = netem.path_available_bandwidth(*nodes)
-        rate = max(rate, 0.01)  # a starved edge still trickles
+        if rate < 0.01:
+            rate = 0.01  # a starved edge still trickles
         return payload_mbit / rate + delay_s

@@ -15,6 +15,7 @@ the underlying radio capacity is unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,12 +85,16 @@ class Link:
         *,
         latency_ms: float = 2.0,
     ) -> None:
-        if capacity_mbps <= 0:
+        # NaN compares False both ways, so each check asks for finiteness.
+        if not (math.isfinite(capacity_mbps) and capacity_mbps > 0):
             raise TopologyError(
-                f"link {a}-{b}: capacity must be positive, got {capacity_mbps}"
+                f"link {a}-{b}: capacity must be positive and finite, "
+                f"got {capacity_mbps}"
             )
-        if latency_ms < 0:
-            raise TopologyError(f"link {a}-{b}: latency must be >= 0")
+        if not (math.isfinite(latency_ms) and latency_ms >= 0):
+            raise TopologyError(
+                f"link {a}-{b}: latency must be finite and >= 0, got {latency_ms}"
+            )
         self.id: LinkId = link_id(a, b)
         self.latency_ms = latency_ms
         #: Whether the link is currently carrying traffic.  Managed by
@@ -161,8 +166,10 @@ class Link:
         dst: Optional[str] = None,
     ) -> None:
         """Install (or clear, with ``None``) a tc-style shaping limit."""
-        if limit_mbps is not None and limit_mbps <= 0:
-            raise TopologyError("rate limit must be positive or None")
+        if limit_mbps is not None and not (
+            math.isfinite(limit_mbps) and limit_mbps > 0
+        ):
+            raise TopologyError("rate limit must be positive and finite, or None")
         if (src is None) != (dst is None):
             raise TopologyError(
                 "set_rate_limit needs both src and dst, or neither"

@@ -1,5 +1,7 @@
 """Unit tests for the camera-pipeline model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.apps.camera import (
 )
 from repro.cluster.deployment import Deployment
 from repro.core.binding import DeploymentBinding
+from repro.errors import ConfigError
 from repro.mesh.topology import full_mesh_topology
 from repro.net.netem import NetworkEmulator
 
@@ -148,3 +151,20 @@ class TestLatency:
         assert app_b.sample_latency_s(b) == pytest.approx(
             app_a.sample_latency_s(a)
         )
+
+
+class TestProfileValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "field", [spec.name for spec in dataclasses.fields(CameraProfile)]
+    )
+    def test_non_finite_or_negative_fields_are_refused(self, field, value):
+        """Every field is a rate, payload, time or relative std: a NaN,
+        an infinity or a negative value would flow into the DAG or the
+        latency samples unchecked."""
+        with pytest.raises(ConfigError):
+            CameraProfile(**{field: value})
+
+    def test_zero_and_default_profiles_are_accepted(self):
+        CameraProfile()
+        CameraProfile(jitter_rel_std=0.0, detector_to_label_mbps=0.0)

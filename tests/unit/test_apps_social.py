@@ -68,6 +68,55 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SocialNetworkApp(annotate_rps=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"annotate_rps": float("inf")},
+            {"annotate_rps": float("nan")},
+            {"jitter_rel_std": float("nan")},
+            {"jitter_rel_std": -1.0},
+            {"jitter_rel_std": float("inf")},
+            {
+                "mix": {
+                    "read_home_timeline": float("nan"),
+                    "read_user_timeline": 0.3,
+                    "compose_post": 0.1,
+                }
+            },
+            {
+                "mix": {
+                    "read_home_timeline": 0.7,
+                    "read_user_timeline": -0.4,
+                    "compose_post": 0.7,
+                }
+            },
+        ],
+        ids=[
+            "rps-inf",
+            "rps-nan",
+            "jitter-nan",
+            "jitter-negative",
+            "jitter-inf",
+            "mix-nan",
+            "mix-negative",
+        ],
+    )
+    def test_values_that_corrupt_samples_are_refused(self, kwargs):
+        """A NaN fraction made every draw ``read_home_timeline``; a
+        negative one a non-monotone CDF; a NaN or negative jitter std
+        silently switched jitter off."""
+        with pytest.raises(ConfigError):
+            SocialNetworkApp(**kwargs)
+
+    @pytest.mark.parametrize("rps", [float("inf"), float("nan"), -1.0])
+    def test_set_rps_refuses_and_keeps_the_rate(self, rps):
+        """``set_rps(inf)`` left NaN loss fractions on the queues."""
+        app = SocialNetworkApp(annotate_rps=50.0)
+        app.set_rps(20.0)
+        with pytest.raises(ConfigError):
+            app.set_rps(rps)
+        assert app.current_rps == 20.0
+
     def test_mix_is_frozen_after_construction(self):
         """Edge demands, DAG weights and the sampling CDF are derived
         from the mix once; a later edit would desynchronise them."""

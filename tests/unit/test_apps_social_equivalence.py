@@ -9,18 +9,27 @@ production path must return the same floats bit for bit *and* leave
 the generator in the same state, over healthy, throttled, restarting
 and partitioned deployments.
 
-The count gate at the bottom is the clock-free regression fence: one
+Beyond the hand-placed worlds, Hypothesis generates histories on a
+four-node ring — rebinds, throttles, crashes and reboots, rate changes
+including zero, engine steps — and holds every sample and request call
+along them to the same oracle.
+
+The count gates at the bottom are the clock-free regression fences: one
 sample call may ask the emulator for a path delay at most once per
 distinct inter-node ``(src_node, dst_node)`` pair its chains cross, and
 — placement coming from the binding's revision-keyed edge table — may
 not ask the deployment where a pod is, or whether it is serving, at
-all while nobody is restarting.
+all while nobody is restarting; a request type's chain is compiled once
+per placement, and never pickled.
 """
 
+import pickle
 from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.camera import CameraPipelineApp
 from repro.apps.social import (
@@ -38,6 +47,7 @@ from repro.experiments.common import (
     run_timeline,
     set_node_egress_limit,
 )
+from repro.mesh.topology import line_topology
 from repro.net.netem import NetworkEmulator
 
 # -- the frozen oracle (verbatim from before the per-call table) -------------
@@ -393,6 +403,173 @@ class TestSocialEquivalence:
                     ) == bits([expected, expected])
 
 
+# -- generated histories ------------------------------------------------------
+
+RING = ("node1", "node2", "node3", "node4")
+SERVICE_NAMES = tuple(name for name, _, _ in SERVICES)
+SEEDS = st.integers(0, 2**32 - 1)
+
+#: One step of a history; see :func:`_apply`.
+OPERATIONS = st.one_of(
+    st.tuples(
+        st.just("rebind"),
+        st.sampled_from(SERVICE_NAMES),
+        st.integers(1, 3),
+        st.sampled_from([2.0, 8.0, 30.0]),
+    ),
+    st.tuples(st.just("throttle"), st.sampled_from(RING), st.sampled_from([1.0, 3.0])),
+    st.tuples(st.just("unthrottle"), st.sampled_from(RING)),
+    st.tuples(st.just("crash"), st.sampled_from(RING)),
+    st.tuples(st.just("reboot"), st.sampled_from(RING)),
+    st.tuples(st.just("rps"), st.sampled_from([0.0, 10.0, 50.0, 120.0])),
+    st.tuples(st.just("step"), st.integers(1, 6)),
+    st.tuples(st.just("sample"), st.sampled_from([0, 1, 6, 50]), SEEDS, st.booleans()),
+    st.tuples(
+        st.just("request"),
+        st.sampled_from(sorted(REQUEST_CHAINS)),
+        st.one_of(st.none(), SEEDS),
+        st.booleans(),
+    ),
+)
+
+#: Every kind of step once, in an order that makes each one bite: a
+#: restart window, a standing queue, a partition (node2 and node4 down
+#: cut node3 off), silenced flows, and a reboot that heals it.
+EVERY_KIND = [
+    ("sample", 6, 1, True),
+    ("rebind", "post-storage-service", 1, 30.0),
+    ("sample", 50, 2, True),
+    ("throttle", "node1", 1.0),
+    ("step", 6),
+    ("request", "compose_post", 3, True),
+    ("crash", "node2"),
+    ("crash", "node4"),
+    ("sample", 50, 4, False),
+    ("rps", 0.0),
+    ("request", "read_home_timeline", None, True),
+    ("reboot", "node2"),
+    ("unthrottle", "node1"),
+    ("step", 3),
+    ("sample", 1, 5, True),
+    ("sample", 0, 6, True),
+]
+
+
+def _ring_world(placement):
+    """The social network on a four-node ring of 20 Mbps links, one
+    node per service as ``placement`` lists them, armed on its engine."""
+    topology = line_topology([20.0, 20.0, 20.0])
+    topology.add_link("node4", "node1", capacity_mbps=20.0)
+    netem = NetworkEmulator(topology, buffer_mbit=400.0)
+    app = SocialNetworkApp(annotate_rps=50.0)
+    deployment = Deployment(app.name)
+    for service, node in zip(SERVICE_NAMES, placement):
+        deployment.bind(service, node)
+    binding = DeploymentBinding(app.build_dag(), deployment, netem)
+    app.update_demands(binding, 0.0)
+    netem.start()
+    return app, binding
+
+
+def _apply(app, binding, operation) -> None:
+    """Run one step of a history; sample and request steps are checked
+    against the oracle (floats and generator state)."""
+    kind, *args = operation
+    netem, deployment = binding.netem, binding.deployment
+    topology = netem.topology
+    if kind == "rebind":
+        service, offset, restart_s = args
+        here = RING.index(deployment.node_of(service))
+        deployment.rebind(
+            service,
+            RING[(here + offset) % len(RING)],
+            time=netem.now,
+            restart_seconds=restart_s,
+        )
+        binding.sync_flows()
+    elif kind in ("throttle", "unthrottle"):
+        node = args[0]
+        limit = args[1] if kind == "throttle" else None
+        for peer in topology.neighbors(node):
+            topology.link(node, peer).set_rate_limit(limit, src=node, dst=peer)
+    elif kind in ("crash", "reboot"):
+        topology.set_node_up(args[0], kind == "reboot")
+        netem.on_topology_change()
+        binding.sync_flows()
+    elif kind == "rps":
+        app.set_rps(args[0])
+        app.update_demands(binding, netem.now)
+    elif kind == "step":
+        for _ in range(args[0]):
+            app.update_demands(binding, netem.now)
+            netem.engine.run_until(netem.now + 1.0)
+    elif kind == "sample":
+        n, seed, jitter = args
+        app.jitter_rel_std = 0.10 if jitter else 0.0
+        got = assert_same_samples(app, binding, n, seed)
+        assert len(got) == n
+    else:
+        request_type, seed, jitter = args
+        app.jitter_rel_std = 0.10 if jitter else 0.0
+        if seed is None:
+            got = app.request_latency_s(request_type, binding)
+            expected = oracle_request_latency_s(app, request_type, binding)
+        else:
+            rng_old = np.random.default_rng(seed)
+            rng_new = np.random.default_rng(seed)
+            got = app.request_latency_s(request_type, binding, rng_new)
+            expected = oracle_request_latency_s(
+                app, request_type, binding, rng_old
+            )
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert bits([got]) == bits([expected])
+
+
+class TestGeneratedHistories:
+    @given(
+        placement=st.lists(
+            st.sampled_from(RING), min_size=len(SERVICES), max_size=len(SERVICES)
+        ),
+        history=st.lists(OPERATIONS, min_size=1, max_size=14),
+    )
+    @example(
+        placement=[RING[i % len(RING)] for i in range(len(SERVICES))],
+        history=EVERY_KIND,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_call_along_a_history_matches_the_oracle(
+        self, placement, history
+    ):
+        app, binding = _ring_world(placement)
+        for operation in history:
+            _apply(app, binding, operation)
+
+    def test_the_every_kind_history_reaches_each_case(self):
+        """The pinned history is not vacuous: it samples inside a
+        restart window, behind a standing queue, across a partition
+        (``inf``) and with every flow silenced."""
+        app, binding = _ring_world([RING[i % len(RING)] for i in range(len(SERVICES))])
+        netem = binding.netem
+        seen = set()
+        for operation in EVERY_KIND:
+            _apply(app, binding, operation)
+            if binding.deployment.restarting(netem.now):
+                seen.add("restart")
+            if any(
+                netem.queue_delay_s(src, dst) > 0
+                for src, dst, _ in netem.topology.iter_directed_links()
+            ):
+                seen.add("queue")
+            if float("inf") in app.sample_latencies_s(
+                binding, 6, np.random.default_rng(0)
+            ):
+                seen.add("inf")
+            if app.current_rps == 0 and netem.flows:
+                assert all(f.demand_mbps == 0 for f in netem.flows)
+                seen.add("silenced")
+        assert seen == {"restart", "queue", "inf", "silenced"}
+
+
 # -- camera pipeline ----------------------------------------------------------
 
 CAMERA_SIZES = (1, 20)
@@ -608,3 +785,53 @@ class TestPlacementLookupBudget:
         assert bits([app.request_latency_s("read_home_timeline", binding)]) == bits(
             [oracle_request_latency_s(app, "read_home_timeline", binding)]
         )
+
+
+class TestCompiledChains:
+    @staticmethod
+    def count_compiles(monkeypatch) -> list[str]:
+        compiled: list[str] = []
+        compile_chain = SocialNetworkApp._compile
+
+        def counted(request_type, crossings):
+            compiled.append(request_type)
+            return compile_chain(request_type, crossings)
+
+        monkeypatch.setattr(SocialNetworkApp, "_compile", staticmethod(counted))
+        return compiled
+
+    def test_each_drawn_type_compiles_once_per_placement(self, monkeypatch):
+        app, env, binding = _social("k3s")
+        compiled = self.count_compiles(monkeypatch)
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            app.sample_latencies_s(binding, 6, rng)
+            env.engine.run_until(env.netem.now + 1.0)
+        assert sorted(compiled) == sorted(REQUEST_CHAINS)
+        # A rebind hands out a new placement table: the next call
+        # compiles again what it draws, once.
+        _restart(env, binding, "post-storage-service")
+        compiled.clear()
+        for _ in range(3):
+            app.sample_latencies_s(binding, 50, rng)
+        assert sorted(compiled) == sorted(REQUEST_CHAINS)
+
+    def test_a_failed_compile_is_not_kept(self, monkeypatch):
+        app, env, binding = _social("k3s")
+        binding.deployment.unbind("user-timeline-redis")
+        compiled = self.count_compiles(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(SchedulingError):
+                app.request_latency_s("read_user_timeline", binding)
+        assert compiled == ["read_user_timeline"] * 2
+
+    def test_a_pickled_app_carries_no_compiled_chain(self):
+        app, env, binding = _social("k3s")
+        app.sample_latencies_s(binding, 50, np.random.default_rng(1))
+        assert app._chains[1]
+        restored = pickle.loads(pickle.dumps(app))
+        assert restored._chains == (None, {})
+        # ... and samples the same floats once it compiles again.
+        assert bits(
+            restored.sample_latencies_s(binding, 50, np.random.default_rng(2))
+        ) == bits(app.sample_latencies_s(binding, 50, np.random.default_rng(2)))

@@ -59,6 +59,38 @@ class TestLink:
         with pytest.raises(TopologyError):
             link.capacity("a", "c", 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"capacity_mbps": float("nan")},
+            {"capacity_mbps": float("inf")},
+            {"capacity_mbps": 10.0, "latency_ms": float("nan")},
+            {"capacity_mbps": 10.0, "latency_ms": float("inf")},
+        ],
+        ids=["capacity-nan", "capacity-inf", "latency-nan", "latency-inf"],
+    )
+    def test_non_finite_parameters_raise(self, kwargs):
+        """NaN passes ``<= 0`` / ``< 0``; an infinite latency reads as
+        "no route" to the latency models."""
+        with pytest.raises(TopologyError):
+            Link("a", "b", **kwargs)
+        topology = MeshTopology()
+        topology.add_node(MeshNode("a"))
+        topology.add_node(MeshNode("b"))
+        with pytest.raises(TopologyError):
+            topology.add_link("a", "b", **kwargs)
+        assert not topology.has_link("a", "b")
+
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+    def test_non_finite_rate_limit_raises(self, limit):
+        link = Link("a", "b", capacity_mbps=10.0)
+        link.set_rate_limit(4.0)
+        with pytest.raises(TopologyError):
+            link.set_rate_limit(limit)
+        with pytest.raises(TopologyError):
+            link.set_rate_limit(limit, src="a", dst="b")
+        assert link.capacity("a", "b", 0.0) == 4.0
+
     def test_rate_limit_caps_capacity(self):
         link = Link("a", "b", capacity_mbps=10.0)
         link.set_rate_limit(4.0)
