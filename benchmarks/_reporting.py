@@ -1,14 +1,16 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one of the paper's tables or figures; the
-series/rows it produces are printed and persisted under
-``benchmarks/results/`` so EXPERIMENTS.md can cite them.
+Each benchmark prints its tables and persists them under
+``benchmarks/results/``.  The paper's figures are catalogue rows
+instead: ``bass-repro run <id>`` prints them.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from repro.experiments.catalog import Table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -21,23 +23,9 @@ def save_table(
     note: str = "",
 ) -> str:
     """Render an aligned text table, print it, and persist it."""
-    materialized = [[str(cell) for cell in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in materialized))
-        if materialized
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-
-    def render_row(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-
-    lines = [render_row(list(headers)), render_row(["-" * w for w in widths])]
-    lines.extend(render_row(row) for row in materialized)
+    text = Table(headers, list(rows)).text()
     if note:
-        lines.append("")
-        lines.append(f"note: {note}")
-    text = "\n".join(lines)
+        text += f"\n\nnote: {note}"
     print(f"\n=== {name} ===\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")

@@ -91,7 +91,7 @@ def test_failover_outage_recovery(benchmark):
     result = run_once(benchmark, failover_outage, duration_s=DURATION_S)
     persist({"direct": case_payload(result)})
     save_table(
-        "failover",
+        "failover_outage",  # failover.txt is the catalogue row's table
         [
             "kill_at_s",
             "down_s",

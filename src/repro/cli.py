@@ -38,7 +38,7 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .experiments.catalog import EXPERIMENTS, Experiment
 from .obs.report import read_trace, render_report
@@ -78,23 +78,6 @@ _positive_seconds = _checked(
     float, lambda v: 0 < v < math.inf, "a finite number > 0"
 )
 _seconds = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-
-
-def _table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    materialized = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in materialized))
-        if materialized
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    out.append("  ".join("-" * w for w in widths))
-    out.extend(
-        "  ".join(c.ljust(widths[i]) for i, c in enumerate(row))
-        for row in materialized
-    )
-    return "\n".join(out)
 
 
 def _report_profile(capsule) -> None:
@@ -328,7 +311,7 @@ def _run_batch(args, row: Experiment, sizing: dict) -> Optional[str]:
         for spec in row.specs(**sizing)
     ]
     table = row.render(*outcomes)
-    print(_table(table.headers, table.rows))
+    print(table.text())
     if table.note:
         print(f"\n{table.note}")
     for outcome in outcomes:

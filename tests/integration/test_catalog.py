@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.catalog import CATALOG, EXPERIMENTS
-from repro.runner import canonical_json, cell_key
+from repro.runner import canonical_json, cell_key, run_sweep
 from repro.runner.worker import resolve_cell_function
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -101,9 +101,28 @@ def test_quick_sweep_cells_have_unique_keys(row):
         assert len(set(keys)) == len(keys), spec.name
 
 
+@pytest.mark.parametrize("row", CATALOG, ids=_ids(CATALOG))
+def test_claims_hold_at_full_scale(row):
+    """The row's full sizing, run as ``bass-repro run <id>`` runs it,
+    shows every shape its claims name."""
+    outcomes = [run_sweep(spec) for spec in row.specs(**row.sizing(quick=False))]
+    failed = []
+    for claim in row.claims:
+        try:
+            if not claim.holds(*outcomes):
+                failed.append(claim.name)
+        except Exception as error:  # e.g. a result the claim names is missing
+            failed.append(f"{claim.name} ({error!r})")
+    table = row.render(*outcomes)
+    assert not failed, (
+        f"{row.id}: claims fail: {failed}\n{table.text()}\n{table.note}"
+    )
+
+
 def test_every_paper_row_of_experiments_md_maps_to_an_id():
-    """``Fig 14c/d`` -> ``fig14cd``, ``Table 2`` -> ``table2``; rows
-    that reproduce an *input* of the paper (no bench to run) are exempt."""
+    """``Fig 14c/d`` -> ``fig14cd``, ``Table 2`` -> ``table2``, and the
+    row states the figure's shape as claims; rows that reproduce an
+    *input* of the paper (no row to run) are exempt."""
     rows = re.findall(
         r"^\| ((?:Fig|Table) [^|]+?) \| ([^|]+) \|",
         (REPO_ROOT / "EXPERIMENTS.md").read_text(),
@@ -113,4 +132,6 @@ def test_every_paper_row_of_experiments_md_maps_to_an_id():
     for label, bench in rows:
         if bench.startswith("(input)"):
             continue
-        assert re.sub(r"[ /]", "", label).lower() in EXPERIMENTS, label
+        row_id = re.sub(r"[ /]", "", label).lower()
+        assert row_id in EXPERIMENTS, label
+        assert EXPERIMENTS[row_id].claims, label

@@ -199,12 +199,20 @@ class TestMeshTopology:
 
 class TestBuilders:
     def test_citylab_subset_layout(self):
+        """Fig 15a: four heterogeneous workers plus the control node on a
+        connected mesh of links with equal capacity both ways."""
         topo = citylab_subset()
         assert set(topo.worker_names) == {"node1", "node2", "node3", "node4"}
         assert "node0" in topo
         assert not topo.node("node0").schedulable
+        assert topo.is_connected()
+        # §6.3: 12- and 8-core VMs.
+        assert {topo.node(n).cpu_cores for n in topo.worker_names} == {12, 8}
         for (a, b), mean in CITYLAB_LINK_MEANS.items():
             assert topo.capacity(a, b, 0.0) == mean
+            assert topo.capacity(b, a, 0.0) == mean
+        # The Fig 8 link.
+        assert topo.capacity("node3", "node4", 0.0) == 25.0
 
     def test_citylab_heterogeneous_cores(self):
         topo = citylab_subset()
