@@ -187,6 +187,9 @@ class BandwidthController:
             self._pending_violations = violations
             if self.tracer.enabled and violations:
                 self._trace_plan(iteration, violations, deployment)
+        return self._plan_severity()
+
+    def _plan_severity(self) -> float:
         return max(
             (v.severity for v in self._pending_violations), default=0.0
         )
@@ -242,7 +245,7 @@ class BandwidthController:
 
         Nodes claimed by *other* applications on the home region's board
         are excluded from target selection, and successful migrations
-        claim their target there.
+        claim their target there at the plan's severity.
         """
         iteration = self._require_pending()
         now = iteration.time
@@ -383,40 +386,23 @@ class BandwidthController:
         # fault plan is active, so the healthy path is unchanged).
         down = self.netem.topology.down_nodes
         allow = region.nodes if region is not None else None
-        target = self.planner.select_target(
+        target, preferred = self.planner.select_target(
             component,
             deployment,
             self.orchestrator.cluster,
             self.netem,
-            exclude=(claimed | down) or None,
+            exclude=down or None,
+            claimed=claimed,
             allow=allow,
             achieved_mbps_of=self.binding.achieved_mbps,
             tracer=self.tracer,
             trace_cause=self._pending_plan_event,
         )
-        if claimed:
-            # Another tenant already claimed node(s) this epoch: record a
-            # conflict whenever arbitration changed this app's choice.
-            preferred = self.planner.select_target(
-                component,
-                deployment,
-                self.orchestrator.cluster,
-                self.netem,
-                exclude=down or None,
-                allow=allow,
-                achieved_mbps_of=self.binding.achieved_mbps,
+        if region is not None:
+            region.note_choice(
+                "migration", self.netem.now, component, target, preferred,
+                cause=self._pending_plan_event,
             )
-            if preferred is not None and preferred != target:
-                region.record_conflict()
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "migration.deflected",
-                        self.netem.now,
-                        cause=self._pending_plan_event,
-                        component=component,
-                        preferred=preferred,
-                        granted=target,
-                    )
         if target is None:
             if region is not None:
                 self._maybe_request_handoff(
@@ -456,7 +442,9 @@ class BandwidthController:
                 )
             return False
         if region is not None:
-            region.claim(self.netem.now, self.app, component, target)
+            region.claim(
+                self.netem.now, self.app, component, target, self._plan_severity()
+            )
         # Re-arm the edge flows the moment the restart window closes —
         # until then the component's edges rightly carry zero demand.
         self.netem.engine.schedule_in(restart + 1e-6, self.binding.sync_flows)
@@ -471,7 +459,7 @@ class BandwidthController:
         region = self.region
         if region.has_pending_handoff(self.app, component):
             return
-        remote = self.planner.select_target(
+        remote, _ = self.planner.select_target(
             component,
             deployment,
             self.orchestrator.cluster,

@@ -21,7 +21,8 @@ region spanning the mesh).
   application name.
 * **Claims** — a migration claims its target node on the home region's
   board for the round and co-tenants select around it, so two tenants
-  never race their restarts onto one node inside a round.  The
+  never race their restarts onto one node inside a round; a crash
+  recovery is a round of its own on the same boards.  The
   :class:`FleetArbiter` orders the regions' claim batches, records
   collisions and deflections as conflicts, publishes the winners for
   the next round, and brokers cross-region moves as two-phase handoffs.
@@ -71,50 +72,22 @@ class FleetArbiter:
     Cross-region migrations additionally go through the two-phase
     handoff protocol (:class:`~repro.core.regions.HandoffRequest`),
     tracked on :attr:`handoffs`.
-
-    The arbiter also keeps the **recovery board** — the synchronous
-    ``begin_epoch`` / ``nodes_claimed_by_others`` / ``claim`` trio.  A
-    crash recovery is its own arbitration round, fleet-wide and outside
-    any region's round (:class:`~repro.faults.recovery.RecoveryCoordinator`):
-    each re-placement claims its target, later tenants select around
-    it, and the board clears when the next round begins.
     """
 
     def __init__(self) -> None:
-        #: Claims admitted (recoveries and resolved region claims) and
-        #: conflicts recorded, over the run; the trace has the details.
+        #: Claims resolved (counted at resolution) and conflicts
+        #: recorded, over the run; the trace has the details.
         self.claim_count = 0
         self.conflict_count = 0
         self.epoch_count = 0
-        self._epoch_claims: dict[str, str] = {}  # node -> claiming app
         self._pending: list[RegionClaim] = []
         self._published: dict[str, RegionClaim] = {}  # node -> winner
-        self.resolution_count = 0
         self.handoffs: list[HandoffRequest] = []
 
-    def begin_epoch(self, time: float) -> None:
-        """Count a round (fleet or recovery) and clear the recovery
-        board."""
-        self.epoch_count += 1
-        self._epoch_claims = {}
-
-    def nodes_claimed_by_others(self, app: str) -> set[str]:
-        """Nodes another application was recovered onto this round."""
-        return {
-            node
-            for node, owner in self._epoch_claims.items()
-            if owner != app
-        }
-
-    def claim(self, time: float, app: str, component: str, node: str) -> None:
-        """Record a recovery re-placement, claiming ``node`` this round."""
-        self._epoch_claims[node] = app
-        self.claim_count += 1
-
     def record_conflict(self) -> None:
-        """Count one choice deflected, or one claim lost, to another
+        """Count one claim lost, or one handoff denied, to another
         tenant's claim (the trace event beside each call has who and
-        where)."""
+        where); region boards tally deflected choices themselves."""
         self.conflict_count += 1
 
     # -- eventually-consistent claim epochs --------------------------------
@@ -153,7 +126,6 @@ class FleetArbiter:
                 collisions.append((claim, held))
         self._pending = []
         self._published = board
-        self.resolution_count += 1
         return collisions
 
     def published_claims(self) -> dict[str, tuple[str, str]]:
@@ -301,6 +273,8 @@ class ControlPlane:
                 region_map=self.region_map,
                 tracer=self.tracer,
             )
+            # A region first needed mid-round (a recovery claims there) joins it.
+            region.begin_round(self.arbiter.epoch_count, self.arbiter.published_claims())
             self._regions[name] = region
         return region
 
@@ -368,6 +342,27 @@ class ControlPlane:
 
     # -- crash recovery ----------------------------------------------------
 
+    def begin_recovery_round(self) -> None:
+        """Open a crash-recovery round, counted like a fleet round, on
+        every region's board."""
+        epoch, published = self._begin_round()
+        for region in self._regions.values():
+            region.begin_round(epoch, published)
+
+    def fleet_claims_by_others(self, app: str) -> set[str]:
+        """Every region board's claims held by tenants other than ``app``
+        — what a recovery escalation, brokered synchronously across the
+        fleet, selects around."""
+        return set().union(
+            *(r.nodes_claimed_by_others(app) for r in self._regions.values())
+        )
+
+    def end_recovery_round(self) -> None:
+        """Close a recovery round; its claims are resolved with the next
+        fleet round's."""
+        for region in self._regions.values():
+            self._close_region(region)
+
     def enable_recovery(
         self, detector: "FailureDetector"
     ) -> "RecoveryCoordinator":
@@ -375,7 +370,7 @@ class ControlPlane:
 
         Pods on a node the detector confirms dead are evicted and
         re-placed on surviving nodes through the migration machinery,
-        arbitrated by the fleet arbiter across tenants.  Returns the
+        arbitrated on the region boards across tenants.  Returns the
         coordinator (also kept on ``self.recovery``).
         """
         from ..faults.recovery import RecoveryCoordinator
@@ -571,11 +566,8 @@ class ControlPlane:
         + act wall time (regions are independent — a real fleet runs
         them in parallel) plus the arbiter's resolution time.
         """
-        arbiter = self.arbiter
         now = self.netem.now
-        arbiter.begin_epoch(now)
-        epoch = arbiter.epoch_count
-        published = arbiter.published_claims()
+        epoch, published = self._begin_round()
         by_region: dict[str, list[BandwidthController]] = {}
         for controller in group:
             by_region.setdefault(
@@ -583,7 +575,7 @@ class ControlPlane:
             ).append(controller)
         iterations: list[ControllerIteration] = []
         region_decision = 0.0
-        batch_events: dict[str, int] = {}
+        batch_events: dict[tuple[int, str], int] = {}
         for name in sorted(by_region):
             region = self.region_controller(name)
             tenants = by_region[name]
@@ -598,14 +590,11 @@ class ControlPlane:
                 ((controller.plan(), controller) for controller in tenants),
                 key=lambda pair: (-pair[0], pair[1].app),
             )
-            for severity, controller in ranked:
-                region.set_acting_context(controller.app, severity)
+            for _, controller in ranked:
                 iterations.append(controller.act())
-            region.clear_acting_context()
-            batch = region.drain_batch()
-            arbiter.submit_batch(batch)
+            batch = self._close_region(region)
             if self.tracer.enabled and batch:
-                batch_events[name] = self.tracer.emit(
+                batch_events[epoch, name] = self.tracer.emit(
                     "claim.batch",
                     now,
                     epoch=epoch,
@@ -615,7 +604,6 @@ class ControlPlane:
                         for c in batch
                     ],
                 )
-            arbiter.conflict_count += region.drain_conflicts()
             region_decision = max(region_decision, perf_counter() - started)
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -637,10 +625,22 @@ class ControlPlane:
         check_cluster_ledger(self.orchestrator.cluster)
         return iterations
 
+    def _begin_round(self) -> tuple[int, dict[str, tuple[str, str]]]:
+        """Count a round; its epoch and the board it starts from."""
+        self.arbiter.epoch_count += 1
+        return self.arbiter.epoch_count, self.arbiter.published_claims()
+
+    def _close_region(self, region: RegionController) -> list[RegionClaim]:
+        """Submit a region's round batch and tally its deflections."""
+        batch = region.drain_batch()
+        self.arbiter.submit_batch(batch)
+        self.arbiter.conflict_count += region.drain_conflicts()
+        return batch
+
     def _resolve_claims(
-        self, epoch: int, now: float, batch_events: dict[str, int]
+        self, epoch: int, now: float, batch_events: dict[tuple[int, str], int]
     ) -> None:
-        """Arbiter resolution: order the round's claim batches, record
+        """Arbiter resolution: order the pending claim batches, record
         cross-region collisions, publish the winners."""
         collisions = self.arbiter.resolve(now)
         if self.tracer.enabled:
@@ -650,7 +650,7 @@ class ControlPlane:
                     now,
                     app=loser.app,
                     epoch=epoch,
-                    cause=batch_events.get(loser.region),
+                    cause=batch_events.get((loser.epoch, loser.region)),
                     node=loser.node,
                     loser_region=loser.region,
                     winner_app=winner.app,

@@ -19,7 +19,7 @@ prose semantics and prune partners in both edge directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from ..cluster.deployment import Deployment
 from ..cluster.orchestrator import ClusterState
@@ -245,11 +245,12 @@ class MigrationPlanner:
         netem: NetworkEmulator,
         *,
         exclude: Optional[set[str]] = None,
+        claimed: Collection[str] = (),
         allow: Optional[frozenset[str]] = None,
         achieved_mbps_of: Optional[Callable[[str, str], float]] = None,
         tracer: Optional[TracerBase] = None,
         trace_cause: Optional[int] = None,
-    ) -> Optional[str]:
+    ) -> tuple[Optional[str], Optional[str]]:
         """Choose the node to move ``component`` to.
 
         Candidate nodes are ranked by the number of the component's DAG
@@ -264,7 +265,12 @@ class MigrationPlanner:
         cost only to violate again from the new node is thrash, not
         mitigation.  ``allow`` restricts candidates to a node set (a
         region's jurisdiction); ``exclude`` still removes nodes from
-        within it.  Returns None when no node qualifies.
+        within it.
+
+        Returns ``(granted, preferred)``: the best node outside
+        ``claimed`` (other tenants' claims) and the best node outright,
+        None where none qualifies.  No price depends on the claims, so
+        one ranking gives both; the traced ranking is the granted one's.
         """
         current = deployment.node_of(component)
         spec = self.dag.component(component)
@@ -316,19 +322,12 @@ class MigrationPlanner:
                     name,
                 )
             )
-        tracer = tracer if tracer is not None else NULL_TRACER
-        if not candidates:
-            if tracer.enabled:
-                tracer.emit(
-                    "migration.target_ranked",
-                    netem.now,
-                    cause=trace_cause,
-                    component=component,
-                    ranking=[],
-                    chosen=None,
-                )
-            return None
         candidates.sort()
+        preferred = candidates[0][3] if candidates else None
+        if claimed:
+            candidates = [row for row in candidates if row[3] not in claimed]
+        granted = candidates[0][3] if candidates else None
+        tracer = tracer if tracer is not None else NULL_TRACER
         if tracer.enabled:
             tracer.emit(
                 "migration.target_ranked",
@@ -345,9 +344,9 @@ class MigrationPlanner:
                     for neighbor_score, bandwidth_penalty, negative_estimate, name
                     in candidates[:5]
                 ],
-                chosen=candidates[0][3],
+                chosen=granted,
             )
-        return candidates[0][3]
+        return granted, preferred
 
     def _current_achieved(
         self, component: str, achieved_mbps_of: Callable[[str, str], float]

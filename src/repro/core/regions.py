@@ -302,13 +302,13 @@ class HandoffRequest:
 class RegionController:
     """One region's control-plane runtime.
 
-    The claims board its tenants' controllers arbitrate against
-    (``nodes_claimed_by_others`` / ``claim`` / ``record_conflict``),
-    backed by an *eventually consistent* view: the region's own claims
-    this round plus the arbiter's published board from the previous
-    round.  Other regions' in-flight claims are invisible until the
-    arbiter resolves them — that is the consistency the fleet trades
-    for lock-free regional autonomy.
+    The claims board for the region's nodes — migrations and crash
+    recoveries claim there (``nodes_claimed_by_others`` / ``claim`` /
+    ``note_choice``) — backed by an *eventually consistent* view: the
+    region's own claims this round plus the arbiter's published board
+    from the previous round.  Other regions' in-flight claims are
+    invisible until the arbiter resolves them — that is the consistency
+    the fleet trades for lock-free regional autonomy.
     """
 
     def __init__(
@@ -333,9 +333,6 @@ class RegionController:
         self._conflict_count = 0
         self._handoff_queue: list[HandoffRequest] = []
         self._pending_handoffs: set[tuple[str, str]] = set()
-        self._acting_app: Optional[str] = None
-        self._acting_severity: float = 0.0
-        self._acting_component: dict[str, str] = {}
 
     @property
     def name(self) -> str:
@@ -366,15 +363,6 @@ class RegionController:
         self._batch = []
         self._conflict_count = 0
 
-    def set_acting_context(self, app: str, severity: float) -> None:
-        """Stamp subsequent claims with the acting tenant's severity."""
-        self._acting_app = app
-        self._acting_severity = severity
-
-    def clear_acting_context(self) -> None:
-        self._acting_app = None
-        self._acting_severity = 0.0
-
     def drain_batch(self) -> list[RegionClaim]:
         """The round's claim batch, for async submission to the arbiter."""
         batch, self._batch = self._batch, []
@@ -402,11 +390,12 @@ class RegionController:
         }
         return local | stale
 
-    def claim(self, time: float, app: str, component: str, node: str) -> None:
+    def claim(
+        self, time: float, app: str, component: str, node: str, severity: float
+    ) -> None:
+        """Hold ``node`` for ``app`` this round; the claim rides the
+        round's batch to the arbiter, ordered there by ``severity``."""
         self._local_claims[node] = app
-        severity = (
-            self._acting_severity if app == self._acting_app else 0.0
-        )
         self._batch.append(
             RegionClaim(
                 time=time,
@@ -419,8 +408,31 @@ class RegionController:
             )
         )
 
-    def record_conflict(self) -> None:
+    def note_choice(
+        self,
+        kind: str,
+        time: float,
+        component: str,
+        granted: Optional[str],
+        preferred: Optional[str],
+        *,
+        cause: Optional[int] = None,
+    ) -> None:
+        """Count a choice this board's claims deflected (``select_target``
+        preferred another node than it granted) as a conflict, traced as
+        ``<kind>.deflected``."""
+        if preferred is None or preferred == granted:
+            return
         self._conflict_count += 1
+        if self.tracer.enabled:
+            self.tracer.emit(
+                f"{kind}.deflected",
+                time,
+                cause=cause,
+                component=component,
+                preferred=preferred,
+                granted=granted,
+            )
 
     # -- cross-region handoffs ---------------------------------------------
 

@@ -15,15 +15,14 @@ dependency pair moves.  Surviving partners stay put, and within one
 dead node the lost pods are re-placed largest-bandwidth first, mirroring
 the candidate ordering of the migration path.
 
-Multi-tenant recoveries run through the :class:`FleetArbiter`'s
-recovery board: each re-placement claims its target node for the
-arbitration round, later tenants select around existing claims, and any
-deflection is recorded as a conflict (plus a ``recovery.deflected``
-trace event) — so two tenants recovering from one crash cannot stampede
-the same surviving node inside a round.  Tenants are processed region by
-region and each pod is re-placed inside its home region first; only
-when no in-region node survives does it cross, through the two-phase
-handoff.
+A recovery is a round on the regions' claim boards: each re-placement
+claims its target, at the top severity, on the board of the region that
+owns it, later tenants select around existing claims, and any deflection
+is recorded as a conflict (plus a ``recovery.deflected`` trace event) —
+so two tenants recovering from one crash cannot stampede the same
+surviving node inside a round.  Tenants are processed region by region
+and each pod is re-placed inside its home region first; only when no
+in-region node survives does it cross, through the two-phase handoff.
 """
 
 from __future__ import annotations
@@ -37,6 +36,10 @@ from ..obs.trace import TracerBase, resolve_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controlplane import ControlPlane
+
+#: Crash-recovery claims and handoffs outrank every bandwidth claim (a
+#: violation's severity is at most 2).
+_RECOVERY_SEVERITY = 2.0
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ class RecoveryCoordinator:
         now = netem.now
         # A recovery is its own arbitration round: claims made here
         # protect surviving nodes from a multi-tenant stampede.
-        self.cp.arbiter.begin_epoch(now)
+        self.cp.begin_recovery_round()
         down = netem.topology.down_nodes
         round_actions: list[RecoveryAction] = []
         # Recovery routes through the owning region: tenants are
@@ -193,6 +196,7 @@ class RecoveryCoordinator:
                     )
                 )
             controller.binding.sync_flows()
+        self.cp.end_recovery_round()
         self.actions.extend(round_actions)
         check_cluster_ledger(orchestrator.cluster)
         return round_actions
@@ -226,54 +230,37 @@ class RecoveryCoordinator:
         """Select a surviving target for one lost pod and migrate it."""
         netem = self.cp.netem
         orchestrator = self.cp.orchestrator
-        arbiter = self.cp.arbiter
         now = netem.now
-        claimed = arbiter.nodes_claimed_by_others(app)
         planner = controller.planner
         region = controller.region
-        allow = region.nodes
-        target = planner.select_target(
+        claimed = region.nodes_claimed_by_others(app)
+        target, preferred = planner.select_target(
             component,
             deployment,
             orchestrator.cluster,
             netem,
-            exclude=(down | claimed) or None,
-            allow=allow,
+            exclude=down or None,
+            claimed=claimed,
+            allow=region.nodes,
             tracer=self.tracer,
             trace_cause=plan_event,
         )
-        if claimed:
-            preferred = planner.select_target(
-                component,
-                deployment,
-                orchestrator.cluster,
-                netem,
-                exclude=down or None,
-                allow=allow,
-            )
-            if preferred is not None and preferred != target:
-                arbiter.record_conflict()
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "recovery.deflected",
-                        now,
-                        cause=plan_event,
-                        component=component,
-                        preferred=preferred,
-                        granted=target,
-                    )
+        region.note_choice(
+            "recovery", now, component, target, preferred, cause=plan_event
+        )
         if target is None:
             # No surviving in-region node can take the pod: escalate
             # across the region boundary through the two-phase handoff
             # (brokered synchronously — a dead pod cannot wait out the
-            # control RTT).  Crash recovery claims outrank bandwidth
-            # claims, hence the maximum severity.
-            remote = planner.select_target(
+            # control RTT) — so it selects around every board's claims.
+            remote, _ = planner.select_target(
                 component,
                 deployment,
                 orchestrator.cluster,
                 netem,
-                exclude=(down | claimed | set(region.nodes)) or None,
+                exclude=down
+                | self.cp.fleet_claims_by_others(app)
+                | set(region.nodes),
             )
             if remote is not None:
                 request = region.queue_handoff(
@@ -282,14 +269,14 @@ class RecoveryCoordinator:
                     component=component,
                     source_node=node,
                     target_node=remote,
-                    severity=2.0,
+                    severity=_RECOVERY_SEVERITY,
                     cause=plan_event,
                     reason="crash recovery",
                     enqueue=False,
                 )
                 granted = self.cp.broker_recovery_handoff(request)
                 if granted is not None:
-                    arbiter.claim(now, app, component, granted)
+                    self._claim(app, component, granted)
                     return RecoveryAction(
                         time=now,
                         app=app,
@@ -328,7 +315,7 @@ class RecoveryCoordinator:
                 from_node=node,
                 to_node=None,
             )
-        arbiter.claim(now, app, component, target)
+        self._claim(app, component, target)
         # The replacement cold-starts (the checkpoint died with the
         # node); re-arm its edge flows once the restart window closes.
         netem.engine.schedule_in(
@@ -342,3 +329,9 @@ class RecoveryCoordinator:
             from_node=node,
             to_node=target,
         )
+
+    def _claim(self, app: str, component: str, node: str) -> None:
+        """Claim ``node`` on the board of the region that owns it."""
+        cp = self.cp
+        board = cp.region_controller(cp.region_map.region_of(node))
+        board.claim(cp.netem.now, app, component, node, _RECOVERY_SEVERITY)

@@ -14,6 +14,7 @@ Three guarantees:
 import pytest
 
 from repro.config import BassConfig, FleetConfig
+from repro.core.migration import MigrationPlanner
 from repro.experiments.catalog import EXPERIMENTS
 from repro.experiments.common import build_env, deploy_app
 from repro.experiments.migration import table1_migration_iterations
@@ -23,6 +24,7 @@ from repro.experiments.multi_tenant import (
     multi_tenant_mesh,
 )
 from repro.experiments.static_placement import fig10_camera_static
+from repro.obs.trace import Tracer
 
 
 class TestSingleAppEquivalence:
@@ -121,6 +123,76 @@ class TestDefaultPlane:
         assert result.total_migrations == 3
         assert result.conflict_count == 3
         assert result.epoch_count == 6
+
+    def test_contended_choice_ranks_once(self, monkeypatch):
+        """Each tenant's target choice is one ranking, deflections
+        included: the (preferred, granted) pairs are the ones the
+        two-ranking choice recorded, over 5 ``select_target`` calls
+        where it made 8 (one per choice, plus tenant03's out-of-region
+        look once every node was claimed)."""
+        calls = []
+        select = MigrationPlanner.select_target
+
+        def counted(planner, component, *args, **kwargs):
+            calls.append((planner.dag.app, kwargs.get("tracer") is not None))
+            return select(planner, component, *args, **kwargs)
+
+        monkeypatch.setattr(MigrationPlanner, "select_target", counted)
+        tracer = Tracer()
+        env = build_env(seed=11, with_traces=False, tracer=tracer)
+        multi_tenant_mesh(
+            tenants=4,
+            duration_s=180.0,
+            seed=11,
+            throttle_mbps=3.0,
+            config=BassConfig().with_migration(cooldown_s=10.0),
+            env=env,
+        )
+        deflected = [
+            (event.data["preferred"], event.data["granted"])
+            for event in tracer.events
+            if event.kind == "migration.deflected"
+        ]
+        assert deflected == [
+            ("node1", "node3"),
+            ("node1", "node4"),
+            ("node1", None),
+        ]
+        assert calls == [
+            ("tenant00", True),
+            ("tenant01", True),
+            ("tenant02", True),
+            ("tenant03", True),
+            ("tenant03", False),
+        ]
+
+    def test_claims_carry_the_plan_severity(self):
+        tracer = Tracer()
+        env = build_env(seed=11, with_traces=False, tracer=tracer)
+        multi_tenant_mesh(
+            tenants=4,
+            duration_s=180.0,
+            seed=11,
+            throttle_mbps=3.0,
+            config=BassConfig().with_migration(cooldown_s=10.0),
+            env=env,
+        )
+        plans = {
+            (event.time, event.app): event.data["max_severity"]
+            for event in tracer.events
+            if event.kind == "epoch.plan"
+        }
+        claims = [
+            (event.time, claim["app"], claim["severity"])
+            for event in tracer.events
+            if event.kind == "claim.batch"
+            for claim in event.data["claims"]
+        ]
+        assert [app for _, app, _ in claims] == [
+            "tenant00", "tenant01", "tenant02"
+        ]
+        for time, app, severity in claims:
+            assert severity == plans[time, app] > 0
 
     @pytest.mark.parametrize(
         "row_id, claims, migrations, epochs",

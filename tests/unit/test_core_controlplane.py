@@ -11,7 +11,9 @@ from repro.core.controlplane import (
 )
 from repro.errors import SchedulingError
 from repro.experiments.common import build_env, deploy_app
-from repro.experiments.multi_tenant import StreamPairApp
+from repro.experiments.multi_tenant import SINK, StreamPairApp
+from repro.faults.recovery import RecoveryCoordinator
+from repro.mesh.topology import full_mesh_topology
 
 
 def _env(**kwargs):
@@ -19,22 +21,58 @@ def _env(**kwargs):
 
 
 class TestFleetArbiter:
-    def test_claims_visible_to_other_apps_only(self):
-        arbiter = FleetArbiter()
-        arbiter.begin_epoch(0.0)
-        arbiter.claim(0.0, "appa", "sink", "node3")
-        assert arbiter.nodes_claimed_by_others("appb") == {"node3"}
-        assert arbiter.nodes_claimed_by_others("appa") == set()
+    """Crash recovery claims on the regions' boards, like a migration."""
 
-    def test_begin_epoch_clears_claims_board(self):
-        arbiter = FleetArbiter()
-        arbiter.begin_epoch(0.0)
-        arbiter.claim(0.0, "appa", "sink", "node3")
-        arbiter.begin_epoch(30.0)
-        assert arbiter.nodes_claimed_by_others("appb") == set()
-        assert arbiter.epoch_count == 2
-        # The claim tally survives epoch resets.
-        assert arbiter.claim_count == 1
+    @staticmethod
+    def _recovered_pair():
+        """Two tenants whose sinks share node2, recovered off it in one
+        round: the second is deflected off the first's claim."""
+        env = _env(topology=full_mesh_topology(4), seed=5)
+        for name in ("appa", "appb"):
+            deploy_app(
+                env,
+                StreamPairApp(name, source_node="node1"),
+                "bass-longest-path",
+                config=BassConfig(migrations_enabled=False),
+                force_assignments={SINK: "node2"},
+            )
+        coordinator = RecoveryCoordinator(env.control_plane)
+        first, second = coordinator.recover_from("node2")
+        return env.control_plane, first.to_node, second.to_node
+
+    def test_claims_visible_to_other_apps_only(self):
+        cp, first, second = self._recovered_pair()
+        board = cp.region_controller("region0")
+        assert board.nodes_claimed_by_others("appb") == {first}
+        assert board.nodes_claimed_by_others("appa") == {second}
+        assert board.nodes_claimed_by_others("appc") == {first, second}
+        assert cp.arbiter.conflict_count == 1  # appb's deflection
+
+    def test_next_round_clears_recovery_claims(self):
+        cp, first, second = self._recovered_pair()
+        # Claims count when a resolution orders them, not before.
+        assert cp.arbiter.claim_count == 0
+        cp.run_epoch()
+        board = cp.region_controller("region0")
+        assert board.nodes_claimed_by_others("appc") == set()
+        assert cp.arbiter.epoch_count == 2  # the recovery, the fleet round
+        assert cp.arbiter.claim_count == 2
+        # Resolved and published: the next round protects both targets.
+        assert cp.arbiter.published_claims() == {
+            first: ("region0", "appa"),
+            second: ("region0", "appb"),
+        }
+
+    def test_recovery_claim_outranks_a_migration_claim(self):
+        cp, first, _ = self._recovered_pair()
+        board = cp.region_controller("region0")
+        board.begin_round(2, {})
+        board.claim(40.0, "appc", "sink", first, 1.9)
+        cp.arbiter.submit_batch(board.drain_batch())
+        ((loser, winner),) = cp.arbiter.resolve(40.0)
+        assert (winner.app, winner.severity, winner.epoch) == ("appa", 2.0, 1)
+        assert (loser.app, loser.severity) == ("appc", 1.9)
+        assert cp.arbiter.board_claim(first) is winner
 
     def test_conflict_accounting(self):
         arbiter = FleetArbiter()

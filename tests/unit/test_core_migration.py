@@ -12,6 +12,7 @@ from repro.core.dag import Component, ComponentDAG
 from repro.core.migration import MigrationPlanner, Violation
 from repro.mesh.topology import line_topology, regional_mesh
 from repro.net.netem import NetworkEmulator
+from repro.obs.trace import Tracer
 
 
 def pair_dag(weight=8.0, pinned_producer=None):
@@ -167,14 +168,14 @@ class TestSelectTarget:
 
     def test_prefers_colocation_with_dependency(self):
         planner, deployment, cluster, netem = self._world("node3")
-        target = planner.select_target(
+        target, _ = planner.select_target(
             "consumer", deployment, cluster, netem
         )
         assert target == "node1"  # where the producer lives
 
     def test_excludes_current_node(self):
         planner, deployment, cluster, netem = self._world("node2")
-        target = planner.select_target(
+        target, _ = planner.select_target(
             "consumer", deployment, cluster, netem
         )
         assert target != "node2"
@@ -182,7 +183,7 @@ class TestSelectTarget:
     def test_respects_resource_fit(self):
         planner, deployment, cluster, netem = self._world("node3")
         cluster.node("node1").allocate(ResourceSpec(4, 0))  # full
-        target = planner.select_target(
+        target, _ = planner.select_target(
             "consumer", deployment, cluster, netem
         )
         assert target == "node2"  # closest feasible alternative
@@ -191,17 +192,39 @@ class TestSelectTarget:
         planner, deployment, cluster, netem = self._world("node3")
         cluster.node("node1").allocate(ResourceSpec(4, 0))
         cluster.node("node2").allocate(ResourceSpec(4, 0))
-        assert (
-            planner.select_target("consumer", deployment, cluster, netem)
-            is None
-        )
+        assert planner.select_target(
+            "consumer", deployment, cluster, netem
+        ) == (None, None)
 
     def test_explicit_exclusion(self):
         planner, deployment, cluster, netem = self._world("node3")
-        target = planner.select_target(
+        target, _ = planner.select_target(
             "consumer", deployment, cluster, netem, exclude={"node1"}
         )
         assert target == "node2"
+
+    def test_claimed_nodes_filter_one_ranking(self):
+        """A claimed node is ranked but not granted: one ranking gives
+        the granted node and the node the claim deflected the choice
+        from, and the trace ranks only what could be granted."""
+        planner, deployment, cluster, netem = self._world("node3")
+        tracer = Tracer()
+        granted, preferred = planner.select_target(
+            "consumer", deployment, cluster, netem, claimed={"node1"},
+            tracer=tracer,
+        )
+        assert (granted, preferred) == ("node2", "node1")
+        assert granted == planner.select_target(
+            "consumer", deployment, cluster, netem, exclude={"node1"}
+        )[0]
+        (ranked,) = tracer.events
+        assert [row["node"] for row in ranked.data["ranking"]] == ["node2"]
+        assert ranked.data["chosen"] == "node2"
+        # Every candidate claimed: nothing granted, the preference kept.
+        assert planner.select_target(
+            "consumer", deployment, cluster, netem,
+            claimed={"node1", "node2"},
+        ) == (None, "node1")
 
     def test_capacities_are_read_once_per_decision(self, monkeypatch):
         planner, deployment, cluster, netem = self._world("node3")
@@ -240,7 +263,7 @@ class TestSelectTarget:
         netem.add_flow("noise", "node2", "node3", 25.0)
         netem.recompute()
         cluster.node("node1").allocate(ResourceSpec(4, 0))  # block colocation
-        target = planner.select_target(
+        target, _ = planner.select_target(
             "consumer",
             deployment,
             cluster,

@@ -273,8 +273,7 @@ class TestRegionController:
                 "r0n2": ("region0", "appC"),  # own region: dropped, local
             },  # knowledge is fresher
         )
-        region.set_acting_context("appA", 1.5)
-        region.claim(10.0, "appA", "sink", "r0n1")
+        region.claim(10.0, "appA", "sink", "r0n1", 1.5)
         assert region.nodes_claimed_by_others("appA") == {"r1n1"}
         assert region.nodes_claimed_by_others("appB") == {"r0n1"}
         batch = region.drain_batch()

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import BassConfig
+from repro.config import BassConfig, FleetConfig
 from repro.core.controlplane import check_cluster_ledger
+from repro.core.regions import RegionClaim
 from repro.experiments.common import build_env, deploy_app, run_timeline
 from repro.experiments.multi_tenant import SINK, SOURCE, StreamPairApp
 from repro.faults import (
@@ -14,7 +15,13 @@ from repro.faults import (
     NodeCrash,
 )
 from repro.mesh.node import MeshNode
-from repro.mesh.topology import MeshTopology, full_mesh_topology
+from repro.faults.recovery import RecoveryCoordinator
+from repro.mesh.topology import (
+    MeshTopology,
+    full_mesh_topology,
+    regional_mesh,
+    regional_specs,
+)
 from repro.obs.trace import Tracer
 
 CONFIG = HeartbeatConfig(
@@ -165,3 +172,73 @@ class TestTraceChain:
         restart = by_kind["restart"]
         assert restart.cause == plan.id
         assert restart.data["reason"] == "crash recovery"
+
+
+class TestRegionalRecovery:
+    def test_escalation_selects_around_published_claims(self):
+        """A recovery that must leave its region selects around the
+        claims the arbiter published, as a migration's handoff does: a
+        claim held on r1n1 sends the sink to r1n2, not into a denied
+        handoff that strands it."""
+        topology = regional_mesh(2, 2, cpu_cores=1.0)
+        fleet = FleetConfig(region_specs=regional_specs(2, 2))
+        env = build_env(topology, seed=5, with_traces=False, fleet=fleet)
+        handle = deploy_app(
+            env,
+            StreamPairApp("tenant00", source_node="r0n1"),
+            "bass-longest-path",
+            config=NO_MIGRATIONS,
+            force_assignments={SINK: "r0n2"},
+        )
+        cp = env.control_plane
+        cp.arbiter.submit_batch(
+            [RegionClaim(0.0, 0, "region1", "tenant01", SINK, "r1n1", 1.0)]
+        )
+        cp.arbiter.resolve(0.0)
+        env.netem.topology.set_node_up("r0n2", False)
+        coordinator = RecoveryCoordinator(cp)
+
+        (action,) = coordinator.recover_from("r0n2")
+
+        assert action.to_node == "r1n2"
+        assert handle.deployment.node_of(SINK) == "r1n2"
+        assert cp.arbiter.handoff_counts() == {"committed": 1}
+        check_cluster_ledger(env.cluster)
+        # The grant is claimed on the board of the region that owns it
+        # (first needed by this claim), in the recovery's round.
+        cp.arbiter.resolve(env.netem.now)
+        held = cp.arbiter.board_claim("r1n2")
+        assert (held.region, held.app, held.severity, held.epoch) == (
+            "region1", "tenant00", 2.0, cp.arbiter.epoch_count
+        )
+
+    def test_escalations_in_one_round_select_around_each_other(self):
+        """Two tenants escalating out of one crash in one round: the
+        second selects around the first's cross-region grant (claimed
+        on the target region's board), so it takes the other free node
+        instead of a handoff the broker denies."""
+        topology = regional_mesh(2, 2, cpu_cores=2.0)
+        fleet = FleetConfig(region_specs=regional_specs(2, 2))
+        env = build_env(topology, seed=5, with_traces=False, fleet=fleet)
+        handles = [
+            deploy_app(
+                env,
+                StreamPairApp(f"tenant0{i}", source_node="r0n1"),
+                "bass-longest-path",
+                config=NO_MIGRATIONS,
+                force_assignments={SINK: "r0n2"},
+            )
+            for i in range(2)
+        ]
+        cp = env.control_plane
+        env.netem.topology.set_node_up("r0n2", False)
+        coordinator = RecoveryCoordinator(cp)
+
+        actions = coordinator.recover_from("r0n2")
+
+        assert {a.to_node for a in actions} == {"r1n1", "r1n2"}
+        assert {h.deployment.node_of(SINK) for h in handles} == {
+            "r1n1", "r1n2"
+        }
+        assert cp.arbiter.handoff_counts() == {"committed": 2}
+        check_cluster_ledger(env.cluster)
