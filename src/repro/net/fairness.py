@@ -31,7 +31,8 @@ component is water-filled on its own.  Two kernels do that:
   keeps the component, so a capacity-only tick compiles nothing — and
   fills nothing for a component whose every link has room for the
   demands crossing it: the plan certifies that its capacity-free
-  rates are what the fill would return, bit for bit.
+  rates are what the fill would return, bit for bit (*slack links*,
+  below).
 * the *batched* kernel (:func:`_water_fill` over a :class:`_Layout`)
   — one segmented NumPy water-fill over the concatenated arrays of
   *every* component laid out.  Each round takes per-component
@@ -65,16 +66,51 @@ deltas.  A flow that was added, removed, rerouted or re-demanded
 re-components and re-solves only the components it leaves and the ones
 its new path reaches (a heartbeat or probe flow costs its one
 component, not the mesh); a capacity move re-solves, above the cutover,
-only the components owning a moved link, and below it only the
-components whose plan cannot certify its capacity-free rates.  Every
-other component's rates are kept verbatim.  That is exactly equal to a
-from-scratch solve because a component's allocation is a pure function
-of its own flows and capacities.  Below the cutover the structure is component
+only the components owning a moved link that is not slack, and below
+it only the components whose plan cannot certify its capacity-free
+rates.  Every other component's rates are kept verbatim.  That is
+exactly equal to a from-scratch solve because a component's allocation
+is a pure function of its own flows and capacities, and is blind to a
+slack link's capacity.  Below the cutover the structure is component
 objects, each with its retained plan; at or above it the structure is
 two integer label columns over the caller's flow table
 (:class:`~repro.net.flows.FlowArrays`) — re-grouped by merging link
 labels (:func:`_merge_links`), filled through one gathered layout —
 and no Python loop visits a flow's links.
+
+*Slack links.*  Take a component's fill ``F(c)`` against capacities
+``c`` and a link's *load* ``L``: the rates of ``F(c)`` crossing it,
+summed with multiplicity.  The link is *slack* under ``c`` when
+``c > L + m``, with the margin ``m = 1e-6 * (L + 1)``
+(:func:`_slack_bound`).  Then ``F(c)`` is, bit for bit, the fill with
+every slack link at ``+inf``.  Both kernels read a link's residual
+capacity in two tests only — ``residual / count < delta`` (the link
+sets the round's increment) and ``residual <= epsilon`` (it
+saturates); everything else reads demands, counts and rates.  Against
+``+inf`` both tests are false in every round.  Against ``c`` they are
+false too, by induction over the rounds: while they have been, the two
+fills took the same branches and hold the same rates, and in exact
+arithmetic the link has consumed its retired flows' final rates plus
+``count * rate``, while each of its active flows ends at least
+``delta`` above ``rate``; so its residual is at least
+``c - L + count * delta > m + count * delta``.  Its share exceeds the
+increment, and after the round its residual is still above ``m``, so
+above epsilon.  Floats add the rounding of at most ``R`` rounds
+(``R`` <= flows + 1) and of the load's own sum over its ``n`` entries:
+at most ``(2R + n + 4) * 2**-53 * (L + c)`` in all, which is below
+``c - L`` whenever ``c > L + m`` and ``R + n`` < 10**9.  A NaN
+capacity or a NaN or infinite load is never slack; a ``+inf``
+capacity is always slack against a finite load.
+
+Two certificates rest on this.  Below the cutover
+:meth:`_Plan.certify` takes ``L`` to be the demand crossing each link
+(no flow's rate exceeds its demand, and ``m`` grows with ``L``): when
+every link clears it, the fill is the capacity-free fill.  At or above
+it the label form keeps each link's load from the fill that last laid
+the link out.  A capacity move on a link slack both before and after
+it, against that one load, leaves the component's held rates — its
+fill against the old capacities, so against ``+inf`` on that link, so
+against the new ones — and the component is not re-filled.
 """
 
 from __future__ import annotations
@@ -164,6 +200,13 @@ def _partition_flows(
     return rates, active
 
 
+def _slack_bound(load):
+    """The capacity a link must exceed to be slack under ``load`` (a
+    float or an array): the load plus the margin ``1e-6 * (load + 1)``
+    (module docstring)."""
+    return load + 1e-6 * (load + 1.0)
+
+
 class _Plan:
     """One component compiled for the ordered small-instance water-fill.
 
@@ -178,29 +221,12 @@ class _Plan:
 
     *The certificate.*  A plan the incremental engine retains across a
     capacity move also derives, on first use, each link slot's
-    ``bound`` — the demands of its member flows summed with
-    multiplicity (``need``), plus a margin ``1e-6 * (need + 1)`` — and
-    its ``free`` rates, ``fill([inf] * len(links))``.  :meth:`certify`
-    accepts capacities that all exceed their bound, and then
-    ``fill(caps)`` *is* ``free``, bit for bit: the two fills perform
-    the same float operations.  ``remaining`` is read only by the tests
-    ``share < delta`` and ``remaining <= epsilon``; everything else
-    reads demands, counts and the scalar ``rate``.  Against ``+inf``
-    both tests are false in every round.  Against ``caps`` they are
-    false too, by induction over the rounds: while they have been, both
-    fills took the same branches, so hold the same ``rate`` and
-    ``counts``, and in exact arithmetic a live link has consumed its
-    retired slots' rates plus ``counts * rate``, each retired rate at
-    most its flow's demand, so ``remaining >= margin + sum over active
-    slots of (demand - rate) >= margin + counts * delta`` — a share at
-    least ``delta + margin / counts``, and a residual at least the
-    margin, which is above epsilon.  Floats add the rounding of at most
-    ``R`` rounds (``R`` <= flows + 1): the consumed sum and ``rate`` are
-    off by at most ``(2R + 4) * 2**-53 * need``, and each residual by
-    that fraction of itself, which can only flip a test when the
-    residual is itself within a few ``need`` of it.  Below the cutover
-    (``R`` < 130) that is under ``3e-14 * need``, seven orders of
-    magnitude inside the margin.  ``+inf`` capacities are certified
+    ``bound`` — :func:`_slack_bound` of ``need``, the demands of its
+    member flows summed with multiplicity — and its ``free`` rates,
+    ``fill([inf] * len(links))``.  :meth:`certify` accepts capacities
+    that all exceed their bound, and then ``fill(caps)`` *is* ``free``,
+    bit for bit: every link is slack (module docstring), since no
+    flow's rate exceeds its demand.  ``+inf`` capacities are certified
     trivially; a NaN one or an infinite demand never is.  ``gave_free``
     records that the engine's last answer for the component was
     ``free``, so an unchanged answer is not written back.  All three
@@ -268,7 +294,7 @@ class _Plan:
                 need = 0.0
                 for fi in members:
                     need += demand[fi]
-                bound.append(need + 1e-6 * (need + 1.0))
+                bound.append(_slack_bound(need))
             self.bound = bound
             self.free = self.fill([_INF] * len(bound))
             self.gave_free = False
@@ -528,10 +554,14 @@ class _Layout:
     def n_components(self) -> int:
         return self.sizes_f.size
 
-    def fill(self, cap_values: np.ndarray) -> np.ndarray:
+    def fill(
+        self, cap_values: np.ndarray, load: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Water-fill against ``cap_values`` (capacity per link id, left
-        alone); returns the rate of each row laid out."""
-        return _water_fill(
+        alone); returns the rate of each row laid out.  ``load`` (per
+        link id), when given, gets each laid-out link's load: the rates
+        crossing it, summed with multiplicity."""
+        rate = _water_fill(
             self.demand,
             self.counts0.copy(),
             cap_values[self.links],
@@ -542,6 +572,13 @@ class _Layout:
             self.sizes_f,
             self.sizes_l,
         )
+        if load is not None:
+            load[self.links] = np.bincount(
+                self.entry_link,
+                weights=rate[self.entry_flow],
+                minlength=self.links.size,
+            )
+        return rate
 
 
 def _water_fill(
@@ -840,22 +877,31 @@ class IncrementalMaxMin:
     :class:`_Incidence` the engine converts for itself when driven
     without one).  A component is named by its smallest link id;
     ``_link_comp[l]`` is the component owning link *l* (-1: none) and
-    an active row's component is its first link's.  A link is *dirty*
-    when its capacity moved or a flow crossing it was added, removed or
+    an active row's component is its first link's.  A link is
+    *flow-dirtied* when a flow crossing it was added, removed or
     re-demanded; a component is re-grouped iff it owns a flow-dirtied
-    link and re-filled iff it owns any dirty link.  That is the same
-    set the dict form dissolves: every piece a departing flow splits
-    off was joined to the rest through a link of that flow, so it still
-    owns one.  Re-grouping is :func:`_merge_links` over the released
-    rows' entries; the fill is one :class:`_Layout` gathered for the
-    dirty components.  No Python loop visits a flow's links.
+    link.  That is the same set the dict form dissolves: every piece a
+    departing flow splits off was joined to the rest through a link of
+    that flow, so it still owns one.  Re-grouping is
+    :func:`_merge_links` over the released rows' entries.  A component
+    is re-filled iff it owns a flow-dirtied link, or a moved link that
+    is not slack: its capacity before or after the move is not above
+    ``_slack_bound`` of its load (module docstring).  ``_load[l]`` is
+    that load, written for every link a fill lays out.  The fill is one
+    :class:`_Layout` gathered for the dirty components.  No Python loop
+    visits a flow's links.
 
     Crossing the cutover converts one form into the other and nothing
     else: labels are a pure function of the table and rates live in
     ``_rates``, so neither direction water-fills or counts as a full
-    solve.  The label columns are derived state — a checkpoint carries
-    the pending dirty links, not the labels, and the first solve after
-    a restore re-labels the table without filling anything.
+    solve.  The label columns and the loads are derived state — a
+    checkpoint carries the pending dirty links, not the labels, and the
+    first solve after a restore re-labels the table without filling
+    anything.  Loads are re-derived from the held rates whenever the
+    labels are built — a from-scratch solve, a conversion to the label
+    form, a restore — so they never outlive the rates they sum, and a
+    restored engine skips exactly the components the uninterrupted one
+    does.
 
     A from-scratch solve (the first one, after :meth:`invalidate`, or
     when the capacity array changes shape) is the same path with every
@@ -869,7 +915,8 @@ class IncrementalMaxMin:
     Counters: ``full_solves`` counts from-scratch structure builds,
     ``partial_solves`` every other solve that water-filled at least
     one component, and ``components_resolved`` the components those
-    partial solves water-filled (a certified component was not).
+    partial solves water-filled (a certified component, or one whose
+    moved links were all slack, was not).
     """
 
     def __init__(self) -> None:
@@ -885,10 +932,12 @@ class IncrementalMaxMin:
         self._link_owner: dict[LinkKey, _Component] = {}
         #: Label form.  ``_table`` is the table the row columns are
         #: aligned with; ``_rows`` its active rows sorted by component,
-        #: ``_labels`` their labels and ``_fids`` their flow ids.  All
-        #: derived, none serialized; the two counts are kept so a
-        #: restored engine still reports.
+        #: ``_labels`` their labels and ``_fids`` their flow ids;
+        #: ``_load`` each link id's load.  All derived, none
+        #: serialized; the two counts are kept so a restored engine
+        #: still reports.
         self._link_comp: Optional[np.ndarray] = None
+        self._load: Optional[np.ndarray] = None
         self._table = None
         self._rows = self._labels = self._fids = _NO_ROWS
         self._n_active = 0
@@ -938,7 +987,7 @@ class IncrementalMaxMin:
         it: each component pickles without its plan and the label
         columns are dropped; both are rebuilt on first use."""
         state = self.__dict__.copy()
-        state["_link_comp"] = state["_table"] = None
+        state["_link_comp"] = state["_load"] = state["_table"] = None
         state["_rows"] = state["_labels"] = state["_fids"] = _NO_ROWS
         return state
 
@@ -1075,6 +1124,25 @@ class IncrementalMaxMin:
         )
         return fresh
 
+    def _derive_loads(self) -> None:
+        """Each link's load from the held rates of the rows just
+        aligned; NaN where a row holds none yet (it is about to be
+        filled).  Bit for bit what the fills that produced those rates
+        wrote: the same sums over the same rows in the same order, a
+        component's rows being in table order."""
+        table, rates = self._table, self._rates
+        lens, index = _entry_runs(table.ptr, self._rows)
+        held = np.fromiter(
+            (rates.get(fid, np.nan) for fid in self._fids.tolist()),
+            dtype=np.float64,
+            count=self._fids.size,
+        )
+        self._load = np.bincount(
+            table.entry_link[index],
+            weights=np.repeat(held, lens),
+            minlength=self._link_comp.size,
+        )
+
     def _to_components(
         self, fresh: np.ndarray, flows: Mapping[Hashable, FlowDemand]
     ) -> list[_Component]:
@@ -1094,7 +1162,7 @@ class IncrementalMaxMin:
             )
             self._adopt(component)
         self._components = list(by_label.values())
-        self._link_comp = self._table = None
+        self._link_comp = self._load = self._table = None
         self._rows = self._labels = self._fids = _NO_ROWS
         self._batched = False
         return [by_label[label] for label in dict.fromkeys(fresh.tolist())]
@@ -1121,6 +1189,7 @@ class IncrementalMaxMin:
             # when restored, fill none of it.
             self._link_comp = np.full(len(link_index), -1, dtype=np.intp)
             everything = self._align(table)
+            self._derive_loads()
             if scratch:
                 return everything, settled
         elif table is not self._table and not touched:
@@ -1179,12 +1248,13 @@ class IncrementalMaxMin:
         if scratch:
             self._rates = {}
             self._components, self._member_of, self._link_owner = [], {}, {}
-            self._link_comp = self._table = None
+            self._link_comp = self._load = self._table = None
             touched: Iterable[Hashable] = flows
             caps_moved = True
         else:
             touched = self._touched
-            moved = self._solved_caps != cap_values
+            solved_caps = self._solved_caps
+            moved = solved_caps != cap_values
             caps_moved = bool(moved.any())
             if not touched and not caps_moved:
                 return self._rates, []
@@ -1204,6 +1274,7 @@ class IncrementalMaxMin:
                 table = self._bind(flows, link_index, table, True)
                 fresh = self._to_labels(fresh, link_index)
                 self._align(table)
+                self._derive_loads()
         if scratch or touched:
             self._touched, self._touched_links = {}, {}
         if caps_moved:
@@ -1213,7 +1284,10 @@ class IncrementalMaxMin:
             dirty = np.zeros(cap_values.size + 1, dtype=bool)  # [-1]: unowned
             dirty[fresh] = True
             if caps_moved and not scratch:
-                dirty[self._link_comp[moved]] = True
+                moved = moved.nonzero()[0]
+                bound = _slack_bound(self._load[moved])
+                slack = (solved_caps[moved] > bound) & (cap_values[moved] > bound)
+                dirty[self._link_comp[moved[~slack]]] = True
                 dirty[-1] = False
             picked = dirty[self._labels]
             rows = self._rows[picked]
@@ -1228,7 +1302,8 @@ class IncrementalMaxMin:
                     cap_values.size,
                 )
                 fids = self._fids[picked].tolist()
-                rates.update(zip(fids, layout.fill(cap_values).tolist()))
+                filled = layout.fill(cap_values, self._load)
+                rates.update(zip(fids, filled.tolist()))
                 changed += fids
                 resolved = layout.n_components
         else:

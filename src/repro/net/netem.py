@@ -67,6 +67,7 @@ changes are state and travel with the snapshot.
 
 from __future__ import annotations
 
+import math
 import sys
 import time as _time
 from typing import Container, Iterable, Optional
@@ -118,8 +119,10 @@ class NetworkEmulator:
         engine: simulation engine providing the clock; a fresh one is
             created if omitted.
         router: route computation; defaults to min-hop over ``topology``.
-        tick_s: fluid-model step (1 s matches the paper's trace rate).
-        buffer_mbit: per-direction link buffer size.
+        tick_s: fluid-model step (1 s matches the paper's trace rate);
+            finite and positive.
+        buffer_mbit: per-direction link buffer size; positive, ``+inf``
+            for an unbounded buffer.
 
     Example:
         >>> from repro.mesh import line_topology
@@ -140,8 +143,8 @@ class NetworkEmulator:
         tick_s: float = 1.0,
         buffer_mbit: float = 25.0,
     ) -> None:
-        if tick_s <= 0:
-            raise SimulationError("tick_s must be positive")
+        if not (math.isfinite(tick_s) and tick_s > 0):
+            raise SimulationError("tick_s must be finite and positive")
         self.topology = topology
         self.engine = engine if engine is not None else Engine()
         self.router = router if router is not None else Router(topology)

@@ -16,6 +16,7 @@ as the bit-parity oracle in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,8 @@ class QueueArrays:
         buffer_mbit: per-row buffer size in megabits.  The emulator's
             default (25 Mbit, ~3 MB) is a typical CPE buffer: enough to
             absorb second-scale bursts, small enough that sustained
-            overload drops packets.
+            overload drops packets.  ``+inf`` is an unbounded buffer
+            that never drops; NaN is refused.
     """
 
     __slots__ = (
@@ -53,8 +55,8 @@ class QueueArrays:
         self.buffer_mbit = np.asarray(buffer_mbit, dtype=float).copy()
         if self.buffer_mbit.ndim != 1:
             raise SimulationError("buffer_mbit must be one-dimensional")
-        if np.any(self.buffer_mbit <= 0):
-            raise SimulationError("buffer_mbit must be positive")
+        if not np.all(self.buffer_mbit > 0):
+            raise SimulationError("buffer_mbit must be positive (not NaN)")
         n = self.buffer_mbit.size
         self.backlog_mbit = np.zeros(n, dtype=float)
         self.last_loss_fraction = np.zeros(n, dtype=float)
@@ -88,8 +90,8 @@ class QueueArrays:
         fraction ``min(1, dropped/offered_mbit)`` (zero when nothing
         was offered).
         """
-        if dt_s < 0:
-            raise SimulationError("dt_s must be non-negative")
+        if not (math.isfinite(dt_s) and dt_s >= 0):
+            raise SimulationError("dt_s must be finite and non-negative")
         offered_mbit = self._scratch_offered
         np.maximum(offered_mbps, 0.0, out=offered_mbit)
         offered_mbit *= dt_s

@@ -93,8 +93,10 @@ HELP_TEXT = {
         "first solve or topology change)."
     ),
     "bass_solver_partial_solves": (
-        "Max-min solves that re-filled one or more components touched by "
-        "a flow change or a capacity move, keeping the rest."
+        "Max-min solves that re-filled one or more components: those a flow "
+        "change touched or a capacity move may bind (a moved link without "
+        "slack; below 128 flows, demands that do not fit). The rest keep "
+        "their rates."
     ),
     "bass_solver_components_resolved": (
         "Connected components water-filled across all partial solves."

@@ -28,6 +28,7 @@ from repro.net.fairness import (
     _BATCH_MIN_FLOWS,
     IncrementalMaxMin,
     _partition_flows,
+    _slack_bound,
     link_components,
 )
 from repro.net.flows import FlowArrays
@@ -456,26 +457,46 @@ def test_table_path_partial_solve_reports_exactly_the_dirty_components(table):
     check_partial_solve_reports_the_dirty_components(city_harness(77, table=table))
 
 
+def link_headroom(harness: PerturbationHarness) -> np.ndarray:
+    """Capacity minus load (the rates crossing a link, with
+    multiplicity) of every link an active flow crosses; NaN elsewhere."""
+    load = np.zeros(len(harness.links))
+    for fid, row in harness.flows.items():
+        for key in row.links:
+            load[harness.link_index[key]] += harness.engine._rates[fid]
+    owned = harness.engine._link_comp >= 0
+    return np.where(owned, harness.cap_values - load, np.nan)
+
+
 def check_partial_solve_reports_the_dirty_components(harness) -> None:
+    """A capacity move re-fills exactly the components owning a moved
+    link that is not slack: a binding link's one component, then none
+    for a slack link's — and none for a link no active flow crosses."""
     engine = harness.engine
     link_comp = engine._link_comp
-    # Move one link of one component and one link no active flow crosses.
-    label = int(engine._labels[0])
-    members = engine._rows[engine._labels == label]
     uncrossed = int(np.flatnonzero(link_comp < 0)[0])
-    harness.cap_values[np.flatnonzero(link_comp == label)[0]] *= 0.5
+    headroom = link_headroom(harness)
+    binding = int(np.nanargmin(headroom))
+    assert headroom[binding] <= 1e-9
+    label = link_comp[binding]
+    members = engine._rows[engine._labels == label]
+    # A binding link and an uncrossed one move: +1 component.
+    harness.cap_values[binding] *= 0.5
     harness.cap_values[uncrossed] += 1.0
-    before = engine.components_resolved
-    rates, changed = harness.solve()
+    before, partial = engine.components_resolved, engine.partial_solves
+    changed = harness.solve_and_verify()
     assert engine.components_resolved == before + 1
+    assert engine.partial_solves == partial + 1
     assert changed == [engine._table.flow_ids[row] for row in members]
-    # Only an uncrossed link moved: nothing to re-solve.
+    # A slack link and an uncrossed one move: +0, nothing recomputed.
+    headroom = link_headroom(harness)
+    slack = int(np.nanargmax(headroom))
+    assert headroom[slack] > 1.0
+    harness.cap_values[slack] += 1.0
     harness.cap_values[uncrossed] += 1.0
-    partial = engine.partial_solves
-    _, changed = harness.solve()
-    assert changed == []
+    assert harness.solve_and_verify() == []
     assert engine.components_resolved == before + 1
-    assert engine.partial_solves == partial
+    assert engine.partial_solves == partial + 1
 
 
 def test_checkpoint_drops_compiled_arrays_and_resumes_exactly():
@@ -584,6 +605,92 @@ def test_history_oscillating_across_the_cutover_stays_exact(table):
             harness.checkpoint_round_trip()
     assert crossings >= 6
     assert harness.engine.full_solves == 1
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_loads_follow_the_rates_across_the_cutover_and_a_checkpoint(table):
+    """The label form's per-link loads are derived state.  Every step
+    moves a third of the capacities, in whichever form the structure is
+    in, so the rates — and with them the loads — change while the label
+    form is away; the active count crosses the cutover both ways, and
+    the engine is pickled mid-history.  Every answer stays bit-equal to
+    a from-scratch solve: a load kept from before a conversion would
+    certify a link that the rates since have made binding."""
+    harness = PerturbationHarness(n_links=300, seed=29, max_hops=2, table=table)
+
+    def arrive() -> None:
+        harness.add_flow(
+            path=harness.random_path(), demand=float(harness.rng.uniform(1.0, 60.0))
+        )
+
+    for _ in range(_BATCH_MIN_FLOWS + 15):
+        arrive()
+    harness.solve_and_verify()
+    crossings = 0
+    for swing in range(6):
+        shrink = swing % 2 == 0
+        for _ in range(20):
+            if shrink:
+                harness.remove_flow()
+            else:
+                arrive()
+            harness.perturb_fraction(0.3)
+            was = harness.engine.batched
+            harness.solve_and_verify()
+            crossings += harness.engine.batched != was
+            # ...and again with capacities alone, so some moves land in
+            # a form the structure has only just entered.
+            harness.perturb_fraction(0.3)
+            harness.solve_and_verify()
+        if swing == 2:
+            harness.checkpoint_round_trip()
+    assert crossings == 6
+    assert harness.engine.full_solves == 1
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_slack_margin_boundaries(table):
+    """One flow of demand 10 alone on a link, beside 150 others: its
+    rate, hence its link's load, is exactly 10.0.  A capacity move on
+    that link skips the component iff the capacity before *and* after
+    is strictly above ``_slack_bound(10.0)``: one ulp above is slack,
+    the bound itself and one ulp below are not, ``+inf`` is, ``0.0`` and
+    NaN are not.  Skipped or filled, the rates equal a scratch solve
+    (but for NaN, which no capacity source produces and the reference
+    loop cannot solve: there only the re-fill is checked)."""
+    harness = PerturbationHarness(n_links=160, seed=3, table=table)
+    harness.cap_values[:] = 100.0
+    fid = harness.add_flow(path=(harness.links[0],), demand=10.0)
+    for li in range(1, 151):
+        harness.add_flow(path=(harness.links[li],), demand=10.0)
+    harness.solve_and_verify()
+    engine = harness.engine
+    assert engine.batched
+    bound = _slack_bound(10.0)
+    above, below = np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf)
+    nan, inf = float("nan"), float("inf")
+    # (new capacity, components re-filled, the rate after)
+    moves = [
+        (above, 0, 10.0),  # 100 -> one ulp above: slack on both sides
+        (bound, 1, 10.0),  # the bound itself is not slack
+        (above, 1, 10.0),  # nor is a move *from* it
+        (inf, 0, 10.0),
+        (below, 1, 10.0),
+        (inf, 1, 10.0),
+        (0.0, 1, 0.0),  # a dead link, and then its load is 0.0
+        (5.0, 1, 5.0),
+        (nan, 1, None),  # NaN is never slack, going in...
+        (100.0, 1, 10.0),  # ...or coming out
+        (200.0, 0, 10.0),
+    ]
+    for cap, refilled, rate in moves:
+        before = engine.components_resolved
+        harness.cap_values[0] = cap
+        changed = harness.solve()[1] if rate is None else harness.solve_and_verify()
+        assert engine.components_resolved - before == refilled, cap
+        assert changed == ([fid] if refilled else []), cap
+        assert rate is None or engine._rates[fid] == rate, cap
+    assert engine.full_solves == 1
 
 
 def test_pending_changes_survive_a_checkpoint():

@@ -176,6 +176,23 @@ class TestAccounting:
         with pytest.raises(SimulationError):
             make_emulator(tick_s=0.0)
 
+    @pytest.mark.parametrize("tick_s", [float("nan"), float("inf")])
+    def test_non_finite_tick_raises(self, tick_s):
+        with pytest.raises(SimulationError):
+            make_emulator(tick_s=tick_s)
+
+    def test_nan_buffer_raises(self):
+        with pytest.raises(SimulationError):
+            make_emulator(buffer_mbit=float("nan"))
+
+    def test_unbounded_buffer_queues_without_loss(self):
+        emu = make_emulator([10.0], buffer_mbit=float("inf"))
+        emu.add_flow("f", "node1", "node2", 50.0)
+        emu.start()
+        emu.engine.run_until(5.0)
+        assert emu.path_loss_fraction("node1", "node2") == 0.0
+        assert emu.queue_delay_s("node1", "node2") > 0
+
 
 class TestAllocationCaching:
     def _solve_counter(self, emu, monkeypatch):

@@ -5,9 +5,11 @@ with the scalar oracle (``tests.oracles.LockstepQueue``): the dynamics
 asserted here hold for the product, bit-identically to the oracle.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.queues import QueueArrays
 from tests.oracles import LinkQueue, LockstepQueue
 
 
@@ -78,3 +80,28 @@ class TestQueueDynamics:
     def test_nonpositive_buffer_raises(self):
         with pytest.raises(SimulationError):
             LockstepQueue(buffer_mbit=0.0)
+
+
+class TestNonFiniteInputs:
+    """NaN would otherwise pass the range checks and turn backlog and
+    loss into NaN; an infinite buffer is legal and never drops."""
+
+    def test_nan_buffer_raises(self):
+        with pytest.raises(SimulationError):
+            QueueArrays([10.0, float("nan")])
+
+    @pytest.mark.parametrize("dt_s", [float("nan"), float("inf")])
+    def test_non_finite_dt_raises_and_keeps_state(self, dt_s):
+        queues = QueueArrays([10.0])
+        queues.update_all(1.0, np.array([15.0]), np.array([10.0]))
+        with pytest.raises(SimulationError):
+            queues.update_all(dt_s, np.array([15.0]), np.array([10.0]))
+        assert queues.backlog_mbit.tolist() == [5.0]
+
+    def test_unbounded_buffer_backs_up_without_dropping(self):
+        queues = QueueArrays([float("inf")])
+        for _ in range(3):
+            queues.update_all(1.0, np.array([50.0]), np.array([10.0]))
+        assert queues.backlog_mbit.tolist() == [120.0]
+        assert queues.dropped_mbit_total.tolist() == [0.0]
+        assert queues.last_loss_fraction.tolist() == [0.0]
