@@ -23,7 +23,6 @@ quantify each one by switching it off:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -360,8 +359,9 @@ class RoutingAblationCell:
     widest_mbps: float
 
 
-def _ablation_grid_cells(*, quick: bool = False) -> tuple[CellSpec, ...]:
-    """Every ablation as a sweep cell, in canonical grid order.
+def ablation_grid_spec(*, quick: bool = False) -> SweepSpec:
+    """Every ablation as a sweep cell of one spec, in canonical grid
+    order (``quick`` shortens the long-running ones).
 
     Each cell's kwargs materialize that ablation's defaults explicitly
     so the cache key captures the full configuration (a default change
@@ -369,7 +369,7 @@ def _ablation_grid_cells(*, quick: bool = False) -> tuple[CellSpec, ...]:
     the key; the code fingerprint still covers the body).
     """
     prefix = "repro.experiments.ablations:"
-    return (
+    cells = (
         CellSpec(
             fn=prefix + "ablate_headroom_probing",
             kwargs={"duration_s": 150.0 if quick else 600.0, "seed": 81},
@@ -405,23 +405,6 @@ def _ablation_grid_cells(*, quick: bool = False) -> tuple[CellSpec, ...]:
             label="routing_strategy",
         ),
     )
-
-
-def ablation_grid_spec(
-    *, quick: bool = False, include: Optional[tuple[str, ...]] = None
-) -> SweepSpec:
-    """The full ablation battery as one sweep spec.
-
-    Args:
-        quick: shorten the long-running ablations (CLI smoke mode).
-        include: restrict to these cell labels, keeping grid order.
-    """
-    cells = _ablation_grid_cells(quick=quick)
-    if include is not None:
-        unknown = set(include) - {cell.label for cell in cells}
-        if unknown:
-            raise ValueError(f"unknown ablation(s): {sorted(unknown)}")
-        cells = tuple(cell for cell in cells if cell.label in include)
     return SweepSpec(name="ablations", cells=cells)
 
 

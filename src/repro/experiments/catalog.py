@@ -22,9 +22,10 @@ capabilities are which parts are present, never a separate flag:
   serve`` overrides on the checkpoint cell (``{}`` serves it as is).
 * ``regions`` — the default region count, present only on rows whose
   grids take ``--regions`` (``[regions]``).
-* ``claims`` — the shapes of the paper's figure this row reproduces:
-  named predicates over the outcomes ``render`` takes, each checked at
-  the full sizing by the test suite.
+* ``claims`` — the shapes the row shows (the paper's figure, or the
+  beyond-the-paper scenario's acceptance): named predicates over the
+  outcomes ``render`` takes, each checked at the full sizing by the
+  test suite.  Every row has some.
 
 ``specs`` is called with ``**row.sizing(quick, regions)``: ``quick``
 — the ``--quick`` sizing lives here, next to the full one — plus
@@ -740,9 +741,48 @@ def _churn_table(comparison: SweepOutcome, shared: SweepOutcome) -> Table:
     )
 
 
+_CHURN_CLAIMS = _over(
+    lambda comparison, shared: {**_by(comparison, "label"),
+                                "two tenants": _one(shared)},
+    # Detection is measured, not an oracle: strictly positive and
+    # bounded by the confirmation timeout plus one heartbeat phase.
+    ("bass: detection within (0, 25] s",
+     lambda r: 0.0 < r["bass"].detection_latency_s <= 25.0),
+    ("bass: re-placed within two control epochs of the crash",
+     lambda r: r["bass"].replacement_delay_s
+     <= 2 * r["bass"].epoch_interval_s),
+    # Traffic stops while the node is dead, and comes back.
+    ("bass: goodput dips to 0",
+     lambda r: _near(r["bass"].goodput_stats.dip_min, 0.0, tol=1e-12)),
+    ("bass: goodput recovers",
+     lambda r: r["bass"].time_to_recover_s is not None),
+    ("bass: post-crash goodput >= 0.9 x pre-crash",
+     lambda r: r["bass"].goodput_stats.post_mean
+     >= 0.9 * r["bass"].goodput_stats.pre_mean),
+    # The k3s baseline detects but never re-places: goodput stays dark.
+    ("k3s detects as fast as bass",
+     lambda r: r["k3s"].detection_latency_s == r["bass"].detection_latency_s),
+    ("k3s re-places nothing", lambda r: r["k3s"].recovered_pods == 0),
+    ("k3s never recovers", lambda r: r["k3s"].time_to_recover_s is None),
+    ("k3s goodput ends at 0",
+     lambda r: _near(r["k3s"].goodput[-1], 0.0, tol=1e-12)),
+    # Two tenants crashed at once: one recovery round re-places both
+    # under the arbiter, serialized onto distinct nodes.
+    ("two tenants: both pods re-placed",
+     lambda r: r["two tenants"].recovered_pods == 2),
+    ("two tenants: none stranded",
+     lambda r: r["two tenants"].stranded_pods == 0),
+    ("two tenants: the race is a counted conflict",
+     lambda r: r["two tenants"].conflict_count >= 1),
+    ("two tenants: re-placed onto distinct nodes",
+     lambda r: len({a.to_node for a in r["two tenants"].actions}) == 2),
+)
+
+
 def _fleet_specs(quick: bool, regions: int) -> tuple[SweepSpec, ...]:
     scaling = fleet.fleet_scaling_spec(
-        region_counts=(1, regions), duration_s=120.0 if quick else 240.0
+        region_counts=(1, regions) if quick else tuple(sorted({1, regions, 4})),
+        duration_s=120.0 if quick else 240.0,
     )
     handoff = _one_cell("fleet-handoff", fleet.fleet_handoff,
                         duration_s=120.0 if quick else 180.0)
@@ -776,6 +816,33 @@ def _fleet_table(scaling: SweepOutcome, handoff: SweepOutcome) -> Table:
     )
 
 
+_FLEET_CLAIMS = _over(
+    lambda scaling, handoff: _by(scaling, "regions"),
+    ("the scaling grid reaches 4 regions", lambda r: 4 in r),
+    # Each region's monitor probes only its own slice: growing the fleet
+    # adds links and probes in proportion.
+    ("probes per link-hour <= 1.3 x 1 region's, every region count",
+     lambda r: all(c.probe_events_per_link_hour
+                   <= 1.3 * r[1].probe_events_per_link_hour
+                   for c in r.values())),
+    # Steady state: nobody congested, so nobody crosses a region.
+    ("no cross-region migration in steady state",
+     lambda r: all(c.cross_region_migrations == 0 for c in r.values())),
+    ("no handoff in steady state",
+     lambda r: all(c.handoff_counts == {} for c in r.values())),
+) + _over(
+    lambda scaling, handoff: _one(handoff),
+    # Region 0 packed and throttled: escapes travel the two-phase
+    # handoff, and racing tenants exercise its denial path.
+    ("handoff pressure commits a handoff",
+     lambda h: h.committed_handoffs >= 1),
+    ("every cross-region migration is a committed handoff",
+     lambda h: h.cross_region_migrations == h.committed_handoffs),
+    ("handoff pressure denies a racing handoff",
+     lambda h: h.handoff_counts.get("denied", 0) >= 1),
+)
+
+
 def _failover_specs(quick: bool) -> tuple[SweepSpec, ...]:
     return _one_cell("failover", failover.failover_outage,
                      duration_s=180.0 if quick else 240.0)
@@ -803,6 +870,21 @@ def _failover_table(outcome: SweepOutcome) -> Table:
              else f"{stats.time_to_recover_s:.0f}s"],
         ],
     )
+
+
+_FAILOVER_CLAIMS = _over(
+    _one,
+    # The worker's death is confirmed into the outage and queued ...
+    ("a recovery is deferred", lambda r: r.deferred_recoveries >= 1),
+    # ... and drained on resume, fast.
+    ("pods re-placed", lambda r: r.churn.recovered_pods >= 1),
+    ("first re-placement within 2 epochs of resume",
+     lambda r: r.resume_epoch_gap is not None and r.resume_epoch_gap <= 2.0),
+    # The outage dented goodput; the drained recovery brought it back.
+    ("goodput dips below its pre-outage mean",
+     lambda r: r.goodput_stats.dip_min < r.goodput_stats.pre_mean),
+    ("goodput recovers", lambda r: r.goodput_stats.recovered),
+)
 
 
 def _table2_specs(quick: bool) -> tuple[SweepSpec, ...]:
@@ -1008,7 +1090,7 @@ def _multitenant_specs(quick: bool) -> tuple[SweepSpec, ...]:
             duration_s=120.0 if quick else 240.0,
         ),
         multi_tenant.contention_sweep_spec(
-            tenant_counts=(2,) if quick else (4,),
+            tenant_counts=(2,) if quick else (1, 4),
             duration_s=140.0 if quick else 180.0,
         ),
     )
@@ -1017,7 +1099,7 @@ def _multitenant_specs(quick: bool) -> tuple[SweepSpec, ...]:
 def _multitenant_table(
     scaling: SweepOutcome, contention: SweepOutcome
 ) -> Table:
-    race = contention.results[0]
+    race = max(contention.results, key=attrgetter("tenants"))
     return Table(
         ["tenants", "full_probes", "headroom_probes", "probes_per_hour",
          "migrations"],
@@ -1030,6 +1112,25 @@ def _multitenant_table(
         f"{race.total_migrations} migrations across "
         f"{race.epoch_count} epochs",
     )
+
+
+_MULTITENANT_CLAIMS = _over(
+    lambda scaling, contention: _by(scaling, "tenants"),
+    # The shared monitor probes each link once per epoch, whoever uses
+    # it: four tenants cost (essentially) the probe traffic of one.
+    ("4 tenants' probes per hour <= 1.2 x 1 tenant's",
+     lambda t: t[4].probe_events_per_hour
+     <= 1.2 * t[1].probe_events_per_hour),
+) + _over(
+    lambda scaling, contention: _by(contention, "tenants"),
+    # A throttle puts every tenant in violation at once: the arbiter
+    # admits one claim per node per epoch and deflects the rest.
+    ("contention: one tenant has nobody to conflict with",
+     lambda t: t[1].conflict_count == 0),
+    ("contention: 4 tenants conflict", lambda t: t[4].conflict_count > 0),
+    ("contention: 4 tenants migrate >= 2 times",
+     lambda t: t[4].total_migrations >= 2),
+)
 
 
 def _churnsweep_specs(quick: bool) -> tuple[SweepSpec, ...]:
@@ -1059,34 +1160,57 @@ def _churnsweep_table(outcome: SweepOutcome) -> Table:
     )
 
 
+_CHURNSWEEP_CLAIMS = _over(
+    lambda o: o.results,
+    ("six seeds", lambda runs: len(runs) == 6),
+    # Every randomized crash plan is detected and re-placed: the pod is
+    # never silently lost.
+    ("every seed detects its crash",
+     lambda runs: all(r.detection_latency_s is not None
+                      and r.detection_latency_s > 0 for r in runs)),
+    ("every seed re-places the pod",
+     lambda runs: all(r.recovered_pods == 1 for r in runs)),
+    ("every seed recovers goodput",
+     lambda runs: all(r.time_to_recover_s is not None for r in runs)),
+)
+
+
 def _ablations_specs(quick: bool) -> tuple[SweepSpec, ...]:
     return (ablations.ablation_grid_spec(quick=quick),)
 
 
+def _ablation_results(outcome: SweepOutcome) -> dict:
+    """``{ablation label: its result}``, in grid order."""
+    return {
+        cell.label: result
+        for cell, result in zip(outcome.spec.cells, outcome.results)
+    }
+
+
 def _ablations_table(outcome: SweepOutcome) -> Table:
     rows = []
-    for cell, result in zip(outcome.spec.cells, outcome.results):
-        if cell.label == "headroom_probing":
+    for label, result in _ablation_results(outcome).items():
+        if label == "headroom_probing":
             summary = (
                 f"overhead {result.headroom_overhead_fraction:.4%} headroom "
                 f"vs {result.flooding_overhead_fraction:.2%} flooding"
             )
-        elif cell.label == "cooldown":
+        elif label == "cooldown":
             summary = ", ".join(
                 f"{r.migrations} migrations @ cooldown {r.cooldown_s:.0f}s"
                 for r in result
             )
-        elif cell.label == "stability_guards":
+        elif label == "stability_guards":
             summary = (
                 f"{result.guarded_migrations} migrations guarded vs "
                 f"{result.unguarded_migrations} unguarded"
             )
-        elif cell.label == "hybrid_heuristic":
+        elif label == "hybrid_heuristic":
             summary = ", ".join(
                 f"{r.shape}/{r.heuristic}: {r.colocated_fraction:.0%}"
                 for r in result
             )
-        elif cell.label == "online_profiling":
+        elif label == "online_profiling":
             summary = (
                 f"annotation error {result.initial_error:.2f} -> "
                 f"{result.profiled_error:.2f} "
@@ -1094,8 +1218,61 @@ def _ablations_table(outcome: SweepOutcome) -> Table:
             )
         else:  # routing_strategy
             summary = f"{len(result)} node pairs compared"
-        rows.append([cell.label, summary])
+        rows.append([label, summary])
     return Table(["ablation", "summary"], rows)
+
+
+def _colocated(cells, shape: str) -> dict:
+    """``{heuristic: co-located bandwidth fraction}`` on one shape."""
+    return {c.heuristic: c.colocated_fraction for c in cells if c.shape == shape}
+
+
+_ABLATIONS_CLAIMS = _over(
+    _ablation_results,
+    # Headroom probing (§4.2) bounds monitoring overhead; flooding every
+    # interval with max-capacity probes does not.
+    ("headroom probing overhead < 5 %",
+     lambda a: a["headroom_probing"].headroom_overhead_fraction < 0.05),
+    ("flooding overhead > 3 x headroom probing's",
+     lambda a: a["headroom_probing"].flooding_overhead_fraction
+     > 3 * a["headroom_probing"].headroom_overhead_fraction),
+    # The cooldown (§4.3) waits out a transient dip whose disruption
+    # would never amortize.
+    ("no cooldown: the 40 s dip migrates",
+     lambda a: {r.cooldown_s: r.migrations for r in a["cooldown"]}[0.0] >= 1),
+    ("45 s cooldown: the 40 s dip does not migrate",
+     lambda a: {r.cooldown_s: r.migrations for r in a["cooldown"]}[45.0] == 0),
+    # The improvement gate + minimum residency suppress ping-pong under
+    # congestion no placement can fix.
+    ("unguarded migrations >= 1.5 x guarded (floor 1)",
+     lambda a: a["stability_guards"].unguarded_migrations
+     >= 1.5 * max(a["stability_guards"].guarded_migrations, 1)),
+    # §8's hybrid heuristic matches the better pure heuristic per shape.
+    ("hybrid co-locates >= the better pure heuristic, per shape",
+     lambda a: all(
+         f["hybrid"] >= max(f["bfs"], f["longest_path"]) - 1e-9
+         for f in (_colocated(a["hybrid_heuristic"], shape)
+                   for shape in ("social", "chain")))),
+    # §8's online profiler recovers mis-annotated bandwidth requirements.
+    ("mis-annotation error > 0.5",
+     lambda a: a["online_profiling"].initial_error > 0.5),
+    ("profiled error < 0.3",
+     lambda a: a["online_profiling"].profiled_error < 0.3),
+    ("profiling at least halves the error",
+     lambda a: a["online_profiling"].profiled_error
+     < a["online_profiling"].initial_error / 2),
+    ("profiling updates 30 edges",
+     lambda a: a["online_profiling"].edges_updated == 30),
+    # BASS is routing-agnostic (§1); widest-path lifts the ceiling it
+    # works under (the 7.6 Mbps node2-node3 shortcut has a 15 Mbps
+    # detour).
+    ("widest path >= min-hop on every pair",
+     lambda a: all(c.widest_mbps >= c.min_hop_mbps - 1e-9
+                   for c in a["routing_strategy"])),
+    ("widest path > 1.5 x min-hop on some pair",
+     lambda a: any(c.widest_mbps > 1.5 * c.min_hop_mbps
+                   for c in a["routing_strategy"])),
+)
 
 
 # -- the table ----------------------------------------------------------------
@@ -1144,24 +1321,28 @@ CATALOG: tuple[Experiment, ...] = (
                claims=_FIG16_CLAIMS),
     Experiment("multitenant",
                "probe sharing and migration arbitration at scale",
-               _multitenant_specs, _multitenant_table),
+               _multitenant_specs, _multitenant_table,
+               claims=_MULTITENANT_CLAIMS),
     Experiment("fleet",
                "regionalized control plane: sharded schedulers, handoffs",
                _fleet_specs, _fleet_table, checkpoint="regions{regions}",
-               regions=2),
+               regions=2, claims=_FLEET_CLAIMS),
     Experiment("churn", "node crash: detection latency and recovery vs k3s",
                _churn_specs, _churn_table, checkpoint="recovery=True",
                # Served with migrations on: headroom probes feed the
                # rolling windows (the cell freezes them).
-               serve={"config": BassConfig()}),
+               serve={"config": BassConfig()}, claims=_CHURN_CLAIMS),
     Experiment("failover",
                "orchestrator kill mid-run: deferred decisions, goodput dip",
                _failover_specs, _failover_table,
-               checkpoint=""),  # the row's one, unlabelled cell
+               checkpoint="",  # the row's one, unlabelled cell
+               claims=_FAILOVER_CLAIMS),
     Experiment("churnsweep", "randomized crash plans across seeds",
-               _churnsweep_specs, _churnsweep_table),
+               _churnsweep_specs, _churnsweep_table,
+               claims=_CHURNSWEEP_CLAIMS),
     Experiment("ablations", "the design-choice ablation battery",
-               _ablations_specs, _ablations_table),
+               _ablations_specs, _ablations_table,
+               claims=_ABLATIONS_CLAIMS),
     Experiment("table2", "camera median latency on the emulated mesh",
                _table2_specs, _table2_table,
                claims=_TABLE2_CLAIMS),

@@ -18,24 +18,19 @@ the outage cost:
 * **recovery promptness** — how many epoch intervals after resume the
   first re-placement lands (the acceptance bound: within 2).
 
-``via_restore=True`` runs the same timeline through an actual
-checkpoint file: the run is snapshotted mid-outage, the live objects
-are discarded, and a fresh capsule restored from disk ticks to
-completion — the process-death path, with results asserted identical
-to the in-process run by the failover benchmark.
+The run is ``@checkpointable``: restored from a snapshot taken inside
+the outage, it finishes exactly as the uninterrupted run does.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..faults.plan import OrchestratorKill
 from ..metrics.summary import RecoveryStats
 from .churn import ChurnResult, PreparedChurn, churn_recovery
-from .common import RunCapsule
+from .common import RunCapsule, checkpointable
 
 __all__ = [
     "FailoverResult",
@@ -113,7 +108,8 @@ class PreparedFailover:
         )
 
 
-def _build(
+@checkpointable
+def failover_outage(
     *,
     duration_s: float = 240.0,
     tenants: int = 1,
@@ -123,8 +119,8 @@ def _build(
     kill_at_s: float = 60.0,
     down_s: float = 45.0,
 ) -> RunCapsule:
-    """Wire the failover run (``failover_outage.capsule``): churn + an
-    orchestrator outage covering the crash's detection window.
+    """The orchestrator-outage scenario: churn + an orchestrator outage
+    covering the crash's detection window.
 
     Defaults stage the worst case: the orchestrator dies at 60 s, the
     worker crashes at 70 s (into the outage), the detector confirms
@@ -152,38 +148,3 @@ def _build(
         ),
     )
 
-
-def failover_outage(*, via_restore: bool = False, **kwargs) -> FailoverResult:
-    """Run the orchestrator-outage scenario to completion.
-
-    A checkpointable cell like ``@checkpointable`` ones:
-    ``failover_outage.capsule(**kwargs)`` builds the run without
-    ticking it, and the keyword arguments are that builder's.
-
-    With ``via_restore`` the run round-trips through a real snapshot
-    file mid-outage: checkpoint, drop the live objects, restore from
-    disk, continue — proving the resumed control plane (not merely a
-    suspended one) drains its deferred decisions.  Results are
-    identical either way; the failover benchmark asserts it.
-    """
-    capsule = _build(**kwargs)
-    if via_restore:
-        from ..snap.snapshot import read_snapshot, write_snapshot
-
-        # Snapshot mid-outage: after the crash is confirmed-and-deferred,
-        # before the orchestrator resumes.
-        outage = capsule.prepared
-        capsule.run_until(outage.kill_at_s + outage.down_s / 2.0)
-        handle, path = tempfile.mkstemp(suffix=".bass", prefix="failover-")
-        os.close(handle)
-        try:
-            write_snapshot(path, capsule)
-            del capsule, outage
-            _, capsule = read_snapshot(path)
-        finally:
-            os.unlink(path)
-    capsule.run_to_completion()
-    return capsule.result()
-
-
-failover_outage.capsule = _build

@@ -2,14 +2,17 @@
 
 The tentpole guarantee: a traced run must let the report reconstruct
 EVERY migration with its full cause chain — the goodput/headroom sample
-that started it, the threshold breach, the epoch plan, and the restart.
+that started it, the threshold breach, the epoch plan, and the restart —
+and every crash recovery with its own, from the injected fault to the
+restart.
 """
 
 import pytest
 
 from repro.cli import main
-from repro.obs.report import migration_chains
-from repro.obs.trace import current_tracer, read_trace
+from repro.experiments.churn import churn_recovery
+from repro.obs.report import migration_chains, recovery_chains, render_report
+from repro.obs.trace import Tracer, current_tracer, read_trace
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,34 @@ class TestTracedRun:
         assert main(["run", "fig13", "--quick"]) == 0
         assert current_tracer() is before
         assert not current_tracer().enabled
+
+
+def test_trace_reconstructs_the_recovery_cause_chain():
+    """A real crash run: ``fault.injected -> node.suspected ->
+    node.confirmed_dead -> recovery.plan -> restart``, the recovery
+    metric set derived from the stream, and the rendered report."""
+    tracer = Tracer.with_instruments()
+    result = churn_recovery(duration_s=240.0, crash_at_s=60.0, tracer=tracer)
+    assert result.recovered_pods == 1
+
+    chains = recovery_chains(tracer.events)
+    assert len(chains) == 1
+    chain = chains[0]
+    assert chain.complete
+    assert chain.fault.kind == "fault.injected"
+    assert chain.suspected.cause == chain.fault.id
+    assert chain.confirmed.cause == chain.suspected.id
+    assert chain.plan.cause == chain.confirmed.id
+    assert chain.restarts[0].cause == chain.plan.id
+
+    registry = tracer.instruments.registry
+    assert registry.counter("bass_recoveries_total").value == 1.0
+    assert registry.counter("bass_node_failures_detected_total").value == 1.0
+    latency = registry.histogram("bass_detection_latency_seconds")
+    assert latency.count == 1
+    assert latency.sum == pytest.approx(result.detection_latency_s)
+
+    report = render_report(tracer.events)
+    assert "recoveries: 1" in report
+    assert "fault.injected" in report
+    assert "detection latency" in report

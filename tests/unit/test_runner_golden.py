@@ -33,7 +33,7 @@ from repro.experiments.thresholds import (
 )
 from repro.faults import seeded_churn
 from repro.mesh.topology import citylab_subset
-from repro.runner import ResultCache, canonical_json, run_sweep
+from repro.runner import ResultCache, SweepSpec, canonical_json, run_sweep
 from repro.sim.rng import RngStreams
 
 FIG14CD_GRID = dict(
@@ -146,6 +146,9 @@ def test_ablation_grid_matches_direct_calls(tmp_path):
         ablate_hybrid_heuristic(node_cores=6.0, n_nodes=3),
         ablate_routing_strategy(),
     ]
-    spec = ablation_grid_spec(include=include)
+    cells = tuple(
+        cell for cell in ablation_grid_spec().cells if cell.label in include
+    )
+    spec = SweepSpec(name="ablations", cells=cells)
     assert [cell.label for cell in spec.cells] == list(include)
     assert_runner_matches_serial(spec, serial, tmp_path)
