@@ -730,7 +730,9 @@ def _churn_table(comparison: SweepOutcome, shared: SweepOutcome) -> Table:
                 _or(r.time_to_recover_s, "never"),
                 f"{r.goodput_stats.pre_mean:.2f}",
                 f"{r.goodput_stats.dip_min:.2f}",
-                f"{r.goodput_stats.post_mean:.2f}",
+                # NaN by design when the timeline never recovers.
+                _or(None if np.isnan(r.goodput_stats.post_mean)
+                    else r.goodput_stats.post_mean, "-", ".2f"),
                 r.recovered_pods,
             ]
             for r in comparison.results
