@@ -234,6 +234,9 @@ class SocialNetworkApp(Application):
         # ``(crossings table, {request type: compiled chain})``: see
         # :meth:`_chain`.
         self._chains: tuple = (None, {})
+        # ``(crossings table, key, {request type: fixed addends})``:
+        # see :meth:`_tables`.
+        self._priced: tuple = (None, None, {})
 
     @property
     def mix(self) -> Mapping[str, float]:
@@ -319,8 +322,10 @@ class SocialNetworkApp(Application):
 
         Nothing a request's latency depends on moves within the call,
         so each distinct type's compiled chain (:meth:`_chain`) is
-        priced once into a table of per-step fixed addends; per request
-        only the jittered service terms differ.  They are drawn in one
+        priced once into a table of per-step fixed addends
+        (:meth:`_tables`, which keeps them across calls until what they
+        read moves); per request only the jittered service terms
+        differ.  They are drawn in one
         batch (the same values, in the same order, as one scalar draw
         per step) and each latency is summed step by step in chain
         order, ``ms * max(0.1, z) / 1000.0`` then the step's addends:
@@ -328,11 +333,7 @@ class SocialNetworkApp(Application):
         """
         if not request_types:
             return []
-        costs = EdgeCosts(binding)
-        tables = {
-            request_type: self._fixed_addends(request_type, costs)
-            for request_type in dict.fromkeys(request_types)
-        }
+        tables = self._tables(request_types, binding)
         if rng is not None and self.jitter_rel_std > 0:
             size = sum(len(_SERVICE_MS[t]) for t in request_types)
             jitter = iter(rng.normal(1.0, self.jitter_rel_std, size=size).tolist())
@@ -351,6 +352,47 @@ class SocialNetworkApp(Application):
                     latency_s += addend
             latencies.append(latency_s)
         return latencies
+
+    def _tables(
+        self, request_types: Sequence[str], binding: DeploymentBinding
+    ) -> dict[str, list[list[float]]]:
+        """Each distinct type's fixed-addend table (:meth:`_fixed_addends`)
+        under the binding's placement, right now.
+
+        A table reads the placement (the binding's :meth:`crossings`
+        table, kept until a migration), the emulator's path delays and
+        flow rates, and ``inter_node_overhead_ms``.  So it is kept, and
+        handed out again, until the crossings table is replaced or the
+        emulator's :meth:`~repro.net.netem.NetworkEmulator.observation_key`
+        or the overhead moves.  Two tables are never kept: one priced
+        while a restart stall is open (the stall shrinks as the clock
+        moves), and one that priced a payload at the path's spare
+        bandwidth, which follows the link capacities.
+        """
+        netem = binding.netem
+        types = dict.fromkeys(request_types)
+        if binding.deployment.restarting(netem.now):
+            costs = EdgeCosts(binding)
+            return {t: self._fixed_addends(t, costs) for t in types}
+        crossings = binding.crossings()
+        key = (netem.observation_key(), self.inter_node_overhead_ms)
+        kept_crossings, kept_key, kept = self._priced
+        if kept_crossings is not crossings or kept_key != key:
+            kept = {}
+            self._priced = (crossings, key, kept)
+        tables = {}
+        costs = None  # built for the first type not kept
+        for request_type in types:
+            table = kept.get(request_type)
+            if table is None:
+                if costs is None:
+                    costs = EdgeCosts(binding)
+                spare_priced = costs.spare_priced
+                table = self._fixed_addends(request_type, costs)
+                if costs.spare_priced == spare_priced:
+                    kept[request_type] = table
+            tables[request_type] = table
+        return tables
 
     def _fixed_addends(
         self,
@@ -421,9 +463,10 @@ class SocialNetworkApp(Application):
 
     def __getstate__(self) -> dict:
         """Checkpoints carry the model, not the chains compiled against
-        one placement table."""
+        one placement table nor the tables priced from them."""
         state = self.__dict__.copy()
         state["_chains"] = (None, {})
+        state["_priced"] = (None, None, {})
         return state
 
     def hottest_edges(self, top: int = 5) -> list[tuple[str, str, float]]:

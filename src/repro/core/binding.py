@@ -354,7 +354,12 @@ class EdgeCosts:
     :meth:`~DeploymentBinding.crossings`.  Every *value* — rates,
     delays, spare bandwidth, stalls — is read from the emulator and the
     deployment by each object anew.  Discard it when simulated time,
-    flows or placement move on.
+    flows or placement move on.  A caller that keeps prices beyond the
+    instant keys them on the emulator's
+    :meth:`~repro.net.netem.NetworkEmulator.observation_key`, which
+    covers path delays and flow rates but not the capacities behind a
+    price at the path's spare bandwidth: :attr:`spare_priced` counts
+    those, and :attr:`stalls` moves with the clock.
     """
 
     def __init__(self, binding: DeploymentBinding) -> None:
@@ -371,6 +376,8 @@ class EdgeCosts:
         }
         # (src_node, dst_node) -> path delay s; inf = no route.
         self._delays: dict[tuple[str, str], float] = {}
+        #: Prices that rode the path's spare bandwidth (no live flow).
+        self.spare_priced = 0
 
     def transfer_time_s(
         self, src: str, dst: str, payload_mbit: float
@@ -439,6 +446,7 @@ class EdgeCosts:
             # payload would ride whatever the path has spare.  Restart
             # stalls themselves are charged by the caller, not here.
             rate = netem.path_available_bandwidth(*nodes)
+            self.spare_priced += 1
         if rate < 0.01:
             rate = 0.01  # a starved edge still trickles
         return payload_mbit / rate + delay_s

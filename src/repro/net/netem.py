@@ -46,6 +46,15 @@ ids, with the object API kept as a thin view:
   the same flow table — the ones whose capacities moved since the
   previous solve.  Bit-identical to a from-scratch solve.
 
+Observation key: a solve that moved at least one of the rates it
+recomputed bumps an allocation revision, and a tick bumps a queue revision unless the queues were
+quiet (no backlog, no loss) before and after it — a quiet tick that
+offers no link more than its capacity skips the queue update outright.
+With the flow revision, the topology version and ``Link.shaping_rev``
+they make :meth:`NetworkEmulator.observation_key`: while it holds,
+every ``path_delay_s`` and ``flow()`` answer holds too, which lets a
+latency sampler keep what it priced (``apps/social.py``).
+
 Invalidation rules: the scan structure rebuilds when the topology
 version or the process-wide ``Link.shaping_rev`` moves.  Every flow
 mutation (``add_flow`` / ``remove_flow`` / ``set_demand`` /
@@ -185,6 +194,12 @@ class NetworkEmulator:
         #: epoch.
         self._flows_rev = 0
         self._alloc_fingerprint: Optional[tuple] = None
+        #: Bumped by a solve that moved at least one flow's rate, and by
+        #: a tick that moved at least one queue: with the flow revision,
+        #: the topology version and ``Link.shaping_rev`` they make
+        #: :meth:`observation_key`.
+        self._alloc_rev = 0
+        self._queue_rev = 0
         #: The flow table, keyed by ``_flows_rev``, and the flow ids
         #: that changed since it was current (an ordered set).
         self._flow_arrays: Optional[tuple[int, FlowArrays]] = None
@@ -502,8 +517,22 @@ class NetworkEmulator:
         rates, changed = self._incremental.solve(
             flows, self._link_index, self._cap_values, table
         )
+        # The solver reports every rate it recomputed, and about a third
+        # of them move.  Each is written, and the allocation revision
+        # moves once one did (a signed zero included); after that the
+        # loop compares nothing, so it costs what a bare write-back does.
+        moved = False
         for fid in changed:
-            flows[fid].allocated_mbps = rates[fid]
+            flow = flows[fid]
+            rate = rates[fid]
+            if not moved:
+                old = flow.allocated_mbps
+                moved = rate != old or (
+                    not rate and math.copysign(1.0, rate) != math.copysign(1.0, old)
+                )
+            flow.allocated_mbps = rate
+        if moved:
+            self._alloc_rev += 1
         self._alloc_fingerprint = fingerprint
         self._dirty = False
 
@@ -515,7 +544,11 @@ class NetworkEmulator:
         arrays = self._current_flow_arrays()
         offered = arrays.offered_mbps(len(self._link_keys))
         arrays.accumulate_offered_by_tag(self.tick_s, self._offered_mbit_by_tag)
-        self._queue_arrays.update_all(self.tick_s, offered, self._cap_values)
+        queues = self._queue_arrays
+        was_quiet = queues.quiet
+        queues.update_all(self.tick_s, offered, self._cap_values)
+        if not (was_quiet and queues.quiet):
+            self._queue_rev += 1
         t2 = _time.perf_counter()
         self._recompute_arrays(arrays)
         t3 = _time.perf_counter()
@@ -545,6 +578,29 @@ class NetworkEmulator:
             "components_resolved": inc.components_resolved,
             "components": inc.component_count,
         }
+
+    def observation_key(self) -> tuple:
+        """A key that moves whenever a :meth:`path_delay_s` or
+        :meth:`flow` answer may have.
+
+        Its parts: the allocation revision (a flow's rate moved), the
+        queue revision (a tick that did not leave quiet queues quiet),
+        the flow revision (a flow came, went, re-pathed or changed its
+        demand), the topology version (routes, link and node state)
+        and ``Link.shaping_rev`` (a trace or rate limit changed).  A
+        path delay reads a hop's capacity — a function of the clock —
+        only under a standing queue, so while any queue stands the
+        clock is a part too.  The capacities :meth:`path_available_bandwidth`
+        reads move with the clock and are not covered.
+        """
+        return (
+            self._alloc_rev,
+            self._queue_rev,
+            self._flows_rev,
+            self.topology.version,
+            Link.shaping_rev,
+            None if self._queue_arrays.quiet else self.now,
+        )
 
     def _ensure_fresh(self) -> None:
         if self._dirty:

@@ -10,8 +10,12 @@ the packet loss of Fig 4 from one mechanism.
 :class:`QueueArrays` is the one representation: structure-of-arrays
 storage in which all queues of a mesh advance in one vectorized
 :meth:`QueueArrays.update_all` step, and a single queue is a row read
-by link id.  The scalar one-queue-per-object model it replaced is kept
-as the bit-parity oracle in ``tests/oracles.py``.
+by link id.  A step over *quiet* queues (every backlog and loss zero)
+that offers no row more than its capacity changes nothing, so it
+returns at once; :attr:`QueueArrays.quiet` tells the emulator when its
+queue answers cannot have moved.  The scalar one-queue-per-object
+model it replaced is kept as the bit-parity oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ class QueueArrays:
     through the arrays is bit-identical to a run through per-object
     queues.
 
+    While every row is :attr:`quiet`, a step offering no row more than
+    its capacity is skipped: it would leave each backlog at ``+0.0``
+    and each loss at ``0.0``.
+
     Args:
         buffer_mbit: per-row buffer size in megabits.  The emulator's
             default (25 Mbit, ~3 MB) is a typical CPE buffer: enough to
@@ -47,6 +55,7 @@ class QueueArrays:
         "backlog_mbit",
         "last_loss_fraction",
         "dropped_mbit_total",
+        "_quiet",
         "_scratch_offered",
         "_scratch_dropped",
     )
@@ -61,11 +70,18 @@ class QueueArrays:
         self.backlog_mbit = np.zeros(n, dtype=float)
         self.last_loss_fraction = np.zeros(n, dtype=float)
         self.dropped_mbit_total = np.zeros(n, dtype=float)
+        self._quiet = True
         self._scratch_offered = np.empty(n, dtype=float)
         self._scratch_dropped = np.empty(n, dtype=float)
 
     def __len__(self) -> int:
         return self.buffer_mbit.size
+
+    @property
+    def quiet(self) -> bool:
+        """Every backlog is ``+0.0`` and every loss fraction ``0.0``:
+        no queue delays or drops anything."""
+        return self._quiet
 
     def delay_s(self, row: int, capacity_mbps: float) -> float:
         """Time the newest bit arriving at queue ``row`` waits behind
@@ -89,9 +105,26 @@ class QueueArrays:
         (excess is dropped), clamp at zero, then the per-step loss
         fraction ``min(1, dropped/offered_mbit)`` (zero when nothing
         was offered).
+
+        Quiet queues offered no more than their capacity over a
+        positive ``dt_s`` are left as they are, which is exact: each
+        row's ``offered_mbit - drained`` is ``<= 0`` (``x - x`` rounds
+        to ``+0.0``), so the backlog clamps back to ``+0.0``, nothing
+        is dropped and the loss is ``0.0``.  Steps that would make a
+        backlog NaN run in full: an infinite ``offered * dt``
+        (``inf - inf``), an infinite capacity over ``dt_s == 0``
+        (``inf * 0``), and a NaN offered load or capacity, which fails
+        the ``<=``.
         """
         if not (math.isfinite(dt_s) and dt_s >= 0):
             raise SimulationError("dt_s must be finite and non-negative")
+        if (
+            self._quiet
+            and dt_s > 0
+            and (offered_mbps <= capacity_mbps).all()
+            and (not offered_mbps.size or math.isfinite(offered_mbps.max() * dt_s))
+        ):
+            return
         offered_mbit = self._scratch_offered
         np.maximum(offered_mbps, 0.0, out=offered_mbit)
         offered_mbit *= dt_s
@@ -112,6 +145,10 @@ class QueueArrays:
         loss.fill(0.0)
         np.divide(dropped, offered_mbit, out=loss, where=offered_mbit > 0)
         np.minimum(loss, 1.0, out=loss)
+        # A row drops only above its (positive) buffer, where its
+        # backlog stays, and ``np.maximum(-0.0, 0.0)`` is ``+0.0``: an
+        # all-zero backlog is all ``+0.0``, with every loss ``0.0``.
+        self._quiet = not backlog.any()
 
     def __getstate__(self) -> dict:
         return {
@@ -126,6 +163,10 @@ class QueueArrays:
         self.backlog_mbit = state["backlog_mbit"]
         self.last_loss_fraction = state["last_loss_fraction"]
         self.dropped_mbit_total = state["dropped_mbit_total"]
+        self._quiet = not any(
+            values.any() or np.signbit(values).any()
+            for values in (self.backlog_mbit, self.last_loss_fraction)
+        )
         n = self.buffer_mbit.size
         self._scratch_offered = np.empty(n, dtype=float)
         self._scratch_dropped = np.empty(n, dtype=float)
