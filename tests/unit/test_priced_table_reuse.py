@@ -117,7 +117,7 @@ class CheckedTables:
         return mock.patch.object(SocialNetworkApp, "_tables", _tables)
 
 
-def _run(world, operation) -> list:
+def _run(world, operation) -> None:
     """One step of a history on ``world`` (``[app, binding]``, replaced
     in place by a restore).  Samples and requests run the production
     path only: the checked ``_tables`` is the oracle."""
