@@ -15,6 +15,12 @@ default heartbeat is control traffic small enough to ignore
 heartbeat flows so their bandwidth cost shows up in the emulator's
 accounting.
 
+All three conditions move only with the topology version (node and
+link up/down) and at a blackout window's edge, so a beat whose
+delivery inputs equal the last full beat's re-applies that beat's
+outcome: the nodes delivered then are delivered now and already clean,
+so only the missing ones are visited (DESIGN §7 "Quiet heartbeats").
+
 Trace causality: the ``node.suspected`` event cites the injector's
 ``fault.injected`` event as its cause (ground truth joined *after* the
 honest timing), so reports can show the full chain without the detector
@@ -23,6 +29,7 @@ ever being told about the fault.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -73,9 +80,10 @@ class HeartbeatConfig:
             raise SimulationError(
                 "confirm_after_misses must be >= suspect_after_misses"
             )
-        if not self.demand_mbps >= 0 or self.burst_s <= 0:  # NaN included
+        if not 0 <= self.demand_mbps < math.inf or self.burst_s <= 0:  # NaN included
             raise SimulationError(
-                "heartbeat demand must be >= 0 and burst_s positive"
+                "heartbeat demand must be finite and >= 0, and burst_s "
+                "positive"
             )
         return self
 
@@ -134,6 +142,19 @@ class FailureDetector:
         self._on_confirmed: list[ConfirmedCallback] = []
         self._on_recovered: list[RecoveredCallback] = []
         self._task = None
+        #: ``(delivery key, positions in monitored that missed)`` of the
+        #: last full beat, kept while no input moved mid-beat; derived,
+        #: so checkpoints leave it out.
+        self._outcome: Optional[tuple[tuple, tuple[int, ...]]] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_outcome"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._outcome = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -161,13 +182,62 @@ class FailureDetector:
     def beat(self) -> None:
         """Collect one round of heartbeats and update suspicion state."""
         now = self.netem.now
-        for node in self.monitored:
+        key = self._delivery_key(now)
+        outcome = self._outcome
+        if outcome is not None and outcome[0] == key:
+            self._quiet_beat(now, key, outcome[1])
+            return
+        missing = self._visit(now, 0)
+        after = self._delivery_key(now)
+        # A callback may have crashed or partitioned something mid-loop,
+        # and heartbeat flows are added per delivered node: neither
+        # outcome can be re-applied.
+        if after == key and self.config.demand_mbps == 0:
+            self._outcome = (after, missing)
+        else:
+            self._outcome = None
+
+    def _delivery_key(self, now: float) -> tuple:
+        """Everything delivery depends on: which nodes are up and
+        routable (both move only with the topology version) and which
+        are blacked out at ``now``."""
+        injector = self.injector
+        blacked = () if injector is None else injector.blacked_out(now)
+        return (self.topology.version, blacked)
+
+    def _visit(self, now: float, start: int) -> tuple[int, ...]:
+        """The per-node round over ``monitored[start:]``; returns the
+        positions whose heartbeat missed."""
+        missing = []
+        for i, node in enumerate(self.monitored[start:], start):
             if self._heartbeat_delivered(node, now):
                 self.beats_sent += 1
                 self._mark_alive(node, now)
             else:
                 self.beats_missed += 1
                 self._mark_missing(node, now)
+                missing.append(i)
+        return tuple(missing)
+
+    def _quiet_beat(
+        self, now: float, key: tuple, missing: tuple[int, ...]
+    ) -> None:
+        """Re-apply the last full beat: a delivered node has no misses
+        and no suspicion, so ``_mark_alive`` would only count its beat,
+        and alive nodes emit nothing, so events keep their order."""
+        done = 0
+        for i in missing:
+            self.beats_sent += i - done
+            self.beats_missed += 1
+            self._mark_missing(self.monitored[i], now)
+            done = i + 1
+            if self._delivery_key(now) != key:
+                # A callback moved an input: the rest of the round sees
+                # it, as the full loop's would.
+                self._outcome = None
+                self._visit(now, done)
+                return
+        self.beats_sent += len(self.monitored) - done
 
     def _heartbeat_delivered(self, node: str, now: float) -> bool:
         """Physics of one heartbeat: alive, routable, not blacked out."""

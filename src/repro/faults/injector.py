@@ -141,6 +141,12 @@ class FaultInjector:
             for start, end in self._blackouts.get(node, ())
         )
 
+    def blacked_out(self, t: float) -> tuple[str, ...]:
+        """Every node whose heartbeats/probes are lost at ``t``."""
+        return tuple(
+            node for node in self._blackouts if self.in_blackout(node, t)
+        )
+
     # -- fault application -------------------------------------------------
 
     def _reconverge(self) -> dict[str, list[str]]:

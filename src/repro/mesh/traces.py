@@ -43,7 +43,8 @@ class BandwidthTrace:
         times: strictly increasing sample instants (seconds), starting
             at any offset; the first sample's value also covers all
             earlier times.
-        values_mbps: capacity at each instant; must be non-negative.
+        values_mbps: capacity at each instant; must be finite and
+            non-negative.
         loop: replay the trace cyclically past its end (default True).
 
     Example:
@@ -65,8 +66,13 @@ class BandwidthTrace:
             raise TraceError("trace must contain at least one sample")
         self._times = np.asarray(times, dtype=float)
         self._values = np.asarray(values_mbps, dtype=float)
+        # ``<= 0`` and ``< 0`` are false for NaN: check finiteness first.
+        if not np.all(np.isfinite(self._times)):
+            raise TraceError("trace times must be finite")
         if np.any(np.diff(self._times) <= 0):
             raise TraceError("trace times must be strictly increasing")
+        if not np.all(np.isfinite(self._values)):
+            raise TraceError("trace values must be finite")
         if np.any(self._values < 0):
             raise TraceError("trace values must be non-negative")
         self._loop = loop
@@ -188,8 +194,8 @@ class BandwidthTrace:
 
     def scaled(self, factor: float) -> "BandwidthTrace":
         """Trace with every value multiplied by ``factor``."""
-        if factor < 0:
-            raise TraceError("scale factor must be non-negative")
+        if not 0 <= factor < math.inf:  # NaN included
+            raise TraceError("scale factor must be finite and non-negative")
         return BandwidthTrace(self._times, self._values * factor, loop=self._loop)
 
     def clipped(self, min_mbps: float = 0.0, max_mbps: float = math.inf) -> "BandwidthTrace":

@@ -241,8 +241,8 @@ class NetworkEmulator:
         """Register a fluid flow; its route is fixed until rerouted."""
         if flow_id in self._flows:
             raise SimulationError(f"duplicate flow id {flow_id!r}")
-        if not demand_mbps >= 0:  # NaN included
-            raise SimulationError("demand_mbps must be >= 0")
+        if not 0 <= demand_mbps < math.inf:  # NaN included
+            raise SimulationError("demand_mbps must be finite and >= 0")
         # Flow ids outlive the emulator in results, traces and rate
         # snapshots; interned, every emulator a process (re)builds for
         # the same scenario shares one string per flow.
@@ -310,8 +310,8 @@ class NetworkEmulator:
         return self._flows_rev
 
     def set_demand(self, flow_id: str, demand_mbps: float) -> None:
-        if not demand_mbps >= 0:  # NaN included
-            raise SimulationError("demand_mbps must be >= 0")
+        if not 0 <= demand_mbps < math.inf:  # NaN included
+            raise SimulationError("demand_mbps must be finite and >= 0")
         flow = self.flow(flow_id)
         if flow.demand_mbps == demand_mbps:
             return  # nothing moved: keep the flow revision and caches

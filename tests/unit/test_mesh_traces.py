@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.mesh.topology import line_topology
 from repro.mesh.traces import BandwidthTrace
+from repro.net.netem import NetworkEmulator
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestConstruction:
@@ -23,6 +27,45 @@ class TestConstruction:
     def test_negative_values_raise(self):
         with pytest.raises(TraceError):
             BandwidthTrace([0, 1], [1.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ([0, 1, 2], [10.0, NAN, 10.0]),
+            ([0, 1], [1.0, INF]),
+            ([0, 1], [1.0, -INF]),
+            ([0, NAN, 2], [1.0, 2.0, 3.0]),
+            ([0, 1, INF], [1.0, 2.0, 3.0]),
+            ([-INF, 0], [1.0, 2.0]),
+        ],
+        ids=["nan-value", "inf-value", "neg-inf-value", "nan-time", "inf-time", "neg-inf-time"],
+    )
+    def test_non_finite_samples_raise(self, times, values):
+        # ``values < 0`` and ``diff(times) <= 0`` are false for NaN, and
+        # an infinite time or value broke neither check.
+        with pytest.raises(TraceError):
+            BandwidthTrace(times, values)
+
+    def test_nan_capacity_no_longer_reaches_a_link(self):
+        """A NaN sample used to leave the link's backlog NaN for good:
+        ``path_delay_s`` still read NaN at 5.5 s with the capacity back
+        at 10 Mbps.  The trace is now refused before it is attached."""
+        topology = line_topology([10.0])
+        (link,) = topology.links
+        with pytest.raises(TraceError):
+            link.set_trace(BandwidthTrace([0, 1, 2], [10.0, NAN, 10.0]))
+        emu = NetworkEmulator(topology)
+        emu.add_flow("f", "node1", "node2", 4.0)
+        emu.start()
+        emu.engine.run_until(5.5)
+        assert np.isfinite(emu.path_delay_s("node1", "node2"))
+
+    def test_scaled_and_clipped_stay_finite(self):
+        trace = BandwidthTrace([0, 1], [0.0, 2.0])
+        assert np.isfinite(trace.clipped().values).all()
+        assert np.isfinite(trace.clipped(max_mbps=INF).values).all()
+        with pytest.raises(TraceError):
+            trace.scaled(INF)  # 0 * inf is NaN, 2 * inf is inf
 
     def test_from_samples_sorts(self):
         trace = BandwidthTrace.from_samples([(10.0, 2.0), (0.0, 1.0)])

@@ -6,7 +6,9 @@ water-filling kernel survives: the plan kernel's slack never shrinks, so
 it never terminates (``set_demand(fid, nan)`` hung the next
 ``run_until``), and the batched kernel returns NaN for every flow of the
 component.  Each test runs under an alarm, so a regression shows up as a
-failure rather than a hung suite.  ``inf`` stays a legal demand.
+failure rather than a hung suite.  ``inf`` stays a legal demand for the
+stateless solver, but not for the emulator: one infinite flow there
+turns its queues' loss fraction NaN.
 """
 
 import signal
@@ -30,7 +32,7 @@ from repro.errors import (
 )
 from repro.experiments.common import build_env
 from repro.faults import HeartbeatConfig
-from repro.mesh.topology import full_mesh_topology
+from repro.mesh.topology import full_mesh_topology, line_topology
 from repro.net.fairness import (
     _BATCH_MIN_FLOWS,
     FlowDemand,
@@ -39,7 +41,7 @@ from repro.net.fairness import (
 )
 from repro.net.netem import NetworkEmulator
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 LINK = ("a", "b")
 
 
@@ -186,8 +188,9 @@ def test_restart_windows_reject_nan():
 
 
 def test_heartbeat_config_rejects_nan():
-    with pytest.raises(SimulationError):
-        HeartbeatConfig(demand_mbps=NAN).validate()
+    for demand in (NAN, INF):
+        with pytest.raises(SimulationError):
+            HeartbeatConfig(demand_mbps=demand).validate()
     HeartbeatConfig(demand_mbps=0.0).validate()
 
 
@@ -215,11 +218,28 @@ def test_incremental_solver_fails_loudly_on_nan(others):
             engine.solve(table, {LINK: 0}, caps)
 
 
-def test_infinite_demand_stays_legal():
-    flows = [FlowDemand("f", (LINK,), float("inf")), FlowDemand("g", (LINK,), 3.0)]
+def test_stateless_solver_keeps_infinite_demand_legal():
+    flows = [FlowDemand("f", (LINK,), INF), FlowDemand("g", (LINK,), 3.0)]
     with time_limit():
         assert max_min_allocation(flows, {LINK: 10.0}) == {"f": 7.0, "g": 3.0}
-        emu = mesh_emulator()
-        emu.set_demand("f2", float("inf"))
-        emu.recompute()
-        assert emu.flow("f2").allocated_mbps == 10.0
+
+
+@pytest.mark.parametrize("demand", [INF, NAN], ids=["inf", "nan"])
+def test_emulator_rejects_non_finite_demands_and_keeps_running(demand):
+    """One ``inf`` flow on a 10 Mbps line used to read
+    ``path_loss_fraction`` NaN (``inf / inf`` in the queue update) and
+    ``offered_mbit_by_tag()`` ``{'app': inf}`` after 2.5 s."""
+    with time_limit():
+        emu = NetworkEmulator(line_topology([10.0]))
+        with pytest.raises(SimulationError):
+            emu.add_flow("bad", "node1", "node2", demand)
+        assert not emu.has_flow("bad")
+        emu.add_flow("f", "node1", "node2", 4.0)
+        emu.start()
+        emu.engine.run_until(1.0)
+        with pytest.raises(SimulationError):
+            emu.set_demand("f", demand)
+        assert emu.flow("f").demand_mbps == 4.0
+        emu.engine.run_until(2.5)
+        assert np.isfinite(emu.path_loss_fraction("node1", "node2"))
+        assert all(np.isfinite(v) for v in emu.offered_mbit_by_tag().values())
