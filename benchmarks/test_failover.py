@@ -23,7 +23,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_failover.json"
 def test_failover_outage_recovery(benchmark):
     """The outage run at the row's full sizing: suspend → defer →
     resume → drain, in-process."""
-    result = run_once(benchmark, failover_outage, duration_s=240.0)
+    result = run_once(benchmark, failover_outage, duration_s=240.0, seed=23)
     stats = result.goodput_stats
     case = {
         "duration_s": result.churn.duration_s,

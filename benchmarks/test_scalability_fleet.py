@@ -82,7 +82,7 @@ def test_fleet_decision_flatness(benchmark):
         f"r{r}_t{t:02d}": case_payload(result)
         for (r, t), result in results.items()
     }
-    cases["handoff_pressure"] = case_payload(fleet_handoff(duration_s=180.0))
+    cases["handoff_pressure"] = case_payload(fleet_handoff(duration_s=180.0, seed=11))
     payload = {
         "schema": 1,
         "unit_note": "probe_events_per_link_hour flat is better; "

@@ -51,7 +51,7 @@ def migration_arbitration() -> None:
     print("a 3 Mbps throttle at the shared source node at t=60 s puts")
     print("every tenant in violation at once; all prefer the same escape")
     print("node, and the arbiter admits one claim per node per epoch:\n")
-    result = multi_tenant_contention(tenants=4, duration_s=180.0)
+    result = multi_tenant_contention(tenants=4, duration_s=180.0, seed=11)
     print(
         f"epochs run:        {result.epoch_count}\n"
         f"arbiter conflicts: {result.conflict_count} "

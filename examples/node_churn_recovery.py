@@ -26,6 +26,7 @@ from repro.obs.trace import Tracer
 
 DURATION_S = 200.0
 CRASH_AT_S = 60.0
+SEED = 23
 
 
 def timeline(result) -> str:
@@ -44,11 +45,12 @@ def main() -> None:
     bass = churn_recovery(
         duration_s=DURATION_S,
         crash_at_s=CRASH_AT_S,
+        seed=SEED,
         recovery=True,
         tracer=tracer,
     )
     k3s = churn_recovery(
-        duration_s=DURATION_S, crash_at_s=CRASH_AT_S, recovery=False
+        duration_s=DURATION_S, crash_at_s=CRASH_AT_S, seed=SEED, recovery=False
     )
 
     print(f"crash: {bass.crash_node} at t={bass.crash_at_s:.0f}s\n")

@@ -150,8 +150,8 @@ class DeploymentBinding:
         Workload models use this to convert request rate into traffic
         (e.g. demand proportional to offered RPS).
         """
-        if not scale >= 0:  # NaN included
-            raise DagError("demand scale must be >= 0")
+        if not 0 <= scale < math.inf:  # NaN included
+            raise DagError("demand scale must be finite and >= 0")
         self.dag.weight(src, dst)  # validates the edge exists
         if self._demand_scale.get((src, dst)) != scale:
             self._demand_rev += 1
@@ -161,8 +161,8 @@ class DeploymentBinding:
         self, src: str, dst: str, demand_mbps: Optional[float]
     ) -> None:
         """Pin an edge's demand to an absolute value (None clears)."""
-        if demand_mbps is not None and not demand_mbps >= 0:  # NaN included
-            raise DagError("demand override must be >= 0 or None")
+        if demand_mbps is not None and not 0 <= demand_mbps < math.inf:
+            raise DagError("demand override must be finite and >= 0, or None")
         self.dag.weight(src, dst)
         if self._demand_override.get((src, dst)) != demand_mbps:
             self._demand_rev += 1
@@ -170,8 +170,8 @@ class DeploymentBinding:
 
     def set_global_scale(self, scale: float) -> None:
         """Scale every edge's demand (e.g. load level of the workload)."""
-        if not scale >= 0:  # NaN included
-            raise DagError("demand scale must be >= 0")
+        if not 0 <= scale < math.inf:  # NaN included
+            raise DagError("demand scale must be finite and >= 0")
         scales = dict.fromkeys(self._base_weights, scale)
         if self._demand_scale != scales:
             self._demand_rev += 1

@@ -227,7 +227,8 @@ class ControlPlane:
         self._home_region: dict[str, str] = {}
         #: Per-fleet-round decision latency: max over regions of the
         #: (plan + act) wall time, plus the arbiter's resolution time —
-        #: the fleet-level latency had regions run in parallel.
+        #: the fleet-level latency had regions run in parallel.  Wall
+        #: time, so snapshots leave it out.
         self.epoch_decision_seconds: list[float] = []
         #: Fleet epochs completed; drives the status publisher's
         #: k-epoch cadence.
@@ -245,6 +246,14 @@ class ControlPlane:
         self._suspended_intervals: list[float] = []
         #: (down_at, up_at) per outage; up_at is None while still down.
         self.outages: list[tuple[float, Optional[float]]] = []
+
+    def __getstate__(self) -> dict:
+        """Checkpoint support: the wall-clock decision latencies stay out
+        of the payload (a restored plane starts them empty), so snapshot
+        payloads stay deterministic."""
+        state = self.__dict__.copy()
+        state["epoch_decision_seconds"] = []
+        return state
 
     # -- accessors ---------------------------------------------------------
 

@@ -53,7 +53,7 @@ class ProbingAblationResult:
 
 
 def ablate_headroom_probing(
-    *, duration_s: float = 600.0, seed: int = 81
+    *, duration_s: float = 600.0, seed: int
 ) -> ProbingAblationResult:
     """Monitoring cost: headroom probes vs. flooding every interval.
 
@@ -113,7 +113,7 @@ def ablate_cooldown(
     cooldowns: tuple[float, ...] = (0.0, 45.0),
     *,
     dip_duration_s: float = 40.0,
-    seed: int = 82,
+    seed: int,
 ) -> list[CooldownAblationResult]:
     """A 40 s capacity dip that self-heals: with no cooldown the
     controller migrates (and pays the restart for nothing); with a
@@ -173,7 +173,7 @@ class StabilityAblationResult:
 
 
 def ablate_stability_guards(
-    *, duration_s: float = 420.0, seed: int = 83
+    *, duration_s: float = 420.0, seed: int
 ) -> StabilityAblationResult:
     """Sustained congestion with no genuinely better placement: the
     improvement gate and minimum residency must prevent ping-pong.
@@ -296,7 +296,7 @@ class ProfilingAblationResult:
 
 
 def ablate_online_profiling(
-    *, duration_s: float = 200.0, seed: int = 85
+    *, duration_s: float = 200.0, seed: int
 ) -> ProfilingAblationResult:
     """Deploy the social network with requirements mis-annotated by a
     random factor in [0.2, 5]x, observe traffic online, and measure the
@@ -366,28 +366,28 @@ def ablation_grid_spec(*, quick: bool = False) -> SweepSpec:
     Each cell's kwargs materialize that ablation's defaults explicitly
     so the cache key captures the full configuration (a default change
     in the ablation's signature alone would otherwise be invisible to
-    the key; the code fingerprint still covers the body).
+    the key; the code fingerprint still covers the body); a seeded
+    ablation's seed rides on :attr:`CellSpec.seed`.
     """
     prefix = "repro.experiments.ablations:"
     cells = (
         CellSpec(
             fn=prefix + "ablate_headroom_probing",
-            kwargs={"duration_s": 150.0 if quick else 600.0, "seed": 81},
+            kwargs={"duration_s": 150.0 if quick else 600.0},
             label="headroom_probing",
+            seed=81,
         ),
         CellSpec(
             fn=prefix + "ablate_cooldown",
-            kwargs={
-                "cooldowns": (0.0, 45.0),
-                "dip_duration_s": 40.0,
-                "seed": 82,
-            },
+            kwargs={"cooldowns": (0.0, 45.0), "dip_duration_s": 40.0},
             label="cooldown",
+            seed=82,
         ),
         CellSpec(
             fn=prefix + "ablate_stability_guards",
-            kwargs={"duration_s": 150.0 if quick else 420.0, "seed": 83},
+            kwargs={"duration_s": 150.0 if quick else 420.0},
             label="stability_guards",
+            seed=83,
         ),
         CellSpec(
             fn=prefix + "ablate_hybrid_heuristic",
@@ -396,8 +396,9 @@ def ablation_grid_spec(*, quick: bool = False) -> SweepSpec:
         ),
         CellSpec(
             fn=prefix + "ablate_online_profiling",
-            kwargs={"duration_s": 80.0 if quick else 200.0, "seed": 85},
+            kwargs={"duration_s": 80.0 if quick else 200.0},
             label="online_profiling",
+            seed=85,
         ),
         CellSpec(
             fn=prefix + "ablate_routing_strategy",

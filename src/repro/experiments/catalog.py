@@ -192,14 +192,15 @@ def _over(view: Callable[..., Any],
 # sizings: load settings are part of the regime the claims describe.
 
 
-def _one_cell(name: str, fn, **fixed) -> tuple[SweepSpec, ...]:
+def _one_cell(name: str, fn, *, seed: Optional[int] = None,
+              **fixed) -> tuple[SweepSpec, ...]:
     """A single-configuration figure is a one-cell grid over the
-    function it already is."""
-    return (SweepSpec.grid(name, fn, fixed=fixed),)
+    function it already is, seeded ``seed`` (None: ``fn`` takes none)."""
+    return (SweepSpec.grid(name, fn, fixed=fixed, seed=seed),)
 
 
 def _fig2_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell("fig2", motivation.fig2_bandwidth_variation,
+    return _one_cell("fig2", motivation.fig2_bandwidth_variation, seed=2,
                      duration_s=600.0 if quick else 3600.0)
 
 
@@ -284,7 +285,7 @@ _FIG4_CLAIMS = _over(
 
 
 def _fig5_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell("fig5", motivation.fig5_socialnet_throttle,
+    return _one_cell("fig5", motivation.fig5_socialnet_throttle, seed=5,
                      total_s=200.0 if quick else 360.0,
                      throttle_start_s=60.0 if quick else 120.0)
 
@@ -308,9 +309,8 @@ _FIG5_CLAIMS = _over(
 
 def _fig8_specs(quick: bool) -> tuple[SweepSpec, ...]:
     trimmed = dict(drop_time_s=60.0, second_drop_time_s=300.0, total_s=500.0)
-    return _one_cell(
-        "fig8", migration.fig8_migration_timeline, **(trimmed if quick else {})
-    )
+    return _one_cell("fig8", migration.fig8_migration_timeline, seed=8,
+                     **(trimmed if quick else {}))
 
 
 def _fig8_table(outcome: SweepOutcome) -> Table:
@@ -567,7 +567,7 @@ _FIG13_CLAIMS = _over(
 
 def _table1_specs(quick: bool) -> tuple[SweepSpec, ...]:
     return _one_cell("table1", migration.table1_migration_iterations,
-                     total_s=200.0 if quick else 260.0)
+                     seed=21, total_s=200.0 if quick else 260.0)
 
 
 def _table1_table(outcome: SweepOutcome) -> Table:
@@ -594,7 +594,7 @@ _TABLE1_CLAIMS = _over(
 
 
 def _fig14a_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell("fig14a", migration.fig14a_restart_cdf,
+    return _one_cell("fig14a", migration.fig14a_restart_cdf, seed=14,
                      total_s=140.0 if quick else 240.0,
                      restart_at_s=70.0 if quick else 120.0)
 
@@ -712,9 +712,8 @@ _FIG15B_CLAIMS = _over(
 
 def _churn_specs(quick: bool) -> tuple[SweepSpec, ...]:
     duration = 160.0 if quick else 240.0
-    shared = _one_cell(
-        "churn-shared", churn.churn_recovery, tenants=2, duration_s=duration
-    )
+    shared = _one_cell("churn-shared", churn.churn_recovery, seed=23,
+                       tenants=2, duration_s=duration)
     return (churn.churn_comparison.spec(duration_s=duration), *shared)
 
 
@@ -786,7 +785,7 @@ def _fleet_specs(quick: bool, regions: int) -> tuple[SweepSpec, ...]:
         region_counts=(1, regions) if quick else tuple(sorted({1, regions, 4})),
         duration_s=120.0 if quick else 240.0,
     )
-    handoff = _one_cell("fleet-handoff", fleet.fleet_handoff,
+    handoff = _one_cell("fleet-handoff", fleet.fleet_handoff, seed=11,
                         duration_s=120.0 if quick else 180.0)
     return (scaling, *handoff)
 
@@ -846,7 +845,7 @@ _FLEET_CLAIMS = _over(
 
 
 def _failover_specs(quick: bool) -> tuple[SweepSpec, ...]:
-    return _one_cell("failover", failover.failover_outage,
+    return _one_cell("failover", failover.failover_outage, seed=23,
                      duration_s=180.0 if quick else 240.0)
 
 

@@ -192,7 +192,7 @@ def churn_recovery(
     *,
     tenants: int = 1,
     duration_s: float = 240.0,
-    seed: int = 23,
+    seed: int,
     crash_node: str = "node2",
     crash_at_s: float = 60.0,
     reboot_after_s: Optional[float] = None,

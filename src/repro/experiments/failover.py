@@ -113,7 +113,7 @@ def failover_outage(
     *,
     duration_s: float = 240.0,
     tenants: int = 1,
-    seed: int = 23,
+    seed: int,
     crash_node: str = "node2",
     crash_at_s: float = 70.0,
     kill_at_s: float = 60.0,

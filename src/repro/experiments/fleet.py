@@ -273,7 +273,7 @@ def fleet_handoff(
     *,
     tenants: int = 2,
     duration_s: float = 180.0,
-    seed: int = 11,
+    seed: int,
     handoff_rtt_s: float = 2.0,
 ) -> FleetResult:
     """The cross-region pressure scenario: region 0 must hand off.

@@ -84,7 +84,7 @@ def fig8_migration_timeline(
     second_drop_time_s: float = 1119.0,
     total_s: float = 1500.0,
     drop_to_mbps: float = 3.5,
-    seed: int = 8,
+    seed: int,
 ) -> Fig8Timeline:
     """Fig 8: the worked migration example.
 
@@ -466,7 +466,7 @@ def fig14a_restart_cdf(
     total_s: float = 240.0,
     restart_at_s: float = 120.0,
     restart_seconds: float = 8.0,
-    seed: int = 14,
+    seed: int,
 ) -> Fig14aResult:
     """Fig 14a: the latency cost of restarting one component.
 
@@ -752,7 +752,7 @@ def table1_migration_iterations(
     rps: float = 200.0,
     throttle_mbps: float = 25.0,
     total_s: float = 260.0,
-    seed: int = 21,
+    seed: int,
 ) -> Table1Result:
     """Table 1: components over quota vs migrated, per 30 s iteration.
 

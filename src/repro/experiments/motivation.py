@@ -46,7 +46,7 @@ class Fig2Link:
 
 
 def fig2_bandwidth_variation(
-    *, duration_s: float = 3600.0, seed: int = 2
+    *, duration_s: float = 3600.0, seed: int
 ) -> list[Fig2Link]:
     """Generate the two CityLab-style traces and their 10 s rolling means.
 
@@ -92,10 +92,11 @@ def _fig4_cell(
     bottleneck_mbps: float,
     stream_mbps: float,
     settle_s: float,
+    seed: int,
 ) -> Fig4Point:
-    """One participant count of Fig 4 (seeded by the count itself)."""
+    """One participant count of Fig 4, seeded ``seed`` + the count."""
     topology = full_mesh_topology(3, capacity_mbps=1000.0)
-    env = build_env(topology, seed=participants)
+    env = build_env(topology, seed=seed + participants)
     app = VideoConferenceApp(
         [
             Participant(f"p{i}", "node3", publishes=(i == 0))
@@ -150,6 +151,7 @@ def fig4_pion_bottleneck(
     bottleneck_mbps: float = 30.0,
     stream_mbps: float = 3.0,
     settle_s: float = 60.0,
+    seed: int = 0,
 ) -> SweepSpec:
     """Fig 4: per-client bitrate and loss vs participant count.
 
@@ -169,6 +171,7 @@ def fig4_pion_bottleneck(
             "settle_s": settle_s,
         },
         label="p{participants}",
+        seed=seed,
     )
 
 
@@ -206,7 +209,7 @@ def fig5_socialnet_throttle(
     throttle_start_s: float = 120.0,
     throttle_duration_s: float = 120.0,
     total_s: float = 360.0,
-    seed: int = 5,
+    seed: int,
 ) -> Fig5Series:
     """Fig 5: k3s-deployed social network through a 25 Mbps throttle.
 

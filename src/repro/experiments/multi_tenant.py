@@ -207,7 +207,7 @@ def multi_tenant_contention(
     *,
     tenants: int = 4,
     duration_s: float = 180.0,
-    seed: int = 11,
+    seed: int,
     fleet: Optional[FleetConfig] = None,
 ) -> MultiTenantResult:
     """The migration-race scenario: one throttle, every tenant reacts.
@@ -237,7 +237,7 @@ def _mesh_cell(
     *,
     tenants: int,
     duration_s: float,
-    seed: int = 11,
+    seed: int,
     probe_sharing: bool = True,
 ) -> MultiTenantResult:
     """One tenant-scaling cell (uncongested mesh, probe accounting)."""
@@ -259,12 +259,9 @@ def multi_tenant_scaling_spec(
         "multitenant-scaling",
         _mesh_cell,
         {"tenants": tenant_counts},
-        fixed={
-            "duration_s": duration_s,
-            "seed": seed,
-            "probe_sharing": probe_sharing,
-        },
+        fixed={"duration_s": duration_s, "probe_sharing": probe_sharing},
         label="tenants{tenants}",
+        seed=seed,
     )
 
 
@@ -279,6 +276,7 @@ def contention_sweep_spec(
         "multitenant-contention",
         multi_tenant_contention,
         {"tenants": tenant_counts},
-        fixed={"duration_s": duration_s, "seed": seed},
+        fixed={"duration_s": duration_s},
         label="tenants{tenants}",
+        seed=seed,
     )

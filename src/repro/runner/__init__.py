@@ -23,7 +23,6 @@ from .sweep import (
     SweepOutcome,
     SweepSpec,
     SweepStats,
-    derive_cell_seed,
     run_sweep,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "cell_key",
     "code_fingerprint",
     "decode_value",
-    "derive_cell_seed",
     "encode_value",
     "open_cache",
     "order_longest_first",

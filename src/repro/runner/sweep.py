@@ -13,9 +13,8 @@ replaced.  The golden tests pin exactly that.
 
 Determinism contract:
 
-* cells receive explicit seeds (directly, or derived per cell from the
-  spec's ``base_seed`` via :func:`derive_cell_seed`) — never ambient
-  process randomness;
+* a cell's seed is :attr:`CellSpec.seed` alone — never ambient process
+  randomness;
 * workers return results by value; the parent alone orders and reduces
   them;
 * trace events (``sweep.start`` / ``cell.done`` / ``cell.cached``) are
@@ -29,7 +28,6 @@ carrying the original traceback once every cell has settled.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import time
 from dataclasses import asdict, dataclass, field
@@ -44,24 +42,6 @@ from .queue import FabricStats, PendingCell, execute_queue
 from .worker import execute_cell
 
 
-def derive_cell_seed(base_seed: int, *parts: Any) -> int:
-    """A deterministic 31-bit seed for one cell of a sweep.
-
-    Stable across processes and Python versions (content-hash based,
-    not ``hash()``-based), and insensitive to dict ordering in
-    ``parts`` thanks to the canonical encoding.
-
-    Example:
-        >>> derive_cell_seed(7, "fig14cd", 0.65) == derive_cell_seed(
-        ...     7, "fig14cd", 0.65
-        ... )
-        True
-    """
-    material = canonical_json([base_seed, list(parts)])
-    digest = hashlib.sha256(material.encode()).digest()
-    return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-
-
 @dataclass(frozen=True)
 class CellSpec:
     """One sweep cell: a named function plus JSON-friendly kwargs.
@@ -72,9 +52,8 @@ class CellSpec:
         kwargs: keyword arguments (primitives, tuples, dicts — anything
             the sweep codec encodes) passed to the function.
         label: human-readable identifier used in traces and failures.
-        seed: optional explicit seed merged into ``kwargs`` as
-            ``seed=``; cells without one fall back to the spec's
-            ``base_seed`` derivation when that is set.
+        seed: the cell's seed, merged into ``kwargs`` as ``seed=``;
+            None for a function that takes no seed.
     """
 
     fn: str
@@ -94,14 +73,11 @@ class SweepSpec:
         modules: module/package names whose source text fingerprints
             the cache key (default: the whole ``repro`` package, so any
             code change invalidates every entry).
-        base_seed: when set, cells without an explicit seed get
-            ``derive_cell_seed(base_seed, index, label)``.
     """
 
     name: str
     cells: tuple[CellSpec, ...]
     modules: tuple[str, ...] = ("repro",)
-    base_seed: Optional[int] = None
 
     @classmethod
     def grid(
@@ -123,13 +99,14 @@ class SweepSpec:
         name — rides on :attr:`CellSpec.seed`.  No axes is one cell.
 
         Example:
+            >>> from repro.runner.testing import square_cell
             >>> spec = SweepSpec.grid(
-            ...     "demo", derive_cell_seed, {"a": (1, 2), "b": ("x", "y")},
-            ...     fixed={"c": 0}, label="{a}{b}", seed=7)
+            ...     "demo", square_cell, {"value": (1, 2), "seed": (7, 8)},
+            ...     label="v{value}/s{seed}")
             >>> [cell.label for cell in spec.cells]
-            ['1x', '1y', '2x', '2y']
-            >>> spec.cells[0].fn, spec.resolved_kwargs(0)
-            ('repro.runner.sweep:derive_cell_seed', {'a': 1, 'b': 'x', 'c': 0, 'seed': 7})
+            ['v1/s7', 'v1/s8', 'v2/s7', 'v2/s8']
+            >>> spec.cells[1].fn, spec.resolved_kwargs(1)
+            ('repro.runner.testing:square_cell', {'value': 1, 'seed': 8})
         """
         axes = axes or {}
         path = f"{fn.__module__}:{fn.__qualname__}"
@@ -154,10 +131,6 @@ class SweepSpec:
         kwargs = dict(cell.kwargs)
         if cell.seed is not None:
             kwargs["seed"] = cell.seed
-        elif self.base_seed is not None and "seed" not in kwargs:
-            kwargs["seed"] = derive_cell_seed(
-                self.base_seed, index, cell.label
-            )
         return kwargs
 
 

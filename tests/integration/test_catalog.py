@@ -1,8 +1,10 @@
 """Invariants of the experiment catalogue, checked over the table
 itself rather than over hand-kept lists of ids."""
 
+import inspect
 import pickle
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -108,10 +110,26 @@ def test_every_row_states_claims(row):
 
 
 @pytest.mark.parametrize("row", CATALOG, ids=_ids(CATALOG))
-def test_claims_hold_at_full_scale(row):
-    """The row's full sizing, run as ``bass-repro run <id>`` runs it,
-    shows every shape its claims name."""
-    outcomes = [run_sweep(spec) for spec in row.specs(**row.sizing(quick=False))]
+def test_every_cell_takes_its_seed_from_the_cell(row):
+    """One seed path: a cell's seed is ``CellSpec.seed``, never a
+    ``kwargs`` entry or a default of the function it names — so shifting
+    a row's seeds is editing its cells."""
+    for quick in (True, False):
+        for spec in row.specs(**row.sizing(quick)):
+            for cell in spec.cells:
+                where = f"{spec.name}[{cell.label}]"
+                assert "seed" not in cell.kwargs, where
+                fn = resolve_cell_function(cell.fn)
+                seed = inspect.signature(fn).parameters.get("seed")
+                assert (cell.seed is not None) == (seed is not None), where
+                if seed is not None:
+                    assert seed.default is inspect.Parameter.empty, where
+
+
+def _assert_claims_hold(row, specs):
+    """Run ``specs`` as ``bass-repro run <id>`` runs them and require
+    every shape the row's claims name, listing the ones that fail."""
+    outcomes = [run_sweep(spec) for spec in specs]
     failed = []
     for claim in row.claims:
         try:
@@ -122,6 +140,33 @@ def test_claims_hold_at_full_scale(row):
     table = row.render(*outcomes)
     assert not failed, (
         f"{row.id}: claims fail: {failed}\n{table.text()}\n{table.note}"
+    )
+
+
+@pytest.mark.parametrize("row", CATALOG, ids=_ids(CATALOG))
+def test_claims_hold_at_full_scale(row):
+    """The row's full sizing shows every shape its claims name."""
+    _assert_claims_hold(row, row.specs(**row.sizing(quick=False)))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("row_id", ("fig2", "fig5", "fig12"))
+def test_claims_hold_at_shifted_seeds(row_id, k):
+    """The shapes are not one seed's: with every cell's seed moved by
+    1009·k, the row's full sizing still shows all of them."""
+    row = EXPERIMENTS[row_id]
+    _assert_claims_hold(
+        row,
+        [
+            replace(
+                spec,
+                cells=tuple(
+                    replace(cell, seed=cell.seed + 1009 * k)
+                    for cell in spec.cells
+                ),
+            )
+            for spec in row.specs(**row.sizing(quick=False))
+        ],
     )
 
 

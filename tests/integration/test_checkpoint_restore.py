@@ -4,6 +4,7 @@ to the uninterrupted run — full cell results and JSONL traces alike."""
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,27 +96,31 @@ class TestByteIdentity:
         assert len(ref_shards) > 0
 
 
+def cli(*argv, hash_seed=None):
+    """``bass-repro run *argv`` in a fresh interpreter; ``hash_seed``
+    fixes ``PYTHONHASHSEED`` (and with it set iteration order)."""
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if hash_seed is not None:
+        environ["PYTHONHASHSEED"] = str(hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", *argv],
+        cwd=REPO_ROOT,
+        env=environ,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 class TestFreshProcessRestore:
     def test_cli_stop_restore_matches_uninterrupted(self, tmp_path):
         """The full invariant across a process boundary, via the CLI:
         run to t=70, checkpoint, restore in a *fresh* interpreter, run
         to completion — the ``--out`` document (the cell's full result)
         equals the uninterrupted run's byte for byte."""
-        environ = dict(os.environ)
-        environ["PYTHONPATH"] = str(REPO_ROOT / "src")
-
-        def cli(*argv):
-            result = subprocess.run(
-                [sys.executable, "-m", "repro.cli", "run", *argv],
-                cwd=REPO_ROOT,
-                env=environ,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert result.returncode == 0, result.stderr
-            return result
-
         checkpoint_dir = tmp_path / "ckpt"
         cli(
             "churn", "--quick",
@@ -138,6 +143,30 @@ class TestFreshProcessRestore:
             "--out", str(reference),
         )
         assert restored.read_bytes() == reference.read_bytes()
+
+    def test_snapshots_are_the_same_bytes_run_to_run(self, tmp_path):
+        """The same run snapshotted twice writes the same payloads: no
+        wall-clock accounting (the plane's decision latencies, netem's
+        phase times) rides along."""
+        checkpoint_dir = tmp_path / "ckpt"
+        runs = []
+        for _ in range(2):
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
+            cli(
+                "fig13", "--quick",
+                "--checkpoint-dir", str(checkpoint_dir),
+                "--checkpoint-every", "2",
+                "--stop-at", "80",
+                hash_seed=0,
+            )
+            runs.append(
+                {p.name: p.read_bytes() for p in checkpoint_dir.iterdir()}
+            )
+        assert sorted(runs[0]) == [
+            "checkpoint-e000002.bass",
+            "stop-t000080.bass",
+        ]
+        assert runs[0] == runs[1]
 
 
 class TestPruningAfterRestore:

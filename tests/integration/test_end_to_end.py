@@ -54,11 +54,14 @@ class TestDeployAllApps:
                 == participant.node
             )
 
-    def test_bass_colocates_more_than_k3s(self):
+    @pytest.mark.parametrize("seed", (2, 101, 202, 303))
+    @pytest.mark.parametrize("scheduler", ("bass-longest-path", "bass-bfs"))
+    def test_bass_colocates_more_than_k3s(self, scheduler, seed):
         """The qualitative heart of the paper: bandwidth-aware packing
-        leaves less traffic on the wireless links."""
+        leaves less traffic on the wireless links, with either ordering
+        heuristic and whatever the seed."""
         def crossing_demand(scheduler):
-            env = build_env(seed=2, with_traces=False)
+            env = build_env(seed=seed, with_traces=False)
             handle = deploy_app(
                 env,
                 SocialNetworkApp(annotate_rps=50),
@@ -67,7 +70,7 @@ class TestDeployAllApps:
             )
             return sum(w for _, _, w in handle.binding.inter_node_edges())
 
-        assert crossing_demand("bass-longest-path") < crossing_demand("k3s")
+        assert crossing_demand(scheduler) < crossing_demand("k3s")
 
     def test_force_assignments(self):
         env = build_env(seed=1, with_traces=False)

@@ -111,7 +111,9 @@ def test_trace_reconstructs_the_recovery_cause_chain():
     node.confirmed_dead -> recovery.plan -> restart``, the recovery
     metric set derived from the stream, and the rendered report."""
     tracer = Tracer.with_instruments()
-    result = churn_recovery(duration_s=240.0, crash_at_s=60.0, tracer=tracer)
+    result = churn_recovery(
+        duration_s=240.0, crash_at_s=60.0, seed=23, tracer=tracer
+    )
     assert result.recovered_pods == 1
 
     chains = recovery_chains(tracer.events)

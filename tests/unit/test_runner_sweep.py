@@ -13,7 +13,6 @@ from repro.runner import (
     ResultCache,
     SweepCellError,
     SweepSpec,
-    derive_cell_seed,
     run_sweep,
 )
 from repro.runner.testing import SquareResult, square_cell
@@ -22,7 +21,7 @@ SQUARE = "repro.runner.testing:square_cell"
 CRASH = "repro.runner.testing:crashing_cell"
 
 
-def square_spec(values=(1, 2, 3, 4), **spec_kwargs):
+def square_spec(values=(1, 2, 3, 4)):
     return SweepSpec(
         name="squares",
         cells=tuple(
@@ -30,7 +29,6 @@ def square_spec(values=(1, 2, 3, 4), **spec_kwargs):
             for v in values
         ),
         modules=("repro.runner",),
-        **spec_kwargs,
     )
 
 
@@ -45,37 +43,6 @@ def test_parallel_output_is_byte_identical_to_serial():
     serial = run_sweep(square_spec(values=tuple(range(8))))
     parallel = run_sweep(square_spec(values=tuple(range(8))), jobs=4)
     assert parallel.to_canonical_json() == serial.to_canonical_json()
-
-
-def test_derive_cell_seed_is_stable_and_order_insensitive():
-    assert derive_cell_seed(7, "x", 1) == derive_cell_seed(7, "x", 1)
-    assert derive_cell_seed(7, "x", 1) != derive_cell_seed(7, "x", 2)
-    assert derive_cell_seed(7, {"a": 1, "b": 2}) == derive_cell_seed(
-        7, {"b": 2, "a": 1}
-    )
-    seed = derive_cell_seed(0, "cell")
-    assert 0 <= seed < 2**31
-
-
-def test_base_seed_derivation_fills_missing_seeds():
-    spec = square_spec(values=(5, 6), base_seed=99)
-    outcome = run_sweep(spec)
-    expected = [
-        derive_cell_seed(99, 0, "v5"),
-        derive_cell_seed(99, 1, "v6"),
-    ]
-    assert [r.seed for r in outcome.results] == expected
-
-
-def test_explicit_cell_seed_wins_over_base_seed():
-    spec = SweepSpec(
-        name="seeded",
-        cells=(CellSpec(fn=SQUARE, kwargs={"value": 2}, seed=123),),
-        modules=("repro.runner",),
-        base_seed=99,
-    )
-    outcome = run_sweep(spec)
-    assert outcome.results[0].seed == 123
 
 
 def test_cache_round_trip_and_hit_accounting(tmp_path):
@@ -245,8 +212,8 @@ class TestGrid:
         ]
 
     def test_reproduces_the_hand_built_specs_cell_for_cell(self):
-        """The comprehensions the grid helper replaced, verbatim: cache
-        keys and ``derive_cell_seed`` inputs must not move."""
+        """The comprehensions the grid helper replaced, verbatim (but for
+        multitenant's seed, now on the cell): cache keys must not move."""
         from repro.experiments.churn import churn_seed_sweep_spec
         from repro.experiments.multi_tenant import multi_tenant_scaling_spec
         from repro.experiments.thresholds import (
@@ -254,7 +221,8 @@ class TestGrid:
             fig16_sweep_spec,
         )
 
-        assert fig14cd_sweep_spec() == SweepSpec(
+        fig14cd = fig14cd_sweep_spec()
+        assert fig14cd == SweepSpec(
             name="fig14cd",
             cells=tuple(
                 CellSpec(
@@ -274,7 +242,8 @@ class TestGrid:
                 for headroom in (0.10, 0.20, 0.30)
             ),
         )
-        assert fig16_sweep_spec(duration_s=200.0) == SweepSpec(
+        fig16 = fig16_sweep_spec(duration_s=200.0)
+        assert fig16 == SweepSpec(
             name="fig16",
             cells=tuple(
                 CellSpec(
@@ -291,7 +260,8 @@ class TestGrid:
                 for threshold in (0.25, 0.50, 0.65, 0.75)
             ),
         )
-        assert multi_tenant_scaling_spec(probe_sharing=False) == SweepSpec(
+        multitenant = multi_tenant_scaling_spec(probe_sharing=False)
+        assert multitenant == SweepSpec(
             name="multitenant-scaling",
             cells=tuple(
                 CellSpec(
@@ -299,15 +269,27 @@ class TestGrid:
                     kwargs={
                         "tenants": tenants,
                         "duration_s": 240.0,
-                        "seed": 11,
                         "probe_sharing": False,
                     },
                     label=f"tenants{tenants}",
+                    seed=11,
                 )
                 for tenants in (1, 2, 4, 8)
             ),
         )
-        assert churn_seed_sweep_spec(seeds=(3, 1), settle_s=60.0) == SweepSpec(
+        # What the function receives is what it received when the seed
+        # sat inside ``kwargs``.
+        assert [multitenant.resolved_kwargs(i) for i in range(4)] == [
+            {
+                "tenants": tenants,
+                "duration_s": 240.0,
+                "seed": 11,
+                "probe_sharing": False,
+            }
+            for tenants in (1, 2, 4, 8)
+        ]
+        churn_seeds = churn_seed_sweep_spec(seeds=(3, 1), settle_s=60.0)
+        assert churn_seeds == SweepSpec(
             name="churn-seeds",
             cells=tuple(
                 CellSpec(
@@ -319,3 +301,9 @@ class TestGrid:
                 for seed in (3, 1)
             ),
         )
+        for spec in (fig14cd, fig16, churn_seeds):
+            for index, cell in enumerate(spec.cells):
+                assert spec.resolved_kwargs(index) == {
+                    **cell.kwargs,
+                    "seed": cell.seed,
+                }
