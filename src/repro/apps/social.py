@@ -42,6 +42,7 @@ import numpy as np
 from ..core.binding import Crossing, DeploymentBinding, EdgeCosts
 from ..core.dag import Component, ComponentDAG
 from ..errors import ConfigError
+from ..sim.derived import Derived, forget
 from .base import Application
 
 # -- service inventory (27 components) -------------------------------------
@@ -170,7 +171,7 @@ _SERVICE_MS: dict[str, tuple[float, ...]] = {
 }
 
 
-class SocialNetworkApp(Application):
+class SocialNetworkApp(Application, Derived):
     """The 27-microservice social network.
 
     Args:
@@ -187,6 +188,15 @@ class SocialNetworkApp(Application):
     """
 
     name = "socialnet"
+
+    DERIVED = {
+        # ``(crossings table, {request type: compiled chain})``: see
+        # :meth:`_chain`.
+        "_chains": (None, {}),
+        # ``(crossings table, key, {request type: fixed addends})``:
+        # see :meth:`_tables`.
+        "_priced": (None, None, {}),
+    }
 
     def __init__(
         self,
@@ -231,12 +241,7 @@ class SocialNetworkApp(Application):
         self.inter_node_overhead_ms = 5.0
         self._per_request_mbit = self._compute_per_request_mbit()
         self.current_rps = annotate_rps
-        # ``(crossings table, {request type: compiled chain})``: see
-        # :meth:`_chain`.
-        self._chains: tuple = (None, {})
-        # ``(crossings table, key, {request type: fixed addends})``:
-        # see :meth:`_tables`.
-        self._priced: tuple = (None, None, {})
+        forget(self)
 
     @property
     def mix(self) -> Mapping[str, float]:
@@ -460,14 +465,6 @@ class SocialNetworkApp(Application):
             )
             for step in REQUEST_CHAINS[request_type]
         ]
-
-    def __getstate__(self) -> dict:
-        """Checkpoints carry the model, not the chains compiled against
-        one placement table nor the tables priced from them."""
-        state = self.__dict__.copy()
-        state["_chains"] = (None, {})
-        state["_priced"] = (None, None, {})
-        return state
 
     def hottest_edges(self, top: int = 5) -> list[tuple[str, str, float]]:
         """The highest-traffic edges (per-request Mbit), descending —

@@ -19,6 +19,7 @@ from typing import Mapping, Optional
 from ..cluster.deployment import Deployment
 from ..errors import DagError, RoutingError, SimulationError
 from ..net.netem import NetworkEmulator
+from ..sim.derived import Derived, forget
 from .dag import ComponentDAG
 
 
@@ -53,7 +54,7 @@ class _Crossings(dict):
         return crossing
 
 
-class DeploymentBinding:
+class DeploymentBinding(Derived):
     """Synchronizes an application's DAG edges with emulator flows.
 
     Args:
@@ -65,6 +66,14 @@ class DeploymentBinding:
         After a migration, call :meth:`sync_flows` so edge flows are
         rerouted to the component's new node.
     """
+
+    DERIVED = {
+        # ``(deployment revision, table)``: see :meth:`crossings`.
+        "_crossings": (-1, None),
+        # What the last full pass of :meth:`sync_flows` read; None
+        # forces the next one.
+        "_synced": None,
+    }
 
     def __init__(
         self,
@@ -97,13 +106,9 @@ class DeploymentBinding:
             edge: sys.intern(edge_flow_id(dag.app, *edge))
             for edge in self._base_weights
         }
-        # ``(deployment revision, table)``: see :meth:`crossings`.
-        self._crossings: tuple[int, Optional[_Crossings]] = (-1, None)
         # Bumped when a scale or an override actually changes.
         self._demand_rev = 0
-        # What the last full pass of :meth:`sync_flows` read; None
-        # forces the next one.
-        self._synced: Optional[tuple] = None
+        forget(self)
 
     # -- placement ------------------------------------------------------------
 
@@ -133,14 +138,6 @@ class DeploymentBinding:
                     )
             self._crossings = (deployment.revision, table)
         return table
-
-    def __getstate__(self) -> dict:
-        """Checkpoints carry placement, not the table derived from it,
-        nor the key of the last flow sync."""
-        state = self.__dict__.copy()
-        state["_crossings"] = (-1, None)
-        state["_synced"] = None
-        return state
 
     # -- demand control -------------------------------------------------------
 

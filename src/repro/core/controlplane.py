@@ -39,6 +39,7 @@ from ..config import FleetConfig, ProbeConfig
 from ..errors import MigrationError, SchedulingError
 from ..net.netem import NetworkEmulator
 from ..obs.trace import TracerBase, resolve_tracer
+from ..sim.derived import Derived, forget
 from .controller import BandwidthController, ControllerIteration
 from .netmonitor import NetMonitor
 from .regions import (
@@ -191,7 +192,7 @@ def check_cluster_ledger(cluster: ClusterState) -> None:
             )
 
 
-class ControlPlane:
+class ControlPlane(Derived):
     """Owns the region map, shared monitor, epoch loop, and arbiter for
     one mesh.
 
@@ -204,6 +205,12 @@ class ControlPlane:
         config: fleet-level knobs; defaults share probes across one
             region spanning the mesh.
     """
+
+    DERIVED = {
+        # Per-fleet-round decision latency: the max over regions of the
+        # (plan + act) wall time plus the arbiter's resolution time.
+        "epoch_decision_seconds": [],
+    }
 
     def __init__(
         self,
@@ -225,11 +232,6 @@ class ControlPlane:
         self.region_map = RegionMap.from_config(netem.topology, self.config)
         self._regions: dict[str, RegionController] = {}
         self._home_region: dict[str, str] = {}
-        #: Per-fleet-round decision latency: max over regions of the
-        #: (plan + act) wall time, plus the arbiter's resolution time —
-        #: the fleet-level latency had regions run in parallel.  Wall
-        #: time, so snapshots leave it out.
-        self.epoch_decision_seconds: list[float] = []
         #: Fleet epochs completed; drives the status publisher's
         #: k-epoch cadence.
         self.epoch_count = 0
@@ -246,14 +248,7 @@ class ControlPlane:
         self._suspended_intervals: list[float] = []
         #: (down_at, up_at) per outage; up_at is None while still down.
         self.outages: list[tuple[float, Optional[float]]] = []
-
-    def __getstate__(self) -> dict:
-        """Checkpoint support: the wall-clock decision latencies stay out
-        of the payload (a restored plane starts them empty), so snapshot
-        payloads stay deterministic."""
-        state = self.__dict__.copy()
-        state["epoch_decision_seconds"] = []
-        return state
+        forget(self)
 
     # -- accessors ---------------------------------------------------------
 

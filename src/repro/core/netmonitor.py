@@ -28,13 +28,6 @@ from ..config import ProbeConfig
 from ..errors import RoutingError, TopologyError
 from ..net.netem import NetworkEmulator
 from ..obs.trace import TracerBase, resolve_tracer
-from ..sim.counters import sequence
-
-#: Probe flow ids must be unique across *all* monitors sharing one
-#: emulator (the control plane shares one monitor per mesh; private
-#: per-application monitors remain supported).  A registered sequence so
-#: checkpoints capture/restore the position (:mod:`repro.sim.counters`).
-_PROBE_SEQUENCE = sequence("netmonitor.probe", start=1)
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ class NetMonitor:
         """Add a short-lived probe flow so overhead is accounted."""
         if rate_mbps <= 0 or src == dst:
             return
-        flow_id = f"__probe_{next(_PROBE_SEQUENCE)}"
+        flow_id = self.netem.next_flow_id("__probe")
         self.netem.add_flow(flow_id, src, dst, rate_mbps, tag="probe")
         self.netem.engine.schedule_in(
             self.config.probe_duration_s,
@@ -278,23 +271,12 @@ class NetMonitor:
             return self._capacity_cache[key]
         return self.netem.capacity(src, dst)
 
-    def cached_path_capacity(self, src: str, dst: str) -> float:
-        """Bottleneck of cached link capacities along the route."""
-        path = self.netem.router.traceroute(src, dst)
-        if len(path) == 1:
-            return float("inf")
-        return min(self.cached_capacity(a, b) for a, b in zip(path, path[1:]))
-
     def cache_age(self, src: str, dst: str) -> float:
         """Seconds since the link's capacity was last full-probed."""
         key = (src, dst)
         if key not in self._cache_time:
             return float("inf")
         return self.netem.now - self._cache_time[key]
-
-    def invalidate_cache(self, src: str, dst: str) -> None:
-        self._capacity_cache.pop((src, dst), None)
-        self._cache_time.pop((src, dst), None)
 
     # -- passive measurement ----------------------------------------------------------
 

@@ -37,12 +37,8 @@ from typing import Callable, Optional
 from ..errors import RoutingError, SimulationError
 from ..net.netem import NetworkEmulator
 from ..obs.trace import TracerBase, resolve_tracer
-from ..sim.counters import sequence
+from ..sim.derived import Derived, forget
 from .injector import FaultInjector
-
-#: Heartbeat flow ids must not collide across detectors on one emulator.
-#: Registered so checkpoints capture/restore the numbering position.
-_HEARTBEAT_SEQUENCE = sequence("detector.heartbeat", start=1)
 
 #: on_confirmed_dead callback: (node, cause event id, detection latency).
 ConfirmedCallback = Callable[[str, Optional[int], float], None]
@@ -88,7 +84,7 @@ class HeartbeatConfig:
         return self
 
 
-class FailureDetector:
+class FailureDetector(Derived):
     """Periodic heartbeat collection with suspicion and confirmation.
 
     Args:
@@ -102,6 +98,12 @@ class FailureDetector:
             suspicion's trace event should cite as its cause.
         tracer: flight recorder for ``node.*`` lifecycle events.
     """
+
+    DERIVED = {
+        # ``(delivery key, positions in monitored that missed)`` of the
+        # last full beat, kept while no input moved mid-beat.
+        "_outcome": None,
+    }
 
     def __init__(
         self,
@@ -142,19 +144,7 @@ class FailureDetector:
         self._on_confirmed: list[ConfirmedCallback] = []
         self._on_recovered: list[RecoveredCallback] = []
         self._task = None
-        #: ``(delivery key, positions in monitored that missed)`` of the
-        #: last full beat, kept while no input moved mid-beat; derived,
-        #: so checkpoints leave it out.
-        self._outcome: Optional[tuple[tuple, tuple[int, ...]]] = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_outcome"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._outcome = None
+        forget(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -250,7 +240,7 @@ class FailureDetector:
         except RoutingError:
             return False
         if self.config.demand_mbps > 0 and node != self.observer:
-            flow_id = f"__heartbeat_{next(_HEARTBEAT_SEQUENCE)}"
+            flow_id = self.netem.next_flow_id("__heartbeat")
             self.netem.add_flow(
                 flow_id,
                 node,

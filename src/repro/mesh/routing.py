@@ -18,6 +18,7 @@ import heapq
 from typing import Callable, Optional
 
 from ..errors import RoutingError, TopologyError
+from ..sim.derived import Derived, forget
 from .link import Link
 from .topology import MeshTopology
 
@@ -94,7 +95,7 @@ class _LiveMesh:
         return [self.names[i] for i in walk]
 
 
-class Router:
+class Router(Derived):
     """Mesh path computation with deterministic tie-breaking.
 
     Two strategies, selected by ``strategy``:
@@ -116,6 +117,12 @@ class Router:
 
     STRATEGIES = ("min_hop", "widest")
 
+    DERIVED = {
+        # Search structure for ``_cached_version``'s live mesh, built
+        # on the first cache miss.
+        "_mesh": None,
+    }
+
     def __init__(
         self, topology: MeshTopology, *, strategy: str = "min_hop"
     ) -> None:
@@ -130,14 +137,7 @@ class Router:
         self._link_cache: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
         self._cached_version = topology.version
         self._link_cache_version = topology.version
-        #: Search structure for ``_cached_version``'s live mesh, built
-        #: on the first cache miss (derived; never serialized).
-        self._mesh: Optional[_LiveMesh] = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_mesh"] = None
-        return state
+        forget(self)
 
     @property
     def topology(self) -> MeshTopology:

@@ -121,6 +121,8 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..sim.derived import Derived, forget
+
 _EPSILON = 1e-9
 _INF = float("inf")
 
@@ -837,7 +839,7 @@ def max_min_allocation(
     return rates
 
 
-class IncrementalMaxMin:
+class IncrementalMaxMin(Derived):
     """Stateful max-min re-solver over retained connected components.
 
     The flow set and the link capacities are both *incrementally
@@ -919,6 +921,15 @@ class IncrementalMaxMin:
     moved links were all slack, was not).
     """
 
+    DERIVED = {
+        # Label form.  ``_table`` is the table the row columns are
+        # aligned with; ``_rows`` its active rows sorted by component,
+        # ``_labels`` their labels and ``_fids`` their flow ids;
+        # ``_load`` each link id's load.
+        "_link_comp": None, "_load": None, "_table": None,
+        "_rows": _NO_ROWS, "_labels": _NO_ROWS, "_fids": _NO_ROWS,
+    }
+
     def __init__(self) -> None:
         self._solved_caps: Optional[np.ndarray] = None
         self._rates: dict[Hashable, float] = {}
@@ -930,16 +941,9 @@ class IncrementalMaxMin:
         self._components: list[_Component] = []
         self._member_of: dict[Hashable, _Component] = {}
         self._link_owner: dict[LinkKey, _Component] = {}
-        #: Label form.  ``_table`` is the table the row columns are
-        #: aligned with; ``_rows`` its active rows sorted by component,
-        #: ``_labels`` their labels and ``_fids`` their flow ids;
-        #: ``_load`` each link id's load.  All derived, none
-        #: serialized; the two counts are kept so a restored engine
-        #: still reports.
-        self._link_comp: Optional[np.ndarray] = None
-        self._load: Optional[np.ndarray] = None
-        self._table = None
-        self._rows = self._labels = self._fids = _NO_ROWS
+        forget(self)
+        #: Label form: active rows and components, kept so a restored
+        #: engine still reports.
         self._n_active = 0
         self._n_components = 0
         #: Flow ids reported since the last solve, and (label form
@@ -981,15 +985,6 @@ class IncrementalMaxMin:
     def invalidate(self) -> None:
         """Drop all cached structure; the next call solves from scratch."""
         self._solved_caps = None
-
-    def __getstate__(self) -> dict:
-        """Checkpoints carry the structure, not what is derived from
-        it: each component pickles without its plan and the label
-        columns are dropped; both are rebuilt on first use."""
-        state = self.__dict__.copy()
-        state["_link_comp"] = state["_load"] = state["_table"] = None
-        state["_rows"] = state["_labels"] = state["_fids"] = _NO_ROWS
-        return state
 
     def _settle(
         self,
@@ -1162,8 +1157,7 @@ class IncrementalMaxMin:
             )
             self._adopt(component)
         self._components = list(by_label.values())
-        self._link_comp = self._load = self._table = None
-        self._rows = self._labels = self._fids = _NO_ROWS
+        forget(self)
         self._batched = False
         return [by_label[label] for label in dict.fromkeys(fresh.tolist())]
 

@@ -66,12 +66,14 @@ the topology version moves.  There is one allocation path: a what-if
 (the migration planner's) hands ``capacities_now()`` and the flows
 ``linked_flows`` reaches from its paths to the stateless
 ``max_min_allocation`` and never writes rates onto the flows.
-The scan groups and the flow table are not serialized — a restored
-emulator rebuilds them and, because a rebuild re-reads the same
-values, resumes with the same capacity epoch and byte-identical
+The scan groups, the flow table and the wall-clock phase times are
+declared derived (:mod:`repro.sim.derived`) and not serialized — a
+restored emulator rebuilds them and, because a rebuild re-reads the
+same values, resumes with the same capacity epoch and byte-identical
 behaviour; the solver's component structure (below the array cutover;
-above it, it is re-derived from the flow table) and pending flow
-changes are state and travel with the snapshot.
+above it, it is re-derived from the flow table), pending flow changes
+and the probe / heartbeat flow-id serials are state and travel with
+the snapshot.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from ..errors import RoutingError, SimulationError, TopologyError
 from ..mesh.link import Link
 from ..mesh.routing import Router
 from ..mesh.topology import MeshTopology
+from ..sim.derived import Derived, forget
 from ..sim.engine import Engine
 # ``max_min_allocation`` is not called here.  It stays importable as
 # ``repro.net.netem.max_min_allocation`` because the perf ledger's span
@@ -120,7 +123,7 @@ class _TraceGroup:
         self.expiry = float("-inf")
 
 
-class NetworkEmulator:
+class NetworkEmulator(Derived):
     """Fluid network emulation over a mesh topology.
 
     Args:
@@ -142,6 +145,19 @@ class NetworkEmulator:
         >>> emu.flow("f1").allocated_mbps
         4.0
     """
+
+    DERIVED = {
+        # ``(topology.version, Link.shaping_rev)`` the scan structure
+        # was built against (None forces a rebuild), and the structure.
+        "_scan_rev": None, "_scan_groups": [],
+        # The flow table, keyed by ``_flows_rev``, and the flow ids that
+        # changed since it was current (an ordered set).
+        "_flow_arrays": None, "_stale_rows": {},
+        # Cumulative wall time per tick phase and the tick count —
+        # diagnostics only (surfaced via /metrics and ``run
+        # --profile``, never written into run summaries or traces).
+        "_phase_s": dict.fromkeys(TICK_PHASES, 0.0), "_phase_ticks": 0,
+    }
 
     def __init__(
         self,
@@ -173,10 +189,6 @@ class NetworkEmulator:
         #: entry of ``_cap_values`` — the O(1) stand-in for the
         #: capacity vector in the allocation fingerprint.
         self._cap_epoch = 0
-        #: ``(topology.version, Link.shaping_rev)`` the scan structure
-        #: was built against; None forces a rebuild.
-        self._scan_rev: Optional[tuple[int, int]] = None
-        self._scan_groups: list[_TraceGroup] = []
         self._queue_arrays = QueueArrays(
             np.full(len(self._link_keys), float(buffer_mbit))
         )
@@ -200,16 +212,10 @@ class NetworkEmulator:
         #: :meth:`observation_key`.
         self._alloc_rev = 0
         self._queue_rev = 0
-        #: The flow table, keyed by ``_flows_rev``, and the flow ids
-        #: that changed since it was current (an ordered set).
-        self._flow_arrays: Optional[tuple[int, FlowArrays]] = None
-        self._stale_rows: dict[str, None] = {}
         self._incremental = IncrementalMaxMin()
-        #: Cumulative wall time per tick phase and the tick count —
-        #: diagnostics only (surfaced via /metrics and ``run --profile``,
-        #: never written into run summaries or traces by default).
-        self._phase_s: dict[str, float] = dict.fromkeys(TICK_PHASES, 0.0)
-        self._phase_ticks = 0
+        #: Last serial :meth:`next_flow_id` handed out, per prefix.
+        self._serials: dict[str, int] = {}
+        forget(self)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -228,6 +234,18 @@ class NetworkEmulator:
         return self.engine.now
 
     # -- flow management --------------------------------------------------
+
+    def next_flow_id(self, prefix: str) -> str:
+        """A flow id no flow on this emulator has had: ``prefix_n``,
+        with ``n`` counting from 1 per prefix, interned as
+        :meth:`add_flow` stores it.
+
+        The serials are emulator state, so a restored run continues
+        the numbering, and every monitor or detector sharing this
+        emulator draws from one count.
+        """
+        serial = self._serials[prefix] = self._serials.get(prefix, 0) + 1
+        return sys.intern(f"{prefix}_{serial}")
 
     def add_flow(
         self,
@@ -605,28 +623,6 @@ class NetworkEmulator:
     def _ensure_fresh(self) -> None:
         if self._dirty:
             self.recompute()
-
-    # -- serialization ----------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Checkpoint support: derived structures are rebuilt on use.
-
-        The scan groups duplicate trace data, and the flow-array
-        mirror duplicates the flow table; both are dropped from the
-        payload.  ``_cap_values`` and ``_cap_epoch`` *are* kept — a
-        restored emulator's first scan rebuilds the groups, re-reads
-        the same values, finds nothing changed, and therefore resumes
-        with the same allocation fingerprint.  Wall-clock phase
-        accounting is reset so snapshot payloads stay deterministic.
-        """
-        state = self.__dict__.copy()
-        state["_scan_rev"] = None
-        state["_scan_groups"] = []
-        state["_flow_arrays"] = None
-        state["_stale_rows"] = {}
-        state["_phase_s"] = dict.fromkeys(TICK_PHASES, 0.0)
-        state["_phase_ticks"] = 0
-        return state
 
     # -- queries ----------------------------------------------------------
 

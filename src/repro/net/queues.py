@@ -26,9 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SimulationError
+from ..sim.derived import Derived, forget
 
 
-class QueueArrays:
+class QueueArrays(Derived):
     """Structure-of-arrays state for every directed-link queue of a mesh.
 
     Row *i* holds the queue of directed link *i* (the emulator's stable
@@ -60,6 +61,17 @@ class QueueArrays:
         "_scratch_dropped",
     )
 
+    DERIVED = {
+        # A row is quiet at ``+0.0`` backlog and ``0.0`` loss; the sign
+        # bit tells a ``-0.0`` apart.
+        "_quiet": lambda self: not any(
+            values.any() or np.signbit(values).any()
+            for values in (self.backlog_mbit, self.last_loss_fraction)
+        ),
+        "_scratch_offered": lambda self: np.empty(self.buffer_mbit.size, dtype=float),
+        "_scratch_dropped": lambda self: np.empty(self.buffer_mbit.size, dtype=float),
+    }
+
     def __init__(self, buffer_mbit: Sequence[float] | np.ndarray) -> None:
         self.buffer_mbit = np.asarray(buffer_mbit, dtype=float).copy()
         if self.buffer_mbit.ndim != 1:
@@ -70,9 +82,7 @@ class QueueArrays:
         self.backlog_mbit = np.zeros(n, dtype=float)
         self.last_loss_fraction = np.zeros(n, dtype=float)
         self.dropped_mbit_total = np.zeros(n, dtype=float)
-        self._quiet = True
-        self._scratch_offered = np.empty(n, dtype=float)
-        self._scratch_dropped = np.empty(n, dtype=float)
+        forget(self)
 
     def __len__(self) -> int:
         return self.buffer_mbit.size
@@ -149,24 +159,3 @@ class QueueArrays:
         # backlog stays, and ``np.maximum(-0.0, 0.0)`` is ``+0.0``: an
         # all-zero backlog is all ``+0.0``, with every loss ``0.0``.
         self._quiet = not backlog.any()
-
-    def __getstate__(self) -> dict:
-        return {
-            "buffer_mbit": self.buffer_mbit,
-            "backlog_mbit": self.backlog_mbit,
-            "last_loss_fraction": self.last_loss_fraction,
-            "dropped_mbit_total": self.dropped_mbit_total,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.buffer_mbit = state["buffer_mbit"]
-        self.backlog_mbit = state["backlog_mbit"]
-        self.last_loss_fraction = state["last_loss_fraction"]
-        self.dropped_mbit_total = state["dropped_mbit_total"]
-        self._quiet = not any(
-            values.any() or np.signbit(values).any()
-            for values in (self.backlog_mbit, self.last_loss_fraction)
-        )
-        n = self.buffer_mbit.size
-        self._scratch_offered = np.empty(n, dtype=float)
-        self._scratch_dropped = np.empty(n, dtype=float)

@@ -2,7 +2,8 @@
 
 The engine drives every emulated-mesh experiment: trace replay ticks,
 probe cycles, controller evaluations, application traffic, and migrations
-are all events on one clock.
+are all events on one clock.  :mod:`repro.sim.derived` is how the
+objects on that clock say which of their fields a snapshot leaves out.
 """
 
 from .engine import Engine, PeriodicTask, ScheduledEvent

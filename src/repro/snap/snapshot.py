@@ -3,7 +3,7 @@
 A snapshot file is one JSON header line followed by a raw pickle
 payload::
 
-    {"magic": "bass-snapshot", "version": 1, "fingerprint": "...",
+    {"magic": "bass-snapshot", "version": 2, "fingerprint": "...",
      "scenario": "fig13", "sim_time_s": 60.0,
      "payload_bytes": 123456, "payload_sha256": "..."}\\n
     <pickle bytes>
@@ -14,10 +14,14 @@ package that wrote it (:func:`repro.runner.fingerprint.code_fingerprint`
 — restoring a heap of bound methods into different code would resume
 deterministically into the *wrong* run), and the payload's length and
 SHA-256 (truncation and bit-rot detection).  Only after all four checks
-pass is the payload unpickled, and only after unpickling succeeds is
-any process-global state (the registered id sequences) touched — a
-failed restore leaves the process and the run directory exactly as they
-were.
+pass is the payload unpickled.
+
+The payload is the capsule alone: every object pickles its own fields
+minus the derived ones its class declares (:mod:`repro.sim.derived`),
+and flow-id serials live on the emulator.  Restoring touches no
+process-global state, so a failed restore leaves the process and the
+run directory as they were, and a run's bytes do not depend on what ran
+before it in the process.
 
 Writes are atomic temp-then-rename, the same discipline as the result
 cache and the status publisher: readers (and a crash mid-write) see
@@ -52,8 +56,10 @@ __all__ = [
 
 SNAPSHOT_MAGIC = "bass-snapshot"
 
-#: Bump when the payload layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: Bump when the payload layout changes incompatibly.  Version 2: the
+#: payload is the capsule alone (version 1 wrapped it beside the
+#: process-global id sequences).
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotCorruptError(SnapshotError):
@@ -92,16 +98,11 @@ def write_snapshot(
     *,
     fingerprint: Optional[str] = None,
 ) -> SnapshotMeta:
-    """Serialize ``capsule`` (plus the registered global sequences) to
-    ``path``, atomically.  Returns the header that was written."""
-    from ..sim.counters import sequence_state
-
+    """Serialize ``capsule`` to ``path``, atomically.  Returns the
+    header that was written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = pickle.dumps(
-        {"capsule": capsule, "sequences": sequence_state()},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    payload = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
     meta = SnapshotMeta(
         version=SNAPSHOT_VERSION,
         fingerprint=(
@@ -198,16 +199,13 @@ def inspect_snapshot(path: str | Path) -> SnapshotMeta:
 def read_snapshot(
     path: str | Path, *, check_fingerprint: bool = True
 ) -> tuple[SnapshotMeta, object]:
-    """Restore a snapshot: full validation, then unpickle, then restore
-    the registered global sequences.  Returns ``(meta, capsule)``.
+    """Restore a snapshot: full validation, then unpickle.  Returns
+    ``(meta, capsule)``.
 
     Ordering is the safety property: every header/digest/fingerprint
-    check happens *before* the pickle runs, and the process-global
-    sequence state is only touched after unpickling succeeds — a raised
+    check happens *before* the pickle runs — a raised
     :class:`SnapshotError` means nothing was restored.
     """
-    from ..sim.counters import restore_sequence_state
-
     path = Path(path)
     meta, payload = _parse(path)
     if check_fingerprint:
@@ -221,14 +219,14 @@ def read_snapshot(
                 "to override)"
             )
     try:
-        document = pickle.loads(payload)
-        capsule = document["capsule"]
-        sequences = document["sequences"]
+        capsule = pickle.loads(payload)
+        if capsule.scenario != meta.scenario:
+            raise ValueError(f"it holds {capsule.scenario!r}")
     except Exception as error:
         raise SnapshotCorruptError(
-            f"{path} payload failed to unpickle: {error}"
+            f"{path} payload failed to unpickle to the header's "
+            f"{meta.scenario!r} capsule: {error}"
         ) from error
-    restore_sequence_state(sequences)
     return meta, capsule
 
 

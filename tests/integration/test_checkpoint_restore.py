@@ -25,6 +25,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: (failover).  A new checkpointable row needs a cut here.
 CHECKPOINTABLE = [row for row in CATALOG if row.checkpoint is not None]
 CUT_S = {"fig13": 40.0, "churn": 70.0, "fleet": 70.0, "failover": 80.0}
+#: Where the snapshot-bytes tests stop each row, snapshotting every
+#: second epoch on the way.
+STOP_AT = {"fig13": 80, "churn": 60, "fleet": 60, "failover": 60}
 
 
 def _fresh(row):
@@ -144,29 +147,31 @@ class TestFreshProcessRestore:
         )
         assert restored.read_bytes() == reference.read_bytes()
 
-    def test_snapshots_are_the_same_bytes_run_to_run(self, tmp_path):
+    @pytest.mark.parametrize("row", sorted(STOP_AT))
+    def test_snapshots_are_the_same_bytes_run_to_run(self, row, tmp_path):
         """The same run snapshotted twice writes the same payloads: no
         wall-clock accounting (the plane's decision latencies, netem's
         phase times) rides along."""
-        checkpoint_dir = tmp_path / "ckpt"
-        runs = []
-        for _ in range(2):
-            shutil.rmtree(checkpoint_dir, ignore_errors=True)
-            cli(
-                "fig13", "--quick",
-                "--checkpoint-dir", str(checkpoint_dir),
-                "--checkpoint-every", "2",
-                "--stop-at", "80",
-                hash_seed=0,
-            )
-            runs.append(
-                {p.name: p.read_bytes() for p in checkpoint_dir.iterdir()}
-            )
-        assert sorted(runs[0]) == [
-            "checkpoint-e000002.bass",
-            "stop-t000080.bass",
-        ]
-        assert runs[0] == runs[1]
+        _snapshot_twice(row, tmp_path, lambda *argv: cli(*argv, hash_seed=0))
+
+
+@pytest.mark.parametrize("row", sorted(STOP_AT))
+def test_snapshots_do_not_depend_on_earlier_runs_in_the_process(row, tmp_path):
+    """Two runs in one interpreter write the same bytes: no id the
+    payload holds comes from a count the first run advanced."""
+    _snapshot_twice(row, tmp_path, lambda *argv: main(["run", *argv]))
+
+
+def _snapshot_twice(row, tmp_path, run):
+    directory = tmp_path / "ckpt"
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(directory, ignore_errors=True)
+        run(row, "--quick", "--checkpoint-dir", str(directory),
+            "--checkpoint-every", "2", "--stop-at", str(STOP_AT[row]))
+        runs.append({p.name: p.read_bytes() for p in directory.iterdir()})
+    assert f"stop-t{STOP_AT[row]:06d}.bass" in runs[0]
+    assert runs[0] == runs[1]
 
 
 class TestPruningAfterRestore:

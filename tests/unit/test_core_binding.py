@@ -215,9 +215,7 @@ class TestCrossings:
     def test_checkpoint_carries_placement_not_the_table(self):
         binding, _, deployment, _ = make_world()
         binding.sync_flows()
-        assert binding._crossings[0] == deployment.revision
         restored = pickle.loads(pickle.dumps(binding))
-        assert restored._crossings == (-1, None)
         assert restored.deployment.revision == deployment.revision
         assert restored.crossings() == binding.crossings()
         restored.deployment.rebind("b", "node3", time=0.0, restart_seconds=0.0)

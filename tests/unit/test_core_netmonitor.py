@@ -64,13 +64,6 @@ class TestFullProbe:
         netem.engine.run_until(30.0)
         assert monitor.cache_age("node1", "node2") == pytest.approx(30.0)
 
-    def test_invalidate_cache(self):
-        monitor, netem = monitor_on([10.0])
-        monitor.full_probe("node1", "node2")
-        netem.topology.link("node1", "node2").set_rate_limit(2.0)
-        monitor.invalidate_cache("node1", "node2")
-        assert monitor.cached_capacity("node1", "node2") == 2.0
-
 
 class TestHeadroomProbe:
     def test_ok_when_spare_capacity_exists(self):
@@ -116,15 +109,6 @@ class TestHeadroomProbe:
 
 
 class TestPathViews:
-    def test_cached_path_capacity_is_bottleneck(self):
-        monitor, _ = monitor_on([10.0, 4.0])
-        monitor.probe_all_links()
-        assert monitor.cached_path_capacity("node1", "node3") == 4.0
-
-    def test_cached_path_same_node_infinite(self):
-        monitor, _ = monitor_on([10.0])
-        assert monitor.cached_path_capacity("node1", "node1") == float("inf")
-
     def test_links_of_path(self):
         monitor, _ = monitor_on([10.0, 4.0])
         assert monitor.links_of_path("node1", "node3") == [

@@ -39,7 +39,7 @@ from repro.mesh.routing import Router
 from repro.mesh.topology import line_topology
 from repro.net.netem import NetworkEmulator
 from repro.obs.trace import Tracer
-from repro.sim.counters import restore_sequence_state, sequence_state
+from repro.sim.derived import forget
 from repro.sim.engine import Engine
 
 NODES = ("node1", "node2", "node3", "node4", "node5")
@@ -61,7 +61,7 @@ class FreshDetector(FailureDetector):
     each of its beats runs the full per-node round."""
 
     def beat(self) -> None:
-        self._outcome = None
+        forget(self)
         super().beat()
 
 
@@ -123,14 +123,11 @@ class World:
 
 
 def advance(worlds, t):
-    """Run every world to ``t`` from the same heartbeat numbering (the
-    sequence is process-global) and require they end at the same one."""
-    start = sequence_state()
-    ends = []
+    """Run every world to ``t`` and require they end on the same
+    heartbeat numbering (each emulator numbers its own flows)."""
     for world in worlds:
-        restore_sequence_state(start)
         world.netem.engine.run_until(t)
-        ends.append(sequence_state())
+    ends = [world.netem._serials for world in worlds]
     assert ends[0] == ends[1], f"heartbeat numbering diverged by t={t}"
 
 
@@ -270,6 +267,5 @@ def test_snapshot_payload_leaves_the_outcome_out():
     world = World([], HeartbeatConfig(interval_s=INTERVAL_S), None, FailureDetector)
     world.netem.engine.run_until(INTERVAL_S)
     kept = pickle.dumps(world.detector)
-    world.detector._outcome = None
+    forget(world.detector)
     assert pickle.dumps(world.detector) == kept
-    assert "_outcome" not in world.detector.__getstate__()

@@ -1,7 +1,7 @@
 """Unit tests for the snapshot file format: round trip, atomicity, and
 the refuse-to-restore paths (truncation, corruption, version drift,
 fingerprint drift) — each must raise a specific, clear error before
-anything is unpickled or any process-global state is touched."""
+anything is unpickled."""
 
 import json
 import pickle
@@ -9,7 +9,6 @@ import pickle
 import pytest
 
 from repro.errors import ReproError, SnapshotError
-from repro.sim.counters import sequence, sequence_state
 from repro.snap.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -76,14 +75,11 @@ class TestRoundTrip:
         assert path.exists()
         assert not list(path.parent.glob("*.tmp"))
 
-    def test_write_captures_registered_sequences(self, tmp_path):
-        seq = sequence("snap-test.rt", start=1)
-        next(seq), next(seq)
+    def test_payload_is_the_capsule_alone(self, tmp_path):
         path = tmp_path / "snap.bass"
-        write_snapshot(path, _Capsule())
-        next(seq)  # diverge after the snapshot
-        read_snapshot(path)
-        assert next(seq) == 3  # restored to the captured position
+        write_snapshot(path, _Capsule(payload=("x", 42)))
+        _, payload = path.read_bytes().split(b"\n", 1)
+        assert pickle.loads(payload).payload == ("x", 42)
 
 
 class TestRefuseToRestore:
@@ -134,6 +130,17 @@ class TestRefuseToRestore:
         with pytest.raises(SnapshotVersionError, match="refusing"):
             read_snapshot(path)
 
+    def test_a_version_1_file_is_refused(self, tmp_path):
+        path = self._write(tmp_path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["version"] = 1
+        path.write_bytes(
+            json.dumps(doc, sort_keys=True).encode() + b"\n" + payload
+        )
+        with pytest.raises(SnapshotVersionError, match="version 1"):
+            read_snapshot(path)
+
     def test_fingerprint_drift(self, tmp_path):
         path = self._write(tmp_path, fingerprint="0" * 64)
         with pytest.raises(SnapshotFingerprintError, match="refusing"):
@@ -161,20 +168,15 @@ class TestRefuseToRestore:
             read_snapshot(path)
 
     def test_failed_restore_touches_nothing(self, tmp_path):
-        """A raised SnapshotError leaves the process-global sequence
-        registry and the snapshot's directory exactly as they were."""
-        seq = sequence("snap-test.untouched", start=1)
-        next(seq)  # advance to 2
+        """A raised SnapshotError leaves the snapshot's directory
+        exactly as it was."""
         path = self._write(tmp_path)
-        before_state = sequence_state()
         before_files = sorted(p.name for p in tmp_path.iterdir())
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(SnapshotError):
             read_snapshot(path)
-        assert sequence_state() == before_state
         assert sorted(p.name for p in tmp_path.iterdir()) == before_files
-        assert next(seq) == 2
 
     def test_errors_are_repro_errors(self):
         assert issubclass(SnapshotError, ReproError)
