@@ -14,35 +14,25 @@ the two fleet-level guarantees:
 Run:  python examples/multi_app_mesh.py
 """
 
-from repro.config import FleetConfig
 from repro.experiments.multi_tenant import (
     multi_tenant_contention,
     multi_tenant_mesh,
 )
 
 
-def probe_sharing() -> None:
+def shared_probing() -> None:
     print("--- probe sharing ---")
-    print("four tenants stream over the same node1 -> node2 path;")
-    print("probe events/hour, shared fleet monitor vs private monitors:\n")
-    header = f"{'tenants':>8}  {'shared':>8}  {'private':>8}"
+    print("tenants stream over the same node1 -> node2 path;")
+    print("probe events/hour through the shared fleet monitor:\n")
+    header = f"{'tenants':>8}  {'shared':>8}"
     print(header)
     print("-" * len(header))
     for tenants in (1, 2, 4):
         shared = multi_tenant_mesh(tenants=tenants, duration_s=240.0)
-        private = multi_tenant_mesh(
-            tenants=tenants,
-            duration_s=240.0,
-            fleet=FleetConfig(probe_sharing=False),
-        )
-        print(
-            f"{tenants:>8}  {shared.probe_events_per_hour:>8.1f}  "
-            f"{private.probe_events_per_hour:>8.1f}"
-        )
+        print(f"{tenants:>8}  {shared.probe_events_per_hour:>8.1f}")
     print(
-        "\nshared stays flat: a link is probed once per epoch no matter"
-        "\nhow many applications use it.  Private monitors multiply both"
-        "\nthe startup max-capacity flood and the periodic probes."
+        "\nthe rate stays flat: a link is probed once per epoch no matter"
+        "\nhow many applications use it."
     )
 
 
@@ -69,5 +59,5 @@ def migration_arbitration() -> None:
 
 
 if __name__ == "__main__":
-    probe_sharing()
+    shared_probing()
     migration_arbitration()

@@ -6,8 +6,8 @@ headroom fraction kept spare on each link, probing intervals and costs,
 and the controller cooldown.  Defaults follow the values used throughout
 §4 and §6 of the paper (50 % goodput threshold, 20 % headroom, 30 s
 probe interval, 1 s probe duration).  :class:`FleetConfig` holds the
-per-mesh knobs of the one control plane: whether tenants share probes,
-and how many regions the mesh is cut into (default one).
+one per-mesh knob of the control plane: how the mesh is cut into
+regions (default one region spanning it).
 
 Two settings live outside these classes, each in one place.  The
 restart cost a migration pays (paper: ~20 s for Pion, ~30 s end to end)
@@ -112,50 +112,29 @@ class MigrationConfig:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Multi-tenant control-plane knobs (one instance per mesh).
+    """The regional layout of one mesh's control plane.
 
     Unlike :class:`BassConfig`, which is per application, a
     :class:`FleetConfig` governs machinery *shared* by every tenant of
-    one mesh: the fleet-wide net-monitor and the regional layout of the
-    one control plane.
+    one mesh.  Every tenant probes through its home region's view of
+    the one fleet monitor, and a cross-region handoff's admit step runs
+    one fixed control round-trip after the release
+    (:data:`~repro.core.controlplane.HANDOFF_RTT_S`).
 
     Attributes:
-        probe_sharing: tenants share a single :class:`NetMonitor`, so
-            each link is probed once per epoch regardless of tenant
-            count.  Disabled, every app gets a private monitor (scoped
-            to its home region) and duplicates probe traffic.
-        regions: shard the control plane into this many regions via the
-            deterministic topology partitioner.  The default, one
-            region spanning the mesh, is what every single-app figure
-            runs on.
-        region_specs: explicit region layout as ``(name, (node, ...))``
-            pairs; overrides ``regions``.  Kept as nested tuples so the
-            config stays hashable and JSON-encodable for the sweep
-            runner's cache keys.
-        handoff_rtt_s: control-plane round-trip between a region and the
-            fleet arbiter.  A cross-region handoff's destination-admit
-            step runs this long after the source released, so the
-            two-phase protocol is visible in simulation time.
+        region_specs: the region layout as ``(name, (node, ...))``
+            pairs.  None, the default that every single-app figure runs
+            on, is one region named ``region0`` spanning the mesh.
+            Kept as nested tuples so the config stays hashable and
+            JSON-encodable for the sweep runner's cache keys.
     """
 
-    probe_sharing: bool = True
-    regions: int = 1
     region_specs: Optional[tuple[tuple[str, tuple[str, ...]], ...]] = None
-    handoff_rtt_s: float = 2.0
 
     def validate(self) -> "FleetConfig":
-        """Range-check the region knobs; return self for chaining."""
-        regions = self.regions
-        if (
-            not isinstance(regions, int)
-            or isinstance(regions, bool)
-            or regions < 1
-        ):
-            raise ConfigError(f"regions must be an int >= 1, got {regions!r}")
+        """Refuse an empty layout; return self for chaining."""
         if self.region_specs is not None and not self.region_specs:
             raise ConfigError("region_specs must be non-empty or None")
-        if self.handoff_rtt_s < 0:
-            raise ConfigError("handoff_rtt_s must be >= 0")
         return self
 
 

@@ -111,8 +111,7 @@ class BandwidthController:
         #: registers it.  Target selection is restricted to the region's
         #: nodes, migrations claim their target on the region's board,
         #: and out-of-region escapes become handoff requests brokered by
-        #: the fleet arbiter.  None for a controller nobody registered,
-        #: which still evaluates — unarbitrated, over the whole mesh.
+        #: the fleet arbiter.
         self.region: Optional["RegionController"] = None
 
     # -- one evaluation -----------------------------------------------------------
@@ -122,25 +121,18 @@ class BandwidthController:
     # sync + probing, sharing a region-wide probed-link set), ``plan``
     # (violation detection and candidate selection), and ``act``
     # (migration, arbitrated on the home region's claims board).  The
-    # plane's periodic epoch is the only timer; ``evaluate`` chains the
-    # three for manual driving.
-
-    def evaluate(self) -> ControllerIteration:
-        """Run one monitoring/migration cycle; returns its record."""
-        self.observe()
-        self.plan()
-        return self.act()
+    # plane's epoch (``ControlPlane.run_epoch``) is the only driver.
 
     def observe(
-        self, shared_probed: Optional[set[tuple[str, str]]] = None
+        self, shared_probed: set[tuple[str, str]]
     ) -> ControllerIteration:
         """Phase 1: refresh flows and probe the app's links.
 
         Args:
-            shared_probed: fleet-wide set of links already probed this
+            shared_probed: the region's set of links already probed this
                 epoch; links found there are skipped, and links probed
                 here are added, so co-tenants never duplicate a probe
-                within one epoch.  Defaults to a private (per-call) set.
+                within one epoch.
         """
         now = self.netem.now
         iteration = ControllerIteration(time=now)
@@ -293,14 +285,12 @@ class BandwidthController:
             )
         return self._pending
 
-    def _probe_application_links(
-        self, shared_probed: Optional[set[tuple[str, str]]] = None
-    ) -> int:
-        """Headroom-probe links under the app's edges; escalate to full
-        probes when headroom is violated (capacity may have changed)."""
+    def _probe_application_links(self, probed: set[tuple[str, str]]) -> int:
+        """Headroom-probe links under the app's edges (skipping, and
+        adding to, ``probed``); escalate to full probes when headroom is
+        violated (capacity may have changed)."""
         full_probes = 0
         deployment = self.orchestrator.deployment(self.app)
-        probed = shared_probed if shared_probed is not None else set()
         for src, dst, _ in self.binding.inter_node_edges():
             src_node = deployment.node_of(src)
             dst_node = deployment.node_of(dst)
@@ -377,15 +367,10 @@ class BandwidthController:
         if spec.pinned_node is not None:
             return False  # pinned components (clients) never move
         region = self.region
-        claimed = (
-            region.nodes_claimed_by_others(self.app)
-            if region is not None
-            else set()
-        )
+        claimed = region.nodes_claimed_by_others(self.app)
         # Crashed nodes are never migration targets (empty set unless a
         # fault plan is active, so the healthy path is unchanged).
         down = self.netem.topology.down_nodes
-        allow = region.nodes if region is not None else None
         target, preferred = self.planner.select_target(
             component,
             deployment,
@@ -393,21 +378,17 @@ class BandwidthController:
             self.netem,
             exclude=down or None,
             claimed=claimed,
-            allow=allow,
+            allow=region.nodes,
             achieved_mbps_of=self.binding.achieved_mbps,
             tracer=self.tracer,
             trace_cause=self._pending_plan_event,
         )
-        if region is not None:
-            region.note_choice(
-                "migration", self.netem.now, component, target, preferred,
-                cause=self._pending_plan_event,
-            )
+        region.note_choice(
+            "migration", self.netem.now, component, target, preferred,
+            cause=self._pending_plan_event,
+        )
         if target is None:
-            if region is not None:
-                self._maybe_request_handoff(
-                    component, deployment, claimed, down
-                )
+            self._maybe_request_handoff(component, deployment, claimed, down)
             return False
         restart = self.migration_restart_s(component, target)
         selected_event = None
@@ -441,10 +422,9 @@ class BandwidthController:
                     error=str(error),
                 )
             return False
-        if region is not None:
-            region.claim(
-                self.netem.now, self.app, component, target, self._plan_severity()
-            )
+        region.claim(
+            self.netem.now, self.app, component, target, self._plan_severity()
+        )
         # Re-arm the edge flows the moment the restart window closes —
         # until then the component's edges rightly carry zero demand.
         self.netem.engine.schedule_in(restart + 1e-6, self.binding.sync_flows)

@@ -5,8 +5,8 @@ mesh.  Each application owns its DAG, deployment binding, and
 :class:`~repro.core.controller.BandwidthController`; everything that
 touches the *shared substrate* is owned once per mesh by a
 :class:`ControlPlane`.  There is one of it: the five-node figures and
-the city-scale fleet run the same epoch and differ only in how many
-regions the mesh is cut into (``FleetConfig.regions``, default one
+the city-scale fleet run the same epoch and differ only in how the
+mesh is cut into regions (``FleetConfig.region_specs``, default one
 region spanning the mesh).
 
 * **Shared net-monitor** — one :class:`~repro.core.netmonitor.NetMonitor`
@@ -56,6 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Engine, PeriodicTask
 
 _EPSILON = 1e-9
+
+#: Control-plane round trip between a region and the fleet arbiter: a
+#: cross-region handoff's destination admit runs this long after the
+#: source released, so the two-phase protocol is visible in simulation
+#: time.
+HANDOFF_RTT_S = 2.0
 
 
 class FleetArbiter:
@@ -202,8 +208,8 @@ class ControlPlane(Derived):
     Args:
         netem: the mesh's network emulator (its engine drives epochs).
         orchestrator: executes migrations; supplies the cluster ledger.
-        config: fleet-level knobs; defaults share probes across one
-            region spanning the mesh.
+        config: the region layout; defaults to one region spanning the
+            mesh.
     """
 
     DERIVED = {
@@ -314,35 +320,21 @@ class ControlPlane(Derived):
         *,
         assignments: Optional[Mapping[str, str]] = None,
     ) -> NetMonitor:
-        """The monitor a new tenant should use.
+        """The monitor a new tenant should use: its home region's view
+        of the one fleet monitor (created from the *first* tenant's
+        probe configuration — later tenants share its cadence
+        parameters).
 
         ``assignments`` (the tenant's pod → node map) routes the tenant
         to its home region, so its startup flood and epoch probing stay
-        inside the region; without it the monitor spans the mesh.
-
-        With probe sharing on, every tenant of a region gets that
-        region's view of the one fleet monitor (created from the *first*
-        tenant's probe configuration — later tenants share its cadence
-        parameters).  Otherwise each call returns a fresh private
-        monitor with its own caches, scoped the same way.
+        inside the region; without it the fleet monitor, spanning the
+        mesh, is returned.
         """
-        home = (
-            self.region_map.home_of_nodes(assignments.values())
-            if assignments
-            else None
-        )
-        if self.config.probe_sharing:
-            monitor = self._fleet_monitor(probe_config)
-            return (
-                monitor if home is None else self.region_controller(home).monitor
-            )
-        return NetMonitor(
-            self.netem,
-            probe_config,
-            tracer=self.tracer,
-            region=home or "",
-            scope=None if home is None else self.region_map.spec(home).nodes,
-        )
+        monitor = self._fleet_monitor(probe_config)
+        if not assignments:
+            return monitor
+        home = self.region_map.home_of_nodes(assignments.values())
+        return self.region_controller(home).monitor
 
     # -- crash recovery ----------------------------------------------------
 
@@ -415,9 +407,7 @@ class ControlPlane(Derived):
 
         Homing follows the pods: after a cross-region handoff shifts the
         majority, the tenant's control loop — and its region-scoped
-        monitor — move with them.  A private monitor (probe sharing
-        off) is the tenant's own from deployment on; only a re-home
-        re-scopes it, keeping its caches.
+        monitor — move with them.
         """
         app = controller.app
         deployment = self.orchestrator.deployment(app)
@@ -428,12 +418,7 @@ class ControlPlane(Derived):
         self._home_region[app] = home
         region = self.region_controller(home)
         controller.region = region
-        if self.config.probe_sharing:
-            controller.monitor = region.monitor
-        elif previous is not None:
-            controller.monitor = controller.monitor.region_view(
-                home, region.nodes
-            )
+        controller.monitor = region.monitor
         if self.tracer.enabled:
             self.tracer.emit(
                 "region.assigned",
@@ -444,20 +429,6 @@ class ControlPlane(Derived):
                 previous=previous,
                 nodes=sorted(region.nodes),
             )
-
-    def deregister(self, app: str) -> None:
-        """Drop a tenant (e.g. on teardown); idle cadences are disarmed."""
-        controller = self._controllers.pop(app, None)
-        self._home_region.pop(app, None)
-        if controller is None:
-            return
-        interval = controller.config.probe.headroom_interval_s
-        still_used = any(
-            c.config.probe.headroom_interval_s == interval
-            for c in self._controllers.values()
-        )
-        if not still_used and interval in self._tasks:
-            self._tasks.pop(interval).stop()
 
     def stop(self) -> None:
         """Disarm every epoch task (tenants stay registered)."""
@@ -584,9 +555,7 @@ class ControlPlane(Derived):
             region = self.region_controller(name)
             tenants = by_region[name]
             region.begin_round(epoch, published)
-            shared_probed: Optional[set[tuple[str, str]]] = (
-                set() if self.config.probe_sharing else None
-            )
+            shared_probed: set[tuple[str, str]] = set()
             for controller in tenants:
                 controller.observe(shared_probed=shared_probed)
             started = perf_counter()
@@ -687,7 +656,7 @@ class ControlPlane(Derived):
     ) -> None:
         """Phase 1+2: the arbiter checks its board and releases the
         source's stake; the destination admit runs one control RTT
-        later (immediately when ``synchronous`` or the RTT is zero)."""
+        (:data:`HANDOFF_RTT_S`) later, or at once when ``synchronous``."""
         arbiter = self.arbiter
         now = self.netem.now
         arbiter.handoffs.append(request)
@@ -715,7 +684,6 @@ class ControlPlane(Derived):
             self._settle_handoff(request)
             return
         request.phase = "released"
-        request.released_at = now
         if self.tracer.enabled:
             request.release_event = self.tracer.emit(
                 "handoff.released",
@@ -729,12 +697,11 @@ class ControlPlane(Derived):
                 target_node=request.target_node,
             )
         arbiter.reserve_for_handoff(request)
-        delay = self.config.handoff_rtt_s
-        if synchronous or delay <= 0:
+        if synchronous:
             self._admit_handoff(request)
         else:
             self.engine.schedule_in(
-                delay, partial(self._admit_handoff, request)
+                HANDOFF_RTT_S, partial(self._admit_handoff, request)
             )
 
     def _admit_handoff(self, request: HandoffRequest) -> None:
@@ -748,22 +715,19 @@ class ControlPlane(Derived):
             return
         now = self.netem.now
         app = request.app
-        controller = self._controllers.get(app)
+        controller = self._controllers[app]
         abort_note: Optional[str] = None
-        if controller is None:
-            abort_note = "tenant deregistered during handoff"
+        deployment = self.orchestrator.deployment(app)
+        if deployment.node_of(request.component) != request.source_node:
+            abort_note = "component moved during handoff"
+        elif request.target_node in self.netem.topology.down_nodes:
+            abort_note = "target node went down"
         else:
-            deployment = self.orchestrator.deployment(app)
-            if deployment.node_of(request.component) != request.source_node:
-                abort_note = "component moved during handoff"
-            elif request.target_node in self.netem.topology.down_nodes:
-                abort_note = "target node went down"
-            else:
-                refusal = self.orchestrator.can_admit(
-                    app, request.component, request.target_node
-                )
-                if refusal is not None:
-                    abort_note = f"destination cannot admit: {refusal}"
+            refusal = self.orchestrator.can_admit(
+                app, request.component, request.target_node
+            )
+            if refusal is not None:
+                abort_note = f"destination cannot admit: {refusal}"
         if abort_note is None:
             restart = controller.migration_restart_s(
                 request.component, request.target_node
@@ -781,7 +745,6 @@ class ControlPlane(Derived):
                     restart_s=restart,
                 )
             request.phase = "admitted"
-            request.admitted_at = now
             try:
                 self.orchestrator.migrate(
                     app,

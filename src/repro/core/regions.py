@@ -1,16 +1,15 @@
 """The region layer of the control plane.
 
 Every mesh runs the regional fleet round; the paper's five-node figures
-run it with one region spanning the mesh (``FleetConfig.regions``
-defaults to 1).  City-scale meshes cannot afford one global
-observe/plan/act loop: probe load and migration-decision latency both
-grow with the number of nodes and tenants (see the decentralized
-resource-mapping designs in PAPERS.md), so the same plane shards
-geographically:
+run it with one region, ``region0``, spanning the mesh (what
+``FleetConfig.region_specs`` defaults to).  City-scale meshes cannot
+afford one global observe/plan/act loop: probe load and
+migration-decision latency both grow with the number of nodes and
+tenants (see the decentralized resource-mapping designs in PAPERS.md),
+so the same plane shards geographically:
 
-* :func:`partition_topology` deterministically splits a mesh into
-  balanced, connectivity-aware regions (explicit layouts are supported
-  through :class:`RegionSpec` / ``FleetConfig.region_specs``).
+* :class:`RegionMap` is the layout ``FleetConfig.region_specs`` names,
+  validated: disjoint regions covering exactly the mesh's nodes.
 * :class:`RegionController` owns one region's runtime: a region-scoped
   :class:`~repro.core.netmonitor.NetMonitor` view (probe dedup and the
   headroom cache are per-region; startup floods and epoch probing never
@@ -31,7 +30,6 @@ fleet layer brokers through the two-phase handoff protocol.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -104,12 +102,20 @@ class RegionMap:
             ) from None
 
     def validate_covers(self, topology: MeshTopology) -> "RegionMap":
-        """Assert every topology node is assigned to exactly one region."""
+        """Assert the map's nodes are exactly the topology's: every
+        topology node in one region, and no region naming a node the
+        mesh does not have."""
         missing = [
             name for name in topology.node_names if name not in self._region_of
         ]
         if missing:
             raise TopologyError(f"nodes missing from region map: {missing}")
+        unknown = sorted(set(self._region_of) - set(topology.node_names))
+        if unknown:
+            raise TopologyError(
+                f"region {self._region_of[unknown[0]]!r} names node "
+                f"{unknown[0]!r}, which the mesh does not have"
+            )
         return self
 
     def home_of_nodes(self, nodes: Iterable[str]) -> str:
@@ -128,113 +134,14 @@ class RegionMap:
 
     @staticmethod
     def from_config(topology: MeshTopology, fleet_config) -> "RegionMap":
-        """Build the map a ``FleetConfig`` describes (explicit specs win
-        over the deterministic partitioner)."""
-        if fleet_config.region_specs is not None:
-            return RegionMap(
-                [
-                    RegionSpec(name, frozenset(nodes))
-                    for name, nodes in fleet_config.region_specs
-                ]
-            ).validate_covers(topology)
-        return partition_topology(topology, fleet_config.regions)
-
-
-def partition_topology(
-    topology: MeshTopology, n_regions: int, *, prefix: str = "region"
-) -> RegionMap:
-    """Deterministically partition a mesh into balanced regions.
-
-    Seeds are chosen farthest-first over hop distance (ties by name, so
-    the result is independent of hash seeds and insertion order), then
-    regions grow by balanced BFS: each step, the smallest region claims
-    the lexicographically-smallest unassigned node on its frontier.
-    Disconnected leftovers fall to the smallest region, so the map
-    always covers the whole mesh.
-
-    Costs one BFS per seed after the first; the default one-region map
-    is the node list, with no distance or frontier work at all.
-    """
-    names = sorted(topology.node_names)
-    if n_regions < 1:
-        raise TopologyError("n_regions must be >= 1")
-    if n_regions > len(names):
-        raise TopologyError(
-            f"cannot split {len(names)} nodes into {n_regions} regions"
-        )
-
-    # Farthest-first seed selection: ``nearest`` is each node's hop
-    # distance to its closest seed so far (unreachable: len(names)).
-    seeds = [names[0]]
-    nearest = dict.fromkeys(names, len(names))
-    while len(seeds) < n_regions:
-        for name, hops in _hop_distances(topology, seeds[-1]).items():
-            nearest[name] = min(nearest[name], hops)
-        seeds.append(
-            min(
-                (name for name in names if name not in seeds),
-                key=lambda name: (-nearest[name], name),
-            )
-        )
-
-    # A lone seed owns the whole mesh, so there is nothing left to grow.
-    members: list[list[str]] = (
-        [[seed] for seed in seeds] if n_regions > 1 else [names]
-    )
-    assigned: dict[str, int] = {
-        node: i for i, nodes in enumerate(members) for node in nodes
-    }
-    frontiers: list[set[str]] = [
-        {n for n in topology.neighbors(seed) if n not in assigned}
-        for seed in seeds
-    ]
-    while len(assigned) < len(names):
-        # The smallest region (ties: lowest index) grows next.
-        order = sorted(range(n_regions), key=lambda i: (len(members[i]), i))
-        grew = False
-        for index in order:
-            frontier = sorted(
-                n for n in frontiers[index] if n not in assigned
-            )
-            if not frontier:
-                continue
-            node = frontier[0]
-            assigned[node] = index
-            members[index].append(node)
-            frontiers[index] |= {
-                n for n in topology.neighbors(node) if n not in assigned
-            }
-            grew = True
-            break
-        if not grew:
-            # Disconnected remainder: smallest region takes the
-            # smallest-named unassigned node.
-            node = next(n for n in names if n not in assigned)
-            index = order[0]
-            assigned[node] = index
-            members[index].append(node)
-            frontiers[index] |= {
-                n for n in topology.neighbors(node) if n not in assigned
-            }
-    return RegionMap(
-        [
-            RegionSpec(f"{prefix}{i}", frozenset(nodes))
-            for i, nodes in enumerate(members)
-        ]
-    )
-
-
-def _hop_distances(topology: MeshTopology, source: str) -> dict[str, int]:
-    """Hop counts from ``source`` to every node it can reach (BFS)."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in topology.neighbors(current):
-            if neighbor not in dist:
-                dist[neighbor] = dist[current] + 1
-                queue.append(neighbor)
-    return dist
+        """Build the map a ``FleetConfig`` describes: its explicit specs,
+        or one region named ``region0`` holding every node."""
+        specs = fleet_config.region_specs
+        if specs is None:
+            specs = (("region0", sorted(topology.node_names)),)
+        return RegionMap(
+            [RegionSpec(name, frozenset(nodes)) for name, nodes in specs]
+        ).validate_covers(topology)
 
 
 # -- claims and handoffs -------------------------------------------------------
@@ -279,8 +186,6 @@ class HandoffRequest:
     severity: float
     requested_at: float
     phase: str = "requested"
-    released_at: Optional[float] = None
-    admitted_at: Optional[float] = None
     completed_at: Optional[float] = None
     #: Migration reason passed through to the orchestrator's restart
     #: record ("cross-region handoff", or "crash recovery" when the

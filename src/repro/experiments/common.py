@@ -91,8 +91,8 @@ def build_env(
             scenarios like the social-network mesh runs).
         tick_s: fluid-model step.
         restart_seconds: migration restart cost.
-        fleet: control-plane knobs (probe sharing, regions); defaults
-            share probes across tenants in one region spanning the mesh.
+        fleet: the control plane's region layout; defaults to one
+            region spanning the mesh.
         tracer: flight recorder wired through every layer; defaults to
             the process default (``repro.obs.trace.set_default_tracer``,
             installed by ``bass-repro run --trace``), which is the no-op
@@ -177,8 +177,9 @@ def deploy_app(
             ``config.migrations_enabled=False`` gives the no-migration
             baselines even with the controller armed.
         start_controller: register the controller with the control
-            plane's epoch loop.  Off, the controller is returned unhomed
-            for the caller to drive through ``evaluate()``.
+            plane's epoch loop, the only driver of a controller.  Off,
+            the controller is returned unhomed and never evaluates (a
+            static placement).
         force_assignments: skip scheduling and place components exactly
             here (used by experiments that pin the initial deployment,
             e.g. "the Pion server is initially deployed on node 2").

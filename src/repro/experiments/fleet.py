@@ -163,12 +163,9 @@ def fleet_mesh(
     seed: int = 11,
     demand_mbps: float = 2.0,
     node_cpu_cores: float = 8.0,
-    handoff_rtt_s: float = 2.0,
     pin_region: Optional[int] = None,
     throttle_link_mbps: Optional[float] = None,
     throttle_at_s: float = 60.0,
-    use_partitioner: bool = False,
-    fleet: Optional[FleetConfig] = None,
     config: Optional[BassConfig] = None,
     env: Optional[ExperimentEnv] = None,
 ) -> RunCapsule:
@@ -191,25 +188,15 @@ def fleet_mesh(
             that cannot be escaped over the same link, so the planner
             must look at other nodes (and, with the region packed full,
             other regions).
-        use_partitioner: derive regions with the deterministic
-            partitioner (``FleetConfig.regions``) instead of the
-            explicit specs matching the builder's layout.
         env: reuse a pre-built substrate (its region layout is used).
     """
     if env is None:
         topology = regional_mesh(
             regions, nodes_per_region, cpu_cores=node_cpu_cores
         )
-        if fleet is None:
-            if use_partitioner:
-                fleet = FleetConfig(
-                    regions=regions, handoff_rtt_s=handoff_rtt_s
-                )
-            else:
-                fleet = FleetConfig(
-                    region_specs=regional_specs(regions, nodes_per_region),
-                    handoff_rtt_s=handoff_rtt_s,
-                )
+        fleet = FleetConfig(
+            region_specs=regional_specs(regions, nodes_per_region)
+        )
         env = build_env(
             topology=topology, seed=seed, with_traces=False, fleet=fleet
         )
@@ -274,7 +261,6 @@ def fleet_handoff(
     tenants: int = 2,
     duration_s: float = 180.0,
     seed: int,
-    handoff_rtt_s: float = 2.0,
 ) -> FleetResult:
     """The cross-region pressure scenario: region 0 must hand off.
 
@@ -296,7 +282,6 @@ def fleet_handoff(
         seed=seed,
         demand_mbps=2.0,
         node_cpu_cores=float(tenants),
-        handoff_rtt_s=handoff_rtt_s,
         pin_region=0,
         throttle_link_mbps=0.5,
         throttle_at_s=60.0,

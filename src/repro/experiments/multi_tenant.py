@@ -20,11 +20,12 @@ minimal workload that exercises probing, violation detection, and
 migration.  All tenants share one path so probe deduplication and
 target contention are maximal — the worst case for the control plane.
 
-All scenarios run on the default one-region control plane and accept
-``fleet=FleetConfig(regions=N)`` to shard it.  The many-region scenarios
-proper — backbone meshes, forced cross-region handoffs — live in
-:mod:`repro.experiments.fleet` and reuse :class:`StreamPairApp` and
-:func:`fleet_probe_stats` from here.
+All scenarios run on the default one-region control plane (or, for
+:func:`multi_tenant_mesh`, on a pre-built ``env``); every tenant probes
+through its home region's view of the one fleet monitor.  The
+many-region scenarios proper — backbone meshes, forced cross-region
+handoffs — live in :mod:`repro.experiments.fleet` and reuse
+:class:`StreamPairApp` and :func:`fleet_probe_stats` from here.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..apps.base import Application
-from ..config import BassConfig, FleetConfig
+from ..config import BassConfig
 from ..core.controller import ControllerIteration
 from ..core.dag import Component, ComponentDAG
 from ..runner import SweepSpec
@@ -90,7 +91,7 @@ class MultiTenantResult:
     tenants: int
     duration_s: float
     #: Probe events across every monitor in the env (one shared view
-    #: per region; per-app monitors with sharing disabled).
+    #: per region).
     full_probes: int
     headroom_probes: int
     probe_events_per_hour: float
@@ -129,7 +130,6 @@ def multi_tenant_mesh(
     sink_node: str = "node2",
     throttle_mbps: Optional[float] = None,
     throttle_at_s: float = 60.0,
-    fleet: Optional[FleetConfig] = None,
     config: Optional[BassConfig] = None,
     env: Optional[ExperimentEnv] = None,
 ) -> MultiTenantResult:
@@ -148,14 +148,12 @@ def multi_tenant_mesh(
         demand_mbps: per-tenant demand on the shared path.
         throttle_mbps: tc-style egress limit imposed on ``source_node``
             at ``throttle_at_s``; None runs an uncongested mesh.
-        fleet: control-plane knobs (e.g. disable probe sharing to
-            measure the duplicated-probe baseline).
         config: per-tenant BASS config, shared by all tenants.
         env: reuse a pre-built substrate (tests use this to co-deploy
             tenants onto an already-populated mesh).
     """
     if env is None:
-        env = build_env(seed=seed, with_traces=False, fleet=fleet)
+        env = build_env(seed=seed, with_traces=False)
     handles = []
     for index in range(tenants):
         app = StreamPairApp(
@@ -208,7 +206,6 @@ def multi_tenant_contention(
     tenants: int = 4,
     duration_s: float = 180.0,
     seed: int,
-    fleet: Optional[FleetConfig] = None,
 ) -> MultiTenantResult:
     """The migration-race scenario: one throttle, every tenant reacts.
 
@@ -225,7 +222,6 @@ def multi_tenant_contention(
         seed=seed,
         throttle_mbps=3.0,
         throttle_at_s=60.0,
-        fleet=fleet,
         config=config,
     )
 
@@ -234,17 +230,10 @@ def multi_tenant_contention(
 
 
 def _mesh_cell(
-    *,
-    tenants: int,
-    duration_s: float,
-    seed: int,
-    probe_sharing: bool = True,
+    *, tenants: int, duration_s: float, seed: int
 ) -> MultiTenantResult:
     """One tenant-scaling cell (uncongested mesh, probe accounting)."""
-    fleet = None if probe_sharing else FleetConfig(probe_sharing=False)
-    return multi_tenant_mesh(
-        tenants=tenants, duration_s=duration_s, seed=seed, fleet=fleet
-    )
+    return multi_tenant_mesh(tenants=tenants, duration_s=duration_s, seed=seed)
 
 
 def multi_tenant_scaling_spec(
@@ -252,14 +241,13 @@ def multi_tenant_scaling_spec(
     tenant_counts: tuple[int, ...] = (1, 2, 4, 8),
     duration_s: float = 240.0,
     seed: int = 11,
-    probe_sharing: bool = True,
 ) -> SweepSpec:
     """Probe-traffic scaling across tenant counts as a sweep spec."""
     return SweepSpec.grid(
         "multitenant-scaling",
         _mesh_cell,
         {"tenants": tenant_counts},
-        fixed={"duration_s": duration_s, "probe_sharing": probe_sharing},
+        fixed={"duration_s": duration_s},
         label="tenants{tenants}",
         seed=seed,
     )

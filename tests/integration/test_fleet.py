@@ -15,7 +15,7 @@ single-loop plane this one replaced.)
 import pytest
 
 from repro.config import BassConfig, FleetConfig
-from repro.core.controlplane import check_cluster_ledger
+from repro.core.controlplane import HANDOFF_RTT_S, check_cluster_ledger
 from repro.core.netmonitor import NetMonitor
 from repro.experiments.common import build_env, deploy_app, run_timeline
 from repro.experiments.fleet import fleet_handoff, fleet_mesh
@@ -29,14 +29,9 @@ from repro.net.netem import NetworkEmulator
 from repro.obs.trace import Tracer
 
 
-def build_fleet_env(
-    *, nodes_per_region=2, cpu_cores=8.0, handoff_rtt_s=2.0, seed=11
-):
+def build_fleet_env(*, nodes_per_region=2, cpu_cores=8.0, seed=11):
     topology = regional_mesh(2, nodes_per_region, cpu_cores=cpu_cores)
-    fleet = FleetConfig(
-        region_specs=regional_specs(2, nodes_per_region),
-        handoff_rtt_s=handoff_rtt_s,
-    )
+    fleet = FleetConfig(region_specs=regional_specs(2, nodes_per_region))
     return build_env(topology, seed=seed, with_traces=False, fleet=fleet)
 
 
@@ -57,7 +52,7 @@ class TestHandoffPhases:
     def test_ledger_clean_in_every_phase(self):
         """Walk one handoff through requested → released → committed,
         auditing the ledger at each phase boundary."""
-        env = build_fleet_env(handoff_rtt_s=2.0)
+        env = build_fleet_env()
         cp = env.control_plane
         handle = deploy_pair(env, "tenant00", 0)
         run_timeline(env, 1.0)
@@ -90,7 +85,7 @@ class TestHandoffPhases:
         run_timeline(env, 3.0)  # past the 2 s control RTT
         assert request.phase == "committed"
         assert handle.deployment.node_of(SINK) == "r1n2"
-        assert request.latency_s == pytest.approx(2.0)
+        assert request.latency_s == pytest.approx(HANDOFF_RTT_S)
         check_cluster_ledger(env.cluster)
         # The tenant is re-homed where the majority of its pods live
         # (one pod each side: ties break to region order).
@@ -100,7 +95,7 @@ class TestHandoffPhases:
         """A committed handoff that moves the tenant's home re-points
         its controller at the new region's monitor; the handle reads
         the controller's, so fleet probe accounting keeps counting."""
-        env = build_fleet_env(handoff_rtt_s=2.0)
+        env = build_fleet_env()
         cp = env.control_plane
         handle = deploy_pair(env, "tenant00", 1)
         run_timeline(env, 1.0)
@@ -133,7 +128,7 @@ class TestHandoffPhases:
         """Phase-3 failure: the destination node's ledger is full at
         admit time, so the handoff aborts, releases its reservation,
         and leaves the pod (and the ledger) untouched."""
-        env = build_fleet_env(cpu_cores=2.0, handoff_rtt_s=0.0)
+        env = build_fleet_env(cpu_cores=2.0)
         cp = env.control_plane
         handle = deploy_pair(env, "tenant00", 0)
         # Pack the remote target completely: source and sink of the
@@ -172,7 +167,7 @@ class TestHandoffPhases:
     def test_denied_when_target_reserved_by_other_tenant(self):
         """Phase-1 failure: the arbiter's board already pins the target
         for another tenant's in-flight handoff."""
-        env = build_fleet_env(handoff_rtt_s=5.0)
+        env = build_fleet_env()
         cp = env.control_plane
         deploy_pair(env, "tenant00", 0)
         deploy_pair(env, "tenant01", 0, sink="r0n1")
@@ -218,9 +213,9 @@ class TestFleetScenarios:
         # Two tenants racing one remote node exercise the denial path.
         assert result.handoff_counts.get("denied", 0) >= 1
         assert result.conflict_count >= 1
-        # Commit latency is the configured control RTT.
+        # Commit latency is the control RTT.
         for latency in result.handoff_latencies:
-            assert latency == pytest.approx(2.0)
+            assert latency == pytest.approx(HANDOFF_RTT_S)
 
     def test_steady_state_probes_stay_in_region(self):
         """Without congestion no handoffs happen, tenants stay homed
@@ -238,15 +233,6 @@ class TestFleetScenarios:
         assert fleet.probe_events_per_link_hour == pytest.approx(
             baseline.probe_events_per_link_hour, rel=0.2
         )
-
-    def test_partitioner_matches_explicit_specs(self):
-        """FleetConfig.regions=N derives the same region boundaries the
-        explicit specs describe for the regional mesh."""
-        result = fleet_mesh(
-            regions=2, tenants=2, duration_s=60.0, use_partitioner=True
-        )
-        assert sorted(result.tenants_by_region) == ["region0", "region1"]
-        assert result.intra_region_links == 6  # 3 per full-mesh triangle
 
 
 class TestRegionScopedProbeEvents:

@@ -13,7 +13,7 @@ Three guarantees:
 
 import pytest
 
-from repro.config import BassConfig, FleetConfig
+from repro.config import BassConfig
 from repro.core.migration import MigrationPlanner
 from repro.experiments.catalog import EXPERIMENTS
 from repro.experiments.common import build_env, deploy_app
@@ -228,42 +228,3 @@ class TestDefaultPlane:
     def test_shared_probing_is_flat_in_tenant_count(self, tenants):
         result = multi_tenant_mesh(tenants=tenants, duration_s=240.0)
         assert result.probe_events_per_hour == 300.0
-
-    @pytest.mark.parametrize(
-        "tenants, per_hour", [(1, 300.0), (4, 1125.0)]
-    )
-    def test_private_monitors_duplicate_probes(self, tenants, per_hour):
-        """``probe_sharing=False`` is honoured on the default plane: the
-        private baseline's probe events grow with the tenant count."""
-        result = multi_tenant_mesh(
-            tenants=tenants,
-            duration_s=240.0,
-            fleet=FleetConfig(probe_sharing=False),
-        )
-        assert result.probe_events_per_hour == per_hour
-
-    def test_private_monitors_survive_sharding(self):
-        """At ``regions=2`` every tenant keeps its own in-scope monitor."""
-        fleet = FleetConfig(regions=2, probe_sharing=False)
-
-        def run(tenants):
-            env = build_env(seed=11, with_traces=False, fleet=fleet)
-            result = multi_tenant_mesh(
-                tenants=tenants, duration_s=240.0, env=env
-            )
-            return env.control_plane, result
-
-        _, one = run(1)
-        cp, four = run(4)
-        monitors = [cp.controller(app).monitor for app in cp.tenants]
-        assert len({id(m) for m in monitors}) == 4
-        for app, monitor in zip(cp.tenants, monitors):
-            home = cp.home_region(app)
-            assert monitor.region == home
-            assert monitor.scope == cp.region_map.spec(home).nodes
-            assert all(
-                monitor.in_scope(r.src, r.dst) for r in monitor.probe_log
-            )
-        assert (
-            four.probe_events_per_hour > 1.5 * one.probe_events_per_hour
-        )

@@ -24,8 +24,11 @@ def triangle_topology():
     return topo
 
 
-def make_controller(config=None):
-    """A producer (pinned node2) → consumer (node3) pair over 25 Mbps."""
+def make_controller(config=None, *, armed=False):
+    """A producer (pinned node2) → consumer (node3) pair over 25 Mbps,
+    registered with a control plane.  The plane's periodic epoch is
+    disarmed unless ``armed``, so a test drives it with ``run_epoch()``
+    and may advance the clock freely."""
     config = config or BassConfig().with_migration(cooldown_s=0.0)
     topo = triangle_topology()
     netem = NetworkEmulator(topo)
@@ -42,14 +45,12 @@ def make_controller(config=None):
     pods = dag.to_pods()
     cluster.node("node2").allocate(pods[0].resources)
     cluster.node("node3").allocate(pods[1].resources)
-    deployment = orchestrator.deploy(
-        pods, {"producer": "node2", "consumer": "node3"}
-    )
+    assignments = {"producer": "node2", "consumer": "node3"}
+    deployment = orchestrator.deploy(pods, assignments)
     binding = DeploymentBinding(dag, deployment, netem)
     binding.sync_flows()
-    from repro.core.netmonitor import NetMonitor
-
-    monitor = NetMonitor(netem, config.probe)
+    plane = ControlPlane(netem, orchestrator)
+    monitor = plane.monitor_for(config.probe, assignments=assignments)
     monitor.probe_all_links()
     # Let the startup probe flows expire so evaluations see app traffic.
     netem.engine.run_until(2.0)
@@ -57,86 +58,95 @@ def make_controller(config=None):
     controller = BandwidthController(
         "pair", orchestrator, binding, monitor, config
     )
-    return controller, topo, netem, deployment
+    plane.register(controller)
+    if not armed:
+        plane.stop()
+    return controller, plane, topo, netem, deployment
+
+
+def evaluate(plane):
+    """One fleet epoch of the plane's single tenant; its record."""
+    (iteration,) = plane.run_epoch()
+    return iteration
 
 
 class TestEvaluate:
     def test_no_violation_no_migration(self):
-        controller, _, _, deployment = make_controller()
-        iteration = controller.evaluate()
+        _, plane, _, _, deployment = make_controller()
+        iteration = evaluate(plane)
         assert iteration.migrated == []
         assert deployment.migrations == []
 
     def test_goodput_violation_triggers_migration(self):
-        controller, topo, netem, deployment = make_controller()
+        _, plane, topo, _, deployment = make_controller()
         topo.link("node2", "node3").set_rate_limit(3.0)  # goodput 3/8
-        iteration = controller.evaluate()
+        iteration = evaluate(plane)
         assert iteration.migrated == ["consumer"]
         assert deployment.node_of("consumer") == "node1"
 
     def test_pinned_component_never_migrates(self):
-        controller, topo, _, deployment = make_controller()
+        _, plane, topo, _, deployment = make_controller()
         topo.link("node2", "node3").set_rate_limit(3.0)
-        controller.evaluate()
+        evaluate(plane)
         assert deployment.node_of("producer") == "node2"
 
     def test_migrations_disabled(self):
         config = BassConfig(migrations_enabled=False)
-        controller, topo, _, deployment = make_controller(config)
+        _, plane, topo, _, deployment = make_controller(config)
         topo.link("node2", "node3").set_rate_limit(3.0)
-        iteration = controller.evaluate()
+        iteration = evaluate(plane)
         assert iteration.migrated == []
         assert deployment.migrations == []
 
     def test_cooldown_delays_migration(self):
         config = BassConfig().with_migration(cooldown_s=30.0)
-        controller, topo, netem, deployment = make_controller(config)
+        controller, plane, topo, netem, _ = make_controller(config)
         topo.link("node2", "node3").set_rate_limit(3.0)
-        first = controller.evaluate()  # detection, cooldown starts
+        first = evaluate(plane)  # detection, cooldown starts
         assert first.migrated == []
         netem.engine.run_until(controller.netem.now + 31.0)
-        second = controller.evaluate()
+        second = evaluate(plane)
         assert second.migrated == ["consumer"]
 
     def test_cooldown_resets_when_violation_clears(self):
         config = BassConfig().with_migration(cooldown_s=30.0)
-        controller, topo, netem, deployment = make_controller(config)
+        _, plane, topo, netem, _ = make_controller(config)
         topo.link("node2", "node3").set_rate_limit(3.0)
-        controller.evaluate()
+        evaluate(plane)
         topo.link("node2", "node3").set_rate_limit(None)  # recovers
         netem.engine.run_until(31.0)
-        controller.evaluate()
+        evaluate(plane)
         topo.link("node2", "node3").set_rate_limit(3.0)  # violates anew
-        iteration = controller.evaluate()
+        iteration = evaluate(plane)
         assert iteration.migrated == []  # cooldown restarted
 
     def test_headroom_violation_escalates_to_full_probe(self):
-        controller, topo, netem, _ = make_controller()
+        controller, plane, topo, netem, _ = make_controller()
         netem.engine.run_until(100.0)  # past the full-probe cooldown
         before = controller.monitor.full_probe_count
         topo.link("node2", "node3").set_rate_limit(3.0)
-        iteration = controller.evaluate()
+        iteration = evaluate(plane)
         assert iteration.full_probes_triggered >= 1
         assert controller.monitor.full_probe_count > before
 
     def test_restart_window_respected(self):
-        controller, topo, netem, deployment = make_controller()
+        _, plane, topo, _, _ = make_controller()
         topo.link("node2", "node3").set_rate_limit(3.0)
-        controller.evaluate()  # migrates consumer -> node1 (restart 10 s)
+        evaluate(plane)  # migrates consumer -> node1 (restart 10 s)
         topo.link("node1", "node2").set_rate_limit(3.0)  # new home broken too
-        iteration = controller.evaluate()  # still restarting: no action
+        iteration = evaluate(plane)  # still restarting: no action
         assert iteration.migrated == []
 
     def test_iterations_recorded(self):
-        controller, _, _, _ = make_controller()
-        controller.evaluate()
-        controller.evaluate()
+        controller, plane, _, _, _ = make_controller()
+        evaluate(plane)
+        evaluate(plane)
         assert len(controller.iterations) == 2
 
     def test_migration_events_view(self):
-        controller, topo, _, _ = make_controller()
+        controller, plane, topo, _, _ = make_controller()
         topo.link("node2", "node3").set_rate_limit(3.0)
-        controller.evaluate()
+        evaluate(plane)
         events = controller.migration_events()
         assert len(events) == 1
         assert events[0][1] == "consumer"
@@ -146,8 +156,10 @@ class TestPeriodic:
     """The control plane's epoch is the only timer a controller has."""
 
     def test_start_arms_periodic_evaluation(self):
-        controller, topo, netem, deployment = make_controller()
-        ControlPlane(netem, controller.orchestrator).register(controller)
+        controller, _, topo, netem, deployment = make_controller(armed=True)
+        # The plane's epoch is the only driver a controller has.
+        assert not hasattr(controller, "start")
+        assert not hasattr(controller, "evaluate")
         topo.link("node2", "node3").set_rate_limit(3.0)
         netem.start()
         netem.engine.run_until(65.0)
@@ -155,29 +167,16 @@ class TestPeriodic:
         assert deployment.migrations  # migrated at first post-drop eval
 
     def test_stop(self):
-        controller, _, netem, _ = make_controller()
-        plane = ControlPlane(netem, controller.orchestrator)
-        plane.register(controller)
+        controller, plane, _, netem, _ = make_controller(armed=True)
         plane.stop()
         netem.engine.run_until(100.0)
         assert controller.iterations == []
 
-    def test_unregistered_controller_still_evaluates(self):
-        """``deploy_app(start_controller=False)``'s shape: no region, no
-        claims board — ``evaluate()`` is observe -> plan -> act."""
-        controller, topo, _, deployment = make_controller()
-        assert controller.region is None
-        topo.link("node2", "node3").set_rate_limit(3.0)
-        iteration = controller.evaluate()
-        assert iteration.migrated == ["consumer"]
-        assert deployment.node_of("consumer") == "node1"
-        assert not hasattr(controller, "start")
-
     def test_table1_rows_only_nonzero_iterations(self):
-        controller, topo, _, _ = make_controller()
-        controller.evaluate()  # healthy
+        controller, plane, topo, _, _ = make_controller()
+        evaluate(plane)  # healthy
         topo.link("node2", "node3").set_rate_limit(3.0)
-        controller.evaluate()  # violating
+        evaluate(plane)  # violating
         rows = controller.table1_rows()
         assert len(rows) == 1
         index, over_quota, migrated = rows[0]

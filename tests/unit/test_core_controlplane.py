@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.resources import ResourceSpec
-from repro.config import BassConfig, FleetConfig, ProbeConfig
+from repro.config import BassConfig, ProbeConfig
 from repro.core.controlplane import (
     ControlPlane,
     FleetArbiter,
@@ -104,14 +104,6 @@ class TestMonitorSharing:
         assert first is second
         assert cp.monitor is first
 
-    def test_sharing_disabled_gives_private_monitors(self):
-        env = _env(fleet=FleetConfig(probe_sharing=False))
-        cp = env.control_plane
-        assert cp.monitor_for(ProbeConfig()) is not cp.monitor_for(
-            ProbeConfig()
-        )
-        assert cp.monitor is None
-
     def test_startup_probe_skips_recently_probed_links(self):
         env = _env()
         cp = env.control_plane
@@ -136,17 +128,6 @@ class TestMonitorSharing:
         assert cp.monitor is fleet_monitor
         assert tenant_monitor._caches is fleet_monitor._caches
 
-    def test_private_monitor_is_scoped_to_the_home_region(self):
-        env = _env(fleet=FleetConfig(regions=2, probe_sharing=False))
-        cp = env.control_plane
-        home = cp.region_map.region_of("node1")
-        nodes = cp.region_map.spec(home).nodes
-        monitor = cp.monitor_for(
-            ProbeConfig(), assignments={"source": "node1"}
-        )
-        assert (monitor.region, monitor.scope) == (home, nodes)
-        assert monitor is not cp.region_controller(home).monitor
-
 
 class TestHeadroomReuse:
     def test_reuse_disabled_by_default(self):
@@ -169,10 +150,6 @@ class TestTenantLifecycle:
         )
         with pytest.raises(SchedulingError, match="tenant00"):
             env.control_plane.register(handle.controller)
-
-    def test_deregister_unknown_app_is_noop(self):
-        env = _env()
-        env.control_plane.deregister("ghost")
 
     def test_controller_lookup(self):
         env = _env()
@@ -203,21 +180,6 @@ class TestTenantLifecycle:
         # One epoch fired for the shared cadence; both tenants evaluated.
         for name in cp.tenants:
             assert len(cp.controller(name).iterations) == 1
-
-    def test_deregister_disarms_idle_cadence(self):
-        env = _env()
-        deploy_app(
-            env,
-            StreamPairApp("tenant00"),
-            "bass-longest-path",
-            force_assignments={"sink": "node2"},
-        )
-        cp = env.control_plane
-        cp.deregister("tenant00")
-        assert cp._tasks == {}
-        env.engine.run_until(65.0)
-        assert cp.run_epoch() == []
-
 
 class TestEpochOrdering:
     def test_severity_then_name_orders_actions(self):

@@ -132,7 +132,7 @@ class TestStatefulMigration:
         the checkpoint's transfer time over the mesh."""
         from repro.core.binding import DeploymentBinding
         from repro.core.controller import BandwidthController
-        from repro.core.netmonitor import NetMonitor
+        from repro.core.controlplane import ControlPlane
         from repro.mesh.node import MeshNode
         from repro.mesh.topology import MeshTopology
         from repro.net.netem import NetworkEmulator
@@ -159,12 +159,12 @@ class TestStatefulMigration:
         pods = dag.to_pods()
         cluster.node("node2").allocate(pods[0].resources)
         cluster.node("node3").allocate(pods[1].resources)
-        deployment = orch.deploy(
-            pods, {"producer": "node2", "consumer": "node3"}
-        )
+        assignments = {"producer": "node2", "consumer": "node3"}
+        deployment = orch.deploy(pods, assignments)
         binding = DeploymentBinding(dag, deployment, netem)
         binding.sync_flows()
-        monitor = NetMonitor(netem)
+        plane = ControlPlane(netem, orch)
+        monitor = plane.monitor_for(None, assignments=assignments)
         monitor.probe_all_links()
         netem.engine.run_until(2.0)
         netem.recompute()
@@ -175,8 +175,9 @@ class TestStatefulMigration:
             monitor,
             BassConfig().with_migration(cooldown_s=0.0),
         )
+        plane.register(controller)
         topo.link("node2", "node3").set_rate_limit(3.0)
-        iteration = controller.evaluate()
+        (iteration,) = plane.run_epoch()
         assert iteration.migrated == ["consumer"]
         window = deployment.unavailable_until("consumer") - netem.now
         # 5 s base restart + 50 MB x 8 / available Mbps of transfer.

@@ -1,4 +1,4 @@
-"""Region partitioning, claim epochs, and the fleet arbiter's
+"""Region layouts, claim epochs, and the fleet arbiter's
 eventually-consistent conflict resolution."""
 
 import pytest
@@ -11,7 +11,6 @@ from repro.core.regions import (
     RegionController,
     RegionMap,
     RegionSpec,
-    partition_topology,
 )
 from repro.errors import TopologyError
 from repro.mesh.topology import line_topology, regional_mesh, regional_specs
@@ -96,84 +95,37 @@ class TestRegionMap:
         with pytest.raises(TopologyError):
             make_map().validate_covers(topology)
 
-
-class TestPartitionTopology:
-    def test_covers_all_nodes_disjointly(self):
-        topology = regional_mesh(2, 3)
-        region_map = partition_topology(topology, 2)
-        seen = [n for spec in region_map.specs for n in spec.nodes]
-        assert sorted(seen) == sorted(topology.node_names)
-        assert len(seen) == len(set(seen))
-
-    def test_balanced_and_deterministic(self):
-        topology = regional_mesh(2, 3)
-        first = partition_topology(topology, 2)
-        second = partition_topology(topology, 2)
-        sizes = sorted(len(spec.nodes) for spec in first.specs)
-        assert sizes == [3, 3]
-        assert [spec.nodes for spec in first.specs] == [
-            spec.nodes for spec in second.specs
-        ]
-
-    def test_respects_neighbourhood_structure(self):
-        # Two dense neighbourhoods over a thin backbone split along
-        # the backbone, not through a neighbourhood.
-        topology = regional_mesh(2, 3)
-        region_map = partition_topology(topology, 2)
-        for prefix in ("r0", "r1"):
-            homes = {
-                region_map.region_of(n)
-                for n in topology.node_names
-                if n.startswith(prefix)
-            }
-            assert len(homes) == 1
-
-    def test_one_region_does_no_all_pairs_work(self, monkeypatch):
-        """The default plane's map is the node list, built without a
-        single BFS — and it is the map ``regions=1`` and an explicit
-        one-spec layout describe."""
+    def test_specs_naming_unknown_nodes_are_refused(self):
+        """A layout must name only the mesh's nodes: a region holding a
+        node the topology lacks is refused, naming that node."""
         from repro.config import FleetConfig
-        from repro.core import regions
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("all-pairs work for a one-region map")
+        topology = line_topology([10.0, 10.0])  # node1..node3
+        config = FleetConfig(
+            region_specs=(
+                ("a", ("node1", "node2", "node3")),
+                ("b", ("ghost",)),
+            )
+        )
+        with pytest.raises(TopologyError, match="'ghost'"):
+            RegionMap.from_config(topology, config)
 
-        monkeypatch.setattr(regions, "_hop_distances", unreachable)
+    def test_one_region_does_no_all_pairs_work(self):
+        """The default plane's map is the node list — one region named
+        ``region0`` — and it is the map an explicit one-spec layout
+        describes."""
+        from repro.config import FleetConfig
+
         topology = regional_mesh(4, 5)
         everything = frozenset(topology.node_names)
-        partitioned = partition_topology(topology, 1)
-        assert [(s.name, s.nodes) for s in partitioned.specs] == [
-            ("region0", everything)
-        ]
         for config in (
             FleetConfig(),
-            FleetConfig(regions=1),
             FleetConfig(region_specs=(("region0", tuple(everything)),)),
         ):
             derived = RegionMap.from_config(topology, config)
             assert [(s.name, s.nodes) for s in derived.specs] == [
                 ("region0", everything)
             ]
-
-    def test_seeds_are_farthest_first_with_name_ties(self):
-        # A 6-node line: seed 1 is the smallest name, seed 2 the far
-        # end, seed 3 the node farthest from both (ties by name).
-        topology = line_topology([10.0] * 5)
-        region_map = partition_topology(topology, 3)
-        assert [sorted(spec.nodes) for spec in region_map.specs] == [
-            ["node1", "node2"],
-            ["node5", "node6"],
-            ["node3", "node4"],
-        ]
-
-    def test_single_region_and_errors(self):
-        topology = line_topology([10.0, 10.0, 10.0])  # 4 nodes
-        region_map = partition_topology(topology, 1)
-        assert len(region_map) == 1
-        with pytest.raises(TopologyError):
-            partition_topology(topology, 0)
-        with pytest.raises(TopologyError):
-            partition_topology(topology, 5)
 
 
 class TestArbiterResolution:

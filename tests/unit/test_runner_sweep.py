@@ -260,17 +260,13 @@ class TestGrid:
                 for threshold in (0.25, 0.50, 0.65, 0.75)
             ),
         )
-        multitenant = multi_tenant_scaling_spec(probe_sharing=False)
+        multitenant = multi_tenant_scaling_spec()
         assert multitenant == SweepSpec(
             name="multitenant-scaling",
             cells=tuple(
                 CellSpec(
                     fn="repro.experiments.multi_tenant:_mesh_cell",
-                    kwargs={
-                        "tenants": tenants,
-                        "duration_s": 240.0,
-                        "probe_sharing": False,
-                    },
+                    kwargs={"tenants": tenants, "duration_s": 240.0},
                     label=f"tenants{tenants}",
                     seed=11,
                 )
@@ -280,12 +276,7 @@ class TestGrid:
         # What the function receives is what it received when the seed
         # sat inside ``kwargs``.
         assert [multitenant.resolved_kwargs(i) for i in range(4)] == [
-            {
-                "tenants": tenants,
-                "duration_s": 240.0,
-                "seed": 11,
-                "probe_sharing": False,
-            }
+            {"tenants": tenants, "duration_s": 240.0, "seed": 11}
             for tenants in (1, 2, 4, 8)
         ]
         churn_seeds = churn_seed_sweep_spec(seeds=(3, 1), settle_s=60.0)
