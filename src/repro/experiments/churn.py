@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..config import BassConfig, FleetConfig
+from ..config import BassConfig
 from ..faults import (
     FailureDetector,
     FaultInjector,
@@ -202,7 +202,6 @@ def churn_recovery(
     label: Optional[str] = None,
     heartbeat: Optional[HeartbeatConfig] = None,
     config: Optional[BassConfig] = None,
-    fleet: Optional[FleetConfig] = None,
     tracer: Optional[TracerBase] = None,
     env: Optional[ExperimentEnv] = None,
     extra_faults: tuple = (),
@@ -235,7 +234,7 @@ def churn_recovery(
         config = BassConfig(migrations_enabled=False)
     config = config.validate()
     if env is None:
-        env = build_env(seed=seed, with_traces=False, fleet=fleet, tracer=tracer)
+        env = build_env(seed=seed, with_traces=False, tracer=tracer)
     handles = []
     for index in range(tenants):
         app = StreamPairApp(

@@ -65,7 +65,9 @@ keeps the component structure between calls and takes *both* inputs as
 deltas.  A flow that was added, removed, rerouted or re-demanded
 re-components and re-solves only the components it leaves and the ones
 its new path reaches (a heartbeat or probe flow costs its one
-component, not the mesh); a capacity move re-solves, above the cutover,
+component, not the mesh — and below the cutover nothing at all when it
+joins or leaves that component at the top of its fill order on slack
+links: *slack admission*, below); a capacity move re-solves, above the cutover,
 only the components owning a moved link that is not slack, and below
 it only the components whose plan cannot certify its capacity-free
 rates.  Every other component's rates are kept verbatim.  That is
@@ -111,6 +113,72 @@ the link out.  A capacity move on a link slack both before and after
 it, against that one load, leaves the component's held rates — its
 fill against the old capacities, so against ``+inf`` on that link, so
 against the new ones — and the component is not re-filled.
+
+*Slack admission* is the third skip, for flow-set changes below the
+cutover while the capacities are the ones the held rates were solved
+against.  A flow ``f`` of demand ``d`` *arrives* without a fill when
+its links touch at most one component ``C`` (none: ``C`` is empty),
+``d`` exceeds every demand in ``C`` by more than ``2 * epsilon``, and
+every link it crosses is slack under ``L``: the held rates of ``C``'s
+flows on it plus ``f``'s grant ``g = r + (d - r)``, each counted as
+often as its flow crosses the link, where ``r`` is ``C``'s largest held
+rate (``0.0`` for none).  The engine also asks, in floats,
+``r < d - epsilon <= g``.  Then ``fill(C + f)`` is ``fill(C)`` on
+``C``'s flows and ``g`` on ``f``, bit for bit:
+
+* ``f``'s demand is above every other, so ``f`` sorts last in the fill
+  order: while a flow of ``C`` is active ``f`` is never ``first`` (its
+  slack never sets ``delta``) and, satisfied flows retiring as a prefix
+  of the order, never retires by demand.  The common rate never
+  exceeds ``r`` while ``C`` is active, and ``r < d - epsilon``, so
+  ``f`` is not satisfied early either.
+* The lemma's induction reads ``L`` only through the final rates: each
+  active flow ends at least ``delta`` above the round's rate.  Run it
+  on ``fill(C + f)`` with the claimed rates — ``C``'s held ones, and
+  ``g >= r`` for ``f`` — and ``f``'s links never set ``delta`` nor
+  saturate there.  In ``fill(C)`` a link of ``C`` among them carries a
+  smaller load, so it is slack and idle there too.  Every other link
+  carries the same flows in both fills.  So each round of
+  ``fill(C + f)`` takes ``fill(C)``'s increment, retires the same flows
+  of ``C`` and saturates the same links, which pin no ``f``.
+* When ``C``'s last flow retires the rate is ``r`` and ``f`` is alone
+  on its links, whose shares stay above its slack: one more round adds
+  ``d - r``, ends at ``g`` and retires ``f`` (``g >= d - epsilon``).
+* *The grant, not ``d``, in the load.*  The induction needs the rates
+  the fill ends at, and ``f`` ends at ``g``, which can sit an ulp off
+  ``d``.  (The margin would absorb that ulp too; with ``g`` the lemma
+  applies as stated.)
+* *A link crossed twice.*  A link ``f`` crosses ``k`` times gains ``k``
+  in its count and gives up ``k * rate`` per round, so ``L`` counts
+  ``g`` ``k`` times, as the lemma's load does; a flow of ``C`` crossing
+  a link twice counts twice likewise.
+* *The dead-end ``break``* is never taken by a plan fill over finite
+  demands, so neither fill takes it.  A round with ``delta <= epsilon``
+  retires or saturates.  If ``delta`` is a link's share
+  ``remaining / count`` (a negative one clamped to ``0.0``), that link
+  ends the round within rounding of zero or below it, so at most
+  epsilon.  If it is the first flow's slack ``s = d' - rate``, then
+  ``rate < d'`` (the flow is not satisfied).  If ``rate >= d' / 2``
+  the subtraction is exact (Sterbenz) and ``rate + s`` is ``d'``
+  itself.  Otherwise ``s <= epsilon`` puts ``d'`` below
+  ``2 * epsilon``, where ``rate + s`` is within a few ulps of ``d'``.
+  Either way the rate reaches ``d' - epsilon`` and the flow retires.
+
+A *departure* is the mirror.  The flow ``f`` was removed, and touched
+once, so the row the engine holds is the one its rate was solved with.
+``C`` cannot split: ``f`` crosses one distinct link, or is ``C``'s only
+member.  ``f`` tops ``C``'s other demands by more than ``2 * epsilon``,
+and its links are slack under the held load, ``f``'s own rate included.
+The held rates are ``fill(C)``, so by the lemma ``f``'s links never
+set ``delta`` nor saturate in it.  Without ``f`` a link of ``C - f``
+among them keeps at least that headroom, round by round.  ``f`` sorts
+last, so its slack sets no increment until ``C - f`` is done, and
+``fill(C)``'s rounds restricted to ``C - f`` are ``fill(C - f)``'s.
+``f`` is dropped with the links only it crossed.
+
+Either way the component keeps its held rates, loses its plan (its
+content changed) and is not filled; every other change takes the fill
+path.  The label form has no admission.
 """
 
 from __future__ import annotations
@@ -212,8 +280,9 @@ def _slack_bound(load):
 class _Plan:
     """One component compiled for the ordered small-instance water-fill.
 
-    A component's content is fixed for its lifetime (the incremental
-    engine dissolves it on any change to a member flow), so everything
+    A plan's content is fixed for its lifetime (the incremental engine
+    dissolves a component on any change to a member flow, or drops its
+    plan when a slack admission adds or removes one), so everything
     the per-round loop needs is worked out once, as local integers:
     flows and links are numbered in first-appearance order, each flow
     lists its link slots *with multiplicity* (a path crossing a link
@@ -696,9 +765,10 @@ class _Component:
 
     ``plan`` and ``cap_pos`` (the capacity-array position of each of
     the plan's links) are compiled by the incremental engine the first
-    time it water-fills the component below the cutover, and live
-    exactly as long as the component does.  They are derived state: a
-    pickled component carries neither.
+    time it water-fills the component below the cutover, and live as
+    long as the component keeps its flows (a slack admission drops the
+    plan).  They are derived state: a pickled component carries
+    neither.
     """
 
     __slots__ = ("flows", "links", "plan", "cap_pos")
@@ -867,7 +937,13 @@ class IncrementalMaxMin(Derived):
     reach, re-runs :func:`_link_groups` on the pool — which is where
     merges (a bridging flow arrived) and splits (it left) fall out —
     and water-fills the replacements through each component's retained
-    :class:`_Plan`.  When capacities moved it visits every retained
+    :class:`_Plan`.  While capacities have not moved, a touched flow
+    that qualifies for slack admission (module docstring) skips all of
+    that: an arrival joins its component, or a new one, at its grant,
+    and a departure leaves, both with no water-fill.  The other
+    touched flows of the solve still take that path, after the
+    admissions, so an admitted flow whose component they reach is
+    filled with it.  When capacities moved it visits every retained
     component (on instances that small nearly every capacity change
     touches every component) but re-fills only those its plan cannot
     certify (:meth:`_Plan.certify`): a component whose links all have
@@ -918,7 +994,8 @@ class IncrementalMaxMin(Derived):
     ``partial_solves`` every other solve that water-filled at least
     one component, and ``components_resolved`` the components those
     partial solves water-filled (a certified component, or one whose
-    moved links were all slack, was not).
+    moved links were all slack, was not).  An admission is not a fill:
+    a solve whose every touched flow was admitted counts nothing.
     """
 
     DERIVED = {
@@ -946,9 +1023,10 @@ class IncrementalMaxMin(Derived):
         #: engine still reports.
         self._n_active = 0
         self._n_components = 0
-        #: Flow ids reported since the last solve, and (label form
-        #: only) the links they crossed or cross — ordered sets.
-        self._touched: dict[Hashable, None] = {}
+        #: Flow ids reported since the last solve (each mapped to
+        #: whether it was reported more than once), and (label form
+        #: only) the links they crossed or cross — an ordered set.
+        self._touched: dict[Hashable, bool] = {}
         self._touched_links: dict[LinkKey, None] = {}
         #: Observability counters (deterministic; surfaced as gauges).
         self.full_solves = 0
@@ -978,7 +1056,9 @@ class IncrementalMaxMin(Derived):
         row has left the table by the next solve; the dict form finds
         the old component by flow id).
         """
-        self._touched[flow_id] = None
+        # The value records a repeat: a flow touched twice may have had
+        # its held row edited in place before it left.
+        self._touched[flow_id] = flow_id in self._touched
         if self._batched:
             self._touched_links.update(dict.fromkeys(links))
 
@@ -988,25 +1068,23 @@ class IncrementalMaxMin(Derived):
 
     def _settle(
         self,
-        flows: Mapping[Hashable, FlowDemand],
         touched: Iterable[Hashable],
-        link_index: Mapping[LinkKey, int],
-    ) -> tuple[dict[Hashable, FlowDemand], list[Hashable]]:
+        granted: Mapping[Hashable, float],
+        arrivals: Mapping[Hashable, FlowDemand],
+    ) -> list[Hashable]:
         """Drop the rates of touched flows that are gone and grant the
         ones that need no water-filling (loopback, zero demand).
 
-        Returns the touched flows that are active now, and the ids
+        ``granted`` and ``arrivals`` are what :func:`_partition_flows`
+        made of the touched rows still in the table.  Returns the ids
         whose rate is thereby settled.
         """
         rates = self._rates
-        granted, arrivals = _partition_flows(
-            [flows[fid] for fid in touched if fid in flows], link_index
-        )
         for fid in touched:
             if fid not in granted:
                 rates.pop(fid, None)  # the flow is gone
         rates.update(granted)
-        return arrivals, [fid for fid in granted if fid not in arrivals]
+        return [fid for fid in granted if fid not in arrivals]
 
     # -- dict form --------------------------------------------------------
 
@@ -1015,15 +1093,30 @@ class IncrementalMaxMin(Derived):
         flows: Mapping[Hashable, FlowDemand],
         touched: Iterable[Hashable],
         link_index: Mapping[LinkKey, int],
+        solved_caps: Optional[np.ndarray] = None,
     ) -> tuple[list[_Component], list[Hashable]]:
         """Fold the touched flow ids into the component structure.
 
+        With ``solved_caps`` — the capacities the held rates were solved
+        against, unmoved since — the touched flows that qualify for
+        slack admission are folded in first, with no water-fill.
         Returns the replacement components (appended to
-        ``_components``, rates not yet filled) and the touched ids
-        whose rate is settled without water-filling.
+        ``_components``, rates not yet filled) and the touched ids whose
+        rate is settled without water-filling (admitted arrivals
+        included).
         """
         member_of, link_owner = self._member_of, self._link_owner
-        arrivals, settled = self._settle(flows, touched, link_index)
+        granted, arrivals = _partition_flows(
+            [flows[fid] for fid in touched if fid in flows], link_index
+        )
+        admitted: list[Hashable] = []
+        if solved_caps is not None:
+            touched, admitted = self._admit(
+                flows, touched, granted, arrivals, link_index, solved_caps
+            )
+        settled = self._settle(touched, granted, arrivals)
+        if not touched:
+            return [], admitted + settled
         dissolved: dict[int, _Component] = {}
         for fid in touched:
             old = member_of.pop(fid, None)
@@ -1049,7 +1142,147 @@ class IncrementalMaxMin(Derived):
             self._components = [
                 c for c in self._components if id(c) not in dissolved
             ] + fresh
-        return fresh, settled
+        if admitted and dissolved:
+            # An admitted flow whose component a later change dissolved
+            # is filled with its new component, and reported there.
+            refilled = {id(component) for component in fresh}
+            admitted = [fid for fid in admitted if id(member_of[fid]) not in refilled]
+        return fresh, admitted + settled
+
+    def _admit(
+        self,
+        flows: Mapping[Hashable, FlowDemand],
+        touched: Mapping[Hashable, bool],
+        granted: dict[Hashable, float],
+        arrivals: dict[Hashable, FlowDemand],
+        link_index: Mapping[LinkKey, int],
+        caps: np.ndarray,
+    ) -> tuple[list[Hashable], list[Hashable]]:
+        """Slack admission (module docstring), one touched flow at a
+        time: an active arrival that joins at most one component, and a
+        departure touched once (so its held row is the one its rate was
+        solved with).  An admitted arrival leaves ``granted`` and
+        ``arrivals``.
+
+        Returns the touched ids left to the fill path, and the admitted
+        arrivals.
+        """
+        member_of = self._member_of
+        rest: list[Hashable] = []
+        admitted: list[Hashable] = []
+        for fid, again in touched.items():
+            component = member_of.get(fid)
+            flow = arrivals.get(fid)
+            if flow is not None:
+                if (
+                    component is None
+                    and not _use_batch(len(member_of) + 1)
+                    and self._arrive(flow, link_index, caps)
+                ):
+                    del granted[fid], arrivals[fid]
+                    admitted.append(fid)
+                    continue
+            elif component is not None and not again and fid not in flows:
+                if self._depart(fid, component, link_index, caps):
+                    continue
+            rest.append(fid)
+        return rest, admitted
+
+    def _arrive(
+        self, flow: FlowDemand, link_index: Mapping[LinkKey, int], caps: np.ndarray
+    ) -> bool:
+        """Admit ``flow`` if it joins at most one component ``C``, tops
+        every demand in ``C`` by more than ``2 * epsilon`` and crosses
+        only links that stay slack under ``C``'s held rates plus its
+        grant ``r + (d - r)``; ``r`` is ``C``'s largest held rate."""
+        link_owner, rates = self._link_owner, self._rates
+        load = dict.fromkeys(flow.links, 0.0)
+        host: Optional[_Component] = None
+        for key in load:
+            owner = link_owner.get(key)
+            if owner is not None and owner is not host:
+                if host is not None:
+                    return False  # it would bridge two components
+                host = owner
+        top, held = -_INF, 0.0
+        if host is not None:
+            for fid, member in host.flows.items():
+                rate = rates[fid]
+                if member.demand_mbps > top:
+                    top = member.demand_mbps
+                if rate > held:
+                    held = rate
+                for key in member.links:
+                    if key in load:
+                        load[key] += rate
+        demand = flow.demand_mbps
+        grant = held + (demand - held)
+        thresh = demand - _EPSILON
+        if not (demand > top + 2 * _EPSILON and held < thresh <= grant):
+            return False
+        for key in flow.links:
+            load[key] += grant
+        for key, carried in load.items():
+            if not caps[link_index[key]] > _slack_bound(carried):
+                return False
+        if host is None:
+            host = _Component({}, [])
+            self._components.append(host)
+        host.plan = None
+        host.flows[flow.flow_id] = flow
+        self._member_of[flow.flow_id] = host
+        for key in load:
+            if key not in link_owner:
+                host.links.append(key)
+                link_owner[key] = host
+        rates[flow.flow_id] = grant
+        return True
+
+    def _depart(
+        self,
+        fid: Hashable,
+        component: _Component,
+        link_index: Mapping[LinkKey, int],
+        caps: np.ndarray,
+    ) -> bool:
+        """Drop the removed flow ``fid`` if ``component`` cannot split
+        (the flow crosses one distinct link, or is its only member), it
+        tops every other demand there by more than ``2 * epsilon``, and
+        its links are slack under the held rates."""
+        flow = component.flows[fid]
+        load = dict.fromkeys(flow.links, 0.0)
+        if len(load) > 1 and len(component.flows) > 1:
+            return False
+        rates = self._rates
+        top = -_INF
+        shared: set[LinkKey] = set()
+        for mid, member in component.flows.items():
+            rate = rates[mid]
+            if mid != fid and member.demand_mbps > top:
+                top = member.demand_mbps
+            for key in member.links:
+                if key in load:
+                    load[key] += rate
+                    if mid != fid:
+                        shared.add(key)
+        if not flow.demand_mbps > top + 2 * _EPSILON:
+            return False
+        for key, carried in load.items():
+            if not caps[link_index[key]] > _slack_bound(carried):
+                return False
+        del component.flows[fid], self._member_of[fid], rates[fid]
+        link_owner = self._link_owner
+        if not component.flows:
+            self._components.remove(component)
+            for key in component.links:
+                del link_owner[key]
+            return True
+        component.plan = None
+        for key in load:
+            if key not in shared:
+                component.links.remove(key)
+                del link_owner[key]
+        return True
 
     def _adopt(self, component: _Component) -> None:
         for fid in component.flows:
@@ -1177,7 +1410,10 @@ class IncrementalMaxMin(Derived):
         """
         fresh, settled = _NO_ROWS, []
         if touched:
-            _, settled = self._settle(flows, touched, link_index)
+            granted, arrivals = _partition_flows(
+                [flows[fid] for fid in touched if fid in flows], link_index
+            )
+            settled = self._settle(touched, granted, arrivals)
         if self._link_comp is None:
             # From scratch, or restored: label the whole table — and,
             # when restored, fill none of it.
@@ -1263,7 +1499,9 @@ class IncrementalMaxMin(Derived):
             if not _use_batch(self._n_active):
                 fresh = self._to_components(fresh, flows)
         elif scratch or touched:
-            fresh, changed = self._restructure(flows, touched, link_index)
+            fresh, changed = self._restructure(
+                flows, touched, link_index, None if caps_moved else solved_caps
+            )
             if _use_batch(len(self._member_of)):
                 table = self._bind(flows, link_index, table, True)
                 fresh = self._to_labels(fresh, link_index)

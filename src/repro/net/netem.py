@@ -44,7 +44,11 @@ ids, with the object API kept as a thin view:
   connected components a change reaches: the components a changed flow
   leaves or joins, and — at city scale, in one batched array pass over
   the same flow table — the ones whose capacities moved since the
-  previous solve.  Bit-identical to a from-scratch solve.
+  previous solve.  On small flow sets a flow that arrives or leaves
+  above every other demand of its component, on links with room for
+  it, fills nothing (*slack admission*): a headroom probe's
+  ``add_flow`` → ``available_bandwidth`` and its removal cost a few
+  dict reads.  Bit-identical to a from-scratch solve.
 
 Observation key: a solve that moved at least one of the rates it
 recomputed bumps an allocation revision, and a tick bumps a queue revision unless the queues were

@@ -31,6 +31,7 @@ from repro.net.fairness import (
     _slack_bound,
     link_components,
 )
+from repro.invariants import max_min_certificate
 from repro.net.flows import FlowArrays
 from tests.oracles import reference_allocation
 
@@ -868,3 +869,130 @@ def test_small_instances_skip_dirty_tracking():
     assert tick(7.5, 61.0) == (sorted(busy), 1)
     assert engine.full_solves == 1
     assert engine.partial_solves == 6
+
+
+# -- slack admission ----------------------------------------------------------
+
+
+class AdmissionHarness(PerturbationHarness):
+    """Every answer is also checked against the bottleneck certificate."""
+
+    def solve_and_verify(self) -> list:
+        changed = super().solve_and_verify()
+        capacities = dict(zip(self.links, self.cap_values.tolist()))
+        assert max_min_certificate(
+            self.flows.values(), capacities, self.engine._rates
+        ) == []
+        return changed
+
+
+def admission_harness() -> PerturbationHarness:
+    """Two components on slack links — ``low`` alone on link 0, two
+    flows on link 5 — and a binding one: two flows of demand 50 on
+    link 9 at capacity 30."""
+    harness = AdmissionHarness(n_links=12, seed=13, max_hops=1)
+    harness.cap_values[:] = 100.0
+    harness.cap_values[9] = 30.0
+    harness.add_flow(path=(harness.links[0],), demand=2.29)
+    harness.add_flow(path=(harness.links[5],), demand=4.0)
+    harness.add_flow(path=(harness.links[5],), demand=6.0)
+    harness.add_flow(path=(harness.links[9],), demand=50.0)
+    harness.add_flow(path=(harness.links[9],), demand=50.0)
+    harness.solve_and_verify()
+    assert harness.engine.component_count == 3
+    return harness
+
+
+def fills(engine) -> tuple:
+    return engine.full_solves, engine.partial_solves, engine.components_resolved
+
+
+def test_an_arrival_at_the_top_of_its_component_is_granted_without_a_fill():
+    """It joins ``low``'s component at ``r + (d - r)`` — here one ulp
+    below its demand, as the from-scratch fill has it — and nothing is
+    filled; its later departure fills nothing either."""
+    harness = admission_harness()
+    engine = harness.engine
+    before = fills(engine)
+    top = harness.add_flow(path=(harness.links[0],), demand=12.4)
+    assert harness.solve_and_verify() == [top]
+    assert engine._rates[top] == 2.29 + (12.4 - 2.29) == 12.399999999999999
+    assert engine._member_of[top] is engine._member_of["f0"]
+    assert engine._member_of[top].plan is None
+    assert fills(engine) == before
+    harness.remove_flow(top)
+    assert harness.solve_and_verify() == []
+    assert fills(engine) == before
+
+
+def test_an_admitted_arrival_leaves_nothing_pending():
+    """An admission clears the touched set like a fill would: a solve
+    with nothing new fills nothing, and one for an unrelated change
+    fills that change's component alone."""
+    harness = admission_harness()
+    engine = harness.engine
+    probe = harness.add_flow(path=(harness.links[5],), demand=20.0)
+    assert harness.solve_and_verify() == [probe]
+    assert engine._touched == {}
+    before = fills(engine)
+    assert harness.solve_and_verify() == []
+    assert fills(engine) == before
+    harness.set_demand("f3", 40.0)
+    assert sorted(harness.solve_and_verify()) == ["f3", "f4"]
+    assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
+
+
+def test_an_arrival_below_the_top_or_on_a_binding_link_is_filled():
+    harness = admission_harness()
+    engine = harness.engine
+    for link, demand, component in ((5, 5.0, ["f1", "f2"]), (9, 60.0, ["f3", "f4"])):
+        before = fills(engine)
+        fid = harness.add_flow(path=(harness.links[link],), demand=demand)
+        assert sorted(harness.solve_and_verify()) == sorted(component + [fid])
+        assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
+
+
+def test_admissions_and_fills_mix_in_one_solve():
+    """An admitted arrival whose component a later change of the same
+    solve reaches is filled there and reported once."""
+    harness = admission_harness()
+    engine = harness.engine
+    before = fills(engine)
+    first = harness.add_flow(path=(harness.links[0],), demand=12.4)
+    second = harness.add_flow(path=harness.links[0:2], demand=1.0)
+    assert sorted(harness.solve_and_verify()) == sorted(["f0", first, second])
+    assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
+
+
+def test_a_row_edited_before_it_leaves_is_not_admitted():
+    """Held: ``low`` (2.29) and ``top`` (12.4) on one slack link, ``top``
+    at 12.399999999999999.  ``low`` is raised to 50 and removed before
+    the next solve: judged by its edited row it would leave at the top,
+    keeping ``top``'s held rate; alone, ``top`` gets 12.4.  Touched
+    twice, it takes the fill."""
+    harness = admission_harness()
+    engine = harness.engine
+    top = harness.add_flow(path=(harness.links[0],), demand=12.4)
+    harness.solve_and_verify()
+    before = fills(engine)
+    harness.set_demand("f0", 50.0)
+    harness.remove_flow("f0")
+    assert harness.solve_and_verify() == [top]
+    assert engine._rates[top] == 12.4
+    assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
+
+
+def test_a_departure_that_could_split_its_component_is_filled():
+    """A two-link flow bridging two flows leaves: the rest may fall
+    apart, so it takes the fill path even at the top on slack links."""
+    harness = admission_harness()
+    engine = harness.engine
+    bridge = harness.add_flow(path=harness.links[5:7], demand=30.0)
+    far = harness.add_flow(path=(harness.links[6],), demand=1.0)
+    harness.solve_and_verify()
+    assert engine._member_of[far] is engine._member_of["f1"]
+    before = fills(engine)
+    harness.remove_flow(bridge)
+    harness.solve_and_verify()
+    assert engine._member_of[far] is not engine._member_of["f1"]
+    assert fills(engine) == (before[0], before[1] + 1, before[2] + 2)

@@ -419,6 +419,23 @@ class TestFlowSetDeltasReachTheSolver:
         assert emu.flow("a").allocated_mbps == self.UNWRITTEN
         assert emu.flow("c").allocated_mbps == self.UNWRITTEN
 
+    def test_probe_at_the_top_of_a_slack_link_costs_no_fill(self):
+        """A probe above ``a``'s demand whose link keeps room for both
+        is granted its demand and leaves again with no water-fill; the
+        other components' rates are not even rewritten."""
+        emu = self._islands()
+        before = emu.solver_stats()
+        emu.flow("c").allocated_mbps = self.UNWRITTEN
+        emu.add_flow("__probe_1", "node1", "node2", 5.0, tag="probe")
+        assert emu.available_bandwidth("node1", "node2") == 1.0
+        assert emu.flow("__probe_1").allocated_mbps == 5.0
+        emu.remove_flow("__probe_1")
+        assert emu.available_bandwidth("node1", "node2") == 6.0
+        assert emu.solver_stats() == before
+        assert emu.flow("c").allocated_mbps == self.UNWRITTEN
+        emu.flow("c").allocated_mbps = 4.0
+        self._assert_rates_exact(emu)
+
     def test_probe_added_and_removed_between_solves_costs_nothing(self):
         emu = self._islands()
         before = emu.solver_stats()

@@ -1,15 +1,34 @@
 """Property-based tests for the network emulator and binding layer."""
 
+import pickle
+from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.cluster.deployment import Deployment
 from repro.core.binding import DeploymentBinding, edge_flow_id
 from repro.core.dag import Component, ComponentDAG
 from repro.errors import RoutingError
+from repro.invariants import max_min_certificate
 from repro.mesh.topology import full_mesh_topology, line_topology, regional_mesh
 from repro.mesh.traces import BandwidthTrace
+from repro.net.fairness import (
+    _BATCH_MIN_FLOWS,
+    _EPSILON,
+    IncrementalMaxMin,
+    _slack_bound,
+    link_components,
+    max_min_allocation,
+)
 from repro.net.netem import NetworkEmulator
 
 _EPS = 1e-6
@@ -238,6 +257,88 @@ REGION_LINKS = [link.id for link in regional_mesh(3, 3).links]
 FLOW_IDS = [f"f{i}" for i in range(12)]
 
 
+# -- slack admission, restated over the stateless component split -----------
+
+
+def _active(rows) -> dict:
+    return {
+        row.flow_id: row for row in rows if row.demand_mbps > _EPSILON and row.links
+    }
+
+
+def _slack(members: dict, rates, capacities, keys, extra=None) -> bool:
+    """Every link of ``keys`` is slack under the rates of ``members``
+    crossing it (plus ``extra = (row, rate)``), with multiplicity."""
+    load = dict.fromkeys(keys, 0.0)
+    carried = [(row, rates[fid]) for fid, row in members.items()]
+    for row, rate in carried + ([extra] if extra else []):
+        for key in row.links:
+            if key in load:
+                load[key] += rate
+    return all(capacities[key] > _slack_bound(value) for key, value in load.items())
+
+
+def admits_arrival(rows, rates, capacities, flow) -> bool:
+    """Whether ``flow`` may join the active flows of ``rows`` — which
+    hold ``rates`` against ``capacities`` — with no water-fill: it
+    touches at most one component, tops its demands by more than
+    ``2 * epsilon``, and leaves its links slack at the grant."""
+    active = _active(rows)
+    if flow.flow_id not in _active([flow]) or len(active) + 1 >= _BATCH_MIN_FLOWS:
+        return False
+    keys = set(flow.links)
+    touched = [
+        members
+        for members in link_components(active)
+        if any(keys & set(row.links) for row in members.values())
+    ]
+    if len(touched) > 1:
+        return False
+    members = touched[0] if touched else {}
+    demand = flow.demand_mbps
+    top = max((row.demand_mbps for row in members.values()), default=-np.inf)
+    held = max((rates[fid] for fid in members), default=0.0)
+    grant = held + (demand - held)
+    return (
+        demand > top + 2 * _EPSILON
+        and held < demand - _EPSILON <= grant
+        and _slack(members, rates, capacities, flow.links, (flow, grant))
+    )
+
+
+def departure(rows, rates, capacities, fid) -> tuple[bool, bool]:
+    """``(admitted, filled)`` for the removal of ``fid`` from ``rows``:
+    whether it leaves with no water-fill (its component cannot split,
+    it tops the other demands by more than ``2 * epsilon``, its links
+    are slack), and else whether a fill follows (others remain)."""
+    active = _active(rows)
+    if fid not in active:
+        return False, False
+    flow = active[fid]
+    (members,) = [c for c in link_components(active) if fid in c]
+    top = max(
+        (row.demand_mbps for other, row in members.items() if other != fid),
+        default=-np.inf,
+    )
+    admitted = (
+        (len(set(flow.links)) == 1 or len(members) == 1)
+        and flow.demand_mbps > top + 2 * _EPSILON
+        and _slack(members, rates, capacities, flow.links)
+    )
+    return admitted, not admitted and len(members) > 1
+
+
+def rate_bits(rates) -> dict:
+    return {fid: float(rate).hex() for fid, rate in rates.items()}
+
+
+def check_allocation(rows, capacities, rates) -> None:
+    """Bit for bit the stateless solve, and max-min by certificate."""
+    rows = list(rows)
+    assert rate_bits(rates) == rate_bits(max_min_allocation(rows, capacities))
+    assert max_min_certificate(rows, capacities, rates) == []
+
+
 class ReverseIndexMachine(RuleBasedStateMachine):
     """``_flows_by_link`` stays the index of ``flows`` through every
     mutation: the flows crossing each link, in ``_flows`` order.
@@ -247,29 +348,61 @@ class ReverseIndexMachine(RuleBasedStateMachine):
     would skew them silently.  A 3-region mesh gives multi-hop paths
     over the backbone ring, so reroutes after a failure move flows
     between links.
+
+    The same history checks the allocation: after every step the
+    emulator's rates are, bit for bit, a stateless solve's, and an
+    arrival or removal the slack-admission rule accepts (restated
+    here over the stateless components) fills nothing, while one it
+    refuses fills — throttled links make some arrivals bind, a
+    pickle round trip lands mid-history.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.emu = NetworkEmulator(regional_mesh(3, 3))
 
+    def _held(self):
+        """The solved state a change starts from."""
+        rows = self.emu.flows
+        rates = {flow.flow_id: flow.allocated_mbps for flow in rows}
+        return rows, rates, self.emu.capacities_now(), self._counters()
+
+    def _counters(self):
+        stats = self.emu.solver_stats()
+        return stats["partial_solves"], stats["components_resolved"]
+
+    def _expect(self, before, admitted: bool, filled: bool) -> None:
+        self.emu.recompute()
+        partial, resolved = self._counters()
+        if admitted:
+            assert (partial, resolved) == before
+        elif filled:
+            assert partial == before[0] + 1
+
     @rule(
         fid=st.sampled_from(FLOW_IDS),
         src=st.sampled_from(REGION_NODES),
         dst=st.sampled_from(REGION_NODES),
-        demand=st.sampled_from([0.0, 1.0, 4.5, 20.0]),
+        demand=st.sampled_from([0.0, 1.0, 4.5, 20.0, 39.0]),
     )
     def add_flow(self, fid, src, dst, demand):
         if self.emu.has_flow(fid):
             return
+        rows, rates, capacities, before = self._held()
         try:
-            self.emu.add_flow(fid, src, dst, demand)
+            flow = self.emu.add_flow(fid, src, dst, demand)
         except RoutingError:
             assert not self.emu.has_flow(fid)
+            return
+        admitted = admits_arrival(rows, rates, capacities, flow)
+        self._expect(before, admitted, fid in _active([flow]))
 
     @rule(fid=st.sampled_from(FLOW_IDS))
     def remove_flow(self, fid):
+        rows, rates, capacities, before = self._held()
+        admitted, filled = departure(rows, rates, capacities, fid)
         self.emu.remove_flow(fid)
+        self._expect(before, admitted, filled)
 
     @rule(
         fid=st.sampled_from(FLOW_IDS),
@@ -298,6 +431,19 @@ class ReverseIndexMachine(RuleBasedStateMachine):
     def set_node_up(self, node, up):
         self.emu.topology.set_node_up(node, up)
         self.emu.on_topology_change()
+
+    @rule(
+        pair=st.sampled_from(REGION_LINKS),
+        forward=st.booleans(),
+        limit=st.sampled_from([None, 2.0, 6.0, 25.0]),
+    )
+    def throttle(self, pair, forward, limit):
+        src, dst = pair if forward else pair[::-1]
+        self.emu.topology.link(src, dst).set_rate_limit(limit, src=src, dst=dst)
+
+    @rule()
+    def checkpoint(self):
+        self.emu = pickle.loads(pickle.dumps(self.emu))
 
     @rule(
         links=st.lists(st.sampled_from(REGION_LINKS), max_size=3),
@@ -331,8 +477,157 @@ class ReverseIndexMachine(RuleBasedStateMachine):
             key: list(ids) for key, ids in rebuilt.items()
         }
 
+    @invariant()
+    def allocation_is_a_stateless_solve(self):
+        self.emu.recompute()
+        flows = self.emu.flows
+        rates = {flow.flow_id: flow.allocated_mbps for flow in flows}
+        check_allocation(flows, self.emu.capacities_now(), rates)
+
 
 ReverseIndexMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 TestReverseIndex = ReverseIndexMachine.TestCase
+
+
+ENGINE_LINKS = [(f"n{i}", f"n{i + 1}") for i in range(5)]
+ENGINE_FLOWS = [f"g{i}" for i in range(8)]
+#: Paths as link positions: repeats cross a link twice, ``[]`` is a
+#: loopback.
+PATHS = st.lists(st.integers(0, len(ENGINE_LINKS) - 1), max_size=3)
+DEMANDS = st.sampled_from([0.0, 1e-10, 0.7, 2.0, 4.5, 9.0, 30.0])
+
+
+@dataclass
+class Row:
+    """A mutable flow row, held by reference like the emulator's."""
+
+    flow_id: str
+    links: tuple
+    demand_mbps: float
+
+
+class AdmissionMachine(RuleBasedStateMachine):
+    """An :class:`IncrementalMaxMin` driven directly, one solve per
+    step: arrivals and departures at the top of their component's fill
+    order and below it, on slack and binding links, bridging paths, a
+    link crossed twice, zero-demand and loopback rows, in-place demand
+    edits (one followed by the row's removal before the solve),
+    capacity moves and a pickle round trip.  Every answer is bit for
+    bit the stateless solve; an arrival or departure the rule accepts
+    fills nothing, and one it refuses fills.  ``tally`` counts both
+    outcomes across examples."""
+
+    tally: Counter = Counter()
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rows: dict[str, Row] = {}
+        self.link_index = {key: i for i, key in enumerate(ENGINE_LINKS)}
+        self.caps = np.full(len(ENGINE_LINKS), 10.0)
+        self.engine = IncrementalMaxMin()
+        self.rates = dict(self.solve())
+
+    def capacities(self) -> dict:
+        return dict(zip(ENGINE_LINKS, self.caps.tolist()))
+
+    def counters(self):
+        return self.engine.partial_solves, self.engine.components_resolved
+
+    def solve(self):
+        rates, changed = self.engine.solve(self.rows, self.link_index, self.caps)
+        assert len(changed) == len(set(changed))
+        check_allocation(self.rows.values(), self.capacities(), rates)
+        self.rates = dict(rates)
+        return rates
+
+    def expect(self, kind: str, before, admitted: bool, filled: bool) -> None:
+        self.solve()
+        if admitted:
+            assert self.counters() == before
+            self.tally[f"{kind} admitted"] += 1
+        elif filled:
+            assert self.counters()[0] == before[0] + 1
+            self.tally[f"{kind} filled"] += 1
+
+    def add(self, fid: str, path, demand: float) -> Row:
+        row = self.rows[fid] = Row(fid, tuple(ENGINE_LINKS[i] for i in path), demand)
+        self.engine.touch(fid)
+        return row
+
+    @rule(fid=st.sampled_from(ENGINE_FLOWS), path=PATHS, demand=DEMANDS)
+    def arrive(self, fid, path, demand):
+        if fid in self.rows:
+            return
+        rows, before = list(self.rows.values()), self.counters()
+        row = self.add(fid, path, demand)
+        admitted = admits_arrival(rows, self.rates, self.capacities(), row)
+        self.expect("arrival", before, admitted, fid in _active([row]))
+
+    @rule(
+        first=st.tuples(st.sampled_from(ENGINE_FLOWS), PATHS, DEMANDS),
+        second=st.tuples(st.sampled_from(ENGINE_FLOWS), PATHS, DEMANDS),
+    )
+    def arrive_together(self, first, second):
+        """Two arrivals between solves: the first may be admitted and
+        its component then reached by the second."""
+        for fid, path, demand in (first, second):
+            if fid not in self.rows:
+                self.add(fid, path, demand)
+        self.solve()
+
+    @rule(fid=st.sampled_from(ENGINE_FLOWS))
+    def depart(self, fid):
+        if fid not in self.rows:
+            return
+        before = self.counters()
+        admitted, filled = departure(
+            self.rows.values(), self.rates, self.capacities(), fid
+        )
+        del self.rows[fid]
+        self.engine.touch(fid)
+        self.expect("departure", before, admitted, filled)
+
+    @rule(fid=st.sampled_from(ENGINE_FLOWS), demand=DEMANDS, leave=st.booleans())
+    def redemand(self, fid, demand, leave):
+        """An in-place demand edit — and, with ``leave``, the row's
+        removal before the same solve: its held row then no longer
+        says what its rate was solved with, so it is never admitted."""
+        row = self.rows.get(fid)
+        if row is None:
+            return
+        before = self.counters()
+        _, filled = departure(self.rows.values(), self.rates, self.capacities(), fid)
+        row.demand_mbps = demand
+        self.engine.touch(fid)
+        if leave:
+            del self.rows[fid]
+            self.engine.touch(fid)
+            self.expect("twice-touched departure", before, False, filled)
+        else:
+            self.solve()
+
+    @rule(
+        link=st.integers(0, len(ENGINE_LINKS) - 1),
+        cap=st.sampled_from([0.5, 3.0, 10.0, 25.0, np.inf]),
+    )
+    def move_capacity(self, link, cap):
+        self.caps[link] = cap
+        self.solve()
+
+    @rule()
+    def checkpoint(self):
+        self.rows, self.engine = pickle.loads(pickle.dumps((self.rows, self.engine)))
+
+
+def test_admission_histories_equal_the_stateless_solve():
+    AdmissionMachine.tally.clear()
+    run_state_machine_as_test(
+        AdmissionMachine,
+        settings=settings(max_examples=80, stateful_step_count=30, deadline=None),
+    )
+    tally = AdmissionMachine.tally
+    for kind in ("arrival", "departure"):
+        assert tally[f"{kind} admitted"] > 0 and tally[f"{kind} filled"] > 0, tally
+    assert tally["twice-touched departure filled"] > 0, tally
