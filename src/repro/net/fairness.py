@@ -39,7 +39,13 @@ component is water-filled on its own.  Two kernels do that:
   increments from ``np.minimum.reduceat`` over the link-headroom and
   flow-slack segments, so a city of regional components costs
   ``max(rounds)`` array rounds instead of ``sum(rounds)`` Python
-  rounds.  The layout is *gathered*, not compiled: given the flow x
+  rounds.  At city scale a round costs what its NumPy calls cost to
+  dispatch, not what they compute (a few hundred flows each), so the
+  round is written for few calls: results go into buffers allocated
+  once per fill, the live-flow mask is kept rather than rebuilt, the
+  links a round saturates pin their flows straight into its retirement
+  mask, and the dead-end bookkeeping runs only on the round that
+  needs it.  The layout is *gathered*, not compiled: given the flow x
   link incidence as integer COO columns and a component label per
   row, it is two dozen integer gathers whose cost is that of the rows
   laid out — so it is built per solve, for the components to fill
@@ -184,6 +190,8 @@ path.  The label form has no admission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from math import copysign
 from operator import gt
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -196,14 +204,15 @@ _INF = float("inf")
 
 #: The one size cutover: instances with at least this many active flows
 #: run the batched array kernel, smaller ones the plan kernel.
-#: Evidence (``python3 -m bench --trace``, ``net.fairness.incremental_s``
-#: per rep with each side forced on the whole engine — kernel,
-#: structure and all — plan / batched): below it, socialnet_mesh (~20
-#: active flows) 0.16 / 0.76 s and fleet_epochs (~45 flows in 29
-#: components) 0.10 / 0.36 s; above it, flow_churn (1 200 flows) 0.31 /
-#: 0.19 s and city_tick (3 000 flows) 0.35 / 0.14 s, simulated results
-#: identical either way.  No ledger workload sits between 45 and 1 200
-#: active flows.
+#: Evidence (``python3 -m bench --trace 1 --seed 11``,
+#: ``net.fairness.incremental_s`` of the traced rep with each side
+#: forced on the whole engine — kernel, structure and all — plan /
+#: batched, 2-core x86_64): below it, socialnet_mesh (~20 active flows)
+#: 0.07 / 0.31 s and fleet_epochs (~45 flows in 29 components) 0.08 /
+#: 0.39 s; above it, flow_churn (1 200 flows) 0.31 / 0.14 s and
+#: city_tick (3 000 flows) 0.42 / 0.10 s, simulated results identical
+#: either way.  No ledger workload sits between 45 and 1 200 active
+#: flows.
 #: Everything else that depends on size follows the same constant.
 #: *Capacity*-dirty tracking: only at or above it.  Below it every 5-node
 #: trace moves every second, so a moved-link mask would mark every
@@ -677,67 +686,77 @@ def _water_fill(
     So a retired flow's rate simply stops moving, and a finished
     component — whose increment is ``+inf``, nothing finite being left
     in its segments — is never read at all.  Retired flows also carry
-    ``+inf`` demand bounds (the reductions and the satisfaction test
-    never pick them) and fully-retired links ``cap=+inf, count=1``
-    (they drop out of the headroom minimum and the saturation scan
-    exactly like the reference dropping the key from its incidence
-    map).
+    a ``+inf`` slack minuend (the reductions never pick them) and a NaN
+    satisfaction threshold (``rate >= NaN`` is false even for an
+    infinite rate, so a retired row never retires again), and
+    fully-retired links ``cap=+inf, count=1`` (they drop out of the
+    headroom minimum and the saturation scan exactly like the reference
+    dropping the key from its incidence map).  ``live`` is
+    ``flow_slot != spare``, kept rather than recomputed: the links a
+    round saturates pin only its live flows.  Shares, slacks and masks
+    go into buffers allocated once per fill.
     """
     flow_starts = np.cumsum(sizes_f) - sizes_f
     link_starts = np.cumsum(sizes_l) - sizes_l
-    n_links = cap.size
+    n_flows, n_links = demand.size, cap.size
     spare = sizes_f.size
-    inf = np.inf
+    inf, nan = np.inf, np.nan
     min_reduceat = np.minimum.reduceat
 
     flow_slot = comp_of_flow.copy()
     link_slot = comp_of_link.copy()
-    n_alive = demand.size
-    # Row 0: demand (the slack minuend); row 1: demand - epsilon (the
-    # satisfaction threshold).  Both +inf once retired.
-    bounds = np.empty((2, demand.size), dtype=np.float64)
-    bounds[0] = demand
-    bounds[1] = demand - _EPSILON
-    demand_shadow, sat_thresh = bounds
-    rate = np.zeros(demand.size, dtype=np.float64)
+    live = np.ones(n_flows, dtype=bool)
+    n_alive = n_flows
+    # The slack minuend and the satisfaction threshold.
+    demand_shadow = demand.copy()
+    sat_thresh = demand - _EPSILON
+    rate = np.zeros(n_flows, dtype=np.float64)
     slots = np.zeros(spare + 1, dtype=np.float64)
     delta = slots[:-1]
+    flow_buf = np.empty(n_flows, dtype=np.float64)
+    link_buf = np.empty(n_links, dtype=np.float64)
+    retired = np.empty(n_flows, dtype=bool)
+    saturated = np.empty(n_links, dtype=bool)
 
     while n_alive:
-        d1 = min_reduceat(cap / counts, link_starts)
-        d2 = min_reduceat(demand_shadow - rate, flow_starts)
-        np.minimum(d1, d2, out=delta)
+        np.divide(cap, counts, out=link_buf)
+        np.subtract(demand_shadow, rate, out=flow_buf)
+        np.minimum(
+            min_reduceat(link_buf, link_starts),
+            min_reduceat(flow_buf, flow_starts),
+            out=delta,
+        )
         np.maximum(delta, 0.0, out=delta)
 
-        rate += slots[flow_slot]
-        cap -= counts * slots[link_slot]
+        rate += slots.take(flow_slot)
+        step = slots.take(link_slot)
+        step *= counts
+        cap -= step
 
-        retired = rate >= sat_thresh  # satisfied flows
-        rows = retired.nonzero()[0]
+        np.greater_equal(rate, sat_thresh, out=retired)  # satisfied flows
         # Saturation is judged against the round-start counts (still
-        # including just-satisfied flows), matching the reference.
-        saturated = cap <= _EPSILON
-        sat_rows = saturated.nonzero()[0]
-        if sat_rows.size:
-            pinned = np.zeros(rate.size, dtype=bool)
-            pinned[entry_flow[saturated[entry_link]]] = True
-            pinned &= flow_slot != spare
-            retired |= pinned
-            rows = retired.nonzero()[0]
+        # including just-satisfied flows), matching the reference.  Most
+        # rounds saturate a link, so the pin is not worth a test first.
+        np.less_equal(cap, _EPSILON, out=saturated)
+        retired[entry_flow[saturated[entry_link]]] = True
+        retired &= live
+        rows = retired.nonzero()[0]
 
-        if not delta.min() > _EPSILON:
+        if not np.minimum.reduce(delta) > _EPSILON:
             # Numerical dead-end: a component that moved by no more
             # than epsilon, satisfied no flow and saturated no link
             # stops; its remaining flows keep their current rates.
             stuck = ~(delta > _EPSILON)
             stuck[comp_of_flow[rows]] = False
-            stuck[comp_of_link[sat_rows]] = False
+            stuck[comp_of_link[saturated]] = False
             if stuck.any():
                 stuck = np.append(stuck, False)
                 frozen = stuck[flow_slot]
                 n_alive -= int(np.count_nonzero(frozen))
                 flow_slot[frozen] = spare
-                bounds[:, frozen] = inf
+                live[frozen] = False
+                demand_shadow[frozen] = inf
+                sat_thresh[frozen] = nan
                 frozen = stuck[link_slot]
                 link_slot[frozen] = spare
                 counts[frozen] = 1.0
@@ -746,10 +765,12 @@ def _water_fill(
         if rows.size:
             n_alive -= rows.size
             flow_slot[rows] = spare
-            bounds[:, rows] = inf
+            live[rows] = False
+            demand_shadow[rows] = inf
+            sat_thresh[rows] = nan
             gone = entry_link[retired[entry_flow]]
-            counts -= np.bincount(gone, minlength=n_links)
-            dead = (counts == 0.0).nonzero()[0]
+            np.subtract.at(counts, gone, 1.0)
+            dead = gone[counts[gone] == 0.0]
             if dead.size:
                 # Retired links leave the headroom minimum and the
                 # saturation scan for good.
@@ -838,10 +859,32 @@ def link_components(
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_RATES = np.empty(0, dtype=np.float64)
 
 
 def _use_batch(active_flows: int) -> bool:
     return active_flows >= _BATCH_MIN_FLOWS
+
+
+def _write_moved(
+    rates: dict[Hashable, float],
+    flow_ids: Sequence[Hashable],
+    new: Sequence[float],
+    changed: list[Hashable],
+) -> None:
+    """Write the rates of ``new`` that moved from the ones ``rates``
+    holds (none held, ``!=``, or a zero of the other sign) and list
+    their ids in ``changed``."""
+    get = rates.get
+    for fid, rate in zip(flow_ids, new):
+        old = get(fid)
+        if (
+            old is None
+            or rate != old
+            or (not rate and copysign(1.0, rate) != copysign(1.0, old))
+        ):
+            rates[fid] = rate
+            changed.append(fid)
 
 
 def _fill_indexed(
@@ -948,7 +991,7 @@ class IncrementalMaxMin(Derived):
     touches every component) but re-fills only those its plan cannot
     certify (:meth:`_Plan.certify`): a component whose links all have
     room for its demands gets the plan's capacity-free rates instead,
-    and is left out of ``changed`` when that was already its answer.
+    and is not even compared when that was already its answer.
 
     *At or above it*: two label columns over the caller's integer flow
     table (:class:`~repro.net.flows.FlowArrays`, or an
@@ -985,6 +1028,17 @@ class IncrementalMaxMin(Derived):
     when the capacity array changes shape) is the same path with every
     flow touched.
 
+    *What a solve reports.*  ``changed`` is, in both forms, every
+    touched flow still in the table plus every other flow whose rate
+    moved: ``new != old`` (so a NaN rate always) or a zero whose sign
+    flipped.  A touched flow's held rate is dropped before the fill, so
+    whatever it is given reads as moved; every filled rate is compared
+    with the held one — one vector compare over the layout in the label
+    form — and only the moved ones are written.  A caller that keeps
+    the rates elsewhere (the emulator's ``Flow.allocated_mbps``) writes
+    back just those: every flow not reported already holds its rate,
+    and it is the same float object as before.
+
     Flow rows are duck-typed (``flow_id`` / ``links`` /
     ``demand_mbps``) and held by reference: the emulator's mutable
     ``Flow`` records serve directly, so a row mutated in place must be
@@ -1001,10 +1055,12 @@ class IncrementalMaxMin(Derived):
     DERIVED = {
         # Label form.  ``_table`` is the table the row columns are
         # aligned with; ``_rows`` its active rows sorted by component,
-        # ``_labels`` their labels and ``_fids`` their flow ids;
-        # ``_load`` each link id's load.
+        # ``_labels`` their labels, ``_fids`` their flow ids and
+        # ``_held`` their held rates (NaN: none); ``_load`` each link
+        # id's load.
         "_link_comp": None, "_load": None, "_table": None,
         "_rows": _NO_ROWS, "_labels": _NO_ROWS, "_fids": _NO_ROWS,
+        "_held": _NO_RATES,
     }
 
     def __init__(self) -> None:
@@ -1072,8 +1128,8 @@ class IncrementalMaxMin(Derived):
         granted: Mapping[Hashable, float],
         arrivals: Mapping[Hashable, FlowDemand],
     ) -> list[Hashable]:
-        """Drop the rates of touched flows that are gone and grant the
-        ones that need no water-filling (loopback, zero demand).
+        """Drop the held rates of the touched flows and grant the ones
+        that need no water-filling (loopback, zero demand).
 
         ``granted`` and ``arrivals`` are what :func:`_partition_flows`
         made of the touched rows still in the table.  Returns the ids
@@ -1081,10 +1137,13 @@ class IncrementalMaxMin(Derived):
         """
         rates = self._rates
         for fid in touched:
-            if fid not in granted:
-                rates.pop(fid, None)  # the flow is gone
-        rates.update(granted)
-        return [fid for fid in granted if fid not in arrivals]
+            # Gone, granted below, or about to be filled: a touched flow
+            # holds no rate, so whatever it is given reads as moved.
+            rates.pop(fid, None)
+        settled = [fid for fid in granted if fid not in arrivals]
+        for fid in settled:
+            rates[fid] = granted[fid]
+        return settled
 
     # -- dict form --------------------------------------------------------
 
@@ -1146,7 +1205,13 @@ class IncrementalMaxMin(Derived):
             # An admitted flow whose component a later change dissolved
             # is filled with its new component, and reported there.
             refilled = {id(component) for component in fresh}
-            admitted = [fid for fid in admitted if id(member_of[fid]) not in refilled]
+            kept = []
+            for fid in admitted:
+                if id(member_of[fid]) in refilled:
+                    del self._rates[fid]
+                else:
+                    kept.append(fid)
+            admitted = kept
         return fresh, admitted + settled
 
     def _admit(
@@ -1346,6 +1411,11 @@ class IncrementalMaxMin(Derived):
         self._fids = np.fromiter(flow_ids, dtype=object, count=len(flow_ids))[
             self._rows
         ]
+        self._held = np.fromiter(
+            map(self._rates.get, self._fids.tolist(), repeat(np.nan)),
+            dtype=np.float64,
+            count=self._fids.size,
+        )
         self._n_active = rows.size
         self._n_components = int(
             np.count_nonzero(link_comp == np.arange(link_comp.size))
@@ -1358,16 +1428,11 @@ class IncrementalMaxMin(Derived):
         filled).  Bit for bit what the fills that produced those rates
         wrote: the same sums over the same rows in the same order, a
         component's rows being in table order."""
-        table, rates = self._table, self._rates
+        table = self._table
         lens, index = _entry_runs(table.ptr, self._rows)
-        held = np.fromiter(
-            (rates.get(fid, np.nan) for fid in self._fids.tolist()),
-            dtype=np.float64,
-            count=self._fids.size,
-        )
         self._load = np.bincount(
             table.entry_link[index],
-            weights=np.repeat(held, lens),
+            weights=np.repeat(self._held, lens),
             minlength=self._link_comp.size,
         )
 
@@ -1468,8 +1533,11 @@ class IncrementalMaxMin(Derived):
 
         Returns:
             ``(rates, changed)`` — the complete allocation (owned by
-            the engine; treat as read-only) and the flow ids whose
-            rates were recomputed by this call.
+            the engine; treat as read-only) and, each once, the ids of
+            the touched flows still in ``flows`` plus those of every
+            other flow whose rate this call moved (``!=``, or a zero of
+            the other sign).  A rate re-filled to the same value is not
+            reported unless its flow was touched.
         """
         scratch = (
             self._solved_caps is None
@@ -1533,10 +1601,15 @@ class IncrementalMaxMin(Derived):
                     self._labels[picked],
                     cap_values.size,
                 )
-                fids = self._fids[picked].tolist()
                 filled = layout.fill(cap_values, self._load)
-                rates.update(zip(fids, filled.tolist()))
-                changed += fids
+                held = self._held[picked]
+                moved = filled != held
+                moved |= np.signbit(filled) != np.signbit(held)
+                self._held[picked] = filled
+                moved = moved.nonzero()[0]
+                ids = self._fids[picked][moved].tolist()
+                rates.update(zip(ids, filled[moved].tolist()))
+                changed += ids
                 resolved = layout.n_components
         else:
             caps = cap_values.tolist()
@@ -1557,12 +1630,10 @@ class IncrementalMaxMin(Derived):
                         certified += 1
                         if not plan.gave_free:
                             plan.gave_free = True
-                            rates.update(zip(plan.flow_ids, plan.free))
-                            changed += plan.flow_ids
+                            _write_moved(rates, plan.flow_ids, plan.free, changed)
                         continue
                     plan.gave_free = False
-                rates.update(zip(plan.flow_ids, plan.fill(local)))
-                changed += plan.flow_ids
+                _write_moved(rates, plan.flow_ids, plan.fill(local), changed)
             resolved = len(visit) - certified
         if scratch:
             self.full_solves += 1

@@ -539,10 +539,12 @@ class NetworkEmulator(Derived):
         rates, changed = self._incremental.solve(
             flows, self._link_index, self._cap_values, table
         )
-        # The solver reports every rate it recomputed, and about a third
-        # of them move.  Each is written, and the allocation revision
-        # moves once one did (a signed zero included); after that the
-        # loop compares nothing, so it costs what a bare write-back does.
+        # The solver reports every touched flow and every other flow
+        # whose rate moved, so every row not reported already holds its
+        # rate.  Each reported one is written, and the allocation
+        # revision moves once one moved (a signed zero included; a
+        # touched flow may keep its rate); after that the loop compares
+        # nothing, so it costs what a bare write-back does.
         moved = False
         for fid in changed:
             flow = flows[fid]

@@ -217,7 +217,9 @@ class ComponentBatchReference:
     the order given, links in first-appearance order — so the gathered
     ``fairness._Layout`` can be held to the rates this layout fills to.
     :meth:`fill` water-fills every component through the production
-    round loop (``fairness._water_fill``, which is not what changed).
+    round loop (``fairness._water_fill``): this class pins the layout
+    only.  The round itself is held to the frozen reference loop by the
+    random-instance suites of ``tests/unit/test_fairness_equivalence.py``.
     """
 
     def __init__(

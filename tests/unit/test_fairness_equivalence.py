@@ -304,6 +304,52 @@ def test_dead_end_exit_freezes_only_its_component():
     assert {fid: rates[fid] for fid in expected} == expected
 
 
+def test_one_round_takes_every_exit_at_once():
+    """In the batched kernel's first round one component takes the
+    dead-end exit (a NaN capacity), one saturates a link, one retires a
+    flow by demand, and two more sit on a ``+0.0`` and a ``-0.0``
+    capacity link (an increment of zero that saturates).  Each exit
+    must stay in its own component: every rate outside the poisoned one
+    is bit for bit the reference's (``-0.0`` told apart from ``0.0``),
+    the poisoned flows stop at NaN, and a second instance that differs
+    only in the poisoned component fills the rest identically."""
+    poisoned = [
+        FlowDemand("nan0", (("s", "t"),), 5.0),
+        FlowDemand("nan1", (("s", "t"), ("t", "u")), 5.0),
+    ]
+    others = [
+        FlowDemand("sat0", (("a", "b"),), 10.0),
+        FlowDemand("sat1", (("a", "b"),), 10.0),
+        FlowDemand("low", (("c", "d"),), 2.0),
+        FlowDemand("high", (("c", "d"), ("d", "e")), 50.0),
+        FlowDemand("zero", (("e", "f"),), 5.0),
+        FlowDemand("negzero", (("g", "h"),), 5.0),
+        FlowDemand("beside", (("g", "h"), ("h", "i")), 1.0),
+    ]
+    capacities = {
+        ("a", "b"): 6.0,
+        ("c", "d"): 100.0,
+        ("d", "e"): 30.0,
+        ("e", "f"): 0.0,
+        ("g", "h"): -0.0,
+        ("h", "i"): 10.0,
+    }
+    expected = reference_allocation(others, capacities)
+    assert expected["sat0"] == 3.0 and expected["low"] == 2.0
+    assert expected["high"] == 30.0 and expected["zero"] == 0.0
+
+    def bits(rates):
+        return {fid: float(rates[fid]).hex() for fid in expected}
+
+    flows = poisoned[:1] + others + poisoned[1:]
+    capacities.update({("s", "t"): float("nan"), ("t", "u"): 3.0})
+    rates = KERNELS["batched"](flows, capacities)
+    assert bits(rates) == bits(expected)
+    assert np.isnan(rates["nan0"]) and np.isnan(rates["nan1"])
+    capacities[("s", "t")] = 4.0
+    assert bits(KERNELS["batched"](flows, capacities)) == bits(expected)
+
+
 def test_dead_links_pin_their_flows_to_zero():
     flows = [
         FlowDemand("dead", (("a", "b"),), 5.0),

@@ -16,8 +16,11 @@ reroute (row replaced or mutated in place), duplicate links on a path,
 bridging flows that merge and split components, loopbacks, capacity
 deltas, link death and revival, several of these between two solves,
 and a pickle round trip mid-history — on both sides of the cutover.
+Every answer's ``changed`` list is pinned as well: exactly the touched
+flows still in the table plus every other flow whose rate moved.
 """
 
+import math
 import pickle
 from dataclasses import dataclass
 
@@ -53,12 +56,38 @@ class Row:
     tag: str = "app"
 
 
+def moved(old, new) -> bool:
+    """Whether a rate moved from ``old`` (``None``: none held) to
+    ``new``: ``!=`` (so NaN always), or a zero of the other sign."""
+    return (
+        old is None
+        or new != old
+        or math.copysign(1.0, new) != math.copysign(1.0, old)
+    )
+
+
+def touched_or_moved(engine, flows, solve) -> tuple:
+    """Run ``solve()`` and return its answer after checking ``changed``
+    against the contract: the touched ids still in ``flows`` (all of
+    them on a from-scratch solve) plus every other flow whose rate
+    moved from what the engine held before."""
+    held = dict(engine._rates)
+    touched = set(flows) if engine._solved_caps is None else set(engine._touched)
+    rates, changed = solve()
+    want = {fid for fid in flows if fid in touched}
+    want |= {fid for fid, rate in rates.items() if moved(held.get(fid), rate)}
+    assert len(changed) == len(set(changed))
+    assert set(changed) == want
+    return rates, changed
+
+
 class PerturbationHarness:
     """A mutable allocation instance driving one incremental engine.
 
     Keeps the flow table and the link-capacity array, reports every
     flow change to the engine the way the emulator does, and checks
-    every engine answer — rates, the ``changed`` list, and the retained
+    every engine answer — rates, the ``changed`` list (exactly the
+    touched flows plus the ones whose rate moved), and the retained
     component structure — against a from-scratch solve.
     """
 
@@ -247,14 +276,13 @@ class PerturbationHarness:
         )
 
     def solve_and_verify(self) -> list:
-        rates, changed = self.solve()
+        rates, changed = touched_or_moved(self.engine, self.flows, self.solve)
         flow_list = list(self.flows.values())
         capacities = dict(zip(self.links, self.cap_values.tolist()))
         expected = reference_allocation(flow_list, capacities)
         assert rates == expected, "incremental diverged from scratch solve"
-        assert len(changed) == len(set(changed))
-        # Every flow outside the re-solved components kept not just its
-        # rate but the very same cached float object.
+        # Every flow not reported kept not just its rate but the very
+        # same cached float object.
         for fid in rates.keys() - set(changed):
             assert rates[fid] is self.prev_rates[fid], fid
         self.prev_rates = dict(rates)
@@ -480,7 +508,9 @@ def check_partial_solve_reports_the_dirty_components(harness) -> None:
     binding = int(np.nanargmin(headroom))
     assert headroom[binding] <= 1e-9
     label = link_comp[binding]
-    members = engine._rows[engine._labels == label]
+    rows = engine._rows[engine._labels == label]
+    members = [engine._table.flow_ids[row] for row in rows]
+    held = {fid: engine._rates[fid] for fid in members}
     # A binding link and an uncrossed one move: +1 component.
     harness.cap_values[binding] *= 0.5
     harness.cap_values[uncrossed] += 1.0
@@ -488,7 +518,12 @@ def check_partial_solve_reports_the_dirty_components(harness) -> None:
     changed = harness.solve_and_verify()
     assert engine.components_resolved == before + 1
     assert engine.partial_solves == partial + 1
-    assert changed == [engine._table.flow_ids[row] for row in members]
+    # Nothing was touched: of the re-filled component, exactly the
+    # flows whose rate moved are reported, in fill order.
+    assert changed
+    assert changed == [
+        fid for fid in members if moved(held[fid], engine._rates[fid])
+    ]
     # A slack link and an uncrossed one move: +0, nothing recomputed.
     headroom = link_headroom(harness)
     slack = int(np.nanargmax(headroom))
@@ -655,7 +690,10 @@ def test_slack_margin_boundaries(table):
     the bound itself and one ulp below are not, ``+inf`` is, ``0.0`` and
     NaN are not.  Skipped or filled, the rates equal a scratch solve
     (but for NaN, which no capacity source produces and the reference
-    loop cannot solve: there only the re-fill is checked)."""
+    loop cannot solve: there only the re-fill is checked), and the flow
+    is reported iff its rate moved: a re-fill that gives it 10.0 again
+    reports nothing, and a NaN rate (never equal to itself) is reported
+    on every re-fill."""
     harness = PerturbationHarness(n_links=160, seed=3, table=table)
     harness.cap_values[:] = 100.0
     fid = harness.add_flow(path=(harness.links[0],), demand=10.0)
@@ -667,26 +705,31 @@ def test_slack_margin_boundaries(table):
     bound = _slack_bound(10.0)
     above, below = np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf)
     nan, inf = float("nan"), float("inf")
-    # (new capacity, components re-filled, the rate after)
+    # (new capacity, components re-filled, the rate after, reported)
     moves = [
-        (above, 0, 10.0),  # 100 -> one ulp above: slack on both sides
-        (bound, 1, 10.0),  # the bound itself is not slack
-        (above, 1, 10.0),  # nor is a move *from* it
-        (inf, 0, 10.0),
-        (below, 1, 10.0),
-        (inf, 1, 10.0),
-        (0.0, 1, 0.0),  # a dead link, and then its load is 0.0
-        (5.0, 1, 5.0),
-        (nan, 1, None),  # NaN is never slack, going in...
-        (100.0, 1, 10.0),  # ...or coming out
-        (200.0, 0, 10.0),
+        (above, 0, 10.0, False),  # 100 -> one ulp above: slack on both sides
+        (bound, 1, 10.0, False),  # the bound itself is not slack
+        (above, 1, 10.0, False),  # nor is a move *from* it
+        (inf, 0, 10.0, False),
+        (below, 1, 10.0, False),
+        (inf, 1, 10.0, False),
+        (0.0, 1, 0.0, True),  # a dead link, and then its load is 0.0
+        (5.0, 1, 5.0, True),
+        (nan, 1, None, True),  # NaN is never slack, going in...
+        (nan, 1, None, True),  # ...nor equal to itself...
+        (100.0, 1, 10.0, True),  # ...nor slack coming out
+        (200.0, 0, 10.0, False),
     ]
-    for cap, refilled, rate in moves:
+    for cap, refilled, rate, reported in moves:
         before = engine.components_resolved
         harness.cap_values[0] = cap
-        changed = harness.solve()[1] if rate is None else harness.solve_and_verify()
+        if rate is None:
+            changed = touched_or_moved(engine, harness.flows, harness.solve)[1]
+            harness.prev_rates = dict(engine._rates)
+        else:
+            changed = harness.solve_and_verify()
         assert engine.components_resolved - before == refilled, cap
-        assert changed == ([fid] if refilled else []), cap
+        assert changed == ([fid] if reported else []), cap
         assert rate is None or engine._rates[fid] == rate, cap
     assert engine.full_solves == 1
 
@@ -748,11 +791,16 @@ def test_shape_change_resolves_only_the_touched_components():
     assert engine.component_count == 4
     before = (engine.partial_solves, engine.components_resolved)
     probe = harness.add_flow(path=(harness.links[10],), demand=3.0)
+    # f2 (demand 30) keeps its rate beside the probe on link 10, so only
+    # the touched probe is reported; the counters below show that f2's
+    # component was re-filled both times.
+    assert harness.cap_values[10] > 33.0
     changed = harness.solve_and_verify()
-    assert sorted(changed) == sorted(["f2", probe])
+    assert changed == [probe]
+    assert engine._rates["f2"] == 30.0
     harness.remove_flow(probe)
     changed = harness.solve_and_verify()
-    assert changed == ["f2"]
+    assert changed == []
     assert engine.full_solves == 1
     assert (engine.partial_solves, engine.components_resolved) == (
         before[0] + 2,
@@ -820,7 +868,10 @@ def test_rerouted_row_edited_in_place_releases_its_old_links():
     harness.flows[mover].links = (harness.links[15],)
     harness.engine.touch(mover)
     changed = harness.solve_and_verify()
-    assert sorted(changed) == sorted([mover, stay])
+    # ``stay`` is re-filled alone and keeps its rate: only the touched
+    # mover is reported.
+    assert changed == [mover]
+    assert harness.engine._rates[stay] == 10.0
     assert harness.engine.component_count == 2
     assert harness.links[2] not in harness.engine._link_owner
 
@@ -938,29 +989,36 @@ def test_an_admitted_arrival_leaves_nothing_pending():
     assert harness.solve_and_verify() == []
     assert fills(engine) == before
     harness.set_demand("f3", 40.0)
-    assert sorted(harness.solve_and_verify()) == ["f3", "f4"]
+    # Still 15 each on link 9: f4 is re-filled but not reported.
+    assert harness.solve_and_verify() == ["f3"]
+    assert engine._rates["f3"] == engine._rates["f4"] == 15.0
     assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
 
 
 def test_an_arrival_below_the_top_or_on_a_binding_link_is_filled():
+    """Below the top on a slack link the others keep their rates and
+    only the arrival is reported; on the binding link the other two
+    give up capacity to it and are reported with it."""
     harness = admission_harness()
     engine = harness.engine
-    for link, demand, component in ((5, 5.0, ["f1", "f2"]), (9, 60.0, ["f3", "f4"])):
+    for link, demand, moved_too in ((5, 5.0, []), (9, 60.0, ["f3", "f4"])):
         before = fills(engine)
         fid = harness.add_flow(path=(harness.links[link],), demand=demand)
-        assert sorted(harness.solve_and_verify()) == sorted(component + [fid])
+        assert sorted(harness.solve_and_verify()) == sorted(moved_too + [fid])
         assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
 
 
 def test_admissions_and_fills_mix_in_one_solve():
     """An admitted arrival whose component a later change of the same
-    solve reaches is filled there and reported once."""
+    solve reaches is filled there and reported once; ``f0``, re-filled
+    beside them on its slack link, keeps its rate and is not."""
     harness = admission_harness()
     engine = harness.engine
     before = fills(engine)
     first = harness.add_flow(path=(harness.links[0],), demand=12.4)
     second = harness.add_flow(path=harness.links[0:2], demand=1.0)
-    assert sorted(harness.solve_and_verify()) == sorted(["f0", first, second])
+    assert sorted(harness.solve_and_verify()) == sorted([first, second])
+    assert engine._rates["f0"] == 2.29
     assert fills(engine) == (before[0], before[1] + 1, before[2] + 1)
 
 

@@ -225,6 +225,23 @@ def test_stateless_solver_keeps_infinite_demand_legal():
         assert max_min_allocation(flows, {LINK: 10.0}) == {"f": 7.0, "g": 3.0}
 
 
+def test_infinite_demand_on_an_unlimited_link_ends_the_batched_fill():
+    """A flow of infinite demand alone on a ``+inf`` link reaches an
+    infinite rate in one round.  Its satisfaction test (``inf >= inf``)
+    used to hold again in every later round, counting the retired row
+    once more each time, and with one more component still filling
+    round after round the batched fill never ended.  Every other flow
+    gets what the plan kernel gives it."""
+    flows = [FlowDemand("f", (LINK,), INF)] + [
+        FlowDemand(f"g{i}", (("c", "d"),), 1.0 + i) for i in range(_BATCH_MIN_FLOWS)
+    ]
+    capacities = {LINK: INF, ("c", "d"): 1e6}
+    with time_limit():
+        rates = max_min_allocation(flows, capacities)
+    assert rates["f"] == INF
+    assert rates == {**{f"g{i}": 1.0 + i for i in range(_BATCH_MIN_FLOWS)}, "f": INF}
+
+
 @pytest.mark.parametrize("demand", [INF, NAN], ids=["inf", "nan"])
 def test_emulator_rejects_non_finite_demands_and_keeps_running(demand):
     """One ``inf`` flow on a 10 Mbps line used to read

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     rule,
     run_state_machine_as_test,
@@ -30,6 +31,7 @@ from repro.net.fairness import (
     max_min_allocation,
 )
 from repro.net.netem import NetworkEmulator
+from tests.unit.test_fairness_incremental import touched_or_moved
 
 _EPS = 1e-6
 
@@ -255,6 +257,9 @@ class TestBindingInvariants:
 REGION_NODES = [f"r{i}n{j}" for i in range(3) for j in (1, 2, 3)]
 REGION_LINKS = [link.id for link in regional_mesh(3, 3).links]
 FLOW_IDS = [f"f{i}" for i in range(12)]
+#: A bulk arrival: enough flows to lift the active count over the
+#: cutover on its own.
+BULK_IDS = [f"bulk{i}" for i in range(_BATCH_MIN_FLOWS + 8)]
 
 
 # -- slack admission, restated over the stateless component split -----------
@@ -321,7 +326,8 @@ def departure(rows, rates, capacities, fid) -> tuple[bool, bool]:
         default=-np.inf,
     )
     admitted = (
-        (len(set(flow.links)) == 1 or len(members) == 1)
+        len(active) < _BATCH_MIN_FLOWS  # the label form admits nothing
+        and (len(set(flow.links)) == 1 or len(members) == 1)
         and flow.demand_mbps > top + 2 * _EPSILON
         and _slack(members, rates, capacities, flow.links)
     )
@@ -337,6 +343,21 @@ def check_allocation(rows, capacities, rates) -> None:
     rows = list(rows)
     assert rate_bits(rates) == rate_bits(max_min_allocation(rows, capacities))
     assert max_min_certificate(rows, capacities, rates) == []
+
+
+class WatchedMaxMin(IncrementalMaxMin):
+    """The engine, with every answer's ``changed`` list held to the
+    contract: exactly the touched flows still in the table plus every
+    other flow whose rate moved."""
+
+    def solve(self, flows, link_index, cap_values, table=None):
+        return touched_or_moved(
+            self,
+            flows,
+            lambda: super(WatchedMaxMin, self).solve(
+                flows, link_index, cap_values, table
+            ),
+        )
 
 
 class ReverseIndexMachine(RuleBasedStateMachine):
@@ -355,11 +376,24 @@ class ReverseIndexMachine(RuleBasedStateMachine):
     here over the stateless components) fills nothing, while one it
     refuses fills — throttled links make some arrivals bind, a
     pickle round trip lands mid-history.
+
+    The engine is a :class:`WatchedMaxMin`, so every solve's
+    ``changed`` list is exactly the touched flows plus the ones whose
+    rate moved, and after every step each flow's ``allocated_mbps`` is
+    bit for bit the rate the engine holds: the emulator writes back
+    only what is reported.  Bulk arrivals and departures carry the
+    active count across ``_BATCH_MIN_FLOWS`` both ways, so the label
+    form is checked too; ``tally`` counts the crossings and the
+    checkpoints taken in the label form, across examples.
     """
+
+    tally: Counter = Counter()
 
     def __init__(self) -> None:
         super().__init__()
         self.emu = NetworkEmulator(regional_mesh(3, 3))
+        self.emu._incremental = WatchedMaxMin()
+        self.batched = False
 
     def _held(self):
         """The solved state a change starts from."""
@@ -441,8 +475,41 @@ class ReverseIndexMachine(RuleBasedStateMachine):
         src, dst = pair if forward else pair[::-1]
         self.emu.topology.link(src, dst).set_rate_limit(limit, src=src, dst=dst)
 
+    @initialize(bulk=st.booleans(), seed=st.integers(0, 2**16))
+    def start(self, bulk, seed):
+        """Half the histories start in the label form."""
+        if bulk:
+            self.bulk_arrive(seed, 1.0)
+
+    @rule(
+        seed=st.integers(0, 2**16),
+        demand=st.sampled_from([0.5, 1.0, 4.5]),
+    )
+    def bulk_arrive(self, seed, demand):
+        """Every absent bulk flow arrives, between random distinct
+        nodes, before one solve."""
+        rng = np.random.default_rng(seed)
+        for fid in BULK_IDS:
+            if self.emu.has_flow(fid):
+                continue
+            src, dst = rng.choice(REGION_NODES, size=2, replace=False).tolist()
+            try:
+                self.emu.add_flow(fid, src, dst, demand)
+            except RoutingError:
+                pass
+        self.emu.recompute()
+
+    @rule(keep=st.sampled_from([0, 40, 120]))
+    def bulk_depart(self, keep):
+        """All but the first ``keep`` bulk flows leave before one solve."""
+        for fid in BULK_IDS[keep:]:
+            self.emu.remove_flow(fid)
+        self.emu.recompute()
+
     @rule()
     def checkpoint(self):
+        if self.emu._incremental.batched:
+            self.tally["checkpoint batched"] += 1
         self.emu = pickle.loads(pickle.dumps(self.emu))
 
     @rule(
@@ -484,11 +551,34 @@ class ReverseIndexMachine(RuleBasedStateMachine):
         rates = {flow.flow_id: flow.allocated_mbps for flow in flows}
         check_allocation(flows, self.emu.capacities_now(), rates)
 
+    @invariant()
+    def allocation_is_the_engine_rates(self):
+        self.emu.recompute()
+        engine = self.emu._incremental
+        rates = {flow.flow_id: flow.allocated_mbps for flow in self.emu.flows}
+        assert rate_bits(rates) == rate_bits(engine._rates)
+        if engine.batched != self.batched:
+            self.batched = engine.batched
+            self.tally["crossed up" if self.batched else "crossed down"] += 1
+
 
 ReverseIndexMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 TestReverseIndex = ReverseIndexMachine.TestCase
+
+
+def test_reverse_index_histories_cross_the_cutover():
+    """The machine's histories reach the label form and leave it, and
+    are checkpointed while in it."""
+    ReverseIndexMachine.tally.clear()
+    run_state_machine_as_test(
+        ReverseIndexMachine,
+        settings=settings(max_examples=30, stateful_step_count=30, deadline=None),
+    )
+    tally = ReverseIndexMachine.tally
+    for kind in ("crossed up", "crossed down", "checkpoint batched"):
+        assert tally[kind] > 0, tally
 
 
 ENGINE_LINKS = [(f"n{i}", f"n{i + 1}") for i in range(5)]
@@ -588,6 +678,19 @@ class AdmissionMachine(RuleBasedStateMachine):
         del self.rows[fid]
         self.engine.touch(fid)
         self.expect("departure", before, admitted, filled)
+
+    @rule(demand=DEMANDS, leave=st.booleans())
+    def change_top(self, demand, leave):
+        """The active row of largest demand — the departure most likely
+        to be admitted — leaves, or is edited and then leaves (with
+        others beside it, a fill)."""
+        active = _active(self.rows.values())
+        if active:
+            fid = max(active, key=lambda fid: active[fid].demand_mbps)
+            if leave:
+                self.redemand(fid, demand, leave)
+            else:
+                self.depart(fid)
 
     @rule(fid=st.sampled_from(ENGINE_FLOWS), demand=DEMANDS, leave=st.booleans())
     def redemand(self, fid, demand, leave):
