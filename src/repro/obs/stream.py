@@ -198,7 +198,9 @@ class StreamingSink:
                 f"cannot resume trace shard {self._tmp_path.name}: neither "
                 f"it nor {sealed.name} exists in {self.directory}"
             )
-        with open(source) as handle:
+        # Bytes, not text: what the dying process wrote past the
+        # checkpoint may be cut mid-character, and it is dropped anyway.
+        with open(source, "rb") as handle:
             lines = handle.readlines()
         if len(lines) < self._shard_count:
             raise ValueError(
@@ -206,7 +208,7 @@ class StreamingSink:
                 f"checkpoint recorded {self._shard_count}; refusing to "
                 "resume from a truncated shard"
             )
-        with open(self._tmp_path, "w") as handle:
+        with open(self._tmp_path, "wb") as handle:
             handle.writelines(lines[: self._shard_count])
         if source == sealed:
             sealed.unlink()

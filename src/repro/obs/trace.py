@@ -115,8 +115,9 @@ def _held_encoder():
 
 _encode = _held_encoder()
 # The decoder is the one ``json.loads`` dispatches to for a ``str``,
-# without the per-call argument checks in front of it.
-_decode = json.JSONDecoder().decode
+# without the per-call argument checks in front of it.  ``read_trace``
+# calls its ``raw_decode`` on lines it has stripped (see there).
+_decoder = json.JSONDecoder()
 
 
 class _EventFields(NamedTuple):
@@ -182,25 +183,55 @@ class TraceEvent(_EventFields):
     def from_json(line: str) -> "TraceEvent":
         """The event a :meth:`to_json` line records.
 
+        Equal keys and ``str`` values of ``data`` are one object within
+        the line; :func:`read_trace` shares them across a whole trace.
+
         Raises:
             ValueError, KeyError, TypeError: the line is not one JSON
                 object with ``id``/``kind``/``t`` and an object ``data``.
         """
-        record = _decode(line)
-        id = int(record["id"])  # first: a record that is no object fails here
-        data = record.get("data", {})
-        if not isinstance(data, dict):
-            raise TypeError("trace record data must be a JSON object")
-        return TraceEvent(
+        return _event(_decoder.decode(line), {})
+
+
+def _event(record: Any, strings: dict[str, str]) -> TraceEvent:
+    """The event one decoded trace record holds: the one place a line
+    becomes a :class:`TraceEvent`.
+
+    ``strings`` is the caller's memo.  Each key of ``data``, each
+    ``str`` value of ``data`` and the ``app`` are replaced by the first
+    equal string the memo holds (and added to it), so a trace read
+    through one memo keeps one copy of each repeated string.  ``kind``
+    is interned process-wide instead: it is a small vocabulary.
+
+    Raises:
+        KeyError, TypeError, ValueError: the record is not a JSON object
+            with ``id``/``kind``/``t`` and an object ``data``.
+    """
+    id = int(record["id"])  # first: a record that is no object fails here
+    data = record.get("data", {})
+    if not isinstance(data, dict):
+        raise TypeError("trace record data must be a JSON object")
+    share = strings.setdefault
+    if data:
+        data = {
+            share(key, key): share(value, value) if type(value) is str else value
+            for key, value in data.items()
+        }
+    app = record.get("app")
+    if type(app) is str:
+        app = share(app, app)
+    return tuple.__new__(
+        TraceEvent,
+        (
             id,
-            # Kinds are a small vocabulary: one string per kind, not per line.
             sys.intern(str(record["kind"])),
             float(record["t"]),
-            record.get("app"),
+            app,
             record.get("epoch"),
             record.get("cause"),
             data,
-        )
+        ),
+    )
 
 
 class TracerBase:
@@ -447,28 +478,41 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
 
     A truncated or corrupt trailing line is the *normal* state of a
     trace from a crashed run, so malformed lines are skipped with a
-    warning and the valid prefix is returned instead of raising.
+    warning and the valid prefix is returned instead of raising.  A line
+    holding a byte that is not UTF-8 is malformed; the lines around it
+    are still read.
+
+    One call keeps one string object per distinct key and ``str`` value
+    of ``data`` and per ``app``, across every shard it reads (see
+    ``_event``).  Nothing is shared between calls.
     """
     path = Path(path)
-    if path.is_dir():
-        events: list[TraceEvent] = []
-        for shard in shard_files(path):
-            events.extend(read_trace(shard))
-        return events
-    events = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(TraceEvent.from_json(line))
-            except (ValueError, KeyError, TypeError):
-                warnings.warn(
-                    f"{path}:{number}: skipping malformed trace line "
-                    f"(truncated write from a crashed run?)",
-                    stacklevel=2,
-                )
+    shards = shard_files(path) if path.is_dir() else [path]
+    strings: dict[str, str] = {}
+    events: list[TraceEvent] = []
+    for shard in shards:
+        # An undecodable byte becomes a lone surrogate, not an error
+        # that would end the read; the line holding it is refused below.
+        with open(shard, encoding="utf-8", errors="surrogateescape") as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    if not line.isascii():
+                        line.encode()  # UnicodeEncodeError on an escaped byte
+                    # ``decode`` is ``raw_decode`` between two whitespace
+                    # skips; on a stripped line both skip nothing.
+                    record, end = _decoder.raw_decode(line)
+                    if end != len(line):
+                        raise ValueError("extra data after the trace record")
+                    events.append(_event(record, strings))
+                except (ValueError, KeyError, TypeError):
+                    warnings.warn(
+                        f"{shard}:{number}: skipping malformed trace line "
+                        f"(truncated write from a crashed run?)",
+                        stacklevel=2,
+                    )
     return events
 
 

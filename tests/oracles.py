@@ -481,7 +481,9 @@ def event_from_json_reference(line: str) -> TraceEvent:
 
 def read_trace_reference(path: str | Path) -> list[TraceEvent]:
     """``read_trace`` as first written: the per-line loop that owns the
-    skip-with-``path:line``-warning rule for malformed lines."""
+    skip-with-``path:line``-warning rule for malformed lines, plus the
+    one rule added since: a byte that is not UTF-8 makes its line
+    malformed (it used to end the whole read with ``UnicodeDecodeError``)."""
     path = Path(path)
     if path.is_dir():
         events: list[TraceEvent] = []
@@ -489,12 +491,16 @@ def read_trace_reference(path: str | Path) -> list[TraceEvent]:
             events.extend(read_trace_reference(shard))
         return events
     events = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             try:
+                # ``surrogateescape`` maps each undecodable byte to one of
+                # U+DC80..U+DCFF, which UTF-8 text itself never holds.
+                if any("\udc80" <= char <= "\udcff" for char in line):
+                    raise ValueError("line holds a byte that is not UTF-8")
                 events.append(event_from_json_reference(line))
             except (ValueError, KeyError, TypeError):
                 warnings.warn(

@@ -206,6 +206,15 @@ GARBAGE_LINES = st.one_of(
     ]),
 )
 
+#: Raw bytes spliced into a line: not UTF-8 (a stray byte, a cut
+#: sequence, an encoded surrogate), or UTF-8 a JSON decoder never sees
+#: raw in a written trace (a letter; U+2028 and U+0085, which
+#: ``str.strip`` removes but JSON does not count as whitespace).
+BYTE_SPLICES = [
+    b"\xff", b"\xff\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80",
+    b"\xc3\xa9", b"\xe2\x80\xa8", b"\xc2\x85",
+]
+
 damage = st.lists(
     st.one_of(
         st.tuples(st.just("garbage"), st.integers(0, 40), GARBAGE_LINES),
@@ -223,18 +232,22 @@ damage = st.lists(
             st.sampled_from([" ", "\t", "\r", "\x0c", " \x0b"]),
         ),
         st.tuples(st.just("truncate"), st.integers(1, 400), st.none()),
+        st.tuples(
+            st.just("bytes"), st.integers(0, 40),
+            st.tuples(st.integers(0, 400), st.sampled_from(BYTE_SPLICES)),
+        ),
     ),
     max_size=5,
 )
 
 
 def damaged(lines, steps):
-    """File text of ``lines`` (no newlines) after each damage step."""
+    """File bytes of ``lines`` (no newlines) after each damage step."""
     lines = list(lines)
     for step, where, how in steps:
         if step == "truncate":  # the crashed run's last, half-written line
             text = "\n".join(lines)
-            return text[: max(0, len(text) - where)]
+            return text[: max(0, len(text) - where)].encode("utf-8", "surrogateescape")
         if step in ("garbage", "blank"):
             lines.insert(min(where, len(lines)), how)
         if not lines or step in ("garbage", "blank"):
@@ -247,7 +260,12 @@ def damaged(lines, steps):
             lines[at : at + 1] = [lines[at][:cut], lines[at][cut:]]
         elif step == "pad":
             lines[at] = how + lines[at] + how
-    return "\n".join(lines) + "\n"
+        elif step == "bytes":  # held as text until the file is written
+            cut, raw = how
+            cut %= len(lines[at]) + 1
+            splice = raw.decode("utf-8", "surrogateescape")
+            lines[at] = lines[at][:cut] + splice + lines[at][cut:]
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
 
 
 class TestDecode:
@@ -256,10 +274,10 @@ class TestDecode:
     def test_read_trace_matches_oracle_on_damaged_files(self, script, steps):
         tracer = Tracer()
         replay(tracer, script)
-        text = damaged([event_to_json_reference(e) for e in tracer.events], steps)
+        raw = damaged([event_to_json_reference(e) for e in tracer.events], steps)
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "trace.jsonl"
-            path.write_bytes(text.encode())
+            path.write_bytes(raw)
             assert reads(read_trace, path) == reads(read_trace_reference, path)
 
     def test_compensating_damage_is_not_mistaken_for_a_clean_file(self, tmp_path):
@@ -317,6 +335,69 @@ class TestDecode:
                 read_trace_reference, directory
             )
             assert oracle_bytes(read_trace(directory)) == oracle_bytes(buffered.events)
+
+    def test_a_cut_character_past_the_checkpoint_does_not_block_the_resume(
+        self, tmp_path
+    ):
+        """The dying process's last write can stop inside a character.
+        The resume drops it with every other line past the checkpoint;
+        read as text, it used to raise ``UnicodeDecodeError`` instead."""
+        script = [("restart", float(t), None, None, None, {}) for t in range(7)]
+        directory = tmp_path / "shards"
+        tracer = Tracer(sink=StreamingSink(directory, window=4, shard_events=100))
+        replay(tracer, script[:3])
+        checkpoint = pickle.dumps(tracer)
+        replay(tracer, script[3:5])  # lost with the process
+        tracer.sink.flush()
+        (in_progress,) = directory.glob("*.tmp")
+        with open(in_progress, "ab") as handle:
+            handle.write(b'{"id": 6, "kind": "rest\xff')
+
+        restored = pickle.loads(checkpoint)
+        replay(restored, script[3:])
+        restored.close()
+
+        buffered = Tracer()
+        replay(buffered, script)
+        assert shard_bytes(restored.sink) == oracle_bytes(buffered.events)
+
+    @given(st.lists(emits(), min_size=5, max_size=25), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_one_read_keeps_one_copy_of_each_repeated_string(
+        self, script, shard_events
+    ):
+        """Over a file, and over every shard of a directory, one call
+        holds equal ``data`` keys, equal ``str`` values of ``data`` and
+        equal ``app``s as one object; the events are the ones
+        ``from_json`` builds line by line."""
+        note = ("custom.note", 0.0, "tenant00", None, None, {"src": "node01"})
+        script = [note, *script, note]  # in the first and the last shard
+        with tempfile.TemporaryDirectory() as root:
+            buffered = Tracer()
+            replay(buffered, script)
+            single = buffered.to_jsonl(Path(root) / "trace.jsonl")
+            streaming = Tracer(sink=StreamingSink(
+                Path(root) / "shards", window=4, shard_events=shard_events,
+            ))
+            replay(streaming, script)
+            streaming.close()
+            shards = streaming.sink.shard_paths()
+            assert len(shards) >= 2
+            for path, files in ((single, [single]), (Path(root) / "shards", shards)):
+                lines = [line for f in files for line in f.read_text().splitlines()]
+                events = read_trace(path)
+                assert repr(events) == repr([TraceEvent.from_json(l) for l in lines])
+                (key,) = events[-1].data
+                assert key is next(iter(events[0].data))
+                assert events[-1].data[key] is events[0].data[key]
+                assert events[-1].app is events[0].app
+                first: dict = {}
+                for event in events:
+                    strings = [*event.data, event.app]
+                    strings += [v for v in event.data.values() if isinstance(v, str)]
+                    for string in strings:
+                        if isinstance(string, str):
+                            assert first.setdefault(string, string) is string
 
 
 # -- instruments ------------------------------------------------------------

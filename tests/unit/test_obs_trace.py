@@ -203,6 +203,22 @@ class TestReadTraceRobustness:
             events = read_trace(path)
         assert [e.id for e in events] == [2]
 
+    def test_a_byte_that_is_not_utf8_loses_only_its_line(self, tmp_path):
+        # Read as locale text, it used to raise UnicodeDecodeError from
+        # the line iterator: every event lost, and ``report`` dead.
+        tracer = Tracer()
+        tracer.emit("probe.headroom", 1.0, src="a", dst="b")
+        tracer.emit("restart", 2.0, node="n1")
+        tracer.emit("restart", 3.0)
+        path = tracer.to_jsonl(tmp_path / "trace.jsonl")
+        first, second, third, end = path.read_bytes().split(b"\n")
+        path.write_bytes(
+            b"\n".join([first, second[:20] + b"\xff\xfe" + second[20:], third, end])
+        )
+        with pytest.warns(UserWarning, match="trace.jsonl:2"):
+            events = read_trace(path)
+        assert events == [tracer.events[0], tracer.events[2]]
+
     def test_blank_lines_ignored_silently(self, tmp_path):
         tracer = Tracer()
         tracer.emit("restart", 1.0)
