@@ -262,10 +262,6 @@ class SocialNetworkApp(Application, Derived):
                 )
         return per_edge
 
-    def edge_demand_mbps(self, src: str, dst: str, rps: float) -> float:
-        """Offered Mbps on an edge at a given request rate."""
-        return self._per_request_mbit.get((src, dst), 0.0) * rps
-
     # -- DAG ------------------------------------------------------------------
 
     def build_dag(self) -> ComponentDAG:

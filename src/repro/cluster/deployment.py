@@ -107,9 +107,6 @@ class Deployment:
             return False
         return time >= self._available_at.get(pod_name, 0.0)
 
-    def unavailable_until(self, pod_name: str) -> float:
-        return self._available_at.get(pod_name, 0.0)
-
     def restarting(self, time: float) -> dict[str, float]:
         """The deployed pods mid-restart at ``time``, each with the
         instant it serves again — the pods :meth:`is_available` denies.
@@ -131,10 +128,6 @@ class Deployment:
     def bindings(self) -> dict[str, str]:
         """A copy of the pod → node mapping."""
         return dict(self._bindings)
-
-    @property
-    def nodes_used(self) -> set[str]:
-        return set(self._bindings.values())
 
     def __len__(self) -> int:
         return len(self._bindings)

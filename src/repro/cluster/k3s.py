@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.registry import register_scheduler
-from ..errors import InsufficientCapacityError, SchedulingError
+from ..errors import InsufficientCapacityError
 from .orchestrator import ClusterState
 from .pod import PodSpec
 
@@ -21,34 +21,12 @@ from .pod import PodSpec
 class K3sScheduler:
     """One-pod-at-a-time, CPU/memory-only scheduler (the paper's baseline).
 
-    Args:
-        scoring: node-scoring policy, matching Kubernetes' built-ins:
-            ``"least_allocated"`` (the default, spreads pods — what the
-            paper's k3s runs) or ``"most_allocated"`` (bin-packing —
-            consolidates pods but still bandwidth-obliviously, a useful
-            second baseline).
+    Nodes are scored by Kubernetes' default ``LeastAllocated`` policy,
+    which spreads pods; that is what the paper's k3s runs.
 
     Example:
         >>> # assignments = K3sScheduler().schedule(pods, cluster)
     """
-
-    SCORING_POLICIES = ("least_allocated", "most_allocated")
-
-    def __init__(self, scoring: str = "least_allocated") -> None:
-        if scoring not in self.SCORING_POLICIES:
-            raise SchedulingError(
-                f"unknown scoring policy {scoring!r}; expected one of "
-                f"{self.SCORING_POLICIES}"
-            )
-        self.scoring = scoring
-
-    @property
-    def name(self) -> str:
-        return (
-            "k3s"
-            if self.scoring == "least_allocated"
-            else f"k3s-{self.scoring.replace('_', '-')}"
-        )
 
     def schedule(
         self, pods: Sequence[PodSpec], cluster: ClusterState
@@ -92,13 +70,10 @@ class K3sScheduler:
                 f"(cpu={pod.resources.cpu}, mem={pod.resources.memory_mb})"
             )
         # Score by free-resource fraction: LeastAllocated prefers the
-        # emptiest node (spread), MostAllocated the fullest feasible one
-        # (bin-packing).  Deterministic tie-break on node name.
-        sign = -1.0 if self.scoring == "least_allocated" else 1.0
-
+        # emptiest node (spread).  Deterministic tie-break on node name.
         def sort_key(node):  # noqa: ANN001 - local helper
             free = (node.cpu_fraction_free() + node.memory_fraction_free()) / 2.0
-            return (sign * free, node.node_name)
+            return (-free, node.node_name)
 
         best = min(feasible, key=sort_key)
         return best.node_name

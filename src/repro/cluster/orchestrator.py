@@ -56,9 +56,6 @@ class ClusterState:
     def node_names(self) -> list[str]:
         return list(self._nodes)
 
-    def total_free(self) -> ResourceSpec:
-        return ResourceSpec.total([n.free for n in self._nodes.values()])
-
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 

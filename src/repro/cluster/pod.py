@@ -48,11 +48,6 @@ class PodSpec:
                     f"pod {self.name}: negative bandwidth to {dep!r}"
                 )
 
-    @property
-    def uid(self) -> str:
-        """Globally unique identifier: ``app/name``."""
-        return f"{self.app}/{self.name}"
-
     def total_bandwidth_mbps(self) -> float:
         """Sum of annotated egress bandwidth across dependencies."""
         return sum(self.bandwidth_mbps.values())

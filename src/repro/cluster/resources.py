@@ -51,13 +51,6 @@ class ResourceSpec:
             and self.memory_mb <= capacity.memory_mb + _EPSILON
         )
 
-    @staticmethod
-    def total(specs: list["ResourceSpec"]) -> "ResourceSpec":
-        result = ResourceSpec()
-        for spec in specs:
-            result = result + spec
-        return result
-
 
 class NodeResources:
     """Allocatable capacity of one node, with current allocations."""

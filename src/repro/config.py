@@ -2,10 +2,14 @@
 
 :class:`BassConfig` gathers the per-application tunables the paper
 exposes: the link utilisation (goodput) threshold for migration, the
-headroom fraction kept spare on each link, probing intervals and costs,
-and the controller cooldown.  Defaults follow the values used throughout
+headroom fraction kept spare on each link, the probing interval and
+the controller cooldown.  Defaults follow the values used throughout
 §4 and §6 of the paper (50 % goodput threshold, 20 % headroom, 30 s
-probe interval, 1 s probe duration).  :class:`FleetConfig` holds the
+probe interval).  The probe's own size and length are fixed by §4.2
+(10 % of link capacity for 1 s) and live as constants in
+:mod:`repro.core.netmonitor`, as does the full-probe cooldown; the
+per-evaluation migration budget is a constant of
+:mod:`repro.core.controller`.  :class:`FleetConfig` holds the
 one per-mesh knob of the control plane: how the mesh is cut into
 regions (default one region spanning it).
 
@@ -20,6 +24,7 @@ scheduler's name: ``bass-bfs``, ``bass-longest-path`` or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -28,32 +33,21 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Parameters of the net-monitor's probing machinery (§4.2).
+    """The net-monitor's probing cadence (§4.2, §6.3).
+
+    The paper varies only the interval (Fig 12/13); the probe itself is
+    fixed (see :mod:`repro.core.netmonitor`).
 
     Attributes:
         headroom_interval_s: seconds between headroom probes on each link.
             The paper defaults to 30 s ("conservative", 0.6 % overhead).
-        probe_duration_s: how long a single probe floods the link.
-        headroom_probe_fraction: fraction of link capacity injected during
-            a headroom probe (paper: 10 % of capacity for 1 s).
-        full_probe_cooldown_s: minimum spacing between max-capacity probes
-            of the same link, so a flapping link is not flooded repeatedly.
     """
 
     headroom_interval_s: float = 30.0
-    probe_duration_s: float = 1.0
-    headroom_probe_fraction: float = 0.10
-    full_probe_cooldown_s: float = 60.0
 
     def validate(self) -> None:
-        if self.headroom_interval_s <= 0:
-            raise ConfigError("headroom_interval_s must be positive")
-        if self.probe_duration_s <= 0:
-            raise ConfigError("probe_duration_s must be positive")
-        if not 0 < self.headroom_probe_fraction <= 1:
-            raise ConfigError("headroom_probe_fraction must be in (0, 1]")
-        if self.full_probe_cooldown_s < 0:
-            raise ConfigError("full_probe_cooldown_s must be >= 0")
+        if not 0 < self.headroom_interval_s < math.inf:
+            raise ConfigError("headroom_interval_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,6 @@ class MigrationConfig:
             as a fraction of link capacity (paper: ~20 %).
         cooldown_s: minimum time between a low-bandwidth detection and the
             migration trigger, to ignore transient dips.
-        max_per_iteration: migrations allowed per controller evaluation;
-            bounds disruption (Table 1's iterations migrate 1–2 each).
         improvement_margin: a migration target must promise at least
             this fractional gain in the component's achievable bandwidth
             (hysteresis against ping-pong under sustained congestion).
@@ -89,7 +81,6 @@ class MigrationConfig:
     link_utilization_threshold: float = 0.65
     headroom_fraction: float = 0.20
     cooldown_s: float = 30.0
-    max_per_iteration: int = 2
     improvement_margin: float = 0.10
     min_residency_s: Optional[float] = None
 
@@ -100,13 +91,11 @@ class MigrationConfig:
             raise ConfigError("link_utilization_threshold must be in (0, 1]")
         if not 0 <= self.headroom_fraction < 1:
             raise ConfigError("headroom_fraction must be in [0, 1)")
-        if self.cooldown_s < 0:
+        if not self.cooldown_s >= 0:
             raise ConfigError("cooldown_s must be >= 0")
-        if self.max_per_iteration < 1:
-            raise ConfigError("max_per_iteration must be >= 1")
-        if self.improvement_margin < 0:
+        if not self.improvement_margin >= 0:
             raise ConfigError("improvement_margin must be >= 0")
-        if self.min_residency_s is not None and self.min_residency_s < 0:
+        if self.min_residency_s is not None and not self.min_residency_s >= 0:
             raise ConfigError("min_residency_s must be >= 0 or None")
 
 

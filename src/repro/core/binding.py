@@ -96,10 +96,6 @@ class DeploymentBinding(Derived):
         self._base_weights: dict[tuple[str, str], float] = {
             (src, dst): weight for src, dst, weight in dag.edges()
         }
-        # Edges whose endpoints the mesh cannot currently connect (a
-        # crashed node or partition); they carry no flow and count as
-        # zero goodput until routing heals and sync_flows clears them.
-        self._unroutable: set[tuple[str, str]] = set()
         # Flow ids are read on every sync, goodput probe and latency
         # sample; format each once (interned, as ``add_flow`` stores it).
         self._flow_ids: dict[tuple[str, str], str] = {
@@ -206,8 +202,8 @@ class DeploymentBinding(Derived):
         Co-located edges carry no flow.  Flows whose endpoints moved are
         recreated on the new route; demands are refreshed everywhere.
         An edge whose endpoints the mesh cannot connect (crashed node,
-        partition) gets no flow and is recorded as unroutable — its
-        traffic simply does not arrive until routing heals.
+        partition) gets no flow — its traffic simply does not arrive
+        until routing heals.
 
         The clock and the restart set are read once, placement comes
         from :meth:`crossings`; per edge only the emulator is asked.
@@ -236,13 +232,11 @@ class DeploymentBinding(Derived):
         """The per-edge pass of :meth:`sync_flows`."""
         netem = self.netem
         crossings = self.crossings()
-        unroutable = self._unroutable
         for edge, flow_id in self._flow_ids.items():
             crossing = crossings[edge]
             if crossing is None:
                 if netem.has_flow(flow_id):
                     netem.remove_flow(flow_id)
-                unroutable.discard(edge)
                 continue
             src_node, dst_node = crossing[0]
             if restarting and (edge[0] in restarting or edge[1] in restarting):
@@ -260,19 +254,6 @@ class DeploymentBinding(Derived):
                     netem.set_demand(flow_id, demand)
             except RoutingError:
                 netem.remove_flow(flow_id)
-                unroutable.add(edge)
-            else:
-                unroutable.discard(edge)
-
-    @property
-    def unroutable_edges(self) -> set[tuple[str, str]]:
-        """Edges with no usable mesh route, as of the last sync."""
-        return set(self._unroutable)
-
-    def remove_flows(self) -> None:
-        """Drop all of the application's edge flows (teardown)."""
-        for flow_id in self._flow_ids.values():
-            self.netem.remove_flow(flow_id)
 
     # -- passive measurement --------------------------------------------------------
 

@@ -35,6 +35,10 @@ from .netmonitor import NetMonitor
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .regions import RegionController
 
+#: Migrations allowed per controller evaluation; bounds disruption
+#: (Table 1's iterations migrate 1–2 each).
+MAX_MIGRATIONS_PER_ITERATION = 2
+
 
 @dataclass
 class ControllerIteration:
@@ -246,9 +250,8 @@ class BandwidthController:
             self.tracer.set_context(app=self.app, epoch=self._epoch_seq)
         if self.config.migrations_enabled:
             violations = self._pending_violations
-            budget = self.config.migration.max_per_iteration
             for component in iteration.candidates:
-                if len(iteration.migrated) >= budget:
+                if len(iteration.migrated) >= MAX_MIGRATIONS_PER_ITERATION:
                     break
                 if self._try_migrate(component, deployment, now):
                     iteration.migrated.append(component)
@@ -503,14 +506,6 @@ class BandwidthController:
         return state_mb * 8.0 / rate
 
     # -- reporting -------------------------------------------------------------------
-
-    def migration_events(self) -> list[tuple[float, str, str, str]]:
-        """(time, component, from, to) for every migration performed."""
-        deployment = self.orchestrator.deployment(self.app)
-        return [
-            (m.time, m.pod_name, m.from_node, m.to_node)
-            for m in deployment.migrations
-        ]
 
     def table1_rows(self) -> list[tuple[int, int, int]]:
         """(iteration #, components over quota, migrated) for iterations

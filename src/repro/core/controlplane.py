@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..cluster.orchestrator import ClusterState, Orchestrator
-from ..config import FleetConfig, ProbeConfig
+from ..config import FleetConfig
 from ..errors import MigrationError, SchedulingError
 from ..net.netem import NetworkEmulator
 from ..obs.trace import TracerBase, resolve_tracer
@@ -279,7 +279,7 @@ class ControlPlane(Derived):
             spec = self.region_map.spec(name)
             region = RegionController(
                 spec,
-                self._fleet_monitor().region_view(name, spec.nodes),
+                self.monitor_for().region_view(name, spec.nodes),
                 region_map=self.region_map,
                 tracer=self.tracer,
             )
@@ -303,36 +303,21 @@ class ControlPlane(Derived):
 
     # -- monitor sharing ---------------------------------------------------
 
-    def _fleet_monitor(
-        self, probe_config: Optional[ProbeConfig] = None
-    ) -> NetMonitor:
-        """The one fleet monitor, created on first use — from the first
-        tenant's probe configuration when a tenant is what asked."""
-        if self._monitor is None:
-            self._monitor = NetMonitor(
-                self.netem, probe_config, tracer=self.tracer
-            )
-        return self._monitor
-
     def monitor_for(
-        self,
-        probe_config: Optional[ProbeConfig],
-        *,
-        assignments: Optional[Mapping[str, str]] = None,
+        self, assignments: Optional[Mapping[str, str]] = None
     ) -> NetMonitor:
         """The monitor a new tenant should use: its home region's view
-        of the one fleet monitor (created from the *first* tenant's
-        probe configuration — later tenants share its cadence
-        parameters).
+        of the one fleet monitor (created on first use).
 
         ``assignments`` (the tenant's pod → node map) routes the tenant
         to its home region, so its startup flood and epoch probing stay
         inside the region; without it the fleet monitor, spanning the
         mesh, is returned.
         """
-        monitor = self._fleet_monitor(probe_config)
+        if self._monitor is None:
+            self._monitor = NetMonitor(self.netem, tracer=self.tracer)
         if not assignments:
-            return monitor
+            return self._monitor
         home = self.region_map.home_of_nodes(assignments.values())
         return self.region_controller(home).monitor
 

@@ -172,9 +172,6 @@ class ComponentDAG:
     def total_bandwidth_mbps(self) -> float:
         return sum(w for _, _, w in self.edges())
 
-    def total_resources(self) -> ResourceSpec:
-        return ResourceSpec.total([c.resources for c in self.components])
-
     def roots(self) -> list[str]:
         """Components with no incoming edge, in insertion order."""
         return [n for n in self._components if not self._pred[n]]

@@ -62,10 +62,6 @@ class PlacementExplanation:
         kept = sum(e.required_mbps for e in self.edges if e.colocated)
         return kept / total
 
-    @property
-    def unsatisfied_edges(self) -> list[EdgeFate]:
-        return [e for e in self.edges if not e.satisfied]
-
     def render(self) -> str:
         """A terminal-friendly report."""
         lines = [
@@ -111,7 +107,6 @@ def explain_placement(
     netem: Optional[NetworkEmulator] = None,
     *,
     heuristic: str = "longest_path",
-    headroom_fraction: float = 0.0,
 ) -> PlacementExplanation:
     """Run the BASS scheduling pipeline and explain its decisions.
 
@@ -122,10 +117,7 @@ def explain_placement(
     order = order_components(dag, heuristic)
     shadow = copy.deepcopy(cluster)
     ranking = rank_nodes(shadow, netem)
-    engine = PlacementEngine(
-        shadow, netem, headroom_fraction=headroom_fraction
-    )
-    assignments = engine.place(dag.to_pods(), order)
+    assignments = PlacementEngine(shadow, netem).place(dag.to_pods(), order)
 
     edges: list[EdgeFate] = []
     for src, dst, required in dag.edges():

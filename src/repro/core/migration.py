@@ -62,10 +62,6 @@ class Violation:
     headroom_mbps: float
 
     @property
-    def headroom_violated(self) -> bool:
-        return self.available_mbps < self.headroom_mbps
-
-    @property
     def severity(self) -> float:
         """How far out of spec the edge is, in [0, 2].
 
@@ -465,4 +461,3 @@ class MigrationPlanner:
             except RoutingError:
                 return False  # unreachable peer: edge cannot be carried
         return True
-

@@ -16,6 +16,11 @@ Probe traffic is injected into the network emulator as real flows
 tagged ``"probe"``, so the overhead figures of §6.3.4 (0.3 % of link
 traffic for headroom probing) come out of the same accounting as
 application traffic.
+
+The probe itself is fixed by §4.2 (:data:`HEADROOM_PROBE_FRACTION` of
+the cached capacity for :data:`PROBE_DURATION_S`); only the probing
+interval varies (``ProbeConfig.headroom_interval_s``), and the
+controller, not the monitor, reads it.
 """
 
 from __future__ import annotations
@@ -24,10 +29,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Optional
 
-from ..config import ProbeConfig
-from ..errors import RoutingError, TopologyError
+from ..errors import RoutingError
 from ..net.netem import NetworkEmulator
 from ..obs.trace import TracerBase, resolve_tracer
+
+#: How long one probe's traffic stays on the link (§4.2: 1 s).
+PROBE_DURATION_S = 1.0
+#: Share of the cached link capacity a headroom probe injects (§4.2: 10 %).
+HEADROOM_PROBE_FRACTION = 0.10
+#: Minimum spacing between max-capacity probes of one link, so a
+#: flapping link is not flooded repeatedly.
+FULL_PROBE_COOLDOWN_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,6 @@ class NetMonitor:
 
     Args:
         netem: the network emulator to probe and account against.
-        config: probing parameters.
         region: label of the region this monitor serves; the empty
             string is the fleet-wide (unscoped) monitor.  Region labels
             namespace probe-event provenance, never the capacity cache.
@@ -84,7 +95,6 @@ class NetMonitor:
     def __init__(
         self,
         netem: NetworkEmulator,
-        config: Optional[ProbeConfig] = None,
         *,
         tracer: Optional[TracerBase] = None,
         region: str = "",
@@ -92,7 +102,6 @@ class NetMonitor:
         caches: Optional[MonitorCaches] = None,
     ) -> None:
         self.netem = netem
-        self.config = config if config is not None else ProbeConfig()
         self.tracer = resolve_tracer(tracer)
         self.region = region
         self.scope: Optional[frozenset[str]] = (
@@ -123,7 +132,6 @@ class NetMonitor:
         """
         return NetMonitor(
             self.netem,
-            self.config,
             tracer=self.tracer,
             region=region,
             scope=nodes,
@@ -145,7 +153,7 @@ class NetMonitor:
         flow_id = self.netem.next_flow_id("__probe")
         self.netem.add_flow(flow_id, src, dst, rate_mbps, tag="probe")
         self.netem.engine.schedule_in(
-            self.config.probe_duration_s,
+            PROBE_DURATION_S,
             partial(self.netem.remove_flow, flow_id),
         )
 
@@ -155,7 +163,7 @@ class NetMonitor:
         """Flood the direct link ``src -> dst`` to learn its capacity.
 
         The measured value replaces the cache entry.  Respecting
-        ``full_probe_cooldown_s`` is the *caller's* job (the controller
+        :data:`FULL_PROBE_COOLDOWN_S` is the *caller's* job (the controller
         checks :meth:`full_probe_allowed`); calling this directly always
         probes.
         """
@@ -192,12 +200,12 @@ class NetMonitor:
         last = self._last_full_probe.get((src, dst))
         if last is None:
             return True
-        return self.netem.now - last >= self.config.full_probe_cooldown_s
+        return self.netem.now - last >= FULL_PROBE_COOLDOWN_S
 
     def probe_all_links(self) -> int:
         """Startup round: max-capacity probe of every directed link (§4.2).
 
-        Honours the per-link ``full_probe_cooldown_s``: links this
+        Honours the per-link :data:`FULL_PROBE_COOLDOWN_S`: links this
         monitor full-probed within the cooldown are *not* re-flooded, so
         on a shared fleet monitor, deploying a second application moments
         after the first triggers no duplicate startup flood.
@@ -226,9 +234,7 @@ class NetMonitor:
         capacity, read live only for a link never full-probed.
         """
         cached = self.cached_capacity(src, dst)
-        probe_rate = min(
-            cached * self.config.headroom_probe_fraction, headroom_mbps
-        )
+        probe_rate = min(cached * HEADROOM_PROBE_FRACTION, headroom_mbps)
         self._inject_probe_traffic(src, dst, probe_rate)
         available = self.netem.available_bandwidth(src, dst)
         self.headroom_probe_count += 1
@@ -322,7 +328,3 @@ class NetMonitor:
         # path that cross into another region are that region's to
         # observe.
         return [(a, b) for a, b in links if self.in_scope(a, b)]
-
-    def validate_link(self, src: str, dst: str) -> None:
-        if not self.netem.topology.has_link(src, dst):
-            raise TopologyError(f"no direct link {src}->{dst}")

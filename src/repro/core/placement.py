@@ -10,7 +10,7 @@ when one does not fit, the cursor advances to the next-ranked node.  If
 no node from the cursor onward fits, we fall back to first-fit over the
 whole ranking (so feasibility never depends on order alone).  Bandwidth
 is honoured as a soft preference: among feasible nodes, ones whose
-links can carry the component's inter-node edges (with headroom) win.
+links can carry the component's inter-node edges win.
 """
 
 from __future__ import annotations
@@ -45,24 +45,17 @@ class NodeRank:
 
 
 def rank_nodes(
-    cluster: ClusterState,
-    netem: Optional[NetworkEmulator] = None,
-    *,
-    allow: Optional[frozenset[str]] = None,
+    cluster: ClusterState, netem: Optional[NetworkEmulator] = None
 ) -> list[str]:
     """Rank schedulable nodes best-first (§3.2.1).
 
     Nodes with more aggregate link capacity are preferred, then more
     CPU, then more memory; names break ties deterministically.  Without
     a network emulator (pure resource scheduling) link capacity is 0 for
-    every node and the ranking degenerates to CPU/memory.  ``allow``
-    restricts the ranking to a subset of nodes (a region's
-    jurisdiction).
+    every node and the ranking degenerates to CPU/memory.
     """
     ranks = []
     for node in cluster.schedulable_nodes():
-        if allow is not None and node.node_name not in allow:
-            continue
         if netem is not None:
             link_capacity = netem.topology.total_link_capacity(
                 node.node_name, netem.now
@@ -87,11 +80,6 @@ class PlacementEngine:
     Args:
         cluster: resource ledger; allocations are committed here.
         netem: optional network emulator for bandwidth-aware preferences.
-        headroom_fraction: spare link fraction kept when checking
-            bandwidth feasibility of a candidate node.
-        allow: restrict packing to these nodes (a region's
-            jurisdiction); pinned pods may still name nodes outside it,
-            since an explicit pin outranks the region boundary.
         tracer: flight recorder for ``placement.decision`` events.
             Deliberately *not* resolved from the process default: shadow
             placements (``explain_placement`` replays the pipeline on a
@@ -103,14 +91,10 @@ class PlacementEngine:
         cluster: ClusterState,
         netem: Optional[NetworkEmulator] = None,
         *,
-        headroom_fraction: float = 0.0,
-        allow: Optional[frozenset[str]] = None,
         tracer: Optional[TracerBase] = None,
     ) -> None:
         self.cluster = cluster
         self.netem = netem
-        self.headroom_fraction = headroom_fraction
-        self.allow = allow
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def place(
@@ -140,7 +124,7 @@ class PlacementEngine:
             raise InsufficientCapacityError(
                 "order must be a permutation of the pod names"
             )
-        ranking = rank_nodes(self.cluster, self.netem, allow=self.allow)
+        ranking = rank_nodes(self.cluster, self.netem)
         assignments: dict[str, str] = {}
         cursor = 0
         for name in order:
@@ -236,9 +220,6 @@ class PlacementEngine:
         return True
 
     def _path_can_carry(self, src: str, dst: str, mbps: float) -> bool:
-        capacity = self.netem.path_capacity(src, dst)
-        if capacity == float("inf"):
+        if self.netem.path_capacity(src, dst) == float("inf"):
             return True
-        headroom = capacity * self.headroom_fraction
-        available = self.netem.path_available_bandwidth(src, dst)
-        return available >= mbps + headroom
+        return self.netem.path_available_bandwidth(src, dst) >= mbps

@@ -307,7 +307,6 @@ def _churn_seed_cell(*, seed: int, settle_s: float = 120.0) -> ChurnResult:
         topology,
         RngStreams(seed),
         duration_s=settle_s,
-        crash_count=1,
         candidates=movable,  # node1 hosts the pinned source
     )
     crash = plan.events[0]

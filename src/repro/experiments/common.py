@@ -206,9 +206,7 @@ def deploy_app(
     # Assignments route the tenant to its home region's scoped monitor
     # (the startup flood stays in-region and skips links the monitor
     # full-probed within its cooldown).
-    monitor = env.control_plane.monitor_for(
-        config.probe, assignments=assignments
-    )
+    monitor = env.control_plane.monitor_for(assignments)
     monitor.probe_all_links()
     controller = BandwidthController(
         dag.app, env.orchestrator, binding, monitor, config,

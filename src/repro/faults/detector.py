@@ -42,7 +42,6 @@ from .injector import FaultInjector
 
 #: on_confirmed_dead callback: (node, cause event id, detection latency).
 ConfirmedCallback = Callable[[str, Optional[int], float], None]
-RecoveredCallback = Callable[[str], None]
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class FailureDetector(Derived):
         self.beats_sent = 0
         self.beats_missed = 0
         self._on_confirmed: list[ConfirmedCallback] = []
-        self._on_recovered: list[RecoveredCallback] = []
         self._task = None
         forget(self)
 
@@ -163,9 +161,6 @@ class FailureDetector(Derived):
     def on_confirmed_dead(self, callback: ConfirmedCallback) -> None:
         """Register a recovery hook: (node, cause event, latency_s)."""
         self._on_confirmed.append(callback)
-
-    def on_recovered(self, callback: RecoveredCallback) -> None:
-        self._on_recovered.append(callback)
 
     # -- one heartbeat round ----------------------------------------------
 
@@ -266,8 +261,6 @@ class FailureDetector(Derived):
                 self.tracer.emit(
                     "node.recovered", now, node=node, cause=cause
                 )
-            for callback in self._on_recovered:
-                callback(node)
 
     def _mark_missing(self, node: str, now: float) -> None:
         if node in self.confirmed_dead:

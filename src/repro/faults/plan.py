@@ -6,7 +6,7 @@ restore), link flapping, mesh partitions, and probe blackouts.  Plans
 are plain data: nothing happens until a
 :class:`~repro.faults.injector.FaultInjector` installs one on a
 simulation engine.  Seeded plans come from :func:`seeded_churn`, which
-draws crash times and victims from a named
+draws a crash time and victim from the ``"faults"``
 :class:`~repro.sim.rng.RngStreams` stream so a churn experiment is
 reproducible bit-for-bit.
 """
@@ -213,73 +213,31 @@ class FaultPlan:
                 f"fault references unknown node {name!r}: {event!r}"
             )
 
-    @property
-    def crash_targets(self) -> list[str]:
-        """Nodes the plan crashes, in event order."""
-        return [e.node for e in self.events if isinstance(e, NodeCrash)]
-
 
 def seeded_churn(
     topology: MeshTopology,
     rng: RngStreams,
     *,
     duration_s: float,
-    crash_count: int = 1,
-    reboot_after_s: Optional[float] = None,
-    link_failure_count: int = 0,
-    link_restore_after_s: Optional[float] = None,
     candidates: Optional[Iterable[str]] = None,
-    stream: str = "faults",
 ) -> FaultPlan:
-    """Generate a random-but-reproducible churn plan.
+    """Generate a random-but-reproducible one-crash plan.
 
-    Crash victims are drawn (without replacement) from ``candidates``
-    (default: the schedulable workers) and crash times uniformly over
-    the middle 80 % of ``duration_s`` — early enough to recover inside
-    the run, late enough that the system reached steady state.  Link
-    failures pick random live links the same way.  The same
-    ``(seed, stream)`` pair always yields the same plan.
+    The victim is drawn from ``candidates`` (default: the schedulable
+    workers) and the crash time uniformly over the middle 80 % of
+    ``duration_s`` — early enough to recover inside the run, late
+    enough that the system reached steady state.  The node never
+    reboots.  Both draws come from the ``"faults"`` stream, so the same
+    seed always yields the same plan.
     """
     if duration_s <= 0:
         raise SimulationError("duration_s must be positive")
-    gen = rng.get(stream)
+    gen = rng.get("faults")
     pool = sorted(candidates) if candidates is not None else list(
         topology.worker_names
     )
-    if crash_count > len(pool):
-        raise SimulationError(
-            f"cannot crash {crash_count} of {len(pool)} candidate nodes"
-        )
-    lo, hi = 0.1 * duration_s, 0.9 * duration_s
-    events: list[FaultEvent] = []
-    victims = [
-        pool[i] for i in gen.choice(len(pool), size=crash_count, replace=False)
-    ]
-    for node in victims:
-        events.append(
-            NodeCrash(
-                at_s=float(gen.uniform(lo, hi)),
-                node=node,
-                reboot_after_s=reboot_after_s,
-            )
-        )
-    if link_failure_count:
-        link_ids = sorted(link.id for link in topology.links)
-        if link_failure_count > len(link_ids):
-            raise SimulationError(
-                f"cannot fail {link_failure_count} of {len(link_ids)} links"
-            )
-        chosen = gen.choice(
-            len(link_ids), size=link_failure_count, replace=False
-        )
-        for index in chosen:
-            a, b = link_ids[index]
-            events.append(
-                LinkDown(
-                    at_s=float(gen.uniform(lo, hi)),
-                    a=a,
-                    b=b,
-                    restore_after_s=link_restore_after_s,
-                )
-            )
-    return FaultPlan(events)
+    if not pool:
+        raise SimulationError("cannot crash: no candidate nodes")
+    (victim,) = gen.choice(len(pool), size=1, replace=False)
+    at_s = float(gen.uniform(0.1 * duration_s, 0.9 * duration_s))
+    return FaultPlan([NodeCrash(at_s=at_s, node=pool[victim])])

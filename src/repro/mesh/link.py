@@ -119,15 +119,6 @@ class Link:
                 f"link {self.id}: no direction {src}->{dst}"
             ) from None
 
-    def other_end(self, node: str) -> str:
-        """The endpoint opposite ``node``."""
-        a, b = self.id
-        if node == a:
-            return b
-        if node == b:
-            return a
-        raise TopologyError(f"node {node!r} is not an endpoint of link {self.id}")
-
     def capacity(self, src: str, dst: str, t: float) -> float:
         """Effective capacity of the ``src -> dst`` direction at time t.
 

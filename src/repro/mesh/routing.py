@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from ..errors import RoutingError, TopologyError
 from ..sim.derived import Derived, forget
-from .link import Link
 from .topology import MeshTopology
 
 
@@ -228,17 +227,6 @@ class Router(Derived):
         bottleneck = best[dst]
         return mesh.path(src, dst, lambda a, b: width(a, b) >= bottleneck)
 
-    def path_links(self, src: str, dst: str) -> list[Link]:
-        """Links along the route, in traversal order."""
-        path = self.traceroute(src, dst)
-        return [
-            self._topology.link(a, b) for a, b in zip(path, path[1:])
-        ]
-
-    def hop_count(self, src: str, dst: str) -> int:
-        """Number of wireless hops between the nodes (0 if same node)."""
-        return len(self.traceroute(src, dst)) - 1
-
     def path_link_keys(self, src: str, dst: str) -> tuple[tuple[str, str], ...]:
         """Directed (src, dst) link keys along the route, cached.
 
@@ -270,7 +258,3 @@ class Router(Derived):
             self._topology.link(a, b).capacity(a, b, t)
             for a, b in zip(path, path[1:])
         )
-
-    def path_latency_ms(self, src: str, dst: str) -> float:
-        """Sum of one-way propagation latencies along the route."""
-        return sum(link.latency_ms for link in self.path_links(src, dst))

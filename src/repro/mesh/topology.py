@@ -202,9 +202,6 @@ class MeshTopology:
         self.node(name)  # validates
         return name not in self._down_nodes
 
-    def is_link_up(self, a: str, b: str) -> bool:
-        return self.link(a, b).up
-
     @property
     def down_nodes(self) -> set[str]:
         """Names of currently crashed nodes."""
@@ -240,27 +237,6 @@ class MeshTopology:
             lid for lid, link in self._links.items() if link.up
         )
         return graph
-
-    def is_connected(self) -> bool:
-        """BASS assumes no partitions (§3.1) — check the assumption.
-
-        Under fault injection this checks the *live* subgraph: down
-        nodes are excluded, and a mesh whose surviving nodes all reach
-        each other still counts as connected.
-        """
-        adjacency = self.live_adjacency()
-        if not adjacency:
-            return True
-        start = next(iter(adjacency))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for peer in adjacency[node]:
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        return len(seen) == len(adjacency)
 
     def total_link_capacity(self, name: str, t: float) -> float:
         """Sum of outgoing capacity across all of a node's links.

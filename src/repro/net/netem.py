@@ -679,14 +679,6 @@ class NetworkEmulator(Derived):
                     frontier.extend(flow.links)
         return list(reached.values())
 
-    def link_offered(self, src: str, dst: str) -> float:
-        """Sum of offered demand crossing the directed link."""
-        members = self._flows_by_link.get((src, dst))
-        if not members:
-            return 0.0
-        flows = self._flows
-        return sum(flows[fid].demand_mbps for fid in members)
-
     def link_utilization(self, src: str, dst: str) -> float:
         """Allocated / capacity for the directed link (0 on a dead link)."""
         capacity = self.capacity(src, dst)

@@ -59,9 +59,6 @@ class Gauge:
     def inc(self, time: float, amount: float = 1.0) -> None:
         self.set(time, self.value + amount)
 
-    def dec(self, time: float, amount: float = 1.0) -> None:
-        self.set(time, self.value - amount)
-
 
 class Histogram:
     """Bucketed distribution.

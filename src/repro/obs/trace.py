@@ -187,10 +187,18 @@ class TraceEvent(_EventFields):
         the line; :func:`read_trace` shares them across a whole trace.
 
         Raises:
-            ValueError, KeyError, TypeError: the line is not one JSON
-                object with ``id``/``kind``/``t`` and an object ``data``.
+            ValueError, KeyError, TypeError, OverflowError,
+            RecursionError: the line is not one JSON object with
+                ``id``/``kind``/``t`` and an object ``data``, or a
+                number in it is out of range, or it nests too deep.
         """
         return _event(_decoder.decode(line), {})
+
+
+#: What decoding a malformed line raises.  An ``id`` of ``1e400`` or a
+#: 400-digit ``t`` overflows in the conversion, and a line of 100 000
+#: ``[`` exhausts the decoder's recursion; each is one bad line.
+_MALFORMED = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 def _event(record: Any, strings: dict[str, str]) -> TraceEvent:
@@ -204,8 +212,9 @@ def _event(record: Any, strings: dict[str, str]) -> TraceEvent:
     is interned process-wide instead: it is a small vocabulary.
 
     Raises:
-        KeyError, TypeError, ValueError: the record is not a JSON object
-            with ``id``/``kind``/``t`` and an object ``data``.
+        KeyError, TypeError, ValueError, OverflowError: the record is
+            not a JSON object with ``id``/``kind``/``t`` and an object
+            ``data``, or ``id`` / ``t`` is out of range.
     """
     id = int(record["id"])  # first: a record that is no object fails here
     data = record.get("data", {})
@@ -507,7 +516,7 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
                     if end != len(line):
                         raise ValueError("extra data after the trace record")
                     events.append(_event(record, strings))
-                except (ValueError, KeyError, TypeError):
+                except _MALFORMED:
                     warnings.warn(
                         f"{shard}:{number}: skipping malformed trace line "
                         f"(truncated write from a crashed run?)",

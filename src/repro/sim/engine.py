@@ -18,6 +18,7 @@ Example:
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -130,27 +131,23 @@ class ScheduledEvent:
 class PeriodicTask:
     """A callback re-armed every ``interval`` seconds until stopped.
 
-    The callback runs first at ``start + interval`` (or ``start`` when
-    ``fire_immediately`` is set).  Stopping is idempotent.
+    The callback runs first at ``start + interval``.  Stopping is
+    idempotent.
     """
 
     def __init__(
-        self,
-        engine: "Engine",
-        interval: float,
-        callback: Callback,
-        *,
-        fire_immediately: bool = False,
+        self, engine: "Engine", interval: float, callback: Callback
     ) -> None:
-        if interval <= 0:
-            raise SimulationError("periodic interval must be positive")
+        if not 0 < interval < math.inf:
+            raise SimulationError(
+                f"periodic interval must be positive and finite, not {interval}"
+            )
         self._engine = engine
         self._interval = interval
         self._callback = callback
         self._stopped = False
-        first_delay = 0.0 if fire_immediately else interval
         self._event: Optional[ScheduledEvent] = engine.schedule_in(
-            first_delay, self._fire
+            interval, self._fire
         )
 
     @property
@@ -179,8 +176,8 @@ class PeriodicTask:
 class Engine:
     """Deterministic event loop with an absolute float clock (seconds)."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[ScheduledEvent] = []
         # A plain int, not itertools.count: the engine (including its
         # tie-break position) must serialize into checkpoints.
@@ -205,12 +202,6 @@ class Engine:
         if self._profiler is None:
             self._profiler = EngineProfiler()
         return self._profiler
-
-    def disable_profiling(self) -> Optional[EngineProfiler]:
-        """Stop profiling; returns the profiler with stats so far."""
-        profiler = self._profiler
-        self._profiler = None
-        return profiler
 
     @property
     def pending_events(self) -> int:
@@ -274,11 +265,13 @@ class Engine:
         """Schedule ``callback`` at absolute time ``time``.
 
         Raises:
-            SimulationError: if ``time`` is in the past.
+            SimulationError: if ``time`` is in the past or NaN (a NaN
+                key compares false both ways and breaks the heap order
+                for every other event).
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule event at {time} before now={self._now}"
+                f"cannot schedule event at {time} (now={self._now})"
             )
         event = ScheduledEvent(
             time=time, seq=self._seq, callback=callback, _engine=self
@@ -293,13 +286,9 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback)
 
-    def every(
-        self, interval: float, callback: Callback, *, fire_immediately: bool = False
-    ) -> PeriodicTask:
+    def every(self, interval: float, callback: Callback) -> PeriodicTask:
         """Arm a :class:`PeriodicTask` firing every ``interval`` seconds."""
-        return PeriodicTask(
-            self, interval, callback, fire_immediately=fire_immediately
-        )
+        return PeriodicTask(self, interval, callback)
 
     def run_until(self, end_time: float) -> None:
         """Execute events in order until the clock reaches ``end_time``.
@@ -307,7 +296,7 @@ class Engine:
         The clock is left exactly at ``end_time``, even if the queue drains
         earlier, so periodic observers can rely on a fixed horizon.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise SimulationError(
                 f"end_time {end_time} is before now={self._now}"
             )

@@ -59,30 +59,3 @@ class RngStreams:
             entropy=self._seed, spawn_key=(_stable_key(name), 1)
         )
         return RngStreams(seed=int(sequence.generate_state(1)[0]))
-
-    def state_dict(self) -> dict:
-        """The family's full position: seed plus every materialized
-        stream's bit-generator state (plain dicts, JSON/pickle safe)."""
-        return {
-            "seed": self._seed,
-            "streams": {
-                name: generator.bit_generator.state
-                for name, generator in sorted(self._streams.items())
-            },
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` capture.
-
-        Streams in ``state`` resume exactly where they left off; names
-        first requested *after* the restore are derived fresh from the
-        seed, identical to a family that was never serialized.
-        """
-        if int(state["seed"]) != self._seed:
-            raise ValueError(
-                f"state was captured from seed {state['seed']}, "
-                f"this family has seed {self._seed}"
-            )
-        self._streams.clear()
-        for name, bit_state in state["streams"].items():
-            self.get(name).bit_generator.state = bit_state

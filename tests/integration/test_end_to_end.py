@@ -14,7 +14,7 @@ from repro.experiments.common import (
     schedule_with,
     set_node_egress_limit,
 )
-from repro.mesh.topology import citylab_subset, full_mesh_topology
+from repro.mesh.topology import full_mesh_topology
 
 
 class TestDeployAllApps:
@@ -27,7 +27,7 @@ class TestDeployAllApps:
             env, CameraPipelineApp(), scheduler, start_controller=False
         )
         assert len(handle.deployment) == 5
-        assert handle.deployment.nodes_used <= set(env.cluster.node_names)
+        assert set(handle.deployment.bindings.values()) <= set(env.cluster.node_names)
 
     @pytest.mark.parametrize(
         "scheduler", ["k3s", "bass-bfs", "bass-longest-path"]

@@ -483,7 +483,9 @@ def read_trace_reference(path: str | Path) -> list[TraceEvent]:
     """``read_trace`` as first written: the per-line loop that owns the
     skip-with-``path:line``-warning rule for malformed lines, plus the
     one rule added since: a byte that is not UTF-8 makes its line
-    malformed (it used to end the whole read with ``UnicodeDecodeError``)."""
+    malformed (it used to end the whole read with ``UnicodeDecodeError``),
+    and so does a number out of range (``OverflowError``) or nesting too
+    deep for the decoder (``RecursionError``), which used to end it too."""
     path = Path(path)
     if path.is_dir():
         events: list[TraceEvent] = []
@@ -502,7 +504,9 @@ def read_trace_reference(path: str | Path) -> list[TraceEvent]:
                 if any("\udc80" <= char <= "\udcff" for char in line):
                     raise ValueError("line holds a byte that is not UTF-8")
                 events.append(event_from_json_reference(line))
-            except (ValueError, KeyError, TypeError):
+            except (
+                ValueError, KeyError, TypeError, OverflowError, RecursionError
+            ):
                 warnings.warn(
                     f"{path}:{number}: skipping malformed trace line "
                     f"(truncated write from a crashed run?)",

@@ -48,8 +48,8 @@ class TestInventory:
                 assert step.dst in names
 
     def test_total_cpu_fits_four_small_nodes(self):
-        total = SocialNetworkApp().build_dag().total_resources()
-        assert total.cpu <= 16.0  # four 4-core d710s (§6.2.2)
+        components = SocialNetworkApp().build_dag().components
+        assert sum(c.cpu for c in components) <= 16.0  # four 4-core d710s (§6.2.2)
 
     def test_mix_sums_to_one(self):
         assert sum(DEFAULT_MIX.values()) == pytest.approx(1.0)
@@ -141,11 +141,15 @@ class TestConfigValidation:
 
 class TestTrafficProfile:
     def test_edge_demand_scales_linearly_with_rps(self):
-        app = SocialNetworkApp(annotate_rps=50.0)
-        src, dst, _ = app.hottest_edges(1)[0]
-        assert app.edge_demand_mbps(src, dst, 100.0) == pytest.approx(
-            2 * app.edge_demand_mbps(src, dst, 50.0)
-        )
+        src, dst, _ = SocialNetworkApp().hottest_edges(1)[0]
+        app, binding = deployed(assignment={dst: "node2"})
+        flow_id = f"socialnet:{src}->{dst}"
+        app.set_rps(50.0)
+        app.update_demands(binding, 0.0)
+        at_50 = binding.netem.flow(flow_id).demand_mbps
+        app.set_rps(100.0)
+        app.update_demands(binding, 0.0)
+        assert binding.netem.flow(flow_id).demand_mbps == pytest.approx(2 * at_50)
 
     def test_dag_weights_match_annotate_rps(self):
         app = SocialNetworkApp(annotate_rps=50.0)
@@ -162,15 +166,11 @@ class TestTrafficProfile:
         app, binding = deployed(
             assignment={"post-storage-service": "node2"}
         )
+        src, dst, per_request = app.hottest_edges(1)[0]
         app.set_rps(100.0)
         app.update_demands(binding, 0.0)
-        flow = binding.netem.flow(
-            "socialnet:home-timeline-service->post-storage-service"
-        )
-        expected = app.edge_demand_mbps(
-            "home-timeline-service", "post-storage-service", 100.0
-        )
-        assert flow.demand_mbps == pytest.approx(expected)
+        flow = binding.netem.flow(f"socialnet:{src}->{dst}")
+        assert flow.demand_mbps == pytest.approx(per_request * 100.0)
 
     def test_negative_rps_raises(self):
         with pytest.raises(ConfigError):

@@ -108,7 +108,7 @@ def oracle_request_latency_s(
             if not deployment.is_available(service, now):
                 stalled.add(service)
                 latency_s += max(
-                    0.0, deployment.unavailable_until(service) - now
+                    0.0, deployment.restarting(now).get(service, 0.0) - now
                 )
         if deployment.node_of(step.src) != deployment.node_of(step.dst):
             latency_s += self.inter_node_overhead_ms / 1000.0
@@ -154,7 +154,7 @@ def oracle_camera_sample_latency_s(
         for stage in (src, dst):
             if not deployment.is_available(stage, now):
                 latency_s += max(
-                    0.0, deployment.unavailable_until(stage) - now
+                    0.0, deployment.restarting(now).get(stage, 0.0) - now
                 )
         payload_mbit = getattr(profile, payload_field)
         if deployment.node_of(src) != deployment.node_of(dst):
@@ -206,7 +206,7 @@ def _world(app, placement: str, *, seed: int = 7, throttle: bool = False):
             env, app, placement, start_controller=False
         ).binding
     if throttle:
-        for node in sorted(binding.deployment.nodes_used):
+        for node in sorted(set(binding.deployment.bindings.values())):
             set_node_egress_limit(env, node, 3.0)
     run_timeline(
         env, WARMUP_S, on_tick=lambda t: app.update_demands(binding, t)
@@ -236,6 +236,16 @@ def _crash(env, binding, node: str) -> None:
     env.topology.set_node_up(node, False)
     env.netem.on_topology_change()
     binding.sync_flows()
+
+
+def flowless_edges(binding) -> set:
+    """Inter-node edges the last sync left without a flow."""
+    node_of = binding.deployment.node_of
+    return {
+        (src, dst)
+        for (src, dst), flow_id in binding._flow_ids.items()
+        if node_of(src) != node_of(dst) and not binding.netem.has_flow(flow_id)
+    }
 
 
 def _busiest_remote_node(binding) -> str:
@@ -315,7 +325,7 @@ class TestSocialEquivalence:
     def test_crashed_node_is_unroutable(self, placement):
         app, env, binding = _social(placement)
         _crash(env, binding, _busiest_remote_node(binding))
-        assert binding.unroutable_edges
+        assert flowless_edges(binding)
         got = assert_same_samples(app, binding, 50, seed=300)
         assert float("inf") in got
         for n in (1, 6):
@@ -657,7 +667,7 @@ class DeploymentCounter(CallCounter):
     """The per-pod placement and availability lookups."""
 
     TARGET = Deployment
-    NAMES = ("node_of", "is_available", "unavailable_until", "colocated")
+    NAMES = ("node_of", "is_available", "colocated")
 
 
 def _inter_node_pairs(binding, request_types) -> set[tuple[str, str]]:

@@ -4,15 +4,10 @@ import pytest
 
 from repro.cluster.deployment import Deployment
 from repro.cluster.pod import PodSpec
-from repro.cluster.resources import ResourceSpec
 from repro.errors import MigrationError, SchedulingError
 
 
 class TestPodSpec:
-    def test_uid(self):
-        pod = PodSpec("web", "shop")
-        assert pod.uid == "shop/web"
-
     def test_total_bandwidth(self):
         pod = PodSpec("a", "app", bandwidth_mbps={"b": 2.0, "c": 3.0})
         assert pod.total_bandwidth_mbps() == 5.0
@@ -87,7 +82,7 @@ class TestDeployment:
         dep.rebind("a", "node2", time=100.0, restart_seconds=20.0)
         assert not dep.is_available("a", 110.0)
         assert dep.is_available("a", 120.0)
-        assert dep.unavailable_until("a") == 120.0
+        assert dep.restarting(110.0) == {"a": 120.0}
 
     def test_undeployed_pod_never_available(self):
         assert not Deployment("app").is_available("ghost", 0.0)
@@ -111,7 +106,7 @@ class TestDeployment:
         dep = Deployment("app")
         dep.bind("a", "node1")
         dep.bind("b", "node1")
-        assert dep.nodes_used == {"node1"}
+        assert set(dep.bindings.values()) == {"node1"}
         assert len(dep) == 2
 
     def test_revision_moves_with_every_placement_write_and_nothing_else(self):
@@ -134,8 +129,8 @@ class TestDeployment:
             with pytest.raises((SchedulingError, MigrationError)):
                 refused()
         dep.node_of("a"), dep.is_deployed("a"), dep.is_available("a", 15.0)
-        dep.unavailable_until("a"), dep.restarting(15.0), dep.colocated("a", "a")
-        dep.pods_on("node2"), dep.bindings, dep.nodes_used, len(dep)
+        dep.restarting(15.0), dep.colocated("a", "a")
+        dep.pods_on("node2"), dep.bindings, len(dep)
         assert dep.revision == 4
 
     def test_restarting_is_the_set_is_available_denies(self):
@@ -146,9 +141,10 @@ class TestDeployment:
         dep.rebind("c", "node3", time=10.0, restart_seconds=20.0)
         dep.bind("gone", "node2", available_at=50.0)
         dep.unbind("gone")
+        serves_again = {"a": 0.0, "b": 5.0, "c": 30.0}
         for time in (0.0, 4.999, 5.0, 10.0, 29.999, 30.0, 49.0, 50.0, 1e9):
             denied = {
-                pod: dep.unavailable_until(pod)
+                pod: serves_again[pod]
                 for pod in ("a", "b", "c", "gone")
                 if dep.is_deployed(pod) and not dep.is_available(pod, time)
             }

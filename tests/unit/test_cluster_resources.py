@@ -27,13 +27,6 @@ class TestResourceSpec:
         with pytest.raises(SchedulingError):
             ResourceSpec(-1, 0)
 
-    def test_total(self):
-        specs = [ResourceSpec(1, 10), ResourceSpec(2, 20), ResourceSpec(3, 30)]
-        assert ResourceSpec.total(specs) == ResourceSpec(6, 60)
-
-    def test_total_empty(self):
-        assert ResourceSpec.total([]) == ResourceSpec(0, 0)
-
 
 class TestNodeResources:
     def test_allocate_and_release(self):

@@ -22,6 +22,10 @@ def cluster_of(*sizes):
     )
 
 
+def free_cpu(cluster):
+    return sum(node.free.cpu for node in cluster.schedulable_nodes())
+
+
 def pods(*cpus, app="app"):
     return [
         PodSpec(f"p{i}", app, resources=ResourceSpec(cpu, 100))
@@ -117,7 +121,7 @@ class TestClusterState:
     def test_total_free(self):
         cluster = cluster_of(4, 4)
         cluster.node("node1").allocate(ResourceSpec(1, 100))
-        assert cluster.total_free().cpu == 7
+        assert free_cpu(cluster) == 7
 
 
 class TestOrchestrator:
@@ -193,49 +197,12 @@ class TestOrchestrator:
 
     def test_teardown_releases_resources(self):
         orch, _, _ = self._deployed()
-        free_before = orch.cluster.total_free().cpu
+        free_before = free_cpu(orch.cluster)
         orch.teardown("app")
-        assert orch.cluster.total_free().cpu == free_before + 4
+        assert free_cpu(orch.cluster) == free_before + 4
         assert orch.apps == []
 
     def test_unknown_app_raises(self):
         orch, _, _ = self._deployed()
         with pytest.raises(SchedulingError):
             orch.deployment("ghost")
-
-
-class TestK3sScoringPolicies:
-    def test_most_allocated_bin_packs(self):
-        cluster = cluster_of(8, 8)
-        scheduler = K3sScheduler(scoring="most_allocated")
-        assignments = scheduler.schedule(pods(1, 1, 1), cluster)
-        assert len(set(assignments.values())) == 1
-
-    def test_most_allocated_still_bandwidth_oblivious(self):
-        # Bin-packing consolidates by *resources*, not by edges: when a
-        # chatty pair cannot share the fullest node, it still splits.
-        cluster = cluster_of(3, 8)
-        cluster.node("node1").allocate(ResourceSpec(1, 0))
-        chatty = [
-            PodSpec("a", "app", resources=ResourceSpec(2, 100),
-                    bandwidth_mbps={"b": 100.0}),
-            PodSpec("b", "app", resources=ResourceSpec(2, 100)),
-        ]
-        assignments = K3sScheduler(scoring="most_allocated").schedule(
-            chatty, cluster
-        )
-        assert assignments["a"] == "node1"  # fullest feasible
-        assert assignments["b"] == "node2"  # no room left; splits pair
-
-    def test_names(self):
-        assert K3sScheduler().name == "k3s"
-        assert (
-            K3sScheduler(scoring="most_allocated").name
-            == "k3s-most-allocated"
-        )
-
-    def test_unknown_policy_raises(self):
-        from repro.errors import SchedulingError
-
-        with pytest.raises(SchedulingError):
-            K3sScheduler(scoring="random")

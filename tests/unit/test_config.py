@@ -1,9 +1,11 @@
 """Unit tests for configuration validation."""
 
 import dataclasses
+import inspect
 
 import pytest
 
+from repro.cluster.k3s import K3sScheduler
 from repro.config import (
     BassConfig,
     FleetConfig,
@@ -11,20 +13,28 @@ from repro.config import (
     ProbeConfig,
 )
 from repro.errors import ConfigError
+from repro.sim.engine import Engine
 
 
 class TestProbeConfig:
     def test_defaults_valid(self):
         ProbeConfig().validate()
 
+    def test_field_set_is_exactly_the_interval(self):
+        # The probe's size, length and full-probe cooldown are §4.2
+        # constants of repro.core.netmonitor.
+        assert {f.name for f in dataclasses.fields(ProbeConfig)} == {
+            "headroom_interval_s"
+        }
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"headroom_interval_s": 0},
-            {"probe_duration_s": -1},
-            {"headroom_probe_fraction": 0},
-            {"headroom_probe_fraction": 1.5},
-            {"full_probe_cooldown_s": -1},
+            {"headroom_interval_s": float("nan")},
+            {"headroom_interval_s": float("inf")},
+            {"headroom_interval_s": -1},
+            {"headroom_interval_s": float("-inf")},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -49,8 +59,10 @@ class TestMigrationConfig:
             {"headroom_fraction": 1.0},
             {"cooldown_s": -1},
             {"min_residency_s": -1.0},
-            {"max_per_iteration": 0},
             {"improvement_margin": -0.1},
+            {"cooldown_s": float("nan")},
+            {"improvement_margin": float("nan")},
+            {"min_residency_s": float("nan")},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -94,18 +106,27 @@ class TestBassConfig:
         assert config.validate() is config
 
     @pytest.mark.parametrize(
-        "config_class, removed",
+        "cls, removed",
         [
             (MigrationConfig, "restart_seconds"),
             (BassConfig, "heuristic"),
             (ProbeConfig, "headroom_reuse_s"),
+            (ProbeConfig, "probe_duration_s"),
+            (ProbeConfig, "headroom_probe_fraction"),
+            (ProbeConfig, "full_probe_cooldown_s"),
+            (MigrationConfig, "max_per_iteration"),
+            (K3sScheduler, "scoring"),
+            (Engine, "start_time"),
         ],
     )
-    def test_removed_settings_are_unknown_keywords(self, config_class, removed):
+    def test_removed_settings_are_unknown_keywords(self, cls, removed):
         # The restart cost is the orchestrator's, the heuristic is the
-        # scheduler name, and every headroom request probes.
-        with pytest.raises(TypeError, match=removed):
-            config_class(**{removed: 1.0})
+        # scheduler name, every headroom request probes, the probe and
+        # the per-evaluation migration budget are paper constants, k3s
+        # scores LeastAllocated only, and every clock starts at zero.
+        assert removed not in inspect.signature(cls).parameters
+        with pytest.raises(TypeError):
+            cls(**{removed: 1.0})
 
     def test_with_migration(self):
         config = BassConfig().with_migration(goodput_threshold=0.25)

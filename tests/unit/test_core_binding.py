@@ -57,12 +57,6 @@ class TestSyncFlows:
         binding.sync_flows()
         assert netem.flow(edge_flow_id("app", "a", "b")).demand_mbps == 5.0
 
-    def test_remove_flows(self):
-        binding, _, _, netem = make_world()
-        binding.sync_flows()
-        binding.remove_flows()
-        assert not netem.has_flow(edge_flow_id("app", "a", "b"))
-
     def test_app_mismatch_raises(self):
         dag = ComponentDAG("app")
         dag.add_component(Component("a"))

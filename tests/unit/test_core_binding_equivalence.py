@@ -32,6 +32,7 @@ from tests.unit.test_apps_social_equivalence import (
     SOCIAL_PLACEMENTS,
     _busiest_remote_node,
     _social,
+    flowless_edges,
 )
 
 # -- the frozen oracle (verbatim from before the edge table) -----------------
@@ -75,7 +76,6 @@ def oracle_sync_flows(self: DeploymentBinding) -> None:
         if src_node == dst_node:
             if self.netem.has_flow(flow_id):
                 self.netem.remove_flow(flow_id)
-            self._unroutable.discard((src, dst))
             continue
         try:
             if self.netem.has_flow(flow_id):
@@ -87,9 +87,6 @@ def oracle_sync_flows(self: DeploymentBinding) -> None:
                 self.netem.add_flow(flow_id, src_node, dst_node, demand)
         except RoutingError:
             self.netem.remove_flow(flow_id)
-            self._unroutable.add((src, dst))
-        else:
-            self._unroutable.discard((src, dst))
     self.netem.recompute()
 
 
@@ -177,7 +174,7 @@ def drive(env, binding, sync, set_scale) -> None:
     sync()
     step()
     # A crashed node: flows to it are torn down, its edges unroutable...
-    if len(deployment.nodes_used) > 1:
+    if len(set(deployment.bindings.values())) > 1:
         victim = _busiest_remote_node(binding)
         env.topology.set_node_up(victim, False)
         env.netem.on_topology_change()
@@ -198,7 +195,7 @@ def emulator_state(binding) -> tuple:
     netem = binding.netem
     return (
         flow_table(binding),
-        binding.unroutable_edges,
+        flowless_edges(binding),
         netem.flow_revision,
         netem.solver_stats(),
     )
@@ -267,7 +264,7 @@ def test_sync_flows_makes_the_frozen_loops_calls(placement, monkeypatch):
         assert {"add_flow", "reroute_flow", "set_demand", "remove_flow"} <= names
         unroutable = [state[1] for _, state, _ in old_syncs.seen]
         assert any(unroutable)
-    assert new.unroutable_edges == old.unroutable_edges == set()
+    assert flowless_edges(new) == flowless_edges(old) == set()
 
 
 def test_first_sync_makes_the_frozen_calls_and_a_repeat_makes_none(monkeypatch):

@@ -1,7 +1,5 @@
 """Unit tests for the bandwidth controller."""
 
-import pytest
-
 from repro.cluster.orchestrator import ClusterState, Orchestrator
 from repro.config import BassConfig
 from repro.core.binding import DeploymentBinding
@@ -50,7 +48,7 @@ def make_controller(config=None, *, armed=False):
     binding = DeploymentBinding(dag, deployment, netem)
     binding.sync_flows()
     plane = ControlPlane(netem, orchestrator)
-    monitor = plane.monitor_for(config.probe, assignments=assignments)
+    monitor = plane.monitor_for(assignments)
     monitor.probe_all_links()
     # Let the startup probe flows expire so evaluations see app traffic.
     netem.engine.run_until(2.0)
@@ -144,12 +142,12 @@ class TestEvaluate:
         assert len(controller.iterations) == 2
 
     def test_migration_events_view(self):
-        controller, plane, topo, _, _ = make_controller()
+        controller, plane, topo, _, deployment = make_controller()
         topo.link("node2", "node3").set_rate_limit(3.0)
         evaluate(plane)
-        events = controller.migration_events()
-        assert len(events) == 1
-        assert events[0][1] == "consumer"
+        (record,) = deployment.migrations
+        assert record.pod_name == "consumer"
+        assert record.from_node == "node3" != record.to_node
 
 
 class TestPeriodic:

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.cluster.resources import ResourceSpec
-from repro.config import BassConfig, ProbeConfig
+from repro.config import BassConfig
 from repro.core.controlplane import (
-    ControlPlane,
     FleetArbiter,
     check_cluster_ledger,
 )
@@ -99,15 +98,15 @@ class TestMonitorSharing:
     def test_one_monitor_for_all_tenants(self):
         env = _env()
         cp = env.control_plane
-        first = cp.monitor_for(ProbeConfig())
-        second = cp.monitor_for(ProbeConfig(headroom_interval_s=60.0))
+        first = cp.monitor_for()
+        second = cp.monitor_for()
         assert first is second
         assert cp.monitor is first
 
     def test_startup_probe_skips_recently_probed_links(self):
         env = _env()
         cp = env.control_plane
-        monitor = cp.monitor_for(ProbeConfig())
+        monitor = cp.monitor_for()
         assert monitor.probe_all_links() == 12  # every directed link
         assert monitor.probe_all_links() == 0  # within the cooldown
 
@@ -121,9 +120,7 @@ class TestMonitorSharing:
         fleet_monitor = cp.monitor
         assert fleet_monitor is not None
         assignments = {"source": "node1", "sink": "node2"}
-        tenant_monitor = cp.monitor_for(
-            ProbeConfig(), assignments=assignments
-        )
+        tenant_monitor = cp.monitor_for(assignments)
         assert tenant_monitor is region.monitor
         assert cp.monitor is fleet_monitor
         assert tenant_monitor._caches is fleet_monitor._caches
@@ -133,7 +130,7 @@ class TestHeadroomReuse:
     def test_reuse_disabled_by_default(self):
         """There is no headroom cache: every request probes."""
         env = _env()
-        monitor = env.control_plane.monitor_for(ProbeConfig())
+        monitor = env.control_plane.monitor_for()
         monitor.headroom_probe("node1", "node2", 1.0)
         monitor.headroom_probe("node1", "node2", 1.0)
         assert monitor.headroom_probe_count == 2

@@ -130,14 +130,6 @@ class TestQueries:
         assert dag.edge_count() == 2
         assert dag.total_bandwidth_mbps() == 8.0
 
-    def test_total_resources(self):
-        dag = ComponentDAG("app")
-        dag.add_component(Component("a", cpu=2, memory_mb=100))
-        dag.add_component(Component("b", cpu=3, memory_mb=200))
-        total = dag.total_resources()
-        assert total.cpu == 5
-        assert total.memory_mb == 300
-
     def test_contains_and_len(self):
         dag = chain_dag()
         assert "a" in dag

@@ -125,7 +125,7 @@ class TestStatefulMigration:
         cluster.node("node1").allocate(pod.resources)
         deployment = orch.deploy([pod], {"db": "node1"})
         orch.migrate("app", "db", "node2", restart_override_s=42.0)
-        assert deployment.unavailable_until("db") == 42.0
+        assert deployment.restarting(0.0) == {"db": 42.0}
 
     def test_stateful_component_pays_transfer_time(self):
         """End-to-end: a stateful component's migration window includes
@@ -164,7 +164,7 @@ class TestStatefulMigration:
         binding = DeploymentBinding(dag, deployment, netem)
         binding.sync_flows()
         plane = ControlPlane(netem, orch)
-        monitor = plane.monitor_for(None, assignments=assignments)
+        monitor = plane.monitor_for(assignments)
         monitor.probe_all_links()
         netem.engine.run_until(2.0)
         netem.recompute()
@@ -179,6 +179,6 @@ class TestStatefulMigration:
         topo.link("node2", "node3").set_rate_limit(3.0)
         (iteration,) = plane.run_epoch()
         assert iteration.migrated == ["consumer"]
-        window = deployment.unavailable_until("consumer") - netem.now
+        window = deployment.restarting(netem.now)["consumer"] - netem.now
         # 5 s base restart + 50 MB x 8 / available Mbps of transfer.
         assert window > 5.0 + 5.0

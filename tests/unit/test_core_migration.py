@@ -72,7 +72,7 @@ class TestDetectViolations:
         violations = self._setup(capacity=9.0, demand=8.0)
         assert len(violations) == 1
         assert violations[0].utilization == pytest.approx(1.0)
-        assert violations[0].headroom_violated
+        assert violations[0].available_mbps < violations[0].headroom_mbps
 
     def test_colocated_edge_never_violates(self):
         dag = pair_dag()

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.config import ProbeConfig
-from repro.core.netmonitor import NetMonitor
-from repro.errors import TopologyError
+from repro.core.netmonitor import (
+    FULL_PROBE_COOLDOWN_S,
+    HEADROOM_PROBE_FRACTION,
+    NetMonitor,
+)
 from repro.mesh.topology import line_topology
-from repro.mesh.traces import BandwidthTrace
 from repro.net.netem import NetworkEmulator
 
 
-def monitor_on(capacities=(10.0,), **probe_kwargs):
+def monitor_on(capacities=(10.0,)):
     netem = NetworkEmulator(line_topology(list(capacities)))
-    return NetMonitor(netem, ProbeConfig(**probe_kwargs)), netem
+    return NetMonitor(netem), netem
 
 
 class TestFullProbe:
@@ -51,10 +52,12 @@ class TestFullProbe:
         assert monitor.full_probe_count == 4  # two links, both directions
 
     def test_cooldown(self):
-        monitor, netem = monitor_on([10.0], full_probe_cooldown_s=60.0)
+        assert FULL_PROBE_COOLDOWN_S == 60.0
+        monitor, netem = monitor_on([10.0])
         monitor.full_probe("node1", "node2")
+        netem.engine.run_until(59.0)
         assert not monitor.full_probe_allowed("node1", "node2")
-        netem.engine.run_until(61.0)
+        netem.engine.run_until(60.0)
         assert monitor.full_probe_allowed("node1", "node2")
 
     def test_cache_age(self):
@@ -80,7 +83,8 @@ class TestHeadroomProbe:
         assert not result.headroom_ok
 
     def test_probe_rate_bounded_by_fraction_of_cached(self):
-        monitor, netem = monitor_on([10.0], headroom_probe_fraction=0.1)
+        assert HEADROOM_PROBE_FRACTION == 0.1  # §4.2
+        monitor, netem = monitor_on([10.0])
         monitor.headroom_probe("node1", "node2", headroom_mbps=100.0)
         probes = [f for f in netem.flows if f.tag == "probe"]
         assert probes[0].demand_mbps == pytest.approx(1.0)
@@ -116,12 +120,6 @@ class TestPathViews:
             ("node2", "node3"),
         ]
         assert monitor.links_of_path("node1", "node1") == []
-
-    def test_validate_link(self):
-        monitor, _ = monitor_on([10.0])
-        monitor.validate_link("node1", "node2")
-        with pytest.raises(TopologyError):
-            monitor.validate_link("node1", "node3")
 
 
 class TestPassiveAndOverhead:

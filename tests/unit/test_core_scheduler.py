@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.orchestrator import ClusterState
 from repro.cluster.resources import NodeResources, ResourceSpec
 from repro.core.dag import Component, ComponentDAG
-from repro.core.scheduler import BassScheduler, dag_from_pods
+from repro.core.scheduler import BassScheduler
 from repro.errors import DagError
 from repro.mesh.topology import citylab_subset
 from repro.net.netem import NetworkEmulator
@@ -62,38 +62,3 @@ class TestBassScheduler:
         )
         # node1 has the fattest links and fits everything.
         assert set(assignments.values()) == {"node1"}
-
-    def test_schedule_pods_roundtrip(self):
-        dag = chatty_dag()
-        pods = dag.to_pods()
-        assignments = BassScheduler("bfs").schedule_pods(
-            pods, cluster_of(8, 8)
-        )
-        assert set(assignments) == {"a", "b", "c"}
-
-    def test_schedule_pods_empty(self):
-        assert BassScheduler().schedule_pods([], cluster_of(4)) == {}
-
-
-class TestDagFromPods:
-    def test_rebuilds_edges_from_annotations(self):
-        original = chatty_dag()
-        rebuilt = dag_from_pods("app", original.to_pods())
-        assert sorted(rebuilt.edges()) == sorted(original.edges())
-        assert rebuilt.component_names == original.component_names
-
-    def test_preserves_resources_and_pins(self):
-        dag = ComponentDAG("app")
-        dag.add_component(
-            Component("a", cpu=3, memory_mb=77, pinned_node="node9")
-        )
-        rebuilt = dag_from_pods("app", dag.to_pods())
-        component = rebuilt.component("a")
-        assert component.cpu == 3
-        assert component.memory_mb == 77
-        assert component.pinned_node == "node9"
-
-    def test_app_mismatch_raises(self):
-        pods = chatty_dag().to_pods()
-        with pytest.raises(DagError):
-            dag_from_pods("other", pods)

@@ -98,15 +98,16 @@ class TestCrashDetection:
         assert detector.detection_latency_s["node3"] == pytest.approx(3.0)
 
     def test_reboot_marks_node_recovered(self):
+        tracer = Tracer()
         netem, _, detector = make_detector(
-            [NodeCrash(at_s=12.0, node="node3", reboot_after_s=30.0)]
+            [NodeCrash(at_s=12.0, node="node3", reboot_after_s=30.0)],
+            tracer=tracer,
         )
-        recovered = []
-        detector.on_recovered(recovered.append)
         netem.engine.run_until(60.0)
         assert detector.confirmed_dead == set()
         assert detector.suspected == set()
-        assert recovered == ["node3"]
+        recovered = [e for e in tracer.events if e.kind == "node.recovered"]
+        assert [e.data["node"] for e in recovered] == ["node3"]
 
     def test_confirmed_callback_payload(self):
         tracer = Tracer()

@@ -35,7 +35,7 @@ class TestNodeCrash:
         injector = install(netem, [NodeCrash(at_s=5.0, node="node2")])
         netem.engine.run_until(10.0)
         assert not netem.topology.is_node_up("node2")
-        assert not netem.topology.is_link_up("node1", "node2")
+        assert not netem.topology.link("node1", "node2").up
         assert not netem.has_flow("f")
         assert injector.injected[0].flows_removed == 1
         with pytest.raises(RoutingError):
@@ -51,7 +51,7 @@ class TestNodeCrash:
         assert not netem.topology.is_node_up("node2")
         netem.engine.run_until(30.0)
         assert netem.topology.is_node_up("node2")
-        assert netem.topology.is_link_up("node1", "node2")
+        assert netem.topology.link("node1", "node2").up
         assert netem.router.traceroute("node1", "node3") == (
             "node1", "node2", "node3",
         )
@@ -88,7 +88,7 @@ class TestLinkFaults:
             [LinkDown(at_s=5.0, a="node1", b="node2", restore_after_s=10.0)],
         )
         netem.engine.run_until(20.0)
-        assert netem.topology.is_link_up("node1", "node2")
+        assert netem.topology.link("node1", "node2").up
         assert netem.flow("f").path == ("node1", "node2")
 
     def test_flap_applies_every_cycle(self):
@@ -102,7 +102,7 @@ class TestLinkFaults:
         kinds = [f.kind for f in injector.injected]
         assert kinds.count("link_down") == 3
         assert kinds.count("link_down.cleared") == 3
-        assert netem.topology.is_link_up("node1", "node2")
+        assert netem.topology.link("node1", "node2").up
 
 
 class TestPartition:
@@ -113,10 +113,10 @@ class TestPartition:
             [Partition(at_s=5.0, group=("node1", "node2"))],
         )
         netem.engine.run_until(10.0)
-        assert netem.topology.is_link_up("node1", "node2")
-        assert netem.topology.is_link_up("node3", "node4")
-        assert not netem.topology.is_link_up("node1", "node3")
-        assert not netem.topology.is_link_up("node2", "node4")
+        assert netem.topology.link("node1", "node2").up
+        assert netem.topology.link("node3", "node4").up
+        assert not netem.topology.link("node1", "node3").up
+        assert not netem.topology.link("node2", "node4").up
         with pytest.raises(RoutingError):
             netem.router.traceroute("node1", "node4")
 
@@ -141,8 +141,8 @@ class TestPartition:
             ],
         )
         netem.engine.run_until(20.0)
-        assert not netem.topology.is_link_up("node1", "node2")
-        assert not netem.topology.is_link_up("node1", "node3")
+        assert not netem.topology.link("node1", "node2").up
+        assert not netem.topology.link("node1", "node3").up
 
 
 class TestProbeBlackout:

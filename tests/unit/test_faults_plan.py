@@ -29,7 +29,7 @@ class TestOrdering:
     def test_add_keeps_order(self):
         plan = FaultPlan([NodeCrash(at_s=50.0, node="node2")])
         plan.add(NodeCrash(at_s=10.0, node="node3"))
-        assert plan.crash_targets == ["node3", "node2"]
+        assert [e.node for e in plan.events] == ["node3", "node2"]
 
 
 class TestValidation:
@@ -100,42 +100,48 @@ class TestValidation:
 class TestSeededChurn:
     def test_reproducible_per_seed(self):
         topo = full_mesh_topology(5)
-        first = seeded_churn(
-            topo, RngStreams(7), duration_s=300.0, crash_count=2,
-            link_failure_count=1,
-        )
-        second = seeded_churn(
-            topo, RngStreams(7), duration_s=300.0, crash_count=2,
-            link_failure_count=1,
-        )
+        first = seeded_churn(topo, RngStreams(7), duration_s=300.0)
+        second = seeded_churn(topo, RngStreams(7), duration_s=300.0)
         assert first.events == second.events
-        third = seeded_churn(
-            topo, RngStreams(8), duration_s=300.0, crash_count=2,
-            link_failure_count=1,
-        )
+        third = seeded_churn(topo, RngStreams(8), duration_s=300.0)
         assert third.events != first.events
 
     def test_times_in_middle_of_run(self):
-        plan = seeded_churn(
-            full_mesh_topology(4), RngStreams(3),
-            duration_s=100.0, crash_count=3,
-        )
-        for event in plan.events:
+        for seed in range(20):
+            plan = seeded_churn(
+                full_mesh_topology(4), RngStreams(seed), duration_s=100.0
+            )
+            (event,) = plan.events
             assert 10.0 <= event.at_s <= 90.0
 
     def test_victims_unique_and_valid(self):
+        """One crash, on a candidate, that never reboots."""
         topo = full_mesh_topology(5)
-        plan = seeded_churn(
-            topo, RngStreams(1), duration_s=200.0, crash_count=4
-        )
-        victims = plan.crash_targets
-        assert len(set(victims)) == 4
-        assert set(victims) <= set(topo.worker_names)
-        plan.validate(topo)
+        for seed in range(20):
+            plan = seeded_churn(
+                topo, RngStreams(seed), duration_s=200.0,
+                candidates=["node2", "node4"],
+            )
+            (crash,) = plan.events
+            assert isinstance(crash, NodeCrash)
+            assert crash.node in {"node2", "node4"}
+            assert crash.reboot_after_s is None
+            plan.validate(topo)
+
+    def test_draws_one_choice_then_one_uniform_from_the_faults_stream(self):
+        """The churn row's bytes rest on this exact draw sequence."""
+        topo = full_mesh_topology(5)
+        pool = list(topo.worker_names)
+        for seed in range(5):
+            gen = RngStreams(seed).get("faults")
+            (index,) = gen.choice(len(pool), size=1, replace=False)
+            at_s = float(gen.uniform(0.1 * 300.0, 0.9 * 300.0))
+            plan = seeded_churn(topo, RngStreams(seed), duration_s=300.0)
+            assert plan.events == [NodeCrash(at_s=at_s, node=pool[index])]
 
     def test_too_many_crashes_rejected(self):
         with pytest.raises(SimulationError, match="cannot crash"):
             seeded_churn(
                 full_mesh_topology(3), RngStreams(0),
-                duration_s=100.0, crash_count=9,
+                duration_s=100.0, candidates=[],
             )

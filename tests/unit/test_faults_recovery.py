@@ -23,6 +23,7 @@ from repro.mesh.topology import (
     regional_specs,
 )
 from repro.obs.trace import Tracer
+from tests.unit.test_apps_social_equivalence import flowless_edges
 
 CONFIG = HeartbeatConfig(
     interval_s=5.0, suspect_after_misses=2, confirm_after_misses=4
@@ -89,7 +90,7 @@ class TestCrashEvictRecover:
         wire_recovery(env, "node2")
         run_timeline(env, 120.0)
         assert handle.binding.goodput(SOURCE, SINK) == pytest.approx(1.0)
-        assert handle.binding.unroutable_edges == set()
+        assert flowless_edges(handle.binding) == set()
 
     def test_stranded_pod_when_nothing_fits(self):
         """No surviving node can take the pod: the recovery is recorded

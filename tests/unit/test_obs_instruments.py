@@ -26,7 +26,7 @@ class TestGauge:
         gauge = InstrumentRegistry().gauge("active")
         gauge.set(0.0, 4.0)
         gauge.inc(1.0)
-        gauge.dec(2.0, 3.0)
+        gauge.inc(2.0, -3.0)
         assert gauge.value == 2.0
 
 

@@ -13,6 +13,7 @@ from repro.obs.trace import (
     resolve_tracer,
     set_default_tracer,
 )
+from tests.oracles import read_trace_reference
 
 
 class TestTraceEvent:
@@ -202,6 +203,31 @@ class TestReadTraceRobustness:
         with pytest.warns(UserWarning, match="trace.jsonl:1"):
             events = read_trace(path)
         assert [e.id for e in events] == [2]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": 1e400, "kind": "restart", "t": 1.0}',  # id overflows int()
+            '{"id": 1, "kind": "restart", "t": %s}' % ("9" * 400),  # float()
+            "[" * 100_000,  # deeper than the decoder recurses
+        ],
+        ids=["huge-id", "huge-t", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("reader", [read_trace, read_trace_reference])
+    def test_a_number_out_of_range_or_deep_nesting_loses_only_its_line(
+        self, tmp_path, reader, line
+    ):
+        # Each used to raise past the skip rule and end the read, and
+        # ``report`` with it.
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"id": 1, "kind": "restart", "t": 1.0}\n'
+            + line
+            + '\n{"id": 3, "kind": "restart", "t": 3.0}\n'
+        )
+        with pytest.warns(UserWarning, match="trace.jsonl:2"):
+            events = reader(path)
+        assert [e.id for e in events] == [1, 3]
 
     def test_a_byte_that_is_not_utf8_loses_only_its_line(self, tmp_path):
         # Read as locale text, it used to raise UnicodeDecodeError from

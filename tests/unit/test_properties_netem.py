@@ -364,8 +364,8 @@ class ReverseIndexMachine(RuleBasedStateMachine):
     """``_flows_by_link`` stays the index of ``flows`` through every
     mutation: the flows crossing each link, in ``_flows`` order.
 
-    ``link_allocated``, ``link_offered`` and the migration what-if
-    (``linked_flows``) all read it; a stale member or a missed entry
+    ``link_allocated`` and the migration what-if (``linked_flows``)
+    both read it; a stale member or a missed entry
     would skew them silently.  A 3-region mesh gives multi-hop paths
     over the backbone ring, so reroutes after a failure move flows
     between links.

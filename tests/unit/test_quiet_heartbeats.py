@@ -79,14 +79,6 @@ class CrashOnConfirm:
             self.netem.on_topology_change()
 
 
-class LogRecovered:
-    def __init__(self, log):
-        self.log = log
-
-    def __call__(self, node):
-        self.log.append(("recovered", node))
-
-
 class World:
     """One emulator, injector, tracer and detector on the ring."""
 
@@ -104,7 +96,6 @@ class World:
         self.log = []
         trigger, victim = hook if hook is not None else (None, None)
         self.detector.on_confirmed_dead(CrashOnConfirm(self.netem, trigger, victim, self.log))
-        self.detector.on_recovered(LogRecovered(self.log))
         self.netem.start()
         self.detector.start()
 

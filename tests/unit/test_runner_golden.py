@@ -121,7 +121,6 @@ def test_churn_seed_sweep_matches_pre_refactor_serial_loop(tmp_path):
             topology,
             RngStreams(seed),
             duration_s=settle_s,
-            crash_count=1,
             candidates=movable,
         )
         crash = plan.events[0]

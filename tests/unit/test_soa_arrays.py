@@ -26,7 +26,6 @@ from repro.mesh.traces import BandwidthTrace
 from repro.net.flows import FlowArrays
 from repro.net.netem import NetworkEmulator
 from repro.net.queues import QueueArrays
-from repro.sim.engine import Engine
 from tests.oracles import LinkQueue
 
 
