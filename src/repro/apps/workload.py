@@ -24,15 +24,10 @@ class FixedRate:
             raise ConfigError("rps must be non-negative")
         self.rps = float(rps)
 
-    def rate_at(self, t: float) -> float:
-        """Instantaneous offered rate (requests/second)."""
-        return self.rps
-
-    def counts(self, duration_s: float, *, dt_s: float = 1.0) -> Iterator[float]:
-        """Per-interval request counts over the horizon."""
-        steps = int(round(duration_s / dt_s))
-        for _ in range(steps):
-            yield self.rps * dt_s
+    def counts(self, duration_s: float) -> Iterator[float]:
+        """Per-second request counts over the horizon."""
+        for _ in range(int(round(duration_s))):
+            yield self.rps
 
     @property
     def mean_rps(self) -> float:
@@ -56,19 +51,10 @@ class ExponentialArrivals:
         self.mean_rps_value = float(mean_rps)
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def rate_at(self, t: float) -> float:
-        """Realized rate for the second containing ``t`` (random draw).
-
-        Note: each call draws fresh; use :meth:`counts` for a
-        reproducible sequence over a horizon.
-        """
-        return float(self._rng.poisson(self.mean_rps_value))
-
-    def counts(self, duration_s: float, *, dt_s: float = 1.0) -> Iterator[float]:
-        steps = int(round(duration_s / dt_s))
-        lam = self.mean_rps_value * dt_s
-        for _ in range(steps):
-            yield float(self._rng.poisson(lam))
+    def counts(self, duration_s: float) -> Iterator[float]:
+        """Per-second request counts over the horizon."""
+        for _ in range(int(round(duration_s))):
+            yield float(self._rng.poisson(self.mean_rps_value))
 
     @property
     def mean_rps(self) -> float:

@@ -176,10 +176,6 @@ class ComponentDAG:
         """Components with no incoming edge, in insertion order."""
         return [n for n in self._components if not self._pred[n]]
 
-    def leaves(self) -> list[str]:
-        """Components with no outgoing edge, in insertion order."""
-        return [n for n in self._components if not self._succ[n]]
-
     # -- algorithms -------------------------------------------------------------
 
     def _reaches(self, start: str, goal: str) -> bool:

@@ -468,11 +468,12 @@ class _Throttled(NamedTuple):
 
 
 def _throttled(outcome: SweepOutcome, lag: float = 0.0) -> dict:
-    """``{interval: _Throttled}``, each window read from its own cell."""
+    """``{interval: _Throttled}``, each window read from its own cell
+    (fig12's onset is a constant of its cells)."""
     windows = {}
     for index, series in enumerate(outcome.results):
         kwargs = outcome.spec.resolved_kwargs(index)
-        start = kwargs["restrict_at_s"]
+        start = kwargs.get("restrict_at_s", migration.FIG12_RESTRICT_AT_S)
         end, total = start + kwargs["restrict_for_s"], kwargs["total_s"]
         windows[series.interval_s] = _Throttled(
             series,

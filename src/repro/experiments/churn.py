@@ -195,9 +195,6 @@ def churn_recovery(
     seed: int,
     crash_node: str = "node2",
     crash_at_s: float = 60.0,
-    reboot_after_s: Optional[float] = None,
-    demand_mbps: float = 2.0,
-    source_node: str = "node1",
     recovery: bool = True,
     label: Optional[str] = None,
     heartbeat: Optional[HeartbeatConfig] = None,
@@ -216,10 +213,7 @@ def churn_recovery(
 
     Args:
         tenants: co-deployed stream pairs (>1 exercises the arbiter).
-        crash_at_s: when the node dies.
-        reboot_after_s: bring the node back after this long (None: stays
-            dead).  Recovery has already moved the pods by then; the
-            detector just reports the node alive again.
+        crash_at_s: when the node dies; it stays dead.
         recovery: wire detector confirmations into crash recovery.
         heartbeat: detection timing; defaults to 5 s beats, suspect
             after 2 misses, confirm after 4.
@@ -237,11 +231,7 @@ def churn_recovery(
         env = build_env(seed=seed, with_traces=False, tracer=tracer)
     handles = []
     for index in range(tenants):
-        app = StreamPairApp(
-            f"tenant{index:02d}",
-            demand_mbps=demand_mbps,
-            source_node=source_node,
-        )
+        app = StreamPairApp(f"tenant{index:02d}")
         handles.append(
             deploy_app(
                 env,
@@ -253,8 +243,7 @@ def churn_recovery(
         )
 
     plan = FaultPlan(
-        [NodeCrash(crash_at_s, crash_node, reboot_after_s=reboot_after_s)]
-        + list(extra_faults)
+        [NodeCrash(crash_at_s, crash_node)] + list(extra_faults)
     )
     injector = FaultInjector(
         plan,
@@ -335,31 +324,23 @@ def churn_seed_sweep_spec(
     )
 
 
+#: The comparison's seed: both modes replay the same mesh and crash.
+CHURN_COMPARISON_SEED = 23
+
+
 @grid_figure
-def churn_comparison(
-    *,
-    duration_s: float = 240.0,
-    seed: int = 23,
-    crash_node: str = "node2",
-    crash_at_s: float = 60.0,
-    tenants: int = 1,
-) -> SweepSpec:
+def churn_comparison(*, duration_s: float = 240.0) -> SweepSpec:
     """BASS-with-recovery, then the never-re-placing k3s baseline.
 
-    Identical seed, topology, workload, and crash; the only difference
-    is whether detector confirmations drive re-placement (each run
-    labels itself ``bass`` / ``k3s``).
+    Identical seed, topology, workload, and crash (one tenant, node2 at
+    60 s); the only difference is whether detector confirmations drive
+    re-placement (each run labels itself ``bass`` / ``k3s``).
     """
     return SweepSpec.grid(
         "churn-comparison",
         churn_recovery,
         {"recovery": (True, False)},
-        fixed={
-            "tenants": tenants,
-            "duration_s": duration_s,
-            "crash_node": crash_node,
-            "crash_at_s": crash_at_s,
-        },
+        fixed={"duration_s": duration_s},
         label="recovery={recovery}",
-        seed=seed,
+        seed=CHURN_COMPARISON_SEED,
     )

@@ -75,7 +75,6 @@ def build_env(
     with_traces: bool = True,
     trace_duration_s: float = 1200.0,
     buffer_mbit: float = 25.0,
-    tick_s: float = 1.0,
     restart_seconds: float = 20.0,
     fleet: Optional[FleetConfig] = None,
     tracer: Optional[TracerBase] = None,
@@ -89,7 +88,6 @@ def build_env(
         trace_duration_s: length of generated traces.
         buffer_mbit: per-link queue buffer (raise for bufferbloat-heavy
             scenarios like the social-network mesh runs).
-        tick_s: fluid-model step.
         restart_seconds: migration restart cost.
         fleet: the control plane's region layout; defaults to one
             region spanning the mesh.
@@ -107,9 +105,7 @@ def build_env(
             rng=rng.get("traces"),
         )
     engine = Engine()
-    netem = NetworkEmulator(
-        topology, engine=engine, tick_s=tick_s, buffer_mbit=buffer_mbit
-    )
+    netem = NetworkEmulator(topology, engine=engine, buffer_mbit=buffer_mbit)
     cluster = ClusterState.from_topology(topology)
     orchestrator = Orchestrator(
         cluster,

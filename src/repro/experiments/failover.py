@@ -82,8 +82,6 @@ class PreparedFailover:
     """A wired failover run (churn substrate + orchestrator kill)."""
 
     churn: PreparedChurn
-    kill_at_s: float
-    down_s: float
 
     def result(self, duration_s: float) -> FailoverResult:
         """Assemble the outage accounting once the clock has run."""
@@ -108,43 +106,28 @@ class PreparedFailover:
         )
 
 
+#: The staged worst case: the orchestrator dies at 60 s for 45 s, and
+#: the worker (churn's node2) crashes at 70 s, inside the outage.
+KILL_AT_S = 60.0
+DOWN_S = 45.0
+CRASH_AT_S = 70.0
+
+
 @checkpointable
-def failover_outage(
-    *,
-    duration_s: float = 240.0,
-    tenants: int = 1,
-    seed: int,
-    crash_node: str = "node2",
-    crash_at_s: float = 70.0,
-    kill_at_s: float = 60.0,
-    down_s: float = 45.0,
-) -> RunCapsule:
+def failover_outage(*, duration_s: float = 240.0, seed: int) -> RunCapsule:
     """The orchestrator-outage scenario: churn + an orchestrator outage
     covering the crash's detection window.
 
-    Defaults stage the worst case: the orchestrator dies at 60 s, the
-    worker crashes at 70 s (into the outage), the detector confirms
-    around 90 s (5 s beats x 4 missed + phase) while nobody is
-    listening, and the plane resumes at 105 s to a deferred recovery.
+    The orchestrator dies at :data:`KILL_AT_S`, the worker crashes at
+    :data:`CRASH_AT_S` (into the outage), the detector confirms around
+    90 s (5 s beats x 4 missed + phase) while nobody is listening, and
+    the plane resumes at 105 s to a deferred recovery.
     """
-    if not kill_at_s < crash_at_s:
-        raise ValueError(
-            "the scenario wants the crash inside the outage: "
-            f"kill_at_s={kill_at_s} must precede crash_at_s={crash_at_s}"
-        )
     capsule = churn_recovery.capsule(
-        tenants=tenants,
         duration_s=duration_s,
         seed=seed,
-        crash_node=crash_node,
-        crash_at_s=crash_at_s,
+        crash_at_s=CRASH_AT_S,
         label="failover",
-        extra_faults=(OrchestratorKill(at_s=kill_at_s, down_s=down_s),),
+        extra_faults=(OrchestratorKill(at_s=KILL_AT_S, down_s=DOWN_S),),
     )
-    return replace(
-        capsule,
-        prepared=PreparedFailover(
-            churn=capsule.prepared, kill_at_s=kill_at_s, down_s=down_s
-        ),
-    )
-
+    return replace(capsule, prepared=PreparedFailover(churn=capsule.prepared))

@@ -256,32 +256,31 @@ def fleet_mesh(
     )
 
 
-def fleet_handoff(
-    *,
-    tenants: int = 2,
-    duration_s: float = 180.0,
-    seed: int,
-) -> FleetResult:
+#: Stream pairs homed in region 0 by the handoff-pressure scenario.
+HANDOFF_TENANTS = 2
+
+
+def fleet_handoff(*, duration_s: float = 180.0, seed: int) -> FleetResult:
     """The cross-region pressure scenario: region 0 must hand off.
 
     Two-node regions with just enough CPU for the tenants homed there:
-    ``tenants`` stream pairs pack region 0 completely (sources fill the
-    gateway, sinks fill the second node).  At t=60 s the region's only
-    intra-region link is throttled below the tenants' demand — every
-    sink is in violation, no region-0 node can fit an escape, and the
-    planner escalates across the boundary.  Region 1 is idle and has
-    room, so handoffs release, admit, and commit there; two tenants
-    racing for the same remote node exercise the denial path.
+    :data:`HANDOFF_TENANTS` stream pairs pack region 0 completely
+    (sources fill the gateway, sinks fill the second node).  At t=60 s
+    the region's only intra-region link is throttled below the tenants'
+    demand — every sink is in violation, no region-0 node can fit an
+    escape, and the planner escalates across the boundary.  Region 1 is
+    idle and has room, so handoffs release, admit, and commit there; two
+    tenants racing for the same remote node exercise the denial path.
     """
     config = BassConfig().with_migration(cooldown_s=10.0)
     return fleet_mesh(
         regions=2,
-        tenants=tenants,
+        tenants=HANDOFF_TENANTS,
         nodes_per_region=2,
         duration_s=duration_s,
         seed=seed,
         demand_mbps=2.0,
-        node_cpu_cores=float(tenants),
+        node_cpu_cores=float(HANDOFF_TENANTS),
         pin_region=0,
         throttle_link_mbps=0.5,
         throttle_at_s=60.0,
@@ -289,14 +288,20 @@ def fleet_handoff(
     )
 
 
+#: The scaling row's fleet grows by this many tenants per region.
+TENANTS_PER_REGION = 2
+#: The scaling row's seed.
+FLEET_SCALING_SEED = 11
+
+
 @checkpointable
 def _fleet_scaling_cell(
-    *, regions: int, tenants_per_region: int, duration_s: float, seed: int
+    *, regions: int, duration_s: float, seed: int
 ) -> RunCapsule:
     """One region count of the scaling row: the fleet grows with it."""
     return fleet_mesh.capsule(
         regions=regions,
-        tenants=tenants_per_region * regions,
+        tenants=TENANTS_PER_REGION * regions,
         duration_s=duration_s,
         seed=seed,
     )
@@ -305,9 +310,7 @@ def _fleet_scaling_cell(
 def fleet_scaling_spec(
     *,
     region_counts: tuple[int, ...] = (1, 2),
-    tenants_per_region: int = 2,
     duration_s: float = 240.0,
-    seed: int = 11,
 ) -> SweepSpec:
     """Steady-state scaling as a grid over region counts — probe rate
     per link and decision latency must stay flat across its cells."""
@@ -315,10 +318,7 @@ def fleet_scaling_spec(
         "fleet-scaling",
         _fleet_scaling_cell,
         {"regions": region_counts},
-        fixed={
-            "tenants_per_region": tenants_per_region,
-            "duration_s": duration_s,
-        },
+        fixed={"duration_s": duration_s},
         label="regions{regions}",
-        seed=seed,
+        seed=FLEET_SCALING_SEED,
     )

@@ -78,12 +78,15 @@ class _PairApp:
         pass
 
 
+#: What each of Fig 8's drops leaves of a 25 Mbps link.
+FIG8_DROP_TO_MBPS = 3.5
+
+
 def fig8_migration_timeline(
     *,
     drop_time_s: float = 540.0,
     second_drop_time_s: float = 1119.0,
     total_s: float = 1500.0,
-    drop_to_mbps: float = 3.5,
     seed: int,
 ) -> Fig8Timeline:
     """Fig 8: the worked migration example.
@@ -127,11 +130,11 @@ def fig8_migration_timeline(
         timeline.capacity_13.append(env.netem.capacity("node1", "node3"))
 
     def first_drop() -> None:
-        topology.link("node3", "node4").set_rate_limit(drop_to_mbps)
+        topology.link("node3", "node4").set_rate_limit(FIG8_DROP_TO_MBPS)
 
     def second_drop() -> None:
         topology.link("node3", "node4").set_rate_limit(None)
-        topology.link("node1", "node3").set_rate_limit(drop_to_mbps)
+        topology.link("node1", "node3").set_rate_limit(FIG8_DROP_TO_MBPS)
 
     run_timeline(
         env,
@@ -166,15 +169,20 @@ class Fig12Series:
         return float(self.bitrate_mbps[mask].mean())
 
 
+#: §6.2.3's set-up: 9 participants on node3 (one publishes 3 Mbps); 10 s
+#: in, node2's egress is throttled to 10 Mbps.
+FIG12_PARTICIPANTS = 9
+FIG12_STREAM_MBPS = 3.0
+FIG12_RESTRICT_AT_S = 10.0
+FIG12_RESTRICT_TO_MBPS = 10.0
+FIG12_SEED = 12
+
+
 def _fig12_cell(
     *,
     interval: Optional[float],
-    participants: int,
-    restrict_at_s: float,
     restrict_for_s: float,
-    restrict_to_mbps: float,
     total_s: float,
-    stream_mbps: float,
     seed: int,
 ) -> Fig12Series:
     """One bandwidth-query interval of Fig 12 (None: no migration)."""
@@ -182,9 +190,9 @@ def _fig12_cell(
     env = build_env(topology, seed=seed, restart_seconds=20.0)
     people = [
         Participant(f"p{i}", "node3", publishes=(i == 0))
-        for i in range(participants)
+        for i in range(FIG12_PARTICIPANTS)
     ]
-    app = VideoConferenceApp(people, stream_mbps=stream_mbps)
+    app = VideoConferenceApp(people, stream_mbps=FIG12_STREAM_MBPS)
     config = BassConfig(migrations_enabled=interval is not None)
     if interval is not None:
         config = config.with_probe(headroom_interval_s=interval)
@@ -221,11 +229,11 @@ def _fig12_cell(
         on_tick=sample,
         events=[
             (
-                restrict_at_s,
-                lambda: set_node_egress_limit(env, "node2", restrict_to_mbps),
+                FIG12_RESTRICT_AT_S,
+                lambda: set_node_egress_limit(env, "node2", FIG12_RESTRICT_TO_MBPS),
             ),
             (
-                restrict_at_s + restrict_for_s,
+                FIG12_RESTRICT_AT_S + restrict_for_s,
                 lambda: set_node_egress_limit(env, "node2", None),
             ),
         ],
@@ -242,13 +250,8 @@ def _fig12_cell(
 def fig12_video_query_interval(
     intervals: tuple[Optional[float], ...] = (30.0, 60.0, 90.0, None),
     *,
-    participants: int = 9,
-    restrict_at_s: float = 10.0,
     restrict_for_s: float = 180.0,
-    restrict_to_mbps: float = 10.0,
     total_s: float = 300.0,
-    stream_mbps: float = 3.0,
-    seed: int = 12,
 ) -> SweepSpec:
     """Fig 12: how fast each bandwidth-query interval recovers bitrate.
 
@@ -263,16 +266,9 @@ def fig12_video_query_interval(
         "fig12",
         _fig12_cell,
         {"interval": intervals},
-        fixed={
-            "participants": participants,
-            "restrict_at_s": restrict_at_s,
-            "restrict_for_s": restrict_for_s,
-            "restrict_to_mbps": restrict_to_mbps,
-            "total_s": total_s,
-            "stream_mbps": stream_mbps,
-        },
+        fixed={"restrict_for_s": restrict_for_s, "total_s": total_s},
         label="interval={interval}",
-        seed=seed,
+        seed=FIG12_SEED,
     )
 
 
@@ -297,6 +293,11 @@ class Fig13Series:
         return float(np.percentile(self.latency_s, 99))
 
 
+#: Fig 13's throttle: nodes 2 and 3 egress-limited to 25 Mbps.
+FIG13_RESTRICT_TO_MBPS = 25.0
+FIG13_SEED = 13
+
+
 @dataclass
 class Fig13Cell:
     """One wired fig13 interval setting: what :func:`_fig13_cell` builds.
@@ -311,13 +312,12 @@ class Fig13Cell:
     handle: object
     rng: object
     interval: Optional[float]
-    restrict_to_mbps: float
     times: list[float] = field(default_factory=list)
     latency_s: list[float] = field(default_factory=list)
 
     def throttle(self) -> None:
-        set_node_egress_limit(self.env, "node2", self.restrict_to_mbps)
-        set_node_egress_limit(self.env, "node3", self.restrict_to_mbps)
+        set_node_egress_limit(self.env, "node2", FIG13_RESTRICT_TO_MBPS)
+        set_node_egress_limit(self.env, "node3", FIG13_RESTRICT_TO_MBPS)
 
     def unthrottle(self) -> None:
         set_node_egress_limit(self.env, "node2", None)
@@ -357,7 +357,6 @@ def _fig13_cell(
     rps: float,
     restrict_at_s: float,
     restrict_for_s: float,
-    restrict_to_mbps: float,
     total_s: float,
     seed: int,
 ) -> RunCapsule:
@@ -394,7 +393,6 @@ def _fig13_cell(
         handle=handle,
         rng=env.rng.get(f"fig13-{interval}"),
         interval=interval,
-        restrict_to_mbps=restrict_to_mbps,
     )
     return RunCapsule(
         env=env,
@@ -415,9 +413,7 @@ def fig13_socialnet_migration(
     rps: float = 400.0,
     restrict_at_s: float = 10.0,
     restrict_for_s: float = 180.0,
-    restrict_to_mbps: float = 25.0,
     total_s: float = 300.0,
-    seed: int = 13,
 ) -> SweepSpec:
     """Fig 13 / Table 1: migrations vs monitoring interval under throttle.
 
@@ -435,11 +431,10 @@ def fig13_socialnet_migration(
             "rps": rps,
             "restrict_at_s": restrict_at_s,
             "restrict_for_s": restrict_for_s,
-            "restrict_to_mbps": restrict_to_mbps,
             "total_s": total_s,
         },
         label="interval={interval}",
-        seed=seed,
+        seed=FIG13_SEED,
     )
 
 
@@ -460,12 +455,15 @@ class Fig14aResult:
         )
 
 
+#: Fig 14a's load and the forced restart's cost.
+FIG14A_RPS = 50.0
+FIG14A_RESTART_SECONDS = 8.0
+
+
 def fig14a_restart_cdf(
     *,
-    rps: float = 50.0,
     total_s: float = 240.0,
     restart_at_s: float = 120.0,
-    restart_seconds: float = 8.0,
     seed: int,
 ) -> Fig14aResult:
     """Fig 14a: the latency cost of restarting one component.
@@ -477,8 +475,8 @@ def fig14a_restart_cdf(
     restart lasts.
     """
     topology = citylab_subset(with_traces=False)
-    env = build_env(topology, seed=seed, restart_seconds=restart_seconds)
-    app = SocialNetworkApp(annotate_rps=rps)
+    env = build_env(topology, seed=seed, restart_seconds=FIG14A_RESTART_SECONDS)
+    app = SocialNetworkApp(annotate_rps=FIG14A_RPS)
     handle = deploy_app(
         env,
         app,
@@ -486,12 +484,12 @@ def fig14a_restart_cdf(
         config=BassConfig(migrations_enabled=False),
         start_controller=False,
     )
-    app.set_rps(rps)
+    app.set_rps(FIG14A_RPS)
     app.update_demands(handle.binding, 0.0)
     rng = env.rng.get("fig14a")
     baseline: list[float] = []
     during_restart: list[float] = []
-    restart_end = restart_at_s + restart_seconds
+    restart_end = restart_at_s + FIG14A_RESTART_SECONDS
 
     def sample(t: float) -> None:
         samples = app.sample_latencies_s(handle.binding, 6, rng)
@@ -553,16 +551,14 @@ FIG14B_CONFIGURATIONS = {
     "longest-path-nomig": ("bass-longest-path", False),
     "k3s": ("k3s", False),
 }
+#: Fig 14b's load (see EXPERIMENTS.md for why 70, not the paper's 50)
+#: and restart cost.
+FIG14B_RPS = 70.0
+FIG14B_RESTART_SECONDS = 8.0
+FIG14B_SEED = 140
 
 
-def _fig14b_cell(
-    *,
-    label: str,
-    rps: float,
-    duration_s: float,
-    seed: int,
-    restart_seconds: float,
-) -> Fig14bResult:
+def _fig14b_cell(*, label: str, duration_s: float, seed: int) -> Fig14bResult:
     """One of :data:`FIG14B_CONFIGURATIONS` on the trace-replay mesh."""
     scheduler, migrate = FIG14B_CONFIGURATIONS[label]
     rng_streams = RngStreams(seed)
@@ -575,9 +571,9 @@ def _fig14b_cell(
         topology,
         seed=seed,
         buffer_mbit=400.0,
-        restart_seconds=restart_seconds,
+        restart_seconds=FIG14B_RESTART_SECONDS,
     )
-    app = SocialNetworkApp(annotate_rps=rps)
+    app = SocialNetworkApp(annotate_rps=FIG14B_RPS)
     config = BassConfig(migrations_enabled=migrate).with_migration(
         goodput_threshold=0.5, link_utilization_threshold=0.65
     )
@@ -588,7 +584,7 @@ def _fig14b_cell(
         config=config,
         start_controller=migrate,
     )
-    app.set_rps(rps)
+    app.set_rps(FIG14B_RPS)
     app.update_demands(handle.binding, 0.0)
     rng = env.rng.get(f"fig14b-{label}")
     latencies: list[float] = []
@@ -605,13 +601,7 @@ def _fig14b_cell(
 
 
 @grid_figure
-def fig14b_scheduler_cdf(
-    *,
-    rps: float = 70.0,
-    duration_s: float = 1200.0,
-    seed: int = 140,
-    restart_seconds: float = 8.0,
-) -> SweepSpec:
+def fig14b_scheduler_cdf(*, duration_s: float = 1200.0) -> SweepSpec:
     """Fig 14b: end-to-end latency CDFs of the four configurations.
 
     CityLab trace replay.  Paper ordering (at its 50 RPS, payload
@@ -626,13 +616,9 @@ def fig14b_scheduler_cdf(
         "fig14b",
         _fig14b_cell,
         {"label": tuple(FIG14B_CONFIGURATIONS)},
-        fixed={
-            "rps": rps,
-            "duration_s": duration_s,
-            "restart_seconds": restart_seconds,
-        },
+        fixed={"duration_s": duration_s},
         label="{label}",
-        seed=seed,
+        seed=FIG14B_SEED,
     )
 
 
@@ -648,13 +634,14 @@ class Fig15bResult:
     migrations: int
 
 
+#: Fig 15b's conference: 3 clients at each worker, 2.5 Mbps streams.
+FIG15B_PER_NODE_CLIENTS = 3
+FIG15B_STREAM_MBPS = 2.5
+FIG15B_SEED = 15
+
+
 def _fig15b_cell(
-    *,
-    threshold: Optional[float],
-    per_node_clients: int,
-    duration_s: float,
-    stream_mbps: float,
-    seed: int,
+    *, threshold: Optional[float], duration_s: float, seed: int
 ) -> Fig15bResult:
     """One migration threshold of Fig 15b (None: no migration)."""
     worker_nodes = ["node1", "node2", "node3", "node4"]
@@ -666,7 +653,7 @@ def _fig15b_cell(
     )
     env = build_env(topology, seed=seed, restart_seconds=20.0)
     app = VideoConferenceApp.conference_at_nodes(
-        worker_nodes, per_node_clients, stream_mbps=stream_mbps
+        worker_nodes, FIG15B_PER_NODE_CLIENTS, stream_mbps=FIG15B_STREAM_MBPS
     )
     config = BassConfig(migrations_enabled=threshold is not None)
     if threshold is not None:
@@ -709,10 +696,7 @@ def _fig15b_cell(
 def fig15b_video_thresholds(
     thresholds: tuple[Optional[float], ...] = (None, 0.65, 0.85),
     *,
-    per_node_clients: int = 3,
     duration_s: float = 600.0,
-    stream_mbps: float = 2.5,
-    seed: int = 15,
 ) -> SweepSpec:
     """Fig 15b: can migrating the SFU rescue poorly-connected clients?
 
@@ -726,13 +710,9 @@ def fig15b_video_thresholds(
         "fig15b",
         _fig15b_cell,
         {"threshold": thresholds},
-        fixed={
-            "per_node_clients": per_node_clients,
-            "duration_s": duration_s,
-            "stream_mbps": stream_mbps,
-        },
+        fixed={"duration_s": duration_s},
         label="thr={threshold}",
-        seed=seed,
+        seed=FIG15B_SEED,
     )
 
 
@@ -747,12 +727,13 @@ class Table1Result:
     migrations: list[MigrationRecord]
 
 
+#: Table 1's load and the throttle on the busiest node's egress.
+TABLE1_RPS = 200.0
+TABLE1_THROTTLE_MBPS = 25.0
+
+
 def table1_migration_iterations(
-    *,
-    rps: float = 200.0,
-    throttle_mbps: float = 25.0,
-    total_s: float = 260.0,
-    seed: int,
+    *, total_s: float = 260.0, seed: int
 ) -> Table1Result:
     """Table 1: components over quota vs migrated, per 30 s iteration.
 
@@ -771,10 +752,10 @@ def table1_migration_iterations(
         for b in names[i + 1 :]:
             topology.add_link(a, b, capacity_mbps=1000.0, latency_ms=0.5)
     env = build_env(topology, seed=seed, buffer_mbit=200.0, restart_seconds=8.0)
-    app = SocialNetworkApp(annotate_rps=rps)
+    app = SocialNetworkApp(annotate_rps=TABLE1_RPS)
     config = BassConfig().with_migration(cooldown_s=0.0)
     handle = deploy_app(env, app, "bass-longest-path", config=config)
-    app.set_rps(rps)
+    app.set_rps(TABLE1_RPS)
     app.update_demands(handle.binding, 0.0)
 
     # Throttle the node whose egress carries the most inter-node demand
@@ -789,7 +770,7 @@ def table1_migration_iterations(
     run_timeline(
         env,
         total_s,
-        events=[(10.0, lambda: set_node_egress_limit(env, victim, throttle_mbps))],
+        events=[(10.0, lambda: set_node_egress_limit(env, victim, TABLE1_THROTTLE_MBPS))],
     )
     return Table1Result(
         rows=handle.controller.table1_rows(),

@@ -86,14 +86,13 @@ class Fig4Point:
     loss_fraction: float
 
 
-def _fig4_cell(
-    *,
-    participants: int,
-    bottleneck_mbps: float,
-    stream_mbps: float,
-    settle_s: float,
-    seed: int,
-) -> Fig4Point:
+#: Fig 3's set-up: node2's egress capped at 30 Mbps, 3 Mbps streams.
+FIG4_BOTTLENECK_MBPS = 30.0
+FIG4_STREAM_MBPS = 3.0
+FIG4_SEED = 0
+
+
+def _fig4_cell(*, participants: int, settle_s: float, seed: int) -> Fig4Point:
     """One participant count of Fig 4, seeded ``seed`` + the count."""
     topology = full_mesh_topology(3, capacity_mbps=1000.0)
     env = build_env(topology, seed=seed + participants)
@@ -102,7 +101,7 @@ def _fig4_cell(
             Participant(f"p{i}", "node3", publishes=(i == 0))
             for i in range(participants)
         ],
-        stream_mbps=stream_mbps,
+        stream_mbps=FIG4_STREAM_MBPS,
     )
     handle = deploy_app(
         env,
@@ -112,7 +111,7 @@ def _fig4_cell(
         start_controller=False,
         force_assignments={"sfu": "node2"},
     )
-    set_node_egress_limit(env, "node2", bottleneck_mbps)
+    set_node_egress_limit(env, "node2", FIG4_BOTTLENECK_MBPS)
     bitrates: list[float] = []
     losses: list[float] = []
 
@@ -148,10 +147,7 @@ def _fig4_cell(
 def fig4_pion_bottleneck(
     participant_counts: tuple[int, ...] = (4, 6, 8, 10, 11, 12, 13, 14),
     *,
-    bottleneck_mbps: float = 30.0,
-    stream_mbps: float = 3.0,
     settle_s: float = 60.0,
-    seed: int = 0,
 ) -> SweepSpec:
     """Fig 4: per-client bitrate and loss vs participant count.
 
@@ -165,13 +161,9 @@ def fig4_pion_bottleneck(
         "fig4",
         _fig4_cell,
         {"participants": participant_counts},
-        fixed={
-            "bottleneck_mbps": bottleneck_mbps,
-            "stream_mbps": stream_mbps,
-            "settle_s": settle_s,
-        },
+        fixed={"settle_s": settle_s},
         label="p{participants}",
-        seed=seed,
+        seed=FIG4_SEED,
     )
 
 
@@ -202,12 +194,15 @@ class Fig5Series:
         )
 
 
+#: Fig 5's load and its two-minute 25 Mbps throttle.
+FIG5_RPS = 400.0
+FIG5_THROTTLE_MBPS = 25.0
+FIG5_THROTTLE_DURATION_S = 120.0
+
+
 def fig5_socialnet_throttle(
     *,
-    rps: float = 400.0,
-    throttle_mbps: float = 25.0,
     throttle_start_s: float = 120.0,
-    throttle_duration_s: float = 120.0,
     total_s: float = 360.0,
     seed: int,
 ) -> Fig5Series:
@@ -220,7 +215,7 @@ def fig5_socialnet_throttle(
     """
     topology = full_mesh_topology(3, capacity_mbps=1000.0)
     env = build_env(topology, seed=seed, buffer_mbit=200.0)
-    app = SocialNetworkApp(annotate_rps=rps)
+    app = SocialNetworkApp(annotate_rps=FIG5_RPS)
     handle = deploy_app(
         env,
         app,
@@ -228,7 +223,7 @@ def fig5_socialnet_throttle(
         config=BassConfig(migrations_enabled=False),
         start_controller=False,
     )
-    app.set_rps(rps)
+    app.set_rps(FIG5_RPS)
     app.update_demands(handle.binding, 0.0)
     rng = env.rng.get("latency")
     hot_node = handle.deployment.node_of("post-storage-service")
@@ -241,7 +236,7 @@ def fig5_socialnet_throttle(
         times.append(t)
         latencies.append(float(np.mean(samples)))
 
-    throttle_end = throttle_start_s + throttle_duration_s
+    throttle_end = throttle_start_s + FIG5_THROTTLE_DURATION_S
     run_timeline(
         env,
         total_s,
@@ -249,7 +244,7 @@ def fig5_socialnet_throttle(
         events=[
             (
                 throttle_start_s,
-                lambda: set_node_egress_limit(env, hot_node, throttle_mbps),
+                lambda: set_node_egress_limit(env, hot_node, FIG5_THROTTLE_MBPS),
             ),
             (throttle_end, lambda: set_node_egress_limit(env, hot_node, None)),
         ],

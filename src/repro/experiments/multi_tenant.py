@@ -49,6 +49,10 @@ from .common import (
 
 SOURCE = "source"
 SINK = "sink"
+#: Where every tenant's source is pinned and its sink starts: all
+#: tenants share one path.
+SOURCE_NODE = "node1"
+SINK_NODE = "node2"
 
 
 class StreamPairApp(Application):
@@ -66,7 +70,7 @@ class StreamPairApp(Application):
         name: str,
         *,
         demand_mbps: float = 2.0,
-        source_node: str = "node1",
+        source_node: str = SOURCE_NODE,
     ) -> None:
         self.name = name
         self.demand_mbps = demand_mbps
@@ -125,18 +129,15 @@ def multi_tenant_mesh(
     tenants: int = 4,
     duration_s: float = 240.0,
     seed: int = 11,
-    demand_mbps: float = 2.0,
-    source_node: str = "node1",
-    sink_node: str = "node2",
     throttle_mbps: Optional[float] = None,
     throttle_at_s: float = 60.0,
     config: Optional[BassConfig] = None,
     env: Optional[ExperimentEnv] = None,
 ) -> MultiTenantResult:
-    """Run ``tenants`` identical stream pairs over one mesh path.
+    """Run ``tenants`` identical 2 Mbps stream pairs over one mesh path.
 
-    Every tenant's source is pinned at ``source_node`` and its sink is
-    initially forced to ``sink_node``, so all tenants stress the same
+    Every tenant's source is pinned at :data:`SOURCE_NODE` and its sink
+    is initially forced to :data:`SINK_NODE`, so all tenants stress the same
     links — the worst case for probe duplication and, once
     ``throttle_mbps`` kicks in at ``throttle_at_s``, for migration
     races (every controller wants the same escape node).
@@ -145,8 +146,7 @@ def multi_tenant_mesh(
         tenants: number of co-deployed stream pairs.
         duration_s: run horizon (epochs every 30 s by default).
         seed: master seed (static links; seeds workload jitter only).
-        demand_mbps: per-tenant demand on the shared path.
-        throttle_mbps: tc-style egress limit imposed on ``source_node``
+        throttle_mbps: tc-style egress limit imposed on the source node
             at ``throttle_at_s``; None runs an uncongested mesh.
         config: per-tenant BASS config, shared by all tenants.
         env: reuse a pre-built substrate (tests use this to co-deploy
@@ -156,18 +156,13 @@ def multi_tenant_mesh(
         env = build_env(seed=seed, with_traces=False)
     handles = []
     for index in range(tenants):
-        app = StreamPairApp(
-            f"tenant{index:02d}",
-            demand_mbps=demand_mbps,
-            source_node=source_node,
-        )
         handles.append(
             deploy_app(
                 env,
-                app,
+                StreamPairApp(f"tenant{index:02d}"),
                 "bass-longest-path",
                 config=config,
-                force_assignments={SINK: sink_node},
+                force_assignments={SINK: SINK_NODE},
             )
         )
     events = []
@@ -175,9 +170,7 @@ def multi_tenant_mesh(
         events.append(
             (
                 throttle_at_s,
-                lambda: set_node_egress_limit(
-                    env, source_node, throttle_mbps
-                ),
+                lambda: set_node_egress_limit(env, SOURCE_NODE, throttle_mbps),
             )
         )
     run_timeline(env, duration_s, events=events)
@@ -236,11 +229,14 @@ def _mesh_cell(
     return multi_tenant_mesh(tenants=tenants, duration_s=duration_s, seed=seed)
 
 
+#: The seed of both tenant-count sweeps.
+MULTITENANT_SEED = 11
+
+
 def multi_tenant_scaling_spec(
     *,
     tenant_counts: tuple[int, ...] = (1, 2, 4, 8),
     duration_s: float = 240.0,
-    seed: int = 11,
 ) -> SweepSpec:
     """Probe-traffic scaling across tenant counts as a sweep spec."""
     return SweepSpec.grid(
@@ -249,7 +245,7 @@ def multi_tenant_scaling_spec(
         {"tenants": tenant_counts},
         fixed={"duration_s": duration_s},
         label="tenants{tenants}",
-        seed=seed,
+        seed=MULTITENANT_SEED,
     )
 
 
@@ -257,7 +253,6 @@ def contention_sweep_spec(
     *,
     tenant_counts: tuple[int, ...] = (2, 4, 8),
     duration_s: float = 180.0,
-    seed: int = 11,
 ) -> SweepSpec:
     """Migration-race severity across tenant counts as a sweep spec."""
     return SweepSpec.grid(
@@ -266,5 +261,5 @@ def contention_sweep_spec(
         {"tenants": tenant_counts},
         fixed={"duration_s": duration_s},
         label="tenants{tenants}",
-        seed=seed,
+        seed=MULTITENANT_SEED,
     )

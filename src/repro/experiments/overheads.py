@@ -137,23 +137,25 @@ class ProbeOverheadResult:
     headroom_probes: int
 
 
-def probing_overhead(
-    *, duration_s: float = 600.0, seed: int = 63
-) -> ProbeOverheadResult:
+#: §6.3.4's run: ten minutes of the social network, seeded 63.
+PROBING_DURATION_S = 600.0
+PROBING_SEED = 63
+
+
+def probing_overhead() -> ProbeOverheadResult:
     """§6.3.4: probe traffic as a fraction of all carried traffic while
     the social network runs on the CityLab mesh with a 30 s cadence.
     The paper measures ~0.3 %; headroom probes dominate, full probes
     are rare."""
-    from ..apps.social import SocialNetworkApp
     from ..config import BassConfig
     from .common import build_env, deploy_app, run_timeline
 
-    env = build_env(seed=seed, trace_duration_s=duration_s)
+    env = build_env(seed=PROBING_SEED, trace_duration_s=PROBING_DURATION_S)
     app = SocialNetworkApp(annotate_rps=50.0)
     handle = deploy_app(env, app, "bass-longest-path", config=BassConfig())
     app.set_rps(50.0)
     app.update_demands(handle.binding, 0.0)
-    run_timeline(env, duration_s)
+    run_timeline(env, PROBING_DURATION_S)
     return ProbeOverheadResult(
         probe_fraction=handle.monitor.probe_overhead_fraction(),
         full_probes=handle.monitor.full_probe_count,

@@ -32,9 +32,11 @@ from ..runner import SweepSpec
 #: The DAG sizes and flow counts the scalability benchmarks sweep.
 ORDERING_SIZES = (25, 50, 100, 200, 400)
 ALLOCATION_FLOW_COUNTS = (50, 200, 800)
+#: Most parents a layered-DAG component draws among earlier ones.
+LAYERED_FANOUT = 3
 
 
-def layered_dag(n_components: int, *, fanout: int = 3) -> ComponentDAG:
+def layered_dag(n_components: int) -> ComponentDAG:
     """A layered DAG (the shape of real microservice graphs)."""
     dag = ComponentDAG(f"scale{n_components}")
     rng = np.random.default_rng(n_components)
@@ -42,8 +44,8 @@ def layered_dag(n_components: int, *, fanout: int = 3) -> ComponentDAG:
     for name in names:
         dag.add_component(Component(name))
     for i, name in enumerate(names[1:], start=1):
-        # Every component gets 1..fanout parents among earlier ones.
-        n_parents = int(rng.integers(1, fanout + 1))
+        # Every component gets 1..LAYERED_FANOUT parents among earlier ones.
+        n_parents = int(rng.integers(1, LAYERED_FANOUT + 1))
         parents = rng.choice(i, size=min(n_parents, i), replace=False)
         for parent in parents:
             dag.add_dependency(
@@ -99,17 +101,18 @@ class AllocationTiming:
     seconds: float
 
 
-def allocation_timing_cell(
-    *,
-    n_flows: int,
-    n_links: int = 30,
-    capacity_mbps: float = 25.0,
-    seed: int = 7,
-) -> AllocationTiming:
+#: The allocator cell's mesh: a 30-link ring (the Philadelphia-mesh
+#: scale §7 cites) of 25 Mbps links, flows drawn from seed 7.
+ALLOCATION_RING_LINKS = 30
+ALLOCATION_CAPACITY_MBPS = 25.0
+ALLOCATION_SEED = 7
+
+
+def allocation_timing_cell(*, n_flows: int) -> AllocationTiming:
     """Time max-min allocation over ``n_flows`` random short-path flows
-    on an ``n_links``-link ring (the Philadelphia-mesh scale §7 cites).
-    """
-    rng = np.random.default_rng(seed)
+    on a :data:`ALLOCATION_RING_LINKS`-link ring."""
+    n_links = ALLOCATION_RING_LINKS
+    rng = np.random.default_rng(ALLOCATION_SEED)
     links = [(f"n{i}", f"n{(i + 1) % n_links}") for i in range(n_links)]
     flows = []
     for i in range(n_flows):
@@ -123,7 +126,7 @@ def allocation_timing_cell(
                 demand_mbps=float(rng.uniform(0.1, 20.0)),
             )
         )
-    capacities = {link: capacity_mbps for link in links}
+    capacities = {link: ALLOCATION_CAPACITY_MBPS for link in links}
     begin = time.perf_counter()
     rates = max_min_allocation(flows, capacities)
     seconds = time.perf_counter() - begin
@@ -132,25 +135,21 @@ def allocation_timing_cell(
     return AllocationTiming(flows=n_flows, seconds=seconds)
 
 
-def ordering_scalability_spec(
-    *, sizes: tuple[int, ...] = ORDERING_SIZES
-) -> SweepSpec:
+def ordering_scalability_spec() -> SweepSpec:
     """Heuristic-timing sweep over DAG sizes (run with ``cache=None``)."""
     return SweepSpec.grid(
         "scalability-ordering",
         ordering_timing_cell,
-        {"n_components": sizes},
+        {"n_components": ORDERING_SIZES},
         label="n{n_components}",
     )
 
 
-def allocation_scalability_spec(
-    *, flow_counts: tuple[int, ...] = ALLOCATION_FLOW_COUNTS
-) -> SweepSpec:
+def allocation_scalability_spec() -> SweepSpec:
     """Allocator-timing sweep over flow counts (run with ``cache=None``)."""
     return SweepSpec.grid(
         "scalability-allocation",
         allocation_timing_cell,
-        {"n_flows": flow_counts},
+        {"n_flows": ALLOCATION_FLOW_COUNTS},
         label="f{n_flows}",
     )

@@ -95,13 +95,11 @@ def _fig10_cell(*, scheduler: str, duration_s: float, seed: int) -> Fig10Row:
     )
 
 
+FIG10_SEED = 10
+
+
 @grid_figure
-def fig10_camera_static(
-    *,
-    duration_s: float = 120.0,
-    seed: int = 10,
-    schedulers: tuple[str, ...] = SCHEDULERS,
-) -> SweepSpec:
+def fig10_camera_static(*, duration_s: float = 120.0) -> SweepSpec:
     """Fig 10: camera latency per scheduler on an unconstrained LAN.
 
     The paper's means are 410 (BFS) / 428 (longest-path) / 433 (k3s) ms;
@@ -112,10 +110,10 @@ def fig10_camera_static(
     return SweepSpec.grid(
         "fig10",
         _fig10_cell,
-        {"scheduler": schedulers},
+        {"scheduler": SCHEDULERS},
         fixed={"duration_s": duration_s},
         label="{scheduler}",
-        seed=seed,
+        seed=FIG10_SEED,
     )
 
 
@@ -133,12 +131,18 @@ class Fig11Cell:
     mean_latency_s: float
 
 
+#: Fig 11's restricted variant caps node2's egress at 25 Mbps; the
+#: figure compares longest-path against k3s.
+FIG11_THROTTLE_MBPS = 25.0
+FIG11_SCHEDULERS = ("bass-longest-path", "k3s")
+FIG11_SEED = 11
+
+
 def _fig11_cell(
     *,
     scheduler: str,
     restricted: bool,
     rps: float,
-    throttle_mbps: float,
     duration_s: float,
     seed: int,
 ) -> Fig11Cell:
@@ -148,7 +152,7 @@ def _fig11_cell(
     )
     env = build_env(topology, seed=seed, buffer_mbit=200.0)
     if restricted:
-        set_node_egress_limit(env, "node2", throttle_mbps)
+        set_node_egress_limit(env, "node2", FIG11_THROTTLE_MBPS)
     app = SocialNetworkApp(annotate_rps=rps)
     handle = deploy_app(
         env,
@@ -180,11 +184,7 @@ def _fig11_cell(
 def fig11_socialnet_p99(
     *,
     rates: tuple[float, ...] = (100.0, 200.0, 300.0),
-    restricted_values: tuple[bool, ...] = (False, True),
-    throttle_mbps: float = 25.0,
     duration_s: float = 150.0,
-    seed: int = 11,
-    schedulers: tuple[str, ...] = ("bass-longest-path", "k3s"),
 ) -> SweepSpec:
     """Fig 11: social-network p99 vs RPS, unrestricted and restricted.
 
@@ -198,13 +198,13 @@ def fig11_socialnet_p99(
         "fig11",
         _fig11_cell,
         {
-            "scheduler": schedulers,
-            "restricted": restricted_values,
+            "scheduler": FIG11_SCHEDULERS,
+            "restricted": (False, True),
             "rps": rates,
         },
-        fixed={"throttle_mbps": throttle_mbps, "duration_s": duration_s},
+        fixed={"duration_s": duration_s},
         label="{scheduler}/restricted={restricted}/rps{rps:g}",
-        seed=seed,
+        seed=FIG11_SEED,
     )
 
 
@@ -268,13 +268,11 @@ def _table2_cell(
     )
 
 
+TABLE2_SEED = 22
+
+
 @grid_figure
-def table2_camera_mesh(
-    *,
-    duration_s: float = 1200.0,
-    seed: int = 22,
-    schedulers: tuple[str, ...] = SCHEDULERS,
-) -> SweepSpec:
+def table2_camera_mesh(*, duration_s: float = 1200.0) -> SweepSpec:
     """Table 2: camera on the emulated CityLab mesh, ± bandwidth variation.
 
     "No variation" fixes every link at the maximum value observed in its
@@ -287,9 +285,9 @@ def table2_camera_mesh(
         _table2_cell,
         {
             "scenario": ("no_variation", "with_variation"),
-            "scheduler": schedulers,
+            "scheduler": SCHEDULERS,
         },
         fixed={"duration_s": duration_s},
         label="{scenario}/{scheduler}",
-        seed=seed,
+        seed=TABLE2_SEED,
     )

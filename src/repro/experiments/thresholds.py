@@ -109,11 +109,15 @@ def _fig14cd_cell(
     )
 
 
+#: Fig 16 holds headroom at 20 %.
+FIG16_HEADROOM = 0.20
+FIG16_SEED = 16
+
+
 def _fig16_cell(
     *,
     threshold: float,
     mean_rps: float,
-    headroom: float,
     duration_s: float,
     seed: int,
 ) -> ThresholdCell:
@@ -125,11 +129,14 @@ def _fig16_cell(
     return _run_threshold_config(
         heuristic="longest_path",
         threshold=threshold,
-        headroom=headroom,
+        headroom=FIG16_HEADROOM,
         workload=workload,
         duration_s=duration_s,
         seed=seed,
     )
+
+
+FIG14CD_SEED = 144
 
 
 def fig14cd_sweep_spec(
@@ -139,7 +146,6 @@ def fig14cd_sweep_spec(
     headrooms: tuple[float, ...] = (0.10, 0.20, 0.30),
     rps: float = 50.0,
     duration_s: float = 600.0,
-    seed: int = 144,
 ) -> SweepSpec:
     """The fig 14c/d grid (fixed request arrivals at 50 RPS) as a sweep
     spec, cells in the canonical (heuristic, threshold, headroom)
@@ -154,7 +160,7 @@ def fig14cd_sweep_spec(
         },
         fixed={"rps": rps, "duration_s": duration_s},
         label="{heuristic}/thr{threshold:g}/hr{headroom:g}",
-        seed=seed,
+        seed=FIG14CD_SEED,
     )
 
 
@@ -162,9 +168,7 @@ def fig16_sweep_spec(
     *,
     thresholds: tuple[float, ...] = (0.25, 0.50, 0.65, 0.75),
     mean_rps: float = 50.0,
-    headroom: float = 0.20,
     duration_s: float = 600.0,
-    seed: int = 16,
 ) -> SweepSpec:
     """Fig 16's threshold sweep as a sweep spec: exponential (Poisson)
     arrivals, longest-path scheduling, headroom fixed at 20 %."""
@@ -172,11 +176,7 @@ def fig16_sweep_spec(
         "fig16",
         _fig16_cell,
         {"threshold": thresholds},
-        fixed={
-            "mean_rps": mean_rps,
-            "headroom": headroom,
-            "duration_s": duration_s,
-        },
+        fixed={"mean_rps": mean_rps, "duration_s": duration_s},
         label="thr{threshold:g}",
-        seed=seed,
+        seed=FIG16_SEED,
     )

@@ -145,18 +145,18 @@ class FaultPlan:
         """Check every event against the topology it will be applied to.
 
         Raises:
-            SimulationError: on negative times/durations, unknown nodes
+            SimulationError: on negative or NaN times/durations, unknown nodes
                 or links, or a partition group that is empty or total.
         """
         names = {node.name for node in topology.nodes}
         for event in self.events:
-            if event.at_s < 0:
+            if not event.at_s >= 0:
                 raise SimulationError(
-                    f"fault at negative time: {event!r}"
+                    f"fault at a negative or NaN time: {event!r}"
                 )
             if isinstance(event, NodeCrash):
                 self._check_node(event.node, names, event)
-                if event.reboot_after_s is not None and event.reboot_after_s <= 0:
+                if event.reboot_after_s is not None and not event.reboot_after_s > 0:
                     raise SimulationError(
                         f"reboot_after_s must be positive: {event!r}"
                     )
@@ -164,14 +164,14 @@ class FaultPlan:
                 topology.link(event.a, event.b)  # raises if absent
                 if (
                     event.restore_after_s is not None
-                    and event.restore_after_s <= 0
+                    and not event.restore_after_s > 0
                 ):
                     raise SimulationError(
                         f"restore_after_s must be positive: {event!r}"
                     )
             elif isinstance(event, LinkFlap):
                 topology.link(event.a, event.b)
-                if event.down_s <= 0 or event.up_s <= 0 or event.cycles < 1:
+                if not (event.down_s > 0 and event.up_s > 0 and event.cycles >= 1):
                     raise SimulationError(
                         f"flap needs positive down_s/up_s and >=1 cycle: "
                         f"{event!r}"
@@ -186,18 +186,18 @@ class FaultPlan:
                         "partition group contains every node; nothing "
                         "is on the other side"
                     )
-                if event.heal_after_s is not None and event.heal_after_s <= 0:
+                if event.heal_after_s is not None and not event.heal_after_s > 0:
                     raise SimulationError(
                         f"heal_after_s must be positive: {event!r}"
                     )
             elif isinstance(event, ProbeBlackout):
                 self._check_node(event.node, names, event)
-                if event.duration_s <= 0:
+                if not event.duration_s > 0:
                     raise SimulationError(
                         f"blackout duration must be positive: {event!r}"
                     )
             elif isinstance(event, OrchestratorKill):
-                if event.down_s <= 0:
+                if not event.down_s > 0:
                     raise SimulationError(
                         f"orchestrator down_s must be positive: {event!r}"
                     )
@@ -230,7 +230,7 @@ def seeded_churn(
     reboots.  Both draws come from the ``"faults"`` stream, so the same
     seed always yields the same plan.
     """
-    if duration_s <= 0:
+    if not duration_s > 0:
         raise SimulationError("duration_s must be positive")
     gen = rng.get("faults")
     pool = sorted(candidates) if candidates is not None else list(

@@ -10,12 +10,11 @@ available from :func:`repro.mesh.topology.citylab_subset`.
 from .link import Link, LinkId
 from .node import MeshNode
 from .routing import Router
-from .topology import MeshTopology, citylab_subset, line_topology, star_topology
+from .topology import MeshTopology, citylab_subset, line_topology
 from .tracegen import (
     ar1_trace,
     citylab_stable_link_trace,
     citylab_variable_link_trace,
-    step_trace,
     trace_with_fades,
 )
 from .traces import BandwidthTrace
@@ -32,7 +31,5 @@ __all__ = [
     "citylab_subset",
     "citylab_variable_link_trace",
     "line_topology",
-    "star_topology",
-    "step_trace",
     "trace_with_fades",
 ]

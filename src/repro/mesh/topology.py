@@ -5,7 +5,7 @@ Includes builders for the topologies used throughout the paper:
 * :func:`citylab_subset` — the 5-node subset of the CityLab testbed used
   for the emulated-mesh evaluation (§6.3, Fig 15a): one control-plane
   node plus four heterogeneous workers joined by wireless links.
-* :func:`line_topology` / :func:`star_topology` — the small LAN setups
+* :func:`line_topology` — the small LAN setups
   of the motivation and microbenchmark experiments (Fig 3).
 """
 
@@ -499,23 +499,3 @@ def regional_specs(
         )
         for i in range(n_regions)
     )
-
-
-def star_topology(
-    n_leaves: int,
-    capacity_mbps: float = 100.0,
-    *,
-    hub: str = "hub",
-    cpu_cores: float = 8.0,
-    memory_mb: float = 8192.0,
-) -> MeshTopology:
-    """A hub-and-spoke mesh, a common shape for small community deployments."""
-    if n_leaves < 1:
-        raise TopologyError("star needs at least 1 leaf")
-    topo = MeshTopology()
-    topo.add_node(MeshNode(hub, cpu_cores=cpu_cores, memory_mb=memory_mb))
-    for i in range(n_leaves):
-        name = f"leaf{i + 1}"
-        topo.add_node(MeshNode(name, cpu_cores=cpu_cores, memory_mb=memory_mb))
-        topo.add_link(hub, name, capacity_mbps=capacity_mbps)
-    return topo

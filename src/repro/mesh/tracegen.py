@@ -118,33 +118,6 @@ def trace_with_fades(
     return BandwidthTrace(times, np.maximum(values * multiplier, 0.1))
 
 
-def step_trace(
-    segments: list[tuple[float, float]],
-    *,
-    dt_s: float = 1.0,
-) -> BandwidthTrace:
-    """Deterministic step trace from (duration_s, mbps) segments.
-
-    Used to reproduce the controlled ``tc`` throttling experiments
-    (Figs 3, 5, 8, 12, 13): e.g. ``[(540, 25), (300, 7), (400, 25)]``
-    holds 25 Mbps for 540 s, drops to 7 Mbps for 300 s, then recovers.
-    """
-    if not segments:
-        raise TraceError("segments must be non-empty")
-    times: list[float] = []
-    values: list[float] = []
-    t = 0.0
-    for duration, mbps in segments:
-        if duration <= 0:
-            raise TraceError("segment durations must be positive")
-        n = max(1, int(round(duration / dt_s)))
-        for i in range(n):
-            times.append(t + i * dt_s)
-            values.append(mbps)
-        t += n * dt_s
-    return BandwidthTrace(times, values)
-
-
 def citylab_stable_link_trace(
     duration_s: float = 3600.0,
     *,

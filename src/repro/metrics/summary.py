@@ -164,18 +164,6 @@ def recovery_timeline_stats(
     )
 
 
-def cdf_points(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: (sorted values, cumulative fractions in (0, 1]).
-
-    The return shape matches what Figs 14(a)/(b) plot.
-    """
-    array = np.sort(np.asarray(list(values), dtype=float))
-    if array.size == 0:
-        return array, array
-    fractions = np.arange(1, array.size + 1) / array.size
-    return array, fractions
-
-
 def rolling_mean(
     times: Sequence[float], values: Sequence[float], window_s: float
 ) -> np.ndarray:

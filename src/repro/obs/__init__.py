@@ -42,7 +42,6 @@ from .trace import (
     NullTracer,
     TraceEvent,
     Tracer,
-    current_tracer,
     read_trace,
     resolve_tracer,
     set_default_tracer,
@@ -69,7 +68,6 @@ __all__ = [
     "StreamingSink",
     "TraceEvent",
     "Tracer",
-    "current_tracer",
     "escape_label_value",
     "migration_chains",
     "read_trace",

@@ -542,11 +542,6 @@ def set_default_tracer(tracer: Optional[TracerBase]) -> TracerBase:
     return previous
 
 
-def current_tracer() -> TracerBase:
-    """The process-default tracer (:data:`NULL_TRACER` unless set)."""
-    return _default_tracer
-
-
 def resolve_tracer(tracer: Optional[TracerBase]) -> TracerBase:
     """An explicit tracer if given, else the process default."""
     return tracer if tracer is not None else _default_tracer

@@ -7,6 +7,7 @@ from repro.apps.camera import CameraPipelineApp
 from repro.apps.social import SocialNetworkApp
 from repro.apps.video import Participant, VideoConferenceApp
 from repro.config import BassConfig
+from repro.core.controlplane import check_cluster_ledger
 from repro.experiments.common import (
     build_env,
     deploy_app,
@@ -156,9 +157,7 @@ class TestDynamicBehaviour:
         app.set_rps(70.0)
         app.update_demands(handle.binding, 0.0)
         run_timeline(env, 600.0)
-        for node in env.cluster.schedulable_nodes():
-            assert node.allocated.cpu <= node.capacity.cpu + 1e-6
-            assert node.allocated.memory_mb <= node.capacity.memory_mb + 1e-6
+        check_cluster_ledger(env.cluster)
 
 
 class TestDeterminism:

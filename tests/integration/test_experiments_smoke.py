@@ -7,9 +7,9 @@ from repro.experiments.overheads import probing_overhead
 
 class TestThresholdsAndOverheads:
     def test_probing_overhead(self):
-        result = probing_overhead(duration_s=120.0)
+        result = probing_overhead()
         assert 0.0 < result.probe_fraction < 0.10
-        # The startup round max-capacity-probes every directed link; at
-        # short horizons it dominates the full-probe count, so just
-        # check headroom probing is active and cheap.
+        # The startup round max-capacity-probes every directed link and
+        # dominates the full-probe count, so just check headroom
+        # probing is active and cheap.
         assert result.headroom_probes > 0

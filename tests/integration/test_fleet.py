@@ -207,7 +207,7 @@ class TestFleetScenarios:
         """Region 0 is packed and throttled: the only escape is a
         cross-region handoff, and every cross-region migration in the
         run went through the protocol."""
-        result = fleet_handoff(tenants=2, duration_s=180.0, seed=11)
+        result = fleet_handoff(duration_s=180.0, seed=11)
         assert result.committed_handoffs >= 1
         assert result.cross_region_migrations == result.committed_handoffs
         # Two tenants racing one remote node exercise the denial path.
@@ -263,7 +263,7 @@ def test_fleet_row_solver_fill_count():
     ``fleet_epochs``).  Before slack admission: 71 partial solves, 95
     components re-filled."""
     capsule = _fleet_scaling_cell.capsule(
-        regions=4, tenants_per_region=2, duration_s=240.0, seed=11
+        regions=4, duration_s=240.0, seed=11
     )
     capsule.run_to_completion()
     stats = capsule.env.netem.solver_stats()

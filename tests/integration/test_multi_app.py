@@ -12,6 +12,7 @@ from repro.apps.camera import CameraPipelineApp
 from repro.apps.social import SocialNetworkApp
 from repro.apps.video import Participant, VideoConferenceApp
 from repro.config import BassConfig
+from repro.core.controlplane import check_cluster_ledger
 from repro.errors import SchedulingError
 from repro.experiments.common import (
     build_env,
@@ -39,8 +40,7 @@ class TestCoexistence:
         )
         assert set(env.orchestrator.apps) == {"camera", "socialnet"}
         # The resource ledger is shared: no node oversubscribed.
-        for node in env.cluster.schedulable_nodes():
-            assert node.allocated.cpu <= node.capacity.cpu + 1e-6
+        check_cluster_ledger(env.cluster)
         assert len(camera.deployment) == 5
         assert len(social.deployment) == 27
 

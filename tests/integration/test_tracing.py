@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.churn import churn_recovery
 from repro.obs.report import migration_chains, recovery_chains, render_report
-from repro.obs.trace import Tracer, current_tracer, read_trace
+from repro.obs.trace import Tracer, read_trace, resolve_tracer
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def traced_fig13(tmp_path_factory):
 
 class TestTracedRun:
     def test_cli_restores_default_tracer(self, traced_fig13):
-        assert not current_tracer().enabled
+        assert not resolve_tracer(None).enabled
 
     def test_trace_covers_the_decision_pipeline(self, traced_fig13):
         kinds = {event.kind for event in traced_fig13}
@@ -100,10 +100,10 @@ class TestTracedRun:
         assert "!! incomplete cause chain" not in out
 
     def test_untraced_run_emits_nothing(self, capsys):
-        before = current_tracer()
+        before = resolve_tracer(None)
         assert main(["run", "fig13", "--quick"]) == 0
-        assert current_tracer() is before
-        assert not current_tracer().enabled
+        assert resolve_tracer(None) is before
+        assert not resolve_tracer(None).enabled
 
 
 def test_trace_reconstructs_the_recovery_cause_chain():

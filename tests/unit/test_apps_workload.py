@@ -10,17 +10,11 @@ from repro.errors import ConfigError
 class TestFixedRate:
     def test_constant_rate(self):
         workload = FixedRate(50.0)
-        assert workload.rate_at(0.0) == 50.0
-        assert workload.rate_at(12345.0) == 50.0
         assert workload.mean_rps == 50.0
 
     def test_counts(self):
         counts = list(FixedRate(10.0).counts(5.0))
         assert counts == [10.0] * 5
-
-    def test_counts_with_dt(self):
-        counts = list(FixedRate(10.0).counts(2.0, dt_s=0.5))
-        assert counts == [5.0] * 4
 
     def test_negative_rate_raises(self):
         with pytest.raises(ConfigError):

@@ -12,8 +12,9 @@ here to the Python loop it replaced:
   smallest link id, in a bounded number of rounds on the shape that
   defeats plain label passing (a shuffled chain);
 * :class:`repro.net.fairness._Layout` fills to exactly the rates of the
-  frozen row-walk layout (``tests.oracles.ComponentBatchReference``) on
-  full and partial selections of a generated instance.
+  frozen reference loop run per component
+  (``tests.oracles.reference_allocation``) on full and partial
+  selections of a generated instance.
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.net.fairness import (
     _partition_flows,
     link_components,
 )
-from tests.oracles import ComponentBatchReference
+from tests.oracles import reference_allocation
 from tests.unit.test_fairness_equivalence import random_instance
 
 # -- re-grouping by link labels ------------------------------------------------
@@ -159,8 +160,10 @@ def test_gathered_layout_fills_like_the_compiled_batch(n_links, n_flows, seed_ba
         flows, capacities = random_instance(rng, n_links, n_flows)
         _, active = _partition_flows(flows, capacities)
         components = link_components(active)
-        expected = ComponentBatchReference(components).fill(capacities)
-        assert gathered_rates(flows, capacities, components) == expected
+        expected = reference_allocation(flows, capacities)
+        assert gathered_rates(flows, capacities, components) == {
+            fid: expected[fid] for fid in active
+        }
         # Partial selections: rows of the unselected components (and the
         # inactive flows) stay in the table and out of the layout.
         for _ in range(3):

@@ -8,12 +8,15 @@ from repro.faults import (
     LinkDown,
     LinkFlap,
     NodeCrash,
+    OrchestratorKill,
     Partition,
     ProbeBlackout,
     seeded_churn,
 )
 from repro.mesh.topology import full_mesh_topology, line_topology
 from repro.sim.rng import RngStreams
+
+NAN = float("nan")
 
 
 class TestOrdering:
@@ -96,6 +99,26 @@ class TestValidation:
         with pytest.raises(SimulationError, match="blackout"):
             plan.validate(self.topo())
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            NodeCrash(at_s=NAN, node="node1"),
+            NodeCrash(at_s=1.0, node="node1", reboot_after_s=NAN),
+            LinkDown(at_s=1.0, a="node1", b="node2", restore_after_s=NAN),
+            LinkFlap(at_s=1.0, a="node1", b="node2", down_s=NAN, up_s=1.0),
+            LinkFlap(at_s=1.0, a="node1", b="node2", down_s=1.0, up_s=NAN),
+            Partition(at_s=1.0, group=("node1",), heal_after_s=NAN),
+            ProbeBlackout(at_s=1.0, node="node1", duration_s=NAN),
+            OrchestratorKill(at_s=1.0, down_s=NAN),
+        ],
+        ids=repr,
+    )
+    def test_nan_time_or_duration_rejected(self, event):
+        """A NaN passes ``x < 0`` and ``x <= 0``; refused here, it would
+        otherwise fail mid-run when the injector schedules it."""
+        with pytest.raises(SimulationError):
+            FaultPlan([event]).validate(self.topo())
+
 
 class TestSeededChurn:
     def test_reproducible_per_seed(self):
@@ -145,3 +168,8 @@ class TestSeededChurn:
                 full_mesh_topology(3), RngStreams(0),
                 duration_s=100.0, candidates=[],
             )
+
+    @pytest.mark.parametrize("duration_s", [0.0, NAN])
+    def test_nonpositive_or_nan_duration_rejected(self, duration_s):
+        with pytest.raises(SimulationError, match="duration_s"):
+            seeded_churn(full_mesh_topology(3), RngStreams(0), duration_s=duration_s)

@@ -11,7 +11,6 @@ from repro.mesh.topology import (
     citylab_subset,
     full_mesh_topology,
     line_topology,
-    star_topology,
 )
 from repro.mesh.traces import BandwidthTrace
 
@@ -255,11 +254,3 @@ class TestBuilders:
     def test_full_mesh_too_small_raises(self):
         with pytest.raises(TopologyError):
             full_mesh_topology(1)
-
-    def test_star_topology(self):
-        topo = star_topology(3)
-        assert topo.neighbors("hub") == {"leaf1", "leaf2", "leaf3"}
-
-    def test_star_needs_leaves(self):
-        with pytest.raises(TopologyError):
-            star_topology(0)

@@ -9,7 +9,6 @@ from repro.mesh.tracegen import (
     citylab_link_trace,
     citylab_stable_link_trace,
     citylab_variable_link_trace,
-    step_trace,
     trace_with_fades,
 )
 from tests.oracles import ar1_values_reference
@@ -104,24 +103,6 @@ class TestFades:
         base = ar1_trace(20.0, 0.1, 60.0)
         with pytest.raises(TraceError):
             trace_with_fades(base, fade_rate_per_hour=-1.0)
-
-
-class TestStepTrace:
-    def test_segments(self):
-        trace = step_trace([(10.0, 25.0), (5.0, 7.0), (10.0, 25.0)])
-        assert trace.value_at(0.0) == 25.0
-        assert trace.value_at(9.5) == 25.0
-        assert trace.value_at(10.0) == 7.0
-        assert trace.value_at(14.9) == 7.0
-        assert trace.value_at(15.0) == 25.0
-
-    def test_empty_raises(self):
-        with pytest.raises(TraceError):
-            step_trace([])
-
-    def test_zero_duration_segment_raises(self):
-        with pytest.raises(TraceError):
-            step_trace([(0.0, 5.0)])
 
 
 class TestCityLabProfiles:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics.summary import cdf_points, percentile, rolling_mean, summarize
+from repro.metrics.summary import percentile, rolling_mean, summarize
 
 
 class TestSummaries:
@@ -27,15 +27,6 @@ class TestSummaries:
         summary = summarize([])
         assert summary.count == 0
         assert math.isnan(summary.mean)
-
-    def test_cdf_points(self):
-        values, fractions = cdf_points([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert list(fractions) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_cdf_empty(self):
-        values, fractions = cdf_points([])
-        assert len(values) == 0 and len(fractions) == 0
 
     def test_rolling_mean(self):
         times = [0.0, 1.0, 2.0, 3.0]

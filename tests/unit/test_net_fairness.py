@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.invariants import max_min_certificate
 from repro.net.fairness import FlowDemand, max_min_allocation
 
 
@@ -117,17 +118,13 @@ class TestInvariants:
         ]
         caps = {("a", "b"): 5.0, ("b", "c"): 6.0}
         rates = max_min_allocation(flows, caps)
-        for key, cap in caps.items():
-            load = sum(
-                rates[f.flow_id] for f in flows if key in f.links
-            )
-            assert load <= cap + 1e-6
+        assert max_min_certificate(flows, caps, rates) == []
 
     def test_no_flow_exceeds_demand(self):
         flows = [flow("f1", [("a", "b")], 3.0), flow("f2", [("a", "b")], 1.0)]
-        rates = max_min_allocation(flows, {("a", "b"): 100.0})
-        assert rates["f1"] <= 3.0 + 1e-9
-        assert rates["f2"] <= 1.0 + 1e-9
+        caps = {("a", "b"): 100.0}
+        rates = max_min_allocation(flows, caps)
+        assert max_min_certificate(flows, caps, rates) == []
 
     def test_zero_capacity_link(self):
         rates = max_min_allocation(

@@ -8,7 +8,6 @@ from repro.obs.trace import (
     NullTracer,
     TraceEvent,
     Tracer,
-    current_tracer,
     read_trace,
     resolve_tracer,
     set_default_tracer,
@@ -117,25 +116,24 @@ class TestNullTracer:
 
 class TestDefaultTracer:
     def test_default_is_null(self):
-        assert isinstance(current_tracer(), (NullTracer, Tracer))
+        assert isinstance(resolve_tracer(None), (NullTracer, Tracer))
 
     def test_set_and_restore(self):
         tracer = Tracer()
         previous = set_default_tracer(tracer)
         try:
-            assert current_tracer() is tracer
             assert resolve_tracer(None) is tracer
             explicit = Tracer()
             assert resolve_tracer(explicit) is explicit
         finally:
             set_default_tracer(previous)
-        assert current_tracer() is previous
+        assert resolve_tracer(None) is previous
 
     def test_set_none_installs_null(self):
         previous = set_default_tracer(Tracer())
         set_default_tracer(None)
         try:
-            assert current_tracer() is NULL_TRACER
+            assert resolve_tracer(None) is NULL_TRACER
         finally:
             set_default_tracer(previous)
 

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.invariants import max_min_certificate
 from repro.net.fairness import FlowDemand, max_min_allocation
 
 _EPS = 1e-6
@@ -70,6 +71,16 @@ class TestMaxMinProperties:
                     loads[link] >= capacities[link] - 1e-3
                     for link in flow.links
                 )
+
+    @given(scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_max_min_certificate_holds(self, scenario):
+        """Feasible, demand-bounded, and every unsatisfied flow the
+        largest on some saturated link (so single-link sharers get equal
+        shares and no capacity is wasted)."""
+        flows, capacities = scenario
+        rates = max_min_allocation(flows, capacities)
+        assert max_min_certificate(flows, capacities, rates) == []
 
     @given(scenarios())
     @settings(max_examples=60, deadline=None)

@@ -85,11 +85,9 @@ class TestEmulatorInvariants:
             elif op[0] == "tick":
                 emu.tick()
         emu.recompute()
-        for src, dst, link in emu.topology.iter_directed_links():
-            capacity = link.capacity(src, dst, emu.now)
-            assert emu.link_allocated(src, dst) <= capacity + _EPS
+        rates = {flow.flow_id: flow.allocated_mbps for flow in emu.flows}
+        assert max_min_certificate(emu.flows, emu.capacities_now(), rates) == []
         for flow in emu.flows:
-            assert -_EPS <= flow.allocated_mbps <= flow.demand_mbps + _EPS
             assert 0.0 <= flow.goodput_fraction <= 1.0
 
     @given(

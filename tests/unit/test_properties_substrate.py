@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.orchestrator import ClusterState
 from repro.cluster.resources import NodeResources, ResourceSpec
+from repro.core.controlplane import check_cluster_ledger
 from repro.core.dag import Component, ComponentDAG
 from repro.core.migration import MigrationPlanner, Violation
 from repro.core.ordering import order_components
@@ -124,8 +125,7 @@ class TestPlacementProperties:
             return  # infeasible draws are fine
         # Every component assigned exactly once; no node oversubscribed.
         assert sorted(assignments) == sorted(dag.component_names)
-        for node in cluster.schedulable_nodes():
-            assert node.allocated.cpu <= node.capacity.cpu + 1e-6
+        check_cluster_ledger(cluster)
 
 
 @st.composite

@@ -27,6 +27,9 @@ from repro.experiments.churn import (
     churn_seed_sweep_spec,
 )
 from repro.experiments.thresholds import (
+    FIG14CD_SEED,
+    FIG16_HEADROOM,
+    FIG16_SEED,
     _run_threshold_config,
     fig14cd_sweep_spec,
     fig16_sweep_spec,
@@ -42,14 +45,11 @@ FIG14CD_GRID = dict(
     headrooms=(0.10, 0.30),
     rps=50.0,
     duration_s=60.0,
-    seed=144,
 )
 FIG16_GRID = dict(
     thresholds=(0.25, 0.75),
     mean_rps=50.0,
-    headroom=0.20,
     duration_s=60.0,
-    seed=16,
 )
 
 
@@ -77,7 +77,7 @@ def test_fig14cd_sweep_matches_pre_refactor_serial_loop(tmp_path):
             headroom=headroom,
             workload=FixedRate(grid["rps"]),
             duration_s=grid["duration_s"],
-            seed=grid["seed"],
+            seed=FIG14CD_SEED,
         )
         for heuristic in grid["heuristics"]
         for threshold in grid["thresholds"]
@@ -94,15 +94,13 @@ def test_fig16_sweep_matches_pre_refactor_serial_loop(tmp_path):
         _run_threshold_config(
             heuristic="longest_path",
             threshold=threshold,
-            headroom=grid["headroom"],
+            headroom=FIG16_HEADROOM,
             workload=ExponentialArrivals(
                 grid["mean_rps"],
-                rng=np.random.default_rng(
-                    grid["seed"] + int(threshold * 100)
-                ),
+                rng=np.random.default_rng(FIG16_SEED + int(threshold * 100)),
             ),
             duration_s=grid["duration_s"],
-            seed=grid["seed"],
+            seed=FIG16_SEED,
         )
         for threshold in grid["thresholds"]
     ]

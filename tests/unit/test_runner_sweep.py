@@ -213,7 +213,8 @@ class TestGrid:
 
     def test_reproduces_the_hand_built_specs_cell_for_cell(self):
         """The comprehensions the grid helper replaced, verbatim (but for
-        multitenant's seed, now on the cell): cache keys must not move."""
+        multitenant's seed, now on the cell, and fig16's headroom, now a
+        constant of its cell): cache keys must not move."""
         from repro.experiments.churn import churn_seed_sweep_spec
         from repro.experiments.multi_tenant import multi_tenant_scaling_spec
         from repro.experiments.thresholds import (
@@ -251,7 +252,6 @@ class TestGrid:
                     kwargs={
                         "threshold": threshold,
                         "mean_rps": 50.0,
-                        "headroom": 0.20,
                         "duration_s": 200.0,
                     },
                     label=f"thr{threshold:g}",
