@@ -158,18 +158,6 @@ class CameraPipelineApp(Application):
             profile.listener_ms,
         ]
 
-    def sample_latency_s(
-        self,
-        binding: DeploymentBinding,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        """End-to-end latency (seconds) of one frame right now.
-
-        A frame hitting a restarting stage stalls until that stage is
-        back (migration cost, §6.2.3).
-        """
-        return self.sample_latencies_s(binding, 1, rng)[0]
-
     def sample_latencies_s(
         self,
         binding: DeploymentBinding,
@@ -183,6 +171,8 @@ class CameraPipelineApp(Application):
         resolved once; per frame only the jittered stage times differ
         (drawn in one batch: the same values, in the same order, as one
         scalar draw per stage), summed in the order they are charged.
+        A frame hitting a restarting stage stalls until that stage is
+        back (migration cost, §6.2.3).
         """
         profile = self.profile
         costs = EdgeCosts(binding)

@@ -13,15 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..apps.social import SocialNetworkApp
 from ..apps.video import Participant, VideoConferenceApp
 from ..cluster.deployment import MigrationRecord
 from ..config import BassConfig
 from ..core.dag import Component, ComponentDAG
 from ..mesh.node import MeshNode
-from ..mesh.topology import MeshTopology, citylab_subset, full_mesh_topology
+from ..mesh.topology import MeshTopology, full_mesh_topology
 from ..runner import SweepSpec
-from ..sim.rng import RngStreams
 from .common import (
     RunCapsule,
     build_env,
@@ -30,6 +28,14 @@ from .common import (
     grid_figure,
     run_timeline,
     set_node_egress_limit,
+)
+from .socialnet import (
+    RESTART_SECONDS,
+    SocialRun,
+    SocialScenario,
+    Throttle,
+    run_social,
+    social_capsule,
 )
 
 
@@ -293,61 +299,23 @@ class Fig13Series:
         return float(np.percentile(self.latency_s, 99))
 
 
-#: Fig 13's throttle: nodes 2 and 3 egress-limited to 25 Mbps.
-FIG13_RESTRICT_TO_MBPS = 25.0
 FIG13_SEED = 13
 
 
-@dataclass
-class Fig13Cell:
-    """One wired fig13 interval setting: what :func:`_fig13_cell` builds.
-
-    The batch sweep drives it to the horizon, while ``bass-repro serve``
-    ticks it live under the status plane, both sampling through
-    :meth:`sample`.
-    """
-
-    env: object
-    app: SocialNetworkApp
-    handle: object
-    rng: object
-    interval: Optional[float]
-    times: list[float] = field(default_factory=list)
-    latency_s: list[float] = field(default_factory=list)
-
-    def throttle(self) -> None:
-        set_node_egress_limit(self.env, "node2", FIG13_RESTRICT_TO_MBPS)
-        set_node_egress_limit(self.env, "node3", FIG13_RESTRICT_TO_MBPS)
-
-    def unthrottle(self) -> None:
-        set_node_egress_limit(self.env, "node2", None)
-        set_node_egress_limit(self.env, "node3", None)
-
-    def sample_latency_s(self, samples: int = 8) -> float:
-        return float(
-            np.mean(
-                self.app.sample_latencies_s(
-                    self.handle.binding, samples, self.rng
-                )
-            )
-        )
-
-    def sample(self, now: float) -> None:
-        """The per-tick observer: mean request latency at ``now``.  A
-        bound method (not a closure) so a checkpointed run pickles it,
-        and a restored run keeps appending to the same lists."""
-        self.times.append(now)
-        self.latency_s.append(self.sample_latency_s())
-
-    def result(self, duration_s: float) -> Fig13Series:
-        """The series, once the clock has run."""
-        return Fig13Series(
-            interval_s=self.interval,
-            times=np.asarray(self.times),
-            latency_s=np.asarray(self.latency_s),
-            migrations=list(self.handle.deployment.migrations),
-            table1_rows=self.handle.controller.table1_rows(),
-        )
+def _fig13_series(run: SocialRun) -> Fig13Series:
+    """The capsule's result: the series, once the clock has run."""
+    config = run.scenario.config
+    return Fig13Series(
+        interval_s=(
+            config.probe.headroom_interval_s
+            if config.migrations_enabled
+            else None
+        ),
+        times=np.asarray(run.times),
+        latency_s=run.tick_means(),
+        migrations=run.migrations,
+        table1_rows=run.table1_rows(),
+    )
 
 
 @checkpointable
@@ -360,50 +328,31 @@ def _fig13_cell(
     total_s: float,
     seed: int,
 ) -> RunCapsule:
-    """One monitoring interval of Fig 13 (None: no migration).
+    """One monitoring interval of Fig 13 (None: no migration, but the
+    controller still runs and probes).
 
-    Heterogeneous nodes sized so the application (12 cores) spans two
-    nodes and the top-ranked node (node2, which the packer fills with
-    the hottest services) is among the throttled ones — leaving slack
-    on unthrottled node1 for migrations to use.
+    The batch sweep drives the capsule to the horizon, while ``bass-repro
+    serve`` ticks it live under the status plane.
     """
-    topology = MeshTopology()
-    for name, cores in (("node1", 6.0), ("node2", 8.0), ("node3", 6.0)):
-        topology.add_node(
-            MeshNode(name, cpu_cores=cores, memory_mb=131072.0)
-        )
-    names = topology.node_names
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            topology.add_link(a, b, capacity_mbps=1000.0, latency_ms=0.5)
-    env = build_env(
-        topology, seed=seed, buffer_mbit=200.0, restart_seconds=8.0
-    )
-    app = SocialNetworkApp(annotate_rps=rps)
     config = BassConfig(migrations_enabled=interval is not None)
     if interval is not None:
         config = config.with_probe(headroom_interval_s=interval)
         config = config.with_migration(cooldown_s=0.0)
-    handle = deploy_app(env, app, "bass-longest-path", config=config)
-    app.set_rps(rps)
-    app.update_demands(handle.binding, 0.0)
-    cell = Fig13Cell(
-        env=env,
-        app=app,
-        handle=handle,
-        rng=env.rng.get(f"fig13-{interval}"),
-        interval=interval,
-    )
-    return RunCapsule(
-        env=env,
-        prepared=cell,
-        duration_s=total_s,
-        on_tick=cell.sample,
-        events=(
-            (restrict_at_s, cell.throttle),
-            (restrict_at_s + restrict_for_s, cell.unthrottle),
+    scenario = SocialScenario(
+        mesh="lan3-hetero",
+        scheduler="bass-longest-path",
+        config=config,
+        controller=True,
+        rps=rps,
+        throttle=Throttle(
+            ("node2", "node3"), restrict_at_s, restrict_at_s + restrict_for_s
         ),
+        samples=8,
+        stream=f"fig13-{interval}",
+        duration_s=total_s,
+        seed=seed,
     )
+    return social_capsule(scenario, _fig13_series)
 
 
 @grid_figure
@@ -455,9 +404,8 @@ class Fig14aResult:
         )
 
 
-#: Fig 14a's load and the forced restart's cost.
+#: Fig 14a's load.
 FIG14A_RPS = 50.0
-FIG14A_RESTART_SECONDS = 8.0
 
 
 def fig14a_restart_cdf(
@@ -474,25 +422,22 @@ def fig14a_restart_cdf(
     back, inflating the mean from ~0.5 s to several seconds while the
     restart lasts.
     """
-    topology = citylab_subset(with_traces=False)
-    env = build_env(topology, seed=seed, restart_seconds=FIG14A_RESTART_SECONDS)
-    app = SocialNetworkApp(annotate_rps=FIG14A_RPS)
-    handle = deploy_app(
-        env,
-        app,
-        "bass-longest-path",
-        config=BassConfig(migrations_enabled=False),
-        start_controller=False,
+    run = run_social(
+        SocialScenario(
+            mesh="citylab",
+            scheduler="bass-longest-path",
+            rps=FIG14A_RPS,
+            restart_at_s=restart_at_s,
+            samples=6,
+            stream="fig14a",
+            duration_s=total_s,
+            seed=seed,
+        )
     )
-    app.set_rps(FIG14A_RPS)
-    app.update_demands(handle.binding, 0.0)
-    rng = env.rng.get("fig14a")
+    restart_end = restart_at_s + RESTART_SECONDS
     baseline: list[float] = []
     during_restart: list[float] = []
-    restart_end = restart_at_s + FIG14A_RESTART_SECONDS
-
-    def sample(t: float) -> None:
-        samples = app.sample_latencies_s(handle.binding, 6, rng)
+    for t, samples in zip(run.times, run.samples):
         if restart_at_s <= t < restart_end + 2.0:
             during_restart.extend(samples)
         elif t < restart_at_s:
@@ -500,26 +445,6 @@ def fig14a_restart_cdf(
             # leaves a different placement, and Fig 14a isolates the
             # restart window itself.
             baseline.extend(samples)
-
-    def force_restart() -> None:
-        deployment = handle.deployment
-        current = deployment.node_of("post-storage-service")
-        target = next(
-            name
-            for name in env.cluster.node_names
-            if name != current
-            and env.cluster.node(name).can_fit(
-                handle.dag.component("post-storage-service").resources
-            )
-        )
-        env.orchestrator.migrate(
-            app.name, "post-storage-service", target, reason="fig14a forced"
-        )
-        handle.binding.sync_flows()
-
-    run_timeline(
-        env, total_s, on_tick=sample, events=[(restart_at_s, force_restart)]
-    )
     return Fig14aResult(
         baseline_latency_s=np.asarray(baseline),
         restart_latency_s=np.asarray(during_restart),
@@ -551,52 +476,32 @@ FIG14B_CONFIGURATIONS = {
     "longest-path-nomig": ("bass-longest-path", False),
     "k3s": ("k3s", False),
 }
-#: Fig 14b's load (see EXPERIMENTS.md for why 70, not the paper's 50)
-#: and restart cost.
+#: Fig 14b's load (see EXPERIMENTS.md for why 70, not the paper's 50).
 FIG14B_RPS = 70.0
-FIG14B_RESTART_SECONDS = 8.0
 FIG14B_SEED = 140
 
 
 def _fig14b_cell(*, label: str, duration_s: float, seed: int) -> Fig14bResult:
-    """One of :data:`FIG14B_CONFIGURATIONS` on the trace-replay mesh."""
+    """One of :data:`FIG14B_CONFIGURATIONS` on the trace-replay mesh; a
+    configuration without migrations registers no controller."""
     scheduler, migrate = FIG14B_CONFIGURATIONS[label]
-    rng_streams = RngStreams(seed)
-    topology = citylab_subset(
-        with_traces=True,
-        trace_duration_s=duration_s,
-        rng=rng_streams.get("traces"),
+    run = run_social(
+        SocialScenario(
+            mesh="citylab-traced",
+            scheduler=scheduler,
+            config=BassConfig(migrations_enabled=migrate),
+            controller=migrate,
+            rps=FIG14B_RPS,
+            samples=6,
+            stream=f"fig14b-{label}",
+            duration_s=duration_s,
+            seed=seed,
+        )
     )
-    env = build_env(
-        topology,
-        seed=seed,
-        buffer_mbit=400.0,
-        restart_seconds=FIG14B_RESTART_SECONDS,
-    )
-    app = SocialNetworkApp(annotate_rps=FIG14B_RPS)
-    config = BassConfig(migrations_enabled=migrate).with_migration(
-        goodput_threshold=0.5, link_utilization_threshold=0.65
-    )
-    handle = deploy_app(
-        env,
-        app,
-        scheduler,
-        config=config,
-        start_controller=migrate,
-    )
-    app.set_rps(FIG14B_RPS)
-    app.update_demands(handle.binding, 0.0)
-    rng = env.rng.get(f"fig14b-{label}")
-    latencies: list[float] = []
-
-    def sample(t: float) -> None:
-        latencies.extend(app.sample_latencies_s(handle.binding, 6, rng))
-
-    run_timeline(env, duration_s, on_tick=sample)
     return Fig14bResult(
         label=label,
-        latency_s=np.asarray(latencies),
-        migrations=len(handle.deployment.migrations),
+        latency_s=run.latencies(),
+        migrations=len(run.migrations),
     )
 
 
@@ -645,13 +550,9 @@ def _fig15b_cell(
 ) -> Fig15bResult:
     """One migration threshold of Fig 15b (None: no migration)."""
     worker_nodes = ["node1", "node2", "node3", "node4"]
-    rng_streams = RngStreams(seed)
-    topology = citylab_subset(
-        with_traces=True,
-        trace_duration_s=duration_s,
-        rng=rng_streams.get("traces"),
+    env = build_env(
+        seed=seed, trace_duration_s=duration_s, restart_seconds=20.0
     )
-    env = build_env(topology, seed=seed, restart_seconds=20.0)
     app = VideoConferenceApp.conference_at_nodes(
         worker_nodes, FIG15B_PER_NODE_CLIENTS, stream_mbps=FIG15B_STREAM_MBPS
     )
@@ -727,9 +628,8 @@ class Table1Result:
     migrations: list[MigrationRecord]
 
 
-#: Table 1's load and the throttle on the busiest node's egress.
+#: Table 1's load.
 TABLE1_RPS = 200.0
-TABLE1_THROTTLE_MBPS = 25.0
 
 
 def table1_migration_iterations(
@@ -737,42 +637,24 @@ def table1_migration_iterations(
 ) -> Table1Result:
     """Table 1: components over quota vs migrated, per 30 s iteration.
 
-    The social network runs on the 3-node cluster; the node carrying the
-    second-most components has its egress throttled to 25 Mbps (the
-    paper throttles "node 3").  Each controller iteration identifies the
-    components exceeding their link-utilization quota, then migrates
-    only a cascade-free subset — the paper's counts are (6→2), (1→1),
-    (1→1), after which the violations clear.
+    The social network runs on the 3-node cluster; 10 s in, the node
+    whose egress carries the most inter-node demand has its egress
+    throttled to 25 Mbps (the paper throttles "node 3").  Each
+    controller iteration identifies the components exceeding their
+    link-utilization quota, then migrates only a cascade-free subset —
+    the paper's counts are (6→2), (1→1), (1→1), after which the
+    violations clear.
     """
-    topology = MeshTopology()
-    for name, cores in (("node1", 6.0), ("node2", 8.0), ("node3", 6.0)):
-        topology.add_node(MeshNode(name, cpu_cores=cores, memory_mb=131072.0))
-    names = topology.node_names
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            topology.add_link(a, b, capacity_mbps=1000.0, latency_ms=0.5)
-    env = build_env(topology, seed=seed, buffer_mbit=200.0, restart_seconds=8.0)
-    app = SocialNetworkApp(annotate_rps=TABLE1_RPS)
-    config = BassConfig().with_migration(cooldown_s=0.0)
-    handle = deploy_app(env, app, "bass-longest-path", config=config)
-    app.set_rps(TABLE1_RPS)
-    app.update_demands(handle.binding, 0.0)
-
-    # Throttle the node whose egress carries the most inter-node demand
-    # (the paper's "node 3"): that is where a 25 Mbps cap bites.
-    egress: dict[str, float] = {n: 0.0 for n in env.cluster.node_names}
-    for src, dst, _ in handle.binding.inter_node_edges():
-        egress[handle.deployment.node_of(src)] += handle.binding.edge_demand(
-            src, dst
+    run = run_social(
+        SocialScenario(
+            mesh="lan3-hetero",
+            scheduler="bass-longest-path",
+            config=BassConfig().with_migration(cooldown_s=0.0),
+            controller=True,
+            rps=TABLE1_RPS,
+            throttle=Throttle(("busiest-egress",), 10.0),
+            duration_s=total_s,
+            seed=seed,
         )
-    victim = max(egress, key=lambda n: egress[n])
-
-    run_timeline(
-        env,
-        total_s,
-        events=[(10.0, lambda: set_node_egress_limit(env, victim, TABLE1_THROTTLE_MBPS))],
     )
-    return Table1Result(
-        rows=handle.controller.table1_rows(),
-        migrations=list(handle.deployment.migrations),
-    )
+    return Table1Result(rows=run.table1_rows(), migrations=run.migrations)

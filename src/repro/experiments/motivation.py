@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..apps.social import SocialNetworkApp
 from ..apps.video import Participant, VideoConferenceApp
 from ..config import BassConfig
 from ..mesh.topology import full_mesh_topology
@@ -29,6 +28,7 @@ from .common import (
     run_timeline,
     set_node_egress_limit,
 )
+from .socialnet import SocialScenario, Throttle, run_social
 
 
 # -- Fig 2 -------------------------------------------------------------------
@@ -194,9 +194,8 @@ class Fig5Series:
         )
 
 
-#: Fig 5's load and its two-minute 25 Mbps throttle.
+#: Fig 5's load and the length of its throttle.
 FIG5_RPS = 400.0
-FIG5_THROTTLE_MBPS = 25.0
 FIG5_THROTTLE_DURATION_S = 120.0
 
 
@@ -213,45 +212,22 @@ def fig5_socialnet_throttle(
     "bandwidth becomes insufficient" condition.  No migrations — k3s is
     bandwidth-oblivious.
     """
-    topology = full_mesh_topology(3, capacity_mbps=1000.0)
-    env = build_env(topology, seed=seed, buffer_mbit=200.0)
-    app = SocialNetworkApp(annotate_rps=FIG5_RPS)
-    handle = deploy_app(
-        env,
-        app,
-        "k3s",
-        config=BassConfig(migrations_enabled=False),
-        start_controller=False,
-    )
-    app.set_rps(FIG5_RPS)
-    app.update_demands(handle.binding, 0.0)
-    rng = env.rng.get("latency")
-    hot_node = handle.deployment.node_of("post-storage-service")
-
-    times: list[float] = []
-    latencies: list[float] = []
-
-    def sample(t: float) -> None:
-        samples = app.sample_latencies_s(handle.binding, 10, rng)
-        times.append(t)
-        latencies.append(float(np.mean(samples)))
-
     throttle_end = throttle_start_s + FIG5_THROTTLE_DURATION_S
-    run_timeline(
-        env,
-        total_s,
-        on_tick=sample,
-        events=[
-            (
-                throttle_start_s,
-                lambda: set_node_egress_limit(env, hot_node, FIG5_THROTTLE_MBPS),
-            ),
-            (throttle_end, lambda: set_node_egress_limit(env, hot_node, None)),
-        ],
+    run = run_social(
+        SocialScenario(
+            mesh="lan3",
+            scheduler="k3s",
+            rps=FIG5_RPS,
+            throttle=Throttle(("hottest",), throttle_start_s, throttle_end),
+            samples=10,
+            stream="latency",
+            duration_s=total_s,
+            seed=seed,
+        )
     )
     return Fig5Series(
-        times=np.asarray(times),
-        latency_s=np.asarray(latencies),
+        times=np.asarray(run.times),
+        latency_s=run.tick_means(),
         throttle_start_s=throttle_start_s,
         throttle_end_s=throttle_end,
     )

@@ -15,19 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..apps.camera import CameraPipelineApp, CameraProfile
-from ..apps.social import SocialNetworkApp
 from ..config import BassConfig
 from ..mesh.topology import citylab_subset, full_mesh_topology
 from ..mesh.traces import BandwidthTrace
 from ..runner import SweepSpec
 from ..sim.rng import RngStreams
-from .common import (
-    build_env,
-    deploy_app,
-    grid_figure,
-    run_timeline,
-    set_node_egress_limit,
-)
+from .common import build_env, deploy_app, grid_figure, run_timeline
+from .socialnet import SocialScenario, Throttle, run_social
 
 SCHEDULERS = ("bass-bfs", "bass-longest-path", "k3s")
 
@@ -131,9 +125,8 @@ class Fig11Cell:
     mean_latency_s: float
 
 
-#: Fig 11's restricted variant caps node2's egress at 25 Mbps; the
-#: figure compares longest-path against k3s.
-FIG11_THROTTLE_MBPS = 25.0
+#: Fig 11's restricted variant caps node2's egress, before deployment;
+#: the figure compares longest-path against k3s.
 FIG11_SCHEDULERS = ("bass-longest-path", "k3s")
 FIG11_SEED = 11
 
@@ -147,36 +140,24 @@ def _fig11_cell(
     seed: int,
 ) -> Fig11Cell:
     """One (scheduler, restricted?, rps) configuration of Fig 11."""
-    topology = full_mesh_topology(
-        4, capacity_mbps=1000.0, cpu_cores=4.0, memory_mb=12288.0
-    )
-    env = build_env(topology, seed=seed, buffer_mbit=200.0)
-    if restricted:
-        set_node_egress_limit(env, "node2", FIG11_THROTTLE_MBPS)
-    app = SocialNetworkApp(annotate_rps=rps)
-    handle = deploy_app(
-        env,
-        app,
-        scheduler,
-        config=BassConfig(migrations_enabled=False),
-        start_controller=False,
-    )
-    app.set_rps(rps)
-    app.update_demands(handle.binding, 0.0)
-    rng = env.rng.get(f"lat-{scheduler}-{rps}-{restricted}")
-    latencies: list[float] = []
-
-    def sample(t: float) -> None:
-        latencies.extend(app.sample_latencies_s(handle.binding, 8, rng))
-
-    run_timeline(env, duration_s, on_tick=sample)
-    array = np.asarray(latencies)
+    latencies = run_social(
+        SocialScenario(
+            mesh="lan4",
+            scheduler=scheduler,
+            rps=rps,
+            throttle=Throttle(("node2",)) if restricted else None,
+            samples=8,
+            stream=f"lat-{scheduler}-{rps}-{restricted}",
+            duration_s=duration_s,
+            seed=seed,
+        )
+    ).latencies()
     return Fig11Cell(
         scheduler=scheduler,
         rps=rps,
         restricted=restricted,
-        p99_latency_s=float(np.percentile(array, 99)),
-        mean_latency_s=float(array.mean()),
+        p99_latency_s=float(np.percentile(latencies, 99)),
+        mean_latency_s=float(latencies.mean()),
     )
 
 
@@ -189,10 +170,9 @@ def fig11_socialnet_p99(
     """Fig 11: social-network p99 vs RPS, unrestricted and restricted.
 
     4-node LAN of 4-core machines (the paper's d710s).  In the
-    restricted variant one worker's egress is capped at 25 Mbps before
-    deployment; the throttled node is chosen per-scheduler as the node
-    k3s is about to load with hot services — the paper throttles "one
-    node" and observes k3s two orders of magnitude worse at 200–300 RPS.
+    restricted variant node2's egress is capped at 25 Mbps before
+    deployment, for both schedulers — the paper throttles "one node"
+    and observes k3s two orders of magnitude worse at 200–300 RPS.
     """
     return SweepSpec.grid(
         "fig11",

@@ -423,17 +423,22 @@ def full_mesh_topology(
     n_nodes: int,
     capacity_mbps: float = 1000.0,
     *,
-    cpu_cores: float = 16.0,
+    cpu_cores: float | tuple[float, ...] = 16.0,
     memory_mb: float = 131072.0,
 ) -> MeshTopology:
     """A complete graph — models the microbenchmarks' bridged LAN, where
-    every node can reach every other at full speed (§6.2.1)."""
+    every node can reach every other at full speed (§6.2.1).
+    ``cpu_cores`` is every node's, or one per node."""
     if n_nodes < 2:
         raise TopologyError("full mesh needs at least 2 nodes")
+    if not isinstance(cpu_cores, tuple):
+        cpu_cores = (cpu_cores,) * n_nodes
+    if len(cpu_cores) != n_nodes:
+        raise TopologyError("cpu_cores needs one value per node")
     topo = MeshTopology()
-    for i in range(n_nodes):
+    for i, cores in enumerate(cpu_cores):
         topo.add_node(
-            MeshNode(f"node{i + 1}", cpu_cores=cpu_cores, memory_mb=memory_mb)
+            MeshNode(f"node{i + 1}", cpu_cores=cores, memory_mb=memory_mb)
         )
     names = topo.node_names
     for i, a in enumerate(names):

@@ -718,6 +718,25 @@ def _water_fill(
     retired = np.empty(n_flows, dtype=bool)
     saturated = np.empty(n_links, dtype=bool)
 
+    free = None
+    if n_flows and demand.max() == inf:
+        # An infinite demand crossing only unlimited links takes an
+        # infinite rate, and nothing else feels it: an unlimited link's
+        # share and headroom stay +inf whatever its count.  Settle such
+        # rows before the first round, so no round computes inf - inf.
+        bound = np.zeros(n_flows, dtype=bool)
+        bound[entry_flow[cap[entry_link] < inf]] = True
+        free = (demand == inf) & ~bound
+        n_alive -= int(np.count_nonzero(free))
+        flow_slot[free] = spare
+        live[free] = False
+        sat_thresh[free] = nan
+        gone = entry_link[free[entry_flow]]
+        np.subtract.at(counts, gone, 1.0)
+        dead = gone[counts[gone] == 0.0]
+        link_slot[dead] = spare
+        counts[dead] = 1.0
+
     while n_alive:
         np.divide(cap, counts, out=link_buf)
         np.subtract(demand_shadow, rate, out=flow_buf)
@@ -778,6 +797,8 @@ def _water_fill(
                 counts[dead] = 1.0
                 cap[dead] = inf
 
+    if free is not None:
+        rate[free] = inf
     return rate
 
 

@@ -2,6 +2,7 @@
 the golden says, and is offered exactly the flags its parts allow."""
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -20,6 +21,14 @@ from repro.runner import canonical_json, decode_value
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "cli"
 REPORT_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "report"
+#: sha256 of each row's ``run <id> --quick --out`` document, but the
+#: rows with a wall-clock column, whose documents carry the timings.
+OUT_DIGESTS = dict(
+    line.split()[::-1]
+    for line in (REPO_ROOT / "tests" / "golden" / "out" / "sha256.txt")
+    .read_text()
+    .splitlines()
+)
 #: A bounded ``serve`` run: an ephemeral port, no serving past the horizon.
 SERVE = ["serve", "--quick", "--port", "0", "--no-linger"]
 
@@ -125,7 +134,8 @@ class TestCli:
         the catalogue existed: the whole user-visible surface, byte for
         byte (a new row needs a golden recorded alongside it).  Every
         row also writes ``--out``: its cell results round-trip through
-        the sweep codec."""
+        the sweep codec, and the document's bytes match the pinned
+        digest (rows without a wall-clock column)."""
         golden = (GOLDEN_DIR / f"{experiment}.txt").read_text()
         document = tmp_path / "out.json"
         assert main(["run", experiment, "--quick", "--out", str(document)]) == 0
@@ -138,6 +148,9 @@ class TestCli:
         decoded = decode_value(json.loads(written))
         assert decoded and all(decoded.values())
         assert canonical_json(decoded) + "\n" == written
+        if column is None:
+            digest = hashlib.sha256(document.read_bytes()).hexdigest()
+            assert digest == OUT_DIGESTS[experiment]
 
     @pytest.mark.parametrize(
         "experiment, recorder",

@@ -21,6 +21,11 @@ from repro.mesh.topology import full_mesh_topology
 from repro.net.netem import NetworkEmulator
 
 
+def frame_latency_s(app, binding):
+    """One frame's end-to-end latency, without jitter."""
+    return app.sample_latencies_s(binding, 1)[0]
+
+
 def deployed(assignment=None, capacity=100.0):
     app = CameraPipelineApp()
     dag = app.build_dag()
@@ -68,7 +73,7 @@ class TestLatency:
             + profile.detector_ms
             + profile.listener_ms
         ) / 1000.0
-        assert app.sample_latency_s(binding) == pytest.approx(expected)
+        assert frame_latency_s(app, binding) == pytest.approx(expected)
 
     def test_inter_node_hops_add_latency(self):
         base_app, base = deployed()
@@ -76,15 +81,13 @@ class TestLatency:
             {CAMERA_STREAM: "node1", FRAME_SAMPLER: "node2",
              OBJECT_DETECTOR: "node3"}
         )
-        assert app.sample_latency_s(spread) > base_app.sample_latency_s(base)
+        assert frame_latency_s(app, spread) > frame_latency_s(base_app, base)
 
     def test_slow_link_increases_latency_more(self):
         layout = {CAMERA_STREAM: "node1", FRAME_SAMPLER: "node2"}
         app_fast, fast = deployed(layout, capacity=100.0)
         app_slow, slow = deployed(layout, capacity=5.0)
-        assert app_slow.sample_latency_s(slow) > app_fast.sample_latency_s(
-            fast
-        )
+        assert frame_latency_s(app_slow, slow) > frame_latency_s(app_fast, fast)
 
     def test_restart_stall_included(self):
         app, binding = deployed()
@@ -92,7 +95,7 @@ class TestLatency:
             OBJECT_DETECTOR, "node2", time=0.0, restart_seconds=15.0
         )
         binding.sync_flows()
-        latency = app.sample_latency_s(binding)
+        latency = frame_latency_s(app, binding)
         assert latency >= 15.0
 
     def test_restarting_middle_stage_is_charged_twice(self):
@@ -114,9 +117,7 @@ class TestLatency:
             OBJECT_DETECTOR, "node2", time=0.0, restart_seconds=10.0
         )
         binding.sync_flows()
-        extra = app.sample_latency_s(binding) - steady_app.sample_latency_s(
-            steady
-        )
+        extra = frame_latency_s(app, binding) - frame_latency_s(steady_app, steady)
         # (Transfer terms shift a little: the restart also silences the
         # stage's flows, so its payloads ride the path's spare rate.)
         assert extra == pytest.approx(2 * 10.0, abs=0.5)
@@ -128,9 +129,7 @@ class TestLatency:
             CAMERA_STREAM, "node2", time=0.0, restart_seconds=10.0
         )
         binding.sync_flows()
-        extra = app.sample_latency_s(binding) - steady_app.sample_latency_s(
-            steady
-        )
+        extra = frame_latency_s(app, binding) - frame_latency_s(steady_app, steady)
         assert extra == pytest.approx(10.0, abs=0.5)
 
     def test_jitter_varies_samples(self):
@@ -141,15 +140,15 @@ class TestLatency:
 
     def test_no_rng_is_deterministic(self):
         app, binding = deployed()
-        assert app.sample_latency_s(binding) == app.sample_latency_s(binding)
+        assert frame_latency_s(app, binding) == frame_latency_s(app, binding)
 
     def test_label_listener_not_on_critical_path(self):
         # Moving only the label listener off-node must not add transfer
         # latency (it is not on the measured chain).
         app_a, a = deployed()
         app_b, b = deployed({LABEL_LISTENER: "node2"})
-        assert app_b.sample_latency_s(b) == pytest.approx(
-            app_a.sample_latency_s(a)
+        assert frame_latency_s(app_b, b) == pytest.approx(
+            frame_latency_s(app_a, a)
         )
 
 

@@ -605,11 +605,11 @@ class TestCameraEquivalence:
         for n in CAMERA_SIZES:
             assert_same_samples(app, binding, n, seed=700 + n)
         rng_old, rng_new = np.random.default_rng(8), np.random.default_rng(8)
-        assert bits([app.sample_latency_s(binding, rng_new)]) == bits(
+        assert bits(app.sample_latencies_s(binding, 1, rng_new)) == bits(
             [oracle_camera_sample_latency_s(app, binding, rng_old)]
         )
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        assert bits([app.sample_latency_s(binding)]) == bits(
+        assert bits(app.sample_latencies_s(binding, 1)) == bits(
             [oracle_camera_sample_latency_s(app, binding)]
         )
 

@@ -254,3 +254,9 @@ class TestBuilders:
     def test_full_mesh_too_small_raises(self):
         with pytest.raises(TopologyError):
             full_mesh_topology(1)
+
+    def test_full_mesh_cores_per_node(self):
+        topo = full_mesh_topology(3, cpu_cores=(6.0, 8.0, 6.0))
+        assert [topo.node(n).cpu_cores for n in topo.node_names] == [6.0, 8.0, 6.0]
+        with pytest.raises(TopologyError):
+            full_mesh_topology(3, cpu_cores=(6.0, 8.0))

@@ -225,13 +225,17 @@ def test_stateless_solver_keeps_infinite_demand_legal():
         assert max_min_allocation(flows, {LINK: 10.0}) == {"f": 7.0, "g": 3.0}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_demand_on_an_unlimited_link_ends_the_batched_fill():
-    """A flow of infinite demand alone on a ``+inf`` link reaches an
-    infinite rate in one round.  Its satisfaction test (``inf >= inf``)
-    used to hold again in every later round, counting the retired row
-    once more each time, and with one more component still filling
-    round after round the batched fill never ended.  Every other flow
-    gets what the plan kernel gives it."""
+    """A flow of infinite demand alone on a ``+inf`` link takes an
+    infinite rate.  Its satisfaction test (``inf >= inf``) used to hold
+    again in every later round, counting the retired row once more each
+    time, and with one more component still filling round after round
+    the batched fill never ended.  Its rate was then reached inside a
+    round, as ``inf - inf`` (NaN) in the link headroom and the flow
+    slack, which NumPy warns about; the fill now settles the row before
+    the first round.  Every other flow gets what the plan kernel gives
+    it."""
     flows = [FlowDemand("f", (LINK,), INF)] + [
         FlowDemand(f"g{i}", (("c", "d"),), 1.0 + i) for i in range(_BATCH_MIN_FLOWS)
     ]

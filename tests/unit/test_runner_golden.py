@@ -1,8 +1,9 @@
 """Golden determinism pins for the sweep refactor.
 
-Each test replays the *pre-refactor serial loop* by hand — the exact
-loop body the experiment modules ran before the sweep runner existed —
-and requires the runner's output to be byte-identical (canonical JSON)
+Each test replays the *pre-refactor serial loop* by hand — the loop
+the experiment modules ran before the sweep runner existed, calling
+each cell function (or, for churn, the loop body) directly — and
+requires the runner's output to be byte-identical (canonical JSON)
 at ``jobs=1`` (the in-process loop), at ``jobs=2`` and ``jobs=4`` (the
 work-stealing fabric, cold), and on a warm replay of each run's cache.
 This is the acceptance contract of the refactor: parallelism, chunk
@@ -14,9 +15,6 @@ stays in the tier-1 fast path; the full-scale grids go through the
 same code paths.
 """
 
-import numpy as np
-
-from repro.apps.workload import ExponentialArrivals, FixedRate
 from repro.experiments.ablations import (
     ablate_hybrid_heuristic,
     ablate_routing_strategy,
@@ -28,9 +26,9 @@ from repro.experiments.churn import (
 )
 from repro.experiments.thresholds import (
     FIG14CD_SEED,
-    FIG16_HEADROOM,
     FIG16_SEED,
-    _run_threshold_config,
+    _fig14cd_cell,
+    _fig16_cell,
     fig14cd_sweep_spec,
     fig16_sweep_spec,
 )
@@ -71,11 +69,11 @@ def assert_runner_matches_serial(spec, serial_results, tmp_path):
 def test_fig14cd_sweep_matches_pre_refactor_serial_loop(tmp_path):
     grid = FIG14CD_GRID
     serial = [
-        _run_threshold_config(
+        _fig14cd_cell(
             heuristic=heuristic,
             threshold=threshold,
             headroom=headroom,
-            workload=FixedRate(grid["rps"]),
+            rps=grid["rps"],
             duration_s=grid["duration_s"],
             seed=FIG14CD_SEED,
         )
@@ -91,14 +89,9 @@ def test_fig14cd_sweep_matches_pre_refactor_serial_loop(tmp_path):
 def test_fig16_sweep_matches_pre_refactor_serial_loop(tmp_path):
     grid = FIG16_GRID
     serial = [
-        _run_threshold_config(
-            heuristic="longest_path",
+        _fig16_cell(
             threshold=threshold,
-            headroom=FIG16_HEADROOM,
-            workload=ExponentialArrivals(
-                grid["mean_rps"],
-                rng=np.random.default_rng(FIG16_SEED + int(threshold * 100)),
-            ),
+            mean_rps=grid["mean_rps"],
             duration_s=grid["duration_s"],
             seed=FIG16_SEED,
         )
